@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json gate serve soak scaleout clean
+.PHONY: all build vet test race bench bench-json gate loc benchmark-smoke benchmark serve soak scaleout clean
 
 all: vet build test
 
@@ -28,6 +28,20 @@ bench-json:
 # recorded on matching hardware; fails on >25% regression.
 gate:
 	$(GO) run ./cmd/benchgate
+
+# Non-test Go line count outside benchmark/ — the figure the "one path per
+# job" deletion campaign (ROADMAP.md) is measured by. (.bench_build/ is
+# `make benchmark`'s build cache, not source.)
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
+# The repo benchmark (BENCHMARK.json, benchmark/README.md): its own
+# self-test, and the full run the driver executes.
+benchmark-smoke:
+	$(GO) test -count=1 -run TestSmoke ./benchmark
+
+benchmark:
+	bash benchmark/run.sh
 
 # Run the multi-tenant search service on :8080 with the demo tenants.
 serve:

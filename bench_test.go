@@ -374,10 +374,11 @@ func BenchmarkAblationBruteForceWall(b *testing.B) {
 // serial vs the bounded summary worker pool vs the warm LRU cache.
 func BenchmarkEndToEndSearch(b *testing.B) {
 	e := getEnv(b)
-	run := func(b *testing.B, opts sizelos.SearchOptions) {
+	run := func(b *testing.B, req sizelos.QueryRequest) {
 		b.Helper()
+		req.Rel, req.Query, req.L = "Author", "Faloutsos", 15
 		for i := 0; i < b.N; i++ {
-			res, err := e.dblp.Search("Author", "Faloutsos", 15, opts)
+			res, _, _, err := e.dblp.QueryPage(req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -387,15 +388,15 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
-		run(b, sizelos.SearchOptions{Parallel: 1})
+		run(b, sizelos.QueryRequest{Parallel: 1})
 	})
 	b.Run("parallel", func(b *testing.B) {
-		run(b, sizelos.SearchOptions{})
+		run(b, sizelos.QueryRequest{})
 	})
 	b.Run("cached", func(b *testing.B) {
 		e.dblp.EnableSummaryCache(256)
 		defer e.dblp.EnableSummaryCache(0)
-		run(b, sizelos.SearchOptions{})
+		run(b, sizelos.QueryRequest{})
 		if st, ok := e.dblp.SummaryCacheStats(); ok {
 			b.ReportMetric(100*st.HitRate(), "cache_hit_pct")
 		}
@@ -746,7 +747,7 @@ func BenchmarkRerankResidualParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng.SetResidualRerank(true)
-			eng.SetResidualWorkers(workers)
+			eng.PinResidualWorkers(workers)
 			paper := db.Relation("Paper")
 			var prev []int64
 			updates := 0

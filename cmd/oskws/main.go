@@ -30,7 +30,6 @@ func main() {
 		fromDB   = flag.Bool("from-db", false, "extract with database joins instead of the data graph")
 		weights  = flag.Bool("weights", false, "show local importance per tuple")
 		limit    = flag.Int("limit", 0, "max data subjects to summarize (0 = all)")
-		topK     = flag.Int("k", 0, "legacy alias for -limit")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		parallel = flag.Int("parallel", 0, "summary workers per query (0 = GOMAXPROCS, 1 = serial)")
 	)
@@ -40,9 +39,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: oskws [flags] <keywords>")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	if *limit == 0 {
-		*limit = *topK
 	}
 
 	var (

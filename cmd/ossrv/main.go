@@ -89,7 +89,6 @@ func loadConfig() (tenancy.ServerConfig, []string) {
 		walSync    = flag.Duration("wal-sync", 0, "WAL group-commit interval; 0 fsyncs every mutation before acknowledging")
 		keepSnaps  = flag.Int("keep-snapshots", 2, "snapshots retained per tenant after pruning")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-		residualW  = flag.Int("residual-workers", 0, "residual-push worker count for every tenant engine (0 = auto by GOMAXPROCS, 1 = serial; scores are bit-identical at any count)")
 	)
 	flag.Var(&tenants, "tenant", "tenant definition name=dataset (dataset: dblp or tpch); repeatable; 'none' starts empty")
 	flag.Parse()
@@ -136,9 +135,6 @@ func loadConfig() (tenancy.ServerConfig, []string) {
 	}
 	if set["drain"] || cfg.Drain == 0 {
 		cfg.Drain = qos.Duration(*drain)
-	}
-	if set["residual-workers"] {
-		cfg.ResidualWorkers = *residualW
 	}
 
 	// Boot tenants: config-file entries first (sorted for a deterministic

@@ -109,7 +109,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := restored.Search("Author", "synthetic", 3, SearchOptions{}); err != nil {
+	if _, err := search(restored, "Author", "synthetic", 3, QueryRequest{}); err != nil {
 		t.Fatalf("restored engine search: %v", err)
 	}
 

@@ -21,8 +21,8 @@
 //	}
 //
 // Query streams: summaries are computed only for the prefix the caller
-// consumes. The historical Search/RankedSearch entry points remain as
-// eager wrappers over the same pipeline.
+// consumes; QueryPage drains one page of the same stream under a single
+// lock acquisition.
 package sizelos
 
 import (
@@ -100,11 +100,9 @@ type Engine struct {
 	mu    sync.RWMutex
 	db    *relational.DB
 	graph *datagraph.Graph
-	// index is held through the Searcher interface so the storage layout
-	// (flat, sharded, or a future remote index) is swappable; NewEngine
-	// installs the sharded layout. Mutation support additionally requires
-	// the layout to implement keyword.Maintainer.
-	index keyword.Searcher
+	// index is the sharded keyword index NewEngine builds; Mutate maintains
+	// it incrementally (Apply) and compaction remaps it (Remap).
+	index *keyword.Sharded
 	// settings are the ranking configurations NewEngine computed, retained
 	// so Mutate can re-run them on demand (MutationBatch.Rerank).
 	settings []Setting
@@ -130,9 +128,10 @@ type Engine struct {
 	// (SetResidualBudget): the push count past which a residual re-rank
 	// abandons the localized path and falls back to the full iteration.
 	residualBudget int
-	// residualWorkers pins the residual push's owner-tile worker count
-	// (SetResidualWorkers): 0 sizes by GOMAXPROCS, 1 forces serial. Purely
-	// a throughput knob — every count produces bit-identical scores.
+	// residualWorkers pins the residual push's owner-tile worker count: 0
+	// (what every engine serves with) sizes by GOMAXPROCS, 1 forces serial.
+	// Every count produces bit-identical scores; only the in-package
+	// equivalence harness and benchmarks set it.
 	residualWorkers int
 	// residualAccel gates the high-damping accelerated repair
 	// (SetResidualAccel, on by default): when off, slow global modes trip
@@ -283,18 +282,6 @@ func (e *Engine) SetResidualBudget(pushes int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.residualBudget = pushes
-}
-
-// SetResidualWorkers pins the worker count of the parallel residual push —
-// the owner-tile regions a re-rank's frontier is partitioned into. 0 (the
-// default) sizes by GOMAXPROCS; 1 forces the serial schedule. The knob is
-// purely about throughput: the push's reduction order is fixed, so every
-// worker count produces bit-for-bit identical scores (the equivalence
-// harness pins this at 1, 2, 4 and 7 workers).
-func (e *Engine) SetResidualWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualWorkers = n
 }
 
 // SetResidualAccel toggles the accelerated high-damping rescue (on by
@@ -560,20 +547,9 @@ func gdsDeps(gds *schemagraph.GDS) []string {
 // epochs consistent.
 func (e *Engine) DB() *relational.DB { return e.db }
 
-// Index exposes the keyword index the engine queries.
-func (e *Engine) Index() keyword.Searcher {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.index
-}
-
-// SetIndex swaps the keyword index, e.g. for a different shard count or a
-// flat reference layout. The index must cover the engine's database.
-func (e *Engine) SetIndex(idx keyword.Searcher) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.index = idx
-}
+// Index exposes the keyword index the engine queries. Treat it as
+// read-only, and do not probe it concurrently with Mutate.
+func (e *Engine) Index() *keyword.Sharded { return e.index }
 
 // Graph exposes the tuple data graph. Mutate splices each batch into this
 // same object in place (it is replaced only by compaction or an overlay
@@ -638,55 +614,6 @@ func (e *Engine) gdsLocked(dsRel, setting string) (*schemagraph.GDS, error) {
 	return g, nil
 }
 
-// SearchOptions tunes Search and SizeL.
-type SearchOptions struct {
-	// Setting selects the ranking configuration (default DefaultSetting).
-	Setting string
-	// Algorithm selects the size-l method (default AlgoTopPath, the
-	// paper's quality recommendation).
-	Algorithm Algorithm
-	// UseComplete computes from the complete OS instead of the prelim-l OS.
-	// The paper recommends prelim-l ("constantly a better choice", §6.3),
-	// so the default is prelim.
-	//
-	// Deprecated: use QueryRequest.Complete with Engine.Query.
-	UseComplete bool
-	// FromDatabase extracts tuples with database joins instead of the
-	// in-memory data graph (Fig. 10f compares the two).
-	FromDatabase bool
-	// TopK caps how many DS matches are summarized (0 = all).
-	//
-	// Deprecated: use QueryRequest.Limit with Engine.Query, which
-	// additionally skips-and-backfills tombstoned matches inside the
-	// window and supports cursor resumption past it.
-	TopK int
-	// ShowWeights annotates rendered summaries with local importance.
-	ShowWeights bool
-	// Parallel bounds the worker pool summarizing the keyword matches of
-	// one Search/RankedSearch call: 0 sizes it by GOMAXPROCS, 1 forces
-	// serial. Output order and content are identical at every setting.
-	Parallel int
-	// Pool, when non-nil, additionally bounds this call's summary work by a
-	// concurrency budget shared with other callers — the multi-tenant
-	// service hands every tenant the same pool so one machine-wide cap
-	// governs total in-flight work. nil imposes no shared limit.
-	Pool *searchexec.Pool
-	// CacheScope namespaces this call's summary-cache entries. Deployments
-	// that serve several tenants from one engine set it to the tenant name
-	// so per-tenant invalidation or quotas never bleed across tenants; the
-	// empty scope is the single-tenant default.
-	CacheScope string
-}
-
-func (o *SearchOptions) fill() {
-	if o.Setting == "" {
-		o.Setting = DefaultSetting
-	}
-	if o.Algorithm == "" {
-		o.Algorithm = AlgoTopPath
-	}
-}
-
 // Summary is one size-l OS result.
 type Summary struct {
 	// DSRel and Tuple identify the data subject.
@@ -702,49 +629,19 @@ type Summary struct {
 	Text string
 }
 
-// Search runs a keyword query against the DS relation and returns one
-// size-l OS per matching data subject, ranked by DS global importance: the
-// paper's end-to-end paradigm (Q1 "Faloutsos", l=15 → Example 5). Matches
-// are summarized concurrently (see SearchOptions.Parallel); the result
-// order — descending DS global importance, as produced by the keyword
-// index — is deterministic regardless of the pool size.
-//
-// Search drains an Engine.Query stream eagerly; prefer Query for new code —
-// it serves the same results lazily, adds Limit/Cursor paging, and unifies
-// this entry point with RankedSearch (QueryRequest.RankBySummary).
-func (e *Engine) Search(dsRel, query string, l int, opts SearchOptions) ([]Summary, error) {
-	opts.fill()
-	// The read lock spans match lookup and summarization: a mutation
-	// serializes before or after the whole query, so the summaries always
-	// describe one consistent database state.
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, err := e.queryLocked(QueryRequest{
-		Rel: dsRel, Query: query, L: l,
-		Setting: opts.Setting, Algorithm: opts.Algorithm,
-		Limit:    opts.TopK,
-		Complete: opts.UseComplete, FromDatabase: opts.FromDatabase,
-		ShowWeights: opts.ShowWeights,
-		Parallel:    opts.Parallel, Pool: opts.Pool, CacheScope: opts.CacheScope,
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Drain()
-}
-
 // summarizeSliceLocked computes one size-l summary per keyword match across
 // a bounded worker pool, writing each result into its match's slot so
-// output order is independent of scheduling. Matches must already be
-// validated live (classifySubject); callers hold at least the read lock.
-func (e *Engine) summarizeSliceLocked(dsRel string, matches []keyword.Match, l int, opts SearchOptions) ([]Summary, error) {
+// output order is independent of scheduling. req must be resolved and the
+// matches already validated live (classifySubject); callers hold at least
+// the read lock.
+func (e *Engine) summarizeSliceLocked(req QueryRequest, matches []keyword.Match) ([]Summary, error) {
 	out := make([]Summary, len(matches))
-	err := searchexec.ForEach(len(matches), opts.Parallel, func(i int) error {
+	err := searchexec.ForEach(len(matches), req.Parallel, func(i int) error {
 		tuple := matches[i].Tuple
 		// A cache hit is microseconds of work; serve it without waiting on
 		// the shared budget so hot cached queries stay fast even while the
 		// pool is saturated by cold computations.
-		key := e.summaryKeyFor(dsRel, tuple, l, opts)
+		key := e.summaryKeyFor(req, tuple)
 		if cache := e.cache.Load(); cache != nil {
 			if s, ok := cache.Get(key); ok {
 				out[i] = s
@@ -756,7 +653,7 @@ func (e *Engine) summarizeSliceLocked(dsRel string, matches []keyword.Match, l i
 		// Each computed summary holds one shared-pool slot for its
 		// duration, so the machine-wide budget is enforced regardless of
 		// per-call Parallel.
-		opts.Pool.Do(func() {
+		req.Pool.Do(func() {
 			// Re-probe after the (possibly long) slot wait: a sibling may
 			// have cached this summary meanwhile, and recomputing it would
 			// waste scarce cold-compute budget. Stat-neutral — the probe
@@ -767,7 +664,7 @@ func (e *Engine) summarizeSliceLocked(dsRel string, matches []keyword.Match, l i
 					return
 				}
 			}
-			s, err = e.computeSummary(dsRel, tuple, l, opts, key)
+			s, err = e.computeSummary(req, tuple, key)
 		})
 		if err != nil {
 			return err
@@ -782,21 +679,21 @@ func (e *Engine) summarizeSliceLocked(dsRel string, matches []keyword.Match, l i
 }
 
 // summaryKey identifies one memoizable size-l computation: every
-// SearchOptions field that affects the produced Summary participates, plus
+// QueryRequest field that affects the produced Summary participates, plus
 // the mutation epoch of the DS relation's dependency set — after a
 // mutation the epoch moves, so pre-mutation entries can never satisfy a
 // post-mutation lookup (they linger unreferenced until the LRU evicts
 // them), while entries whose dependency set the mutation missed keep
 // hitting.
 type summaryKey struct {
-	// Scope isolates tenants sharing one engine (SearchOptions.CacheScope).
+	// Scope isolates tenants sharing one engine (QueryRequest.CacheScope).
 	Scope        string
 	DSRel        string
 	Tuple        relational.TupleID
 	L            int
 	Setting      string
 	Algorithm    Algorithm
-	UseComplete  bool
+	Complete     bool
 	FromDatabase bool
 	ShowWeights  bool
 	// Epoch is the summed mutation epoch of every relation the DS
@@ -804,17 +701,17 @@ type summaryKey struct {
 	Epoch uint64
 }
 
-// summaryKeyFor builds the memoization key of one size-l computation;
-// opts must already be filled (or carry explicit values) so defaults and
-// explicit settings share entries. Callers hold at least the read lock.
-func (e *Engine) summaryKeyFor(dsRel string, tuple relational.TupleID, l int, opts SearchOptions) summaryKey {
+// summaryKeyFor builds the memoization key of one size-l computation; req
+// must be resolved so defaults and explicit settings share entries.
+// Callers hold at least the read lock.
+func (e *Engine) summaryKeyFor(req QueryRequest, tuple relational.TupleID) summaryKey {
 	return summaryKey{
-		Scope: opts.CacheScope,
-		DSRel: dsRel, Tuple: tuple, L: l,
-		Setting: opts.Setting, Algorithm: opts.Algorithm,
-		UseComplete: opts.UseComplete, FromDatabase: opts.FromDatabase,
-		ShowWeights: opts.ShowWeights,
-		Epoch:       e.epochForLocked(dsRel),
+		Scope: req.CacheScope,
+		DSRel: req.Rel, Tuple: tuple, L: req.L,
+		Setting: req.Setting, Algorithm: req.Algorithm,
+		Complete: req.Complete, FromDatabase: req.FromDatabase,
+		ShowWeights: req.ShowWeights,
+		Epoch:       e.epochForLocked(req.Rel),
 	}
 }
 
@@ -864,31 +761,23 @@ func (e *Engine) SummaryCacheStats() (stats searchexec.CacheStats, ok bool) {
 	return c.Stats(), true
 }
 
-// validateSubject checks the DS coordinates before any summary work;
-// tombstoned tuples are rejected like out-of-range ones.
-func (e *Engine) validateSubject(dsRel string, tuple relational.TupleID) error {
-	r := e.db.Relation(dsRel)
-	if r == nil {
-		return fmt.Errorf("sizelos: unknown relation %q", dsRel)
-	}
-	if tuple < 0 || int(tuple) >= r.Len() {
-		return fmt.Errorf("sizelos: tuple %d out of range for %s (%d tuples)", tuple, dsRel, r.Len())
-	}
-	if r.Deleted(tuple) {
-		return fmt.Errorf("sizelos: tuple %d of %s is deleted", tuple, dsRel)
-	}
-	return nil
-}
-
-// SizeL computes the size-l OS of one data subject tuple.
-func (e *Engine) SizeL(dsRel string, tuple relational.TupleID, l int, opts SearchOptions) (Summary, error) {
-	opts.fill()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if err := e.validateSubject(dsRel, tuple); err != nil {
+// SizeL computes the size-l OS of one data subject tuple of req.Rel — the
+// paper's single-subject primitive. Only the summary-shaping fields of req
+// (and Pool) apply; Query, the ranking and the paging fields are ignored.
+func (e *Engine) SizeL(req QueryRequest, tuple relational.TupleID) (Summary, error) {
+	req, err := req.resolve()
+	if err != nil {
 		return Summary{}, err
 	}
-	key := e.summaryKeyFor(dsRel, tuple, l, opts)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	// Tombstoned tuples are rejected like out-of-range ones.
+	if skip, err := e.classifySubject(req.Rel, tuple); err != nil {
+		return Summary{}, err
+	} else if skip {
+		return Summary{}, fmt.Errorf("sizelos: tuple %d of %s is deleted", tuple, req.Rel)
+	}
+	key := e.summaryKeyFor(req, tuple)
 	if cache := e.cache.Load(); cache != nil {
 		if s, ok := cache.Get(key); ok {
 			return s, nil
@@ -896,34 +785,34 @@ func (e *Engine) SizeL(dsRel string, tuple relational.TupleID, l int, opts Searc
 	}
 	// The direct path honors the shared budget too (nil Pool runs inline).
 	var s Summary
-	var err error
-	opts.Pool.Do(func() {
-		s, err = e.computeSummary(dsRel, tuple, l, opts, key)
+	req.Pool.Do(func() {
+		s, err = e.computeSummary(req, tuple, key)
 	})
 	return s, err
 }
 
 // computeSummary generates, selects and renders one size-l OS, then
 // memoizes it under key. Callers have already validated the subject,
-// filled opts, and missed the cache (the single counted probe).
-func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, opts SearchOptions, key summaryKey) (Summary, error) {
-	sc, err := e.scoresLocked(opts.Setting)
+// resolved req, and missed the cache (the single counted probe).
+func (e *Engine) computeSummary(req QueryRequest, tuple relational.TupleID, key summaryKey) (Summary, error) {
+	dsRel, l := req.Rel, req.L
+	sc, err := e.scoresLocked(req.Setting)
 	if err != nil {
 		return Summary{}, err
 	}
-	gds, err := e.gdsLocked(dsRel, opts.Setting)
+	gds, err := e.gdsLocked(dsRel, req.Setting)
 	if err != nil {
 		return Summary{}, err
 	}
 	var src ostree.Source
-	if opts.FromDatabase {
+	if req.FromDatabase {
 		src = ostree.NewDBSource(e.db, sc)
 	} else {
 		src = ostree.NewGraphSource(e.graph, sc)
 	}
 
 	var tree *ostree.Tree
-	if opts.UseComplete {
+	if req.Complete {
 		tree, err = ostree.Generate(src, gds, tuple, ostree.GenOptions{MaxDepth: l - 1})
 	} else {
 		tree, _, err = sizel.PrelimL(src, gds, tuple, l, sizel.PrelimOptions{MaxDepth: l - 1})
@@ -933,7 +822,7 @@ func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, o
 	}
 
 	var res sizel.Result
-	switch opts.Algorithm {
+	switch req.Algorithm {
 	case AlgoDP:
 		res, err = sizel.DP(context.Background(), tree, l)
 	case AlgoBottomUp:
@@ -941,13 +830,14 @@ func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, o
 	case AlgoTopPath:
 		res, err = sizel.TopPath(tree, l, sizel.TopPathOptions{})
 	default:
-		return Summary{}, fmt.Errorf("sizelos: unknown algorithm %q", opts.Algorithm)
+		// resolve admits only the three names above.
+		return Summary{}, fmt.Errorf("%w: unknown algorithm %q", ErrInvalidRequest, req.Algorithm)
 	}
 	if err != nil {
 		return Summary{}, err
 	}
 
-	text := tree.Render(ostree.RenderOptions{Keep: res.Nodes, ShowWeights: opts.ShowWeights})
+	text := tree.Render(ostree.RenderOptions{Keep: res.Nodes, ShowWeights: req.ShowWeights})
 	sum := Summary{
 		DSRel:    dsRel,
 		Tuple:    tuple,
@@ -960,37 +850,6 @@ func (e *Engine) computeSummary(dsRel string, tuple relational.TupleID, l int, o
 		cache.Put(key, sum)
 	}
 	return sum, nil
-}
-
-// RankedSearch implements the combined size-l and top-k ranking of OSs the
-// paper leaves as future work (§7): candidates matching the keywords are
-// summarized first, then ranked by the importance Im(S) of their size-l OS
-// — the summary's weight, not just the DS tuple's own global score — and
-// the best k are returned. A DS whose neighborhood is important outranks a
-// well-connected but shallow one.
-//
-// RankedSearch drains an Engine.Query stream with RankBySummary set;
-// prefer Query for new code — same results, plus Limit/Cursor paging
-// through the ranked k.
-func (e *Engine) RankedSearch(dsRel, query string, l, k int, opts SearchOptions) ([]Summary, error) {
-	opts.fill()
-	if k < 1 {
-		return nil, fmt.Errorf("sizelos: k must be >= 1, got %d", k)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, err := e.queryLocked(QueryRequest{
-		Rel: dsRel, Query: query, L: l,
-		Setting: opts.Setting, Algorithm: opts.Algorithm,
-		RankBySummary: true, K: k,
-		Complete: opts.UseComplete, FromDatabase: opts.FromDatabase,
-		ShowWeights: opts.ShowWeights,
-		Parallel:    opts.Parallel, Pool: opts.Pool, CacheScope: opts.CacheScope,
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	return r.Drain()
 }
 
 // RegisterAutoGDS derives a G_DS for dsRel automatically from the schema

@@ -28,9 +28,22 @@ func getDBLP(t *testing.T) *Engine {
 	return eng
 }
 
+// search and ranked are the tests' spelling of "every summary of this
+// query": one QueryPage drained to req's Limit, in serving order.
+func search(eng *Engine, rel, q string, l int, req QueryRequest) ([]Summary, error) {
+	req.Rel, req.Query, req.L = rel, q, l
+	sums, _, _, err := eng.QueryPage(req)
+	return sums, err
+}
+
+func ranked(eng *Engine, rel, q string, l, k int, req QueryRequest) ([]Summary, error) {
+	req.RankBySummary, req.K = true, k
+	return search(eng, rel, q, l, req)
+}
+
 func TestSearchFaloutsos(t *testing.T) {
 	eng := getDBLP(t)
-	results, err := eng.Search("Author", "Faloutsos", 15, SearchOptions{})
+	results, err := search(eng, "Author", "Faloutsos", 15, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -55,7 +68,7 @@ func TestSearchFaloutsos(t *testing.T) {
 
 func TestSearchMultiKeyword(t *testing.T) {
 	eng := getDBLP(t)
-	results, err := eng.Search("Author", "Christos Faloutsos", 10, SearchOptions{})
+	results, err := search(eng, "Author", "Christos Faloutsos", 10, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -69,7 +82,7 @@ func TestSearchMultiKeyword(t *testing.T) {
 
 func TestSearchNoMatch(t *testing.T) {
 	eng := getDBLP(t)
-	results, err := eng.Search("Author", "Nonexistent Person", 10, SearchOptions{})
+	results, err := search(eng, "Author", "Nonexistent Person", 10, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -82,7 +95,7 @@ func TestAlgorithmsAgreeOnImportanceOrdering(t *testing.T) {
 	eng := getDBLP(t)
 	var imp = map[Algorithm]float64{}
 	for _, algo := range []Algorithm{AlgoDP, AlgoBottomUp, AlgoTopPath} {
-		res, err := eng.Search("Author", "Christos Faloutsos", 12, SearchOptions{Algorithm: algo})
+		res, err := search(eng, "Author", "Christos Faloutsos", 12, QueryRequest{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("Search(%s): %v", algo, err)
 		}
@@ -98,11 +111,11 @@ func TestAlgorithmsAgreeOnImportanceOrdering(t *testing.T) {
 
 func TestCompleteVsPrelimAgree(t *testing.T) {
 	eng := getDBLP(t)
-	a, err := eng.Search("Author", "Christos Faloutsos", 15, SearchOptions{UseComplete: true})
+	a, err := search(eng, "Author", "Christos Faloutsos", 15, QueryRequest{Complete: true})
 	if err != nil {
 		t.Fatalf("Search(complete): %v", err)
 	}
-	b, err := eng.Search("Author", "Christos Faloutsos", 15, SearchOptions{})
+	b, err := search(eng, "Author", "Christos Faloutsos", 15, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search(prelim): %v", err)
 	}
@@ -120,7 +133,7 @@ func TestCompleteVsPrelimAgree(t *testing.T) {
 
 func TestDatabaseSourcePath(t *testing.T) {
 	eng := getDBLP(t)
-	res, err := eng.Search("Author", "Christos Faloutsos", 10, SearchOptions{FromDatabase: true})
+	res, err := search(eng, "Author", "Christos Faloutsos", 10, QueryRequest{FromDatabase: true})
 	if err != nil {
 		t.Fatalf("Search(db source): %v", err)
 	}
@@ -137,7 +150,7 @@ func TestSettings(t *testing.T) {
 		t.Errorf("SettingNames = %v, want %v", got, want)
 	}
 	for _, s := range want {
-		res, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{Setting: s})
+		res, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{Setting: s})
 		if err != nil {
 			t.Fatalf("Search(%s): %v", s, err)
 		}
@@ -145,17 +158,17 @@ func TestSettings(t *testing.T) {
 			t.Errorf("Search(%s): %d results", s, len(res))
 		}
 	}
-	if _, err := eng.Search("Author", "x", 5, SearchOptions{Setting: "nope"}); err == nil {
+	if _, err := search(eng, "Author", "x", 5, QueryRequest{Setting: "nope"}); err == nil {
 		t.Error("unknown setting accepted")
 	}
 }
 
 func TestErrors(t *testing.T) {
 	eng := getDBLP(t)
-	if _, err := eng.SizeL("Ghost", 0, 5, SearchOptions{}); err == nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Ghost", L: 5}, 0); err == nil {
 		t.Error("unknown DS relation accepted")
 	}
-	if _, err := eng.SizeL("Author", 0, 5, SearchOptions{Algorithm: "magic"}); err == nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5, Algorithm: "magic"}, 0); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	if _, err := NewEngine(eng.DB(), nil); err == nil {
@@ -163,14 +176,14 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
+func TestLimit(t *testing.T) {
 	eng := getDBLP(t)
-	res, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{TopK: 1})
+	res, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{Limit: 1})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if len(res) != 1 {
-		t.Errorf("TopK=1 returned %d results", len(res))
+		t.Errorf("Limit=1 returned %d results", len(res))
 	}
 }
 
@@ -184,7 +197,7 @@ func TestOpenTPCH(t *testing.T) {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
 	// Every customer name is unique: search one and summarize.
-	res, err := eng.Search("Customer", "Customer#000001", 10, SearchOptions{})
+	res, err := search(eng, "Customer", "Customer#000001", 10, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}

@@ -1,13 +1,14 @@
 package sizelos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
 func TestRankedSearchOrdersByImS(t *testing.T) {
 	eng := getDBLP(t)
-	res, err := eng.RankedSearch("Author", "Faloutsos", 10, 3, SearchOptions{})
+	res, err := ranked(eng, "Author", "Faloutsos", 10, 3, QueryRequest{})
 	if err != nil {
 		t.Fatalf("RankedSearch: %v", err)
 	}
@@ -21,7 +22,7 @@ func TestRankedSearchOrdersByImS(t *testing.T) {
 		}
 	}
 	// Top-k truncation.
-	res, err = eng.RankedSearch("Author", "Faloutsos", 10, 1, SearchOptions{})
+	res, err = ranked(eng, "Author", "Faloutsos", 10, 1, QueryRequest{})
 	if err != nil {
 		t.Fatalf("RankedSearch: %v", err)
 	}
@@ -34,11 +35,11 @@ func TestRankedSearchVsPlainSearchMayDiffer(t *testing.T) {
 	// RankedSearch orders by summary importance; Search orders by DS global
 	// score. Both must return the same *set* of DSs for the same query.
 	eng := getDBLP(t)
-	a, err := eng.Search("Author", "Faloutsos", 10, SearchOptions{})
+	a, err := search(eng, "Author", "Faloutsos", 10, QueryRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.RankedSearch("Author", "Faloutsos", 10, 10, SearchOptions{})
+	b, err := ranked(eng, "Author", "Faloutsos", 10, 10, QueryRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +59,12 @@ func TestRankedSearchVsPlainSearchMayDiffer(t *testing.T) {
 
 func TestRankedSearchErrors(t *testing.T) {
 	eng := getDBLP(t)
-	if _, err := eng.RankedSearch("Author", "x", 5, 0, SearchOptions{}); err == nil {
-		t.Error("k=0 accepted")
+	// K = 0 means "rank everything" on the one request struct (the HTTP
+	// layer still refuses an explicit k=0); a negative K is invalid.
+	if _, err := ranked(eng, "Author", "x", 5, -1, QueryRequest{}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("k=-1 error = %v, want ErrInvalidRequest", err)
 	}
-	if _, err := eng.RankedSearch("Author", "x", 5, 1, SearchOptions{Setting: "nope"}); err == nil {
+	if _, err := ranked(eng, "Author", "x", 5, 1, QueryRequest{Setting: "nope"}); err == nil {
 		t.Error("unknown setting accepted")
 	}
 }
@@ -84,7 +87,7 @@ func TestRegisterAutoGDS(t *testing.T) {
 		t.Errorf("auto G_DS not annotated: root max %v", gds.Root.Max)
 	}
 	// And it must be usable end-to-end.
-	res, err := eng.Search("Conference", "SIGMOD", 8, SearchOptions{})
+	res, err := search(eng, "Conference", "SIGMOD", 8, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search on auto G_DS: %v", err)
 	}

@@ -47,11 +47,11 @@ func TestPersistenceRoundTripSearch(t *testing.T) {
 	}
 	engB := build(reloaded)
 
-	a, err := engA.Search("Author", "Christos Faloutsos", 10, SearchOptions{})
+	a, err := search(engA, "Author", "Christos Faloutsos", 10, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search(a): %v", err)
 	}
-	b, err := engB.Search("Author", "Christos Faloutsos", 10, SearchOptions{})
+	b, err := search(engB, "Author", "Christos Faloutsos", 10, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search(b): %v", err)
 	}

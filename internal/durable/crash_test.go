@@ -273,8 +273,12 @@ func recoverAndCheck(t *testing.T, view *MemFS, op int, mode TailMode,
 		}
 
 		// And the recovered engine actually serves.
-		if _, err := eng.Search("Author", "synthetic", 3, sizelos.SearchOptions{}); err != nil {
-			if _, err2 := eng.Search("Customer", "synthetic", 3, sizelos.SearchOptions{}); err2 != nil {
+		serve := func(rel string) error {
+			_, _, _, err := eng.QueryPage(sizelos.QueryRequest{Rel: rel, Query: "synthetic", L: 3})
+			return err
+		}
+		if err := serve("Author"); err != nil {
+			if err2 := serve("Customer"); err2 != nil {
 				t.Fatalf("%s: recovered engine cannot serve: %v / %v", tag, err, err2)
 			}
 		}

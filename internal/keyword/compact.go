@@ -13,20 +13,6 @@ import (
 	"sizelos/internal/searchexec"
 )
 
-// Compactor is the compaction-side contract of a keyword index: Remap
-// rewrites one relation's posting ids after the storage layer physically
-// compacted it. remap[old] is the new TupleID of each slot, -1 for
-// reclaimed tombstones; no live posting may map to -1. Like Maintainer,
-// Remap must be serialized against lookups by the caller.
-type Compactor interface {
-	Remap(rel string, remap []relational.TupleID)
-}
-
-var (
-	_ Compactor = (*Index)(nil)
-	_ Compactor = (*Sharded)(nil)
-)
-
 // remapPostings rewrites every posting list of one relation's token map in
 // place under the monotonic remap.
 func remapPostings(postings map[string][]relational.TupleID, remap []relational.TupleID) {
@@ -37,15 +23,17 @@ func remapPostings(postings map[string][]relational.TupleID, remap []relational.
 	}
 }
 
-// Remap implements Compactor for the flat index.
+// Remap rewrites one relation's posting ids after the storage layer
+// physically compacted it. remap[old] is the new TupleID of each slot, -1
+// for reclaimed tombstones; no live posting may map to -1. Like Apply,
+// Remap must be serialized against lookups by the caller.
 func (idx *Index) Remap(rel string, remap []relational.TupleID) {
 	if postings := idx.postings[rel]; postings != nil {
 		remapPostings(postings, remap)
 	}
 }
 
-// Remap implements Compactor for the sharded index: shards partition by
-// token, so every shard's slice of the relation remaps independently, one
+// Remap is Index.Remap for the sharded index: shards partition by token, so every shard's slice of the relation remaps independently, one
 // goroutine per shard.
 func (idx *Sharded) Remap(rel string, remap []relational.TupleID) {
 	if !idx.known[rel] {

@@ -3,8 +3,8 @@ package keyword
 // This file implements incremental index maintenance: when the database
 // mutates, the engine retracts the postings of deleted tuples and adds
 // those of inserted ones instead of re-tokenizing the whole corpus. Both
-// layouts implement the Maintainer contract and are required to end up
-// bit-identical to a from-scratch rebuild over the mutated database — the
+// layouts have the same Apply and are required to end up bit-identical to
+// a from-scratch rebuild over the mutated database — the
 // flat index by merging into its single posting map, the sharded index by
 // routing each touched token to the one FNV shard it lives in and applying
 // the shard deltas in parallel.
@@ -12,21 +12,6 @@ package keyword
 import (
 	"sizelos/internal/relational"
 	"sizelos/internal/searchexec"
-)
-
-// Maintainer is the maintenance-side contract of a keyword index: Apply
-// folds one relation's mutation batch into the index. inserted and deleted
-// are ascending TupleID lists; deleted tuples must still hold their content
-// (the storage layer's tombstones guarantee this) so their tokens can be
-// retracted. Apply is not safe to run concurrently with lookups — the
-// engine serializes mutations against in-flight searches.
-type Maintainer interface {
-	Apply(rel string, inserted, deleted []relational.TupleID)
-}
-
-var (
-	_ Maintainer = (*Index)(nil)
-	_ Maintainer = (*Sharded)(nil)
 )
 
 // collectTokens tokenizes the given tuples of rel tuple-major into a
@@ -112,7 +97,11 @@ func applyToPostings(postings map[string][]relational.TupleID, rem, add map[stri
 	}
 }
 
-// Apply implements Maintainer for the flat index.
+// Apply folds one relation's mutation batch into the flat index. inserted
+// and deleted are ascending TupleID lists; deleted tuples must still hold
+// their content (the storage layer's tombstones guarantee this) so their
+// tokens can be retracted. Apply is not safe to run concurrently with
+// lookups — callers serialize mutations against in-flight searches.
 func (idx *Index) Apply(rel string, inserted, deleted []relational.TupleID) {
 	r := idx.db.Relation(rel)
 	if r == nil {
@@ -129,8 +118,9 @@ func (idx *Index) Apply(rel string, inserted, deleted []relational.TupleID) {
 		collectTokens(r, strCols, inserted))
 }
 
-// Apply implements Maintainer for the sharded index: the batch's token
-// deltas are partitioned by the same FNV hash that placed them at build
+// Apply is Index.Apply for the sharded index, under the same contract (the
+// engine holds its write lock across mutations): the batch's token deltas
+// are partitioned by the same FNV hash that placed them at build
 // time, then every touched shard folds its slice of the delta in parallel,
 // one goroutine per shard, never crossing shard boundaries.
 func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {

@@ -13,7 +13,7 @@ import (
 // dropping empty lists and empty relation maps, so physically different
 // layouts (and maps that emptied out incrementally) compare bit-for-bit at
 // the level queries observe.
-func postingsOf(t *testing.T, idx Searcher) map[string]map[string][]relational.TupleID {
+func postingsOf(t *testing.T, idx layout) map[string]map[string][]relational.TupleID {
 	t.Helper()
 	out := make(map[string]map[string][]relational.TupleID)
 	add := func(rel, tok string, ids []relational.TupleID) {
@@ -284,7 +284,7 @@ func TestApplyEmptiesToken(t *testing.T) {
 	_ = book
 	flat.Apply("Book", nil, []relational.TupleID{1})
 	sharded.Apply("Book", nil, []relational.TupleID{1})
-	for _, idx := range []Searcher{flat, sharded} {
+	for _, idx := range []layout{flat, sharded} {
 		if got := idx.Lookup("Book", []string{"classic"}); got != nil {
 			t.Fatalf("%T: deleted token still resolves: %v", idx, got)
 		}

@@ -4,12 +4,13 @@
 // attribute's value (paper §2.1). One size-l OS is then produced per
 // matching DS tuple, as in Example 5.
 //
-// Two implementations share the Searcher contract: Index is the flat
-// reference index built serially, Sharded hash-partitions tokens across
-// independent posting maps built and probed in parallel. Both return
-// identical results for every query; the engine uses Sharded. Both also
-// implement Maintainer (incremental posting deltas for mutation batches)
-// and Compactor (TupleID remaps after physical compaction).
+// Two implementations share one method set: Index is the flat reference
+// index built serially, which the tests compare against; Sharded
+// hash-partitions tokens across independent posting maps built and probed
+// in parallel, and is what the engine holds (concretely — there is no
+// index interface to swap behind). Both return identical results for
+// every query, and both have Apply (incremental posting deltas for
+// mutation batches) and Remap (TupleID remaps after physical compaction).
 //
 // # Invariants
 //
@@ -17,7 +18,7 @@
 //     appearing in two string columns of one tuple posts that tuple once.
 //     Search results are ranked by the caller-supplied global importance,
 //     ties broken by TupleID.
-//   - Posting lists hold LIVE tuples only. Maintainer.Apply retracts a
+//   - Posting lists hold LIVE tuples only. Apply retracts a
 //     deleted tuple's postings by re-tokenizing its retained slot content;
 //     it therefore requires the relational layer's tombstone contract
 //     (content kept until compaction) and per-relation id lists in
@@ -30,7 +31,7 @@
 //   - Sharded.Apply partitions the token delta with the same FNV hash that
 //     placed tokens at build time; a token's shard assignment never
 //     changes across maintenance.
-//   - Compactor.Remap is sound only because postings are live-only: a
+//   - Remap is sound only because postings are live-only: a
 //     monotonic TupleID remap (relational.Relation.Compact's return)
 //     rewrites every posting without re-tokenization. Remapping with a
 //     non-compaction (non-monotonic) map would corrupt posting order.

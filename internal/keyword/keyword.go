@@ -16,29 +16,6 @@ type Match struct {
 	Score float64
 }
 
-// Searcher is the query-side contract of a keyword index. The engine holds
-// its index through this interface so flat and sharded layouts (or a future
-// remote index) are interchangeable; implementations must return identical
-// results for identical corpora.
-type Searcher interface {
-	// Lookup returns the tuples of one relation containing every keyword
-	// (logical AND over tokens), in ascending tuple order.
-	Lookup(rel string, keywords []string) []relational.TupleID
-	// Search ranks one relation's Lookup candidates by descending global
-	// importance (ties by ascending tuple id).
-	Search(dsRel, query string, scores relational.DBScores) []Match
-	// SearchAll runs Search against every relation with at least one hit,
-	// merged best-first (score desc, relation asc, tuple asc).
-	SearchAll(query string, scores relational.DBScores) []Match
-	// SearchStream is Search as a pull cursor: matches arrive in the same
-	// order, one pop at a time, without materializing the full candidate
-	// set up front.
-	SearchStream(dsRel, query string, scores relational.DBScores) MatchStream
-	// SearchAllStream is SearchAll as a pull cursor over the lazy merge of
-	// every relation's frontier.
-	SearchAllStream(query string, scores relational.DBScores) MatchStream
-}
-
 // Index is the flat inverted index token -> tuples, per relation. It is the
 // serial reference implementation; Sharded must match it bit for bit.
 type Index struct {
@@ -47,8 +24,6 @@ type Index struct {
 	// attribute, in ascending order without duplicates.
 	postings map[string]map[string][]relational.TupleID
 }
-
-var _ Searcher = (*Index)(nil)
 
 // Tokenize lower-cases and splits a string on any non-letter/digit rune.
 // It is exported so queries and documents are guaranteed to agree.

@@ -7,6 +7,24 @@ import (
 	"sizelos/internal/relational"
 )
 
+// layout is the method set the flat reference Index and Sharded share; the
+// flat≡sharded suites iterate both through it. Test-only: the engine holds
+// *Sharded concretely.
+type layout interface {
+	Lookup(rel string, keywords []string) []relational.TupleID
+	Search(dsRel, query string, scores relational.DBScores) []Match
+	SearchAll(query string, scores relational.DBScores) []Match
+	SearchStream(dsRel, query string, scores relational.DBScores) MatchStream
+	SearchAllStream(query string, scores relational.DBScores) MatchStream
+	Apply(rel string, inserted, deleted []relational.TupleID)
+	Remap(rel string, remap []relational.TupleID)
+}
+
+var (
+	_ layout = (*Index)(nil)
+	_ layout = (*Sharded)(nil)
+)
+
 func libraryDB(t *testing.T) *relational.DB {
 	t.Helper()
 	db := relational.NewDB("lib")
@@ -161,7 +179,7 @@ func TestCrossColumnDedup(t *testing.T) {
 	doc.MustInsert(relational.Tuple{relational.IntVal(2), relational.StrVal("Streams"), relational.StrVal("stream mining")})
 	doc.MustInsert(relational.Tuple{relational.IntVal(3), relational.StrVal("Mining"), relational.StrVal("mining text")})
 
-	for name, idx := range map[string]Searcher{
+	for name, idx := range map[string]layout{
 		"flat":    BuildIndex(db),
 		"sharded": BuildSharded(db, ShardedOptions{NumShards: 4}),
 	} {

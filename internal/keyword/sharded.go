@@ -29,8 +29,6 @@ type Sharded struct {
 	known map[string]bool
 }
 
-var _ Searcher = (*Sharded)(nil)
-
 // ShardedOptions tunes BuildSharded. The zero value picks sensible
 // defaults: one shard per CPU and a GOMAXPROCS-wide tokenizer pool.
 type ShardedOptions struct {

@@ -67,7 +67,7 @@ func TestStreamMatchesReference(t *testing.T) {
 			if len(pairs) == 0 {
 				t.Fatal("fixture produced an empty corpus")
 			}
-			var indexes []Searcher
+			var indexes []layout
 			indexes = append(indexes, flat)
 			for _, n := range equalityShardCounts {
 				indexes = append(indexes, BuildSharded(db, ShardedOptions{NumShards: n}))

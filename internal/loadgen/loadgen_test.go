@@ -38,7 +38,7 @@ func TestClosedLoopAgainstRoutedFleet(t *testing.T) {
 	var members []router.Member
 	for _, name := range []string{"n1", "n2"} {
 		node, err := nodehost.Boot(tenancy.ServerConfig{
-			Seed: 830, CacheBudget: 64, DataDir: dir, KeepSnapshots: 2, ResidualWorkers: 1,
+			Seed: 830, CacheBudget: 64, DataDir: dir, KeepSnapshots: 2,
 		}, nil, nodehost.Config{Open: smallOpen, Logf: t.Logf})
 		if err != nil {
 			t.Fatalf("boot %s: %v", name, err)

@@ -11,16 +11,12 @@ import (
 	"sizelos/internal/tenancy"
 )
 
-// Config carries the deployment-wide knobs every engine a node builds or
-// recovers is tuned with.
+// Config carries the deployment-wide settings every engine a node builds
+// or recovers is constructed with.
 type Config struct {
 	// DefaultSeed is the dataset generator seed used when a spec does not
 	// pin its own (spec.Seed <= 0).
 	DefaultSeed int64
-	// ResidualWorkers pins every engine's parallel residual-push worker
-	// count; 0 leaves the engine's auto-sizing in place. Any value serves
-	// bit-identical scores.
-	ResidualWorkers int
 	// Open overrides fresh dataset construction (tests substitute tiny
 	// recipes); nil means OpenDataset. The override must be deterministic
 	// in (dataset, seed) — recovery rebuilds through it.
@@ -29,17 +25,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// openDataset funnels every fresh engine build through the override seam
-// and the deployment-wide tuning knobs.
+// openDataset funnels every fresh engine build through the override seam.
 func (c Config) openDataset(dataset string, seed int64) (*sizelos.Engine, error) {
 	if c.Open != nil {
-		eng, err := c.Open(dataset, seed)
-		if err != nil {
-			return nil, err
-		}
-		return c.tune(eng), nil
+		return c.Open(dataset, seed)
 	}
-	return OpenDataset(dataset, seed, c)
+	return OpenDataset(dataset, seed)
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -59,37 +50,20 @@ func (c Config) resolveSeed(s int64) int64 {
 	return c.DefaultSeed
 }
 
-// tune applies the deployment-wide engine knobs; every construction path
-// funnels through it (fresh builds and snapshot restores alike).
-func (c Config) tune(eng *sizelos.Engine) *sizelos.Engine {
-	if c.ResidualWorkers != 0 {
-		eng.SetResidualWorkers(c.ResidualWorkers)
-	}
-	return eng
-}
-
 // OpenDataset builds a ready-to-serve engine for a named synthetic dataset.
-func OpenDataset(dataset string, seed int64, cfg Config) (*sizelos.Engine, error) {
-	var (
-		eng *sizelos.Engine
-		err error
-	)
+func OpenDataset(dataset string, seed int64) (*sizelos.Engine, error) {
 	switch dataset {
 	case "dblp":
 		c := datagen.DefaultDBLPConfig()
 		c.Seed = seed
-		eng, err = sizelos.OpenDBLP(c)
+		return sizelos.OpenDBLP(c)
 	case "tpch":
 		c := datagen.DefaultTPCHConfig()
 		c.Seed = seed
-		eng, err = sizelos.OpenTPCH(c)
+		return sizelos.OpenTPCH(c)
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want dblp or tpch)", dataset)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return cfg.tune(eng), nil
 }
 
 // Restorer maps a dataset name to its snapshot-restore constructor.
@@ -152,8 +126,6 @@ func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot-restored engines bypass OpenDataset; re-apply the knobs.
-	h.cfg.tune(eng)
 	h.mu.Lock()
 	h.tenants[spec.Name] = &hubTenant{ts: ts, eng: eng}
 	h.mu.Unlock()

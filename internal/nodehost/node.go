@@ -27,12 +27,11 @@ type Node struct {
 // loudly), and the registry's pending loader re-probes the manifest so
 // tenants recorded by other nodes sharing the directory are adopted on
 // first touch. opts carries the node-local hooks (Logf, the test-only Open
-// override); its DefaultSeed and ResidualWorkers are taken from cfg.
+// override); its DefaultSeed is taken from cfg.
 func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error) {
 	reg := cfg.NewRegistry()
 	hubCfg := opts
 	hubCfg.DefaultSeed = cfg.Seed
-	hubCfg.ResidualWorkers = cfg.ResidualWorkers
 	// Dynamic registration (POST /v1/tenants) builds engines with the same
 	// opener as the boot tenants; a request-supplied seed overrides the
 	// deployment default. With a data dir the recoverer supersedes this.

@@ -14,15 +14,14 @@ import (
 	"sizelos/internal/tenancy"
 )
 
-// smallConfig keeps node boots fast: fsync-per-commit WALs, deterministic
-// residual order; pair with smallOpts for the tiny DBLP recipe.
+// smallConfig keeps node boots fast: fsync-per-commit WALs; pair with
+// smallOpts for the tiny DBLP recipe.
 func smallConfig(dataDir string) tenancy.ServerConfig {
 	return tenancy.ServerConfig{
-		Seed:            910,
-		CacheBudget:     64,
-		DataDir:         dataDir,
-		KeepSnapshots:   2,
-		ResidualWorkers: 1,
+		Seed:          910,
+		CacheBudget:   64,
+		DataDir:       dataDir,
+		KeepSnapshots: 2,
 	}
 }
 

@@ -51,11 +51,10 @@ func newFleet(t *testing.T, names ...string) *fleet {
 	var members []Member
 	for _, name := range names {
 		node, err := nodehost.Boot(tenancy.ServerConfig{
-			Seed:            820,
-			CacheBudget:     64,
-			DataDir:         dir,
-			KeepSnapshots:   2,
-			ResidualWorkers: 1,
+			Seed:          820,
+			CacheBudget:   64,
+			DataDir:       dir,
+			KeepSnapshots: 2,
 		}, nil, nodehost.Config{Open: smallOpen, Logf: t.Logf})
 		if err != nil {
 			t.Fatalf("boot %s: %v", name, err)
@@ -178,11 +177,10 @@ func TestRoutedEquivalence(t *testing.T) {
 	f := newFleet(t, "n1", "n2", "n3")
 
 	single, err := nodehost.Boot(tenancy.ServerConfig{
-		Seed:            820,
-		CacheBudget:     64,
-		DataDir:         t.TempDir(),
-		KeepSnapshots:   2,
-		ResidualWorkers: 1,
+		Seed:          820,
+		CacheBudget:   64,
+		DataDir:       t.TempDir(),
+		KeepSnapshots: 2,
 	}, nil, nodehost.Config{Open: smallOpen, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

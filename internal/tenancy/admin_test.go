@@ -303,7 +303,7 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 	q := authorQuery(t, eng)
-	baseline, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4})
+	baseline, err := tenantSearch(tn, "Author", q, 4)
 	if err != nil {
 		t.Fatalf("baseline search: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 	}
 	inFlight := make(chan result, 1)
 	go func() {
-		res, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4})
+		res, err := tenantSearch(tn, "Author", q, 4)
 		inFlight <- result{len(res), err}
 	}()
 	// Wait until the search is provably parked on the pool (inside its
@@ -371,7 +371,7 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 	if err := <-mutDone; err != nil {
 		t.Fatalf("mutation: %v", err)
 	}
-	after, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4})
+	after, err := tenantSearch(tn, "Author", q, 4)
 	if err != nil {
 		t.Fatalf("post-mutation search: %v", err)
 	}
@@ -392,7 +392,7 @@ func TestDeregisterRacesCachedLookup(t *testing.T) {
 	}
 	q := authorQuery(t, eng)
 	tn, _ := reg.Get("victim")
-	if _, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4}); err != nil {
+	if _, err := tenantSearch(tn, "Author", q, 4); err != nil {
 		t.Fatalf("warm search: %v", err)
 	}
 
@@ -405,7 +405,7 @@ func TestDeregisterRacesCachedLookup(t *testing.T) {
 			<-start
 			for i := 0; i < 50; i++ {
 				if tn, ok := reg.Get("victim"); ok {
-					if _, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 4}); err != nil {
+					if _, err := tenantSearch(tn, "Author", q, 4); err != nil {
 						t.Errorf("race search: %v", err)
 						return
 					}

@@ -50,10 +50,6 @@ type ServerConfig struct {
 	KeepSnapshots    int          `json:"keep_snapshots,omitempty"`
 	// Drain bounds the graceful-shutdown wait for in-flight requests.
 	Drain qos.Duration `json:"drain,omitempty"`
-	// ResidualWorkers pins every engine's parallel residual-push worker
-	// count (docs/MAINTENANCE.md); 0 auto-sizes by GOMAXPROCS, 1 forces
-	// the serial schedule. Any value serves bit-identical scores.
-	ResidualWorkers int `json:"residual_workers,omitempty"`
 	// Tenants maps boot-time tenant names to their datasets.
 	Tenants map[string]string `json:"tenants,omitempty"`
 	// QoS is the fairness contract: registry-wide default limits plus

@@ -8,6 +8,10 @@
 //
 // # Invariants
 //
+//   - One request struct, sizelos.QueryRequest, runs from the URL parser
+//     (queryFromURL) through Tenant.QueryPage to the engine; the
+//     single-flight key is the engine's own QueryRequest.Fingerprint plus
+//     the page (Limit, Cursor), never a second field list to keep in sync.
 //   - Single-flight batching keys embed the engine's invalidation epoch
 //     (Engine.EpochFor) for the queried DS relation: a request issued
 //     after a mutation can never join — and inherit the result of — a
@@ -15,8 +19,9 @@
 //     coalescing layer must preserve this or mutations become eventually
 //     visible instead of immediately visible.
 //   - Each tenant's summary-cache entries are namespaced by its name
-//     (SearchOptions.CacheScope), so per-tenant invalidation and quotas
-//     never bleed across tenants sharing one engine process.
+//     (QueryRequest.CacheScope, stamped by Tenant.QueryPage), so per-tenant
+//     invalidation and quotas never bleed across tenants sharing one
+//     engine process.
 //   - The shared searchexec.Pool is the machine-wide concurrency budget:
 //     every tenant's cold summary computations pass through it, so a noisy
 //     tenant can queue behind the cap but never oversubscribe the host.

@@ -111,8 +111,9 @@ func toAPIError(err error) *apiError {
 			status: http.StatusServiceUnavailable, code: CodeOverloaded,
 			msg: err.Error(), retryable: true, retryAfter: retryAfter,
 		}
-	case errors.Is(err, sizelos.ErrCursorMalformed):
-		// A cursor that never came from this service.
+	case errors.Is(err, sizelos.ErrCursorMalformed), errors.Is(err, sizelos.ErrInvalidRequest):
+		// A cursor that never came from this service, or a request no
+		// database state could serve (l < 1, unknown algorithm).
 		return errBadRequest("%v", err)
 	case errors.Is(err, sizelos.ErrStreamInvalidated):
 		// A mutation outlived the cursor: the page it pointed into no

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"sizelos"
@@ -120,10 +121,10 @@ type AdmissionStatsJSON struct {
 //	GET    /v1/{tenant}/stats           -> StatsResponse (never throttled)
 //
 // Common query parameters: l (summary size, default 15), setting, algo,
-// topk (search), k (ranked, default 10), limit (page size, 0 = all),
-// cursor (opaque resume token; a mutation between pages turns the resume
-// into 410 Gone), and budget_ms (latency budget for admission shedding;
-// also accepted as the X-Sizelos-Budget-Ms header). Tenants may be
+// k (ranked, default 10), limit (page size, 0 = all), cursor (opaque
+// resume token; a mutation between pages turns the resume into 410 Gone),
+// and budget_ms (latency budget for admission shedding; also accepted as
+// the X-Sizelos-Budget-Ms header). Tenants may be
 // registered and deregistered on a live registry; requests for unknown
 // tenants — and for any path the API does not define — get a JSON 404.
 func NewHandler(r *Registry, opts ...Option) http.Handler {
@@ -281,71 +282,63 @@ func (r *Registry) resolveTenant(w http.ResponseWriter, name string) (*Tenant, b
 	return t, true
 }
 
-func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked bool) {
-	t, ok := r.resolveTenant(w, req.PathValue("tenant"))
-	if !ok {
-		return
+// queryFromURL lowers the /search and /ranked URL parameters onto the
+// engine's QueryRequest — the one place the wire names (rel q l limit k
+// cursor setting algo) meet the request struct. What it cannot know without
+// the engine (l >= 1, the algorithm name) the engine validates itself
+// (sizelos.ErrInvalidRequest, a 400 like the rejections here).
+func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) {
+	q := sizelos.QueryRequest{
+		Rel:           params.Get("rel"),
+		Query:         params.Get("q"),
+		L:             15,
+		Setting:       params.Get("setting"),
+		Algorithm:     sizelos.Algorithm(params.Get("algo")),
+		RankBySummary: ranked,
+		Cursor:        params.Get("cursor"),
 	}
-	params := req.URL.Query()
-	q := Query{
-		Rel:       params.Get("rel"),
-		Keywords:  params.Get("q"),
-		L:         15,
-		Cursor:    params.Get("cursor"),
-		Setting:   params.Get("setting"),
-		Algorithm: params.Get("algo"),
+	if q.Rel == "" || q.Query == "" {
+		return q, errBadRequest("rel and q parameters are required")
 	}
-	if q.Rel == "" || q.Keywords == "" {
-		writeError(w, errBadRequest("rel and q parameters are required"))
-		return
+	// topk was limit's legacy name. It is refused, never ignored like an
+	// unknown parameter: an old client must not receive an unbounded page.
+	if params.Has("topk") {
+		return q, errBadRequest("topk is no longer accepted: use limit")
 	}
-	// k belongs to /ranked and topk to /search; accepting the other would
-	// silently do nothing (and fragment single-flight batching), so reject
-	// it outright. topk and limit are two names for the same bound — both
-	// at once is ambiguous.
-	if ranked && params.Get("topk") != "" {
-		writeError(w, errBadRequest("topk applies to /search only (use k on /ranked)"))
-		return
-	}
+	// k belongs to /ranked; accepting it on /search would silently do
+	// nothing (and fragment single-flight batching), so reject it outright.
 	if !ranked && params.Get("k") != "" {
-		writeError(w, errBadRequest("k applies to /ranked only (use topk on /search)"))
-		return
+		return q, errBadRequest("k applies to /ranked only (use limit on /search)")
 	}
-	if params.Get("topk") != "" && params.Get("limit") != "" {
-		writeError(w, errBadRequest("topk is the legacy name for limit; pass one, not both"))
-		return
-	}
-	intParams := map[string]*int{"l": &q.L, "topk": &q.TopK, "limit": &q.Limit}
-	if ranked {
-		intParams = map[string]*int{"l": &q.L, "k": &q.K, "limit": &q.Limit}
-	}
-	var badParam string
-	for name, dst := range intParams {
+	for name, dst := range map[string]*int{"l": &q.L, "k": &q.K, "limit": &q.Limit} {
 		raw := params.Get(name)
 		if raw == "" {
 			continue
 		}
 		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			badParam = name
-			break
+		// An explicit k=0 is rejected like any other invalid k, rather than
+		// silently coerced to the default.
+		if err != nil || v < 0 || (name == "k" && v < 1) {
+			return q, errBadRequest("invalid %s parameter", name)
 		}
 		*dst = v
 	}
-	// An explicit k=0 is rejected like any other invalid k, rather than
-	// silently coerced to the default (the engine itself requires k >= 1).
-	if badParam == "" && ranked && params.Get("k") != "" && q.K < 1 {
-		badParam = "k"
-	}
-	if badParam != "" || q.L < 1 {
-		if badParam == "" {
-			badParam = "l"
-		}
-		writeError(w, errBadRequest("invalid %s parameter", badParam))
+	return q, nil
+}
+
+func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked bool) {
+	t, ok := r.resolveTenant(w, req.PathValue("tenant"))
+	if !ok {
 		return
 	}
-	// Client-input problems must surface as 400s, not 500s: validate the
-	// names the engine would otherwise reject mid-search.
+	q, err := queryFromURL(req.URL.Query(), ranked)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	// Client-input problems must surface as 400s, not 500s (or, for an
+	// unknown relation, as the engine's empty answer): validate the names
+	// the engine would not reject as ErrInvalidRequest.
 	if t.Engine.DB().Relation(q.Rel) == nil {
 		writeError(w, errBadRequest("unknown relation %q", q.Rel))
 		return
@@ -356,25 +349,12 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 			return
 		}
 	}
-	switch sizelos.Algorithm(q.Algorithm) {
-	case "", sizelos.AlgoDP, sizelos.AlgoBottomUp, sizelos.AlgoTopPath:
-	default:
-		writeError(w, errBadRequest("unknown algorithm %q", q.Algorithm))
-		return
-	}
-	var (
-		page Page
-		err  error
-	)
-	if ranked {
-		page, err = t.RankedPage(q)
-	} else {
-		page, err = t.SearchPage(q)
-	}
+	page, err := t.QueryPage(q)
 	if err != nil {
-		// toAPIError sorts the cursor cases: a cursor that never came from
-		// this service is a 400, one outlived by a mutation is a 410 (the
-		// page it pointed into no longer exists; restart the query).
+		// toAPIError sorts the cases: an invalid request or a cursor that
+		// never came from this service is a 400, a cursor outlived by a
+		// mutation is a 410 (the page it pointed into no longer exists;
+		// restart the query).
 		writeError(w, err)
 		return
 	}
@@ -382,7 +362,7 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 	resp := SearchResponse{
 		Tenant:   t.Name,
 		Relation: q.Rel,
-		Query:    q.Keywords,
+		Query:    q.Query,
 		L:        q.L,
 		Count:    len(results),
 		Results:  make([]SummaryJSON, 0, len(results)),
@@ -533,7 +513,7 @@ type MutateResponse struct {
 	Reranked bool              `json:"reranked"`
 	// RerankStats reports, per setting, which re-rank path served a
 	// Reranked batch and what it cost — the operator-visible telemetry for
-	// tuning the residual knobs (workers, budget, acceleration). Omitted
+	// tuning the residual knobs (budget, acceleration). Omitted
 	// when the batch did not re-rank.
 	RerankStats map[string]RerankStatJSON `json:"rerank_stats,omitempty"`
 }

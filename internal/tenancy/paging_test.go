@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,17 +123,28 @@ func TestHTTPPaginationWalk(t *testing.T) {
 }
 
 // TestHTTPCursorParamValidation pins the 400 surface: a cursor that never
-// came from the service, and the legacy topk name passed alongside limit.
+// came from the service, and limit's removed legacy name topk — refused
+// with a message naming limit, on both endpoints, never silently ignored
+// (an old client would otherwise receive an unbounded page).
 func TestHTTPCursorParamValidation(t *testing.T) {
 	srv, _, q := pagingServer(t, 701)
 	base := fmt.Sprintf("%s/v1/acme/search?rel=Author&q=%s&l=6", srv.URL, q)
 	getJSON(t, base+"&cursor=not-a-cursor", http.StatusBadRequest, nil)
-	getJSON(t, base+"&topk=2&limit=2", http.StatusBadRequest, nil)
-	// topk alone still works as the legacy spelling of limit.
-	var legacy SearchResponse
-	getJSON(t, base+"&topk=1", http.StatusOK, &legacy)
-	if legacy.Count > 1 {
-		t.Fatalf("topk=1 returned %d results", legacy.Count)
+	var limited SearchResponse
+	getJSON(t, base+"&limit=1", http.StatusOK, &limited)
+	if limited.Count != 1 {
+		t.Fatalf("limit=1 returned %d results", limited.Count)
+	}
+	for _, u := range []string{
+		base + "&topk=1",
+		base + "&topk=",
+		strings.Replace(base, "/search?", "/ranked?", 1) + "&topk=1",
+	} {
+		var e ErrorResponse
+		getJSON(t, u, http.StatusBadRequest, &e)
+		if e.Error.Code != CodeBadRequest || !strings.Contains(e.Error.Message, "limit") {
+			t.Fatalf("GET %s: error %+v does not name limit", u, e.Error)
+		}
 	}
 }
 

@@ -612,69 +612,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Query is one tenant search request. Zero-value fields take the engine
-// defaults (DefaultSetting, top-path algorithm); L must be >= 1.
-type Query struct {
-	// Rel is the data-subject relation searched.
-	Rel string
-	// Keywords is the keyword string, tokenized by the index.
-	Keywords string
-	// L is the summary size.
-	L int
-	// K caps Ranked results (Ranked only).
-	K int
-	// TopK is the historical name for Limit (Search only); when Limit is
-	// zero it is honored as the page bound. Prefer Limit.
-	TopK int
-	// Limit bounds how many summaries one page carries (0 = all). The
-	// engine computes only the served page plus any tombstone backfill —
-	// unconsumed matches cost nothing.
-	Limit int
-	// Cursor resumes a previous identical query after its last served
-	// summary (Page.Cursor). A mutation in between invalidates it:
-	// sizelos.ErrStreamInvalidated, HTTP 410.
-	Cursor string
-	// Setting selects the ranking configuration.
-	Setting string
-	// Algorithm selects the size-l method.
-	Algorithm string
-}
-
-// request lowers the tenant query onto the engine's unified QueryRequest,
-// wiring in the shared pool and the tenant's cache scope.
-func (q Query) request(t *Tenant) sizelos.QueryRequest {
-	limit := q.Limit
-	if limit == 0 {
-		limit = q.TopK
-	}
-	return sizelos.QueryRequest{
-		Rel:        q.Rel,
-		Query:      q.Keywords,
-		L:          q.L,
-		Setting:    q.Setting,
-		Algorithm:  sizelos.Algorithm(q.Algorithm),
-		Limit:      limit,
-		Cursor:     q.Cursor,
-		Pool:       t.pool,
-		CacheScope: t.Name,
-	}
-}
-
-// key canonicalizes a query for single-flight batching. kind separates the
-// search and ranked namespaces. The DS relation's invalidation epoch is
-// part of the key: a leader whose engine call has returned but whose
-// flight entry hasn't been unregistered yet could otherwise be joined by a
-// request arriving after a completed mutation, handing it pre-mutation
-// summaries. With the epoch in the key, post-mutation requests hash to a
-// fresh flight and always recompute (or hit the epoch-keyed cache).
-// Limit and Cursor participate too: different pages of one query are
-// different computations.
-func (q Query) key(kind string, t *Tenant) string {
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%d\x00%s\x00%s\x00%s\x00%d",
-		kind, q.Rel, q.Keywords, q.L, q.K, q.TopK, q.Limit, q.Cursor,
-		q.Setting, q.Algorithm, t.Engine.EpochFor(q.Rel))
-}
-
 // Page is one served slice of a query's result stream.
 type Page struct {
 	// Summaries is the page content, in serving order.
@@ -687,20 +624,38 @@ type Page struct {
 	Stats sizelos.QueryStats
 }
 
-// Search runs the tenant's keyword search through the shared pool.
-// Concurrent identical queries are batched: one computation runs, every
-// caller receives the same summaries (read-only by the engine's cache
-// contract).
-func (t *Tenant) Search(q Query) ([]sizelos.Summary, error) {
-	p, err := t.SearchPage(q)
-	return p.Summaries, err
+// flightKey canonicalizes a request for single-flight batching: the
+// engine's one fingerprint of the sequence-shaping fields, plus the page
+// (Limit and Cursor: different pages of one query are different
+// computations), plus the DS relation's invalidation epoch. The epoch
+// matters because a leader whose engine call has returned but whose flight
+// entry hasn't been unregistered yet could otherwise be joined by a request
+// arriving after a completed mutation, handing it pre-mutation summaries;
+// with the epoch in the key, post-mutation requests hash to a fresh flight
+// and always recompute (or hit the epoch-keyed cache). The group is per
+// tenant, so a 64-bit fingerprint collision could at worst hand a tenant
+// the page of another of its own concurrently running queries.
+type flightKey struct {
+	fingerprint uint64
+	limit       int
+	cursor      string
+	epoch       uint64
 }
 
-// SearchPage is Search with paging: it serves q's page (Limit/Cursor) plus
-// the resume cursor, with the same single-flight batching.
-func (t *Tenant) SearchPage(q Query) (Page, error) {
-	return t.flight.do(q.key("search", t), func() (Page, error) {
-		sums, cursor, stats, err := t.Engine.QueryPage(q.request(t))
+// QueryPage serves one page of req (Limit/Cursor) through the shared pool
+// under the tenant's cache scope. Concurrent identical requests are
+// batched: one computation runs, every caller receives the same summaries
+// (read-only by the engine's cache contract).
+func (t *Tenant) QueryPage(req sizelos.QueryRequest) (Page, error) {
+	req.Pool, req.CacheScope = t.pool, t.Name
+	// Default K before fingerprinting so an omitted k and an explicit k=10
+	// batch as the identical computation they are.
+	if req.RankBySummary && req.K <= 0 {
+		req.K = 10
+	}
+	key := flightKey{req.Fingerprint(), req.Limit, req.Cursor, t.Engine.EpochFor(req.Rel)}
+	return t.flight.do(key, func() (Page, error) {
+		sums, cursor, stats, err := t.Engine.QueryPage(req)
 		return Page{Summaries: sums, Cursor: cursor, Stats: stats}, err
 	})
 }
@@ -716,29 +671,6 @@ func (t *Tenant) Mutate(b sizelos.MutationBatch) (sizelos.MutationResult, error)
 	return t.Engine.Mutate(b)
 }
 
-// Ranked runs the tenant's top-k ranked search (rank by Im(S) of the
-// size-l OS) with the same pooling and batching as Search.
-func (t *Tenant) Ranked(q Query) ([]sizelos.Summary, error) {
-	p, err := t.RankedPage(q)
-	return p.Summaries, err
-}
-
-// RankedPage is Ranked with paging through the ranked k (Limit/Cursor).
-func (t *Tenant) RankedPage(q Query) (Page, error) {
-	// Default K before building the flight key so an omitted k and an
-	// explicit k=10 batch as the identical computation they are.
-	if q.K <= 0 {
-		q.K = 10
-	}
-	return t.flight.do(q.key("ranked", t), func() (Page, error) {
-		req := q.request(t)
-		req.RankBySummary = true
-		req.K = q.K
-		sums, cursor, stats, err := t.Engine.QueryPage(req)
-		return Page{Summaries: sums, Cursor: cursor, Stats: stats}, err
-	})
-}
-
 // flightGroup coalesces concurrent calls with the same key into one
 // execution whose result every waiter shares — the request-batching layer
 // under the HTTP service. Unlike a cache, results are not retained: once
@@ -746,7 +678,7 @@ func (t *Tenant) RankedPage(q Query) (Page, error) {
 // (or hits the engine's summary cache).
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[flightKey]*flightCall
 }
 
 type flightCall struct {
@@ -762,10 +694,10 @@ func (g *flightGroup) inFlight() int {
 	return len(g.calls)
 }
 
-func (g *flightGroup) do(key string, fn func() (Page, error)) (Page, error) {
+func (g *flightGroup) do(key flightKey, fn func() (Page, error)) (Page, error) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[flightKey]*flightCall)
 	}
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()

@@ -104,6 +104,17 @@ func TestRegistryBasics(t *testing.T) {
 	}
 }
 
+// tenantSearch and engineSearch drain one unbounded page at each layer.
+func tenantSearch(tn *Tenant, rel, q string, l int) ([]sizelos.Summary, error) {
+	p, err := tn.QueryPage(sizelos.QueryRequest{Rel: rel, Query: q, L: l})
+	return p.Summaries, err
+}
+
+func engineSearch(eng *sizelos.Engine, rel, q string, l int) ([]sizelos.Summary, error) {
+	sums, _, _, err := eng.QueryPage(sizelos.QueryRequest{Rel: rel, Query: q, L: l})
+	return sums, err
+}
+
 // TestTenantSearchMatchesEngine verifies the tenancy layer adds pooling and
 // batching without changing results.
 func TestTenantSearchMatchesEngine(t *testing.T) {
@@ -114,11 +125,11 @@ func TestTenantSearchMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authorQuery(t, eng)
-	want, err := eng.Search("Author", q, 10, sizelos.SearchOptions{})
+	want, err := engineSearch(eng, "Author", q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 10})
+	got, err := tenantSearch(tn, "Author", q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +156,7 @@ func TestFlightGroupBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := g.do("same-key", func() (Page, error) {
+			res, err := g.do(flightKey{cursor: "same-key"}, func() (Page, error) {
 				calls.Add(1)
 				<-gate // hold every other caller in the wait path
 				return Page{Summaries: []sizelos.Summary{{Headline: "shared"}}}, nil
@@ -172,7 +183,7 @@ func TestFlightGroupBatches(t *testing.T) {
 	}
 	// After the flight lands, the next call computes afresh.
 	before := calls.Load()
-	if _, err := g.do("same-key", func() (Page, error) {
+	if _, err := g.do(flightKey{cursor: "same-key"}, func() (Page, error) {
 		calls.Add(1)
 		return Page{}, nil
 	}); err != nil {
@@ -223,7 +234,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if sr.Tenant != "acme" || sr.Count == 0 || sr.Count != len(sr.Results) {
 		t.Fatalf("search response: %+v", sr)
 	}
-	want, err := eng.Search("Author", q, 8, sizelos.SearchOptions{})
+	want, err := engineSearch(eng, "Author", q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +268,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	get(t, "/v1/acme/search?rel=Ghost&q=x", http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&setting=GA9-d9", q), http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&algo=quantum", q), http.StatusBadRequest, nil)
+	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&l=0", q), http.StatusBadRequest, nil)
+	// ...whether or not the keywords hit: the engine validates before it
+	// looks at a match (sizelos.ErrInvalidRequest), not per summary.
+	get(t, "/v1/acme/search?rel=Author&q=zzzzqqq&l=0", http.StatusBadRequest, nil)
+	get(t, "/v1/acme/search?rel=Author&q=zzzzqqq&algo=quantum", http.StatusBadRequest, nil)
 	// Parameters of the other endpoint are rejected, not silently ignored.
 	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&k=2", q), http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&topk=2", q), http.StatusBadRequest, nil)
@@ -274,7 +290,7 @@ func TestDuplicateRegisterPreservesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authorQuery(t, eng)
-	if _, err := tn.Search(Query{Rel: "Author", Keywords: q, L: 6}); err != nil {
+	if _, err := tenantSearch(tn, "Author", q, 6); err != nil {
 		t.Fatal(err)
 	}
 	before, ok := eng.SummaryCacheStats()
@@ -301,7 +317,7 @@ func TestSharedEngineKeepsFirstBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := authorQuery(t, eng)
-	if _, err := first.Search(Query{Rel: "Author", Keywords: q, L: 6}); err != nil {
+	if _, err := tenantSearch(first, "Author", q, 6); err != nil {
 		t.Fatal(err)
 	}
 	before, ok := eng.SummaryCacheStats()

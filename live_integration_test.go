@@ -166,7 +166,9 @@ func TestLiveServiceHTTP(t *testing.T) {
 			Tuple int `json:"tuple"`
 		} `json:"results"`
 	}
-	getJSON("/v1/live/search?rel=Paper&q=the&l=1&topk=1", http.StatusOK, &paper)
+	// limit's removed legacy name is refused, never silently unbounded.
+	getJSON("/v1/live/search?rel=Paper&q=the&l=1&topk=1", http.StatusBadRequest, nil)
+	getJSON("/v1/live/search?rel=Paper&q=the&l=1&limit=1", http.StatusOK, &paper)
 	var mut struct {
 		Inserted []int             `json:"inserted"`
 		Epochs   map[string]uint64 `json:"epochs"`

@@ -4,7 +4,7 @@ package sizelos
 // layers under one write-lock acquisition: the relational store applies it
 // atomically (tombstone deletes, appended inserts, per-relation version
 // bumps), the keyword index folds the same delta in incrementally
-// (keyword.Maintainer), the data graph absorbs the same delta in place
+// (keyword.Sharded.Apply), the data graph absorbs the same delta in place
 // (datagraph.Graph.Apply — no rebuild), and the per-relation epochs advance
 // so the summary cache forgets exactly the DS relations whose G_DS can
 // reach a touched relation. Two amortized maintenance passes keep the
@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"sizelos/internal/datagraph"
-	"sizelos/internal/keyword"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 )
@@ -120,8 +119,8 @@ type RerankStat struct {
 	// or Chebyshev rounds for an accelerated repair.
 	Rounds int
 	// Regions reports the owner-tile worker count the residual repair was
-	// partitioned into (1 = serial; see Engine.SetResidualWorkers). Every
-	// region count produces bit-identical scores.
+	// partitioned into (1 = serial; sized by GOMAXPROCS and the frontier).
+	// Every region count produces bit-identical scores.
 	Regions int
 	// Accelerated records that the high-damping dense rescue (deflation +
 	// Chebyshev) ran after the push budget tripped; with FallbackTaken it
@@ -162,13 +161,6 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	// Refuse up front, before any state changes, if the installed index
-	// cannot absorb deltas: a half-mutated engine must be unreachable.
-	maintainer, ok := e.index.(keyword.Maintainer)
-	if !ok && !batch.Empty() {
-		return MutationResult{}, fmt.Errorf("sizelos: index %T does not support incremental maintenance", e.index)
-	}
-
 	result := MutationResult{Epochs: make(map[string]uint64)}
 	touched := make([]string, 0, 4)
 	if !batch.Empty() {
@@ -183,7 +175,7 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		}
 		sort.Strings(touched)
 		for _, rel := range touched {
-			maintainer.Apply(rel, res.Inserted[rel], res.Deleted[rel])
+			e.index.Apply(rel, res.Inserted[rel], res.Deleted[rel])
 		}
 		// Splice the batch's FK edges into the data graph in place — cost
 		// proportional to the tuples touched, not to the database. The
@@ -456,7 +448,7 @@ const overlayFoldMin = 4096
 
 // compactLocked physically compacts the named relations and threads the
 // TupleID remap through every structure that stores them: PK/FK indexes
-// (inside Relation.Compact), keyword postings (keyword.Compactor.Remap),
+// (inside Relation.Compact), keyword postings (keyword.Sharded.Remap),
 // normalized and raw score vectors, this batch's already-assigned insert
 // ids, and the data graph (rebuilt over the dense store, which also sheds
 // its overlay). Each compacted relation's epoch advances — its TupleIDs
@@ -465,12 +457,6 @@ const overlayFoldMin = 4096
 // re-annotation when the caller is about to re-rank, which redoes it
 // against the fresh scores anyway.
 func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert, skipAnnotate bool) error {
-	compactor, ok := e.index.(keyword.Compactor)
-	if !ok {
-		// An index that can't remap would go stale; skip reclamation rather
-		// than corrupt it. Tombstones stay until the index is swapped.
-		return nil
-	}
 	remaps := make(map[string][]relational.TupleID, len(rels))
 	for _, rel := range rels {
 		r := e.db.Relation(rel)
@@ -479,7 +465,7 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 			continue
 		}
 		remaps[rel] = remap
-		compactor.Remap(rel, remap)
+		e.index.Remap(rel, remap)
 		for _, table := range []map[string]relational.DBScores{e.scores, e.rawScores} {
 			for _, sc := range table {
 				sc[rel] = remapScores(sc[rel], remap, r.Len())
@@ -552,9 +538,6 @@ func remapScores(s relational.Scores, remap []relational.TupleID, newLen int) re
 func (e *Engine) CompactNow() ([]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.index.(keyword.Compactor); !ok {
-		return nil, fmt.Errorf("sizelos: index %T does not support compaction", e.index)
-	}
 	var due []string
 	for _, r := range e.db.Relations {
 		if r.Tombstones() > 0 {

@@ -99,10 +99,10 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 	t.Logf("mutation-equivalence seed %d (replay: SIZELOS_EQUIV_SEED=%d)", seed, seed)
 	var shadows []*Engine
 	if mkShadow != nil {
-		eng.SetResidualWorkers(1)
+		eng.residualWorkers = 1
 		for _, w := range equivWorkerCounts {
 			sh := mkShadow()
-			sh.SetResidualWorkers(w)
+			sh.residualWorkers = w
 			shadows = append(shadows, sh)
 		}
 	}
@@ -280,7 +280,7 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	seed := equivSeed(t) + 2
 	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil)
 	// The pipeline still serves correct summaries after all that churn.
-	if _, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil {
+	if _, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil {
 		t.Fatalf("post-harness search: %v", err)
 	}
 }

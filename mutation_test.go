@@ -48,7 +48,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 	eng := mutableDBLP(t)
 	eng.EnableSummaryCache(256)
 
-	if res, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := search(eng, "Author", "Zephyrhopper", 5, QueryRequest{}); err != nil || len(res) != 0 {
 		t.Fatalf("pre-insert search = %d results, err %v", len(res), err)
 	}
 	mres, err := eng.Mutate(insertAuthorBatch(t, eng, 900001, "Grace Zephyrhopper", "A Singular Treatise"))
@@ -62,7 +62,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 		t.Fatalf("epochs not advanced: %v", mres.Epochs)
 	}
 
-	res, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{})
+	res, err := search(eng, "Author", "Zephyrhopper", 5, QueryRequest{})
 	if err != nil {
 		t.Fatalf("post-insert search: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestMutateFreshSearchResults(t *testing.T) {
 		t.Fatalf("summary does not reach the inserted paper:\n%s", res[0].Text)
 	}
 	// The fresh result must be served from cache on repeat, still fresh.
-	res2, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{})
+	res2, err := search(eng, "Author", "Zephyrhopper", 5, QueryRequest{})
 	if err != nil || len(res2) != 1 || res2[0].Text != res[0].Text {
 		t.Fatalf("repeat search diverged: %v %+v", err, res2)
 	}
@@ -87,10 +87,10 @@ func TestMutateFreshSearchResults(t *testing.T) {
 	if _, err := eng.Mutate(del); err != nil {
 		t.Fatalf("Mutate delete: %v", err)
 	}
-	if res, err := eng.Search("Author", "Zephyrhopper", 5, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := search(eng, "Author", "Zephyrhopper", 5, QueryRequest{}); err != nil || len(res) != 0 {
 		t.Fatalf("post-delete search = %d results, err %v", len(res), err)
 	}
-	if _, err := eng.SizeL("Author", authorID, 5, SearchOptions{}); err == nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5}, authorID); err == nil {
 		t.Fatal("SizeL on a deleted tuple succeeded")
 	}
 }
@@ -109,11 +109,11 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 	eng.EnableSummaryCache(256)
 
 	warm := func() (confText string, authorText string) {
-		c, err := eng.SizeL("Conference", 0, 4, SearchOptions{})
+		c, err := eng.SizeL(QueryRequest{Rel: "Conference", L: 4}, 0)
 		if err != nil {
 			t.Fatalf("Conference SizeL: %v", err)
 		}
-		a, err := eng.Search("Author", "Faloutsos", 6, SearchOptions{})
+		a, err := search(eng, "Author", "Faloutsos", 6, QueryRequest{})
 		if err != nil || len(a) == 0 {
 			t.Fatalf("Author search: %v (%d results)", err, len(a))
 		}
@@ -145,7 +145,7 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 
 	// Conference entry must still hit; the Author entry must miss (its key
 	// rotated with the Cites epoch) and recompute.
-	if _, err := eng.SizeL("Conference", 0, 4, SearchOptions{}); err != nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Conference", L: 4}, 0); err != nil {
 		t.Fatalf("Conference SizeL after mutation: %v", err)
 	}
 	mid, _ := eng.SummaryCacheStats()
@@ -155,7 +155,7 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 	if mid.Misses != before.Misses {
 		t.Fatalf("Conference lookup missed: %+v -> %+v", before, mid)
 	}
-	if _, err := eng.Search("Author", "Faloutsos", 6, SearchOptions{}); err != nil {
+	if _, err := search(eng, "Author", "Faloutsos", 6, QueryRequest{}); err != nil {
 		t.Fatalf("Author search after mutation: %v", err)
 	}
 	after, _ := eng.SummaryCacheStats()
@@ -217,7 +217,7 @@ func TestMutateAtomicOnEngine(t *testing.T) {
 	if eng.Epoch("Author") != epoch0 {
 		t.Fatal("failed batch advanced an epoch")
 	}
-	if res, err := eng.Search("Author", "Doneski", 4, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := search(eng, "Author", "Doneski", 4, QueryRequest{}); err != nil || len(res) != 0 {
 		t.Fatalf("rolled-back insert visible to search: %v %v", res, err)
 	}
 }
@@ -235,7 +235,7 @@ func TestMutateDeletesInDescendingOrder(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("Mutate insert: %v", err)
 	}
-	if res, err := eng.Search("Author", "Postingworth", 4, SearchOptions{}); err != nil || len(res) != 2 {
+	if res, err := search(eng, "Author", "Postingworth", 4, QueryRequest{}); err != nil || len(res) != 2 {
 		t.Fatalf("pre-delete search: %d results, err %v", len(res), err)
 	}
 	if _, err := eng.Mutate(MutationBatch{Deletes: []TupleDelete{
@@ -244,7 +244,7 @@ func TestMutateDeletesInDescendingOrder(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("Mutate delete: %v", err)
 	}
-	res, err := eng.Search("Author", "Postingworth", 4, SearchOptions{})
+	res, err := search(eng, "Author", "Postingworth", 4, QueryRequest{})
 	if err != nil {
 		t.Fatalf("post-delete search errored (ghost posting): %v", err)
 	}
@@ -265,7 +265,7 @@ func TestDeletedJunctionRowLeavesDBSource(t *testing.T) {
 	}
 	author := res.Inserted[0]
 	for _, fromDB := range []bool{false, true} {
-		s, err := eng.SizeL("Author", author, 5, SearchOptions{FromDatabase: fromDB})
+		s, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5, FromDatabase: fromDB}, author)
 		if err != nil {
 			t.Fatalf("SizeL(fromDB=%v): %v", fromDB, err)
 		}
@@ -278,7 +278,7 @@ func TestDeletedJunctionRowLeavesDBSource(t *testing.T) {
 		t.Fatalf("Mutate delete: %v", err)
 	}
 	for _, fromDB := range []bool{false, true} {
-		s, err := eng.SizeL("Author", author, 5, SearchOptions{FromDatabase: fromDB})
+		s, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5, FromDatabase: fromDB}, author)
 		if err != nil {
 			t.Fatalf("SizeL(fromDB=%v) after retract: %v", fromDB, err)
 		}
@@ -309,7 +309,7 @@ func TestMutateConcurrentWithSearches(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := eng.Search("Author", queries[(i+w)%len(queries)], 5, SearchOptions{Parallel: 2}); err != nil {
+				if _, err := search(eng, "Author", queries[(i+w)%len(queries)], 5, QueryRequest{Parallel: 2}); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -321,7 +321,7 @@ func TestMutateConcurrentWithSearches(t *testing.T) {
 		if _, err := eng.Mutate(insertAuthorBatch(t, eng, 940001+10*int64(r), name, "Parallel Epochs")); err != nil {
 			t.Fatalf("round %d: Mutate: %v", r, err)
 		}
-		res, err := eng.Search("Author", fmt.Sprintf("Concurrentia%d", r), 5, SearchOptions{})
+		res, err := search(eng, "Author", fmt.Sprintf("Concurrentia%d", r), 5, QueryRequest{})
 		if err != nil || len(res) != 1 {
 			t.Fatalf("round %d: post-mutation search = %d results, err %v", r, len(res), err)
 		}
@@ -420,10 +420,10 @@ func TestAutoCompaction(t *testing.T) {
 	if got := eng.DB().Relation("Author").Tombstones(); got != 0 {
 		t.Fatalf("tombstones after compaction = %d", got)
 	}
-	if res, err := eng.Search("Author", "Compactsdottir", 4, SearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := search(eng, "Author", "Compactsdottir", 4, QueryRequest{}); err != nil || len(res) != 0 {
 		t.Fatalf("ghost postings after compaction: %d results, err %v", len(res), err)
 	}
-	got, err := eng.Search("Author", "Faloutsos", 6, SearchOptions{})
+	got, err := search(eng, "Author", "Faloutsos", 6, QueryRequest{})
 	if err != nil || len(got) == 0 {
 		t.Fatalf("post-compaction search: %v (%d results)", err, len(got))
 	}
@@ -480,7 +480,7 @@ func TestCompactionRemapsInsertIDsInSameBatch(t *testing.T) {
 	if author.Deleted(id) || author.PK(id) != 986001 {
 		t.Fatalf("returned insert id %d does not hold pk 986001 after compaction", id)
 	}
-	if _, err := eng.SizeL("Author", id, 4, SearchOptions{}); err != nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 4}, id); err != nil {
 		t.Fatalf("SizeL on remapped insert id: %v", err)
 	}
 }
@@ -513,7 +513,7 @@ func TestCompactNow(t *testing.T) {
 	if again, err := eng.CompactNow(); err != nil || again != nil {
 		t.Fatalf("second CompactNow = %v, %v; want nil, nil", again, err)
 	}
-	if res, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil || len(res) == 0 {
+	if res, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil || len(res) == 0 {
 		t.Fatalf("search after CompactNow: %v (%d results)", err, len(res))
 	}
 }

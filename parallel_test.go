@@ -120,7 +120,7 @@ func assertScoresIdentical(t *testing.T, setting string, got, want relational.DB
 // in the same order, every time.
 func TestSearchDeterministicUnderPool(t *testing.T) {
 	eng := getDBLP(t)
-	serial, err := eng.Search("Author", "Faloutsos", 10, SearchOptions{Parallel: 1})
+	serial, err := search(eng, "Author", "Faloutsos", 10, QueryRequest{Parallel: 1})
 	if err != nil {
 		t.Fatalf("serial Search: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestSearchDeterministicUnderPool(t *testing.T) {
 	}
 	for _, workers := range []int{0, 2, 8} {
 		for rep := 0; rep < 3; rep++ {
-			got, err := eng.Search("Author", "Faloutsos", 10, SearchOptions{Parallel: workers})
+			got, err := search(eng, "Author", "Faloutsos", 10, QueryRequest{Parallel: workers})
 			if err != nil {
 				t.Fatalf("Search(workers=%d): %v", workers, err)
 			}
@@ -139,12 +139,12 @@ func TestSearchDeterministicUnderPool(t *testing.T) {
 
 	// The database-join source shares the DB's access counter across
 	// workers; exercise it under the pool (race coverage for db.accesses).
-	dbSerial, err := eng.Search("Author", "Faloutsos", 10, SearchOptions{Parallel: 1, FromDatabase: true})
+	dbSerial, err := search(eng, "Author", "Faloutsos", 10, QueryRequest{Parallel: 1, FromDatabase: true})
 	if err != nil {
 		t.Fatalf("serial FromDatabase Search: %v", err)
 	}
 	for _, workers := range []int{0, 8} {
-		got, err := eng.Search("Author", "Faloutsos", 10, SearchOptions{Parallel: workers, FromDatabase: true})
+		got, err := search(eng, "Author", "Faloutsos", 10, QueryRequest{Parallel: workers, FromDatabase: true})
 		if err != nil {
 			t.Fatalf("FromDatabase Search(workers=%d): %v", workers, err)
 		}
@@ -154,12 +154,12 @@ func TestSearchDeterministicUnderPool(t *testing.T) {
 
 func TestRankedSearchDeterministicUnderPool(t *testing.T) {
 	eng := getDBLP(t)
-	serial, err := eng.RankedSearch("Author", "Faloutsos", 10, 5, SearchOptions{Parallel: 1})
+	serial, err := ranked(eng, "Author", "Faloutsos", 10, 5, QueryRequest{Parallel: 1})
 	if err != nil {
 		t.Fatalf("serial RankedSearch: %v", err)
 	}
 	for _, workers := range []int{0, 4} {
-		got, err := eng.RankedSearch("Author", "Faloutsos", 10, 5, SearchOptions{Parallel: workers})
+		got, err := ranked(eng, "Author", "Faloutsos", 10, 5, QueryRequest{Parallel: workers})
 		if err != nil {
 			t.Fatalf("RankedSearch(workers=%d): %v", workers, err)
 		}
@@ -199,7 +199,7 @@ func TestSummaryCache(t *testing.T) {
 	}
 	eng.EnableSummaryCache(128)
 
-	fresh, err := eng.Search("Author", "Faloutsos", 15, SearchOptions{})
+	fresh, err := search(eng, "Author", "Faloutsos", 15, QueryRequest{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestSummaryCache(t *testing.T) {
 		t.Errorf("cold stats = %+v, want 0 hits / %d misses", st, len(fresh))
 	}
 
-	cached, err := eng.Search("Author", "Faloutsos", 15, SearchOptions{})
+	cached, err := search(eng, "Author", "Faloutsos", 15, QueryRequest{})
 	if err != nil {
 		t.Fatalf("repeat Search: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestSummaryCache(t *testing.T) {
 	}
 
 	// A different l is a different key: no false sharing.
-	if _, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil {
+	if _, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil {
 		t.Fatalf("Search(l=5): %v", err)
 	}
 	st2, _ := eng.SummaryCacheStats()
@@ -251,18 +251,18 @@ func TestSummaryCache(t *testing.T) {
 // tuples and unknown relations must error, not panic.
 func TestSizeLBounds(t *testing.T) {
 	eng := getDBLP(t)
-	if _, err := eng.SizeL("Author", 1<<30, 10, SearchOptions{}); err == nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 10}, 1<<30); err == nil {
 		t.Error("SizeL with out-of-range tuple should error")
 	}
-	if _, err := eng.SizeL("Author", -1, 10, SearchOptions{}); err == nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 10}, -1); err == nil {
 		t.Error("SizeL with negative tuple should error")
 	}
-	if _, err := eng.SizeL("NoSuchRel", 0, 10, SearchOptions{}); err == nil {
+	if _, err := eng.SizeL(QueryRequest{Rel: "NoSuchRel", L: 10}, 0); err == nil {
 		t.Error("SizeL with unknown relation should error")
 	}
 	// Search on an unknown relation reports cleanly too (no matches or error,
 	// never a panic).
-	if _, err := eng.Search("NoSuchRel", "x", 10, SearchOptions{}); err != nil {
+	if _, err := search(eng, "NoSuchRel", "x", 10, QueryRequest{}); err != nil {
 		t.Logf("Search(unknown rel) errored cleanly: %v", err)
 	}
 }

@@ -14,12 +14,11 @@ import (
 	"sizelos/internal/searchexec"
 )
 
-// This file is the engine's unified query surface: one request struct, one
-// entry point, and a lazy Results stream that pipelines candidate matching
-// -> summary computation (cache-first, pool-bounded) -> size-l rendering,
-// paying only for the prefix the caller consumes. Search and RankedSearch
-// are thin wrappers that drain the same pipeline, so the old and new
-// surfaces cannot diverge.
+// This file is the engine's query surface: one request struct, one lazy
+// entry point (Query) plus its one-page drain (QueryPage), and a Results
+// stream that pipelines candidate matching -> summary computation
+// (cache-first, pool-bounded) -> size-l rendering, paying only for the
+// prefix the caller consumes.
 
 // ErrStreamInvalidated reports that a mutation landed inside the query's
 // dependency set between pages (or between batch fills of one open
@@ -32,10 +31,16 @@ var ErrStreamInvalidated = errors.New("sizelos: stream invalidated by mutation")
 // (truncated, corrupted, or hand-built). HTTP maps it to 400 Bad Request.
 var ErrCursorMalformed = errors.New("sizelos: malformed cursor")
 
-// QueryRequest is the one-struct query surface subsuming the historical
-// Search/RankedSearch split and the SearchOptions knobs. The zero value of
-// every optional field means "default": Setting DefaultSetting, Algorithm
-// AlgoTopPath, Limit 0 = no page bound, K 0 = no rank cutoff.
+// ErrInvalidRequest reports a QueryRequest no database state could serve:
+// L < 1, an unknown Algorithm, a negative Limit or K. It is raised before
+// any match is looked at, so the verdict never depends on whether the
+// keywords hit. HTTP maps it to 400 Bad Request.
+var ErrInvalidRequest = errors.New("sizelos: invalid query request")
+
+// QueryRequest is the one request currency from the HTTP handler to the
+// summary cache. The zero value of every optional field means "default":
+// Setting DefaultSetting, Algorithm AlgoTopPath, Limit 0 = no page bound,
+// K 0 = no rank cutoff.
 type QueryRequest struct {
 	// Rel is the Data Subject relation the keywords are matched against.
 	Rel string
@@ -46,13 +51,16 @@ type QueryRequest struct {
 
 	// Setting selects the ranking configuration (default DefaultSetting).
 	Setting string
-	// Algorithm selects the size-l method (default AlgoTopPath).
+	// Algorithm selects the size-l method (default AlgoTopPath, the
+	// paper's quality recommendation).
 	Algorithm Algorithm
 
 	// RankBySummary re-ranks candidates by the importance Im(S) of their
 	// size-l OS instead of serving them in DS global-importance order — the
-	// historical RankedSearch behavior. It must materialize every summary
-	// before the first result, so it cannot terminate early.
+	// combined size-l and top-k ranking the paper leaves as future work
+	// (§7): a DS whose neighborhood is important outranks a well-connected
+	// but shallow one. It must materialize every summary before the first
+	// result, so it cannot terminate early.
 	RankBySummary bool
 	// K, with RankBySummary, caps the ranking to the best K summaries
 	// (0 = rank everything). It bounds the result set, not the page: use
@@ -69,52 +77,70 @@ type QueryRequest struct {
 	// (ErrStreamInvalidated).
 	Cursor string
 
-	// Complete computes from the complete OS instead of the prelim-l OS
-	// (SearchOptions.UseComplete).
+	// Complete computes from the complete OS instead of the prelim-l OS.
+	// The paper recommends prelim-l ("constantly a better choice", §6.3),
+	// so the default is prelim.
 	Complete bool
 	// FromDatabase extracts tuples with database joins instead of the
-	// in-memory data graph.
+	// in-memory data graph (Fig. 10f compares the two).
 	FromDatabase bool
 	// ShowWeights annotates rendered summaries with local importance.
 	ShowWeights bool
 
-	// Parallel bounds the per-batch summary workers (0 = GOMAXPROCS).
+	// Parallel bounds the worker pool summarizing one batch of matches:
+	// 0 sizes it by GOMAXPROCS, 1 forces serial. Output order and content
+	// are identical at every setting.
 	Parallel int
-	// Pool, when non-nil, bounds summary work by a shared concurrency
-	// budget (see SearchOptions.Pool).
+	// Pool, when non-nil, additionally bounds this request's summary work by
+	// a concurrency budget shared with other callers — the multi-tenant
+	// service hands every tenant the same pool so one machine-wide cap
+	// governs total in-flight work. nil imposes no shared limit.
 	Pool *searchexec.Pool
-	// CacheScope namespaces summary-cache entries (see
-	// SearchOptions.CacheScope).
+	// CacheScope namespaces this request's summary-cache entries.
+	// Deployments that serve several tenants from one engine set it to the
+	// tenant name so per-tenant invalidation or quotas never bleed across
+	// tenants; the empty scope is the single-tenant default.
 	CacheScope string
 }
 
-// options lowers the request onto the legacy knob struct the internal
-// summary pipeline still speaks, with defaults filled.
-func (req *QueryRequest) options() SearchOptions {
-	opts := SearchOptions{
-		Setting:      req.Setting,
-		Algorithm:    req.Algorithm,
-		UseComplete:  req.Complete,
-		FromDatabase: req.FromDatabase,
-		ShowWeights:  req.ShowWeights,
-		Parallel:     req.Parallel,
-		Pool:         req.Pool,
-		CacheScope:   req.CacheScope,
+// resolve fills the defaulted fields and rejects what no database state
+// could serve, so everything downstream — the summary-cache key, the
+// cursor fingerprint, the size-l dispatch — reads one canonical request.
+func (req QueryRequest) resolve() (QueryRequest, error) {
+	if req.Setting == "" {
+		req.Setting = DefaultSetting
 	}
-	opts.fill()
-	return opts
+	switch req.Algorithm {
+	case "":
+		req.Algorithm = AlgoTopPath
+	case AlgoDP, AlgoBottomUp, AlgoTopPath:
+	default:
+		return req, fmt.Errorf("%w: unknown algorithm %q", ErrInvalidRequest, req.Algorithm)
+	}
+	switch {
+	case req.L < 1:
+		return req, fmt.Errorf("%w: l must be >= 1, got %d", ErrInvalidRequest, req.L)
+	case req.Limit < 0:
+		return req, fmt.Errorf("%w: negative limit %d", ErrInvalidRequest, req.Limit)
+	case req.K < 0:
+		return req, fmt.Errorf("%w: negative k %d", ErrInvalidRequest, req.K)
+	}
+	return req, nil
 }
 
-// fingerprint hashes every request parameter that shapes the result
+// Fingerprint hashes every request parameter that shapes the result
 // sequence (not the paging: Limit, Cursor, Parallel and Pool change how the
-// sequence is consumed, never what it contains). A cursor binds to this
-// value so it can only resume the query that minted it.
-func (req *QueryRequest) fingerprint(opts SearchOptions) uint64 {
+// sequence is consumed, never what it contains), with defaults resolved so
+// an omitted and an explicit default agree. A cursor binds to this value so
+// it can only resume the query that minted it, and request-coalescing
+// layers key on it.
+func (req QueryRequest) Fingerprint() uint64 {
+	req, _ = req.resolve() // an invalid request still hashes; it never runs
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s\x00%s\x00%t\x00%d\x00%t\x00%t\x00%t\x00%s",
-		req.Rel, req.Query, req.L, opts.Setting, opts.Algorithm,
+		req.Rel, req.Query, req.L, req.Setting, req.Algorithm,
 		req.RankBySummary, req.K,
-		opts.UseComplete, opts.FromDatabase, opts.ShowWeights, opts.CacheScope)
+		req.Complete, req.FromDatabase, req.ShowWeights, req.CacheScope)
 	return h.Sum64()
 }
 
@@ -172,39 +198,32 @@ type QueryStats struct {
 // leaks nothing. Between batch fills the engine may mutate — the next fill
 // then fails with ErrStreamInvalidated rather than serving a torn view.
 type Results struct {
-	eng  *Engine
-	req  QueryRequest
-	opts SearchOptions
+	eng *Engine
+	// req is the resolved request the stream serves.
+	req QueryRequest
 	// epoch is the dependency-set epoch the stream bound to at open.
 	epoch uint64
 	// stream yields keyword matches best-first; nil once Closed.
 	stream keyword.MatchStream
 
 	// holdLock marks a Results opened and drained entirely under the
-	// engine read lock the caller already holds (the legacy wrappers and
-	// QueryPage); fills must not re-acquire it.
+	// engine read lock the caller already holds (QueryPage); fills must not
+	// re-acquire it.
 	holdLock bool
 
-	// Streaming mode: buf holds the current summarized batch,
-	// bufConsumed[i] the cumulative match-pop count through buf[i] (the
-	// cursor position after serving it), bufPos the serve offset.
+	// buf holds the current summarized batch — under RankBySummary the
+	// whole sorted, K-truncated ranking past the resume point —
+	// bufConsumed[i] the cursor position after serving buf[i] (the
+	// cumulative match-pop count through it; ranked: its rank), bufPos the
+	// serve offset.
 	buf         []Summary
 	bufConsumed []int
 	bufPos      int
 	// popped counts stream pops since the original query start (resume
-	// included), served the pop count through the last served summary.
+	// included), served the cursor position of the last served summary —
+	// at open, the resume cursor's.
 	popped int
 	served int
-
-	// Ranked mode (RankBySummary): the fully materialized, sorted,
-	// K-truncated summaries and the serve offset.
-	rankMode    bool
-	rankedBuilt bool
-	ranked      []Summary
-	rankedPos   int
-	// resumeConsumed is the cursor's served count, applied to rankedPos
-	// once the ranking is built.
-	resumeConsumed int
 
 	emitted   int
 	exhausted bool
@@ -213,11 +232,13 @@ type Results struct {
 	stats     QueryStats
 }
 
-// Query opens a lazy summary stream for req. The keyword frontier is built
-// under the engine read lock (one consistent state); each subsequent batch
-// fill re-acquires it and verifies no mutation has landed in the query's
-// dependency set — if one has, the stream fails with ErrStreamInvalidated
-// instead of mixing pre- and post-mutation state.
+// Query opens a lazy summary stream for req: one size-l OS per Data Subject
+// matching the keywords — the paper's end-to-end paradigm (Q1 "Faloutsos",
+// l=15 → Example 5). The keyword frontier is built under the engine read
+// lock (one consistent state); each subsequent batch fill re-acquires it
+// and verifies no mutation has landed in the query's dependency set — if
+// one has, the stream fails with ErrStreamInvalidated instead of mixing
+// pre- and post-mutation state.
 func (e *Engine) Query(req QueryRequest) (*Results, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -247,14 +268,11 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 // queryLocked validates req and binds a Results to the current engine
 // state. Callers hold at least the read lock.
 func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) {
-	opts := req.options()
-	if req.Limit < 0 {
-		return nil, fmt.Errorf("sizelos: negative limit %d", req.Limit)
+	req, err := req.resolve()
+	if err != nil {
+		return nil, err
 	}
-	if req.K < 0 {
-		return nil, fmt.Errorf("sizelos: negative k %d", req.K)
-	}
-	sc, err := e.scoresLocked(opts.Setting)
+	sc, err := e.scoresLocked(req.Setting)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +283,7 @@ func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) 
 		if err != nil {
 			return nil, err
 		}
-		if resume.Fingerprint != req.fingerprint(opts) {
+		if resume.Fingerprint != req.Fingerprint() {
 			return nil, fmt.Errorf("%w: cursor belongs to a different query", ErrStreamInvalidated)
 		}
 		if resume.Epoch != epoch {
@@ -275,16 +293,14 @@ func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) 
 	r := &Results{
 		eng:      e,
 		req:      req,
-		opts:     opts,
 		epoch:    epoch,
 		stream:   e.index.SearchStream(req.Rel, req.Query, sc),
 		holdLock: holdLock,
-		rankMode: req.RankBySummary,
 	}
 	r.stats.Matches = r.stream.Remaining()
 	if req.Cursor != "" {
 		n := int(resume.Consumed)
-		if !r.rankMode {
+		if !r.req.RankBySummary {
 			// Replay to the cursor position: the epoch matched, so the
 			// stream emits the identical sequence and skipping n pops
 			// lands exactly after the last served summary.
@@ -295,7 +311,6 @@ func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) 
 			}
 			r.popped = n
 		}
-		r.resumeConsumed = n
 		r.served = n
 	}
 	return r, nil
@@ -312,9 +327,6 @@ func (r *Results) Next() (Summary, bool) {
 	if r.req.Limit > 0 && r.emitted >= r.req.Limit {
 		r.done = true
 		return Summary{}, false
-	}
-	if r.rankMode {
-		return r.nextRanked()
 	}
 	for r.bufPos >= len(r.buf) {
 		if r.exhausted {
@@ -347,38 +359,26 @@ func (r *Results) fill() error {
 	return r.fillLocked()
 }
 
-// fillLocked pops up to one batch of matches off the frontier —
-// tombstoned subjects are skipped and backfilled from the next rank, a
-// match pointing outside the relation fails the query — and summarizes
-// them across the worker pool. Batches are sized to the parallel width and
-// capped by the remaining Limit, so a limit-k query never summarizes
-// meaningfully more than k candidates no matter how many match.
-func (r *Results) fillLocked() error {
-	e := r.eng
-	batch := r.opts.Parallel
-	if batch <= 0 {
-		batch = runtime.GOMAXPROCS(0)
+// popLive pops matches off the frontier until max are live (max <= 0: the
+// whole frontier). Tombstoned subjects are skipped and backfilled from the
+// next rank; a match pointing outside the relation fails the query.
+// consumedAt[i] is the cumulative pop count through matches[i].
+func (r *Results) popLive(max int) (matches []keyword.Match, consumedAt []int, err error) {
+	n := r.stream.Remaining()
+	if max > 0 && max < n {
+		n = max
 	}
-	if r.req.Limit > 0 {
-		if rem := r.req.Limit - r.emitted; rem < batch {
-			batch = rem
-		}
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	matches := make([]keyword.Match, 0, batch)
-	consumedAt := make([]int, 0, batch)
-	for len(matches) < batch {
+	matches, consumedAt = make([]keyword.Match, 0, n), make([]int, 0, n)
+	for max <= 0 || len(matches) < max {
 		m, ok := r.stream.Next()
 		if !ok {
 			r.exhausted = true
 			break
 		}
 		r.popped++
-		skip, err := e.classifySubject(r.req.Rel, m.Tuple)
+		skip, err := r.eng.classifySubject(r.req.Rel, m.Tuple)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if skip {
 			r.stats.Skipped++
@@ -387,89 +387,67 @@ func (r *Results) fillLocked() error {
 		matches = append(matches, m)
 		consumedAt = append(consumedAt, r.popped)
 	}
-	sums, err := e.summarizeSliceLocked(r.req.Rel, matches, r.req.L, r.opts)
+	return matches, consumedAt, nil
+}
+
+// fillLocked summarizes the next batch of live matches across the worker
+// pool. Batches are sized to the parallel width and capped by the remaining
+// Limit, so a limit-k query never summarizes meaningfully more than k
+// candidates no matter how many match. Under RankBySummary the one batch is
+// the whole frontier: ranking by summary importance requires every
+// candidate's summary up front — early termination structurally cannot
+// apply — but paging through the ranking stays cursor-resumable.
+func (r *Results) fillLocked() error {
+	batch := 0
+	if !r.req.RankBySummary {
+		batch = r.req.Parallel
+		if batch <= 0 {
+			batch = runtime.GOMAXPROCS(0)
+		}
+		if r.req.Limit > 0 {
+			if rem := r.req.Limit - r.emitted; rem < batch {
+				batch = rem
+			}
+		}
+		if batch < 1 {
+			batch = 1
+		}
+	}
+	matches, consumedAt, err := r.popLive(batch)
 	if err != nil {
 		return err
+	}
+	sums, err := r.eng.summarizeSliceLocked(r.req, matches)
+	if err != nil {
+		return err
+	}
+	r.stats.Summaries += len(sums)
+	if r.req.RankBySummary {
+		sort.SliceStable(sums, func(a, b int) bool {
+			if sums[a].Result.Importance != sums[b].Result.Importance {
+				return sums[a].Result.Importance > sums[b].Result.Importance
+			}
+			return sums[a].Tuple < sums[b].Tuple
+		})
+		if r.req.K > 0 && len(sums) > r.req.K {
+			sums = sums[:r.req.K]
+		}
+		// A ranked cursor counts served ranks, not frontier pops: rank i
+		// sits at cursor position i+1, and a resume skips the served ones
+		// (nothing is served before this one fill, so served is still the
+		// resume position).
+		for i := range sums {
+			consumedAt[i] = i + 1
+		}
+		start := min(r.served, len(sums))
+		sums, consumedAt = sums[start:], consumedAt[start:len(sums)]
 	}
 	r.buf, r.bufConsumed, r.bufPos = sums, consumedAt, 0
-	r.stats.Summaries += len(sums)
-	return nil
-}
-
-// nextRanked serves from the materialized Im(S) ranking, building it on
-// first pull. Ranking by summary importance requires every candidate's
-// summary up front — early termination structurally cannot apply — but
-// paging through the ranked list stays lazy and cursor-resumable.
-func (r *Results) nextRanked() (Summary, bool) {
-	if !r.rankedBuilt {
-		if err := r.buildRanked(); err != nil {
-			r.err = err
-			return Summary{}, false
-		}
-	}
-	if r.rankedPos >= len(r.ranked) {
-		r.done = true
-		return Summary{}, false
-	}
-	s := r.ranked[r.rankedPos]
-	r.rankedPos++
-	r.served = r.rankedPos
-	r.emitted++
-	return s, true
-}
-
-func (r *Results) buildRanked() error {
-	if !r.holdLock {
-		r.eng.mu.RLock()
-		defer r.eng.mu.RUnlock()
-		if r.eng.epochForLocked(r.req.Rel) != r.epoch {
-			return ErrStreamInvalidated
-		}
-	}
-	e := r.eng
-	var matches []keyword.Match
-	for {
-		m, ok := r.stream.Next()
-		if !ok {
-			break
-		}
-		skip, err := e.classifySubject(r.req.Rel, m.Tuple)
-		if err != nil {
-			return err
-		}
-		if skip {
-			r.stats.Skipped++
-			continue
-		}
-		matches = append(matches, m)
-	}
-	sums, err := e.summarizeSliceLocked(r.req.Rel, matches, r.req.L, r.opts)
-	if err != nil {
-		return err
-	}
-	r.stats.Summaries = len(sums)
-	sort.SliceStable(sums, func(a, b int) bool {
-		if sums[a].Result.Importance != sums[b].Result.Importance {
-			return sums[a].Result.Importance > sums[b].Result.Importance
-		}
-		return sums[a].Tuple < sums[b].Tuple
-	})
-	if r.req.K > 0 && len(sums) > r.req.K {
-		sums = sums[:r.req.K]
-	}
-	r.ranked = sums
-	r.rankedPos = r.resumeConsumed
-	if r.rankedPos > len(r.ranked) {
-		r.rankedPos = len(r.ranked)
-	}
-	r.rankedBuilt = true
-	r.exhausted = true
 	return nil
 }
 
 // Drain consumes the stream to its Limit (or exhaustion) and returns every
-// summary. The slice is non-nil even when empty, matching the historical
-// Search contract.
+// summary. The slice is non-nil even when empty.
 func (r *Results) Drain() ([]Summary, error) {
 	out := make([]Summary, 0, r.drainCap())
 	for {
@@ -491,7 +469,7 @@ func (r *Results) drainCap() int {
 	if r.req.Limit > 0 && r.req.Limit < n {
 		n = r.req.Limit
 	}
-	if r.rankMode && r.req.K > 0 && r.req.K < n {
+	if r.req.RankBySummary && r.req.K > 0 && r.req.K < n {
 		n = r.req.K
 	}
 	return n
@@ -514,21 +492,11 @@ func (r *Results) Cursor() (cursor string, ok bool) {
 	if r.err != nil || r.stream == nil {
 		return "", false
 	}
-	var more bool
-	if r.rankMode {
-		if r.rankedBuilt {
-			more = r.rankedPos < len(r.ranked)
-		} else {
-			more = r.stats.Matches > r.resumeConsumed
-		}
-	} else {
-		more = r.bufPos < len(r.buf) || r.stream.Remaining() > 0
-	}
-	if !more {
+	if r.bufPos >= len(r.buf) && r.stream.Remaining() == 0 {
 		return "", false
 	}
 	return encodeCursor(cursorWire{
-		Fingerprint: r.req.fingerprint(r.opts),
+		Fingerprint: r.req.Fingerprint(),
 		Epoch:       r.epoch,
 		Consumed:    uint64(r.served),
 	}), true
@@ -540,12 +508,12 @@ func (r *Results) Cursor() (cursor string, ok bool) {
 func (r *Results) Close() {
 	r.done = true
 	r.stream = nil
-	r.buf, r.bufConsumed, r.ranked = nil, nil, nil
+	r.buf, r.bufConsumed = nil, nil
 }
 
-// classifySubject decides what a keyword match pointing at (dsRel, tuple)
-// means for a stream: serve it (false, nil), skip-and-backfill a tombstone
-// (true, nil), or fail the query on coordinates that cannot have come from
+// classifySubject checks DS coordinates before any summary work: serve it
+// (false, nil), a tombstone (true, nil) — which a stream skips and
+// backfills and SizeL rejects — or coordinates that cannot have come from
 // this engine's index (false, err).
 func (e *Engine) classifySubject(dsRel string, tuple relational.TupleID) (skip bool, err error) {
 	r := e.db.Relation(dsRel)

@@ -13,6 +13,7 @@ import (
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
+	"sizelos/internal/searchexec"
 )
 
 // getTPCH opens a small TPC-H engine once per test binary (read-only use).
@@ -112,10 +113,11 @@ func drainQuery(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 	return out
 }
 
-// TestQueryStreamEqualsSearch: pulling a Query stream to exhaustion must
-// reproduce the eager Search result exactly, and any Limit-n stream must
-// be the length-n prefix of the full answer — on both evaluation databases.
-func TestQueryStreamEqualsSearch(t *testing.T) {
+// TestQueryStreamEqualsPage: pulling a Query stream one Next at a time —
+// re-taking the engine lock per batch — must reproduce the one-lock
+// QueryPage drain exactly, and any Limit-n stream must be the length-n
+// prefix of the full answer — on both evaluation databases.
+func TestQueryStreamEqualsPage(t *testing.T) {
 	cases := []struct {
 		name, rel, q string
 		eng          func(*testing.T) *Engine
@@ -128,17 +130,17 @@ func TestQueryStreamEqualsSearch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := tc.eng(t)
-			full, err := eng.Search(tc.rel, tc.q, 8, SearchOptions{})
+			full, err := search(eng, tc.rel, tc.q, 8, QueryRequest{})
 			if err != nil {
-				t.Fatalf("Search: %v", err)
+				t.Fatalf("QueryPage: %v", err)
 			}
 			streamed := drainQuery(t, eng, QueryRequest{Rel: tc.rel, Query: tc.q, L: 8})
 			if len(streamed) != len(full) {
-				t.Fatalf("streamed %d, Search %d", len(streamed), len(full))
+				t.Fatalf("streamed %d, QueryPage %d", len(streamed), len(full))
 			}
 			for i := range full {
 				if !reflect.DeepEqual(streamed[i], full[i]) {
-					t.Fatalf("streamed[%d] differs from Search[%d]", i, i)
+					t.Fatalf("streamed[%d] differs from QueryPage[%d]", i, i)
 				}
 			}
 			for _, n := range []int{1, 2, 5} {
@@ -160,83 +162,78 @@ func TestQueryStreamEqualsSearch(t *testing.T) {
 	}
 }
 
-// refSearchSummaries recomputes Search's answer through an independent
-// path: raw index matches, summarized one at a time via SizeL. Any drift
-// between the streamed pipeline and this reference is a real behavior
-// change in the wrappers.
-func refSearchSummaries(t *testing.T, eng *Engine, rel, q string, l int, opts SearchOptions) []Summary {
+// refSummaries recomputes a query's answer through an independent eager
+// path: raw index matches, cut to Limit, summarized one at a time via
+// SizeL, then — under RankBySummary — sorted stably by Im(S) descending
+// (ties: tuple ascending) and cut to K. Any drift between the streamed
+// pipeline and this reference is a real behavior change.
+func refSummaries(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 	t.Helper()
-	o := opts
-	o.fill()
-	sc, err := eng.Scores(o.Setting)
+	setting := req.Setting
+	if setting == "" {
+		setting = DefaultSetting
+	}
+	sc, err := eng.Scores(setting)
 	if err != nil {
 		t.Fatalf("Scores: %v", err)
 	}
-	matches := eng.Index().Search(rel, q, sc)
-	if opts.TopK > 0 && len(matches) > opts.TopK {
-		matches = matches[:opts.TopK]
+	matches := eng.Index().Search(req.Rel, req.Query, sc)
+	if !req.RankBySummary && req.Limit > 0 && len(matches) > req.Limit {
+		matches = matches[:req.Limit]
 	}
 	out := make([]Summary, 0, len(matches))
 	for _, m := range matches {
-		s, err := eng.SizeL(rel, m.Tuple, l, opts)
+		s, err := eng.SizeL(req, m.Tuple)
 		if err != nil {
 			t.Fatalf("SizeL(%d): %v", m.Tuple, err)
 		}
 		out = append(out, s)
 	}
+	if req.RankBySummary {
+		sort.SliceStable(out, func(a, b int) bool {
+			if out[a].Result.Importance != out[b].Result.Importance {
+				return out[a].Result.Importance > out[b].Result.Importance
+			}
+			return out[a].Tuple < out[b].Tuple
+		})
+		if req.K > 0 && len(out) > req.K {
+			out = out[:req.K]
+		}
+	}
 	return out
 }
 
-// TestWrapperBitIdentical pins the redesign's compatibility promise:
-// Search and RankedSearch, now thin wrappers over the streaming Query
-// pipeline, return bit-identical results to the pre-redesign eager path
-// (reconstructed via raw matches + SizeL, which shares no code with the
-// stream's batching, pooling or cursor logic).
-func TestWrapperBitIdentical(t *testing.T) {
+// TestQueryPageEqualsEagerReference (the retargeted TestWrapperBitIdentical)
+// pins the streaming pipeline to the paper's eager paradigm: QueryPage
+// returns bit-identical results to raw matches + SizeL per match, which
+// shares no code with the stream's batching, pooling or cursor logic.
+func TestQueryPageEqualsEagerReference(t *testing.T) {
 	eng := getDBLP(t)
-	for _, opts := range []SearchOptions{
+	reqs := []QueryRequest{
 		{},
-		{TopK: 2},
+		{Limit: 2},
 		{ShowWeights: true},
-		{UseComplete: true},
+		{Complete: true},
 		{Algorithm: AlgoDP},
 		{Parallel: 1},
-	} {
-		got, err := eng.Search("Author", "Faloutsos", 12, opts)
-		if err != nil {
-			t.Fatalf("Search(%+v): %v", opts, err)
-		}
-		want := refSearchSummaries(t, eng, "Author", "Faloutsos", 12, opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Search(%+v) diverged from reference (%d vs %d results)",
-				opts, len(got), len(want))
-		}
+		{RankBySummary: true},
+		{RankBySummary: true, K: 1},
+		{RankBySummary: true, K: 2},
+		{RankBySummary: true, K: 10},
 	}
-
-	// RankedSearch: the reference summarizes every match, sorts stably by
-	// Im(S) descending (ties: tuple ascending), and truncates to k — the
-	// seed's exact semantics.
-	for _, k := range []int{1, 2, 10} {
-		got, err := eng.RankedSearch("Author", "Faloutsos", 10, k, SearchOptions{})
+	for _, req := range reqs {
+		req.Rel, req.Query, req.L = "Author", "Faloutsos", 12
+		got, _, _, err := eng.QueryPage(req)
 		if err != nil {
-			t.Fatalf("RankedSearch(k=%d): %v", k, err)
+			t.Fatalf("QueryPage(%+v): %v", req, err)
 		}
-		want := refSearchSummaries(t, eng, "Author", "Faloutsos", 10, SearchOptions{})
-		sort.SliceStable(want, func(a, b int) bool {
-			if want[a].Result.Importance != want[b].Result.Importance {
-				return want[a].Result.Importance > want[b].Result.Importance
-			}
-			return want[a].Tuple < want[b].Tuple
-		})
-		if len(want) > k {
-			want = want[:k]
+		if len(got) == 0 {
+			t.Fatalf("QueryPage(%+v) served nothing: the comparison would be vacuous", req)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("RankedSearch(k=%d) diverged from reference", k)
+		if want := refSummaries(t, eng, req); !reflect.DeepEqual(got, want) {
+			t.Fatalf("QueryPage(%+v) diverged from reference (%d vs %d results)",
+				req, len(got), len(want))
 		}
-	}
-	if _, err := eng.RankedSearch("Author", "Faloutsos", 10, 0, SearchOptions{}); err == nil {
-		t.Fatal("RankedSearch(k=0) did not error")
 	}
 }
 
@@ -332,13 +329,13 @@ func TestQueryCursorWalk(t *testing.T) {
 }
 
 // TestRankedQueryPaging: RankBySummary pages must concatenate to exactly
-// RankedSearch's top-k, served from one materialized ranking.
+// the unpaged top-k, served from one materialized ranking.
 func TestRankedQueryPaging(t *testing.T) {
 	eng := getDBLP(t)
 	const k = 3
-	want, err := eng.RankedSearch("Author", "Faloutsos", 10, k, SearchOptions{})
+	want, err := ranked(eng, "Author", "Faloutsos", 10, k, QueryRequest{})
 	if err != nil {
-		t.Fatalf("RankedSearch: %v", err)
+		t.Fatalf("unpaged ranked query: %v", err)
 	}
 	var (
 		got    []Summary
@@ -362,14 +359,13 @@ func TestRankedQueryPaging(t *testing.T) {
 		cursor = next
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ranked pages (%d) diverge from RankedSearch top-%d (%d)", len(got), k, len(want))
+		t.Fatalf("ranked pages (%d) diverge from the unpaged top-%d (%d)", len(got), k, len(want))
 	}
 }
 
-// TestQueryDeletedTupleBackfill pins the TopK wart fix: a tuple that is
-// tombstoned while still listed in the posting window is skipped and the
-// window backfilled from the remaining matches — where the seed's TopK
-// path returned an error for the whole query.
+// TestQueryDeletedTupleBackfill: a tuple that is tombstoned while still
+// listed in the posting window is skipped and the window backfilled from
+// the remaining matches, instead of failing the whole query.
 func TestQueryDeletedTupleBackfill(t *testing.T) {
 	eng := mutableDBLP(t)
 	sc := mustScores(t, eng)
@@ -378,8 +374,7 @@ func TestQueryDeletedTupleBackfill(t *testing.T) {
 		t.Fatalf("fixture has %d Faloutsos matches, need 3", len(matches))
 	}
 	// Tombstone the best match behind the engine's back: the posting list
-	// still carries it (no Mutate, no epoch bump) — exactly the stale
-	// window the old TopK path tripped over.
+	// still carries it (no Mutate, no epoch bump) — a stale window.
 	if err := eng.DB().Relation("Author").Delete(matches[0].Tuple); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
@@ -398,14 +393,10 @@ func TestQueryDeletedTupleBackfill(t *testing.T) {
 		t.Fatalf("window = tuples %d,%d; want backfilled %d,%d",
 			sums[0].Tuple, sums[1].Tuple, matches[1].Tuple, matches[2].Tuple)
 	}
-	// The wrapper inherits the fix: old TopK callers get the healed window
-	// instead of the seed's error.
-	viaSearch, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{TopK: 2})
-	if err != nil {
-		t.Fatalf("Search with stale window: %v", err)
-	}
-	if !reflect.DeepEqual(viaSearch, sums) {
-		t.Fatal("Search{TopK:2} disagrees with QueryPage{Limit:2} on the healed window")
+	// The incremental stream heals the window the same way.
+	viaStream := drainQuery(t, eng, QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 2})
+	if !reflect.DeepEqual(viaStream, sums) {
+		t.Fatal("Query{Limit:2} disagrees with QueryPage{Limit:2} on the healed window")
 	}
 }
 
@@ -512,14 +503,28 @@ func TestQueryNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestQueryRequestValidation pins the new API's error surface.
+// TestQueryRequestValidation pins the API's error surface. A request no
+// database state could serve fails with ErrInvalidRequest before any match
+// is looked at — the verdict must not depend on whether the keywords hit.
 func TestQueryRequestValidation(t *testing.T) {
 	eng := getDBLP(t)
-	if _, err := eng.Query(QueryRequest{Rel: "Author", Query: "x", L: 5, Limit: -1}); err == nil {
-		t.Fatal("negative limit accepted")
-	}
-	if _, err := eng.Query(QueryRequest{Rel: "Author", Query: "x", L: 5, K: -1}); err == nil {
-		t.Fatal("negative k accepted")
+	for _, bad := range []QueryRequest{
+		{L: 0},
+		{L: -1},
+		{L: 3, Algorithm: "bogus"},
+		{L: 5, Limit: -1},
+		{L: 5, K: -1},
+		{L: 5, RankBySummary: true, K: -1},
+	} {
+		for _, kw := range []string{"Faloutsos", "zzzzqqq"} { // hit, miss
+			bad.Rel, bad.Query = "Author", kw
+			if _, _, _, err := eng.QueryPage(bad); !errors.Is(err, ErrInvalidRequest) {
+				t.Errorf("QueryPage(%+v) error = %v, want ErrInvalidRequest", bad, err)
+			}
+			if _, err := eng.Query(bad); !errors.Is(err, ErrInvalidRequest) {
+				t.Errorf("Query(%+v) error = %v, want ErrInvalidRequest", bad, err)
+			}
+		}
 	}
 	if _, err := eng.Query(QueryRequest{Rel: "Author", Query: "x", L: 5, Setting: "nope"}); err == nil {
 		t.Fatal("unknown setting accepted")
@@ -539,5 +544,88 @@ func TestQueryRequestValidation(t *testing.T) {
 	sums, err := res.Drain()
 	if err != nil || sums == nil || len(sums) != 0 {
 		t.Fatalf("Drain on empty stream = %v, %v (want non-nil empty)", sums, err)
+	}
+}
+
+// TestQueryRequestFieldClassification guards the two places a request
+// field can silently go missing from: the summary-cache key and the cursor
+// fingerprint. Every QueryRequest field must be classified exactly once —
+// summary-shaping (changes the produced Summary, so it must change
+// summaryKey, and with it the sequence fingerprint), sequence-shaping
+// (changes which summaries are served or in what order: fingerprint only),
+// or consumption-only (changes neither) — and flipping it must move exactly
+// what its class says. A field added later fails here until it is placed.
+func TestQueryRequestFieldClassification(t *testing.T) {
+	const (
+		summaryShaping = iota
+		sequenceShaping
+		consumptionOnly
+	)
+	classes := map[string]int{
+		"Rel": summaryShaping, "L": summaryShaping, "Setting": summaryShaping,
+		"Algorithm": summaryShaping, "Complete": summaryShaping,
+		"FromDatabase": summaryShaping, "ShowWeights": summaryShaping,
+		"CacheScope": summaryShaping,
+		"Query":      sequenceShaping, "RankBySummary": sequenceShaping, "K": sequenceShaping,
+		"Limit": consumptionOnly, "Cursor": consumptionOnly,
+		"Parallel": consumptionOnly, "Pool": consumptionOnly,
+	}
+	eng := getDBLP(t)
+	base := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5}
+	observe := func(req QueryRequest) (summaryKey, uint64) {
+		resolved, err := req.resolve()
+		if err != nil {
+			t.Fatalf("resolve(%+v): %v", req, err)
+		}
+		return eng.summaryKeyFor(resolved, 0), req.Fingerprint()
+	}
+	baseKey, baseFP := observe(base)
+
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		class, ok := classes[f.Name]
+		if !ok {
+			t.Errorf("QueryRequest.%s is unclassified: decide whether it shapes the summary, the sequence, or only consumption", f.Name)
+			continue
+		}
+		delete(classes, f.Name)
+
+		flipped := base
+		v := reflect.ValueOf(&flipped).Elem().Field(i)
+		switch {
+		case f.Name == "Setting":
+			v.SetString("GA2-d1") // non-default and valid
+		case f.Name == "Algorithm":
+			v.SetString(string(AlgoDP))
+		case f.Name == "Pool":
+			v.Set(reflect.ValueOf(searchexec.NewPool(1)))
+		case v.Kind() == reflect.String:
+			v.SetString(v.String() + "x")
+		case v.Kind() == reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("QueryRequest.%s: no flip for kind %s", f.Name, v.Kind())
+		}
+		key, fp := observe(flipped)
+		wantKey, wantFP := class == summaryShaping, class != consumptionOnly
+		if (key != baseKey) != wantKey {
+			t.Errorf("QueryRequest.%s: summaryKey changed = %t, want %t", f.Name, key != baseKey, wantKey)
+		}
+		if (fp != baseFP) != wantFP {
+			t.Errorf("QueryRequest.%s: fingerprint changed = %t, want %t", f.Name, fp != baseFP, wantFP)
+		}
+	}
+	for name := range classes {
+		t.Errorf("classified field %s no longer exists on QueryRequest", name)
+	}
+
+	// Defaults resolve before hashing: omitted and explicit agree.
+	explicit := base
+	explicit.Setting, explicit.Algorithm = DefaultSetting, AlgoTopPath
+	if key, fp := observe(explicit); key != baseKey || fp != baseFP {
+		t.Error("explicit defaults hash differently from omitted ones")
 	}
 }

@@ -453,7 +453,7 @@ func TestRerankOnlyBatchReusesConvergedScores(t *testing.T) {
 	if len(res.Epochs) != 0 || eng.EpochFor("Author") != before {
 		t.Fatalf("no-op re-rank rotated epochs: %v (Author %d -> %d)", res.Epochs, before, eng.EpochFor("Author"))
 	}
-	if _, err := eng.Search("Author", "Faloutsos", 5, SearchOptions{}); err != nil {
+	if _, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil {
 		t.Fatalf("post-rerank search: %v", err)
 	}
 

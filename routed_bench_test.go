@@ -43,7 +43,7 @@ func benchFleet(b *testing.B) string {
 	var members []router.Member
 	for _, name := range []string{"n1", "n2", "n3"} {
 		node, err := nodehost.Boot(tenancy.ServerConfig{
-			Seed: 840, CacheBudget: 64, ResidualWorkers: 1,
+			Seed: 840, CacheBudget: 64,
 		}, nil, nodehost.Config{Open: open})
 		if err != nil {
 			b.Fatalf("boot %s: %v", name, err)
