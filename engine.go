@@ -122,21 +122,19 @@ type Engine struct {
 	// warm full iteration and re-arms it.
 	residualOK bool
 	// residualEnabled gates residual-push re-ranking (SetResidualRerank);
-	// when off, every re-rank takes the PR-4 warm full iteration.
+	// when off, every re-rank runs the warm full iteration.
 	residualEnabled bool
-	// residualBudget overrides rank.Options.ResidualBudget when positive
-	// (SetResidualBudget): the push count past which a residual re-rank
-	// abandons the localized path and falls back to the full iteration.
+	// residualBudget is rank.Options.ResidualBudget for every residual
+	// re-rank: the push count past which one abandons the localized path and
+	// falls back to the full iteration. 0, what every engine serves with,
+	// means the rank package default (4× the node count); only in-package
+	// tests set it.
 	residualBudget int
 	// residualWorkers pins the residual push's owner-tile worker count: 0
 	// (what every engine serves with) sizes by GOMAXPROCS, 1 forces serial.
 	// Every count produces bit-identical scores; only the in-package
 	// equivalence harness and benchmarks set it.
 	residualWorkers int
-	// residualAccel gates the high-damping accelerated repair
-	// (SetResidualAccel, on by default): when off, slow global modes trip
-	// the push budget and fall back to the warm full iteration as in PR 5.
-	residualAccel bool
 	// residualRuns counts consecutive residual re-ranks; every
 	// residualRefreshInterval-th re-rank runs the full iteration instead,
 	// re-grounding the epsilon-scale drift each residual repair inherits
@@ -164,7 +162,8 @@ type Engine struct {
 	// compactMin and compactRatio are the auto-compaction trigger: a
 	// relation is physically compacted when it carries at least compactMin
 	// tombstones AND they exceed compactRatio of its slots. compactMin <= 0
-	// disables the automatic trigger (CompactNow still works).
+	// disables the automatic trigger (CompactNow still works). Every engine
+	// serves with the Default* constants; only in-package tests lower them.
 	compactMin   int
 	compactRatio float64
 	// gds[dsRel][setting] is the annotated G_DS clone for that setting.
@@ -220,7 +219,6 @@ func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		compactRatio:    DefaultCompactRatio,
 		pending:         make(map[*rank.GA]*rank.Pending),
 		residualEnabled: true,
-		residualAccel:   true,
 		annMax:          make(map[string]map[string]map[string]float64),
 	}
 	for _, r := range db.Relations {
@@ -273,55 +271,17 @@ func (e *Engine) SetResidualRerank(on bool) {
 	e.residualEnabled = on
 }
 
-// SetResidualBudget overrides the residual re-rank push budget — the
-// boundary past which the localized repair falls back to the warm full
-// iteration. pushes <= 0 restores the rank package default (4× the node
-// count). Lowering it trades residual coverage for a tighter worst-case
-// bound on wasted pushes before a fallback.
-func (e *Engine) SetResidualBudget(pushes int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualBudget = pushes
-}
-
-// SetResidualAccel toggles the accelerated high-damping rescue (on by
-// default): at damping ≥ 0.95 a residual re-rank whose push trips its
-// budget — slow global modes decay only geometrically per push round — is
-// finished by deflation of the dominant mode plus Chebyshev semi-iteration
-// instead of falling back, completing localized re-ranks that previously
-// abandoned to the full iteration. When off, high dampings budget-trip and
-// fall back exactly as before the acceleration existed. Both paths satisfy
-// the same fixed-point tolerance contract.
-func (e *Engine) SetResidualAccel(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualAccel = on
-}
-
 // DefaultCompactMinTombstones and DefaultCompactRatio are the engine's
 // auto-compaction trigger: a relation is physically compacted — tombstoned
 // slots reclaimed, TupleIDs remapped through the keyword index and score
 // vectors, the data graph rebuilt — once it carries at least
 // DefaultCompactMinTombstones tombstones and they exceed
 // DefaultCompactRatio of its slots. Below that, tombstones are cheaper than
-// the remap. SetCompactionPolicy overrides both.
+// the remap.
 const (
 	DefaultCompactMinTombstones = 256
 	DefaultCompactRatio         = 0.5
 )
-
-// SetCompactionPolicy overrides the auto-compaction trigger: a relation
-// compacts when it holds at least minTombstones tombstones and they exceed
-// ratio of its physical slots. minTombstones <= 0 disables the automatic
-// trigger; ratio <= 0 keeps the current ratio.
-func (e *Engine) SetCompactionPolicy(minTombstones int, ratio float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.compactMin = minTombstones
-	if ratio > 0 {
-		e.compactRatio = ratio
-	}
-}
 
 // computeScores runs every setting's power iteration concurrently over the
 // precompiled plans, returning the normalized score table served to

@@ -1,6 +1,8 @@
 package sizelos
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,5 +211,47 @@ func TestOpenTPCH(t *testing.T) {
 	}
 	if !strings.Contains(res[0].Text, "Customer: ") {
 		t.Errorf("render missing customer root:\n%s", res[0].Text)
+	}
+}
+
+// TestEngineExportedSurface pins *Engine's exported method set, so a new
+// method — the next Set* knob in particular — shows up as a diff of this
+// list, the way TestQueryRequestFieldClassification does for request
+// fields. Each settable value below has a caller outside this package's
+// tests: SetMutationLog is the durable store's hook, SetResidualRerank the
+// reference path internal/durable's crash harness compares against.
+func TestEngineExportedSurface(t *testing.T) {
+	want := []string{
+		"CompactNow",
+		"DB",
+		"EnableSummaryCache",
+		"Epoch",
+		"EpochFor",
+		"ExportState",
+		"GDS",
+		"Graph",
+		"Index",
+		"Mutate",
+		"Query",
+		"QueryPage",
+		"RegisterAutoGDS",
+		"RegisterGDS",
+		"Scores",
+		"SetMutationLog",
+		"SetResidualRerank",
+		"SettingNames",
+		"SizeL",
+		"SummaryCacheStats",
+	}
+	var got []string
+	typ := reflect.TypeOf(&Engine{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		// export_test.go's benchmark hook exists in test builds only.
+		if name := typ.Method(i).Name; name != "PinResidualWorkers" {
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Engine exports\n  %v\nwant\n  %v", got, want)
 	}
 }

@@ -25,7 +25,12 @@
 // per-destination pull transpose. Plans.Run is the power iteration (cold or
 // warm); Plans.Apply splices a committed mutation batch into the compiled
 // rows; Plans.RunResidual repairs the prior fixed point with a localized
-// Gauss–Southwell residual push (see residual.go for the math).
+// Gauss–Southwell residual push (residual.go has the math, parallel.go the
+// round schedule) and has one safety net: when the seeded residual is too
+// large or the push budget runs out, the same call returns Plans.Run
+// warm-started from the prior instead. What one entry of a source row
+// transfers is written once (split, in rank.go); the push, the residual
+// seeding and the pull transpose all read it there.
 //
 // # Invariants
 //
@@ -37,7 +42,11 @@
 //   - Plans.Run is bit-for-bit deterministic at every Options.Parallel
 //     setting: each destination's contributions are summed by exactly one
 //     worker in the canonical order (plan ordinal, source ascending, target
-//     position). Changing the worker count must never change a score.
+//     position). RunResidual is too, fallback decision included: a round's
+//     contributions reach each destination in source-ascending order
+//     whether they are added directly or ride the tiles' outboxes, and the
+//     budget is checked per round. Changing the worker count must never
+//     change a score.
 //   - Plans.Apply requires the batch to be already applied to the plans'
 //     database AND data graph (it recomputes changed rows from both), and
 //     must be serialized against Run/RunResidual by the caller. The engine

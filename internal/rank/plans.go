@@ -53,14 +53,6 @@ type Plans struct {
 	pullW    []float64
 	pullOnce *sync.Once
 	pullErr  error
-
-	// Dominant-eigenpair estimate of the rate-weighted flow matrix,
-	// power-iterated once per Plans on the first accelerated high-damping
-	// repair and never invalidated: mutations degrade only its quality,
-	// not the repair's correctness (accel.go), and recompiles produce a
-	// fresh Plans anyway.
-	deflOnce sync.Once
-	defl     *deflation
 }
 
 // Compile resolves ga's flows against the data graph into reusable push
@@ -111,8 +103,7 @@ func (ps *Plans) ensurePull() error {
 // canonical contribution order per destination — plan ordinal, then source
 // tuple ascending, then target position — fixes the floating-point
 // accumulation order, so Run produces bit-for-bit identical scores no
-// matter how many workers split the destination range. Plans without an
-// overlay walk the packed arrays directly; patched plans read each row
+// matter how many workers split the destination range. Rows are read
 // through the overlay, which yields the same arrays a fresh Compile over
 // the mutated graph would (plan rows are recomputed from the graph, and
 // the graph is maintained edge-exact).
@@ -165,44 +156,14 @@ func (ps *Plans) buildPull() error {
 		p := &ps.plans[pi]
 		srcOff := ps.relOff[p.srcRel]
 		dstOff := ps.relOff[p.dstRel]
-		if p.patch == nil {
-			// Fast path for unpatched plans: walk the packed CSR directly.
-			for t := 0; t+1 < len(p.offsets); t++ {
-				lo, hi := p.offsets[t], p.offsets[t+1]
-				if lo == hi {
-					continue
-				}
-				src := srcOff + int32(t)
-				uniform := p.rate / float64(hi-lo)
-				for k := lo; k < hi; k++ {
-					w := uniform
-					if p.weights != nil {
-						w = p.rate * p.weights[k]
-					}
-					d := dstOff + int32(p.targets[k])
-					ps.pullSrc[fill[d]] = src
-					ps.pullW[fill[d]] = w
-					fill[d]++
-				}
-			}
-			continue
-		}
 		srcN := int(ps.relOff[p.srcRel+1]) - int(srcOff)
 		for t := 0; t < srcN; t++ {
-			targets, weights := p.row(relational.TupleID(t))
-			if len(targets) == 0 {
-				continue
-			}
+			targets, w := p.flows(relational.TupleID(t))
 			src := srcOff + int32(t)
-			uniform := p.rate / float64(len(targets))
 			for k, tgt := range targets {
-				w := uniform
-				if weights != nil {
-					w = p.rate * weights[k]
-				}
 				d := dstOff + int32(tgt)
 				ps.pullSrc[fill[d]] = src
-				ps.pullW[fill[d]] = w
+				ps.pullW[fill[d]] = w.at(k)
 				fill[d]++
 			}
 		}

@@ -138,18 +138,8 @@ type Options struct {
 	// budget early and takes the vectorized iteration instead. The budget
 	// is enforced at push-round granularity — a round either runs in full
 	// or falls back before starting — so the fallback decision is
-	// independent of the worker count. Accelerated high-damping repairs
-	// (see ResidualAccelDamping) are bounded by MaxIter rounds instead.
+	// independent of the worker count.
 	ResidualBudget int
-	// ResidualAccelDamping is the damping at or above which a residual
-	// push that trips its budget is rescued by the accelerated dense
-	// repair (deflation of the dominant mode + Chebyshev semi-iteration,
-	// see accel.go) instead of falling back: high-damping slow modes decay
-	// only geometrically per push round, so disruptive mutations would
-	// otherwise always budget-trip. 0 means the default (0.95); any value
-	// > 1 disables acceleration and restores the PR-5 behavior of
-	// budget-tripping straight into the warm full iteration.
-	ResidualAccelDamping float64
 }
 
 // DefaultOptions mirrors the paper's default setting: d=0.85, converged
@@ -175,15 +165,13 @@ type Stats struct {
 	// rounds (RunResidual only).
 	Pushes int
 	// ResidualNodes counts the distinct nodes a residual run touched
-	// (RunResidual only; the whole arena for an accelerated repair).
+	// (RunResidual only).
 	ResidualNodes int
 	// Fallback records that RunResidual abandoned the localized path (seed
-	// mass over the safety bound, the push budget exhausted, or an
-	// accelerated repair that diverged or hit its round cap) and the
+	// mass over the safety bound or the push budget exhausted) and the
 	// reported scores come from the warm full iteration instead.
 	Fallback bool
-	// Rounds counts the synchronized residual rounds a RunResidual
-	// executed: frontier push rounds, or accelerated Chebyshev rounds.
+	// Rounds counts the synchronized push rounds a RunResidual executed.
 	Rounds int
 	// Regions reports the owner-tile count the residual repair was
 	// partitioned into (1 = serial). Purely observational: every region
@@ -193,11 +181,6 @@ type Stats struct {
 	// barriers — how often a push crossed a partition boundary. Always 0
 	// for serial runs (one region owns everything).
 	Handoffs int
-	// Accelerated records that the high-damping dense rescue (deflation +
-	// Chebyshev, accel.go) ran after the push budget tripped; combined
-	// with Fallback it means the rescue was also abandoned for the warm
-	// full iteration.
-	Accelerated bool
 }
 
 // planKind discriminates how a source tuple's row of a compiled plan is
@@ -272,6 +255,38 @@ func (p *plan) row(t relational.TupleID) ([]relational.TupleID, []float64) {
 		return p.targets[lo:hi], nil
 	}
 	return nil, nil
+}
+
+// split is how one source row divides its plan's rate among the row's
+// targets — the only place the rule is written: entry k carries
+// rate·weights[k] under a value-proportional split (ValueRank) and
+// rate/len(row) under the uniform one (ObjectRank).
+type split struct {
+	weights []float64 // nil => uniform
+	scale   float64   // rate, or rate/len(row) when uniform
+}
+
+// splitOf returns the split of a row of p with n targets and the given
+// weights (nil => uniform). An empty row's split is never read.
+func (p *plan) splitOf(n int, weights []float64) split {
+	if weights == nil {
+		return split{scale: p.rate / float64(n)}
+	}
+	return split{weights: weights, scale: p.rate}
+}
+
+// at returns the transfer weight of the row's k-th entry.
+func (s split) at(k int) float64 {
+	if s.weights == nil {
+		return s.scale
+	}
+	return s.scale * s.weights[k]
+}
+
+// flows returns t's current targets and their split.
+func (p *plan) flows(t relational.TupleID) ([]relational.TupleID, split) {
+	targets, weights := p.row(t)
+	return targets, p.splitOf(len(targets), weights)
 }
 
 // compile resolves ga's flows against the data graph into push plans.

@@ -41,10 +41,7 @@ package rank
 // damping; the push budget, not a contraction argument, guarantees
 // termination: a run that exhausts it — or whose seed mass already dwarfs
 // the prior's — falls back to the warm full iteration, which is correct
-// from any seed. A high-damping run (Options.ResidualAccelDamping) that
-// trips the budget is first rescued by the deflation + Chebyshev dense
-// repair in accel.go, which extends the localized path past the push
-// budget where the slow global modes would otherwise always trip it.
+// from any seed.
 
 import (
 	"fmt"
@@ -149,10 +146,9 @@ func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) error {
 	}
 	ps.n = int(ps.relOff[nRel])
 	// The pull transpose no longer matches the overlaid rows or the arena
-	// layout; rebuild it lazily on the next run that needs it (a full Run,
-	// or a high-damping accelerated repair — the frontier push never does).
-	// Relation sizes only grow, so an unchanged node count means the
-	// layout is intact too.
+	// layout; rebuild it lazily on the next full Run (the frontier push
+	// never reads it). Relation sizes only grow, so an unchanged node count
+	// means the layout is intact too.
 	if rowsChanged || ps.n != oldN {
 		ps.pullOnce = new(sync.Once)
 		ps.pullErr = nil
@@ -302,23 +298,18 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // tolerance class. The repair is the round-synchronous residual push
 // (parallel.go): edge work (the expensive part a full iteration repeats
 // every sweep) stays proportional to the perturbed region, not the graph,
-// and arena setup is one O(n) pass with no edge traffic. A push that
-// trips its budget at damping ≥ Options.ResidualAccelDamping is rescued
-// in place by the deflation + Chebyshev dense iteration (accel.go), which
-// finishes the slow global modes in a small multiple of √(1/(1−ρ)) rounds
-// instead of the push's 1/(1−ρ). Options.Parallel partitions either path
-// across workers; every worker count produces bit-for-bit identical
-// scores.
+// and arena setup is one O(n) pass with no edge traffic. Options.Parallel
+// partitions the push across workers; every worker count produces
+// bit-for-bit identical scores.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
 // accumulated against; Options.ResidualBudget caps the pushes (enforced
 // at round granularity, so the fallback decision is worker-count
 // independent too). When the seed mass exceeds the safety bound, the
-// seeds cover too much of the arena, the budget runs out below the
-// acceleration damping, or an accelerated rescue diverges or exhausts
-// MaxIter rounds, RunResidual falls back to the warm full iteration over
-// the same plans (Stats.Fallback reports it); either way the returned
-// scores satisfy the convergence contract.
+// seeds cover too much of the arena, or the budget runs out, RunResidual
+// falls back to the warm full iteration over the same plans
+// (Stats.Fallback reports it); either way the returned scores satisfy the
+// convergence contract.
 //
 // Safe to call concurrently on the same *Plans and *Pending (each run owns
 // its arenas); Apply must not run concurrently.
@@ -382,6 +373,13 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 			touched = append(touched, v)
 		}
 	}
+	seed := func(dstOff int32, targets []relational.TupleID, w split, pv float64) {
+		for k, tgt := range targets {
+			v := dstOff + int32(tgt)
+			r[v] += d * w.at(k) * pv
+			mark(v)
+		}
+	}
 	for pi := range ps.plans {
 		rows := pending.rows[pi]
 		if len(rows) == 0 {
@@ -401,31 +399,9 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 				continue
 			}
 			old := rows[src]
-			if len(old.targets) > 0 {
-				uniform := p.rate / float64(len(old.targets))
-				for k, tgt := range old.targets {
-					w := uniform
-					if old.weights != nil {
-						w = p.rate * old.weights[k]
-					}
-					v := dstOff + int32(tgt)
-					r[v] -= d * w * pv
-					mark(v)
-				}
-			}
-			targets, weights := p.row(src)
-			if len(targets) > 0 {
-				uniform := p.rate / float64(len(targets))
-				for k, tgt := range targets {
-					w := uniform
-					if weights != nil {
-						w = p.rate * weights[k]
-					}
-					v := dstOff + int32(tgt)
-					r[v] += d * w * pv
-					mark(v)
-				}
-			}
+			seed(dstOff, old.targets, p.splitOf(len(old.targets), old.weights), -pv)
+			targets, w := p.flows(src)
+			seed(dstOff, targets, w, pv)
 		}
 	}
 
@@ -439,7 +415,6 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		st.Rounds = stats.Rounds
 		st.Regions = stats.Regions
 		st.Handoffs = stats.Handoffs
-		st.Accelerated = stats.Accelerated // records the attempt
 		return sc, st, err
 	}
 
@@ -451,14 +426,9 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		return fallback()
 	}
 
-	// Round-synchronous residual push over owner-assigned arena tiles
-	// (parallel.go): seeds form the first frontier in ascending arena
-	// order, every round consumes the whole frontier at frozen values, and
-	// frontier-empty ⟺ max|r| < ε. Bit-for-bit identical at any worker
-	// count. A high-damping run that trips the push budget is rescued by
-	// the accelerated dense path (accel.go) — its mid-repair state still
-	// satisfies the push invariant, and Chebyshev finishes the slow global
-	// modes the frontier push decays only geometrically.
+	// Seeds form the first frontier in ascending arena order; every round
+	// consumes the whole frontier at frozen values, and frontier-empty ⟺
+	// max|r| < ε.
 	eps := opts.Epsilon
 	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
 	frontier := make([]int32, 0, len(touched))
@@ -468,30 +438,12 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		}
 	}
 	workers := resolveResidualWorkers(opts.Parallel, ps.n)
-	if !ps.runPushRounds(cur, r, relOf, frontier, d, eps, budget, workers, &stats) {
-		stats.Updates = stats.Pushes
-		accelAt := opts.ResidualAccelDamping
-		if accelAt == 0 {
-			accelAt = residualAccelDamping
-		}
-		if d < accelAt {
-			return fallback()
-		}
-		maxRounds := opts.MaxIter
-		if maxRounds <= 0 {
-			maxRounds = 500
-		}
-		ok, err := ps.accelRepair(cur, r, d, eps, workers, maxRounds, &stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		if !ok {
-			return fallback()
-		}
-	} else {
-		stats.Converged = true
-		stats.Updates = stats.Pushes
+	drained := ps.runPushRounds(cur, r, relOf, frontier, d, eps, budget, workers, &stats)
+	stats.Updates = stats.Pushes
+	if !drained {
+		return fallback()
 	}
+	stats.Converged = true
 
 	scores := make(relational.DBScores, len(db.Relations))
 	for ri, rel := range db.Relations {

@@ -151,6 +151,7 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		{RegisterRequest{Name: "ok", Dataset: "nope"}, http.StatusBadRequest},
 		{RegisterRequest{Name: "tenants", Dataset: "tinydblp"}, http.StatusBadRequest},
 		{RegisterRequest{Name: "", Dataset: ""}, http.StatusBadRequest},
+		{RegisterRequest{Name: "big", Dataset: strings.Repeat("x", maxBodyBytes)}, http.StatusRequestEntityTooLarge},
 	} {
 		resp := post("/v1/tenants", tc.req)
 		if resp.StatusCode != tc.want {
@@ -244,7 +245,12 @@ func TestMutateHTTP(t *testing.T) {
 		}
 	}
 
-	// Validation and conflicts map to 400/409 and leave no trace.
+	// Validation, conflicts and an over-limit body map to 400/409/413 and
+	// leave no trace.
+	epochs := map[string]uint64{}
+	for _, rel := range eng.DB().Relations {
+		epochs[rel.Name] = eng.Epoch(rel.Name)
+	}
 	for body, want := range map[string]int{
 		`{"inserts":[{"rel":"Author","values":[1,2,3]}]}`:   http.StatusBadRequest, // arity
 		`{"inserts":[{"rel":"Author","values":["x","y"]}]}`: http.StatusBadRequest, // kinds
@@ -255,12 +261,21 @@ func TestMutateHTTP(t *testing.T) {
 		`{"inserts":[{"rel":"Author","values":[990001,"DupKey"]}]}`:      http.StatusConflict,
 		`{"deletes":[{"rel":"Author","pk":123456789}]}`:                  http.StatusConflict,
 		`{"inserts":[{"rel":"Writes","values":[990009,999999,990001]}]}`: http.StatusConflict, // dangling paper
+
+		`{"inserts":[{"rel":"Author","values":[990002,"` + strings.Repeat("x", maxBodyBytes) + `"]}]}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp := post(body)
 		if resp.StatusCode != want {
-			t.Errorf("mutate %s = %d, want %d", body, resp.StatusCode, want)
+			t.Errorf("mutate %.60s = %d, want %d", body, resp.StatusCode, want)
 		}
-		resp.Body.Close()
+		if decodeJSON[ErrorResponse](t, resp).Error.Code == "" {
+			t.Errorf("mutate %.60s: %d without an error envelope", body, resp.StatusCode)
+		}
+	}
+	for rel, before := range epochs {
+		if after := eng.Epoch(rel); after != before {
+			t.Errorf("rejected batches moved %s's epoch %d -> %d", rel, before, after)
+		}
 	}
 
 	// Delete over HTTP; the author disappears from search.

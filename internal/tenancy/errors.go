@@ -42,6 +42,7 @@ const (
 	CodeNotFound       = "not_found"       // 404
 	CodeConflict       = "conflict"        // 409
 	CodeGone           = "gone"            // 410
+	CodeTooLarge       = "too_large"       // 413
 	CodeRateLimited    = "rate_limited"    // 429
 	CodeInternal       = "internal"        // 500
 	CodeNotImplemented = "not_implemented" // 501
@@ -100,7 +101,13 @@ func toAPIError(err error) *apiError {
 	if errors.As(err, &delay) {
 		retryAfter = delay.RetryAfter
 	}
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return &apiError{
+			status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
+			msg: fmt.Sprintf("request body over %d bytes", tooLarge.Limit),
+		}
 	case errors.Is(err, qos.ErrRateLimited):
 		return &apiError{
 			status: http.StatusTooManyRequests, code: CodeRateLimited,

@@ -413,8 +413,8 @@ func (r *Registry) serveRegister(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body RegisterRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeError(w, errBadRequest("invalid JSON body: %v", err))
+	if err := decodeBody(w, req, &body); err != nil {
+		writeError(w, err)
 		return
 	}
 	if body.Name == "" || body.Dataset == "" {
@@ -512,21 +512,18 @@ type MutateResponse struct {
 	Epochs   map[string]uint64 `json:"epochs"`
 	Reranked bool              `json:"reranked"`
 	// RerankStats reports, per setting, which re-rank path served a
-	// Reranked batch and what it cost — the operator-visible telemetry for
-	// tuning the residual knobs (budget, acceleration). Omitted
-	// when the batch did not re-rank.
+	// Reranked batch and what it cost. Omitted when the batch did not
+	// re-rank.
 	RerankStats map[string]RerankStatJSON `json:"rerank_stats,omitempty"`
 }
 
 // RerankStatJSON is one setting's re-rank telemetry in a MutateResponse.
 type RerankStatJSON struct {
 	// Residual reports the localized push path ran (false: warm full
-	// iteration); Fallback that the push abandoned the repair mid-way.
+	// iteration); Fallback that the push abandoned the repair (seed mass or
+	// budget) and the warm full iteration produced the scores.
 	Residual bool `json:"residual"`
 	Fallback bool `json:"fallback,omitempty"`
-	// Accelerated marks a high-damping repair finished by the dense
-	// Chebyshev rescue after the push budget tripped.
-	Accelerated bool `json:"accelerated,omitempty"`
 	// Pushes/Rounds/Regions describe the parallel push schedule that ran;
 	// Regions is the worker-tile count (1 = serial schedule).
 	Pushes  int `json:"pushes,omitempty"`
@@ -536,6 +533,26 @@ type RerankStatJSON struct {
 	// path); Updates is the path-independent node-score update total.
 	Iterations int `json:"iterations,omitempty"`
 	Updates    int `json:"updates"`
+}
+
+// maxBodyBytes caps every request body this package decodes (mutation
+// batches, tenant registrations), as the router caps the ones it reads
+// itself. The largest body any test or benchmark client sends is 250
+// bytes; 1 MiB holds a batch of some ten thousand tuples.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v. A body over
+// maxBodyBytes fails with *http.MaxBytesError (a 413 via toAPIError), any
+// other malformed body with a 400.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	dec.UseNumber() // keep 64-bit keys exact; float64 round-trips corrupt them
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	if err != nil && !errors.As(err, &tooLarge) {
+		err = errBadRequest("invalid JSON body: %v", err)
+	}
+	return err
 }
 
 // serveMutate decodes and applies one mutation batch against the tenant's
@@ -549,11 +566,9 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(req.Body)
-	dec.UseNumber() // keep 64-bit keys exact; float64 round-trips corrupt them
 	var body MutateRequest
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, errBadRequest("invalid JSON body: %v", err))
+	if err := decodeBody(w, req, &body); err != nil {
+		writeError(w, err)
 		return
 	}
 	// A bare {"rerank": true} is a supported batch: recompute global
@@ -605,14 +620,13 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 		resp.RerankStats = make(map[string]RerankStatJSON, len(res.RerankStats))
 		for name, st := range res.RerankStats {
 			resp.RerankStats[name] = RerankStatJSON{
-				Residual:    st.Residual,
-				Fallback:    st.FallbackTaken,
-				Accelerated: st.Accelerated,
-				Pushes:      st.Pushes,
-				Rounds:      st.Rounds,
-				Regions:     st.Regions,
-				Iterations:  st.Iterations,
-				Updates:     st.Updates,
+				Residual:   st.Residual,
+				Fallback:   st.FallbackTaken,
+				Pushes:     st.Pushes,
+				Rounds:     st.Rounds,
+				Regions:    st.Regions,
+				Iterations: st.Iterations,
+				Updates:    st.Updates,
 			}
 		}
 	}

@@ -106,25 +106,21 @@ type RerankStat struct {
 	// (the full iteration touches every node every iteration; see Updates).
 	NodesTouched int
 	// Updates counts node-score writes: Iterations × node count for a full
-	// iteration, Pushes for a completed push repair, Rounds × node count
-	// for an accelerated repair — the common work metric the modes are
-	// compared by.
+	// iteration, Pushes for a completed push repair (a fallback reports
+	// both) — the common work metric the modes are compared by.
 	Updates int
 	// FallbackTaken records that the residual path was attempted but
-	// abandoned (seed mass over the safety bound, push budget exhausted,
-	// or an accelerated repair that diverged); the reported scores come
-	// from the warm full iteration.
+	// abandoned (seed mass over the safety bound or push budget exhausted);
+	// the reported scores come from the warm full iteration.
 	FallbackTaken bool
-	// Rounds counts the synchronized residual rounds: frontier push rounds,
-	// or Chebyshev rounds for an accelerated repair.
+	// Rounds counts the synchronized push rounds of the residual repair.
 	Rounds int
 	// Regions reports the owner-tile worker count the residual repair was
 	// partitioned into (1 = serial; sized by GOMAXPROCS and the frontier).
 	// Every region count produces bit-identical scores.
 	Regions int
-	// Accelerated records that the high-damping dense rescue (deflation +
-	// Chebyshev) ran after the push budget tripped; with FallbackTaken it
-	// means the rescue was also abandoned.
+	// Accelerated is never set: no re-rank path reports it. The field
+	// stays because benchmark/trace.go reads it (rank.accelerated_ratio).
 	Accelerated bool
 }
 
@@ -297,11 +293,6 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 			func(s Setting, opts rank.Options) (relational.DBScores, rank.Stats, error) {
 				opts.ResidualBudget = e.residualBudget
 				opts.Parallel = e.residualWorkers
-				if !e.residualAccel {
-					// Any threshold above 1 is unreachable by valid dampings,
-					// so high-damping runs budget-trip into the fallback.
-					opts.ResidualAccelDamping = 2
-				}
 				return e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
 			})
 		if rerr != nil {
@@ -329,7 +320,7 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 		}
 		if st.Fallback {
 			fallbacks++
-		} else if st.Pushes > 0 || st.Accelerated {
+		} else if st.Pushes > 0 {
 			pushRepairs++
 		}
 		result.RerankStats[name] = RerankStat{
@@ -343,7 +334,6 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 			FallbackTaken:   st.Fallback,
 			Rounds:          st.Rounds,
 			Regions:         st.Regions,
-			Accelerated:     st.Accelerated,
 		}
 	}
 	if _, err := e.reannotateChangedLocked(); err != nil {
@@ -351,11 +341,11 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 	}
 	// The served scores are a converged fixed point again: residual deltas
 	// restart from here. The refresh counter tracks accumulated drift, so
-	// it only advances when a setting actually completed a localized repair
-	// — push or accelerated, both inherit the prior's sub-epsilon residual
-	// — while a full iteration
-	// — explicit or via every setting falling back — re-grounds the drift
-	// and resets it, and no-op reuse or pure-rescale re-ranks add nothing.
+	// it only advances when a setting actually completed a push repair
+	// (which inherits the prior's sub-epsilon residual), while a full
+	// iteration — explicit or via every setting falling back — re-grounds
+	// the drift and resets it, and no-op reuse or pure-rescale re-ranks add
+	// nothing.
 	e.pending = make(map[*rank.GA]*rank.Pending)
 	e.residualOK = true
 	switch {

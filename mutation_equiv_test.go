@@ -275,7 +275,7 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDBLP: %v", err)
 	}
-	eng.SetCompactionPolicy(6, 0.01)
+	eng.compactMin, eng.compactRatio = 6, 0.01
 	eng.EnableSummaryCache(64)
 	seed := equivSeed(t) + 2
 	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil)

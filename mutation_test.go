@@ -389,7 +389,7 @@ func TestMutateRerankWarmStats(t *testing.T) {
 func TestAutoCompaction(t *testing.T) {
 	eng := mutableDBLP(t)
 	eng.EnableSummaryCache(64)
-	eng.SetCompactionPolicy(5, 0.02)
+	eng.compactMin, eng.compactRatio = 5, 0.02
 	var ins []TupleInsert
 	for i := 0; i < 8; i++ {
 		ins = append(ins, TupleInsert{
@@ -457,7 +457,7 @@ func TestCompactionRemapsInsertIDsInSameBatch(t *testing.T) {
 	}
 	// Low threshold AFTER the inserts: the next batch (deletes + 1 insert)
 	// crosses it and compacts while carrying a fresh insert.
-	eng.SetCompactionPolicy(5, 0.02)
+	eng.compactMin, eng.compactRatio = 5, 0.02
 	var dels []TupleDelete
 	for i := 0; i < 8; i++ {
 		dels = append(dels, TupleDelete{Rel: "Author", PK: 985001 + int64(i)})

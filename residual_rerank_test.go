@@ -18,8 +18,7 @@ import (
 
 // residualTestEngine builds a DBLP engine over the practical serving
 // settings (the two d=0.85 configurations); the high-damping d3 stress
-// setting — repaired by the accelerated dense path rather than pushes —
-// is covered separately by TestResidualHighDampingCompletesAccelerated.
+// setting is covered separately by TestResidualHighDampingBudgetTrip.
 func residualTestEngine(t *testing.T, authors, papers int) *Engine {
 	t.Helper()
 	cfg := datagen.DefaultDBLPConfig()
@@ -168,7 +167,7 @@ func TestResidualUpdateSavings(t *testing.T) {
 // genuinely converges via pushes (see TestResidualLargeBatchStillConverges).
 func TestResidualFallbackBoundary(t *testing.T) {
 	eng := residualTestEngine(t, 80, 260)
-	eng.SetResidualBudget(50)
+	eng.residualBudget = 50
 	paper := eng.DB().Relation("Paper")
 	batch := MutationBatch{Rerank: true}
 	for i := 0; i < 2500; i++ {
@@ -268,36 +267,27 @@ func TestResidualLargeBatchStillConverges(t *testing.T) {
 // arena sweeps.
 func e5xWarmFloor(nodes int) int { return 5 * nodes }
 
-// TestResidualHighDampingCompletesAccelerated pins the PR-9 wart fix for
-// the d3=0.99 stress setting, whose slow global modes decay only
-// geometrically per push round. Single-tuple re-ranks must complete in the
-// localized path — FallbackTaken false. A disruptive batch whose push
-// genuinely trips the 4n budget must be rescued by the accelerated dense
-// finisher (deflation + Chebyshev) instead of abandoning to the full
-// iteration — while SetResidualAccel(false) preserves the legacy
-// budget-trip behavior — and the served scores stay within the cold-start
+// TestResidualHighDampingBudgetTrip pins both ends of the d3=0.99 stress
+// setting, whose slow global modes decay only geometrically per push
+// round. A single-tuple re-rank must complete in the localized path —
+// FallbackTaken false, no full iteration. A disruptive batch whose push
+// genuinely trips the default 4n budget must report the fallback and run
+// the warm full iteration. The served scores stay within the cold-start
 // tolerance contract throughout.
-func TestResidualHighDampingCompletesAccelerated(t *testing.T) {
-	mk := func() *Engine {
-		cfg := datagen.DefaultDBLPConfig()
-		cfg.Authors = 120
-		cfg.Papers = 500
-		db, err := datagen.GenerateDBLP(cfg)
-		if err != nil {
-			t.Fatalf("GenerateDBLP: %v", err)
-		}
-		eng, err := NewEngine(db, []Setting{{Name: "GA1-d3", GA: datagen.DBLPGA1(), Damping: 0.99}})
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		return eng
+func TestResidualHighDampingBudgetTrip(t *testing.T) {
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.Authors = 120
+	cfg.Papers = 500
+	db, err := datagen.GenerateDBLP(cfg)
+	if err != nil {
+		t.Fatalf("GenerateDBLP: %v", err)
 	}
-	accel := mk()
-	legacy := mk()
-	legacy.SetResidualAccel(false)
+	eng, err := NewEngine(db, []Setting{{Name: "GA1-d3", GA: datagen.DBLPGA1(), Damping: 0.99}})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
 
-	// The wart itself: a d=0.99 single-tuple re-rank stays localized.
-	res, err := accel.Mutate(citesStreamBatch(accel, 65_000_001, 0, 0))
+	res, err := eng.Mutate(citesStreamBatch(eng, 65_000_001, 0, 0))
 	if err != nil {
 		t.Fatalf("single-tuple Mutate: %v", err)
 	}
@@ -309,57 +299,37 @@ func TestResidualHighDampingCompletesAccelerated(t *testing.T) {
 		t.Fatalf("d=0.99 single-tuple re-rank did not repair by pushes: %+v", st)
 	}
 
-	// A disruptive batch: hundreds of citations at once. The push trips
-	// the budget; the accelerated rescue must finish localized.
-	big := func(eng *Engine, base int64) MutationBatch {
-		paper := eng.DB().Relation("Paper")
-		b := MutationBatch{Rerank: true}
-		for i := 0; i < 800; i++ {
-			a := relational.TupleID(i % paper.Len())
-			c := relational.TupleID((i*13 + 7) % paper.Len())
-			b.Inserts = append(b.Inserts, TupleInsert{
-				Rel: "Cites",
-				Tuple: relational.Tuple{
-					relational.IntVal(base + int64(i)),
-					relational.IntVal(paper.PK(a)),
-					relational.IntVal(paper.PK(c)),
-				},
-			})
-		}
-		return b
+	// A disruptive batch: hundreds of citations at once.
+	paper := eng.DB().Relation("Paper")
+	big := MutationBatch{Rerank: true}
+	for i := 0; i < 800; i++ {
+		a := relational.TupleID(i % paper.Len())
+		c := relational.TupleID((i*13 + 7) % paper.Len())
+		big.Inserts = append(big.Inserts, TupleInsert{
+			Rel: "Cites",
+			Tuple: relational.Tuple{
+				relational.IntVal(66_000_000 + int64(i)),
+				relational.IntVal(paper.PK(a)),
+				relational.IntVal(paper.PK(c)),
+			},
+		})
 	}
-	res, err = accel.Mutate(big(accel, 66_000_000))
+	res, err = eng.Mutate(big)
 	if err != nil {
-		t.Fatalf("accel Mutate: %v", err)
+		t.Fatalf("disruptive Mutate: %v", err)
 	}
 	st = res.RerankStats["GA1-d3"]
-	if !st.Residual || st.FallbackTaken {
-		t.Fatalf("d=0.99 disruptive re-rank fell back: %+v", st)
+	if !st.Residual || !st.FallbackTaken {
+		t.Fatalf("the disruptive d=0.99 batch must budget-trip into the fallback: %+v", st)
 	}
-	if !st.Accelerated || st.Rounds == 0 {
-		t.Fatalf("budget-tripped d=0.99 repair was not rescued by acceleration: %+v", st)
-	}
-	if st.Iterations != 0 {
-		t.Fatalf("completed accelerated rescue ran full iterations: %+v", st)
+	if st.Pushes == 0 || st.Iterations == 0 {
+		t.Fatalf("a budget trip pushes first, then runs the full iteration: %+v", st)
 	}
 
-	if _, err := legacy.Mutate(citesStreamBatch(legacy, 65_000_001, 0, 0)); err != nil {
-		t.Fatalf("legacy single-tuple Mutate: %v", err)
-	}
-	resL, err := legacy.Mutate(big(legacy, 66_000_000))
-	if err != nil {
-		t.Fatalf("legacy Mutate: %v", err)
-	}
-	stL := resL.RerankStats["GA1-d3"]
-	if !stL.Residual || !stL.FallbackTaken || stL.Accelerated {
-		t.Fatalf("with acceleration off, the disruptive d=0.99 batch must budget-trip into the fallback: %+v", stL)
-	}
-
-	// Both modes still satisfy the cold-start tolerance contract.
 	opts := rank.DefaultOptions()
 	opts.Damping = 0.99
 	opts.NormalizeMax = 0
-	cold, coldStats, err := rank.Compute(accel.Graph(), datagen.DBLPGA1(), opts)
+	cold, coldStats, err := rank.Compute(eng.Graph(), datagen.DBLPGA1(), opts)
 	if err != nil || !coldStats.Converged {
 		t.Fatalf("cold: err=%v stats=%+v", err, coldStats)
 	}
@@ -371,21 +341,19 @@ func TestResidualHighDampingCompletesAccelerated(t *testing.T) {
 	}
 	rank.Normalize(cold, rank.DefaultOptions().NormalizeMax)
 	tol := warmColdTolerance(0.99, opts.Epsilon, maxRaw)
-	for _, eng := range []*Engine{accel, legacy} {
-		got, err := eng.Scores("GA1-d3")
-		if err != nil {
-			t.Fatalf("Scores: %v", err)
-		}
-		for _, rel := range eng.DB().Relations {
-			c, w := cold[rel.Name], got[rel.Name]
-			for i := range c {
-				d := c[i] - w[i]
-				if d < 0 {
-					d = -d
-				}
-				if d > tol {
-					t.Fatalf("%s tuple %d: served %.9f vs cold %.9f (tol %g)", rel.Name, i, w[i], c[i], tol)
-				}
+	got, err := eng.Scores("GA1-d3")
+	if err != nil {
+		t.Fatalf("Scores: %v", err)
+	}
+	for _, rel := range eng.DB().Relations {
+		c, w := cold[rel.Name], got[rel.Name]
+		for i := range c {
+			d := c[i] - w[i]
+			if d < 0 {
+				d = -d
+			}
+			if d > tol {
+				t.Fatalf("%s tuple %d: served %.9f vs cold %.9f (tol %g)", rel.Name, i, w[i], c[i], tol)
 			}
 		}
 	}
@@ -397,7 +365,7 @@ func TestResidualHighDampingCompletesAccelerated(t *testing.T) {
 // back to residual repair.
 func TestResidualAfterCompactionFullRerank(t *testing.T) {
 	eng := residualTestEngine(t, 80, 260)
-	eng.SetCompactionPolicy(1, 0.0001)
+	eng.compactMin, eng.compactRatio = 1, 0.0001
 
 	cites := eng.DB().Relation("Cites")
 	var pk int64
