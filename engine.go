@@ -28,6 +28,7 @@ package sizelos
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -184,6 +185,10 @@ type Engine struct {
 	// through an atomic pointer so EnableSummaryCache can be toggled while
 	// searches are in flight.
 	cache atomic.Pointer[searchexec.LRU[summaryKey, Summary]]
+	// bounds is what ranked queries have learned (boundTable). They fill it
+	// under the read lock, ordered by boundsMu; writers hold mu exclusively.
+	boundsMu sync.Mutex
+	bounds   map[boundKey]*boundTable
 	// mlog, when non-nil, receives every committed mutation before Mutate
 	// acknowledges it — the durability hook (SetMutationLog). Appends run
 	// under mu's write side, so records land in commit order.
@@ -382,6 +387,8 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 	e.baseGDS[gds.DSName] = gds
 	e.gds[gds.DSName] = perSetting
 	e.deps[gds.DSName] = gdsDeps(gds)
+	// Bounds learned under the previous G_DS describe other OSs.
+	e.bounds = nil
 	// Summaries cached under the previous G_DS of this DS relation are now
 	// stale; swap in a fresh cache of the same capacity. CAS so a
 	// concurrent EnableSummaryCache reconfiguration wins over the swap.
@@ -589,53 +596,56 @@ type Summary struct {
 	Text string
 }
 
-// summarizeSliceLocked computes one size-l summary per keyword match across
-// a bounded worker pool, writing each result into its match's slot so
-// output order is independent of scheduling. req must be resolved and the
-// matches already validated live (classifySubject); callers hold at least
-// the read lock.
-func (e *Engine) summarizeSliceLocked(req QueryRequest, matches []keyword.Match) ([]Summary, error) {
-	out := make([]Summary, len(matches))
-	err := searchexec.ForEach(len(matches), req.Parallel, func(i int) error {
-		tuple := matches[i].Tuple
-		// A cache hit is microseconds of work; serve it without waiting on
-		// the shared budget so hot cached queries stay fast even while the
-		// pool is saturated by cold computations.
-		key := e.summaryKeyFor(req, tuple)
-		if cache := e.cache.Load(); cache != nil {
-			if s, ok := cache.Get(key); ok {
-				out[i] = s
-				return nil
-			}
+// scored is one evaluated subject: its summary (rendered if the cache served
+// it or the caller asked, else DSRel, Tuple, Result and Tree only); the
+// prefix sums of its tree's l largest local importances, descending, so
+// top[i-1] bounds Im(S) of any i of its tuples from above (nil on a cache
+// hit); and whether top sealed it under the caller's threshold unselected.
+type scored struct {
+	sum    Summary
+	top    []float64
+	sealed bool
+}
+
+// summaryLocked produces one subject's summary cache-first; on a miss it
+// evaluates the subject against tau and, with serve set, renders and
+// memoizes the result at once — what a caller that serves every summary it
+// computes passes, with tau = -Inf. req must be resolved and the subject
+// validated live; callers hold at least the read lock.
+func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau float64, serve bool) (sc scored, err error) {
+	// A cache hit is microseconds of work; serve it without waiting on the
+	// shared budget so hot cached queries stay fast even while the pool is
+	// saturated by cold computations.
+	key := e.summaryKeyFor(req, tuple)
+	cache := e.cache.Load()
+	if cache != nil {
+		if s, ok := cache.Get(key); ok {
+			return scored{sum: s}, nil
 		}
-		var s Summary
-		var err error
-		// Each computed summary holds one shared-pool slot for its
-		// duration, so the machine-wide budget is enforced regardless of
-		// per-call Parallel.
-		req.Pool.Do(func() {
-			// Re-probe after the (possibly long) slot wait: a sibling may
-			// have cached this summary meanwhile, and recomputing it would
-			// waste scarce cold-compute budget. Stat-neutral — the probe
-			// above already recorded this lookup's outcome.
-			if cache := e.cache.Load(); cache != nil {
-				if hit, ok := cache.Peek(key); ok {
-					s = hit
-					return
-				}
-			}
-			s, err = e.computeSummary(req, tuple, key)
-		})
-		if err != nil {
-			return err
-		}
-		out[i] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	// Each computation holds one shared-pool slot for its duration, so the
+	// machine-wide budget is enforced regardless of per-call Parallel (a nil
+	// Pool runs inline).
+	req.Pool.Do(func() {
+		// Re-probe after the (possibly long) slot wait: a sibling may have
+		// cached this summary meanwhile, and recomputing it would waste
+		// scarce cold-compute budget. Stat-neutral — the probe above already
+		// recorded this lookup's outcome.
+		if cache != nil {
+			if hit, ok := cache.Peek(key); ok {
+				sc.sum = hit
+				return
+			}
+		}
+		if sc, err = e.evaluate(req, tuple, tau); err != nil || !serve {
+			return
+		}
+		e.materialize(req, &sc.sum)
+		if cache != nil {
+			cache.Put(key, sc.sum)
+		}
+	})
+	return sc, err
 }
 
 // summaryKey identifies one memoizable size-l computation: every
@@ -699,8 +709,11 @@ func (e *Engine) epochForLocked(dsRel string) uint64 {
 // wipe the cache: they advance the epoch of the touched relations, which
 // rotates the keys of exactly the DS relations whose G_DS reaches them —
 // stale entries become unreachable and age out, unrelated entries keep
-// hitting. Cached summaries share their Tree pointer; treat returned
-// summaries as read-only. capacity <= 0 disables caching. Safe to toggle
+// hitting. A RankBySummary query is served from the cache where it can be
+// but adds nothing to it: what it would add — the K largest OSs of every
+// ranking asked for — is the most memory per entry for the least reuse.
+// Cached summaries share their Tree pointer; treat returned summaries as
+// read-only. capacity <= 0 disables caching. Safe to toggle
 // while searches are in flight: running queries finish against the cache
 // they started with.
 func (e *Engine) EnableSummaryCache(capacity int) {
@@ -737,32 +750,23 @@ func (e *Engine) SizeL(req QueryRequest, tuple relational.TupleID) (Summary, err
 	} else if skip {
 		return Summary{}, fmt.Errorf("sizelos: tuple %d of %s is deleted", tuple, req.Rel)
 	}
-	key := e.summaryKeyFor(req, tuple)
-	if cache := e.cache.Load(); cache != nil {
-		if s, ok := cache.Get(key); ok {
-			return s, nil
-		}
-	}
-	// The direct path honors the shared budget too (nil Pool runs inline).
-	var s Summary
-	req.Pool.Do(func() {
-		s, err = e.computeSummary(req, tuple, key)
-	})
-	return s, err
+	sc, err := e.summaryLocked(req, tuple, math.Inf(-1), true)
+	return sc.sum, err
 }
 
-// computeSummary generates, selects and renders one size-l OS, then
-// memoizes it under key. Callers have already validated the subject,
-// resolved req, and missed the cache (the single counted probe).
-func (e *Engine) computeSummary(req QueryRequest, tuple relational.TupleID, key summaryKey) (Summary, error) {
+// evaluate is the first half of a summary computation: source → tree →
+// select; Headline and Text are left to materialize. When the tree's bound
+// at l is under tau (sealedBy) the selection is skipped too; tau = -Inf
+// always selects.
+func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float64) (scored, error) {
 	dsRel, l := req.Rel, req.L
 	sc, err := e.scoresLocked(req.Setting)
 	if err != nil {
-		return Summary{}, err
+		return scored{}, err
 	}
 	gds, err := e.gdsLocked(dsRel, req.Setting)
 	if err != nil {
-		return Summary{}, err
+		return scored{}, err
 	}
 	var src ostree.Source
 	if req.FromDatabase {
@@ -772,44 +776,49 @@ func (e *Engine) computeSummary(req QueryRequest, tuple relational.TupleID, key 
 	}
 
 	var tree *ostree.Tree
+	var top []float64
 	if req.Complete {
-		tree, err = ostree.Generate(src, gds, tuple, ostree.GenOptions{MaxDepth: l - 1})
+		if tree, err = ostree.Generate(src, gds, tuple, ostree.GenOptions{MaxDepth: l - 1}); err == nil {
+			top = sizel.TopWeights(tree, l)
+		}
 	} else {
-		tree, _, err = sizel.PrelimL(src, gds, tuple, l, sizel.PrelimOptions{MaxDepth: l - 1})
+		var stats sizel.PrelimStats
+		tree, stats, err = sizel.PrelimL(src, gds, tuple, l, sizel.PrelimOptions{MaxDepth: l - 1})
+		top = stats.TopWeights
 	}
 	if err != nil {
-		return Summary{}, err
+		return scored{}, err
+	}
+	for i := 1; i < len(top); i++ {
+		top[i] += top[i-1]
+	}
+	out := scored{sum: Summary{DSRel: dsRel, Tuple: tuple}, top: top}
+	if out.sealed = sealedBy(top[len(top)-1], tau); out.sealed {
+		return out, nil
 	}
 
-	var res sizel.Result
 	switch req.Algorithm {
 	case AlgoDP:
-		res, err = sizel.DP(context.Background(), tree, l)
+		out.sum.Result, err = sizel.DP(context.Background(), tree, l)
 	case AlgoBottomUp:
-		res, err = sizel.BottomUp(tree, l)
+		out.sum.Result, err = sizel.BottomUp(tree, l)
 	case AlgoTopPath:
-		res, err = sizel.TopPath(tree, l, sizel.TopPathOptions{})
+		out.sum.Result, err = sizel.TopPath(tree, l, sizel.TopPathOptions{})
 	default:
 		// resolve admits only the three names above.
-		return Summary{}, fmt.Errorf("%w: unknown algorithm %q", ErrInvalidRequest, req.Algorithm)
+		err = fmt.Errorf("%w: unknown algorithm %q", ErrInvalidRequest, req.Algorithm)
 	}
 	if err != nil {
-		return Summary{}, err
+		return scored{}, err
 	}
+	out.sum.Tree = tree
+	return out, nil
+}
 
-	text := tree.Render(ostree.RenderOptions{Keep: res.Nodes, ShowWeights: req.ShowWeights})
-	sum := Summary{
-		DSRel:    dsRel,
-		Tuple:    tuple,
-		Headline: headline(e.db, dsRel, tuple),
-		Result:   res,
-		Tree:     tree,
-		Text:     text,
-	}
-	if cache := e.cache.Load(); cache != nil {
-		cache.Put(key, sum)
-	}
-	return sum, nil
+// materialize is the second half: it renders an evaluated summary.
+func (e *Engine) materialize(req QueryRequest, sum *Summary) {
+	sum.Headline = headline(e.db, sum.DSRel, sum.Tuple)
+	sum.Text = sum.Tree.Render(ostree.RenderOptions{Keep: sum.Result.Nodes, ShowWeights: req.ShowWeights})
 }
 
 // RegisterAutoGDS derives a G_DS for dsRel automatically from the schema

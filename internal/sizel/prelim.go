@@ -1,8 +1,8 @@
 package sizel
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 
 	"sizelos/internal/ostree"
 	"sizelos/internal/relational"
@@ -35,6 +35,11 @@ type PrelimStats struct {
 	AC2TopL int
 	// Accesses is the number of extraction operations charged.
 	Accesses int64
+	// TopWeights is the final content of the top-l PQ, descending: the l
+	// largest local importances of the OS (all of them when it holds fewer
+	// than l tuples). Their sum bounds Im(S) of every size-l selection from
+	// above, connected or not.
+	TopWeights []float64
 }
 
 // PrelimL generates the top-l prelim-l OS (Definition 2, Algorithm 4): a
@@ -88,14 +93,8 @@ func PrelimL(src ostree.Source, gds *schemagraph.GDS, root relational.TupleID, l
 
 	// top-l PQ: an l-sized min-heap over extracted local importances.
 	// largest-l is its minimum once full, else 0 (Alg. 4 lines 20-23).
-	topl := &minFloatHeap{}
-	heap.Push(topl, rootWeight)
-	largestL := func() float64 {
-		if topl.Len() < l {
-			return 0
-		}
-		return (*topl).items[0]
-	}
+	topl := newTopL(l)
+	topl.offer(rootWeight)
 
 	queue := []ostree.NodeID{0}
 	for len(queue) > 0 {
@@ -106,9 +105,9 @@ func PrelimL(src ostree.Source, gds *schemagraph.GDS, root relational.TupleID, l
 			continue
 		}
 		for _, gchild := range curNode.GDS.Children {
-			watermark := largestL()
+			watermark := topl.largestL()
 			// Avoidance Condition 1: fruitless G_DS subtree.
-			if !opts.DisableAC1 && watermark >= gchild.Max && watermark >= gchild.MMax && topl.Len() >= l {
+			if !opts.DisableAC1 && watermark >= gchild.Max && watermark >= gchild.MMax && topl.full() {
 				stats.AC1Skips++
 				continue
 			}
@@ -138,18 +137,25 @@ func PrelimL(src ostree.Source, gds *schemagraph.GDS, root relational.TupleID, l
 					Depth:  curNode.Depth + 1,
 				})
 				queue = append(queue, id)
-				if w > largestL() || topl.Len() < l {
-					heap.Push(topl, w)
-					if topl.Len() > l {
-						heap.Pop(topl)
-					}
-				}
+				topl.offer(w)
 			}
 		}
 	}
 	stats.Extracted = tree.Len()
 	stats.Accesses = src.Accesses()
+	stats.TopWeights = topl.descending()
 	return tree, stats, nil
+}
+
+// TopWeights returns the l >= 1 largest local importances of t, descending
+// — what PrelimStats.TopWeights reports for a prelim-l OS, for a tree that
+// was generated without the PQ (a complete OS).
+func TopWeights(t *ostree.Tree, l int) []float64 {
+	topl := newTopL(l)
+	for i := range t.Nodes {
+		topl.offer(t.Nodes[i].Weight)
+	}
+	return topl.descending()
 }
 
 // relScores resolves the scores of a relation, panicking on configuration
@@ -183,17 +189,68 @@ func skipBacktrackPrelim(t *ostree.Tree, parent ostree.NodeID, rel int32, tuple 
 	return g.Rel == rel && g.Tuple == tuple
 }
 
-// minFloatHeap is a min-heap of float64 used as the top-l PQ.
-type minFloatHeap struct {
+// topL is the top-l PQ: a min-heap of at most l float64s kept directly on
+// the slice, so an offer neither boxes the weight nor allocates.
+type topL struct {
+	l     int
 	items []float64
 }
 
-func (h *minFloatHeap) Len() int           { return len(h.items) }
-func (h *minFloatHeap) Less(a, b int) bool { return h.items[a] < h.items[b] }
-func (h *minFloatHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *minFloatHeap) Push(x any)         { h.items = append(h.items, x.(float64)) }
-func (h *minFloatHeap) Pop() any {
-	last := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return last
+func newTopL(l int) *topL {
+	// Presized for the l values queries use; a larger l just grows.
+	return &topL{l: l, items: make([]float64, 0, min(l, 64))}
+}
+
+func (h *topL) full() bool { return len(h.items) >= h.l }
+
+// largestL is the l-th largest weight offered so far, 0 until l were.
+func (h *topL) largestL() float64 {
+	if !h.full() {
+		return 0
+	}
+	return h.items[0]
+}
+
+// offer keeps w if it is among the l largest weights offered so far.
+func (h *topL) offer(w float64) {
+	it := h.items
+	if !h.full() {
+		it = append(it, w)
+		h.items = it
+		for i := len(it) - 1; i > 0; {
+			p := (i - 1) / 2
+			if it[p] <= it[i] {
+				break
+			}
+			it[p], it[i] = it[i], it[p]
+			i = p
+		}
+		return
+	}
+	if w <= it[0] {
+		return
+	}
+	it[0] = w
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(it) {
+			break
+		}
+		if c+1 < len(it) && it[c+1] < it[c] {
+			c++
+		}
+		if it[i] <= it[c] {
+			break
+		}
+		it[i], it[c] = it[c], it[i]
+		i = c
+	}
+}
+
+// descending sorts the kept weights largest first and returns them; the
+// heap must not be offered to afterwards.
+func (h *topL) descending() []float64 {
+	slices.Sort(h.items)
+	slices.Reverse(h.items)
+	return h.items
 }

@@ -1,6 +1,8 @@
 package tenancy
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -123,13 +125,32 @@ func TestHTTPPaginationWalk(t *testing.T) {
 }
 
 // TestHTTPCursorParamValidation pins the 400 surface: a cursor that never
-// came from the service, and limit's removed legacy name topk — refused
-// with a message naming limit, on both endpoints, never silently ignored
-// (an old client would otherwise receive an unbounded page).
+// came from the service — garbage, or a genuine one whose position bytes
+// were rewritten past the answer (once a 500 from /ranked) — and limit's
+// removed legacy name topk — refused with a message naming limit, on both
+// endpoints, never silently ignored (an old client would otherwise receive
+// an unbounded page).
 func TestHTTPCursorParamValidation(t *testing.T) {
 	srv, _, q := pagingServer(t, 701)
 	base := fmt.Sprintf("%s/v1/acme/search?rel=Author&q=%s&l=6", srv.URL, q)
 	getJSON(t, base+"&cursor=not-a-cursor", http.StatusBadRequest, nil)
+	for _, endpoint := range []string{"search", "ranked"} {
+		u := fmt.Sprintf("%s/v1/acme/%s?rel=Author&q=Faloutsos&l=6&limit=1", srv.URL, endpoint)
+		var first SearchResponse
+		getJSON(t, u, http.StatusOK, &first)
+		raw, err := base64.RawURLEncoding.DecodeString(first.Cursor)
+		if err != nil || len(raw) != 24 {
+			t.Fatalf("GET %s: cursor %q is not 24 base64url bytes (%v)", u, first.Cursor, err)
+		}
+		for _, pos := range []uint64{0x8000000000000000, 0xffffffffffffffff} {
+			binary.BigEndian.PutUint64(raw[16:], pos)
+			var e ErrorResponse
+			getJSON(t, u+"&cursor="+base64.RawURLEncoding.EncodeToString(raw), http.StatusBadRequest, &e)
+			if e.Error.Code != CodeBadRequest {
+				t.Fatalf("GET %s at forged position %#x: error %+v, want %s", u, pos, e.Error, CodeBadRequest)
+			}
+		}
+	}
 	var limited SearchResponse
 	getJSON(t, base+"&limit=1", http.StatusOK, &limited)
 	if limited.Count != 1 {

@@ -21,6 +21,10 @@ package sizelos
 //     owner-tile parallel push (internal/rank/parallel.go). Exact float
 //     equality, no tolerance: the push's per-destination reduction order
 //     is fixed, so any divergence is a scheduling bug.
+//  4. Ranked≡rebuilt: after every batch one RankBySummary top-k on the live
+//     engine — whose bound tables the previous rounds' queries left warm —
+//     is bit-identical to the same query on an engine restored from the
+//     exported state. A bound table that outlived its epoch fails here.
 //
 // Seeded and reproducible: the default seed is fixed; set
 // SIZELOS_EQUIV_SEED to replay a failure. CI runs the harness under -race
@@ -95,7 +99,9 @@ var equivWorkerCounts = []int{2, 4, 7}
 // identical database; each shadow is driven through the same batch stream
 // with its residual push pinned to that worker count and must serve
 // bit-identical scores to the serial primary on every re-ranked round.
-func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int, mkShadow func() *Engine) {
+// restore and ranked (Rel, Query, K) drive invariant 4's ranked query.
+func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int, mkShadow func() *Engine,
+	restore func(*EngineState) (*Engine, error), ranked QueryRequest) {
 	t.Logf("mutation-equivalence seed %d (replay: SIZELOS_EQUIV_SEED=%d)", seed, seed)
 	var shadows []*Engine
 	if mkShadow != nil {
@@ -121,6 +127,10 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 				t.Fatalf("round %d: shadow(workers=%d) Mutate: %v", round, equivWorkerCounts[si], err)
 			}
 		}
+		// Invariant 4, at an l that alternates below and above the previous
+		// round's so surviving profiles would be read both ways.
+		ranked.RankBySummary, ranked.L = true, []int{9, 5, 14}[round%3]
+		rankedAfterBatch(t, eng, restore, round, ranked)
 		if eng.Graph() != prevGraph {
 			// Only compaction or an overlay fold may swap the graph out.
 			graphRebuilds++
@@ -225,6 +235,10 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 		rounds, graphRebuilds, eng.Graph().NumNodes(), eng.Graph().Patched())
 }
 
+// dblpRanked is the DBLP harnesses' ranked query: a title word a few dozen
+// papers carry, cut deep enough that rank K sits among near-equal summaries.
+var dblpRanked = QueryRequest{Rel: "Paper", Query: "efficient", K: 12}
+
 // TestMutationEquivalenceDBLP runs the harness over the DBLP-shaped
 // database with the paper's four ObjectRank settings, shadowed at every
 // residual-push worker count.
@@ -241,7 +255,7 @@ func TestMutationEquivalenceDBLP(t *testing.T) {
 		}
 		return eng
 	}
-	runEquivalence(t, mk(), DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), equivSeed(t), equivRounds, mk)
+	runEquivalence(t, mk(), DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), equivSeed(t), equivRounds, mk, RestoreDBLP, dblpRanked)
 }
 
 // TestMutationEquivalenceTPCH runs the harness over the TPC-H-shaped
@@ -258,7 +272,7 @@ func TestMutationEquivalenceTPCH(t *testing.T) {
 		}
 		return eng
 	}
-	runEquivalence(t, mk(), DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), equivSeed(t)+1, equivRounds, mk)
+	runEquivalence(t, mk(), DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), equivSeed(t)+1, equivRounds, mk, RestoreTPCH, QueryRequest{Rel: "Customer", Query: "customer", K: 25})
 }
 
 // TestMutationEquivalenceUnderCompaction rides the same harness with an
@@ -278,7 +292,7 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	eng.compactMin, eng.compactRatio = 6, 0.01
 	eng.EnableSummaryCache(64)
 	seed := equivSeed(t) + 2
-	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil)
+	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil, RestoreDBLP, dblpRanked)
 	// The pipeline still serves correct summaries after all that churn.
 	if _, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil {
 		t.Fatalf("post-harness search: %v", err)

@@ -14,7 +14,7 @@ import (
 
 // mutableDBLP builds a private small engine — mutation tests must not
 // share the package-level fixture.
-func mutableDBLP(t *testing.T) *Engine {
+func mutableDBLP(t testing.TB) *Engine {
 	t.Helper()
 	cfg := datagen.DefaultDBLPConfig()
 	cfg.Authors = 80

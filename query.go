@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sort"
 
@@ -59,8 +60,11 @@ type QueryRequest struct {
 	// size-l OS instead of serving them in DS global-importance order — the
 	// combined size-l and top-k ranking the paper leaves as future work
 	// (§7): a DS whose neighborhood is important outranks a well-connected
-	// but shallow one. It must materialize every summary before the first
-	// result, so it cannot terminate early.
+	// but shallow one. The answer is exactly the full scan's, but with K set
+	// the scan stops early: the sum of a subject's l largest local
+	// importances bounds its Im(S) from above, so once K summaries are
+	// scored, every candidate whose bound is under the K-th best is sealed
+	// without a selection, and only the served page is rendered.
 	RankBySummary bool
 	// K, with RankBySummary, caps the ranking to the best K summaries
 	// (0 = rank everything). It bounds the result set, not the page: use
@@ -184,8 +188,13 @@ type QueryStats struct {
 	// drain would have to summarize).
 	Matches int
 	// Summaries is how many size-l summaries this Results produced
-	// (computed or served from cache).
+	// (computed or served from cache) — under RankBySummary every candidate
+	// it scored, whether or not it made the page.
 	Summaries int
+	// Sealed counts the RankBySummary candidates excluded by their Im(S)
+	// upper bound with no selection computed: on a drained ranked query
+	// Matches == Summaries + Sealed + Skipped.
+	Sealed int
 	// Skipped counts matches dropped because their DS tuple was tombstoned
 	// between indexing and serving; the stream backfills from the next
 	// rank instead of failing the query.
@@ -212,10 +221,10 @@ type Results struct {
 	holdLock bool
 
 	// buf holds the current summarized batch — under RankBySummary the
-	// whole sorted, K-truncated ranking past the resume point —
-	// bufConsumed[i] the cursor position after serving buf[i] (the
-	// cumulative match-pop count through it; ranked: its rank), bufPos the
-	// serve offset.
+	// whole sorted, K-truncated ranking past the resume point, rendered only
+	// as far as Limit lets Next serve it — bufConsumed[i] the cursor
+	// position after serving buf[i] (the cumulative match-pop count through
+	// it; ranked: its rank), bufPos the serve offset.
 	buf         []Summary
 	bufConsumed []int
 	bufPos      int
@@ -299,6 +308,16 @@ func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) 
 	}
 	r.stats.Matches = r.stream.Remaining()
 	if req.Cursor != "" {
+		// A minted cursor never counts past the answer it pages through;
+		// one that does was forged, and its position must not reach a pop
+		// or a slice bound.
+		end := r.stats.Matches
+		if req.RankBySummary && req.K > 0 && req.K < end {
+			end = req.K
+		}
+		if resume.Consumed > uint64(end) {
+			return nil, fmt.Errorf("%w: position %d past the query's %d results", ErrCursorMalformed, resume.Consumed, end)
+		}
 		n := int(resume.Consumed)
 		if !r.req.RankBySummary {
 			// Replay to the cursor position: the epoch matched, so the
@@ -393,57 +412,219 @@ func (r *Results) popLive(max int) (matches []keyword.Match, consumedAt []int, e
 // fillLocked summarizes the next batch of live matches across the worker
 // pool. Batches are sized to the parallel width and capped by the remaining
 // Limit, so a limit-k query never summarizes meaningfully more than k
-// candidates no matter how many match. Under RankBySummary the one batch is
-// the whole frontier: ranking by summary importance requires every
-// candidate's summary up front — early termination structurally cannot
-// apply — but paging through the ranking stays cursor-resumable.
+// candidates no matter how many match. RankBySummary fills once, through
+// rankLocked.
 func (r *Results) fillLocked() error {
-	batch := 0
-	if !r.req.RankBySummary {
-		batch = r.req.Parallel
-		if batch <= 0 {
-			batch = runtime.GOMAXPROCS(0)
+	if r.req.RankBySummary {
+		return r.rankLocked()
+	}
+	batch := r.req.Parallel
+	if batch <= 0 {
+		batch = runtime.GOMAXPROCS(0)
+	}
+	if r.req.Limit > 0 {
+		if rem := r.req.Limit - r.emitted; rem < batch {
+			batch = rem
 		}
-		if r.req.Limit > 0 {
-			if rem := r.req.Limit - r.emitted; rem < batch {
-				batch = rem
-			}
-		}
-		if batch < 1 {
-			batch = 1
-		}
+	}
+	if batch < 1 {
+		batch = 1
 	}
 	matches, consumedAt, err := r.popLive(batch)
 	if err != nil {
 		return err
 	}
-	sums, err := r.eng.summarizeSliceLocked(r.req, matches)
+	// Each summary lands in its match's slot, so the output order does not
+	// depend on scheduling.
+	sums := make([]Summary, len(matches))
+	err = searchexec.ForEach(len(matches), r.req.Parallel, func(i int) error {
+		sc, err := r.eng.summaryLocked(r.req, matches[i].Tuple, math.Inf(-1), true)
+		sums[i] = sc.sum
+		return err
+	})
 	if err != nil {
 		return err
 	}
 	r.stats.Summaries += len(sums)
-	if r.req.RankBySummary {
-		sort.SliceStable(sums, func(a, b int) bool {
-			if sums[a].Result.Importance != sums[b].Result.Importance {
-				return sums[a].Result.Importance > sums[b].Result.Importance
-			}
-			return sums[a].Tuple < sums[b].Tuple
-		})
-		if r.req.K > 0 && len(sums) > r.req.K {
-			sums = sums[:r.req.K]
-		}
-		// A ranked cursor counts served ranks, not frontier pops: rank i
-		// sits at cursor position i+1, and a resume skips the served ones
-		// (nothing is served before this one fill, so served is still the
-		// resume position).
-		for i := range sums {
-			consumedAt[i] = i + 1
-		}
-		start := min(r.served, len(sums))
-		sums, consumedAt = sums[start:], consumedAt[start:len(sums)]
-	}
 	r.buf, r.bufConsumed, r.bufPos = sums, consumedAt, 0
 	return nil
+}
+
+// rankRound is how many candidates the ranked loop evaluates between two
+// looks at the threshold: enough to keep the workers busy, few enough that
+// little is evaluated past the point where the rest seals; fixed, so that
+// QueryStats and the bounds a query leaves behind do not depend on Parallel.
+const rankRound = 16
+
+// boundSlack covers how a bound and the Im(S) it bounds disagree in floating
+// point: the bound sums weights in descending order, ImportanceOf by node.
+const boundSlack = 1e-9
+
+// sealedBy reports whether a subject whose Im(S) is at most bound cannot
+// reach the threshold tau. Strict, so a candidate that could tie the K-th
+// best is always evaluated (the lower tuple wins a tie).
+func sealedBy(bound, tau float64) bool { return bound*(1+boundSlack) < tau }
+
+// candidate is one live match of a ranked query with the upper bound on its
+// Im(S) the engine remembers, +Inf when it remembers none.
+type candidate struct {
+	tuple relational.TupleID
+	bound float64
+}
+
+// rankLocked is the ranked fill, a threshold loop over the whole frontier:
+// candidates are ordered by remembered bound and evaluated in rounds; after
+// each round tau is Im(S) of the K-th best so far (K == 0: -Inf, nothing
+// seals), a candidate whose bound is under tau is never selected, and the
+// loop stops at the first remembered bound under tau — every later one is
+// smaller. A sealed candidate's Im(S) is strictly under K summaries already
+// scored, so the ranking equals the full scan's at every K, in any order of
+// evaluation. Only the page Next can serve is rendered, and none of it is
+// cached (EnableSummaryCache says why).
+func (r *Results) rankLocked() error {
+	e, req := r.eng, r.req
+	matches, _, err := r.popLive(0)
+	if err != nil {
+		return err
+	}
+	cands := e.candidatesLocked(req, matches)
+	var best []Summary
+	tau := math.Inf(-1)
+	for {
+		n := 0
+		for n < len(cands) && n < rankRound && !sealedBy(cands[n].bound, tau) {
+			n++
+		}
+		if n == 0 {
+			break
+		}
+		round, out := cands[:n], make([]scored, n)
+		cands = cands[n:]
+		err := searchexec.ForEach(n, req.Parallel, func(i int) (err error) {
+			out[i], err = e.summaryLocked(req, round[i].tuple, tau, false)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		e.rememberLocked(req, round, out)
+		for _, s := range out {
+			if s.sealed {
+				r.stats.Sealed++
+				continue
+			}
+			r.stats.Summaries++
+			best = append(best, s.sum)
+		}
+		if req.K > 0 && len(best) >= req.K {
+			sortRanking(best)
+			best = best[:req.K]
+			tau = best[req.K-1].Result.Importance
+		}
+	}
+	r.stats.Sealed += len(cands)
+	sortRanking(best)
+
+	// A ranked cursor counts served ranks, not frontier pops: rank i sits at
+	// cursor position i+1, and a resume skips the served ones (nothing is
+	// served before this one fill, so served is still the resume position).
+	start := min(r.served, len(best))
+	best = best[start:]
+	consumedAt := make([]int, len(best))
+	for i := range consumedAt {
+		consumedAt[i] = start + i + 1
+	}
+	r.buf, r.bufConsumed, r.bufPos = best, consumedAt, 0
+
+	page := best
+	if rem := req.Limit - r.emitted; req.Limit > 0 && rem < len(page) {
+		page = page[:rem]
+	}
+	return searchexec.ForEach(len(page), req.Parallel, func(i int) error {
+		if page[i].Text == "" { // scored this query, not served by the cache
+			req.Pool.Do(func() { e.materialize(req, &page[i]) })
+		}
+		return nil
+	})
+}
+
+// sortRanking orders summaries by Im(S) descending, ties by tuple ascending.
+func sortRanking(sums []Summary) {
+	sort.Slice(sums, func(a, b int) bool {
+		if sums[a].Result.Importance != sums[b].Result.Importance {
+			return sums[a].Result.Importance > sums[b].Result.Importance
+		}
+		return sums[a].Tuple < sums[b].Tuple
+	})
+}
+
+// boundKey names one bound table.
+type boundKey struct{ rel, setting string }
+
+// boundTable remembers what ranked queries learned about the subjects of
+// one (DS relation, setting): per subject, the prefix sums of its largest
+// local importances at the largest l evaluated so far. sums[i-1] bounds
+// Im(S) of every size-i OS of the subject from above for each i <= l: the OS
+// generated for a smaller l is the same OS cut at a smaller depth
+// (Definition 2), so its largest weights are no larger. It is filled as a
+// by-product of evaluations a ranked query runs anyway, bound to the
+// dependency-set epoch they ran under and replaced when that has moved
+// (mutation, re-rank, compaction); RegisterGDS drops every table.
+type boundTable struct {
+	epoch    uint64
+	profiles map[relational.TupleID]profile
+}
+
+type profile struct {
+	l    int
+	sums []float64
+}
+
+// boundTableLocked returns req's bound table for the current epoch. Callers
+// hold boundsMu and at least the read lock.
+func (e *Engine) boundTableLocked(req QueryRequest) *boundTable {
+	key, epoch := boundKey{req.Rel, req.Setting}, e.epochForLocked(req.Rel)
+	t := e.bounds[key]
+	if t == nil || t.epoch != epoch {
+		if e.bounds == nil {
+			e.bounds = make(map[boundKey]*boundTable)
+		}
+		t = &boundTable{epoch: epoch, profiles: make(map[relational.TupleID]profile)}
+		e.bounds[key] = t
+	}
+	return t
+}
+
+// candidatesLocked orders the live matches for the ranked loop: remembered
+// bound at req.L descending, subjects with no profile reaching req.L first
+// (unbounded) in stream order. Callers hold at least the read lock.
+func (e *Engine) candidatesLocked(req QueryRequest, matches []keyword.Match) []candidate {
+	cands := make([]candidate, len(matches))
+	e.boundsMu.Lock()
+	t := e.boundTableLocked(req)
+	for i, m := range matches {
+		cands[i] = candidate{m.Tuple, math.Inf(1)}
+		if p, ok := t.profiles[m.Tuple]; ok && p.l >= req.L {
+			cands[i].bound = p.sums[min(req.L, len(p.sums))-1]
+		}
+	}
+	e.boundsMu.Unlock()
+	sort.SliceStable(cands, func(a, b int) bool { return cands[a].bound > cands[b].bound })
+	return cands
+}
+
+// rememberLocked records the profiles a round learned; of two profiles of
+// one subject the one for the larger l stays. Callers hold at least the
+// read lock.
+func (e *Engine) rememberLocked(req QueryRequest, round []candidate, out []scored) {
+	e.boundsMu.Lock()
+	defer e.boundsMu.Unlock()
+	t := e.boundTableLocked(req)
+	for i, c := range round {
+		if top := out[i].top; top != nil && t.profiles[c.tuple].l < req.L {
+			t.profiles[c.tuple] = profile{req.L, top}
+		}
+	}
 }
 
 // Drain consumes the stream to its Limit (or exhaustion) and returns every

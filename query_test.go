@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"sizelos/internal/datagen"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
@@ -24,14 +23,8 @@ func getTPCH(t *testing.T) *Engine {
 	if tpchEngine != nil {
 		return tpchEngine
 	}
-	cfg := datagen.DefaultTPCHConfig()
-	cfg.ScaleFactor = 0.002
-	eng, err := OpenTPCH(cfg)
-	if err != nil {
-		t.Fatalf("OpenTPCH: %v", err)
-	}
-	tpchEngine = eng
-	return eng
+	tpchEngine = openTPCH(t, 0.002)
+	return tpchEngine
 }
 
 // acmeEngine builds a wide, shallow database where one token ("acme")
@@ -208,6 +201,7 @@ func refSummaries(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 // returns bit-identical results to raw matches + SizeL per match, which
 // shares no code with the stream's batching, pooling or cursor logic.
 func TestQueryPageEqualsEagerReference(t *testing.T) {
+	t.Run("tpch-ranked", testRankedEagerReference)
 	eng := getDBLP(t)
 	reqs := []QueryRequest{
 		{},
@@ -326,6 +320,7 @@ func TestQueryCursorWalk(t *testing.T) {
 	}); !errors.Is(err, ErrStreamInvalidated) {
 		t.Fatalf("foreign cursor error = %v, want ErrStreamInvalidated", err)
 	}
+	checkForgedPositions(t, eng, QueryRequest{Rel: "Item", Query: "acme", L: 3, Limit: limit}, cursor, len(full))
 }
 
 // TestRankedQueryPaging: RankBySummary pages must concatenate to exactly
@@ -360,6 +355,16 @@ func TestRankedQueryPaging(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ranked pages (%d) diverge from the unpaged top-%d (%d)", len(got), k, len(want))
+	}
+	// A ranked position counts ranks: past K — with no K, past the matches —
+	// it is forged.
+	for _, c := range []struct{ k, end int }{{k - 1, k - 1}, {0, len(want)}} {
+		req := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 10, RankBySummary: true, K: c.k, Limit: 1}
+		_, first, _, err := eng.QueryPage(req)
+		if err != nil || first == "" {
+			t.Fatalf("K=%d first page: cursor %q, err %v", c.k, first, err)
+		}
+		checkForgedPositions(t, eng, req, first, c.end)
 	}
 }
 
