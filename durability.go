@@ -199,6 +199,8 @@ func NewEngineRanked(db *relational.DB, settings []Setting, raw map[string]relat
 		baseGDS:         make(map[string]*schemagraph.GDS),
 		epochs:          make(map[string]uint64, len(db.Relations)),
 		deps:            make(map[string][]string),
+		wide:            make(map[string]uint64),
+		subj:            make(map[string]map[relational.TupleID]uint64),
 		coldIters:       make(map[string]int, len(settings)),
 		compactMin:      DefaultCompactMinTombstones,
 		compactRatio:    DefaultCompactRatio,

@@ -88,13 +88,13 @@ const DefaultSetting = "GA1-d1"
 // G_DS, and the keyword index.
 //
 // The engine is mutation-aware: Mutate applies a batch of tuple inserts and
-// deletes, maintains the keyword index incrementally, rebuilds the data
-// graph, and advances per-relation epochs that rotate the summary-cache
-// keys of exactly the affected DS relations. Mutations serialize against
-// in-flight searches through an internal reader/writer lock: searches
-// observe either the full pre-batch or the full post-batch state, never a
-// mix, and a search that began before a mutation can never leak its result
-// into a post-mutation lookup.
+// deletes, maintains the keyword index and the data graph incrementally,
+// and stamps the Data Subjects whose OS the batch can reach, which rotates
+// exactly their summary-cache keys. Mutations serialize against in-flight
+// searches through an internal reader/writer lock: searches observe either
+// the full pre-batch or the full post-batch state, never a mix, and a
+// search that began before a mutation can never leak its result into a
+// post-mutation lookup.
 type Engine struct {
 	// mu orders mutations (write side) against searches and derived-state
 	// reads (read side).
@@ -172,15 +172,25 @@ type Engine struct {
 	// baseGDS[dsRel] is the unannotated original.
 	baseGDS map[string]*schemagraph.GDS
 	// epochs counts, per relation, the mutation batches that touched it.
-	// A summary's cache key folds in the epochs of every relation its DS
-	// relation's G_DS can reach, so a mutation makes exactly the affected
-	// entries unreachable (they age out of the LRU) while every other
-	// tenant's and relation's warm entries keep hitting.
+	// Everything bound to a match sequence — cursors, open streams, ranked
+	// bound tables, single-flight keys — binds to the sum over its DS
+	// relation's deps (epochForLocked): any batch inside deps can reorder,
+	// add or drop matches. A summary binds to less: see wide and subj.
 	epochs map[string]uint64
 	// deps[dsRel] lists, sorted, the relations dsRel's G_DS touches
-	// (including junction relations) — the invalidation footprint of its
-	// summaries.
+	// (including junction relations): a batch outside it can change neither
+	// the match sequence nor any summary of dsRel.
 	deps map[string][]string
+	// A summary's cache key ends in its subject's stamp, the larger of
+	// wide[dsRel] and subj[dsRel][tuple]. An OS is the tree a G_DS traversal
+	// reaches from its subject, so a plain batch sets subj, to the
+	// dependency-set epoch it left behind, for just the subjects from which
+	// a G_DS path reaches an edge it added or removed (stampFootprintLocked).
+	// A batch whose footprint is the relation — a re-rank that changed
+	// scores, a compaction inside deps, a walk over footprintBudget — sets
+	// wide instead and subj[dsRel] starts over (widenLocked).
+	wide map[string]uint64
+	subj map[string]map[relational.TupleID]uint64
 	// cache, when non-nil, memoizes size-l summaries across queries. Held
 	// through an atomic pointer so EnableSummaryCache can be toggled while
 	// searches are in flight.
@@ -219,6 +229,8 @@ func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		baseGDS:         make(map[string]*schemagraph.GDS),
 		epochs:          make(map[string]uint64, len(db.Relations)),
 		deps:            make(map[string][]string),
+		wide:            make(map[string]uint64),
+		subj:            make(map[string]map[relational.TupleID]uint64),
 		coldIters:       make(map[string]int, len(settings)),
 		compactMin:      DefaultCompactMinTombstones,
 		compactRatio:    DefaultCompactRatio,
@@ -387,6 +399,10 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 	e.baseGDS[gds.DSName] = gds
 	e.gds[gds.DSName] = perSetting
 	e.deps[gds.DSName] = gdsDeps(gds)
+	// The cache swapped in below starts empty, so the stamps start over with
+	// it (under a smaller deps the old ones could exceed every later epoch).
+	delete(e.wide, gds.DSName)
+	delete(e.subj, gds.DSName)
 	// Bounds learned under the previous G_DS describe other OSs.
 	e.bounds = nil
 	// Summaries cached under the previous G_DS of this DS relation are now
@@ -650,11 +666,10 @@ func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau f
 
 // summaryKey identifies one memoizable size-l computation: every
 // QueryRequest field that affects the produced Summary participates, plus
-// the mutation epoch of the DS relation's dependency set — after a
-// mutation the epoch moves, so pre-mutation entries can never satisfy a
-// post-mutation lookup (they linger unreferenced until the LRU evicts
-// them), while entries whose dependency set the mutation missed keep
-// hitting.
+// the subject's stamp — a batch that can reach the subject moves it, so a
+// pre-mutation entry can never satisfy a post-mutation lookup (it lingers
+// unreferenced until the LRU evicts it), while the entries of every subject
+// the batch cannot reach keep hitting.
 type summaryKey struct {
 	// Scope isolates tenants sharing one engine (QueryRequest.CacheScope).
 	Scope        string
@@ -666,8 +681,8 @@ type summaryKey struct {
 	Complete     bool
 	FromDatabase bool
 	ShowWeights  bool
-	// Epoch is the summed mutation epoch of every relation the DS
-	// relation's G_DS can reach (epochFor).
+	// Epoch is the subject's stamp: the dependency-set epoch of the last
+	// batch that could have changed this subject's OS (Engine.wide, subj).
 	Epoch uint64
 }
 
@@ -681,15 +696,23 @@ func (e *Engine) summaryKeyFor(req QueryRequest, tuple relational.TupleID) summa
 		Setting: req.Setting, Algorithm: req.Algorithm,
 		Complete: req.Complete, FromDatabase: req.FromDatabase,
 		ShowWeights: req.ShowWeights,
-		Epoch:       e.epochForLocked(req.Rel),
+		Epoch:       max(e.wide[req.Rel], e.subj[req.Rel][tuple]),
 	}
 }
 
-// epochForLocked returns the invalidation epoch of one DS relation: the sum
-// of the mutation epochs of every relation its G_DS touches. Epoch counters
-// only grow, so the sum changes exactly when a mutation lands inside the
-// dependency set. Before a G_DS is registered the DS relation's own epoch
-// stands in. Callers hold at least the read lock.
+// widenLocked moves the stamp of every subject of dsRel at once and records
+// that in result. Callers hold the write lock, the event's epochs advanced.
+func (e *Engine) widenLocked(dsRel string, result *MutationResult) {
+	e.wide[dsRel] = e.epochForLocked(dsRel)
+	delete(e.subj, dsRel)
+	result.Footprint[dsRel] = -1
+}
+
+// epochForLocked returns the dependency-set epoch of one DS relation: the
+// sum of the mutation epochs of every relation its G_DS touches. Epoch
+// counters only grow, so the sum changes exactly when a mutation lands
+// inside the dependency set. Before a G_DS is registered the DS relation's
+// own epoch stands in. Callers hold at least the read lock.
 func (e *Engine) epochForLocked(dsRel string) uint64 {
 	deps, ok := e.deps[dsRel]
 	if !ok {
@@ -704,12 +727,13 @@ func (e *Engine) epochForLocked(dsRel string) uint64 {
 
 // EnableSummaryCache installs an LRU cache of up to capacity size-l
 // summaries, keyed by (cache scope, DS relation, tuple, l, setting,
-// algorithm, complete/prelim, source, weights, mutation epoch). Repeated
+// algorithm, complete/prelim, source, weights, subject stamp). Repeated
 // queries from many users then skip regeneration entirely. Mutations never
-// wipe the cache: they advance the epoch of the touched relations, which
-// rotates the keys of exactly the DS relations whose G_DS reaches them —
-// stale entries become unreachable and age out, unrelated entries keep
-// hitting. A RankBySummary query is served from the cache where it can be
+// wipe the cache: a plain batch rotates the keys of exactly the subjects
+// from which a G_DS path reaches a tuple it inserted or deleted, a re-rank
+// or a compaction those of the DS relations it reaches — stale entries
+// become unreachable and age out, unrelated entries keep hitting. A
+// RankBySummary query is served from the cache where it can be
 // but adds nothing to it: what it would add — the K largest OSs of every
 // ranking asked for — is the most memory per entry for the least reuse.
 // Cached summaries share their Tree pointer; treat returned summaries as

@@ -16,6 +16,8 @@
 //     never appear as OS nodes; tombstoned junction rows are skipped by
 //     both sources.
 //   - Trees hold TupleIDs, not copies: they are snapshots of one mutation
-//     quiescence and must not be traversed across an Engine.Mutate (the
-//     engine's summary cache keys them by mutation epoch for this reason).
+//     quiescence and must not be traversed across an Engine.Mutate that can
+//     reach their subject (the engine's summary cache keys them by stamp).
+//   - GraphSource.Parents is the exact inverse of Children; Subjects lists
+//     every subject whose OS a batch changed (the engine keeps the rest).
 package ostree

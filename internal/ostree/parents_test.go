@@ -1,0 +1,203 @@
+package ostree
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"sizelos/internal/datagen"
+	"sizelos/internal/datagraph"
+	"sizelos/internal/mutgen"
+	"sizelos/internal/relational"
+	"sizelos/internal/schemagraph"
+)
+
+// walkFixture is one dataset of the upward-walk tests: a small database, its
+// graph, all-zero scores (the walks read none; Generate needs the vectors)
+// and the G_DSs the engine registers for it, at the engine's θ = 0.7.
+type walkFixture struct {
+	name string
+	db   *relational.DB
+	g    *datagraph.Graph
+	gdss []*schemagraph.GDS
+}
+
+func walkFixtures(t *testing.T) []*walkFixture {
+	t.Helper()
+	dblp := datagen.DefaultDBLPConfig()
+	dblp.Authors, dblp.Papers, dblp.Conferences, dblp.YearSpan = 50, 160, 4, 3
+	ddb, err := datagen.GenerateDBLP(dblp)
+	if err != nil {
+		t.Fatalf("GenerateDBLP: %v", err)
+	}
+	tpch := datagen.DefaultTPCHConfig()
+	tpch.ScaleFactor = 0.002
+	tdb, err := datagen.GenerateTPCH(tpch)
+	if err != nil {
+		t.Fatalf("GenerateTPCH: %v", err)
+	}
+	out := []*walkFixture{
+		{name: "dblp", db: ddb, gdss: []*schemagraph.GDS{datagen.AuthorGDS().Threshold(0.7), datagen.PaperGDS().Threshold(0.7)}},
+		{name: "tpch", db: tdb, gdss: []*schemagraph.GDS{datagen.CustomerGDS().Threshold(0.7), datagen.SupplierGDS().Threshold(0.7)}},
+	}
+	for _, f := range out {
+		if f.g, err = datagraph.Build(f.db); err != nil {
+			t.Fatalf("%s: datagraph.Build: %v", f.name, err)
+		}
+	}
+	return out
+}
+
+// mutate commits one generated batch to the store and splices it into the
+// graph's overlay, as Engine.Mutate does.
+func (f *walkFixture) mutate(t *testing.T, gen *mutgen.Gen) relational.BatchResult {
+	t.Helper()
+	res, err := f.db.Apply(gen.NextBatch())
+	if err != nil {
+		t.Fatalf("%s: Apply: %v", f.name, err)
+	}
+	if err := f.g.Apply(res); err != nil {
+		t.Fatalf("%s: graph.Apply: %v", f.name, err)
+	}
+	return res
+}
+
+func (f *walkFixture) source() *GraphSource {
+	scores := make(relational.DBScores, len(f.db.Relations))
+	for _, r := range f.db.Relations {
+		scores[r.Name] = make(relational.Scores, r.Len())
+	}
+	return NewGraphSource(f.g, scores)
+}
+
+// TestParentsInverseOfChildren: for every non-root node n of the four
+// registered G_DSs, c ∈ Children(n, p) ⇔ p ∈ Parents(n, c), with
+// multiplicity (two junction rows joining one pair count twice both ways) —
+// on the packed graph Build produces and on the same graph after seeded
+// batches were spliced into its overlay.
+func TestParentsInverseOfChildren(t *testing.T) {
+	for _, f := range walkFixtures(t) {
+		gen := mutgen.New(f.db, 7)
+		for round := 0; round < 6; round++ {
+			if round > 0 {
+				f.mutate(t, gen)
+			}
+			src := f.source()
+			for _, gds := range f.gdss {
+				for _, gn := range gds.Nodes()[1:] {
+					type pair struct{ p, c relational.TupleID }
+					down, up := make(map[pair]int), make(map[pair]int)
+					for p := 0; p < f.db.Relation(gn.Parent.Rel).Len(); p++ {
+						for _, c := range src.Children(gn, relational.TupleID(p)) {
+							down[pair{relational.TupleID(p), c}]++
+						}
+					}
+					for c := 0; c < f.db.Relation(gn.Rel).Len(); c++ {
+						for _, p := range src.Parents(gn, relational.TupleID(c)) {
+							up[pair{p, relational.TupleID(c)}]++
+						}
+					}
+					if len(down) == 0 {
+						t.Errorf("%s round %d: %s node %s has no edges to invert", f.name, round, gds.DSName, gn.Label)
+					}
+					for pc, n := range down {
+						if up[pc] != n {
+							t.Fatalf("%s round %d: %s node %s: %d ∈ Children(%d) ×%d, but %d ∈ Parents(%d) ×%d",
+								f.name, round, gds.DSName, gn.Label, pc.c, pc.p, n, pc.p, pc.c, up[pc])
+						}
+					}
+					for pc, n := range up {
+						if down[pc] != n {
+							t.Fatalf("%s round %d: %s node %s: %d ∈ Parents(%d) ×%d, but %d ∈ Children(%d) ×%d",
+								f.name, round, gds.DSName, gn.Label, pc.p, pc.c, n, pc.c, pc.p, down[pc])
+						}
+					}
+				}
+			}
+		}
+		if f.g.Patched() == 0 {
+			t.Errorf("%s: the mutated rounds never exercised the overlay", f.name)
+		}
+	}
+}
+
+// shape spells a complete OS as its (G_DS node, tuple, parent) sequence.
+func shape(t *testing.T, src Source, gds *schemagraph.GDS, root relational.TupleID) string {
+	t.Helper()
+	tree, err := Generate(src, gds, root, GenOptions{})
+	if err != nil {
+		t.Fatalf("Generate(%s %d): %v", gds.DSName, root, err)
+	}
+	var b strings.Builder
+	for _, n := range tree.Nodes {
+		fmt.Fprintf(&b, "%s/%d^%d ", n.GDS.Label, n.Tuple, n.Parent)
+	}
+	return b.String()
+}
+
+// TestSubjectsCoverChangedTrees: Subjects is sound on seeded batches — every
+// subject live on both sides of a batch whose complete OS changed is listed
+// — and it is a footprint, not the relation: summed over the rounds it lists
+// a small share of the subjects.
+func TestSubjectsCoverChangedTrees(t *testing.T) {
+	for _, f := range walkFixtures(t) {
+		gen := mutgen.New(f.db, 11)
+		listed, live, changed := 0, 0, 0
+		for round := 0; round < 25; round++ {
+			before := make(map[*schemagraph.GDS]map[relational.TupleID]string)
+			src := f.source()
+			for _, gds := range f.gdss {
+				before[gds] = make(map[relational.TupleID]string)
+				r := f.db.Relation(gds.DSName)
+				for s := relational.TupleID(0); int(s) < r.Len(); s++ {
+					if !r.Deleted(s) {
+						before[gds][s] = shape(t, src, gds, s)
+					}
+				}
+			}
+			res := f.mutate(t, gen)
+			src = f.source()
+			for _, gds := range f.gdss {
+				subjects, ok := src.Subjects(gds, res, 1<<20)
+				if !ok {
+					t.Fatalf("%s round %d: %s walk gave up under a budget of 2^20", f.name, round, gds.DSName)
+				}
+				in := make(map[relational.TupleID]bool, len(subjects))
+				for _, s := range subjects {
+					if in[s] {
+						t.Fatalf("%s round %d: %s subject %d listed twice", f.name, round, gds.DSName, s)
+					}
+					in[s] = true
+				}
+				listed += len(subjects)
+				live += len(before[gds])
+				r := f.db.Relation(gds.DSName)
+				for s, was := range before[gds] {
+					if r.Deleted(s) || shape(t, src, gds, s) == was {
+						continue
+					}
+					changed++
+					if !in[s] {
+						ids := append([]relational.TupleID(nil), subjects...)
+						sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+						t.Fatalf("%s round %d: OS of %s %d changed but Subjects lists only %v (batch: deleted %v, inserted %v)",
+							f.name, round, gds.DSName, s, ids, res.Deleted, res.Inserted)
+					}
+				}
+				if len(subjects) > 0 {
+					if _, ok := src.Subjects(gds, res, 0); ok {
+						t.Fatalf("%s round %d: %s walk reached %d subjects inside a budget of 0", f.name, round, gds.DSName, len(subjects))
+					}
+				}
+			}
+		}
+		if changed == 0 {
+			t.Errorf("%s: no batch changed any OS; the test compared nothing", f.name)
+		}
+		if listed*4 > live {
+			t.Errorf("%s: Subjects listed %d of %d subject-rounds; a footprint should be a small share", f.name, listed, live)
+		}
+		t.Logf("%s: %d subject-rounds, %d listed, %d changed", f.name, live, listed, changed)
+	}
+}

@@ -238,20 +238,39 @@ func (s *GraphSource) ResetAccesses() int64 {
 // Children implements Source.
 func (s *GraphSource) Children(gn *schemagraph.Node, parent relational.TupleID) []relational.TupleID {
 	s.accesses++
+	return s.step(gn, parent, false)
+}
+
+// Parents is the inverse of Children: the tuples p of gn's parent node with
+// child among Children(gn, p). Not an extraction: no access is counted.
+func (s *GraphSource) Parents(gn *schemagraph.Node, child relational.TupleID) []relational.TupleID {
+	return s.step(gn, child, true)
+}
+
+// step crosses gn's traversal step from t: down from a tuple of gn's parent
+// node to its children, or up from a tuple of gn to its parents — the same
+// edge types read the other way, so the two are inverse by construction.
+func (s *GraphSource) step(gn *schemagraph.Node, t relational.TupleID, up bool) []relational.TupleID {
 	db := s.g.DB
-	parentIdx := db.RelIndex(gn.Parent.Rel)
+	from := db.RelIndex(gn.Parent.Rel)
+	if up {
+		from = db.RelIndex(gn.Rel)
+	}
 	switch gn.Step.Kind {
 	case schemagraph.StepChildFK:
 		et := datagraph.EdgeType{Rel: gn.Rel, FK: gn.Step.FKOrd}
-		return s.g.NeighborsAlong(parentIdx, parent, et, false)
+		return s.g.NeighborsAlong(from, t, et, up)
 	case schemagraph.StepParentFK:
 		et := datagraph.EdgeType{Rel: gn.Parent.Rel, FK: gn.Step.FKOrd}
-		return s.g.NeighborsAlong(parentIdx, parent, et, true)
+		return s.g.NeighborsAlong(from, t, et, !up)
 	case schemagraph.StepJunction:
 		jIdx := db.RelIndex(gn.Step.Junction)
 		etIn := datagraph.EdgeType{Rel: gn.Step.Junction, FK: gn.Step.JFKParent}
 		etOut := datagraph.EdgeType{Rel: gn.Step.Junction, FK: gn.Step.JFKChild}
-		rows := s.g.NeighborsAlong(parentIdx, parent, etIn, false)
+		if up {
+			etIn, etOut = etOut, etIn
+		}
+		rows := s.g.NeighborsAlong(from, t, etIn, false)
 		if len(rows) == 0 {
 			return nil
 		}
@@ -269,4 +288,60 @@ func (s *GraphSource) Children(gn *schemagraph.Node, parent relational.TupleID) 
 func (s *GraphSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID {
 	ids := s.Children(gn, parent)
 	return filterTopL(ids, relScores(s.scores, gn.Rel), minScore, limit)
+}
+
+// Subjects lists the root tuples of gds whose OS a committed batch can have
+// changed: from every edge res added or removed it climbs Parents to the
+// root, on the graph res is already applied to. An OS is the tuples a
+// traversal reaches from its subject, so a subject the climb does not reach
+// has the same OS as before (backtrack and depth cuts only shrink an OS: the
+// set errs wide, never narrow). Past budget distinct (G_DS node, tuple)
+// instances the climb stops and ok is false: the relation counts as reached.
+func (s *GraphSource) Subjects(gds *schemagraph.GDS, res relational.BatchResult, budget int) (subjects []relational.TupleID, ok bool) {
+	type instance struct {
+		gn *schemagraph.Node
+		t  relational.TupleID
+	}
+	seen := make(map[instance]bool)
+	var climb func(gn *schemagraph.Node, t relational.TupleID)
+	climb = func(gn *schemagraph.Node, t relational.TupleID) {
+		if seen[instance{gn, t}] || len(seen) > budget {
+			return
+		}
+		seen[instance{gn, t}] = true
+		if gn.Parent == nil {
+			subjects = append(subjects, t)
+			return
+		}
+		for _, p := range s.Parents(gn, t) {
+			climb(gn.Parent, p)
+		}
+	}
+	db := s.g.DB
+	for _, gn := range gds.Nodes()[1:] {
+		// The climb starts at the parent-side end of each changed edge, the
+		// tuple one FK of the edge's owner names: read from the owner's slot,
+		// which a tombstone keeps (its adjacency is already cleared), and
+		// skipped if itself deleted, since whatever reached it did so over
+		// another removed edge, nearer the root, whose end is live.
+		rel, fkOrd := gn.Rel, gn.Step.FKOrd
+		switch gn.Step.Kind {
+		case schemagraph.StepJunction:
+			rel, fkOrd = gn.Step.Junction, gn.Step.JFKParent
+		case schemagraph.StepParentFK:
+			// Owned by the parent-side tuple: as new or as deleted as the edge.
+			continue
+		}
+		r := db.Relation(rel)
+		fk := r.FKs[fkOrd]
+		col, ref := r.ColIndex(fk.Column), db.Relation(fk.Ref)
+		for _, owners := range [][]relational.TupleID{res.Deleted[rel], res.Inserted[rel]} {
+			for _, t := range owners {
+				if end, live := ref.LookupPK(r.Tuples[t][col].Int); live {
+					climb(gn.Parent, end)
+				}
+			}
+		}
+	}
+	return subjects, len(seen) <= budget
 }

@@ -108,6 +108,9 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 	post := func(path string, body any) *http.Response {
 		t.Helper()
 		b, _ := json.Marshal(body)
+		if raw, ok := body.(string); ok { // sent as it is
+			b = []byte(raw)
+		}
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("POST %s: %v", path, err)
@@ -141,9 +144,10 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		t.Fatalf("register response = %+v", created)
 	}
 
-	// Duplicate, invalid name, unknown dataset, reserved name.
+	// Duplicate, invalid name, unknown dataset, reserved name; a body that
+	// does not end after its first value registers nothing, not its head.
 	for _, tc := range []struct {
-		req  RegisterRequest
+		req  any
 		want int
 	}{
 		{RegisterRequest{Name: "live", Dataset: "tinydblp"}, http.StatusConflict},
@@ -152,13 +156,25 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		{RegisterRequest{Name: "tenants", Dataset: "tinydblp"}, http.StatusBadRequest},
 		{RegisterRequest{Name: "", Dataset: ""}, http.StatusBadRequest},
 		{RegisterRequest{Name: "big", Dataset: strings.Repeat("x", maxBodyBytes)}, http.StatusRequestEntityTooLarge},
+		{`{"name":"two","dataset":"tinydblp"}{"name":"three","dataset":"tinydblp"}`, http.StatusBadRequest},
+		{`{"name":"junk","dataset":"tinydblp"} trailing garbage`, http.StatusBadRequest},
 	} {
 		resp := post("/v1/tenants", tc.req)
 		if resp.StatusCode != tc.want {
-			t.Errorf("register %+v = %d, want %d", tc.req, resp.StatusCode, tc.want)
+			t.Errorf("register %.80v = %d, want %d", tc.req, resp.StatusCode, tc.want)
 		}
 		resp.Body.Close()
 	}
+	if names := reg.Names(); len(names) != 1 || names[0] != "live" {
+		t.Errorf("rejected registrations left tenants %v, want only live", names)
+	}
+	// One value, then whitespace, is a whole body; the register body stays
+	// lenient about keys it does not know.
+	resp = post("/v1/tenants", `{"name":"lenient","dataset":"tinydblp","note":"x"}`+"\n \n")
+	if resp.StatusCode != http.StatusCreated {
+		t.Errorf("register with an unknown key and trailing whitespace = %d, want 201", resp.StatusCode)
+	}
+	resp.Body.Close()
 
 	// The dynamic tenant serves immediately.
 	tn, ok := reg.Get("live")
@@ -230,7 +246,8 @@ func TestMutateHTTP(t *testing.T) {
 	if got := get("quillfeather").Count; got != 0 {
 		t.Fatalf("pre-insert count = %d", got)
 	}
-	resp := post(`{"inserts":[{"rel":"Author","values":[990001,"Quillfeather Prime"]}]}`)
+	// One object with a trailing newline, as json.Encoder clients send it.
+	resp := post(`{"inserts":[{"rel":"Author","values":[990001,"Quillfeather Prime"]}]}` + "\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mutate = %d", resp.StatusCode)
 	}
@@ -246,7 +263,9 @@ func TestMutateHTTP(t *testing.T) {
 	}
 
 	// Validation, conflicts and an over-limit body map to 400/409/413 and
-	// leave no trace.
+	// leave no trace; so does a body that would be acknowledged without
+	// being applied in full (a second batch or garbage after the first
+	// value, a misspelt key beside a valid one).
 	epochs := map[string]uint64{}
 	for _, rel := range eng.DB().Relations {
 		epochs[rel.Name] = eng.Epoch(rel.Name)
@@ -262,6 +281,10 @@ func TestMutateHTTP(t *testing.T) {
 		`{"deletes":[{"rel":"Author","pk":123456789}]}`:                  http.StatusConflict,
 		`{"inserts":[{"rel":"Writes","values":[990009,999999,990001]}]}`: http.StatusConflict, // dangling paper
 
+		`{"rerank":true} trailing garbage`: http.StatusBadRequest,
+		`{"inserts":[{"rel":"Author","values":[990003,"First"]}]}{"inserts":[{"rel":"Author","values":[990004,"Second"]}]}`:     http.StatusBadRequest,
+		`{"insert":[{"rel":"Author","values":[990005,"Misspelt"]}],"inserts":[{"rel":"Author","values":[990006,"Beside It"]}]}`: http.StatusBadRequest,
+
 		`{"inserts":[{"rel":"Author","values":[990002,"` + strings.Repeat("x", maxBodyBytes) + `"]}]}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp := post(body)
@@ -275,6 +298,17 @@ func TestMutateHTTP(t *testing.T) {
 	for rel, before := range epochs {
 		if after := eng.Epoch(rel); after != before {
 			t.Errorf("rejected batches moved %s's epoch %d -> %d", rel, before, after)
+		}
+	}
+
+	// A paper for the new author reaches two summaries, its author's and its
+	// own; retracting it reaches the one whose subject is still there.
+	for _, body := range []string{
+		`{"inserts":[{"rel":"Paper","values":[990010,1,"Quill Notes"]},{"rel":"Writes","values":[990011,990010,990001]}]}`,
+		`{"deletes":[{"rel":"Writes","pk":990011},{"rel":"Paper","pk":990010}]}`,
+	} {
+		if resp := post(body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("mutate %s = %d", body, resp.StatusCode)
 		}
 	}
 
@@ -297,8 +331,19 @@ func TestMutateHTTP(t *testing.T) {
 		t.Fatalf("rerank-only response = %+v, want reranked", rr)
 	}
 
+	// /stats tells the three kinds of batch apart: the paper's two batches
+	// stamped three subjects, the re-rank invalidated relations whole, the
+	// lone author's insert and delete reached no summary.
+	resp, err := http.Get(srv.URL + "/v1/mut/stats")
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if got, want := decodeJSON[StatsResponse](t, resp).Invalidation, (InvalidationStatsJSON{FootprintBatches: 2, WideBatches: 1, SubjectsStamped: 3}); got != want {
+		t.Fatalf("stats invalidation = %+v, want %+v", got, want)
+	}
+
 	// Unknown tenant: 404.
-	resp, err := http.Post(srv.URL+"/v1/ghost/tuples", "application/json", strings.NewReader(`{}`))
+	resp, err = http.Post(srv.URL+"/v1/ghost/tuples", "application/json", strings.NewReader(`{}`))
 	if err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown tenant mutate = %v %v", resp.StatusCode, err)
 	}
@@ -323,12 +368,14 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 		t.Fatalf("baseline search: %v", err)
 	}
 	// Rotate the cache out from under the baseline so the pinned search
-	// below actually computes (and therefore needs the pool).
-	if _, err := eng.Mutate(sizelos.MutationBatch{Inserts: []sizelos.TupleInsert{{
+	// below actually computes (and therefore needs the pool). A plain insert
+	// of an unrelated author reaches none of the cached subjects; a
+	// re-ranking one changes every score, and with it every summary.
+	if res, err := eng.Mutate(sizelos.MutationBatch{Rerank: true, Inserts: []sizelos.TupleInsert{{
 		Rel:   "Author",
 		Tuple: relational.Tuple{relational.IntVal(991000), relational.StrVal("Warmup Rotatesworth")},
-	}}}); err != nil {
-		t.Fatalf("warmup mutate: %v", err)
+	}}}); err != nil || res.Footprint["Author"] != -1 {
+		t.Fatalf("warmup mutate: footprint %v, err %v; want Author invalidated relation-wide", res.Footprint, err)
 	}
 	want := len(baseline) + 1 // Rotatesworth won't match q; counts stay comparable
 	_ = want

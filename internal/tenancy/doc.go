@@ -12,12 +12,15 @@
 //     (queryFromURL) through Tenant.QueryPage to the engine; the
 //     single-flight key is the engine's own QueryRequest.Fingerprint plus
 //     the page (Limit, Cursor), never a second field list to keep in sync.
-//   - Single-flight batching keys embed the engine's invalidation epoch
+//   - Single-flight batching keys embed the engine's dependency-set epoch
 //     (Engine.EpochFor) for the queried DS relation: a request issued
 //     after a mutation can never join — and inherit the result of — a
 //     flight computed against the pre-mutation state. Any future
 //     coalescing layer must preserve this or mutations become eventually
-//     visible instead of immediately visible.
+//     visible instead of immediately visible. (A flight is a page; its
+//     summaries bind to subject stamps, so most of it is still cached.)
+//   - A write body is one JSON value of known keys and nothing after it:
+//     whatever a 200 acknowledges was applied in full (decodeBody).
 //   - Each tenant's summary-cache entries are namespaced by its name
 //     (QueryRequest.CacheScope, stamped by Tenant.QueryPage), so per-tenant
 //     invalidation and quotas never bleed across tenants sharing one

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -39,18 +40,19 @@ type SearchResponse struct {
 
 // StatsVersion is the version stamp of the stats document. Version 2
 // added the version field itself, the QoS section (limiter tokens,
-// admission queue depth, shed counts), and pool wait accounting; every
-// version-1 field name is unchanged.
-const StatsVersion = 2
+// admission queue depth, shed counts), and pool wait accounting; version 3
+// the invalidation section. Every earlier field is unchanged.
+const StatsVersion = 3
 
 // StatsResponse is the body of /v1/{tenant}/stats.
 type StatsResponse struct {
-	Tenant       string              `json:"tenant"`
-	Version      int                 `json:"version"`
-	CacheEnabled bool                `json:"cache_enabled"`
-	Cache        searchexecCacheJSON `json:"cache"`
-	Pool         searchexecPoolJSON  `json:"pool"`
-	Settings     []string            `json:"settings"`
+	Tenant       string                `json:"tenant"`
+	Version      int                   `json:"version"`
+	CacheEnabled bool                  `json:"cache_enabled"`
+	Cache        searchexecCacheJSON   `json:"cache"`
+	Pool         searchexecPoolJSON    `json:"pool"`
+	Invalidation InvalidationStatsJSON `json:"invalidation"`
+	Settings     []string              `json:"settings"`
 	// QoS reports the tenant's limiter state; omitted when QoS is not
 	// configured for the deployment.
 	QoS *QoSStatsJSON `json:"qos,omitempty"`
@@ -71,6 +73,15 @@ type searchexecPoolJSON struct {
 	// WaitNanos is the cumulative time summary work spent blocked on the
 	// shared pool — the machine-wide back-pressure signal.
 	WaitNanos uint64 `json:"wait_ns"`
+}
+
+// InvalidationStatsJSON splits the write batches that reached a summary:
+// FootprintBatches stamped only the subjects their tuples can reach
+// (SubjectsStamped in total), WideBatches invalidated a whole DS relation.
+type InvalidationStatsJSON struct {
+	FootprintBatches uint64 `json:"footprint_batches"`
+	WideBatches      uint64 `json:"wide_batches"`
+	SubjectsStamped  uint64 `json:"subjects_stamped"`
 }
 
 // QoSStatsJSON is the per-tenant QoS section of the stats document.
@@ -193,6 +204,11 @@ func (r *Registry) serveStats(w http.ResponseWriter, req *http.Request) {
 		Pool: searchexecPoolJSON{
 			Size: ps.Size, InFlight: ps.InFlight, Waited: ps.Waited,
 			WaitNanos: ps.WaitNanos,
+		},
+		Invalidation: InvalidationStatsJSON{
+			FootprintBatches: t.footprintBatches.Load(),
+			WideBatches:      t.wideBatches.Load(),
+			SubjectsStamped:  t.subjectsStamped.Load(),
 		},
 		Settings: t.Engine.SettingNames(),
 	}
@@ -413,7 +429,7 @@ func (r *Registry) serveRegister(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body RegisterRequest
-	if err := decodeBody(w, req, &body); err != nil {
+	if err := decodeBody(w, req, &body, false); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -541,15 +557,26 @@ type RerankStatJSON struct {
 // bytes; 1 MiB holds a batch of some ten thousand tuples.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the request's JSON body into v. A body over
-// maxBodyBytes fails with *http.MaxBytesError (a 413 via toAPIError), any
-// other malformed body with a 400.
-func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
+// decodeBody decodes the request's JSON body into v: exactly one value, then
+// only whitespace — a second batch, or with knownFields a misspelt key's
+// tuples, would be acknowledged and never applied. A body over maxBodyBytes
+// fails with *http.MaxBytesError (a 413), any other malformed body with a 400.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any, knownFields bool) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.UseNumber() // keep 64-bit keys exact; float64 round-trips corrupt them
+	if knownFields {
+		dec.DisallowUnknownFields()
+	}
 	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
 	var tooLarge *http.MaxBytesError
-	if err != nil && !errors.As(err, &tooLarge) {
+	if !errors.As(err, &tooLarge) {
 		err = errBadRequest("invalid JSON body: %v", err)
 	}
 	return err
@@ -567,7 +594,7 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body MutateRequest
-	if err := decodeBody(w, req, &body); err != nil {
+	if err := decodeBody(w, req, &body, true); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sizelos"
 	"sizelos/internal/qos"
@@ -47,6 +48,10 @@ type Tenant struct {
 
 	pool   *searchexec.Pool
 	flight flightGroup
+	// What this tenant's batches did to the summary cache, for /stats: how
+	// many stamped subjects only, how many invalidated a whole DS relation,
+	// and the subjects stamped (sizelos.MutationResult.Footprint).
+	footprintBatches, wideBatches, subjectsStamped atomic.Uint64
 }
 
 // Registry maps tenant names to tenants behind striped locks and owns the
@@ -662,13 +667,24 @@ func (t *Tenant) QueryPage(req sizelos.QueryRequest) (Page, error) {
 
 // Mutate applies one atomic batch of tuple mutations to the tenant's
 // engine. The engine serializes the batch against this tenant's (and any
-// engine-sharing sibling's) in-flight searches and advances the cache
-// epochs of the touched relations, so no post-mutation request is ever
-// served a pre-mutation summary. Single-flight batches that are already
-// executing finish against the pre-mutation state; their results are keyed
-// to the old epoch and never reused afterwards.
+// engine-sharing sibling's) in-flight searches and stamps the subjects the
+// batch reaches, so no post-mutation request is ever served a pre-mutation
+// summary of one. Single-flight batches that are already executing finish
+// against the pre-mutation state; their results are keyed to the old epoch
+// and never reused afterwards.
 func (t *Tenant) Mutate(b sizelos.MutationBatch) (sizelos.MutationResult, error) {
-	return t.Engine.Mutate(b)
+	res, err := t.Engine.Mutate(b)
+	batches := &t.footprintBatches
+	for _, n := range res.Footprint {
+		t.subjectsStamped.Add(uint64(max(n, 0)))
+		if n < 0 {
+			batches = &t.wideBatches
+		}
+	}
+	if len(res.Footprint) > 0 {
+		batches.Add(1)
+	}
+	return res, err
 }
 
 // flightGroup coalesces concurrent calls with the same key into one

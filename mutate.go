@@ -5,9 +5,9 @@ package sizelos
 // atomically (tombstone deletes, appended inserts, per-relation version
 // bumps), the keyword index folds the same delta in incrementally
 // (keyword.Sharded.Apply), the data graph absorbs the same delta in place
-// (datagraph.Graph.Apply — no rebuild), and the per-relation epochs advance
-// so the summary cache forgets exactly the DS relations whose G_DS can
-// reach a touched relation. Two amortized maintenance passes keep the
+// (datagraph.Graph.Apply — no rebuild), the per-relation epochs advance, and
+// the summary cache forgets exactly the Data Subjects from which a G_DS path
+// reaches a tuple the batch touched. Two amortized maintenance passes keep the
 // incremental structures from degrading under sustained churn: relations
 // whose tombstones cross the compaction policy are physically compacted
 // (TupleIDs remapped through every derived structure), and the graph's
@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"sizelos/internal/datagraph"
+	"sizelos/internal/ostree"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 )
@@ -55,11 +56,11 @@ type MutationBatch struct {
 	// deltas allow it, by warm-started full iteration otherwise — and
 	// re-annotates the registered G_DSs whose inputs moved, so the new
 	// tuples earn real global importance. Without it the batch is cheap:
-	// new tuples score 0 until the next re-ranked batch, and every cached
-	// summary whose DS relation cannot reach a touched relation stays warm.
-	// A re-rank changes scores globally, so it advances every relation's
-	// epoch — except a no-op rerank-only batch right after a re-rank, whose
-	// scores (and cached summaries) are provably unchanged and reused.
+	// new tuples score 0 until the next re-ranked batch, and the cached
+	// summary of every subject that cannot reach a touched tuple stays warm.
+	// A re-rank rescales every score, so it advances every relation's epoch
+	// and every subject's stamp — except a no-op rerank-only batch right after
+	// a re-rank, whose scores (and cached summaries) are unchanged and reused.
 	Rerank bool
 }
 
@@ -71,9 +72,14 @@ type MutationResult struct {
 	Inserted []relational.TupleID
 	// Versions snapshots the post-batch version of every touched relation.
 	Versions map[string]uint64
-	// Epochs snapshots the post-batch cache epoch of every relation whose
-	// epoch the batch advanced.
+	// Epochs snapshots the post-batch epoch of every relation whose epoch
+	// the batch advanced.
 	Epochs map[string]uint64
+	// Footprint reports, per DS relation whose summaries the batch reached,
+	// how many subjects it stamped — only their cached summaries stopped
+	// being served — or -1 when it invalidated the whole relation (a re-rank
+	// that changed scores, a compaction, a walk over footprintBudget).
+	Footprint map[string]int
 	// Reranked reports whether global importance was recomputed.
 	Reranked bool
 	// RerankStats, present when Reranked, reports each setting's
@@ -131,14 +137,14 @@ type RerankStat struct {
 // proportional to the tuples touched, no rebuild), score vectors grow to
 // cover new tuples (at importance 0 unless Rerank is set, which
 // warm-starts each setting's power iteration from the prior converged
-// vector), and the touched relations' epochs advance so exactly the
-// affected summary-cache entries stop being served. Relations whose
-// tombstones cross the compaction policy are physically compacted along
-// the way (see MutationResult.Compacted). The write
-// lock serializes the batch against in-flight searches; a search that
+// vector), the touched relations' epochs advance, and the subjects the
+// batch can reach are stamped so exactly their summary-cache entries stop
+// being served. Relations whose tombstones cross the compaction policy are
+// physically compacted along the way (see MutationResult.Compacted). The
+// write lock serializes the batch against in-flight searches; a search that
 // began before the batch completes against the pre-batch state and its
-// cached summaries are keyed to the pre-batch epoch, never served
-// afterwards.
+// cached summaries are keyed to the pre-batch stamps, never served
+// afterwards to a subject the batch reached.
 //
 // On a batch validation error (unknown relation, duplicate or dangling
 // key, delete of a still-referenced tuple) the engine is untouched. Errors
@@ -157,16 +163,17 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	result := MutationResult{Epochs: make(map[string]uint64)}
+	result := MutationResult{Epochs: make(map[string]uint64), Footprint: make(map[string]int)}
 	touched := make([]string, 0, 4)
+	var res relational.BatchResult
 	if !batch.Empty() {
-		res, err := e.db.Apply(batch)
-		if err != nil {
+		var err error
+		if res, err = e.db.Apply(batch); err != nil {
 			return MutationResult{}, err
 		}
 		result.Inserted = res.InsertedIDs
 		result.Versions = res.Versions
-		for rel := range batch.Relations() {
+		for rel := range res.Versions {
 			touched = append(touched, rel)
 		}
 		sort.Strings(touched)
@@ -220,34 +227,33 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		return result, err
 	}
 
+	changed := false
 	if b.Rerank {
-		changed, err := e.rerankLocked(&result)
-		if err != nil {
+		var err error
+		if changed, err = e.rerankLocked(&result); err != nil {
 			return result, err
 		}
 		result.Reranked = true
-		if changed {
-			// New scores invalidate every summary, not just the touched
-			// relations'.
-			for rel := range e.epochs {
-				e.epochs[rel]++
-				result.Epochs[rel] = e.epochs[rel]
-			}
-		} else {
-			// The re-rank reused the already-converged scores (a no-op
-			// rerank-only batch): every cached summary is still exactly
-			// valid, so no epoch moves — a periodic rerank heartbeat must
-			// not wipe warm caches. touched is empty here by construction.
-			for _, rel := range touched {
-				e.epochs[rel]++
-				result.Epochs[rel] = e.epochs[rel]
-			}
+	}
+	if changed {
+		// New scores reorder every match sequence and change every summary.
+		for rel := range e.epochs {
+			e.epochs[rel]++
+			result.Epochs[rel] = e.epochs[rel]
+		}
+		for ds := range e.baseGDS {
+			e.widenLocked(ds, &result)
 		}
 	} else {
+		// Scores did not move: a plain batch, or a rerank-only batch right
+		// after a re-rank (a periodic heartbeat must not wipe warm caches).
+		// The touched relations' match sequences moved, and the summaries of
+		// the subjects the batch can reach.
 		for _, rel := range touched {
 			e.epochs[rel]++
 			result.Epochs[rel] = e.epochs[rel]
 		}
+		e.stampFootprintLocked(res, &result)
 	}
 	// Log before acknowledging: once Mutate returns nil, the batch is in the
 	// redo log (and, under a synchronous log, on disk). A crash before this
@@ -256,6 +262,43 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		return result, err
 	}
 	return result, nil
+}
+
+// footprintBudget is how many (G_DS node, tuple) instances one batch's walk
+// up one G_DS may visit before the engine invalidates the DS relation
+// instead: a bulk load, or a change under a hub every subject reaches. Not
+// a setting; the traffic is nowhere near it. Measured on a scratch copy
+// logging every walk: mixed_write (seed 1, 14 s, 6,678 walks per G_DS)
+// visits 2.4 instances per batch up Author's G_DS (max 4) and 1.2 up Paper's
+// (max 2), 7 µs for both; TestMutationEquivalence's batches 11.3 (max 44) on
+// DBLP's Author, 2.6 (max 19) on TPC-H's Customer; a walk that gives up at
+// 1024 (TestFootprintInvalidation's bulk batch) held the lock 0.2–0.4 ms.
+const footprintBudget = 1024
+
+// stampFootprintLocked stamps the subjects the committed batch res can
+// reach in each registered G_DS and records the count in result. A DS
+// relation a compaction of this same call widened is left alone: res names
+// pre-compaction TupleIDs. Callers hold the write lock, epochs advanced.
+func (e *Engine) stampFootprintLocked(res relational.BatchResult, result *MutationResult) {
+	src := ostree.NewGraphSource(e.graph, nil)
+	for ds, gds := range e.baseGDS {
+		if result.Footprint[ds] == -1 {
+			continue
+		}
+		subjects, ok := src.Subjects(gds, res, footprintBudget)
+		if !ok {
+			e.widenLocked(ds, result)
+		} else if len(subjects) > 0 {
+			if e.subj[ds] == nil {
+				e.subj[ds] = make(map[relational.TupleID]uint64, len(subjects))
+			}
+			epoch := e.epochForLocked(ds)
+			for _, t := range subjects {
+				e.subj[ds][t] = epoch
+			}
+			result.Footprint[ds] = len(subjects)
+		}
+	}
 }
 
 // residualRefreshInterval bounds how many consecutive re-ranks may take
@@ -441,11 +484,11 @@ const overlayFoldMin = 4096
 // (inside Relation.Compact), keyword postings (keyword.Sharded.Remap),
 // normalized and raw score vectors, this batch's already-assigned insert
 // ids, and the data graph (rebuilt over the dense store, which also sheds
-// its overlay). Each compacted relation's epoch advances — its TupleIDs
-// changed meaning, so every summary whose G_DS reaches it must stop being
-// served. Callers hold the write lock. skipAnnotate elides the G_DS
-// re-annotation when the caller is about to re-rank, which redoes it
-// against the fresh scores anyway.
+// its overlay). Each compacted relation's epoch advances and every DS
+// relation whose G_DS reaches one is widened — the TupleIDs its cached trees
+// and subject stamps name changed meaning. Callers hold the write lock.
+// skipAnnotate elides the G_DS re-annotation when the caller is about to
+// re-rank, which redoes it against the fresh scores anyway.
 func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert, skipAnnotate bool) error {
 	remaps := make(map[string][]relational.TupleID, len(rels))
 	for _, rel := range rels {
@@ -471,6 +514,14 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 	}
 	if len(remaps) == 0 {
 		return nil
+	}
+	for ds, deps := range e.deps {
+		for _, rel := range deps {
+			if _, ok := remaps[rel]; ok {
+				e.widenLocked(ds, result)
+				break
+			}
+		}
 	}
 	for i, in := range inserts {
 		if remap, ok := remaps[in.Rel]; ok && i < len(result.Inserted) {
@@ -537,7 +588,7 @@ func (e *Engine) CompactNow() ([]string, error) {
 	if len(due) == 0 {
 		return nil, nil
 	}
-	result := MutationResult{Epochs: make(map[string]uint64)}
+	result := MutationResult{Epochs: make(map[string]uint64), Footprint: make(map[string]int)}
 	if err := e.compactLocked(due, &result, nil, false); err != nil {
 		return result.Compacted, err
 	}
@@ -551,18 +602,18 @@ func (e *Engine) CompactNow() ([]string, error) {
 
 // Epoch returns the current mutation epoch of one relation — the number of
 // mutation batches that touched it (plus one per re-ranked batch). Exposed
-// for observability; summary-cache keys use the per-DS aggregate.
+// for observability; cursors and single-flight keys use the per-DS aggregate.
 func (e *Engine) Epoch(rel string) uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.epochs[rel]
 }
 
-// EpochFor returns the invalidation epoch of one DS relation: the summed
-// epochs of every relation its G_DS can reach (the value summary-cache
-// keys embed). Request-coalescing layers fold it into their batching keys
-// so a request issued after a mutation can never join — and inherit the
-// result of — a pre-mutation computation.
+// EpochFor returns the dependency-set epoch of one DS relation: the summed
+// epochs of every relation its G_DS can reach (the value cursors embed).
+// Request-coalescing layers fold it into their batching keys so a request
+// issued after a mutation can never join — and inherit the result of — a
+// pre-mutation computation.
 func (e *Engine) EpochFor(dsRel string) uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

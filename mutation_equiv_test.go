@@ -25,6 +25,13 @@ package sizelos
 //     engine — whose bound tables the previous rounds' queries left warm —
 //     is bit-identical to the same query on an engine restored from the
 //     exported state. A bound table that outlived its epoch fails here.
+//  5. Cached≡rebuilt: the live engine serves with a summary cache that never
+//     evicts; before the first batch and after every batch, every live
+//     subject of every registered DS relation is summarized in two request
+//     shapes — served from the cache wherever the batches so far left the
+//     subject's stamp alone — and must equal the restored engine's summary
+//     bit for bit. A footprint walk that misses a subject a batch reached
+//     fails here; so does a stamp that survives a compaction.
 //
 // Seeded and reproducible: the default seed is fixed; set
 // SIZELOS_EQUIV_SEED to replay a failure. CI runs the harness under -race
@@ -33,6 +40,7 @@ package sizelos
 
 import (
 	"os"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -99,10 +107,14 @@ var equivWorkerCounts = []int{2, 4, 7}
 // identical database; each shadow is driven through the same batch stream
 // with its residual push pinned to that worker count and must serve
 // bit-identical scores to the serial primary on every re-ranked round.
-// restore and ranked (Rel, Query, K) drive invariant 4's ranked query.
+// restore rebuilds the reference engine of invariants 4 and 5; ranked (Rel,
+// Query, K) is invariant 4's query.
 func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int, mkShadow func() *Engine,
 	restore func(*EngineState) (*Engine, error), ranked QueryRequest) {
 	t.Logf("mutation-equivalence seed %d (replay: SIZELOS_EQUIV_SEED=%d)", seed, seed)
+	eng.EnableSummaryCache(1 << 20)
+	var sweep sweepStats
+	sweep.run(t, eng, rebuildFrom(t, eng, restore, -1), -1, false)
 	var shadows []*Engine
 	if mkShadow != nil {
 		eng.residualWorkers = 1
@@ -129,8 +141,10 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 		}
 		// Invariant 4, at an l that alternates below and above the previous
 		// round's so surviving profiles would be read both ways.
+		rebuilt := rebuildFrom(t, eng, restore, round)
 		ranked.RankBySummary, ranked.L = true, []int{9, 5, 14}[round%3]
-		rankedAfterBatch(t, eng, restore, round, ranked)
+		rankedAfterBatch(t, eng, rebuilt, round, ranked)
+		sweep.run(t, eng, rebuilt, round, !res.Reranked && len(res.Compacted) == 0)
 		if eng.Graph() != prevGraph {
 			// Only compaction or an overlay fold may swap the graph out.
 			graphRebuilds++
@@ -233,6 +247,90 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 	}
 	t.Logf("%d rounds, %d graph swaps (compactions/folds), final nodes %d, overlay %d",
 		rounds, graphRebuilds, eng.Graph().NumNodes(), eng.Graph().Patched())
+	// Invariant 5 proves the stamps are wide enough; this is the other half,
+	// that on plain batches they are a footprint and not the relation.
+	t.Logf("cache sweeps: %d plain rounds served %d of %d summaries from the cache (worst round %.2f)",
+		sweep.plainRounds, sweep.hits, sweep.lookups, sweep.worst)
+	if sweep.plainRounds == 0 || float64(sweep.hits) < 0.9*float64(sweep.lookups) {
+		t.Fatalf("plain batches left %d of %d swept summaries cached over %d rounds, want >= 90%%", sweep.hits, sweep.lookups, sweep.plainRounds)
+	}
+}
+
+// rebuildFrom restores an engine from the live one's exported state: the
+// reference of invariants 4 and 5.
+func rebuildFrom(t *testing.T, eng *Engine, restore func(*EngineState) (*Engine, error), round int) *Engine {
+	t.Helper()
+	st, _, err := eng.ExportState()
+	if err != nil {
+		t.Fatalf("round %d: ExportState: %v", round, err)
+	}
+	rebuilt, err := restore(st)
+	if err != nil {
+		t.Fatalf("round %d: restore: %v", round, err)
+	}
+	return rebuilt
+}
+
+// sweepShapes are invariant 5's two requests: the default prelim-l path and
+// the complete OS under another algorithm and l, so both tree sources and
+// two cache keys per subject ride every round.
+var sweepShapes = []QueryRequest{
+	{L: 10, Algorithm: AlgoTopPath},
+	{L: 6, Algorithm: AlgoBottomUp, Complete: true},
+}
+
+// sweepStats accumulates, over the rounds whose batch neither re-ranked nor
+// compacted, how much of invariant 5's sweep the cache served.
+type sweepStats struct {
+	plainRounds   int
+	hits, lookups uint64
+	worst         float64
+}
+
+// run is invariant 5 for one round: every live subject of every registered
+// DS relation, in every sweep shape, on the live engine against rebuilt.
+func (s *sweepStats) run(t *testing.T, eng, rebuilt *Engine, round int, plain bool) {
+	t.Helper()
+	before, _ := eng.SummaryCacheStats()
+	var rels []string
+	for ds := range eng.baseGDS {
+		rels = append(rels, ds)
+	}
+	sort.Strings(rels)
+	for _, ds := range rels {
+		r := eng.DB().Relation(ds)
+		for id := relational.TupleID(0); int(id) < r.Len(); id++ {
+			if r.Deleted(id) {
+				continue
+			}
+			for _, req := range sweepShapes {
+				req.Rel = ds
+				got, err := eng.SizeL(req, id)
+				if err != nil {
+					t.Fatalf("round %d: live SizeL(%s %d): %v", round, ds, id, err)
+				}
+				want, err := rebuilt.SizeL(req, id)
+				if err != nil {
+					t.Fatalf("round %d: rebuilt SizeL(%s %d): %v", round, ds, id, err)
+				}
+				if !sameSummary(got, want) {
+					t.Fatalf("round %d: %s %d (l=%d complete=%t): cached summary stale:\n%s\nrebuilt engine serves:\n%s",
+						round, ds, id, req.L, req.Complete, got.Text, want.Text)
+				}
+			}
+		}
+	}
+	if !plain {
+		return
+	}
+	after, _ := eng.SummaryCacheStats()
+	hits, lookups := after.Hits-before.Hits, after.Hits+after.Misses-before.Hits-before.Misses
+	s.plainRounds++
+	s.hits += hits
+	s.lookups += lookups
+	if share := float64(hits) / float64(lookups); s.plainRounds == 1 || share < s.worst {
+		s.worst = share
+	}
 }
 
 // dblpRanked is the DBLP harnesses' ranked query: a title word a few dozen
@@ -290,7 +388,6 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 		t.Fatalf("OpenDBLP: %v", err)
 	}
 	eng.compactMin, eng.compactRatio = 6, 0.01
-	eng.EnableSummaryCache(64)
 	seed := equivSeed(t) + 2
 	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil, RestoreDBLP, dblpRanked)
 	// The pipeline still serves correct summaries after all that churn.

@@ -96,9 +96,10 @@ func TestMutateFreshSearchResults(t *testing.T) {
 }
 
 // TestMutatePreciseInvalidation proves the cache forgets only what the
-// mutation can have changed: a Cites mutation rotates Author-rooted keys
-// (the Author G_DS reaches Cites) but keeps a Conference-rooted summary —
-// whose minimal G_DS touches only Conference and Year — warm.
+// mutation can have changed: a citation between two Faloutsos papers
+// rotates those authors' keys (the Author G_DS reaches Cites) but keeps a
+// Conference-rooted summary — whose minimal G_DS touches only Conference
+// and Year — warm.
 func TestMutatePreciseInvalidation(t *testing.T) {
 	eng := mutableDBLP(t)
 	confGDS := schemagraph.New("Conference")
@@ -123,7 +124,8 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 	warm() // both entries now cached and hit
 	before, _ := eng.SummaryCacheStats()
 
-	// Mutate Cites only: insert one citation between existing papers.
+	// Mutate Cites only: insert one citation between the first two papers,
+	// both written by Faloutsos brothers.
 	paperRel := eng.DB().Relation("Paper")
 	citesRel := eng.DB().Relation("Cites")
 	var maxCite int64
@@ -143,8 +145,8 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 		t.Fatalf("Mutate: %v", err)
 	}
 
-	// Conference entry must still hit; the Author entry must miss (its key
-	// rotated with the Cites epoch) and recompute.
+	// Conference entry must still hit; the entries of the two papers' authors
+	// must miss (the batch stamped them) and recompute.
 	if _, err := eng.SizeL(QueryRequest{Rel: "Conference", L: 4}, 0); err != nil {
 		t.Fatalf("Conference SizeL after mutation: %v", err)
 	}
@@ -162,6 +164,142 @@ func TestMutatePreciseInvalidation(t *testing.T) {
 	if after.Misses == mid.Misses {
 		t.Fatal("Author summaries were served from the pre-mutation cache")
 	}
+}
+
+// TestFootprintInvalidation drives each invalidation path on one engine and
+// checks, by cache hits and misses, that it forgets the subjects it must and
+// no others, and that whatever is served afterwards — from the cache or
+// recomputed — is the rebuilt engine's answer.
+func TestFootprintInvalidation(t *testing.T) {
+	eng := mutableDBLP(t)
+	eng.EnableSummaryCache(4096)
+	db := eng.DB()
+	author, writes := db.Relation("Author"), db.Relation("Writes")
+	req := QueryRequest{Rel: "Author", L: 8}
+	authors := func() (ids []relational.TupleID) {
+		for id := relational.TupleID(0); int(id) < author.Len(); id++ {
+			if !author.Deleted(id) {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	// probe summarizes every live author and returns those the cache did not
+	// serve; every answer must be the rebuilt engine's.
+	probe := func(when string) map[relational.TupleID]bool {
+		t.Helper()
+		st, _, err := eng.ExportState()
+		if err != nil {
+			t.Fatalf("%s: ExportState: %v", when, err)
+		}
+		rebuilt, err := RestoreDBLP(st)
+		if err != nil {
+			t.Fatalf("%s: RestoreDBLP: %v", when, err)
+		}
+		missed := make(map[relational.TupleID]bool)
+		for _, id := range authors() {
+			before, _ := eng.SummaryCacheStats()
+			got, err := eng.SizeL(req, id)
+			if err != nil {
+				t.Fatalf("%s: SizeL(Author %d): %v", when, id, err)
+			}
+			if after, _ := eng.SummaryCacheStats(); after.Misses != before.Misses {
+				missed[id] = true
+			}
+			if want, err := rebuilt.SizeL(req, id); err != nil || !sameSummary(got, want) {
+				t.Fatalf("%s: Author %d served\n%s\nrebuilt engine (err %v) serves\n%s", when, id, got.Text, err, want.Text)
+			}
+		}
+		return missed
+	}
+	wantMissed := func(when string, missed map[relational.TupleID]bool, want ...relational.TupleID) {
+		t.Helper()
+		ok := len(missed) == len(want)
+		for _, id := range want {
+			ok = ok && missed[id]
+		}
+		if !ok {
+			t.Fatalf("%s: cache missed authors %v, want exactly %v", when, missed, want)
+		}
+	}
+	mutate := func(when string, b MutationBatch, wantAuthors int) {
+		t.Helper()
+		res, err := eng.Mutate(b)
+		if err != nil {
+			t.Fatalf("%s: Mutate: %v", when, err)
+		}
+		if got := res.Footprint["Author"]; got != wantAuthors {
+			t.Fatalf("%s: Footprint = %v, want Author: %d", when, res.Footprint, wantAuthors)
+		}
+	}
+	iv, sv := relational.IntVal, relational.StrVal
+	if n := len(probe("cold")); n != len(authors()) {
+		t.Fatalf("cold sweep missed %d of %d authors", n, len(authors()))
+	}
+	wantMissed("warm", probe("warm"))
+
+	// A new paper by author a reaches a and nobody else.
+	a := relational.TupleID(5)
+	year := db.Relation("Paper").Tuples[0][1].Int
+	mutate("insert paper", MutationBatch{Inserts: []TupleInsert{
+		{Rel: "Paper", Tuple: relational.Tuple{iv(930001), iv(year), sv("Footprints In Fresh Snow")}},
+		{Rel: "Writes", Tuple: relational.Tuple{iv(930002), iv(930001), iv(author.PK(a))}},
+	}}, 1)
+	wantMissed("insert paper", probe("insert paper"), a)
+
+	// Retracting one author of a two-author paper reaches both: the one who
+	// lost the paper and the one who lost the co-author.
+	byPaper := make(map[int64][]relational.TupleID)
+	for row := relational.TupleID(0); int(row) < writes.Len(); row++ {
+		byPaper[writes.Tuples[row][1].Int] = append(byPaper[writes.Tuples[row][1].Int], row)
+	}
+	var rows []relational.TupleID
+	for pk := int64(1); len(rows) != 2; pk++ {
+		rows = byPaper[pk]
+	}
+	var pair []relational.TupleID
+	for _, row := range rows {
+		id, _ := author.LookupPK(writes.Tuples[row][2].Int)
+		pair = append(pair, id)
+	}
+	mutate("delete writes", MutationBatch{Deletes: []TupleDelete{{Rel: "Writes", PK: writes.PK(rows[0])}}}, 2)
+	wantMissed("delete writes", probe("delete writes"), pair...)
+
+	// A rejected batch stamps nothing.
+	if _, err := eng.Mutate(MutationBatch{Inserts: []TupleInsert{
+		{Rel: "Writes", Tuple: relational.Tuple{iv(930003), iv(930001), iv(author.PK(a))}},
+		{Rel: "Writes", Tuple: relational.Tuple{iv(930004), iv(999999999), iv(author.PK(a))}},
+	}}); err == nil {
+		t.Fatal("batch with a dangling paper key was accepted")
+	}
+	wantMissed("rejected batch", probe("rejected batch"))
+
+	// A batch whose walk outgrows the budget: one fresh paper per row, so
+	// every row adds a (Paper node, tuple) instance of its own.
+	var big MutationBatch
+	for i := int64(0); i <= footprintBudget; i++ {
+		big.Inserts = append(big.Inserts,
+			TupleInsert{Rel: "Paper", Tuple: relational.Tuple{iv(940000 + i), iv(year), sv("Bulk Load")}},
+			TupleInsert{Rel: "Writes", Tuple: relational.Tuple{iv(950000 + i), iv(940000 + i), iv(author.PK(a))}})
+	}
+	mutate("over budget", big, -1)
+	wantMissed("over budget", probe("over budget"), authors()...)
+
+	// A re-rank that changes scores reaches everything.
+	mutate("rerank", MutationBatch{Rerank: true}, -1)
+	wantMissed("rerank", probe("rerank"), authors()...)
+	// One that changes nothing reaches nothing.
+	if res, err := eng.Mutate(MutationBatch{Rerank: true}); err != nil || len(res.Footprint) != 0 {
+		t.Fatalf("no-op rerank: footprint %v, err %v", res.Footprint, err)
+	}
+	wantMissed("no-op rerank", probe("no-op rerank"))
+
+	// CompactNow moves TupleIDs under every cached tree of a G_DS that
+	// reaches a compacted relation (Writes carries the tombstone from above).
+	if compacted, err := eng.CompactNow(); err != nil || len(compacted) == 0 {
+		t.Fatalf("CompactNow = %v, %v; want Writes compacted", compacted, err)
+	}
+	wantMissed("compact", probe("compact"), authors()...)
 }
 
 // TestMutateRerank verifies Rerank recomputes global importance (the new

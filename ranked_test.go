@@ -426,8 +426,9 @@ func FuzzQueryCursor(f *testing.F) {
 // rankedAfterBatch is TestMutationEquivalence's ranked leg: one top-k on the
 // live engine — whose bound tables earlier rounds warmed, so a table that
 // outlived its epoch would order and seal by stale weights — against the
-// same query on an engine restored from the live one's exported state.
-func rankedAfterBatch(t *testing.T, eng *Engine, restore func(*EngineState) (*Engine, error), round int, req QueryRequest) {
+// same query on rebuilt, an engine restored from the live one's exported
+// state.
+func rankedAfterBatch(t *testing.T, eng, rebuilt *Engine, round int, req QueryRequest) {
 	t.Helper()
 	got, _, stats, err := eng.QueryPage(req)
 	if err != nil {
@@ -435,14 +436,6 @@ func rankedAfterBatch(t *testing.T, eng *Engine, restore func(*EngineState) (*En
 	}
 	if stats.Matches != stats.Summaries+stats.Sealed+stats.Skipped {
 		t.Fatalf("round %d: ranked stats %+v do not add up", round, stats)
-	}
-	st, _, err := eng.ExportState()
-	if err != nil {
-		t.Fatalf("round %d: ExportState: %v", round, err)
-	}
-	rebuilt, err := restore(st)
-	if err != nil {
-		t.Fatalf("round %d: restore: %v", round, err)
 	}
 	want, _, _, err := rebuilt.QueryPage(req)
 	if err != nil {
@@ -453,18 +446,22 @@ func rankedAfterBatch(t *testing.T, eng *Engine, restore func(*EngineState) (*En
 	}
 }
 
-// sameRanking compares two engines' pages field by field (their Trees point
-// into different databases, so DeepEqual would walk both stores).
+// sameRanking compares two engines' pages summary by summary.
 func sameRanking(got, want []Summary) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d summaries, want %d", len(got), len(want))
 	}
 	for i := range got {
-		g, w := got[i], want[i]
-		if g.Tuple != w.Tuple || g.Headline != w.Headline || g.Text != w.Text ||
-			g.Result.Importance != w.Result.Importance || !reflect.DeepEqual(g.Result.Nodes, w.Result.Nodes) {
+		if g, w := got[i], want[i]; !sameSummary(g, w) {
 			return fmt.Errorf("rank %d: tuple %d (Im %v), want tuple %d (Im %v)", i, g.Tuple, g.Result.Importance, w.Tuple, w.Result.Importance)
 		}
 	}
 	return nil
+}
+
+// sameSummary compares two engines' summaries field by field (their Trees
+// point into different databases, so DeepEqual would walk both stores).
+func sameSummary(g, w Summary) bool {
+	return g.Tuple == w.Tuple && g.Headline == w.Headline && g.Text == w.Text &&
+		g.Result.Importance == w.Result.Importance && reflect.DeepEqual(g.Result.Nodes, w.Result.Nodes)
 }
