@@ -630,6 +630,7 @@ func BenchmarkMutateIncremental(b *testing.B) {
 			}
 			paper := db.Relation("Paper")
 			prev := int64(0)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				*next++
@@ -671,9 +672,6 @@ func BenchmarkMutateIncremental(b *testing.B) {
 // (watched by the bench gate), each variant reports node-score updates per
 // op — the hardware-independent work metric on which residual mode's
 // acceptance bar is >=5x fewer (TestResidualUpdateSavings asserts it).
-// The high-damping d3 stress setting is excluded by construction: its slow
-// convergence modes trip the residual push budget and fall back, which
-// would just re-measure the warm path twice.
 func BenchmarkRerankResidual(b *testing.B) {
 	stream := func(residual bool) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -690,6 +688,7 @@ func BenchmarkRerankResidual(b *testing.B) {
 			paper := db.Relation("Paper")
 			prev := int64(0)
 			updates := 0
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				*next++

@@ -23,11 +23,8 @@ import (
 	"fmt"
 
 	"sizelos/internal/datagen"
-	"sizelos/internal/datagraph"
-	"sizelos/internal/keyword"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
-	"sizelos/internal/schemagraph"
 )
 
 // MutationLog is the durability hook Engine.Mutate appends to: a redo log
@@ -84,7 +81,7 @@ type EngineState struct {
 	DB []byte
 	// RawScores are the unnormalized converged score vectors per setting —
 	// the warm-start seeds. The normalized serving copies are derived
-	// (normalizeCopy) and not persisted.
+	// (normalizeInto) and not persisted.
 	RawScores map[string]relational.DBScores
 	// Epochs are the per-relation cache-invalidation counters.
 	Epochs map[string]uint64
@@ -183,43 +180,11 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 // residual-push re-ranking armed off (first re-rank runs the warm full
 // iteration, which re-arms it), exactly like an engine that just compacted.
 func NewEngineRanked(db *relational.DB, settings []Setting, raw map[string]relational.DBScores) (*Engine, error) {
-	if len(settings) == 0 {
-		return nil, fmt.Errorf("sizelos: at least one ranking setting required")
-	}
-	g, err := datagraph.Build(db)
-	if err != nil {
-		return nil, fmt.Errorf("sizelos: build data graph: %w", err)
-	}
-	e := &Engine{
-		db:              db,
-		graph:           g,
-		index:           keyword.BuildSharded(db, keyword.ShardedOptions{}),
-		settings:        append([]Setting(nil), settings...),
-		gds:             make(map[string]map[string]*schemagraph.GDS),
-		baseGDS:         make(map[string]*schemagraph.GDS),
-		epochs:          make(map[string]uint64, len(db.Relations)),
-		deps:            make(map[string][]string),
-		wide:            make(map[string]uint64),
-		subj:            make(map[string]map[relational.TupleID]uint64),
-		coldIters:       make(map[string]int, len(settings)),
-		compactMin:      DefaultCompactMinTombstones,
-		compactRatio:    DefaultCompactRatio,
-		pending:         make(map[*rank.GA]*rank.Pending),
-		residualEnabled: true,
-		annMax:          make(map[string]map[string]map[string]float64),
-	}
-	for _, r := range db.Relations {
-		e.epochs[r.Name] = 0
-	}
-	plans, err := compilePlans(g, e.settings)
+	e, err := newUnrankedEngine(db, settings)
 	if err != nil {
 		return nil, err
 	}
-	e.plans = plans
 	normMax := rank.DefaultOptions().NormalizeMax
-	e.scores = make(map[string]relational.DBScores, len(settings))
-	e.rawScores = make(map[string]relational.DBScores, len(settings))
-	e.relMax = make(map[string]map[string]float64, len(settings))
 	for _, s := range settings {
 		sc, ok := raw[s.Name]
 		if !ok {
@@ -238,13 +203,8 @@ func NewEngineRanked(db *relational.DB, settings []Setting, raw map[string]relat
 			cp[rel] = append(relational.Scores(nil), v...)
 		}
 		e.rawScores[s.Name] = cp
-		e.scores[s.Name], e.relMax[s.Name] = normalizeCopy(cp, normMax)
+		e.scores[s.Name], e.relMax[s.Name] = normalizeInto(nil, cp, normMax)
 	}
-	// No residual deltas describe the gap between these vectors and future
-	// mutations' (there is no gap yet, but the pending bookkeeping starts
-	// empty and unarmed exactly like after a compaction): the first re-rank
-	// runs the warm full iteration and re-arms the residual path.
-	e.residualOK = false
 	return e, nil
 }
 

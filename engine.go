@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,8 +132,8 @@ type Engine struct {
 	// means the rank package default (4× the node count); only in-package
 	// tests set it.
 	residualBudget int
-	// residualWorkers pins the residual push's owner-tile worker count: 0
-	// (what every engine serves with) sizes by GOMAXPROCS, 1 forces serial.
+	// residualWorkers pins a re-rank's worker count (rank.Options.Parallel):
+	// 0 (what every engine serves with) sizes by GOMAXPROCS, 1 forces serial.
 	// Every count produces bit-identical scores; only the in-package
 	// equivalence harness and benchmarks set it.
 	residualWorkers int
@@ -144,7 +145,7 @@ type Engine struct {
 	// scores per setting name, normalized for presentation (NormalizeMax).
 	scores map[string]relational.DBScores
 	// rawScores per setting name: the unnormalized converged vectors, kept
-	// solely to warm-start the next re-rank's power iteration — a rescaled
+	// for the next re-rank to repair in place or warm-start from — a rescaled
 	// vector would sit far from the fixed point (rank.Options.Warm).
 	rawScores map[string]relational.DBScores
 	// relMax[setting][rel] is the maximum normalized score of rel under
@@ -213,6 +214,25 @@ type Engine struct {
 // dampings share one compilation) and the independent settings' power
 // iterations run concurrently.
 func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
+	e, err := newUnrankedEngine(db, settings)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := e.rankSettings(false)
+	if err != nil {
+		return nil, err
+	}
+	e.residualOK = true
+	for name, st := range stats {
+		e.coldIters[name] = st.Iterations
+	}
+	return e, nil
+}
+
+// newUnrankedEngine is an engine with everything but scores: data graph,
+// keyword index, compiled plans and empty score tables. Its residual path
+// is unarmed (residualOK false) until a full convergence arms it.
+func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 	if len(settings) == 0 {
 		return nil, fmt.Errorf("sizelos: at least one ranking setting required")
 	}
@@ -237,25 +257,15 @@ func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		pending:         make(map[*rank.GA]*rank.Pending),
 		residualEnabled: true,
 		annMax:          make(map[string]map[string]map[string]float64),
+		scores:          make(map[string]relational.DBScores, len(settings)),
+		rawScores:       make(map[string]relational.DBScores, len(settings)),
+		relMax:          make(map[string]map[string]float64, len(settings)),
 	}
 	for _, r := range db.Relations {
 		e.epochs[r.Name] = 0
 	}
-	plans, err := compilePlans(g, e.settings)
-	if err != nil {
+	if e.plans, err = compilePlans(g, e.settings); err != nil {
 		return nil, err
-	}
-	e.plans = plans
-	scores, raw, relMax, stats, err := computeScores(e.plans, e.settings, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.scores = scores
-	e.rawScores = raw
-	e.relMax = relMax
-	e.residualOK = true
-	for name, st := range stats {
-		e.coldIters[name] = st.Iterations
 	}
 	return e, nil
 }
@@ -300,86 +310,119 @@ const (
 	DefaultCompactRatio         = 0.5
 )
 
-// computeScores runs every setting's power iteration concurrently over the
-// precompiled plans, returning the normalized score table served to
-// queries, the raw converged vectors (the warm-start seeds of the next
-// re-rank), the per-setting per-relation maxima of the normalized copies
-// (the Max/MMax annotation inputs) and the per-setting iteration stats.
-// warm, when non-nil, supplies each setting's prior raw vector so the
-// iteration starts at the old fixed point instead of uniform — the
-// difference between converging in a handful of iterations and paying the
-// full cold-start cost after every mutation batch.
-func computeScores(plansByGA map[*rank.GA]*rank.Plans, settings []Setting, warm map[string]relational.DBScores) (norm, raw map[string]relational.DBScores, relMax map[string]map[string]float64, stats map[string]rank.Stats, err error) {
-	run := func(s Setting, opts rank.Options) (relational.DBScores, rank.Stats, error) {
-		return plansByGA[s.GA].Run(opts)
+// rankSettings brings every setting's three tables up to date with the
+// graph: the raw converged vectors (what the next re-rank starts from), the
+// normalized copy served to queries, and that copy's per-relation maxima
+// (the Max/MMax annotation inputs). A setting runs the power iteration —
+// cold without a raw table, warm from it otherwise — or, when residual is
+// set, has its raw table repaired in place by the residual push over the
+// pending deltas; then it normalizes its own result, while the vectors are
+// still in that core's cache.
+//
+// At most GOMAXPROCS settings run at once: each sizes its own workers by
+// GOMAXPROCS already, so more would only queue, and it caps the push
+// scratches the plans hold. Settings do not read each other's results, so
+// the cap changes nothing observable. Callers hold the write lock (or are
+// still constructing e); an error leaves the tables half updated.
+func (e *Engine) rankSettings(residual bool) (map[string]rank.Stats, error) {
+	type result struct {
+		raw, served relational.DBScores
+		relMax      map[string]float64
+		stats       rank.Stats
+		err         error
 	}
-	return runSettings(settings, warm, run)
-}
-
-// runSettings executes one scoring function per setting concurrently and
-// assembles the score tables computeScores documents. run must return raw
-// (unnormalized) converged scores.
-func runSettings(settings []Setting, warm map[string]relational.DBScores, run func(Setting, rank.Options) (relational.DBScores, rank.Stats, error)) (norm, raw map[string]relational.DBScores, relMax map[string]map[string]float64, stats map[string]rank.Stats, err error) {
-	rawResults := make([]relational.DBScores, len(settings))
-	statResults := make([]rank.Stats, len(settings))
-	errs := make([]error, len(settings))
-	var wg sync.WaitGroup
-	for i, s := range settings {
-		wg.Add(1)
-		go func(i int, s Setting) {
-			defer wg.Done()
-			opts := rank.DefaultOptions()
-			opts.Damping = s.Damping
-			// Run unnormalized: the raw fixed point is what the next warm
-			// start must seed from. Presentation scaling happens below.
-			opts.NormalizeMax = 0
-			opts.Warm = warm[s.Name]
-			sc, st, err := run(s, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("sizelos: setting %s: %w", s.Name, err)
-				return
+	results := make([]result, len(e.settings))
+	// One setting of each G_A goes first: after an Apply the first Run over
+	// a Plans rebuilds its pull transpose while the other settings of that
+	// G_A wait for it, so the rebuilds should overlap each other, not their
+	// own waiters.
+	work := make(chan int, len(e.settings))
+	for _, leads := range []bool{true, false} {
+		seen := make(map[*rank.GA]bool, len(e.plans))
+		for i, s := range e.settings {
+			if seen[s.GA] != leads {
+				work <- i
 			}
-			if !st.Converged {
-				errs[i] = fmt.Errorf("sizelos: setting %s did not converge after %d iterations", s.Name, st.Iterations)
-				return
-			}
-			rawResults[i] = sc
-			statResults[i] = st
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, nil, nil, err
+			seen[s.GA] = true
 		}
 	}
-	norm = make(map[string]relational.DBScores, len(settings))
-	raw = make(map[string]relational.DBScores, len(settings))
-	relMax = make(map[string]map[string]float64, len(settings))
-	stats = make(map[string]rank.Stats, len(settings))
+	close(work)
 	normMax := rank.DefaultOptions().NormalizeMax
-	for i, s := range settings {
-		raw[s.Name] = rawResults[i]
-		stats[s.Name] = statResults[i]
-		norm[s.Name], relMax[s.Name] = normalizeCopy(rawResults[i], normMax)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(e.settings)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				s, res := e.settings[i], &results[i]
+				opts := rank.DefaultOptions()
+				opts.Damping = s.Damping
+				// Run unnormalized: the raw fixed point is what the next
+				// re-rank must start from.
+				opts.NormalizeMax = 0
+				opts.Warm, opts.ResidualBudget, opts.Parallel = e.rawScores[s.Name], e.residualBudget, e.residualWorkers
+				if residual {
+					res.raw, res.stats, res.err = e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
+				} else {
+					res.raw, res.stats, res.err = e.plans[s.GA].Run(opts)
+				}
+				if res.err == nil && !res.stats.Converged {
+					res.err = fmt.Errorf("did not converge after %d iterations", res.stats.Iterations)
+				}
+				if res.err == nil {
+					res.served, res.relMax = normalizeInto(e.scores[s.Name], res.raw, normMax)
+				}
+			}
+		}()
 	}
-	return norm, raw, relMax, stats, nil
+	wg.Wait()
+	stats := make(map[string]rank.Stats, len(e.settings))
+	for i, s := range e.settings {
+		res := &results[i]
+		if res.err != nil {
+			return nil, fmt.Errorf("sizelos: setting %s: %w", s.Name, res.err)
+		}
+		e.rawScores[s.Name], e.scores[s.Name], e.relMax[s.Name] = res.raw, res.served, res.relMax
+		stats[s.Name] = res.stats
+	}
+	return stats, nil
 }
 
-// normalizeCopy returns a presentation copy of raw rescaled so the global
-// maximum equals normMax, plus the per-relation maxima of the rescaled
-// copy — the single pass that feeds both serving and G_DS annotation.
-func normalizeCopy(raw relational.DBScores, normMax float64) (relational.DBScores, map[string]float64) {
-	scaled := make(relational.DBScores, len(raw))
+// normalizeInto writes raw, rescaled so that its global maximum is normMax
+// (as is when every score is zero), over served — the table a previous call
+// returned, rewritten in place wherever its vectors have the room, or nil —
+// and returns it with the per-relation maxima of the rescaled scores: the
+// arithmetic of rank.Normalize and MaxScore over a copy, without the copy.
+func normalizeInto(served, raw relational.DBScores, normMax float64) (relational.DBScores, map[string]float64) {
+	top := 0.0
+	for _, sc := range raw {
+		top = max(top, sc.MaxScore())
+	}
+	f := 1.0
+	if top > 0 && normMax > 0 {
+		f = normMax / top
+	}
+	if served == nil {
+		served = make(relational.DBScores, len(raw))
+	}
+	maxes := make(map[string]float64, len(raw))
 	for rel, sc := range raw {
-		scaled[rel] = append(relational.Scores(nil), sc...)
+		out := served[rel]
+		if cap(out) < len(sc) {
+			out = make(relational.Scores, len(sc))
+		}
+		out = out[:len(sc)]
+		m := 0.0
+		for i, v := range sc {
+			v *= f
+			out[i] = v
+			if v > m {
+				m = v
+			}
+		}
+		served[rel], maxes[rel] = out, m
 	}
-	rank.Normalize(scaled, normMax)
-	maxes := make(map[string]float64, len(scaled))
-	for rel, sc := range scaled {
-		maxes[rel] = sc.MaxScore()
-	}
-	return scaled, maxes
+	return served, maxes
 }
 
 // RegisterGDS installs a Data Subject Schema Graph; one annotated clone is
@@ -421,7 +464,7 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 }
 
 // annotateLocked clones gds once per setting, annotates each clone from
-// that setting's per-relation maxima (the single table normalizeCopy
+// that setting's per-relation maxima (the single table normalizeInto
 // produced; no per-node score-vector scans) and records the maxima each
 // clone was built from as the future moved-input baseline. Callers hold
 // the write lock.
@@ -546,8 +589,10 @@ func (e *Engine) Graph() *datagraph.Graph {
 }
 
 // Scores returns the global importance of a setting. The returned table is
-// live: a later Mutate may extend its per-relation vectors in place, so
-// don't read it concurrently with mutations.
+// live: a later Mutate extends its per-relation vectors in place and a
+// re-ranking one rewrites every score in them in place, so don't read it
+// concurrently with mutations, and re-fetch (or copy) it to compare scores
+// across one.
 func (e *Engine) Scores(setting string) (relational.DBScores, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -24,13 +24,13 @@
 // *Plans — per-flow CSR push plans, one contiguous score arena, and a
 // per-destination pull transpose. Plans.Run is the power iteration (cold or
 // warm); Plans.Apply splices a committed mutation batch into the compiled
-// rows; Plans.RunResidual repairs the prior fixed point with a localized
-// Gauss–Southwell residual push (residual.go has the math, parallel.go the
-// round schedule) and has one safety net: when the seeded residual is too
-// large or the push budget runs out, the same call returns Plans.Run
-// warm-started from the prior instead. What one entry of a source row
-// transfers is written once (split, in rank.go); the push, the residual
-// seeding and the pull transpose all read it there.
+// rows; Plans.RunResidual repairs the prior fixed point, in the caller's
+// own vectors, with a localized Gauss–Southwell residual push (residual.go
+// has the math, parallel.go the round schedule) and has one safety net:
+// when the seeded residual is too large or the push budget runs out, the
+// same call returns Plans.Run warm-started from the prior instead. What one
+// entry of a source row transfers is written once (split, in rank.go); the
+// push, the residual seeding and the pull transpose all read it there.
 //
 // # Invariants
 //
@@ -39,6 +39,12 @@
 //     moves a vector far from the fixed point; feeding it back as a warm
 //     start squanders the head start, and feeding it to RunResidual breaks
 //     the residual-seeding identity outright. Callers keep two tables.
+//   - RunResidual writes no score until its push has drained: a completed
+//     repair returns Options.Warm itself, rewritten in place, and a
+//     fallback returns exactly Plans.Run over the untouched prior. It
+//     allocates, clears and copies nothing of arena size: the residual
+//     vector and the node marks are a scratch of the Plans', all-zero
+//     between repairs and zeroed by walking the nodes the repair wrote.
 //   - Plans.Run is bit-for-bit deterministic at every Options.Parallel
 //     setting: each destination's contributions are summed by exactly one
 //     worker in the canonical order (plan ordinal, source ascending, target

@@ -49,7 +49,7 @@ func FuzzResidualPartition(f *testing.F) {
 			n %= 1 << 20 // keep arenas allocatable; negatives stay negative
 		}
 		seeds := fuzzSeedsFromBytes(data, n)
-		regions := partitionResidual(seeds, n, tiles)
+		regions := partitionResidual(nil, seeds, n, tiles)
 
 		if n <= 0 {
 			if len(regions) != 0 {

@@ -12,6 +12,7 @@ package rank
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sizelos/internal/datagraph"
@@ -120,14 +121,25 @@ func ringMutated(t *testing.T, papers, fanout, nIns int, rate, damping float64) 
 	return ps, pending, prior
 }
 
-// runResidualAt runs one residual repair with the worker count pinned.
-// RunResidual leaves pending untouched, so one delta serves every count.
+// cloneScores deep-copies a score table: RunResidual repairs its prior in
+// place, so a test that repairs one prior more than once hands out copies.
+func cloneScores(sc relational.DBScores) relational.DBScores {
+	out := make(relational.DBScores, len(sc))
+	for rel, s := range sc {
+		out[rel] = append(relational.Scores(nil), s...)
+	}
+	return out
+}
+
+// runResidualAt runs one residual repair of a copy of prior with the worker
+// count pinned. RunResidual leaves pending untouched, so one delta serves
+// every count.
 func runResidualAt(t *testing.T, ps *Plans, pending *Pending, prior relational.DBScores, damping float64, workers, budget int) (relational.DBScores, Stats) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Damping = damping
 	opts.NormalizeMax = 0
-	opts.Warm = prior
+	opts.Warm = cloneScores(prior)
 	opts.Parallel = workers
 	opts.ResidualBudget = budget
 	sc, st, err := ps.RunResidual(pending, opts)
@@ -158,23 +170,142 @@ func requireBitIdentical(t *testing.T, label string, a, b relational.DBScores) {
 // count — the no-op edge of the scheduler.
 func TestRunPushRoundsEmptyFrontier(t *testing.T) {
 	_, _, ps := ringFixture(t, 50, 2, 0.7)
-	relOf := make([]int32, ps.n)
-	for ri := range ps.relOff[:len(ps.relOff)-1] {
-		for i := ps.relOff[ri]; i < ps.relOff[ri+1]; i++ {
-			relOf[i] = int32(ri)
-		}
-	}
 	for _, workers := range []int{1, 2, 7} {
-		cur := make([]float64, ps.n)
-		r := make([]float64, ps.n)
+		pr := &pushRun{ps: ps, sc: ps.takeScratch(), d: 0.85}
 		var stats Stats
-		if !ps.runPushRounds(cur, r, relOf, nil, 0.85, 1e-9, 4*ps.n, workers, &stats) {
+		if !pr.runPushRounds(1e-9, 4*ps.n, workers, &stats) {
 			t.Fatalf("workers=%d: empty frontier reported budget exhaustion", workers)
 		}
 		if stats.Rounds != 0 || stats.Pushes != 0 || stats.Handoffs != 0 {
 			t.Fatalf("workers=%d: empty frontier did work: %+v", workers, stats)
 		}
+		ps.putScratch(pr.sc)
+		requireScratchZero(t, ps)
 	}
+}
+
+// requireScratchZero scans every scratch on the Plans' free list in full:
+// between repairs the residual vector and the marks are all-zero and the
+// dirty list is empty, whatever the last repair did.
+func requireScratchZero(t *testing.T, ps *Plans) {
+	t.Helper()
+	if len(ps.scratchFree) == 0 {
+		t.Fatal("no scratch on the free list")
+	}
+	for k, sc := range ps.scratchFree {
+		if len(sc.r) < ps.n || len(sc.mark) < ps.n {
+			t.Fatalf("scratch %d covers %d/%d of %d nodes", k, len(sc.r), len(sc.mark), ps.n)
+		}
+		if len(sc.dirty) != 0 {
+			t.Fatalf("scratch %d: %d nodes left on the dirty list", k, len(sc.dirty))
+		}
+		for v := range sc.r {
+			if sc.r[v] != 0 || sc.mark[v] != 0 {
+				t.Fatalf("scratch %d: node %d left r=%v mark=%b", k, v, sc.r[v], sc.mark[v])
+			}
+		}
+	}
+}
+
+// TestResidualScratchAndFallbackInvariants walks every way a RunResidual
+// can end — drained by direct rounds only, drained through tiled rounds, a
+// seed-mass trip before any round, a budget trip mid-push at d = 0.85 and
+// at d = 0.99 — and holds each to the same contract: the Plans' one scratch
+// is back all-zero, the same call from another copy of the prior returns
+// the same bits, a drained repair hands back the very table it was given,
+// and a trip returns bit for bit what Plans.Run returns over the original
+// prior while the table it was given is exactly as it was.
+func TestResidualScratchAndFallbackInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		nIns          int
+		rate, damping float64
+		workers       int
+		budget        int
+		check         func(t *testing.T, st Stats)
+	}{
+		{"drained, direct rounds only", 8, 0.7, 0.85, 4, 0, func(t *testing.T, st Stats) {
+			if st.Fallback || st.Rounds == 0 || st.Handoffs != 0 {
+				t.Fatalf("want a push that never tiled: %+v", st)
+			}
+		}},
+		{"drained, tiled rounds", 150, 0.7, 0.85, 4, 0, func(t *testing.T, st Stats) {
+			if st.Fallback || st.Handoffs == 0 {
+				t.Fatalf("want a push with at least one tiled round: %+v", st)
+			}
+		}},
+		{"seed-mass trip", 1500, 0.7, 0.85, 4, 0, func(t *testing.T, st Stats) {
+			if !st.Fallback || st.Rounds != 0 {
+				t.Fatalf("want a trip before the first round: %+v", st)
+			}
+		}},
+		{"budget trip mid-push, d=0.85", 150, 0.7, 0.85, 4, 3000, func(t *testing.T, st Stats) {
+			if !st.Fallback || st.Rounds == 0 || st.Handoffs == 0 {
+				t.Fatalf("want a trip after tiled rounds ran: %+v", st)
+			}
+		}},
+		{"budget trip mid-push, d=0.99", 150, 0.9, 0.99, 4, 0, func(t *testing.T, st Stats) {
+			if !st.Fallback || st.Rounds == 0 {
+				t.Fatalf("want a trip after rounds ran: %+v", st)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps, pending, prior := ringMutated(t, 1500, 2, tc.nIns, tc.rate, tc.damping)
+			opts := DefaultOptions()
+			opts.Damping = tc.damping
+			opts.NormalizeMax = 0
+			opts.Parallel = tc.workers
+			opts.ResidualBudget = tc.budget
+
+			opts.Warm = cloneScores(prior)
+			got, st, err := ps.RunResidual(pending, opts)
+			if err != nil || !st.Converged {
+				t.Fatalf("RunResidual: err=%v stats=%+v", err, st)
+			}
+			tc.check(t, st)
+			if len(ps.scratchFree) != 1 {
+				t.Fatalf("%d scratches after one repair", len(ps.scratchFree))
+			}
+			requireScratchZero(t, ps)
+
+			if !st.Fallback {
+				if reflect.ValueOf(got).Pointer() != reflect.ValueOf(opts.Warm).Pointer() {
+					t.Fatal("a drained repair returned a table other than Options.Warm")
+				}
+			} else {
+				requireSameTable(t, "prior after a trip", prior, opts.Warm)
+				full := opts
+				full.Warm = cloneScores(prior)
+				want, _, err := ps.Run(full)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				requireSameTable(t, "fallback vs Plans.Run", want, got)
+			}
+
+			opts.Warm = cloneScores(prior)
+			again, st2, err := ps.RunResidual(pending, opts)
+			if err != nil {
+				t.Fatalf("second RunResidual: %v", err)
+			}
+			if st2 != st {
+				t.Fatalf("second call's stats moved: %+v vs %+v", st2, st)
+			}
+			requireSameTable(t, "second call", got, again)
+			requireScratchZero(t, ps)
+		})
+	}
+}
+
+// requireSameTable is requireBitIdentical both ways round: the same
+// relations, the same lengths, the same bits.
+func requireSameTable(t *testing.T, label string, a, b relational.DBScores) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d relations", label, len(a), len(b))
+	}
+	requireBitIdentical(t, label, a, b)
 }
 
 // TestResidualParallelBitExactAcrossWorkers is the core scheduling

@@ -3,7 +3,6 @@ package rank
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"sizelos/internal/datagraph"
@@ -44,15 +43,21 @@ type Plans struct {
 	// 1/outdegree, or the value-proportional ValueRank weight), so one
 	// fused multiply-add per contribution is the whole push phase.
 	//
-	// The pull arrays are derived state, rebuilt lazily after Apply
-	// invalidates them (pullOnce is swapped for a fresh sync.Once): the
-	// residual path never needs them, so a mutation stream that stays on
-	// residual re-ranks never pays the transpose.
+	// The pull arrays are derived state, released when Apply invalidates
+	// them and rebuilt lazily (pullOnce is swapped for a fresh sync.Once):
+	// the residual path never needs them, so a mutation stream that stays
+	// on residual re-ranks neither pays the transpose nor holds a stale one.
 	pullOff  []int32
 	pullSrc  []int32
 	pullW    []float64
 	pullOnce *sync.Once
 	pullErr  error
+
+	// scratchFree holds the arena-sized working state of residual repairs
+	// (pushScratch), all-zero while it sits here: as many as repairs ever
+	// ran at once over these plans, gone when the plans are.
+	scratchMu   sync.Mutex
+	scratchFree []*pushScratch
 }
 
 // Compile resolves ga's flows against the data graph into reusable push
@@ -177,10 +182,6 @@ func (ps *Plans) NumPlans() int { return len(ps.plans) }
 // NumNodes reports the arena size (total tuples across all relations).
 func (ps *Plans) NumNodes() int { return ps.n }
 
-// NumContribs reports the total per-iteration contribution count (the edge
-// work of one push phase).
-func (ps *Plans) NumContribs() int { return len(ps.pullSrc) }
-
 // Run executes the power iteration over the compiled plans. Options
 // semantics match Compute, except ValueFunc is ignored (it was baked in at
 // Compile time). Safe to call concurrently on the same *Plans.
@@ -209,17 +210,7 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 		return relational.DBScores{}, Stats{Converged: true}, nil
 	}
 
-	workers := opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		// Auto mode: a tiny arena iterates faster than goroutines spawn.
-		if ps.n < 4096 {
-			workers = 1
-		}
-	}
-	if workers > ps.n {
-		workers = ps.n
-	}
+	workers := resolveWorkers(opts.Parallel, ps.n)
 
 	cur := make([]float64, ps.n)
 	next := make([]float64, ps.n)

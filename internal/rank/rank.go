@@ -152,7 +152,7 @@ func DefaultOptions() Options {
 type Stats struct {
 	Iterations int
 	Converged  bool
-	MaxDelta   float64
+	MaxDelta   float64 // the last iteration's largest per-node change (Run only)
 	// WarmStart records whether a prior score vector seeded the run
 	// (Options.Warm or a residual run's prior), so callers can attribute
 	// saved work.
@@ -399,37 +399,36 @@ func compileJunction(g *datagraph.Graph, f Flow) (plan, error) {
 }
 
 // splitWeights computes value-proportional split weights aligned with the
-// plan's target list. A source tuple whose targets' values sum to zero
-// falls back to a uniform split.
+// plan's target list.
 func splitWeights(p plan, target *relational.Relation, col int, vf func(float64) float64) []float64 {
 	weights := make([]float64, len(p.targets))
 	for t := 0; t+1 < len(p.offsets); t++ {
 		lo, hi := p.offsets[t], p.offsets[t+1]
-		if lo == hi {
-			continue
-		}
-		sum := 0.0
-		for k := lo; k < hi; k++ {
-			v := numericValue(target.Tuples[p.targets[k]][col])
-			w := vf(v)
-			if w < 0 {
-				w = 0
-			}
-			weights[k] = w
-			sum += w
-		}
-		if sum == 0 {
-			u := 1 / float64(hi-lo)
-			for k := lo; k < hi; k++ {
-				weights[k] = u
-			}
-		} else {
-			for k := lo; k < hi; k++ {
-				weights[k] /= sum
-			}
-		}
+		valueSplit(weights[lo:hi], p.targets[lo:hi], target, col, vf)
 	}
 	return weights
+}
+
+// valueSplit fills weights with one source row's value-proportional split
+// (ValueRank): entry k is vf of target k's value column, floored at zero,
+// over the row's sum. A row whose values sum to zero splits uniformly.
+func valueSplit(weights []float64, targets []relational.TupleID, target *relational.Relation, col int, vf func(float64) float64) {
+	sum := 0.0
+	for k, tgt := range targets {
+		w := vf(numericValue(target.Tuples[tgt][col]))
+		if w < 0 {
+			w = 0
+		}
+		weights[k] = w
+		sum += w
+	}
+	for k := range weights {
+		if sum == 0 {
+			weights[k] = 1 / float64(len(weights))
+		} else {
+			weights[k] /= sum
+		}
+	}
 }
 
 func numericValue(v relational.Value) float64 {

@@ -42,11 +42,18 @@ package rank
 // termination: a run that exhausts it — or whose seed mass already dwarfs
 // the prior's — falls back to the warm full iteration, which is correct
 // from any seed.
+//
+// The rescaled prior is never materialized on its own. The seeds read c·p
+// on demand; the pushed amounts are logged, not applied; and a drained
+// push is written through with the rescale in the one pass over the arena
+// a repair makes, in the caller's own vectors. A run that falls back has
+// written no score.
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"sizelos/internal/relational"
@@ -146,12 +153,13 @@ func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) error {
 	}
 	ps.n = int(ps.relOff[nRel])
 	// The pull transpose no longer matches the overlaid rows or the arena
-	// layout; rebuild it lazily on the next full Run (the frontier push
-	// never reads it). Relation sizes only grow, so an unchanged node count
-	// means the layout is intact too.
+	// layout; drop it and rebuild it lazily on the next full Run (the
+	// frontier push never reads it). Relation sizes only grow, so an
+	// unchanged node count means the layout is intact too.
 	if rowsChanged || ps.n != oldN {
 		ps.pullOnce = new(sync.Once)
 		ps.pullErr = nil
+		ps.pullOff, ps.pullSrc, ps.pullW = nil, nil, nil
 	}
 	return nil
 }
@@ -224,12 +232,7 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 	if len(seen) == 0 {
 		return nil
 	}
-	out := make([]relational.TupleID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // recomputeRow rebuilds source t's row of p from the maintained data graph
@@ -253,29 +256,8 @@ func (ps *Plans) recomputeRow(p *plan, t relational.TupleID) ([]relational.Tuple
 	if len(targets) == 0 || p.valueCol < 0 {
 		return targets, nil
 	}
-	// Value-proportional split (ValueRank): same math as splitWeights, for
-	// one source row.
-	target := ps.g.DB.Relations[p.dstRel]
 	weights := make([]float64, len(targets))
-	sum := 0.0
-	for k, tgt := range targets {
-		w := ps.vf(numericValue(target.Tuples[tgt][p.valueCol]))
-		if w < 0 {
-			w = 0
-		}
-		weights[k] = w
-		sum += w
-	}
-	if sum == 0 {
-		u := 1 / float64(len(targets))
-		for k := range weights {
-			weights[k] = u
-		}
-	} else {
-		for k := range weights {
-			weights[k] /= sum
-		}
-	}
+	valueSplit(weights, targets, ps.g.DB.Relations[p.dstRel], p.valueCol, ps.vf)
 	return targets, weights
 }
 
@@ -285,34 +267,54 @@ func (ps *Plans) recomputeRow(p *plan, t relational.TupleID) ([]relational.Tuple
 // is the cheaper, better-vectorized repair.
 const residualMassBound = 0.5
 
+// outweighs reports whether seedMass exceeds residualMassBound of the
+// prior's mass — the sum, in arena order, of what every entry stands for —
+// without summing further than the answer needs. The terms are magnitudes,
+// so the running sum never decreases: once it clears the bar the full sum
+// does too, and for a localized batch that is a few entries in.
+func (pr *pushRun) outweighs(seedMass float64) bool {
+	mass := 0.0
+	for ri, x := range pr.raw {
+		for i := range x {
+			mass += math.Abs(pr.prior(ri, int32(i)))
+			if seedMass <= residualMassBound*mass {
+				return false
+			}
+		}
+	}
+	return seedMass > residualMassBound*mass
+}
+
 // residualSeedFrac caps how much of the arena may carry an above-threshold
 // seed before the localized premise is already void.
 const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 
 // RunResidual repairs the prior fixed point after the batches recorded in
-// pending: it rescales the prior by N_old/N_new (cancelling the uniform
-// base-score shift inserts cause), seeds per-node residuals from exactly
-// the contribution rows the batches changed, and drives the max residual
-// below Options.Epsilon — the same convergence criterion the full
-// iteration stops on, so the result lands in the same fixed-point
-// tolerance class. The repair is the round-synchronous residual push
-// (parallel.go): edge work (the expensive part a full iteration repeats
-// every sweep) stays proportional to the perturbed region, not the graph,
-// and arena setup is one O(n) pass with no edge traffic. Options.Parallel
-// partitions the push across workers; every worker count produces
-// bit-for-bit identical scores.
+// pending (the math is at the top of this file) and drives the max residual
+// below Options.Epsilon — the criterion the full iteration stops on, so the
+// result lands in the same fixed-point tolerance class. Options.Parallel
+// partitions the push across workers (parallel.go); every worker count
+// produces bit-for-bit identical scores.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
-// accumulated against; Options.ResidualBudget caps the pushes (enforced
-// at round granularity, so the fallback decision is worker-count
-// independent too). When the seed mass exceeds the safety bound, the
-// seeds cover too much of the arena, or the budget runs out, RunResidual
-// falls back to the warm full iteration over the same plans
-// (Stats.Fallback reports it); either way the returned scores satisfy the
-// convergence contract.
+// accumulated against, and a completed repair returns that same table,
+// every vector rewritten in place (one too short for its relation is grown
+// first and its entry replaced); Options.NormalizeMax is ignored, a table
+// repaired again must stay raw. Nothing of arena size is allocated, cleared
+// or copied: the residual vector and the node marks are a scratch of the
+// Plans', and no score is written until the push has drained.
 //
-// Safe to call concurrently on the same *Plans and *Pending (each run owns
-// its arenas); Apply must not run concurrently.
+// Options.ResidualBudget caps the pushes (enforced at round granularity,
+// so the fallback decision is worker-count independent too). When the seed
+// mass exceeds the safety bound, the seeds cover too much of the arena, or
+// the budget runs out, RunResidual falls back to the warm full iteration
+// over the same plans (Stats.Fallback reports it) and returns that run's
+// fresh table, Options.Warm being, as on an error, exactly what was passed
+// in. Either way the returned scores satisfy the convergence contract.
+//
+// Safe to call concurrently on the same *Plans and *Pending with distinct
+// Warm tables (each run takes its own scratch); Apply must not run
+// concurrently.
 func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScores, Stats, error) {
 	if opts.Damping < 0 || opts.Damping > 1 {
 		return nil, Stats{}, fmt.Errorf("rank: damping %v outside [0,1]", opts.Damping)
@@ -335,66 +337,43 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		budget = 4 * ps.n
 	}
 	d := opts.Damping
-	base := (1 - d) / float64(ps.n)
-	c := float64(pending.oldN) / float64(ps.n)
+	pr := &pushRun{
+		ps:      ps,
+		raw:     make([]relational.Scores, len(db.Relations)),
+		covered: make([]int32, len(db.Relations)),
+		c:       float64(pending.oldN) / float64(ps.n),
+		base:    (1 - d) / float64(ps.n),
+		d:       d,
+	}
 
-	// cur is the rescaled prior: c·p on slots the prior covers, the base
-	// score on fresh inserts (the consistent extension of the old fixed
-	// point). relOf maps arena index -> relation ordinal for the push loop.
-	cur := make([]float64, ps.n)
-	relOf := make([]int32, ps.n)
-	priorMass := 0.0
-	for ri, r := range db.Relations {
-		w := opts.Warm[r.Name]
-		off := int(ps.relOff[ri])
-		size := int(ps.relOff[ri+1]) - off
-		oldSize := int(pending.oldSizes[ri])
-		for i := 0; i < size; i++ {
-			relOf[off+i] = int32(ri)
-			if i < oldSize && i < len(w) {
-				cur[off+i] = c * w[i]
-			} else {
-				cur[off+i] = base
-			}
-			priorMass += math.Abs(cur[off+i])
+	for ri, rel := range db.Relations {
+		w := opts.Warm[rel.Name]
+		size := int(ps.relOff[ri+1] - ps.relOff[ri])
+		pr.covered[ri] = int32(min(int(pending.oldSizes[ri]), len(w), size))
+		if len(w) < size {
+			w = append(w, make(relational.Scores, size-len(w))...)
 		}
+		pr.raw[ri] = w[:size]
 	}
 
 	// Seed residuals from the changed rows: remove each captured old row's
 	// contributions, add the current row's, both valued at the rescaled
 	// prior of the source. Deterministic order: plan ordinal, then source
 	// ascending.
-	r := make([]float64, ps.n)
-	touched := make([]int32, 0, 64)
-	isTouched := make([]bool, ps.n)
-	mark := func(v int32) {
-		if !isTouched[v] {
-			isTouched[v] = true
-			touched = append(touched, v)
-		}
-	}
+	sc := ps.takeScratch()
+	pr.sc = sc
 	seed := func(dstOff int32, targets []relational.TupleID, w split, pv float64) {
 		for k, tgt := range targets {
 			v := dstOff + int32(tgt)
-			r[v] += d * w.at(k) * pv
-			mark(v)
+			sc.r[v] += d * w.at(k) * pv
+			sc.touch(v, &sc.dirty)
 		}
 	}
-	for pi := range ps.plans {
-		rows := pending.rows[pi]
-		if len(rows) == 0 {
-			continue
-		}
+	for pi, rows := range pending.rows {
 		p := &ps.plans[pi]
-		srcOff := ps.relOff[p.srcRel]
 		dstOff := ps.relOff[p.dstRel]
-		srcs := make([]relational.TupleID, 0, len(rows))
-		for src := range rows {
-			srcs = append(srcs, src)
-		}
-		sort.Slice(srcs, func(a, b int) bool { return srcs[a] < srcs[b] })
-		for _, src := range srcs {
-			pv := cur[srcOff+int32(src)]
+		for _, src := range slices.Sorted(maps.Keys(rows)) {
+			pv := pr.prior(p.srcRel, int32(src))
 			if pv == 0 {
 				continue
 			}
@@ -407,22 +386,19 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 
 	stats := Stats{WarmStart: true}
 	fallback := func() (relational.DBScores, Stats, error) {
-		sc, st, err := ps.Run(opts) // Options.Warm seeds the full iteration
-		st.Fallback = true
-		st.Pushes = stats.Pushes
-		st.ResidualNodes = stats.ResidualNodes
-		st.Updates += stats.Updates // the abandoned repair was real work
-		st.Rounds = stats.Rounds
-		st.Regions = stats.Regions
-		st.Handoffs = stats.Handoffs
-		return sc, st, err
+		ps.putScratch(sc)
+		opts.NormalizeMax = 0
+		full, st, err := ps.Run(opts) // Options.Warm seeds the full iteration
+		stats.Fallback, stats.Iterations, stats.Converged, stats.MaxDelta = true, st.Iterations, st.Converged, st.MaxDelta
+		stats.Updates += st.Updates // the abandoned repair was real work
+		return full, stats, err
 	}
 
 	seedMass := 0.0
-	for _, v := range touched {
-		seedMass += math.Abs(r[v])
+	for _, v := range sc.dirty {
+		seedMass += math.Abs(sc.r[v])
 	}
-	if seedMass > residualMassBound*priorMass || len(touched)*residualSeedFrac > ps.n {
+	if pr.outweighs(seedMass) || len(sc.dirty)*residualSeedFrac > ps.n {
 		return fallback()
 	}
 
@@ -430,29 +406,37 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	// consumes the whole frontier at frozen values, and frontier-empty ⟺
 	// max|r| < ε.
 	eps := opts.Epsilon
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	frontier := make([]int32, 0, len(touched))
-	for _, v := range touched {
-		if math.Abs(r[v]) >= eps {
-			frontier = append(frontier, v)
+	sc.frontier = sc.frontier[:0]
+	for _, v := range sc.dirty {
+		if math.Abs(sc.r[v]) >= eps {
+			sc.frontier = append(sc.frontier, v)
 		}
 	}
-	workers := resolveResidualWorkers(opts.Parallel, ps.n)
-	drained := ps.runPushRounds(cur, r, relOf, frontier, d, eps, budget, workers, &stats)
+	slices.Sort(sc.frontier)
+	drained := pr.runPushRounds(eps, budget, resolveWorkers(opts.Parallel, ps.n), &stats)
 	stats.Updates = stats.Pushes
 	if !drained {
 		return fallback()
 	}
 	stats.Converged = true
 
-	scores := make(relational.DBScores, len(db.Relations))
+	// The push can no longer fall back. Write it through: every score takes
+	// the value it stood for, then the log's amounts in the order they were
+	// consumed.
 	for ri, rel := range db.Relations {
-		s := make(relational.Scores, ps.relOff[ri+1]-ps.relOff[ri])
-		copy(s, cur[ps.relOff[ri]:ps.relOff[ri+1]])
-		scores[rel.Name] = s
+		x, covered := pr.raw[ri], int(pr.covered[ri])
+		for i, v := range x[:covered] {
+			x[i] = pr.c * v
+		}
+		for i := covered; i < len(x); i++ {
+			x[i] = pr.base
+		}
+		opts.Warm[rel.Name] = x
 	}
-	if opts.NormalizeMax > 0 {
-		Normalize(scores, opts.NormalizeMax)
+	for k, u := range sc.pushed {
+		ri := ps.relOf(u)
+		pr.raw[ri][u-ps.relOff[ri]] += sc.frozen[k]
 	}
-	return scores, stats, nil
+	ps.putScratch(sc)
+	return opts.Warm, stats, nil
 }

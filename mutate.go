@@ -323,34 +323,17 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 	tookResidual := residual && len(e.pending) > 0
 
 	var stats map[string]rank.Stats
-	switch {
-	case residual && len(e.pending) == 0:
+	if residual && len(e.pending) == 0 {
 		// Nothing mutated since the last re-rank: the served scores are
 		// already the converged fixed point of the current graph.
 		stats = make(map[string]rank.Stats, len(e.settings))
 		for _, s := range e.settings {
 			stats[s.Name] = rank.Stats{Converged: true, WarmStart: true}
 		}
-	case residual:
-		scores, raw, relMax, st, rerr := runSettings(e.settings, e.rawScores,
-			func(s Setting, opts rank.Options) (relational.DBScores, rank.Stats, error) {
-				opts.ResidualBudget = e.residualBudget
-				opts.Parallel = e.residualWorkers
-				return e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
-			})
-		if rerr != nil {
-			return false, fmt.Errorf("%w: residual re-rank: %v", ErrMutationInternal, rerr)
+	} else {
+		if stats, err = e.rankSettings(residual); err != nil {
+			return false, fmt.Errorf("%w: re-rank: %v", ErrMutationInternal, err)
 		}
-		e.scores, e.rawScores, e.relMax = scores, raw, relMax
-		stats = st
-		changed = true
-	default:
-		scores, raw, relMax, st, rerr := computeScores(e.plans, e.settings, e.rawScores)
-		if rerr != nil {
-			return false, fmt.Errorf("%w: re-rank: %v", ErrMutationInternal, rerr)
-		}
-		e.scores, e.rawScores, e.relMax = scores, raw, relMax
-		stats = st
 		changed = true
 	}
 

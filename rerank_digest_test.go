@@ -6,9 +6,11 @@ package sizelos
 // it if it predates the file) and at the new one with SIZELOS_DIGEST_OUT
 // naming a file; it drives one seeded mutgen stream —
 // every batch re-ranked, engine defaults, residual workers 1 and 4, DBLP
-// and TPC-H — and writes one SHA-256 per re-rank over every setting's raw
-// score vectors. The two files must be identical. Digests are never
-// committed: FMA fusion makes them architecture-specific.
+// and TPC-H — and writes two SHA-256s per re-rank, one over every setting's
+// raw score vectors and one over the normalized vectors queries are served
+// from. The two files must be identical. Digests are never committed: FMA
+// fusion makes them architecture-specific. `make rerank-digest BASE=<rev>`
+// does all of it against a throwaway worktree of the base.
 //
 //	SIZELOS_DIGEST_OUT=/tmp/new.txt go test -run TestRerankStreamDigest .
 
@@ -24,6 +26,7 @@ import (
 
 	"sizelos/internal/datagen"
 	"sizelos/internal/mutgen"
+	"sizelos/internal/relational"
 )
 
 const digestBatches = 240
@@ -66,7 +69,8 @@ func TestRerankStreamDigest(t *testing.T) {
 					}
 				}
 				compactions += len(res.Compacted)
-				fmt.Fprintf(&out, "%s w=%d batch=%03d %x\n", ds, workers, i, rawScoreDigest(eng))
+				fmt.Fprintf(&out, "%s w=%d batch=%03d raw=%x served=%x\n", ds, workers, i,
+					scoreDigest(eng, eng.rawScores), scoreDigest(eng, eng.scores))
 			}
 			t.Logf("%s workers=%d: %d batches, %d pushes in %d rounds, %d fallbacks, %d compactions",
 				ds, workers, digestBatches, pushes, rounds, fallbacks, compactions)
@@ -77,22 +81,23 @@ func TestRerankStreamDigest(t *testing.T) {
 	}
 }
 
-// rawScoreDigest hashes every setting's raw (unnormalized) score vectors,
-// settings and relations in name order, each float by its IEEE-754 bits.
-func rawScoreDigest(e *Engine) [sha256.Size]byte {
+// scoreDigest hashes every setting's score vectors in one of the engine's
+// tables, settings and relations in name order, each float by its IEEE-754
+// bits.
+func scoreDigest(e *Engine, table map[string]relational.DBScores) [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
 	for _, name := range e.SettingNames() {
-		raw := e.rawScores[name]
-		rels := make([]string, 0, len(raw))
-		for rel := range raw {
+		scores := table[name]
+		rels := make([]string, 0, len(scores))
+		for rel := range scores {
 			rels = append(rels, rel)
 		}
 		sort.Strings(rels)
 		h.Write([]byte(name))
 		for _, rel := range rels {
 			h.Write([]byte(rel))
-			for _, v := range raw[rel] {
+			for _, v := range scores[rel] {
 				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 				h.Write(buf[:])
 			}

@@ -9,6 +9,9 @@ package sizelos
 // cold recomputes across random batches with residual mode enabled.
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -431,5 +434,71 @@ func TestRerankOnlyBatchReusesConvergedScores(t *testing.T) {
 	}
 	if eng.EpochFor("Author") == before {
 		t.Fatal("real re-rank did not advance epochs")
+	}
+}
+
+// TestRerankAllocBytesIndependentOfN: a steady-state residual re-rank
+// allocates for its frontier, not for the arena. The same single-paper
+// re-ranked stream runs on DBLP at the default size and at four times the
+// authors and papers, with the collector off, and the bytes one Mutate
+// allocates (runtime.MemStats.TotalAlloc) are compared at the median of the
+// steady-state calls — not the first (it makes the push scratch and takes
+// the vectors' first append growth), not the scheduled full refreshes
+// (Plans.Run allocates its arenas), not the call after one (its inserts
+// regrow the exact-size raw vectors the refresh returned).
+func TestRerankAllocBytesIndependentOfN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perRerank := func(scale int) (median uint64, nodes int) {
+		cfg := datagen.DefaultDBLPConfig()
+		cfg.Authors *= scale
+		cfg.Papers *= scale
+		eng, err := OpenDBLP(cfg)
+		if err != nil {
+			t.Fatalf("OpenDBLP x%d: %v", scale, err)
+		}
+		nodes = eng.Graph().NumNodes()
+		iv, sv := relational.IntVal, relational.StrVal
+		var steady []uint64
+		var before, after runtime.MemStats
+		afterRefresh := true // the first call counts as one
+		for i := 0; i < 3*residualRefreshInterval; i++ {
+			id := int64(60_000_000 + i)
+			batch := MutationBatch{Rerank: true, Inserts: []TupleInsert{
+				{Rel: "Paper", Tuple: relational.Tuple{iv(id), iv(int64(1 + i%300)), sv("alloc probe")}},
+				{Rel: "Writes", Tuple: relational.Tuple{iv(id), iv(id), iv(int64(1 + (i*37)%cfg.Authors))}},
+			}}
+			runtime.ReadMemStats(&before)
+			res, err := eng.Mutate(batch)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("x%d batch %d: %v", scale, i, err)
+			}
+			residual := true
+			for name, st := range res.RerankStats {
+				if st.FallbackTaken {
+					t.Fatalf("x%d batch %d: %s fell back", scale, i, name)
+				}
+				residual = residual && st.Residual
+			}
+			if residual && !afterRefresh {
+				steady = append(steady, after.TotalAlloc-before.TotalAlloc)
+			}
+			afterRefresh = !residual
+		}
+		if len(steady) < 2*residualRefreshInterval {
+			t.Fatalf("x%d: only %d steady-state residual re-ranks measured", scale, len(steady))
+		}
+		slices.Sort(steady)
+		t.Logf("x%d: %d nodes, %d steady re-ranks, bytes/re-rank min %d median %d max %d",
+			scale, nodes, len(steady), steady[0], steady[len(steady)/2], steady[len(steady)-1])
+		return steady[len(steady)/2], nodes
+	}
+	small, _ := perRerank(1)
+	large, nodes := perRerank(4)
+	if float64(large) >= 1.5*float64(small) {
+		t.Errorf("re-rank allocation grew with the arena: %d bytes at x4 vs %d at x1 (want < 1.5x)", large, small)
+	}
+	if vector := uint64(8 * nodes); large >= vector {
+		t.Errorf("a re-rank of %d nodes allocated %d bytes, not under one score vector (%d)", nodes, large, vector)
 	}
 }

@@ -116,7 +116,8 @@ func TestResidualPushSpeedupMulticore(t *testing.T) {
 	}
 	// One wide batch: 600 new citations across the paper set. The pending
 	// delta survives RunResidual untouched, so both worker counts repair
-	// the identical mutation.
+	// the identical mutation — each call on its own copy of the prior, made
+	// off the clock, because the repair rewrites the table it is given.
 	paper := db.Relation("Paper")
 	var batch relational.Batch
 	for i := 0; i < 600; i++ {
@@ -137,12 +138,21 @@ func TestResidualPushSpeedupMulticore(t *testing.T) {
 	if err := ps.Apply(res, pending); err != nil {
 		t.Fatalf("plans.Apply: %v", err)
 	}
+	const timed = 5
+	var priors []relational.DBScores
+	for i := 0; i < 1+2*timed; i++ {
+		cp := make(relational.DBScores, len(prior))
+		for rel, sc := range prior {
+			cp[rel] = append(relational.Scores(nil), sc...)
+		}
+		priors = append(priors, cp)
+	}
 	repair := func(workers int) func() {
 		return func() {
 			ro := rank.DefaultOptions()
 			ro.Damping = 0.85
 			ro.NormalizeMax = 0
-			ro.Warm = prior
+			ro.Warm, priors = priors[0], priors[1:]
 			ro.Parallel = workers
 			_, st, err := ps.RunResidual(pending, ro)
 			if err != nil {
@@ -154,8 +164,8 @@ func TestResidualPushSpeedupMulticore(t *testing.T) {
 		}
 	}
 	repair(1)() // warm caches before timing either variant
-	serial := bestOf(5, repair(1))
-	parallel := bestOf(5, repair(4))
+	serial := bestOf(timed, repair(1))
+	parallel := bestOf(timed, repair(4))
 	speedup := float64(serial) / float64(parallel)
 	t.Logf("residual push serial %v, 4-worker %v, speedup %.2fx (GOMAXPROCS=%d)",
 		serial, parallel, speedup, runtime.GOMAXPROCS(0))
