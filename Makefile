@@ -38,7 +38,7 @@ loc:
 # The ratchet: `make loc` may not exceed LOC_BUDGET, so deleted lines stay
 # deleted. A PR that removes lines lowers it to its own result; one that
 # has to raise it says why in CHANGES.md.
-LOC_BUDGET := 19649
+LOC_BUDGET := 18618
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -47,21 +47,19 @@ loc-check:
 
 # Same float program as BASE: run the seeded re-rank stream of
 # rerank_digest_test.go here and in a scratch copy of BASE's tree, and
-# compare every raw and served score digest (and residual workers 1
-# against 4, line by line). The copy gets this tree's test file: BASE's own
-# may be missing or hash fewer tables. Nothing is fetched, nothing is kept.
+# compare every raw and served score digest. The copy gets this tree's test
+# file: BASE's own may be missing, hash fewer tables or pin knobs this tree
+# no longer has. Nothing is fetched, nothing is kept.
 BASE ?= HEAD^
 
 rerank-digest:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
 	cp rerank_digest_test.go "$$tmp/base/"; \
-	(cd "$$tmp/base" && SIZELOS_DIGEST_OUT="$$tmp/base.txt" $(GO) test -count=1 -run TestRerankStreamDigest -v .) | sed -n 's/.*: \(.* workers=\)/base  \1/p'; \
-	SIZELOS_DIGEST_OUT="$$tmp/head.txt" $(GO) test -count=1 -run TestRerankStreamDigest -v . | sed -n 's/.*: \(.* workers=\)/head  \1/p'; \
+	(cd "$$tmp/base" && SIZELOS_DIGEST_OUT="$$tmp/base.txt" $(GO) test -count=1 -run TestRerankStreamDigest -v .) | sed -n 's/.*go:[0-9]*: \(.* re-ranks, \)/base  \1/p'; \
+	SIZELOS_DIGEST_OUT="$$tmp/head.txt" $(GO) test -count=1 -run TestRerankStreamDigest -v . | sed -n 's/.*go:[0-9]*: \(.* re-ranks, \)/head  \1/p'; \
 	cmp "$$tmp/base.txt" "$$tmp/head.txt"; \
-	grep ' w=1 ' "$$tmp/head.txt" | sed 's/ w=1 / /' > "$$tmp/w1.txt"; \
-	grep ' w=4 ' "$$tmp/head.txt" | sed 's/ w=4 / /' | cmp - "$$tmp/w1.txt"; \
-	echo "rerank-digest: $$(wc -l < "$$tmp/head.txt") re-ranks, raw and served digests equal to $(BASE), workers 1 = 4"
+	echo "rerank-digest: $$(wc -l < "$$tmp/head.txt") re-ranks, raw and served digests equal to $(BASE)"
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): its own
 # self-test, and the full run the driver executes.

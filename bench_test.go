@@ -459,24 +459,25 @@ func rankBenchGraph(b *testing.B) *datagraph.Graph {
 func BenchmarkRankCompute(b *testing.B) {
 	g := rankBenchGraph(b)
 	ga := datagen.DBLPGA1()
-	b.Run("serial", func(b *testing.B) {
-		opts := rank.DefaultOptions()
-		opts.Parallel = 1
-		for i := 0; i < b.N; i++ {
-			if _, _, err := rank.Compute(g, ga, opts); err != nil {
-				b.Fatal(err)
+	// compileAndRun is one cold ranking from the G_A, at the given
+	// rank.Options.Parallel.
+	compileAndRun := func(parallel int) func(b *testing.B) {
+		return func(b *testing.B) {
+			opts := rank.DefaultOptions()
+			opts.Parallel = parallel
+			for i := 0; i < b.N; i++ {
+				plans, err := rank.Compile(g, ga, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := plans.Run(opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		opts := rank.DefaultOptions()
-		opts.Parallel = runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := rank.Compute(g, ga, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	b.Run("serial", compileAndRun(1))
+	b.Run("parallel", compileAndRun(runtime.GOMAXPROCS(0)))
 	b.Run("precompiled", func(b *testing.B) {
 		plans, err := rank.Compile(g, ga, nil)
 		if err != nil {
@@ -724,77 +725,64 @@ func BenchmarkRerankResidual(b *testing.B) {
 	b.Run("warm-full", stream(false))
 }
 
-// BenchmarkRerankResidualParallel measures the owner-tiled parallel
-// residual push (PR 9) against the serial schedule over a batch stream
-// wide enough to actually engage the tiling: single-tuple streams stay
-// below the serial-frontier cutover by design, so this family drives
-// ~150-citation batches whose frontiers force multi-region rounds. The
-// two variants are the same float program — bit-identical scores, equal
-// updates/op (reported) — so the gated ns/op difference is pure
-// scheduling: overhead on a 1-core box, speedup on the 4-core CI runner
-// (TestResidualPushSpeedupMulticore asserts the >=2x bar).
+// BenchmarkRerankResidualParallel is the wide-frontier residual re-rank:
+// single-tuple streams keep frontiers at a handful of nodes, so this family
+// drives ~150-citation batches whose rounds run to hundreds. The push is
+// one walker; the sub-benchmark keeps the name BENCH_9 and BENCH_10
+// recorded that schedule under, so the gate still has its baseline.
 func BenchmarkRerankResidualParallel(b *testing.B) {
 	const batchSize = 150
-	run := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			db, next := mutateBenchDB(b)
-			settings := []sizelos.Setting{
-				{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
+	b.Run("workers-1", func(b *testing.B) {
+		db, next := mutateBenchDB(b)
+		settings := []sizelos.Setting{
+			{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
+		}
+		eng, err := sizelos.NewEngine(db, settings)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.SetResidualRerank(true)
+		paper := db.Relation("Paper")
+		var prev []int64
+		updates := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch := sizelos.MutationBatch{Rerank: true}
+			for _, pk := range prev {
+				batch.Deletes = append(batch.Deletes, sizelos.TupleDelete{Rel: "Cites", PK: pk})
 			}
-			eng, err := sizelos.NewEngine(db, settings)
+			prev = prev[:0]
+			for j := 0; j < batchSize; j++ {
+				*next++
+				k := i*batchSize + j
+				batch.Inserts = append(batch.Inserts, sizelos.TupleInsert{
+					Rel: "Cites",
+					Tuple: relational.Tuple{
+						relational.IntVal(*next),
+						relational.IntVal(paper.PK(relational.TupleID(k % 1200))),
+						relational.IntVal(paper.PK(relational.TupleID((k*7 + 13) % 1200))),
+					},
+				})
+				prev = append(prev, *next)
+			}
+			res, err := eng.Mutate(batch)
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.SetResidualRerank(true)
-			eng.PinResidualWorkers(workers)
-			paper := db.Relation("Paper")
-			var prev []int64
-			updates := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch := sizelos.MutationBatch{Rerank: true}
-				for _, pk := range prev {
-					batch.Deletes = append(batch.Deletes, sizelos.TupleDelete{Rel: "Cites", PK: pk})
+			for _, st := range res.RerankStats {
+				if st.FallbackTaken {
+					b.Fatalf("batch %d fell back to the full iteration — the family no longer measures the push", i)
 				}
-				prev = prev[:0]
-				for j := 0; j < batchSize; j++ {
-					*next++
-					k := i*batchSize + j
-					batch.Inserts = append(batch.Inserts, sizelos.TupleInsert{
-						Rel: "Cites",
-						Tuple: relational.Tuple{
-							relational.IntVal(*next),
-							relational.IntVal(paper.PK(relational.TupleID(k % 1200))),
-							relational.IntVal(paper.PK(relational.TupleID((k*7 + 13) % 1200))),
-						},
-					})
-					prev = append(prev, *next)
+				if !st.Residual {
+					// The engine's scheduled re-grounding (every
+					// residualRefreshInterval-th re-rank).
+					continue
 				}
-				res, err := eng.Mutate(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, st := range res.RerankStats {
-					if st.FallbackTaken {
-						b.Fatalf("batch %d fell back to the full iteration — the family no longer measures the push", i)
-					}
-					if !st.Residual {
-						// The engine's scheduled re-grounding (every
-						// residualRefreshInterval-th re-rank); both variants
-						// pay it identically, so it can't skew the gate.
-						continue
-					}
-					if st.Regions != workers {
-						b.Fatalf("batch %d ran %d regions at %d workers — tiling did not engage", i, st.Regions, workers)
-					}
-					updates += st.Updates
-				}
+				updates += st.Updates
 			}
-			b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
 		}
-	}
-	b.Run("workers-1", run(1))
-	b.Run("workers-4", run(4))
+		b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
+	})
 }
 
 // durableBenchEngine opens a small DBLP engine attached to a WAL in a

@@ -132,11 +132,6 @@ type Engine struct {
 	// means the rank package default (4× the node count); only in-package
 	// tests set it.
 	residualBudget int
-	// residualWorkers pins a re-rank's worker count (rank.Options.Parallel):
-	// 0 (what every engine serves with) sizes by GOMAXPROCS, 1 forces serial.
-	// Every count produces bit-identical scores; only the in-package
-	// equivalence harness and benchmarks set it.
-	residualWorkers int
 	// residualRuns counts consecutive residual re-ranks; every
 	// residualRefreshInterval-th re-rank runs the full iteration instead,
 	// re-grounding the epsilon-scale drift each residual repair inherits
@@ -149,15 +144,9 @@ type Engine struct {
 	// vector would sit far from the fixed point (rank.Options.Warm).
 	rawScores map[string]relational.DBScores
 	// relMax[setting][rel] is the maximum normalized score of rel under
-	// setting — the G_DS Max/MMax annotation input, tracked so a re-rank
-	// only re-annotates the G_DSs whose maxima actually moved.
+	// setting — the G_DS Max/MMax annotation input, which normalizeInto
+	// yields with the scores so annotating never scans a vector.
 	relMax map[string]map[string]float64
-	// annMax[ds][setting][rel] snapshots the maxima each annotated G_DS
-	// clone was actually built from. The moved-input check compares
-	// current relMax against THIS baseline — not against the previous
-	// relMax — so sub-tolerance drift cannot ratchet unbounded across many
-	// skipped refreshes.
-	annMax map[string]map[string]map[string]float64
 	// coldIters records each setting's cold-start iteration count from
 	// NewEngine, the baseline warm-started re-ranks report savings against.
 	coldIters map[string]int
@@ -256,7 +245,6 @@ func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		compactRatio:    DefaultCompactRatio,
 		pending:         make(map[*rank.GA]*rank.Pending),
 		residualEnabled: true,
-		annMax:          make(map[string]map[string]map[string]float64),
 		scores:          make(map[string]relational.DBScores, len(settings)),
 		rawScores:       make(map[string]relational.DBScores, len(settings)),
 		relMax:          make(map[string]map[string]float64, len(settings)),
@@ -360,7 +348,7 @@ func (e *Engine) rankSettings(residual bool) (map[string]rank.Stats, error) {
 				// Run unnormalized: the raw fixed point is what the next
 				// re-rank must start from.
 				opts.NormalizeMax = 0
-				opts.Warm, opts.ResidualBudget, opts.Parallel = e.rawScores[s.Name], e.residualBudget, e.residualWorkers
+				opts.Warm, opts.ResidualBudget = e.rawScores[s.Name], e.residualBudget
 				if residual {
 					res.raw, res.stats, res.err = e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
 				} else {
@@ -463,90 +451,35 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 	return nil
 }
 
-// annotateLocked clones gds once per setting, annotates each clone from
+// annotateLocked clones gds once per setting and annotates each clone from
 // that setting's per-relation maxima (the single table normalizeInto
-// produced; no per-node score-vector scans) and records the maxima each
-// clone was built from as the future moved-input baseline. Callers hold
-// the write lock.
+// produced; no per-node score-vector scans). Callers hold the write lock.
 func (e *Engine) annotateLocked(gds *schemagraph.GDS) (map[string]*schemagraph.GDS, error) {
 	perSetting := make(map[string]*schemagraph.GDS, len(e.scores))
-	baselines := make(map[string]map[string]float64, len(e.scores))
 	for name := range e.scores {
 		c := gds.Clone()
 		if err := c.AnnotateMax(e.relMax[name]); err != nil {
 			return nil, fmt.Errorf("sizelos: annotate %s under %s: %w", gds.DSName, name, err)
 		}
 		perSetting[name] = c
-		baselines[name] = snapshotMax(gdsDeps(gds), e.relMax[name])
 	}
-	e.annMax[gds.DSName] = baselines
 	return perSetting, nil
 }
 
-// snapshotMax copies the maxima of rels out of a per-relation table.
-func snapshotMax(rels []string, maxes map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(rels))
-	for _, rel := range rels {
-		out[rel] = maxes[rel]
-	}
-	return out
-}
-
-// annotateMaxTol is the per-relation maximum drift below which a G_DS
-// annotation is considered unchanged: successive re-ranks perturb the
-// normalized maxima at fixed-point-tolerance scale even when no ranking
-// moved, and Max/MMax are pruning bounds whose epsilon-scale staleness is
-// inside the same tolerance class as the scores themselves.
-const annotateMaxTol = 1e-9
-
-// reannotateChangedLocked refreshes exactly the (DS relation, setting)
-// G_DS clones whose Max/MMax inputs moved beyond tolerance since that
-// clone was last annotated (the annMax baseline — comparing against the
-// annotation's actual inputs, not the previous relMax, so sub-tolerance
-// drift cannot accumulate across skipped refreshes). After a localized
-// residual re-rank, usually nothing moves. Callers hold the write lock;
-// e.relMax already holds the new maxima. Returns how many clones were
-// re-annotated.
-func (e *Engine) reannotateChangedLocked() (int, error) {
-	redone := 0
+// reannotateLocked re-annotates every registered G_DS from e.relMax, which
+// the caller has just refreshed (a re-rank that changed scores, a
+// compaction): a few 6–8 node clones, 11 µs for DBLP's two G_DSs under four
+// settings, so nothing decides whether it is needed. Callers hold the
+// write lock.
+func (e *Engine) reannotateLocked() error {
 	for ds, base := range e.baseGDS {
-		deps := e.deps[ds]
-		for name := range e.scores {
-			if !maxMoved(deps, e.annMax[ds][name], e.relMax[name]) {
-				continue
-			}
-			c := base.Clone()
-			if err := c.AnnotateMax(e.relMax[name]); err != nil {
-				return redone, fmt.Errorf("sizelos: annotate %s under %s: %w", ds, name, err)
-			}
-			e.gds[ds][name] = c
-			if e.annMax[ds] == nil {
-				e.annMax[ds] = make(map[string]map[string]float64)
-			}
-			e.annMax[ds][name] = snapshotMax(deps, e.relMax[name])
-			redone++
+		perSetting, err := e.annotateLocked(base)
+		if err != nil {
+			return err
 		}
+		e.gds[ds] = perSetting
 	}
-	return redone, nil
-}
-
-// maxMoved reports whether any of rels' maxima in the current table
-// differs beyond tolerance from the annotation-time baseline (a missing
-// baseline counts as moved).
-func maxMoved(rels []string, baseline, current map[string]float64) bool {
-	if baseline == nil {
-		return true
-	}
-	for _, rel := range rels {
-		d := current[rel] - baseline[rel]
-		if d < 0 {
-			d = -d
-		}
-		if d > annotateMaxTol {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // gdsDeps lists, sorted and deduplicated, every relation a G_DS traversal

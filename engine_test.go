@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"sizelos/internal/datagen"
+	"sizelos/internal/datagraph"
+	"sizelos/internal/rank"
+	"sizelos/internal/relational"
 )
 
 // testDBLP opens a small DBLP engine once per test binary.
@@ -41,6 +44,16 @@ func search(eng *Engine, rel, q string, l int, req QueryRequest) ([]Summary, err
 func ranked(eng *Engine, rel, q string, l, k int, req QueryRequest) ([]Summary, error) {
 	req.RankBySummary, req.K = true, k
 	return search(eng, rel, q, l, req)
+}
+
+// computeRank is rank.Compile + Run in one shot: the cold reference ranking
+// of g under ga.
+func computeRank(g *datagraph.Graph, ga *rank.GA, opts rank.Options) (relational.DBScores, rank.Stats, error) {
+	ps, err := rank.Compile(g, ga, nil)
+	if err != nil {
+		return nil, rank.Stats{}, err
+	}
+	return ps.Run(opts)
 }
 
 func TestSearchFaloutsos(t *testing.T) {
@@ -246,10 +259,7 @@ func TestEngineExportedSurface(t *testing.T) {
 	var got []string
 	typ := reflect.TypeOf(&Engine{})
 	for i := 0; i < typ.NumMethod(); i++ {
-		// export_test.go's benchmark hook exists in test builds only.
-		if name := typ.Method(i).Name; name != "PinResidualWorkers" {
-			got = append(got, name)
-		}
+		got = append(got, typ.Method(i).Name)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("*Engine exports\n  %v\nwant\n  %v", got, want)

@@ -14,10 +14,10 @@ import (
 // the setup and query hot paths whose regressions would be user-visible,
 // plus the mutation write path (incremental graph maintenance, the
 // warm-started re-rank, and the residual-push re-rank — the
-// streaming-ingest hot loop; "RerankResidual" also matches the
-// RerankResidualParallel serial-vs-tiled pair, keeping the parallel
-// schedule's overhead under watch), the durability tier (the WAL-attached
-// commit path and snapshot+WAL-tail crash recovery), and the streaming
+// streaming-ingest hot loop; "RerankResidual" also matches
+// RerankResidualParallel, the wide-frontier batches), the durability tier
+// (the WAL-attached commit path and snapshot+WAL-tail crash recovery), the
+// streaming
 // query pair (the limit-10 first page vs the full materializing drain —
 // gating both keeps the early-termination gap itself under watch), and
 // the QoS fast path (the uncontended rate-limit + admission check every

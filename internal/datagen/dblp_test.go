@@ -6,7 +6,18 @@ import (
 
 	"sizelos/internal/datagraph"
 	"sizelos/internal/rank"
+	"sizelos/internal/relational"
 )
+
+// computeRank is rank.Compile + Run in one shot: the cold ranking of g
+// under ga.
+func computeRank(g *datagraph.Graph, ga *rank.GA, opts rank.Options) (relational.DBScores, rank.Stats, error) {
+	plans, err := rank.Compile(g, ga, nil)
+	if err != nil {
+		return nil, rank.Stats{}, err
+	}
+	return plans.Run(opts)
+}
 
 func smallDBLP() DBLPConfig {
 	cfg := DefaultDBLPConfig()
@@ -144,7 +155,7 @@ func TestDBLPGAsCompute(t *testing.T) {
 		t.Fatalf("datagraph.Build: %v", err)
 	}
 	for _, ga := range []*rank.GA{DBLPGA1(), DBLPGA2()} {
-		scores, stats, err := rank.Compute(g, ga, rank.DefaultOptions())
+		scores, stats, err := computeRank(g, ga, rank.DefaultOptions())
 		if err != nil {
 			t.Fatalf("Compute(%s): %v", ga.Name, err)
 		}
@@ -179,13 +190,17 @@ func TestAuthorGDSAnnotate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	scores, _, err := rank.Compute(g, DBLPGA1(), rank.DefaultOptions())
+	scores, _, err := computeRank(g, DBLPGA1(), rank.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
 	gds := AuthorGDS()
-	if err := gds.Annotate(db, scores); err != nil {
-		t.Fatalf("Annotate: %v", err)
+	maxes := make(map[string]float64, len(scores))
+	for rel, s := range scores {
+		maxes[rel] = s.MaxScore()
+	}
+	if err := gds.AnnotateMax(maxes); err != nil {
+		t.Fatalf("AnnotateMax: %v", err)
 	}
 	paper := gds.Find("Paper")
 	if paper.Max <= 0 {

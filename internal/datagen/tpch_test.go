@@ -90,7 +90,7 @@ func TestTPCHGAsCompute(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	for _, ga := range []*rank.GA{TPCHGA1(), TPCHGA2()} {
-		scores, stats, err := rank.Compute(g, ga, rank.DefaultOptions())
+		scores, stats, err := computeRank(g, ga, rank.DefaultOptions())
 		if err != nil {
 			t.Fatalf("Compute(%s): %v", ga.Name, err)
 		}
@@ -117,7 +117,7 @@ func TestValueRankDiscriminatesCustomers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	scores, _, err := rank.Compute(g, TPCHGA1(), rank.DefaultOptions())
+	scores, _, err := computeRank(g, TPCHGA1(), rank.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}

@@ -288,11 +288,6 @@ func (g *Graph) Neighbors(rel int, t relational.TupleID, dir int) []relational.T
 	return g.edges[rel][dir].adj.list(t)
 }
 
-// Degree returns the out-degree of (rel, t) along incident direction dir.
-func (g *Graph) Degree(rel int, t relational.TupleID, dir int) int {
-	return len(g.edges[rel][dir].adj.list(t))
-}
-
 // NeighborsAlong returns neighbors along a specific edge type and direction,
 // or nil if that edge direction is not incident to rel.
 func (g *Graph) NeighborsAlong(rel int, t relational.TupleID, et EdgeType, forward bool) []relational.TupleID {

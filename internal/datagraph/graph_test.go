@@ -142,10 +142,10 @@ func TestDegree(t *testing.T) {
 	if len(dirs) != 1 {
 		t.Fatalf("Author dirs = %d, want 1", len(dirs))
 	}
-	if got := g.Degree(aIdx, 0, 0); got != 2 {
+	if got := len(g.Neighbors(aIdx, 0, 0)); got != 2 {
 		t.Errorf("Degree(a1) = %d, want 2", got)
 	}
-	if got := g.Degree(aIdx, 1, 0); got != 1 {
+	if got := len(g.Neighbors(aIdx, 1, 0)); got != 1 {
 		t.Errorf("Degree(a2) = %d, want 1", got)
 	}
 }

@@ -8,10 +8,7 @@ package keyword
 // and deduplicated, exactly what a rebuild over the compacted database
 // would produce.
 
-import (
-	"sizelos/internal/relational"
-	"sizelos/internal/searchexec"
-)
+import "sizelos/internal/relational"
 
 // remapPostings rewrites every posting list of one relation's token map in
 // place under the monotonic remap.
@@ -33,16 +30,12 @@ func (idx *Index) Remap(rel string, remap []relational.TupleID) {
 	}
 }
 
-// Remap is Index.Remap for the sharded index: shards partition by token, so every shard's slice of the relation remaps independently, one
-// goroutine per shard.
+// Remap is Index.Remap for the sharded index: shards partition by token,
+// so every shard's slice of the relation remaps independently.
 func (idx *Sharded) Remap(rel string, remap []relational.TupleID) {
-	if !idx.known[rel] {
-		return
-	}
-	_ = searchexec.ForEach(idx.numShards, idx.numShards, func(s int) error {
-		if postings := idx.shards[s][rel]; postings != nil {
+	for _, shard := range idx.shards {
+		if postings := shard[rel]; postings != nil {
 			remapPostings(postings, remap)
 		}
-		return nil
-	})
+	}
 }

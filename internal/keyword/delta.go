@@ -6,13 +6,9 @@ package keyword
 // layouts have the same Apply and are required to end up bit-identical to
 // a from-scratch rebuild over the mutated database — the
 // flat index by merging into its single posting map, the sharded index by
-// routing each touched token to the one FNV shard it lives in and applying
-// the shard deltas in parallel.
+// routing each touched token to the one FNV shard it lives in.
 
-import (
-	"sizelos/internal/relational"
-	"sizelos/internal/searchexec"
-)
+import "sizelos/internal/relational"
 
 // collectTokens tokenizes the given tuples of rel tuple-major into a
 // token -> ascending deduplicated ids map. Unlike indexTuples it takes an
@@ -120,9 +116,9 @@ func (idx *Index) Apply(rel string, inserted, deleted []relational.TupleID) {
 
 // Apply is Index.Apply for the sharded index, under the same contract (the
 // engine holds its write lock across mutations): the batch's token deltas
-// are partitioned by the same FNV hash that placed them at build
-// time, then every touched shard folds its slice of the delta in parallel,
-// one goroutine per shard, never crossing shard boundaries.
+// are partitioned by the same FNV hash that placed them at build time,
+// then every touched shard folds its slice of the delta — a handful of
+// tokens, far too few to be worth a goroutine per shard.
 func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {
 	if !idx.known[rel] {
 		return
@@ -131,18 +127,17 @@ func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {
 	strCols := stringColumns(r)
 	rem := partitionByShard(collectTokens(r, strCols, deleted), idx.numShards)
 	add := partitionByShard(collectTokens(r, strCols, inserted), idx.numShards)
-	_ = searchexec.ForEach(idx.numShards, idx.numShards, func(s int) error {
+	for s, shard := range idx.shards {
 		if len(rem[s]) == 0 && len(add[s]) == 0 {
-			return nil
+			continue
 		}
-		relMap := idx.shards[s][rel]
+		relMap := shard[rel]
 		if relMap == nil {
 			relMap = make(map[string][]relational.TupleID, len(add[s]))
-			idx.shards[s][rel] = relMap
+			shard[rel] = relMap
 		}
 		applyToPostings(relMap, rem[s], add[s])
-		return nil
-	})
+	}
 }
 
 // partitionByShard splits one token map into per-shard token maps under

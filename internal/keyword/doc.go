@@ -6,11 +6,13 @@
 //
 // Two implementations share one method set: Index is the flat reference
 // index built serially, which the tests compare against; Sharded
-// hash-partitions tokens across independent posting maps built and probed
-// in parallel, and is what the engine holds (concretely — there is no
-// index interface to swap behind). Both return identical results for
-// every query, and both have Apply (incremental posting deltas for
-// mutation batches) and Remap (TupleID remaps after physical compaction).
+// hash-partitions tokens across independent posting maps built in
+// parallel, and is what the engine holds (concretely — there is no index
+// interface to swap behind). Both return identical results for every
+// query — always against one DS relation, which the engine knows — and
+// both have Apply (incremental posting deltas for mutation batches) and
+// Remap (TupleID remaps after physical compaction), which run on the
+// caller's goroutine: a batch touches a handful of tokens.
 //
 // # Invariants
 //

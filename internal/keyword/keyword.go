@@ -144,14 +144,6 @@ func (idx *Index) Search(dsRel string, query string, scores relational.DBScores)
 	return drainStream(idx.SearchStream(dsRel, query, scores))
 }
 
-// SearchAll runs Search against every relation that has at least one hit,
-// useful when the DS relation is not known in advance (e.g. TPC-H queries
-// naming either a customer or a supplier). Implemented as a full drain of
-// SearchAllStream.
-func (idx *Index) SearchAll(query string, scores relational.DBScores) []Match {
-	return drainStream(idx.SearchAllStream(query, scores))
-}
-
 // matchLess is the global best-first order: score desc, relation asc,
 // tuple asc. Total over any one database, so every layout agrees.
 func matchLess(a, b Match) bool {

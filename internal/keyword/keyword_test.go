@@ -13,9 +13,7 @@ import (
 type layout interface {
 	Lookup(rel string, keywords []string) []relational.TupleID
 	Search(dsRel, query string, scores relational.DBScores) []Match
-	SearchAll(query string, scores relational.DBScores) []Match
 	SearchStream(dsRel, query string, scores relational.DBScores) MatchStream
-	SearchAllStream(query string, scores relational.DBScores) MatchStream
 	Apply(rel string, inserted, deleted []relational.TupleID)
 	Remap(rel string, remap []relational.TupleID)
 }
@@ -133,22 +131,6 @@ func TestSearchRanked(t *testing.T) {
 	}
 	if got[0].Score != 7 {
 		t.Errorf("score = %v, want 7", got[0].Score)
-	}
-}
-
-func TestSearchAll(t *testing.T) {
-	db := libraryDB(t)
-	idx := BuildIndex(db)
-	scores := relational.DBScores{
-		"Author": relational.Scores{1, 2, 3},
-		"Book":   relational.Scores{9, 1},
-	}
-	got := idx.SearchAll("faloutsos", scores)
-	if len(got) != 3 {
-		t.Fatalf("SearchAll returned %d matches, want 3 (2 authors + 1 book)", len(got))
-	}
-	if got[0].Relation != "Book" || got[0].Tuple != 0 {
-		t.Errorf("best match should be the book (score 9): %+v", got[0])
 	}
 }
 

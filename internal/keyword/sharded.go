@@ -11,11 +11,10 @@ import (
 // Sharded is an inverted index whose tokens are hash-partitioned across
 // NumShards independent posting maps. Construction tokenizes the column
 // stream in parallel chunks and lets one goroutine per shard own its map;
-// each lookup probes only the shard its keyword hashes to, and SearchAll
-// fans out across relations and merges the rankings best-first.
-// Results are bit-identical to the flat Index at any shard count: postings
-// per (relation, token) are the same ascending deduplicated lists, only
-// their physical placement differs.
+// each lookup probes only the shard its keyword hashes to. Results are
+// bit-identical to the flat Index at any shard count: postings per
+// (relation, token) are the same ascending deduplicated lists, only their
+// physical placement differs.
 type Sharded struct {
 	db        *relational.DB
 	numShards int
@@ -177,8 +176,7 @@ func (idx *Sharded) postings(rel, token string) []relational.TupleID {
 // (logical AND over tokens). Each keyword's posting list is fetched from
 // the one shard it hashes to (a pair of map probes — far too cheap to be
 // worth a goroutine per keyword), then intersected in keyword order
-// exactly like the flat index. Query-level parallelism lives one level up,
-// in SearchAll's per-relation fan-out.
+// exactly like the flat index.
 func (idx *Sharded) Lookup(rel string, keywords []string) []relational.TupleID {
 	if !idx.known[rel] || len(keywords) == 0 {
 		return nil
@@ -206,11 +204,4 @@ func (idx *Sharded) Lookup(rel string, keywords []string) []relational.TupleID {
 // materialized and streaming surfaces share one code path.
 func (idx *Sharded) Search(dsRel string, query string, scores relational.DBScores) []Match {
 	return drainStream(idx.SearchStream(dsRel, query, scores))
-}
-
-// SearchAll builds one frontier per relation across a worker pool and
-// drains their lazy best-first merge into the flat index's global order
-// (score desc, relation asc, tuple asc).
-func (idx *Sharded) SearchAll(query string, scores relational.DBScores) []Match {
-	return drainStream(idx.SearchAllStream(query, scores))
 }

@@ -67,9 +67,9 @@ func corpusTokens(idx *Index) [][2]string {
 }
 
 // TestShardedEqualsFlat drives every query the corpus can express — every
-// single-token lookup, AND pairs, ranked Search and SearchAll — through the
-// flat and sharded indexes at shard counts {1, 4, 17} on the DBLP and TPC-H
-// fixtures, requiring identical results throughout.
+// single-token lookup, AND pairs, ranked Search — through the flat and
+// sharded indexes at shard counts {1, 4, 17} on the DBLP and TPC-H fixtures,
+// requiring identical results throughout.
 func TestShardedEqualsFlat(t *testing.T) {
 	for name, db := range equalityDBs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -112,15 +112,6 @@ func TestShardedEqualsFlat(t *testing.T) {
 							t.Fatalf("Lookup(%s, %v): sharded %v != flat %v", rel, kws, got, want)
 						}
 					}
-					// Cross-relation SearchAll on a spread of tokens.
-					for i := 0; i < len(pairs); i += 1 + len(pairs)/64 {
-						tok := pairs[i][1]
-						want := flat.SearchAll(tok, scores)
-						got := sharded.SearchAll(tok, scores)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("SearchAll(%q): sharded %+v != flat %+v", tok, got, want)
-						}
-					}
 					// Misses and edge cases behave identically too.
 					if got := sharded.Lookup("NoSuchRelation", []string{"x"}); got != nil {
 						t.Errorf("unknown relation: got %v, want nil", got)
@@ -128,8 +119,8 @@ func TestShardedEqualsFlat(t *testing.T) {
 					if got := sharded.Lookup(db.Relations[0].Name, nil); got != nil {
 						t.Errorf("empty keywords: got %v, want nil", got)
 					}
-					if got := sharded.SearchAll("zzz-no-such-token-zzz", scores); got != nil {
-						t.Errorf("miss SearchAll: got %v, want nil", got)
+					if got := sharded.Search(db.Relations[0].Name, "zzz-no-such-token-zzz", scores); got != nil {
+						t.Errorf("miss Search: got %v, want nil", got)
 					}
 				})
 			}

@@ -4,12 +4,11 @@ import (
 	"strings"
 
 	"sizelos/internal/relational"
-	"sizelos/internal/searchexec"
 )
 
 // This file is the streaming query side of the index: instead of
-// materializing and sorting the full match set (Search/SearchAll), a
-// MatchStream produces each next-best match on demand. The composition is
+// materializing and sorting the full match set (Search), a MatchStream
+// produces each next-best match on demand. The composition is
 //
 //	posting lists -> lazy k-way intersection -> best-first frontier -> pop
 //
@@ -21,11 +20,11 @@ import (
 // the engine computes summaries only for the k matches actually pulled.
 
 // MatchStream is a pull cursor over keyword matches in best-first order
-// (score desc, relation asc, tuple asc — the same total order Search and
-// SearchAll return). Next yields the next-best match until exhausted.
-// Streams are single-consumer and must not be advanced concurrently with
-// index mutation; the engine pins one consistent state via its read lock
-// and epoch checks.
+// (score desc, relation asc, tuple asc — the same total order Search
+// returns). Next yields the next-best match until exhausted. Streams are
+// single-consumer and must not be advanced concurrently with index
+// mutation; the engine pins one consistent state via its read lock and
+// epoch checks.
 type MatchStream interface {
 	// Next pops the next-best match; ok is false when the stream is dry.
 	Next() (m Match, ok bool)
@@ -191,62 +190,9 @@ var _ MatchStream = emptyStream{}
 func (emptyStream) Next() (Match, bool) { return Match{}, false }
 func (emptyStream) Remaining() int      { return 0 }
 
-// mergeStream lazily k-way merges per-relation streams into the global
-// best-first order. Relations are few, so a linear scan per pop beats a
-// heap — the same economics the materialized SearchAll merge used.
-type mergeStream struct {
-	streams []MatchStream
-	// heads holds each stream's next match; ok marks live entries.
-	heads []Match
-	ok    []bool
-}
-
-var _ MatchStream = (*mergeStream)(nil)
-
-func newMergeStream(streams []MatchStream) *mergeStream {
-	ms := &mergeStream{
-		streams: streams,
-		heads:   make([]Match, len(streams)),
-		ok:      make([]bool, len(streams)),
-	}
-	for i, s := range streams {
-		ms.heads[i], ms.ok[i] = s.Next()
-	}
-	return ms
-}
-
-func (ms *mergeStream) Remaining() int {
-	total := 0
-	for i, s := range ms.streams {
-		total += s.Remaining()
-		if ms.ok[i] {
-			total++
-		}
-	}
-	return total
-}
-
-func (ms *mergeStream) Next() (Match, bool) {
-	best := -1
-	for i := range ms.heads {
-		if !ms.ok[i] {
-			continue
-		}
-		if best < 0 || matchLess(ms.heads[i], ms.heads[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Match{}, false
-	}
-	m := ms.heads[best]
-	ms.heads[best], ms.ok[best] = ms.streams[best].Next()
-	return m, true
-}
-
-// drainStream materializes a stream — the shared body of the non-streaming
-// Search/SearchAll entry points, which guarantees the two surfaces can
-// never order matches differently.
+// drainStream materializes a stream — the body of the non-streaming Search
+// entry points, which guarantees the two surfaces can never order matches
+// differently.
 func drainStream(s MatchStream) []Match {
 	n := s.Remaining()
 	if n == 0 {
@@ -291,16 +237,6 @@ func (idx *Index) SearchStream(dsRel, query string, scores relational.DBScores) 
 	return newFrontier(dsRel, lists, scores)
 }
 
-// SearchAllStream returns a pull cursor over exactly SearchAll's matches
-// and order, lazily merging one frontier per relation.
-func (idx *Index) SearchAllStream(query string, scores relational.DBScores) MatchStream {
-	streams := make([]MatchStream, len(idx.db.Relations))
-	for i, rel := range idx.db.Relations {
-		streams[i] = idx.SearchStream(rel.Name, query, scores)
-	}
-	return newMergeStream(streams)
-}
-
 // keywordLists resolves one relation's posting list per keyword, each from
 // the one shard it hashes to; ok=false mirrors the flat layout.
 func (idx *Sharded) keywordLists(rel string, keywords []string) ([][]relational.TupleID, bool) {
@@ -326,17 +262,4 @@ func (idx *Sharded) SearchStream(dsRel, query string, scores relational.DBScores
 		return emptyStream{}
 	}
 	return newFrontier(dsRel, lists, scores)
-}
-
-// SearchAllStream returns a pull cursor over exactly SearchAll's matches
-// and order. The per-relation frontiers are built across a worker pool
-// (heapify is the only O(n) cost); the merge itself is lazy.
-func (idx *Sharded) SearchAllStream(query string, scores relational.DBScores) MatchStream {
-	rels := idx.db.Relations
-	streams := make([]MatchStream, len(rels))
-	_ = searchexec.ForEach(len(rels), 0, func(i int) error {
-		streams[i] = idx.SearchStream(rels[i].Name, query, scores)
-		return nil
-	})
-	return newMergeStream(streams)
 }

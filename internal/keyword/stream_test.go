@@ -30,17 +30,6 @@ func refSearch(idx *Index, dsRel, query string, scores relational.DBScores) []Ma
 	return out
 }
 
-// refSearchAll concatenates every relation's reference ranking and re-sorts
-// globally, the shape (*Index).SearchAll had before the streaming rewrite.
-func refSearchAll(idx *Index, query string, scores relational.DBScores) []Match {
-	var out []Match
-	for _, rel := range idx.db.Relations {
-		out = append(out, refSearch(idx, rel.Name, query, scores)...)
-	}
-	sort.SliceStable(out, func(a, b int) bool { return matchLess(out[a], out[b]) })
-	return out
-}
-
 // streamPrefix pulls up to n matches off a stream.
 func streamPrefix(s MatchStream, n int) []Match {
 	var out []Match
@@ -109,39 +98,12 @@ func TestStreamMatchesReference(t *testing.T) {
 					}
 				}
 			}
-
-			// Global (SearchAll) surface on a sample of queries.
-			sampled := 0
-			for _, qs := range queries {
-				for _, q := range qs {
-					if sampled++; sampled%5 != 0 {
-						continue
-					}
-					want := refSearchAll(flat, q, scores)
-					for li, idx := range indexes {
-						got := drainStream(idx.SearchAllStream(q, scores))
-						if len(got) == 0 && len(want) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s SearchAllStream(%q) diverged from reference", labels[li], q)
-						}
-						if n := 3; len(want) >= n {
-							prefix := streamPrefix(idx.SearchAllStream(q, scores), n)
-							if !reflect.DeepEqual(prefix, want[:n]) {
-								t.Fatalf("%s SearchAllStream(%q) limit %d != drain prefix", labels[li], q, n)
-							}
-						}
-					}
-				}
-			}
 		})
 	}
 }
 
 // TestStreamRemaining pins the Remaining contract: it starts at the match
-// count and decrements by exactly one per pop, on both single-relation and
-// merged streams.
+// count and decrements by exactly one per pop.
 func TestStreamRemaining(t *testing.T) {
 	for _, db := range equalityDBs(t) {
 		idx := BuildIndex(db)
@@ -151,23 +113,18 @@ func TestStreamRemaining(t *testing.T) {
 			if i%37 != 0 {
 				continue
 			}
-			for _, open := range []func() MatchStream{
-				func() MatchStream { return idx.SearchStream(p[0], p[1], scores) },
-				func() MatchStream { return idx.SearchAllStream(p[1], scores) },
-			} {
-				s := open()
-				n := s.Remaining()
-				for k := 0; k < n; k++ {
-					if _, ok := s.Next(); !ok {
-						t.Fatalf("stream dried up at %d of %d", k, n)
-					}
-					if got := s.Remaining(); got != n-k-1 {
-						t.Fatalf("Remaining after %d pops = %d, want %d", k+1, got, n-k-1)
-					}
+			s := idx.SearchStream(p[0], p[1], scores)
+			n := s.Remaining()
+			for k := 0; k < n; k++ {
+				if _, ok := s.Next(); !ok {
+					t.Fatalf("stream dried up at %d of %d", k, n)
 				}
-				if _, ok := s.Next(); ok {
-					t.Fatal("stream yielded past Remaining()==0")
+				if got := s.Remaining(); got != n-k-1 {
+					t.Fatalf("Remaining after %d pops = %d, want %d", k+1, got, n-k-1)
 				}
+			}
+			if _, ok := s.Next(); ok {
+				t.Fatal("stream yielded past Remaining()==0")
 			}
 		}
 	}

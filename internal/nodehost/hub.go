@@ -102,13 +102,6 @@ func NewHub(store *durable.Store, cfg Config) *Hub {
 	return &Hub{store: store, cfg: cfg, tenants: make(map[string]*hubTenant)}
 }
 
-// Config exposes the hub's engine-construction knobs (for the opener the
-// non-durable registration path shares).
-func (h *Hub) Config() Config { return h.cfg }
-
-// ResolveSeed pins a spec seed against the deployment default.
-func (h *Hub) ResolveSeed(s int64) int64 { return h.cfg.resolveSeed(s) }
-
 // Recover implements tenancy.Recoverer: rebuild the tenant from its
 // durable directory (newest valid snapshot + WAL-tail replay; a fresh
 // dataset build when nothing durable exists yet) and leave its WAL

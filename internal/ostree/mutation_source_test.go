@@ -29,9 +29,9 @@ func TestJunctionTopLSkipsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatalf("datagraph.Build: %v", err)
 	}
-	scores, _, err := rank.Compute(g, datagen.DBLPGA1(), rank.DefaultOptions())
+	scores, _, err := computeRank(g, datagen.DBLPGA1(), rank.DefaultOptions())
 	if err != nil {
-		t.Fatalf("rank.Compute: %v", err)
+		t.Fatalf("computeRank: %v", err)
 	}
 	gds := datagen.AuthorGDS()
 	paperNode := gds.Find("Paper")

@@ -13,6 +13,16 @@ import (
 	"sizelos/internal/schemagraph"
 )
 
+// computeRank is rank.Compile + Run in one shot: the cold ranking of g
+// under ga.
+func computeRank(g *datagraph.Graph, ga *rank.GA, opts rank.Options) (relational.DBScores, rank.Stats, error) {
+	plans, err := rank.Compile(g, ga, nil)
+	if err != nil {
+		return nil, rank.Stats{}, err
+	}
+	return plans.Run(opts)
+}
+
 // fixture bundles a generated DBLP database with scores and both sources.
 type fixture struct {
 	db     *relational.DB
@@ -40,9 +50,9 @@ func getFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatalf("datagraph.Build: %v", err)
 	}
-	scores, _, err := rank.Compute(g, datagen.DBLPGA1(), rank.DefaultOptions())
+	scores, _, err := computeRank(g, datagen.DBLPGA1(), rank.DefaultOptions())
 	if err != nil {
-		t.Fatalf("rank.Compute: %v", err)
+		t.Fatalf("computeRank: %v", err)
 	}
 	shared = &fixture{db: db, graph: g, scores: scores}
 	return shared

@@ -9,9 +9,8 @@
 //     to the values of the receiving tuples (e.g. a $100 order receives more
 //     of its customer's authority than a $10 one). Used for TPC-H.
 //
-// Plain PageRank is also provided as a baseline, compiled onto the same
-// pull structure (CompilePageRank). The size-l algorithms are orthogonal to
-// the scheme (§2.2 note); they only consume the resulting per-tuple scores.
+// The size-l algorithms are orthogonal to the scheme (§2.2 note); they only
+// consume the resulting per-tuple scores.
 //
 // Authority flows are declared on the *conceptual* schema graph, where an
 // M:N relationship (Paper—Author through the Writes junction) is a single
@@ -22,11 +21,12 @@
 //
 // Execution model: Compile resolves a G_A against one data graph into
 // *Plans — per-flow CSR push plans, one contiguous score arena, and a
-// per-destination pull transpose. Plans.Run is the power iteration (cold or
-// warm); Plans.Apply splices a committed mutation batch into the compiled
-// rows; Plans.RunResidual repairs the prior fixed point, in the caller's
-// own vectors, with a localized Gauss–Southwell residual push (residual.go
-// has the math, parallel.go the round schedule) and has one safety net:
+// per-destination pull transpose — and Plans.Run is the power iteration
+// (cold or warm): the two are the one way to rank. Plans.Apply splices a
+// committed mutation batch into the compiled rows; Plans.RunResidual
+// repairs the prior fixed point, in the caller's own vectors, with a
+// localized Gauss–Southwell residual push (residual.go has the math,
+// push.go the round schedule) and has one safety net:
 // when the seeded residual is too large or the push budget runs out, the
 // same call returns Plans.Run warm-started from the prior instead. What one
 // entry of a source row transfers is written once (split, in rank.go); the
@@ -48,11 +48,12 @@
 //   - Plans.Run is bit-for-bit deterministic at every Options.Parallel
 //     setting: each destination's contributions are summed by exactly one
 //     worker in the canonical order (plan ordinal, source ascending, target
-//     position). RunResidual is too, fallback decision included: a round's
-//     contributions reach each destination in source-ascending order
-//     whether they are added directly or ride the tiles' outboxes, and the
-//     budget is checked per round. Changing the worker count must never
-//     change a score.
+//     position). Changing the worker count must never change a score.
+//     RunResidual has no worker count: its rounds are frozen-value, one
+//     walker applies a round's contributions in source-ascending order,
+//     and the budget is checked per round, so a repair — fallback decision
+//     included — is a pure function of the prior, the pending delta and
+//     the options.
 //   - Plans.Apply requires the batch to be already applied to the plans'
 //     database AND data graph (it recomputes changed rows from both), and
 //     must be serialized against Run/RunResidual by the caller. The engine

@@ -3,6 +3,7 @@ package rank
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"sizelos/internal/datagraph"
@@ -61,9 +62,11 @@ type Plans struct {
 }
 
 // Compile resolves ga's flows against the data graph into reusable push
-// plans. vf is the ValueRank f(·) applied to value columns (nil means
-// identity); it is baked into the compiled split weights, so Run ignores
-// Options.ValueFunc.
+// plans: the per-flow CSR rows, the arena layout, the source index, and the
+// eager first pull transpose (so layout overflow surfaces at compile time,
+// not mid-query). vf is the ValueRank f(·) applied to value columns (nil
+// means identity; it must map non-negative inputs to non-negative outputs)
+// and is baked into the compiled split weights.
 func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, error) {
 	if vf == nil {
 		vf = func(x float64) float64 { return x }
@@ -72,13 +75,6 @@ func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, erro
 	if err != nil {
 		return nil, err
 	}
-	return newPlans(g, plans, vf)
-}
-
-// newPlans finishes a Plans over compiled push plans: arena layout, source
-// index, and the eager first pull transpose (so layout overflow surfaces at
-// compile time, not mid-query).
-func newPlans(g *datagraph.Graph, plans []plan, vf func(float64) float64) (*Plans, error) {
 	db := g.DB
 	nRel := len(db.Relations)
 	ps := &Plans{g: g, plans: plans, vf: vf, relOff: make([]int32, nRel+1), pullOnce: new(sync.Once)}
@@ -176,15 +172,33 @@ func (ps *Plans) buildPull() error {
 	return nil
 }
 
-// NumPlans reports how many flows compiled to non-trivial push plans.
-func (ps *Plans) NumPlans() int { return len(ps.plans) }
-
 // NumNodes reports the arena size (total tuples across all relations).
 func (ps *Plans) NumNodes() int { return ps.n }
 
-// Run executes the power iteration over the compiled plans. Options
-// semantics match Compute, except ValueFunc is ignored (it was baked in at
-// Compile time). Safe to call concurrently on the same *Plans.
+// resolveWorkers maps Options.Parallel onto a worker count for an n-node
+// arena: 0 sizes by GOMAXPROCS (serial on small arenas, where goroutine
+// overhead dominates), 1 forces serial, >1 forces that many (capped at n).
+func resolveWorkers(parallel, n int) int {
+	w := parallel
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+		if n < 4096 {
+			w = 1
+		}
+	}
+	return max(1, min(w, n))
+}
+
+// Run executes the ObjectRank/ValueRank power iteration over the compiled
+// plans and returns one score per tuple, keyed by relation name. The
+// recurrence per tuple v is
+//
+//	r(v) = d · Σ_{u→v} α(e)·w(u→v)·r(u) + (1−d)/N
+//
+// where the sum ranges over incoming flows, α(e) is the flow rate and
+// w(u→v) is u's split weight over the tuples it reaches on that flow
+// (uniform, or value-proportional when the flow carries a ValueCol). Safe
+// to call concurrently on the same *Plans.
 //
 // Parallelism: Options.Parallel > 1 splits the destination arena into that
 // many contiguous worker ranges; 0 sizes the pool by GOMAXPROCS (falling

@@ -1,14 +1,13 @@
 package rank
 
-// Deterministic-scheduling edge tests for the parallel residual push
-// (parallel.go): empty frontier, one mega-region, cross-boundary pushes,
-// budget exhaustion mid-repair — each asserting the parallel schedule is
-// BIT-FOR-BIT identical to the serial one. The fixtures here are
-// hand-built rings large enough that frontiers exceed
-// residualSerialFrontier and the arena exceeds the full iteration's 4096
-// auto-parallel threshold, so the outbox machinery and the fallback's
-// worker splits genuinely engage (the engine-level harness re-proves the
-// same contract end to end on DBLP/TPC-H shapes).
+// Edge tests for the residual push's round schedule (push.go): empty
+// frontier, narrow and wide frontiers, a seed-mass trip, budget exhaustion
+// mid-repair — each holding the scratch and fallback contracts. The
+// fixtures here are hand-built rings large enough that frontiers run to
+// hundreds of nodes and the arena exceeds the full iteration's 4096
+// auto-parallel threshold, so the fallback's worker splits genuinely engage
+// (the engine-level harness re-proves the same contract end to end on
+// DBLP/TPC-H shapes).
 
 import (
 	"math"
@@ -21,8 +20,8 @@ import (
 
 // ringGA mixes a paper-to-paper hop with direct FK flows through the
 // citation tuples so BOTH relations carry and circulate authority: active
-// nodes span the whole arena, which is what forces cross-tile pushes at
-// every worker count. Every node emits exactly `rate` (papers rate/2 hop +
+// nodes span the whole arena, so a batch's frontier spreads instead of
+// staying in one relation. Every node emits exactly `rate` (papers rate/2 hop +
 // rate/2 to their citation children, citations `rate` back to their citing
 // paper), so the flow matrix has uniform column sums and spectral radius
 // `rate`; the Paper→Cites→Paper 2-cycles on top of the hop ring keep the
@@ -115,9 +114,7 @@ func ringMutated(t *testing.T, papers, fanout, nIns int, rate, damping float64) 
 	if err := g.Apply(res); err != nil {
 		t.Fatalf("graph.Apply: %v", err)
 	}
-	if err := ps.Apply(res, pending); err != nil {
-		t.Fatalf("plans.Apply: %v", err)
-	}
+	ps.Apply(res, pending)
 	return ps, pending, prior
 }
 
@@ -129,24 +126,6 @@ func cloneScores(sc relational.DBScores) relational.DBScores {
 		out[rel] = append(relational.Scores(nil), s...)
 	}
 	return out
-}
-
-// runResidualAt runs one residual repair of a copy of prior with the worker
-// count pinned. RunResidual leaves pending untouched, so one delta serves
-// every count.
-func runResidualAt(t *testing.T, ps *Plans, pending *Pending, prior relational.DBScores, damping float64, workers, budget int) (relational.DBScores, Stats) {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.Damping = damping
-	opts.NormalizeMax = 0
-	opts.Warm = cloneScores(prior)
-	opts.Parallel = workers
-	opts.ResidualBudget = budget
-	sc, st, err := ps.RunResidual(pending, opts)
-	if err != nil {
-		t.Fatalf("RunResidual(workers=%d): %v", workers, err)
-	}
-	return sc, st
 }
 
 // requireBitIdentical fails on the first score differing by even one ULP.
@@ -166,22 +145,20 @@ func requireBitIdentical(t *testing.T, label string, a, b relational.DBScores) {
 }
 
 // TestRunPushRoundsEmptyFrontier: a repair with nothing above threshold
-// performs no rounds, no pushes, and reports success at every worker
-// count — the no-op edge of the scheduler.
+// performs no rounds, no pushes, and reports success — the no-op edge of
+// the schedule.
 func TestRunPushRoundsEmptyFrontier(t *testing.T) {
 	_, _, ps := ringFixture(t, 50, 2, 0.7)
-	for _, workers := range []int{1, 2, 7} {
-		pr := &pushRun{ps: ps, sc: ps.takeScratch(), d: 0.85}
-		var stats Stats
-		if !pr.runPushRounds(1e-9, 4*ps.n, workers, &stats) {
-			t.Fatalf("workers=%d: empty frontier reported budget exhaustion", workers)
-		}
-		if stats.Rounds != 0 || stats.Pushes != 0 || stats.Handoffs != 0 {
-			t.Fatalf("workers=%d: empty frontier did work: %+v", workers, stats)
-		}
-		ps.putScratch(pr.sc)
-		requireScratchZero(t, ps)
+	pr := &pushRun{ps: ps, sc: ps.takeScratch(), d: 0.85}
+	var stats Stats
+	if !pr.runPushRounds(1e-9, 4*ps.n, &stats) {
+		t.Fatal("empty frontier reported budget exhaustion")
 	}
+	if stats.Rounds != 0 || stats.Pushes != 0 {
+		t.Fatalf("empty frontier did work: %+v", stats)
+	}
+	ps.putScratch(pr.sc)
+	requireScratchZero(t, ps)
 }
 
 // requireScratchZero scans every scratch on the Plans' free list in full:
@@ -207,44 +184,51 @@ func requireScratchZero(t *testing.T, ps *Plans) {
 	}
 }
 
+// wideFrontier is the frontier size the wide cases must reach in at least
+// one round: well past anything DBLP or TPC-H traffic produces, so the
+// schedule's per-round buffers are exercised at a size a one-tuple batch
+// never grows them to.
+const wideFrontier = 256
+
 // TestResidualScratchAndFallbackInvariants walks every way a RunResidual
-// can end — drained by direct rounds only, drained through tiled rounds, a
-// seed-mass trip before any round, a budget trip mid-push at d = 0.85 and
-// at d = 0.99 — and holds each to the same contract: the Plans' one scratch
-// is back all-zero, the same call from another copy of the prior returns
-// the same bits, a drained repair hands back the very table it was given,
-// and a trip returns bit for bit what Plans.Run returns over the original
-// prior while the table it was given is exactly as it was.
+// can end — drained by narrow rounds, drained through rounds hundreds of
+// nodes wide, a seed-mass trip before any round, a budget trip mid-push at
+// d = 0.85 and at d = 0.99 — and holds each to the same contract: the
+// Plans' one scratch is back all-zero, the same call from another copy of
+// the prior returns the same bits, a drained repair hands back the very
+// table it was given and lands on the cold fixed point, and a trip returns
+// bit for bit what Plans.Run returns over the original prior while the
+// table it was given is exactly as it was.
 func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		nIns          int
 		rate, damping float64
-		workers       int
 		budget        int
 		check         func(t *testing.T, st Stats)
 	}{
-		{"drained, direct rounds only", 8, 0.7, 0.85, 4, 0, func(t *testing.T, st Stats) {
-			if st.Fallback || st.Rounds == 0 || st.Handoffs != 0 {
-				t.Fatalf("want a push that never tiled: %+v", st)
+		{"drained, direct rounds only", 8, 0.7, 0.85, 0, func(t *testing.T, st Stats) {
+			if st.Fallback || st.Rounds == 0 {
+				t.Fatalf("want a drained push: %+v", st)
 			}
 		}},
-		{"drained, tiled rounds", 150, 0.7, 0.85, 4, 0, func(t *testing.T, st Stats) {
-			if st.Fallback || st.Handoffs == 0 {
-				t.Fatalf("want a push with at least one tiled round: %+v", st)
+		{"drained, wide frontier", 150, 0.7, 0.85, 0, func(t *testing.T, st Stats) {
+			// A mean frontier this wide means some round's was.
+			if st.Fallback || st.Pushes < wideFrontier*st.Rounds {
+				t.Fatalf("want a drained push with a round of %d nodes: %+v", wideFrontier, st)
 			}
 		}},
-		{"seed-mass trip", 1500, 0.7, 0.85, 4, 0, func(t *testing.T, st Stats) {
+		{"seed-mass trip", 1500, 0.7, 0.85, 0, func(t *testing.T, st Stats) {
 			if !st.Fallback || st.Rounds != 0 {
 				t.Fatalf("want a trip before the first round: %+v", st)
 			}
 		}},
-		{"budget trip mid-push, d=0.85", 150, 0.7, 0.85, 4, 3000, func(t *testing.T, st Stats) {
-			if !st.Fallback || st.Rounds == 0 || st.Handoffs == 0 {
-				t.Fatalf("want a trip after tiled rounds ran: %+v", st)
+		{"budget trip mid-push, d=0.85", 150, 0.7, 0.85, 3000, func(t *testing.T, st Stats) {
+			if !st.Fallback || st.Rounds == 0 || st.Pushes < wideFrontier*st.Rounds {
+				t.Fatalf("want a trip after wide rounds ran: %+v", st)
 			}
 		}},
-		{"budget trip mid-push, d=0.99", 150, 0.9, 0.99, 4, 0, func(t *testing.T, st Stats) {
+		{"budget trip mid-push, d=0.99", 150, 0.9, 0.99, 0, func(t *testing.T, st Stats) {
 			if !st.Fallback || st.Rounds == 0 {
 				t.Fatalf("want a trip after rounds ran: %+v", st)
 			}
@@ -255,7 +239,6 @@ func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Damping = tc.damping
 			opts.NormalizeMax = 0
-			opts.Parallel = tc.workers
 			opts.ResidualBudget = tc.budget
 
 			opts.Warm = cloneScores(prior)
@@ -273,6 +256,7 @@ func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 				if reflect.ValueOf(got).Pointer() != reflect.ValueOf(opts.Warm).Pointer() {
 					t.Fatal("a drained repair returned a table other than Options.Warm")
 				}
+				requireNearCold(t, ps, got, tc.damping)
 			} else {
 				requireSameTable(t, "prior after a trip", prior, opts.Warm)
 				full := opts
@@ -308,109 +292,65 @@ func requireSameTable(t *testing.T, label string, a, b relational.DBScores) {
 	requireBitIdentical(t, label, a, b)
 }
 
-// TestResidualParallelBitExactAcrossWorkers is the core scheduling
-// contract at the rank layer: one pending delta repaired at worker counts
-// 1, 2, 4 and 7 — plus a heavily oversubscribed 64 (this box has far
-// fewer cores; counts past the arena clamp, which the partition fuzzer
-// pins) — produces bit-for-bit identical scores, with the parallel runs
-// actually crossing tile boundaries (Handoffs) and the serial run never
-// doing so.
-func TestResidualParallelBitExactAcrossWorkers(t *testing.T) {
-	const damping = 0.85
-	ps, pending, prior := ringMutated(t, 1500, 2, 150, 0.7, damping)
-	if ps.n < 4096 {
-		t.Fatalf("fixture too small to engage worker splits: n=%d", ps.n)
-	}
-	serial, serialSt := runResidualAt(t, ps, pending, prior, damping, 1, 0)
-	if serialSt.Fallback || !serialSt.Converged {
-		t.Fatalf("serial run did not complete localized: %+v", serialSt)
-	}
-	if serialSt.Regions != 1 || serialSt.Handoffs != 0 {
-		t.Fatalf("serial run reported parallel work: %+v", serialSt)
-	}
-	if serialSt.Pushes < residualSerialFrontier {
-		t.Fatalf("fixture too small to engage parallel rounds: %+v", serialSt)
-	}
-	for _, w := range []int{2, 4, 7, 64} {
-		got, st := runResidualAt(t, ps, pending, prior, damping, w, 0)
-		requireBitIdentical(t, "workers="+itoa(w), serial, got)
-		if st.Fallback || !st.Converged {
-			t.Fatalf("workers=%d fell back: %+v", w, st)
-		}
-		// Round structure is worker-count invariant, not just the result.
-		if st.Rounds != serialSt.Rounds || st.Pushes != serialSt.Pushes {
-			t.Fatalf("workers=%d: rounds/pushes %d/%d vs serial %d/%d",
-				w, st.Rounds, st.Pushes, serialSt.Rounds, serialSt.Pushes)
-		}
-		if st.Regions != w {
-			t.Fatalf("workers=%d: reported %d regions", w, st.Regions)
-		}
-		if st.Handoffs == 0 {
-			t.Fatalf("workers=%d: no cross-boundary pushes on a ring — tiling never engaged: %+v", w, st)
-		}
-	}
-
-	// And the repair is still correct: a cold run over a fresh compile of
-	// the mutated graph agrees within the fixed-point tolerance.
-	cold := coldRingScores(t, ps, damping)
-	tol := 50 * 1e-9 / (1 - damping)
-	for rel, s := range serial {
-		for i := range s {
-			if d := math.Abs(s[i] - cold[rel][i]); d > tol {
-				t.Fatalf("%s[%d]: residual %v vs cold %v (tol %g)", rel, i, s[i], cold[rel][i], tol)
-			}
-		}
-	}
-}
-
-// TestResidualBudgetExhaustionWorkerInvariant: the budget is enforced at
-// round granularity, so a repair that exhausts it mid-stream must take
-// the SAME number of rounds and pushes — and fall back to the same
-// bit-identical full-iteration scores — at every worker count. Two trips:
-// a tight explicit budget at d = 0.85, and the default 4n budget at
+// TestResidualBudgetExhaustion: the budget is enforced at round
+// granularity, so a repair that exhausts it mid-stream stops before the
+// round that would cross it — rounds ran, pushes never exceed the budget —
+// and falls back to full-iteration scores on the cold fixed point. Two
+// trips: a tight explicit budget at d = 0.85, and the default 4n budget at
 // d = 0.99, where the slow global modes of a disruptive batch decay too
 // slowly for any push to finish inside it.
-func TestResidualBudgetExhaustionWorkerInvariant(t *testing.T) {
+func TestResidualBudgetExhaustion(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		rate, damping float64
 		budget        int
 	}{
 		// Enough budget for the first rounds, not the whole repair: the trip
-		// happens mid-stream, after the parallel machinery has engaged.
+		// happens mid-stream.
 		{"tight budget", 0.7, 0.85, 3000},
 		{"high damping, default budget", 0.9, 0.99, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ps, pending, prior := ringMutated(t, 1500, 2, 150, tc.rate, tc.damping)
-			serial, serialSt := runResidualAt(t, ps, pending, prior, tc.damping, 1, tc.budget)
-			if !serialSt.Fallback || !serialSt.Converged {
-				t.Fatalf("budget %d did not trip into a converged fallback: %+v", tc.budget, serialSt)
+			opts := DefaultOptions()
+			opts.Damping = tc.damping
+			opts.NormalizeMax = 0
+			opts.Warm = prior
+			opts.ResidualBudget = tc.budget
+			got, st, err := ps.RunResidual(pending, opts)
+			if err != nil {
+				t.Fatalf("RunResidual: %v", err)
 			}
-			if serialSt.Rounds == 0 || serialSt.Pushes == 0 {
-				t.Fatalf("budget tripped before any round ran: %+v", serialSt)
+			if !st.Fallback || !st.Converged {
+				t.Fatalf("budget %d did not trip into a converged fallback: %+v", tc.budget, st)
 			}
-			for _, w := range []int{2, 4, 7} {
-				got, st := runResidualAt(t, ps, pending, prior, tc.damping, w, tc.budget)
-				if !st.Fallback {
-					t.Fatalf("workers=%d: did not trip the same budget: %+v", w, st)
-				}
-				if st.Rounds != serialSt.Rounds || st.Pushes != serialSt.Pushes {
-					t.Fatalf("workers=%d: fallback decision moved: rounds/pushes %d/%d vs serial %d/%d",
-						w, st.Rounds, st.Pushes, serialSt.Rounds, serialSt.Pushes)
-				}
-				requireBitIdentical(t, "fallback workers="+itoa(w), serial, got)
+			if st.Rounds == 0 || st.Pushes == 0 {
+				t.Fatalf("budget tripped before any round ran: %+v", st)
 			}
-			cold := coldRingScores(t, ps, tc.damping)
-			tol := 50 * 1e-9 / (1 - tc.damping)
-			for rel, s := range serial {
-				for i := range s {
-					if d := math.Abs(s[i] - cold[rel][i]); d > tol {
-						t.Fatalf("%s[%d]: fallback %v vs cold %v (tol %g)", rel, i, s[i], cold[rel][i], tol)
-					}
-				}
+			budget := tc.budget
+			if budget == 0 {
+				budget = 4 * ps.n
 			}
+			if st.Pushes > budget {
+				t.Fatalf("%d pushes ran past the budget of %d", st.Pushes, budget)
+			}
+			requireNearCold(t, ps, got, tc.damping)
 		})
+	}
+}
+
+// requireNearCold holds scores over ps's mutated ring to the cold fixed
+// point within the fixed-point tolerance.
+func requireNearCold(t *testing.T, ps *Plans, got relational.DBScores, damping float64) {
+	t.Helper()
+	cold := coldRingScores(t, ps, damping)
+	tol := 50 * 1e-9 / (1 - damping)
+	for rel, s := range got {
+		for i := range s {
+			if d := math.Abs(s[i] - cold[rel][i]); d > tol {
+				t.Fatalf("%s[%d]: %v vs cold %v (tol %g)", rel, i, s[i], cold[rel][i], tol)
+			}
+		}
 	}
 }
 
@@ -434,18 +374,4 @@ func coldRingScores(t *testing.T, ps *Plans, damping float64) relational.DBScore
 		t.Fatalf("cold: err=%v stats=%+v", err, st)
 	}
 	return sc
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -60,13 +60,13 @@ func TestQuickNormalizationPreservesOrder(t *testing.T) {
 		ga := NewGA("q").Hop("Cites", 0, 1, 0.7)
 		raw := DefaultOptions()
 		raw.NormalizeMax = 0
-		a, _, err := Compute(g, ga, raw)
+		a, _, err := compute(g, ga, raw)
 		if err != nil {
 			return false
 		}
 		norm := DefaultOptions()
 		norm.NormalizeMax = 42
-		b, _, err := Compute(g, ga, norm)
+		b, _, err := compute(g, ga, norm)
 		if err != nil {
 			return false
 		}
@@ -106,7 +106,7 @@ func TestQuickScoresBounded(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Damping = damping
 		opts.NormalizeMax = 0
-		scores, stats, err := Compute(g, ga, opts)
+		scores, stats, err := compute(g, ga, opts)
 		if err != nil || !stats.Converged && stats.Iterations < opts.MaxIter {
 			return false
 		}

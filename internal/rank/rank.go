@@ -66,12 +66,6 @@ func (ga *GA) Hop(junction string, jfkFrom, jfkTo int, rate float64) *GA {
 	return ga
 }
 
-// HopValue appends a value-weighted junction flow.
-func (ga *GA) HopValue(junction string, jfkFrom, jfkTo int, rate float64, valueCol string) *GA {
-	ga.Flows = append(ga.Flows, Flow{Junction: junction, JFKFrom: jfkFrom, JFKTo: jfkTo, Rate: rate, ValueCol: valueCol})
-	return ga
-}
-
 // UniformLike copies ga's flow topology with every rate replaced by rate and
 // value columns stripped: the paper's GA2 for DBLP ("common transfer rates
 // (0.3) for all edges").
@@ -105,18 +99,14 @@ type Options struct {
 	Epsilon float64
 	// MaxIter caps the number of iterations.
 	MaxIter int
-	// ValueFunc is the f(·) applied to value columns in ValueRank splits.
-	// Nil means identity. It must map non-negative inputs to non-negative
-	// outputs.
-	ValueFunc func(float64) float64
 	// NormalizeMax, if positive, linearly rescales the final scores so the
 	// global maximum equals this value. The paper reports local-importance
 	// magnitudes like 21.74; scaling is cosmetic and preserves all rankings.
 	NormalizeMax float64
-	// Parallel sets the push-phase worker count: 0 sizes the pool by
+	// Parallel sets the full iteration's worker count: 0 sizes the pool by
 	// GOMAXPROCS (serial on small graphs), 1 forces serial, >1 forces that
 	// many workers. Every setting yields bit-for-bit identical scores; see
-	// Plans.Run.
+	// Plans.Run. A residual push is one walker whatever it says.
 	Parallel int
 	// Warm, when non-nil, seeds the power iteration with a prior score
 	// vector instead of the uniform distribution — the warm start that
@@ -137,8 +127,7 @@ type Options struct {
 	// past one sweep, while a genuinely global perturbation trips the
 	// budget early and takes the vectorized iteration instead. The budget
 	// is enforced at push-round granularity — a round either runs in full
-	// or falls back before starting — so the fallback decision is
-	// independent of the worker count.
+	// or falls back before starting.
 	ResidualBudget int
 }
 
@@ -171,16 +160,8 @@ type Stats struct {
 	// mass over the safety bound or the push budget exhausted) and the
 	// reported scores come from the warm full iteration instead.
 	Fallback bool
-	// Rounds counts the synchronized push rounds a RunResidual executed.
+	// Rounds counts the frozen-value push rounds a RunResidual executed.
 	Rounds int
-	// Regions reports the owner-tile count the residual repair was
-	// partitioned into (1 = serial). Purely observational: every region
-	// count produces bit-identical scores.
-	Regions int
-	// Handoffs counts cross-region contributions exchanged at push-round
-	// barriers — how often a push crossed a partition boundary. Always 0
-	// for serial runs (one region owns everything).
-	Handoffs int
 }
 
 // planKind discriminates how a source tuple's row of a compiled plan is
@@ -194,9 +175,6 @@ const (
 	planBackward
 	// planJunction: two-hop flow through a junction relation.
 	planJunction
-	// planDegree: PageRank pseudo-flow, weights 1/total-degree. Built by
-	// CompilePageRank only; not incrementally maintainable.
-	planDegree
 )
 
 // plan is one compiled flow: a CSR adjacency from every tuple of srcRel to
@@ -440,96 +418,6 @@ func numericValue(v relational.Value) float64 {
 	default:
 		return 0
 	}
-}
-
-// Compute runs ObjectRank/ValueRank power iteration on the data graph under
-// the given G_A and returns one score per tuple, keyed by relation name.
-//
-// The recurrence per tuple v is
-//
-//	r(v) = d · Σ_{u→v} α(e)·w(u→v)·r(u) + (1−d)/N
-//
-// where the sum ranges over incoming flows, α(e) is the flow rate and
-// w(u→v) is u's split weight over the tuples it reaches on that flow
-// (uniform, or value-proportional when the flow carries a ValueCol).
-//
-// Compute is Compile + Run in one shot. Callers that evaluate several
-// dampings over the same G_A (the engine's GA1-d1/d2/d3) should Compile
-// once and Run per damping instead, which skips the redundant plan builds.
-func Compute(g *datagraph.Graph, ga *GA, opts Options) (relational.DBScores, Stats, error) {
-	if opts.Damping < 0 || opts.Damping > 1 {
-		return nil, Stats{}, fmt.Errorf("rank: damping %v outside [0,1]", opts.Damping)
-	}
-	plans, err := Compile(g, ga, opts.ValueFunc)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return plans.Run(opts)
-}
-
-// ComputePageRank runs plain PageRank on the data graph: every tuple splits
-// its full authority uniformly across all neighbors over all edge types and
-// directions. It serves as a G_A-free baseline (§2.2 cites PageRank-inspired
-// ranking in BANKS).
-//
-// It is CompilePageRank + Run in one shot: the recurrence executes over the
-// same compiled pull arena as ObjectRank/ValueRank — one code path for the
-// cold, warm and parallel modes. Callers iterating several dampings should
-// CompilePageRank once and Run per damping.
-func ComputePageRank(g *datagraph.Graph, opts Options) (relational.DBScores, Stats, error) {
-	if opts.Damping < 0 || opts.Damping > 1 {
-		return nil, Stats{}, fmt.Errorf("rank: damping %v outside [0,1]", opts.Damping)
-	}
-	ps, err := CompilePageRank(g)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return ps.Run(opts)
-}
-
-// CompilePageRank compiles the G_A-free PageRank baseline against the data
-// graph: one pseudo-flow per incident edge direction of every relation,
-// each edge weighted 1/total-degree of its source tuple, so a tuple splits
-// its full authority uniformly over all its neighbors across all edge
-// types. The result runs on the same arena and pull structure as compiled
-// G_A plans; it does not support incremental maintenance (Plans.Apply).
-func CompilePageRank(g *datagraph.Graph) (*Plans, error) {
-	db := g.DB
-	var plans []plan
-	for ri := range db.Relations {
-		n := g.RelSize(ri)
-		dirs := g.EdgeDirs(ri)
-		if len(dirs) == 0 {
-			continue
-		}
-		invDeg := make([]float64, n)
-		for t := 0; t < n; t++ {
-			total := 0
-			for di := range dirs {
-				total += g.Degree(ri, relational.TupleID(t), di)
-			}
-			if total > 0 {
-				invDeg[t] = 1 / float64(total)
-			}
-		}
-		for di, ed := range dirs {
-			p := plan{
-				srcRel: ri, dstRel: ed.OtherIdx, rate: 1,
-				kind: planDegree, dirIdx: di, valueCol: -1,
-			}
-			p.offsets = make([]int32, n+1)
-			for t := 0; t < n; t++ {
-				p.offsets[t] = int32(len(p.targets))
-				for _, nb := range g.Neighbors(ri, relational.TupleID(t), di) {
-					p.targets = append(p.targets, nb)
-					p.weights = append(p.weights, invDeg[t])
-				}
-			}
-			p.offsets[n] = int32(len(p.targets))
-			plans = append(plans, p)
-		}
-	}
-	return newPlans(g, plans, nil)
 }
 
 // Normalize linearly rescales scores in place so the global maximum equals

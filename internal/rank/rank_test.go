@@ -46,11 +46,20 @@ func citationGA() *GA {
 	return NewGA("cite").Hop("Cites", 0, 1, 0.7)
 }
 
+// compute is Compile + Run in one shot, what most tests here want.
+func compute(g *datagraph.Graph, ga *GA, opts Options) (relational.DBScores, Stats, error) {
+	ps, err := Compile(g, ga, nil)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return ps.Run(opts)
+}
+
 func TestObjectRankCitationOrder(t *testing.T) {
 	_, g := citeChain(t)
-	scores, stats, err := Compute(g, citationGA(), DefaultOptions())
+	scores, stats, err := compute(g, citationGA(), DefaultOptions())
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	if !stats.Converged {
 		t.Fatalf("did not converge: %+v", stats)
@@ -74,9 +83,9 @@ func TestScoresNonNegativeAndNormalized(t *testing.T) {
 	_, g := citeChain(t)
 	opts := DefaultOptions()
 	opts.NormalizeMax = 100
-	scores, _, err := Compute(g, citationGA(), opts)
+	scores, _, err := compute(g, citationGA(), opts)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	max := 0.0
 	for _, s := range scores {
@@ -100,9 +109,9 @@ func TestDampingExtremes(t *testing.T) {
 	// normalization scales all to NormalizeMax).
 	opts := DefaultOptions()
 	opts.Damping = 0
-	scores, stats, err := Compute(g, citationGA(), opts)
+	scores, stats, err := compute(g, citationGA(), opts)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	if stats.Iterations != 1 {
 		t.Errorf("d=0 should converge in 1 iteration, took %d", stats.Iterations)
@@ -119,7 +128,7 @@ func TestInvalidDamping(t *testing.T) {
 	_, g := citeChain(t)
 	opts := DefaultOptions()
 	opts.Damping = 1.5
-	if _, _, err := Compute(g, citationGA(), opts); err == nil {
+	if _, _, err := compute(g, citationGA(), opts); err == nil {
 		t.Fatal("damping 1.5 accepted")
 	}
 }
@@ -139,8 +148,8 @@ func TestUniformLike(t *testing.T) {
 	if ga.Name != "GA2" {
 		t.Errorf("Name = %q", ga.Name)
 	}
-	if _, _, err := Compute(g, ga, DefaultOptions()); err != nil {
-		t.Fatalf("Compute with uniform GA: %v", err)
+	if _, _, err := compute(g, ga, DefaultOptions()); err != nil {
+		t.Fatalf("compute with uniform GA: %v", err)
 	}
 }
 
@@ -173,9 +182,9 @@ func TestValueRankSplit(t *testing.T) {
 	ga := NewGA("VR").DirectValue("Orders", 0, false, 0.5, "total")
 	opts := DefaultOptions()
 	opts.NormalizeMax = 0 // keep raw scores for ratio checks
-	scores, _, err := Compute(g, ga, opts)
+	scores, _, err := compute(g, ga, opts)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	o := scores["Orders"]
 	base := (1 - opts.Damping) / 3
@@ -197,9 +206,9 @@ func TestValueRankZeroValuesFallBackToUniform(t *testing.T) {
 	ga := NewGA("VR").DirectValue("Orders", 0, false, 0.5, "total")
 	opts := DefaultOptions()
 	opts.NormalizeMax = 0
-	scores, _, err := Compute(g, ga, opts)
+	scores, _, err := compute(g, ga, opts)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	o := scores["Orders"]
 	if math.Abs(o[0]-o[1]) > 1e-12 {
@@ -210,7 +219,7 @@ func TestValueRankZeroValuesFallBackToUniform(t *testing.T) {
 func TestValueRankUnknownColumn(t *testing.T) {
 	_, g := valueDB(t)
 	ga := NewGA("VR").DirectValue("Orders", 0, false, 0.5, "nope")
-	if _, _, err := Compute(g, ga, DefaultOptions()); err == nil {
+	if _, _, err := compute(g, ga, DefaultOptions()); err == nil {
 		t.Fatal("unknown value column accepted")
 	}
 }
@@ -242,7 +251,7 @@ func TestFlowErrors(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := Compute(g, tc.ga, DefaultOptions()); err == nil {
+			if _, _, err := compute(g, tc.ga, DefaultOptions()); err == nil {
 				t.Fatal("invalid flow accepted")
 			}
 		})
@@ -252,9 +261,9 @@ func TestFlowErrors(t *testing.T) {
 func TestZeroRateFlowsSkipped(t *testing.T) {
 	_, g := citeChain(t)
 	ga := NewGA("zero").Hop("Cites", 0, 1, 0)
-	scores, stats, err := Compute(g, ga, DefaultOptions())
+	scores, stats, err := compute(g, ga, DefaultOptions())
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	// First iteration settles every score to the base; second confirms.
 	if stats.Iterations > 2 {
@@ -274,9 +283,9 @@ func TestJunctionHopNoEcho(t *testing.T) {
 	_, g := citeChain(t)
 	opts := DefaultOptions()
 	opts.NormalizeMax = 0
-	scores, _, err := Compute(g, citationGA(), opts)
+	scores, _, err := compute(g, citationGA(), opts)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	c := scores["Cites"]
 	base := (1 - opts.Damping) / 7 // 4 papers + 3 cites rows
@@ -287,36 +296,15 @@ func TestJunctionHopNoEcho(t *testing.T) {
 	}
 }
 
-func TestComputePageRank(t *testing.T) {
-	_, g := citeChain(t)
-	scores, stats, err := ComputePageRank(g, DefaultOptions())
-	if err != nil {
-		t.Fatalf("ComputePageRank: %v", err)
-	}
-	if !stats.Converged {
-		t.Fatalf("PageRank did not converge: %+v", stats)
-	}
-	p := scores["Paper"]
-	// p1 is the most linked paper overall; PageRank should reflect that.
-	for i := 1; i < len(p); i++ {
-		if p[0] < p[i] {
-			t.Errorf("p1=%v should be max, got p%d=%v", p[0], i+1, p[i])
-		}
-	}
-}
-
 func TestEmptyGraph(t *testing.T) {
 	db := relational.NewDB("empty")
 	g, err := datagraph.Build(db)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	scores, stats, err := Compute(g, NewGA("ga"), DefaultOptions())
+	scores, stats, err := compute(g, NewGA("ga"), DefaultOptions())
 	if err != nil || !stats.Converged || len(scores) != 0 {
 		t.Errorf("empty graph: scores=%v stats=%+v err=%v", scores, stats, err)
-	}
-	if _, stats, err := ComputePageRank(g, DefaultOptions()); err != nil || !stats.Converged {
-		t.Errorf("empty graph pagerank: stats=%+v err=%v", stats, err)
 	}
 }
 
@@ -325,9 +313,9 @@ func TestHighDampingStillConverges(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Damping = 0.99 // the paper's d3
 	opts.MaxIter = 5000
-	_, stats, err := Compute(g, citationGA(), opts)
+	_, stats, err := compute(g, citationGA(), opts)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
 	if !stats.Converged {
 		t.Errorf("d=0.99 did not converge in %d iters (delta %v)", stats.Iterations, stats.MaxDelta)

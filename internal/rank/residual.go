@@ -29,19 +29,17 @@ package rank
 //
 // A push at node u then moves r[u] into the score and propagates
 // d·w(u→v)·r[u] to u's flow targets, preserving the invariant
-// x = cur + (I−M)⁻¹r. The push runs in synchronized rounds over
-// owner-assigned arena tiles (parallel.go): each round consumes every
-// above-threshold residual at its round-start value and applies the
-// expanded contributions per destination in a fixed source-ascending
-// order, so the repair is bit-for-bit identical at any worker count and
-// round-empty ⟺ max|r| < Options.Epsilon — the same convergence
-// criterion, hence the same fixed-point tolerance class, as the full
-// iteration. Because the per-source rate sums of real G_As can exceed 1
-// (DBLP's Paper emits 1.2), the push is not 1-norm contractive at high
-// damping; the push budget, not a contraction argument, guarantees
-// termination: a run that exhausts it — or whose seed mass already dwarfs
-// the prior's — falls back to the warm full iteration, which is correct
-// from any seed.
+// x = cur + (I−M)⁻¹r. The push runs in rounds (push.go): each round
+// consumes every above-threshold residual at its round-start value and
+// applies the expanded contributions per destination in a fixed
+// source-ascending order, so the repair is deterministic and round-empty ⟺
+// max|r| < Options.Epsilon — the same convergence criterion, hence the same
+// fixed-point tolerance class, as the full iteration. Because the
+// per-source rate sums of real G_As can exceed 1 (DBLP's Paper emits 1.2),
+// the push is not 1-norm contractive at high damping; the push budget, not
+// a contraction argument, guarantees termination: a run that exhausts it —
+// or whose seed mass already dwarfs the prior's — falls back to the warm
+// full iteration, which is correct from any seed.
 //
 // The rescaled prior is never materialized on its own. The seeds read c·p
 // on demand; the pushed amounts are logged, not applied; and a drained
@@ -93,15 +91,6 @@ func (ps *Plans) NewPending() *Pending {
 	return p
 }
 
-// Changes reports how many (plan, source) rows the pending delta covers.
-func (p *Pending) Changes() int {
-	n := 0
-	for _, m := range p.rows {
-		n += len(m)
-	}
-	return n
-}
-
 // capture records src's pre-mutation row for plan pi unless one is already
 // held (the prior predates every batch, so the first capture is the one
 // that pairs with it).
@@ -124,14 +113,11 @@ func (p *Pending) capture(pi int, src relational.TupleID, targets []relational.T
 //
 // After Apply, Run produces the same scores a fresh Compile over the
 // mutated graph would (the pull transpose is rebuilt lazily from the
-// overlaid rows); plans built by CompilePageRank reject Apply.
-func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) error {
+// overlaid rows).
+func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
 	rowsChanged := false
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
-		if p.kind == planDegree {
-			return fmt.Errorf("rank: degree-normalized (PageRank) plans do not support incremental maintenance")
-		}
 		changed := ps.changedSources(p, res)
 		for _, t := range changed {
 			if pending != nil {
@@ -161,7 +147,6 @@ func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) error {
 		ps.pullErr = nil
 		ps.pullOff, ps.pullSrc, ps.pullW = nil, nil, nil
 	}
-	return nil
 }
 
 // Patched reports how many overlaid source rows the plans carry across all
@@ -292,9 +277,7 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // RunResidual repairs the prior fixed point after the batches recorded in
 // pending (the math is at the top of this file) and drives the max residual
 // below Options.Epsilon — the criterion the full iteration stops on, so the
-// result lands in the same fixed-point tolerance class. Options.Parallel
-// partitions the push across workers (parallel.go); every worker count
-// produces bit-for-bit identical scores.
+// result lands in the same fixed-point tolerance class.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
 // accumulated against, and a completed repair returns that same table,
@@ -304,13 +287,14 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // or copied: the residual vector and the node marks are a scratch of the
 // Plans', and no score is written until the push has drained.
 //
-// Options.ResidualBudget caps the pushes (enforced at round granularity,
-// so the fallback decision is worker-count independent too). When the seed
-// mass exceeds the safety bound, the seeds cover too much of the arena, or
-// the budget runs out, RunResidual falls back to the warm full iteration
-// over the same plans (Stats.Fallback reports it) and returns that run's
-// fresh table, Options.Warm being, as on an error, exactly what was passed
-// in. Either way the returned scores satisfy the convergence contract.
+// Options.ResidualBudget caps the pushes (enforced at round granularity: a
+// round runs in full or not at all). When the seed mass exceeds the safety
+// bound, the seeds cover too much of the arena, or the budget runs out,
+// RunResidual falls back to the warm full iteration over the same plans
+// (Stats.Fallback reports it; Options.Parallel sizes it) and returns that
+// run's fresh table, Options.Warm being, as on an error, exactly what was
+// passed in. Either way the returned scores satisfy the convergence
+// contract.
 //
 // Safe to call concurrently on the same *Plans and *Pending with distinct
 // Warm tables (each run takes its own scratch); Apply must not run
@@ -366,7 +350,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		for k, tgt := range targets {
 			v := dstOff + int32(tgt)
 			sc.r[v] += d * w.at(k) * pv
-			sc.touch(v, &sc.dirty)
+			sc.touch(v)
 		}
 	}
 	for pi, rows := range pending.rows {
@@ -413,7 +397,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		}
 	}
 	slices.Sort(sc.frontier)
-	drained := pr.runPushRounds(eps, budget, resolveWorkers(opts.Parallel, ps.n), &stats)
+	drained := pr.runPushRounds(eps, budget, &stats)
 	stats.Updates = stats.Pushes
 	if !drained {
 		return fallback()

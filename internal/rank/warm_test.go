@@ -119,29 +119,6 @@ func TestWarmStartPartialCoverage(t *testing.T) {
 	}
 }
 
-// TestWarmStartPageRank exercises the Warm option on the G_A-free PageRank
-// baseline, which shares the seeding through iterate.
-func TestWarmStartPageRank(t *testing.T) {
-	g := warmGraph(t)
-	opts := rank.DefaultOptions()
-	opts.NormalizeMax = 0
-	cold, coldStats, err := rank.ComputePageRank(g, opts)
-	if err != nil {
-		t.Fatalf("cold ComputePageRank: %v", err)
-	}
-	opts.Warm = cold
-	warm, warmStats, err := rank.ComputePageRank(g, opts)
-	if err != nil {
-		t.Fatalf("warm ComputePageRank: %v", err)
-	}
-	if !warmStats.WarmStart || warmStats.Iterations >= coldStats.Iterations {
-		t.Fatalf("PageRank warm start: stats %+v vs cold %+v", warmStats, coldStats)
-	}
-	if d := maxAbsDiff(cold, warm); d > 1e-8 {
-		t.Fatalf("PageRank warm scores diverged by %g", d)
-	}
-}
-
 // TestNormalize pins the helper's contract: global max hits the target,
 // rankings survive, zero vectors and non-positive targets are no-ops.
 func TestNormalize(t *testing.T) {

@@ -168,30 +168,6 @@ func TestDeletePreservesFKOrder(t *testing.T) {
 	}
 }
 
-// TestEncodeCompactsTombstones checks persistence never resurrects deleted
-// tuples.
-func TestEncodeCompactsTombstones(t *testing.T) {
-	db := mutableDB(t)
-	if _, err := db.Apply(Batch{Deletes: []DeleteOp{{Rel: "Book", PK: 10}}}); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	path := t.TempDir() + "/db.gob"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	re, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	book := re.Relation("Book")
-	if book.Len() != 1 || book.Live() != 1 {
-		t.Fatalf("reloaded Book has %d tuples (%d live), want 1 live", book.Len(), book.Live())
-	}
-	if _, ok := book.LookupPK(10); ok {
-		t.Fatal("deleted pk 10 resurrected by reload")
-	}
-}
-
 // TestApplyResultsAscendPerRelation deletes (and inserts) in descending
 // request order and checks the per-relation result lists come back
 // ascending — the contract incremental index maintenance merges against.

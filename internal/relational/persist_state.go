@@ -8,11 +8,11 @@ import (
 
 // relationStateWire is the layout-preserving persisted form of a Relation:
 // every physical slot (tombstones included, content retained), the
-// tombstone mask, and the mutation counter. Unlike relationWire it promises
-// that decoding reproduces the exact physical layout — TupleID for TupleID —
-// which the durability tier needs so that a recovered engine's score
-// vectors, data-graph node ids and keyword postings line up bit-for-bit
-// with the snapshotted ones.
+// tombstone mask, and the mutation counter. Decoding reproduces the exact
+// physical layout — TupleID for TupleID — which the durability tier needs so
+// that a recovered engine's score vectors, data-graph node ids and keyword
+// postings line up bit-for-bit with the snapshotted ones. Indexes are
+// derivable and rebuilt on load.
 type relationStateWire struct {
 	Name    string
 	Columns []Column
@@ -34,8 +34,7 @@ type dbStateWire struct {
 // counter rides along. The encoding is deterministic (the wire structs hold
 // no maps), so byte-equality of two EncodeState outputs implies physically
 // identical databases — the crash-recovery harness uses exactly that as its
-// equality oracle. Use Encode instead when dense re-numbered TupleIDs are
-// acceptable and tombstone slots should be reclaimed.
+// equality oracle.
 func (db *DB) EncodeState(w io.Writer) error {
 	wire := dbStateWire{Name: db.Name}
 	for _, r := range db.Relations {

@@ -103,33 +103,6 @@ func (idx *OrderedFKIndex) TopL(db *DB, key int64, minScore float64, limit int) 
 	return out
 }
 
-// ScanEqInt returns, in TupleID order, all tuples of r whose integer column
-// col equals v (a full scan; used only by tests and small tools — keyword
-// lookup goes through the inverted index).
-func (db *DB) ScanEqInt(r *Relation, col int, v int64) []TupleID {
-	db.accesses.Add(1)
-	var out []TupleID
-	for id, t := range r.Tuples {
-		if !r.Deleted(TupleID(id)) && t[col].Kind == KindInt && t[col].Int == v {
-			out = append(out, TupleID(id))
-		}
-	}
-	return out
-}
-
-// ScanEqStr returns, in TupleID order, all tuples of r whose string column
-// col equals v.
-func (db *DB) ScanEqStr(r *Relation, col int, v string) []TupleID {
-	db.accesses.Add(1)
-	var out []TupleID
-	for id, t := range r.Tuples {
-		if !r.Deleted(TupleID(id)) && t[col].Kind == KindString && t[col].Str == v {
-			out = append(out, TupleID(id))
-		}
-	}
-	return out
-}
-
 // Accesses returns the number of extraction operations charged so far.
 func (db *DB) Accesses() int64 { return db.accesses.Load() }
 

@@ -39,23 +39,6 @@ func TestLookupParent(t *testing.T) {
 	}
 }
 
-func TestScanEq(t *testing.T) {
-	db := buildPetDB(t)
-	pet := db.Relation("Pet")
-	got := db.ScanEqStr(pet, pet.ColIndex("species"), "dog")
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("ScanEqStr(dog) = %v, want [1]", got)
-	}
-	person := db.Relation("Person")
-	got = db.ScanEqInt(person, person.ColIndex("age"), 36)
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("ScanEqInt(36) = %v, want [0]", got)
-	}
-	if got := db.ScanEqStr(pet, pet.ColIndex("species"), "emu"); len(got) != 0 {
-		t.Errorf("ScanEqStr(emu) = %v, want empty", got)
-	}
-}
-
 func TestResetAccesses(t *testing.T) {
 	db := buildPetDB(t)
 	pet := db.Relation("Pet")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"sizelos/internal/tenancy"
 )
@@ -252,28 +251,4 @@ func (r *Router) Healthy(name string) bool {
 	defer r.mu.RUnlock()
 	mem, ok := r.members[name]
 	return ok && mem.healthy
-}
-
-// WaitHealthy polls until every configured member probes healthy or the
-// timeout passes; cmd/osrouter uses it to sequence its startup log line.
-func (r *Router) WaitHealthy(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		r.CheckNow()
-		all := true
-		r.mu.RLock()
-		for _, mem := range r.members {
-			if !mem.healthy {
-				all = false
-			}
-		}
-		r.mu.RUnlock()
-		if all {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }

@@ -246,25 +246,13 @@ func validateNode(db *relational.DB, n *Node) error {
 	return nil
 }
 
-// Annotate computes Max and MMax for every node under the given scores:
-// max(Ri) is the maximum local importance of tuples in the node's relation
-// (maximum global score in Ri × the node's affinity — a global statistic
-// reused across queries, §5.3), and mmax(Ri) the maximum max(Rj) over the
-// node's descendants (0 for leaves).
-func (g *GDS) Annotate(db *relational.DB, scores relational.DBScores) error {
-	maxByRel := make(map[string]float64, len(scores))
-	for rel, s := range scores {
-		maxByRel[rel] = s.MaxScore()
-	}
-	return g.AnnotateMax(maxByRel)
-}
-
-// AnnotateMax is Annotate from precomputed per-relation score maxima
-// instead of full score vectors: one O(nodes) walk, no per-node vector
-// scans. Callers that re-rank incrementally compute the maxima once per
-// setting (a single pass they already pay for presentation scaling) and
-// re-annotate every registered G_DS from the same table — and skip the
-// walk entirely for G_DSs whose relations' maxima did not move.
+// AnnotateMax computes Max and MMax for every node from per-relation score
+// maxima: max(Ri) is the maximum local importance of tuples in the node's
+// relation (maximum global score in Ri × the node's affinity — a global
+// statistic reused across queries, §5.3), and mmax(Ri) the maximum max(Rj)
+// over the node's descendants (0 for leaves). One O(nodes) walk, no vector
+// scans: the engine computes the maxima once per setting, in the pass it
+// already pays for presentation scaling.
 func (g *GDS) AnnotateMax(maxByRel map[string]float64) error {
 	var rec func(n *Node) (float64, error)
 	rec = func(n *Node) (float64, error) {

@@ -159,18 +159,10 @@ func TestThreshold(t *testing.T) {
 }
 
 func TestAnnotate(t *testing.T) {
-	db := miniDBLP(t)
 	g := authorGDS()
-	scores := relational.DBScores{
-		"Author":     relational.Scores{1.0, 0.8},
-		"Paper":      relational.Scores{9.0, 5.0},
-		"Year":       relational.Scores{1.0},
-		"Conference": relational.Scores{0.3},
-		"Writes":     relational.Scores{0, 0, 0},
-		"Cites":      relational.Scores{0},
-	}
-	if err := g.Annotate(db, scores); err != nil {
-		t.Fatalf("Annotate: %v", err)
+	maxes := map[string]float64{"Author": 1.0, "Paper": 9.0, "Year": 1.0, "Conference": 0.3}
+	if err := g.AnnotateMax(maxes); err != nil {
+		t.Fatalf("AnnotateMax: %v", err)
 	}
 	paper := g.Find("Paper")
 	if want := 9.0 * 0.92; !close(paper.Max, want) {
@@ -196,10 +188,7 @@ func TestAnnotate(t *testing.T) {
 }
 
 func TestAnnotateMissingScores(t *testing.T) {
-	db := miniDBLP(t)
-	g := authorGDS()
-	err := g.Annotate(db, relational.DBScores{"Author": relational.Scores{1, 1}})
-	if err == nil {
+	if err := authorGDS().AnnotateMax(map[string]float64{"Author": 1}); err == nil {
 		t.Fatal("missing scores accepted")
 	}
 }

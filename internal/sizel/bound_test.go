@@ -40,12 +40,12 @@ func boundFixtures(t *testing.T) []boundFixture {
 		t.Fatalf("Build: %v", err)
 	}
 	for _, ga := range []*rank.GA{datagen.TPCHGA1(), datagen.TPCHGA2()} {
-		scores, _, err := rank.Compute(g, ga, rank.DefaultOptions())
+		scores, _, err := computeRank(g, ga, rank.DefaultOptions())
 		if err != nil {
 			t.Fatalf("Compute: %v", err)
 		}
 		for _, gds := range []*schemagraph.GDS{datagen.CustomerGDS().Threshold(0.7), datagen.SupplierGDS().Threshold(0.7)} {
-			if err := gds.Annotate(db, scores); err != nil {
+			if err := annotate(gds, scores); err != nil {
 				t.Fatalf("Annotate: %v", err)
 			}
 			out = append(out, boundFixture{"tpch/" + ga.Name + "/" + gds.DSName, g, scores, gds, db.Relation(gds.DSName).Len()})

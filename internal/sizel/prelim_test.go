@@ -13,6 +13,25 @@ import (
 	"sizelos/internal/schemagraph"
 )
 
+// computeRank is rank.Compile + Run in one shot: the cold ranking of g
+// under ga.
+func computeRank(g *datagraph.Graph, ga *rank.GA, opts rank.Options) (relational.DBScores, rank.Stats, error) {
+	plans, err := rank.Compile(g, ga, nil)
+	if err != nil {
+		return nil, rank.Stats{}, err
+	}
+	return plans.Run(opts)
+}
+
+// annotate is GDS.AnnotateMax from full score vectors.
+func annotate(gds *schemagraph.GDS, scores relational.DBScores) error {
+	maxes := make(map[string]float64, len(scores))
+	for rel, s := range scores {
+		maxes[rel] = s.MaxScore()
+	}
+	return gds.AnnotateMax(maxes)
+}
+
 type pipeline struct {
 	db     *relational.DB
 	graph  *datagraph.Graph
@@ -40,12 +59,12 @@ func dblpPipeline(t *testing.T) *pipeline {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	scores, _, err := rank.Compute(g, datagen.DBLPGA1(), rank.DefaultOptions())
+	scores, _, err := computeRank(g, datagen.DBLPGA1(), rank.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
 	gds := datagen.AuthorGDS()
-	if err := gds.Annotate(db, scores); err != nil {
+	if err := annotate(gds, scores); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
 	cached = &pipeline{db: db, graph: g, scores: scores, gds: gds}
@@ -231,7 +250,7 @@ func TestPrelimMonotoneContainsOptimal(t *testing.T) {
 		scores[rel.Name] = s
 	}
 	gds := datagen.AuthorGDS()
-	if err := gds.Annotate(p.db, scores); err != nil {
+	if err := annotate(gds, scores); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
 

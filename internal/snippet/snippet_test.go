@@ -25,9 +25,13 @@ func dblpTree(t *testing.T) *ostree.Tree {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	scores, _, err := rank.Compute(g, datagen.DBLPGA1(), rank.DefaultOptions())
+	plans, err := rank.Compile(g, datagen.DBLPGA1(), nil)
 	if err != nil {
-		t.Fatalf("Compute: %v", err)
+		t.Fatalf("Compile: %v", err)
+	}
+	scores, _, err := plans.Run(rank.DefaultOptions())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	src := ostree.NewGraphSource(g, scores)
 	root, _ := db.Relation("Author").LookupPK(1)

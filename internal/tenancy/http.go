@@ -326,18 +326,23 @@ func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) 
 	if !ranked && params.Get("k") != "" {
 		return q, errBadRequest("k applies to /ranked only (use limit on /search)")
 	}
-	for name, dst := range map[string]*int{"l": &q.L, "k": &q.K, "limit": &q.Limit} {
-		raw := params.Get(name)
+	// A fixed order, so a request with several bad parameters names the
+	// same one every time.
+	for _, p := range []struct {
+		name string
+		dst  *int
+	}{{"l", &q.L}, {"k", &q.K}, {"limit", &q.Limit}} {
+		raw := params.Get(p.name)
 		if raw == "" {
 			continue
 		}
 		v, err := strconv.Atoi(raw)
 		// An explicit k=0 is rejected like any other invalid k, rather than
 		// silently coerced to the default.
-		if err != nil || v < 0 || (name == "k" && v < 1) {
-			return q, errBadRequest("invalid %s parameter", name)
+		if err != nil || v < 0 || (p.name == "k" && v < 1) {
+			return q, errBadRequest("invalid %s parameter", p.name)
 		}
-		*dst = v
+		*p.dst = v
 	}
 	return q, nil
 }
@@ -540,11 +545,9 @@ type RerankStatJSON struct {
 	// budget) and the warm full iteration produced the scores.
 	Residual bool `json:"residual"`
 	Fallback bool `json:"fallback,omitempty"`
-	// Pushes/Rounds/Regions describe the parallel push schedule that ran;
-	// Regions is the worker-tile count (1 = serial schedule).
-	Pushes  int `json:"pushes,omitempty"`
-	Rounds  int `json:"rounds,omitempty"`
-	Regions int `json:"regions,omitempty"`
+	// Pushes and Rounds describe the residual push that ran.
+	Pushes int `json:"pushes,omitempty"`
+	Rounds int `json:"rounds,omitempty"`
 	// Iterations counts full power-iteration sweeps (fallback or warm
 	// path); Updates is the path-independent node-score update total.
 	Iterations int `json:"iterations,omitempty"`
@@ -651,7 +654,6 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 				Fallback:   st.FallbackTaken,
 				Pushes:     st.Pushes,
 				Rounds:     st.Rounds,
-				Regions:    st.Regions,
 				Iterations: st.Iterations,
 				Updates:    st.Updates,
 			}

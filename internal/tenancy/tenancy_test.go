@@ -278,6 +278,32 @@ func TestHTTPEndpoints(t *testing.T) {
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&topk=2", q), http.StatusBadRequest, nil)
 	// Explicit k=0 is invalid like the engine says, not coerced to 10.
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&k=0", q), http.StatusBadRequest, nil)
+	// A relation no G_DS is registered for is the client's mistake whether
+	// or not the keywords hit (vldb names a conference, zzzzqqq nothing).
+	for _, path := range []string{
+		"/v1/acme/search?rel=Conference&q=vldb&l=5",
+		"/v1/acme/search?rel=Conference&q=zzzzqqq&l=5",
+		"/v1/acme/ranked?rel=Conference&q=vldb&l=5",
+	} {
+		var e ErrorResponse
+		get(t, path, http.StatusBadRequest, &e)
+		if e.Error.Code != CodeBadRequest {
+			t.Errorf("GET %s: code %q, want %q", path, e.Error.Code, CodeBadRequest)
+		}
+	}
+	// Two bad parameters: the 400 names the same one every time.
+	var first ErrorResponse
+	get(t, "/v1/acme/search?rel=Author&q=x&l=-1&limit=-1", http.StatusBadRequest, &first)
+	if first.Error.Message != "invalid l parameter" {
+		t.Errorf("l=-1&limit=-1 reported %q, want the l parameter", first.Error.Message)
+	}
+	for i := 0; i < 19; i++ {
+		var e ErrorResponse
+		get(t, "/v1/acme/search?rel=Author&q=x&l=-1&limit=-1", http.StatusBadRequest, &e)
+		if e != first {
+			t.Fatalf("request %d answered %+v, the first %+v", i+2, e.Error, first.Error)
+		}
+	}
 }
 
 // TestDuplicateRegisterPreservesCache guards the fix for duplicate

@@ -7,12 +7,14 @@ package sizelos
 // (keyword.Sharded.Apply), the data graph absorbs the same delta in place
 // (datagraph.Graph.Apply — no rebuild), the per-relation epochs advance, and
 // the summary cache forgets exactly the Data Subjects from which a G_DS path
-// reaches a tuple the batch touched. Two amortized maintenance passes keep the
-// incremental structures from degrading under sustained churn: relations
-// whose tombstones cross the compaction policy are physically compacted
-// (TupleIDs remapped through every derived structure), and the graph's
-// splice overlay is folded back into packed CSR arrays once it outgrows a
-// fraction of the node count.
+// reaches a tuple the batch touched. A batch that asks for a re-rank then has
+// every setting's scores repaired where they live — a residual push, or the
+// warm full iteration — and every registered G_DS re-annotated from the new
+// maxima. Two amortized maintenance passes keep the incremental structures
+// from degrading under sustained churn: relations whose tombstones cross
+// the compaction policy are physically compacted (TupleIDs remapped through
+// every derived structure), and the graph's splice overlay is folded back
+// into packed CSR arrays once it outgrows a fraction of the node count.
 
 import (
 	"errors"
@@ -54,10 +56,10 @@ type MutationBatch struct {
 	// Rerank refreshes every ranking setting's global importance over the
 	// mutated data graph — by localized residual push when the accumulated
 	// deltas allow it, by warm-started full iteration otherwise — and
-	// re-annotates the registered G_DSs whose inputs moved, so the new
-	// tuples earn real global importance. Without it the batch is cheap:
-	// new tuples score 0 until the next re-ranked batch, and the cached
-	// summary of every subject that cannot reach a touched tuple stays warm.
+	// re-annotates the registered G_DSs, so the new tuples earn real global
+	// importance. Without it the batch is cheap: new tuples score 0 until
+	// the next re-ranked batch, and the cached summary of every subject that
+	// cannot reach a touched tuple stays warm.
 	// A re-rank rescales every score, so it advances every relation's epoch
 	// and every subject's stamp — except a no-op rerank-only batch right after
 	// a re-rank, whose scores (and cached summaries) are unchanged and reused.
@@ -119,12 +121,8 @@ type RerankStat struct {
 	// abandoned (seed mass over the safety bound or push budget exhausted);
 	// the reported scores come from the warm full iteration.
 	FallbackTaken bool
-	// Rounds counts the synchronized push rounds of the residual repair.
+	// Rounds counts the frozen-value push rounds of the residual repair.
 	Rounds int
-	// Regions reports the owner-tile worker count the residual repair was
-	// partitioned into (1 = serial; sized by GOMAXPROCS and the frontier).
-	// Every region count produces bit-identical scores.
-	Regions int
 	// Accelerated is never set: no re-rank path reports it. The field
 	// stays because benchmark/trace.go reads it (rank.accelerated_ratio).
 	Accelerated bool
@@ -132,14 +130,13 @@ type RerankStat struct {
 
 // Mutate applies a batch of tuple inserts and deletes end to end: the
 // relational store mutates atomically, the keyword index absorbs the
-// posting delta incrementally (per shard, for the sharded layout), the data
-// graph absorbs the same delta in place (datagraph.Graph.Apply — work
-// proportional to the tuples touched, no rebuild), score vectors grow to
-// cover new tuples (at importance 0 unless Rerank is set, which
-// warm-starts each setting's power iteration from the prior converged
-// vector), the touched relations' epochs advance, and the subjects the
-// batch can reach are stamped so exactly their summary-cache entries stop
-// being served. Relations whose tombstones cross the compaction policy are
+// posting delta incrementally (shard by shard), the data graph absorbs the
+// same delta in place (datagraph.Graph.Apply — work proportional to the
+// tuples touched, no rebuild), score vectors grow to cover new tuples (at
+// importance 0 unless Rerank is set, which warm-starts each setting's power
+// iteration from the prior converged vector), the touched relations' epochs
+// advance, and the subjects the batch can reach are stamped so exactly
+// their summary-cache entries stop being served. Relations whose tombstones cross the compaction policy are
 // physically compacted along the way (see MutationResult.Compacted). The
 // write lock serializes the batch against in-flight searches; a search that
 // began before the batch completes against the pre-batch state and its
@@ -215,15 +212,13 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 				}
 				pend = e.pending[ga]
 			}
-			if err := ps.Apply(res, pend); err != nil {
-				return result, fmt.Errorf("%w: incremental rank plans: %v", ErrMutationInternal, err)
-			}
+			ps.Apply(res, pend)
 		}
 	}
 
 	// Amortized maintenance: reclaim tombstone-heavy relations and fold an
 	// outgrown splice overlay back into packed CSR arrays.
-	if err := e.maybeCompactLocked(&result, b.Inserts, b.Rerank); err != nil {
+	if err := e.maybeCompactLocked(&result, b.Inserts); err != nil {
 		return result, err
 	}
 
@@ -309,7 +304,7 @@ func (e *Engine) stampFootprintLocked(res relational.BatchResult, result *Mutati
 const residualRefreshInterval = 16
 
 // rerankLocked recomputes every setting's global importance over the
-// mutated graph and refreshes the G_DS annotations whose inputs moved.
+// mutated graph and re-annotates the registered G_DSs from the new maxima.
 // Mode selection: the residual-push repair runs when it is enabled, the
 // pending deltas cover every change since the last full convergence (no
 // compaction intervened), and the periodic full refresh isn't due; a
@@ -359,11 +354,12 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 			Updates:         st.Updates,
 			FallbackTaken:   st.Fallback,
 			Rounds:          st.Rounds,
-			Regions:         st.Regions,
 		}
 	}
-	if _, err := e.reannotateChangedLocked(); err != nil {
-		return changed, fmt.Errorf("%w: re-annotate: %v", ErrMutationInternal, err)
+	if changed {
+		if err := e.reannotateLocked(); err != nil {
+			return changed, fmt.Errorf("%w: re-annotate: %v", ErrMutationInternal, err)
+		}
 	}
 	// The served scores are a converged fixed point again: residual deltas
 	// restart from here. The refresh counter tracks accumulated drift, so
@@ -388,9 +384,8 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 // folding the data graph's splice overlay into fresh CSR arrays once the
 // overlay outgrows a quarter of the nodes. Callers hold the write lock.
 // inserts is the batch's insert list, whose result ids must be remapped if
-// compaction moves them; willRerank lets compaction skip G_DS
-// re-annotation the caller's re-rank would immediately redo.
-func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInsert, willRerank bool) error {
+// compaction moves them.
+func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInsert) error {
 	if e.compactMin > 0 {
 		var due []string
 		for _, r := range e.db.Relations {
@@ -399,7 +394,7 @@ func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInser
 			}
 		}
 		if len(due) > 0 {
-			if err := e.compactLocked(due, result, inserts, willRerank); err != nil {
+			if err := e.compactLocked(due, result, inserts); err != nil {
 				return err
 			}
 		}
@@ -470,9 +465,7 @@ const overlayFoldMin = 4096
 // its overlay). Each compacted relation's epoch advances and every DS
 // relation whose G_DS reaches one is widened — the TupleIDs its cached trees
 // and subject stamps name changed meaning. Callers hold the write lock.
-// skipAnnotate elides the G_DS re-annotation when the caller is about to
-// re-rank, which redoes it against the fresh scores anyway.
-func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert, skipAnnotate bool) error {
+func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert) error {
 	remaps := make(map[string][]relational.TupleID, len(rels))
 	for _, rel := range rels {
 		r := e.db.Relation(rel)
@@ -524,20 +517,15 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 	}
 	// Refresh the Max/MMax annotation inputs of the compacted relations:
 	// dropping tombstoned entries can lower a relation's max score, and
-	// tighter bounds mean better pruning. Only G_DSs whose inputs actually
-	// moved are re-annotated. When the caller is about to re-rank, both the
-	// maxima and the annotations are refreshed there against the new scores
-	// — relMax must then keep matching the *current* annotations, so the
-	// re-rank's own moved-input check starts from the right baseline.
-	if !skipAnnotate {
-		for name, m := range e.relMax {
-			for rel := range remaps {
-				m[rel] = e.scores[name][rel].MaxScore()
-			}
+	// tighter bounds mean better pruning. A re-rank later in the same Mutate
+	// redoes both: microseconds, beside the graph rebuild above.
+	for name, m := range e.relMax {
+		for rel := range remaps {
+			m[rel] = e.scores[name][rel].MaxScore()
 		}
-		if _, err := e.reannotateChangedLocked(); err != nil {
-			return fmt.Errorf("%w: re-annotate after compaction: %v", ErrMutationInternal, err)
-		}
+	}
+	if err := e.reannotateLocked(); err != nil {
+		return fmt.Errorf("%w: re-annotate after compaction: %v", ErrMutationInternal, err)
 	}
 	return nil
 }
@@ -572,7 +560,7 @@ func (e *Engine) CompactNow() ([]string, error) {
 		return nil, nil
 	}
 	result := MutationResult{Epochs: make(map[string]uint64), Footprint: make(map[string]int)}
-	if err := e.compactLocked(due, &result, nil, false); err != nil {
+	if err := e.compactLocked(due, &result, nil); err != nil {
 		return result.Compacted, err
 	}
 	// An explicit compaction changes physical layout outside any batch;

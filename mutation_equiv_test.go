@@ -4,7 +4,7 @@ package sizelos
 // incremental write path. It drives many rounds of seeded random
 // insert/delete batches — schema-derived, so the same generator covers
 // DBLP's citation fabric and TPC-H's order/lineitem fan-out — and after
-// every round asserts the two incremental invariants the engine stakes its
+// every round asserts the incremental invariants the engine stakes its
 // correctness on:
 //
 //  1. Edge-exactness: the incrementally maintained data graph
@@ -14,29 +14,24 @@ package sizelos
 //  2. Warm≡cold: on re-ranked rounds, the warm-started power iteration
 //     lands on the same global-importance scores a cold start over a fresh
 //     graph produces, within fixed-point tolerance.
-//  3. Worker-count invariance: shadow engines pinned to 2, 4 and 7
-//     residual-push workers, driven through the identical batch stream,
-//     serve scores BIT-FOR-BIT identical to the serial (1-worker) primary
-//     on every re-ranked round — the determinism contract of the
-//     owner-tile parallel push (internal/rank/parallel.go). Exact float
-//     equality, no tolerance: the push's per-destination reduction order
-//     is fixed, so any divergence is a scheduling bug.
-//  4. Ranked≡rebuilt: after every batch one RankBySummary top-k on the live
+//  3. Ranked≡rebuilt: after every batch one RankBySummary top-k on the live
 //     engine — whose bound tables the previous rounds' queries left warm —
 //     is bit-identical to the same query on an engine restored from the
 //     exported state. A bound table that outlived its epoch fails here.
-//  5. Cached≡rebuilt: the live engine serves with a summary cache that never
+//  4. Cached≡rebuilt: the live engine serves with a summary cache that never
 //     evicts; before the first batch and after every batch, every live
 //     subject of every registered DS relation is summarized in two request
 //     shapes — served from the cache wherever the batches so far left the
 //     subject's stamp alone — and must equal the restored engine's summary
 //     bit for bit. A footprint walk that misses a subject a batch reached
-//     fails here; so does a stamp that survives a compaction.
+//     fails here; so does a stamp that survives a compaction. So must every
+//     G_DS annotation (Max, MMax) under every setting: a re-rank or a
+//     compaction that left one behind fails here.
 //
 // Seeded and reproducible: the default seed is fixed; set
 // SIZELOS_EQUIV_SEED to replay a failure. CI runs the harness under -race
-// in its own workflow leg (mutation-proofs), which also exercises the
-// parallel push's phase barriers for races.
+// in its own workflow leg (mutation-proofs), where every re-rank repairs
+// its settings concurrently.
 
 import (
 	"os"
@@ -97,33 +92,15 @@ func toMutationBatch(b relational.Batch) MutationBatch {
 	return out
 }
 
-// equivWorkerCounts are the residual-push worker counts the shadow engines
-// pin; the primary runs serial. Includes a non-divisor of typical arena
-// sizes (7) so uneven trailing tiles are always exercised.
-var equivWorkerCounts = []int{2, 4, 7}
-
-// runEquivalence is the harness body shared by both datasets. mkShadow,
-// when non-nil, constructs one engine per equivWorkerCounts entry over an
-// identical database; each shadow is driven through the same batch stream
-// with its residual push pinned to that worker count and must serve
-// bit-identical scores to the serial primary on every re-ranked round.
-// restore rebuilds the reference engine of invariants 4 and 5; ranked (Rel,
-// Query, K) is invariant 4's query.
-func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int, mkShadow func() *Engine,
+// runEquivalence is the harness body shared by both datasets. restore
+// rebuilds the reference engine of invariants 3 and 4; ranked (Rel, Query,
+// K) is invariant 3's query.
+func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, rounds int,
 	restore func(*EngineState) (*Engine, error), ranked QueryRequest) {
 	t.Logf("mutation-equivalence seed %d (replay: SIZELOS_EQUIV_SEED=%d)", seed, seed)
 	eng.EnableSummaryCache(1 << 20)
 	var sweep sweepStats
 	sweep.run(t, eng, rebuildFrom(t, eng, restore, -1), -1, false)
-	var shadows []*Engine
-	if mkShadow != nil {
-		eng.residualWorkers = 1
-		for _, w := range equivWorkerCounts {
-			sh := mkShadow()
-			sh.residualWorkers = w
-			shadows = append(shadows, sh)
-		}
-	}
 	gen := mutgen.New(eng.DB(), seed)
 	graphRebuilds := 0
 	prevGraph := eng.Graph()
@@ -134,12 +111,7 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 		if err != nil {
 			t.Fatalf("round %d: Mutate(%d dels, %d ins): %v", round, len(batch.Deletes), len(batch.Inserts), err)
 		}
-		for si, sh := range shadows {
-			if _, err := sh.Mutate(batch); err != nil {
-				t.Fatalf("round %d: shadow(workers=%d) Mutate: %v", round, equivWorkerCounts[si], err)
-			}
-		}
-		// Invariant 4, at an l that alternates below and above the previous
+		// Invariant 3, at an l that alternates below and above the previous
 		// round's so surviving profiles would be read both ways.
 		rebuilt := rebuildFrom(t, eng, restore, round)
 		ranked.RankBySummary, ranked.L = true, []int{9, 5, 14}[round%3]
@@ -173,7 +145,7 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 				opts := rank.DefaultOptions()
 				opts.Damping = s.Damping
 				opts.NormalizeMax = 0 // raw first: the tolerance needs max(raw)
-				cold, coldStats, err := rank.Compute(want, s.GA, opts)
+				cold, coldStats, err := computeRank(want, s.GA, opts)
 				if err != nil {
 					t.Fatalf("round %d: cold %s: %v", round, s.Name, err)
 				}
@@ -213,41 +185,11 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 					t.Fatalf("round %d: %s re-rank did not warm-start", round, s.Name)
 				}
 			}
-
-			// Invariant 3: every worker count serves BIT-IDENTICAL scores.
-			// Exact equality — the parallel push's fixed reduction order
-			// makes the serial and tiled schedules the same float program.
-			for si, sh := range shadows {
-				w := equivWorkerCounts[si]
-				for _, s := range settings {
-					serial, err := eng.Scores(s.Name)
-					if err != nil {
-						t.Fatalf("round %d: Scores(%s): %v", round, s.Name, err)
-					}
-					tiled, err := sh.Scores(s.Name)
-					if err != nil {
-						t.Fatalf("round %d: shadow(workers=%d) Scores(%s): %v", round, w, s.Name, err)
-					}
-					for _, rel := range eng.DB().Relations {
-						a, b := serial[rel.Name], tiled[rel.Name]
-						if len(a) != len(b) {
-							t.Fatalf("round %d: %s/%s: workers=1 has %d scores, workers=%d has %d",
-								round, s.Name, rel.Name, len(a), w, len(b))
-						}
-						for i := range a {
-							if a[i] != b[i] {
-								t.Fatalf("round %d (seed %d): %s/%s tuple %d: workers=1 %v vs workers=%d %v — parallel push is not bit-exact",
-									round, seed, s.Name, rel.Name, i, a[i], w, b[i])
-							}
-						}
-					}
-				}
-			}
 		}
 	}
 	t.Logf("%d rounds, %d graph swaps (compactions/folds), final nodes %d, overlay %d",
 		rounds, graphRebuilds, eng.Graph().NumNodes(), eng.Graph().Patched())
-	// Invariant 5 proves the stamps are wide enough; this is the other half,
+	// Invariant 4 proves the stamps are wide enough; this is the other half,
 	// that on plain batches they are a footprint and not the relation.
 	t.Logf("cache sweeps: %d plain rounds served %d of %d summaries from the cache (worst round %.2f)",
 		sweep.plainRounds, sweep.hits, sweep.lookups, sweep.worst)
@@ -257,7 +199,7 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 }
 
 // rebuildFrom restores an engine from the live one's exported state: the
-// reference of invariants 4 and 5.
+// reference of invariants 3 and 4.
 func rebuildFrom(t *testing.T, eng *Engine, restore func(*EngineState) (*Engine, error), round int) *Engine {
 	t.Helper()
 	st, _, err := eng.ExportState()
@@ -271,7 +213,7 @@ func rebuildFrom(t *testing.T, eng *Engine, restore func(*EngineState) (*Engine,
 	return rebuilt
 }
 
-// sweepShapes are invariant 5's two requests: the default prelim-l path and
+// sweepShapes are invariant 4's two requests: the default prelim-l path and
 // the complete OS under another algorithm and l, so both tree sources and
 // two cache keys per subject ride every round.
 var sweepShapes = []QueryRequest{
@@ -280,15 +222,16 @@ var sweepShapes = []QueryRequest{
 }
 
 // sweepStats accumulates, over the rounds whose batch neither re-ranked nor
-// compacted, how much of invariant 5's sweep the cache served.
+// compacted, how much of invariant 4's sweep the cache served.
 type sweepStats struct {
 	plainRounds   int
 	hits, lookups uint64
 	worst         float64
 }
 
-// run is invariant 5 for one round: every live subject of every registered
-// DS relation, in every sweep shape, on the live engine against rebuilt.
+// run is invariant 4 for one round: every live subject of every registered
+// DS relation, in every sweep shape, and every G_DS annotation, on the live
+// engine against rebuilt.
 func (s *sweepStats) run(t *testing.T, eng, rebuilt *Engine, round int, plain bool) {
 	t.Helper()
 	before, _ := eng.SummaryCacheStats()
@@ -298,6 +241,15 @@ func (s *sweepStats) run(t *testing.T, eng, rebuilt *Engine, round int, plain bo
 	}
 	sort.Strings(rels)
 	for _, ds := range rels {
+		for name, g := range eng.gds[ds] {
+			want := rebuilt.gds[ds][name].Nodes()
+			for i, n := range g.Nodes() {
+				if n.Max != want[i].Max || n.MMax != want[i].MMax {
+					t.Fatalf("round %d: %s under %s: node %s annotated max=%v mmax=%v, rebuilt engine has max=%v mmax=%v",
+						round, ds, name, n.Label, n.Max, n.MMax, want[i].Max, want[i].MMax)
+				}
+			}
+		}
 		r := eng.DB().Relation(ds)
 		for id := relational.TupleID(0); int(id) < r.Len(); id++ {
 			if r.Deleted(id) {
@@ -338,39 +290,31 @@ func (s *sweepStats) run(t *testing.T, eng, rebuilt *Engine, round int, plain bo
 var dblpRanked = QueryRequest{Rel: "Paper", Query: "efficient", K: 12}
 
 // TestMutationEquivalenceDBLP runs the harness over the DBLP-shaped
-// database with the paper's four ObjectRank settings, shadowed at every
-// residual-push worker count.
+// database with the paper's four ObjectRank settings.
 func TestMutationEquivalenceDBLP(t *testing.T) {
-	mk := func() *Engine {
-		cfg := datagen.DefaultDBLPConfig()
-		cfg.Authors = 80
-		cfg.Papers = 260
-		cfg.Conferences = 6
-		cfg.YearSpan = 4
-		eng, err := OpenDBLP(cfg)
-		if err != nil {
-			t.Fatalf("OpenDBLP: %v", err)
-		}
-		return eng
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.Authors = 80
+	cfg.Papers = 260
+	cfg.Conferences = 6
+	cfg.YearSpan = 4
+	eng, err := OpenDBLP(cfg)
+	if err != nil {
+		t.Fatalf("OpenDBLP: %v", err)
 	}
-	runEquivalence(t, mk(), DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), equivSeed(t), equivRounds, mk, RestoreDBLP, dblpRanked)
+	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), equivSeed(t), equivRounds, RestoreDBLP, dblpRanked)
 }
 
 // TestMutationEquivalenceTPCH runs the harness over the TPC-H-shaped
 // database, whose GA1 is value-weighted (ValueRank) — the warm≡cold check
-// therefore also covers value-proportional split recompilation — likewise
-// shadowed at every residual-push worker count.
+// therefore also covers value-proportional split recompilation.
 func TestMutationEquivalenceTPCH(t *testing.T) {
-	mk := func() *Engine {
-		cfg := datagen.DefaultTPCHConfig()
-		cfg.ScaleFactor = 0.002
-		eng, err := OpenTPCH(cfg)
-		if err != nil {
-			t.Fatalf("OpenTPCH: %v", err)
-		}
-		return eng
+	cfg := datagen.DefaultTPCHConfig()
+	cfg.ScaleFactor = 0.002
+	eng, err := OpenTPCH(cfg)
+	if err != nil {
+		t.Fatalf("OpenTPCH: %v", err)
 	}
-	runEquivalence(t, mk(), DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), equivSeed(t)+1, equivRounds, mk, RestoreTPCH, QueryRequest{Rel: "Customer", Query: "customer", K: 25})
+	runEquivalence(t, eng, DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), equivSeed(t)+1, equivRounds, RestoreTPCH, QueryRequest{Rel: "Customer", Query: "customer", K: 25})
 }
 
 // TestMutationEquivalenceUnderCompaction rides the same harness with an
@@ -389,7 +333,7 @@ func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	}
 	eng.compactMin, eng.compactRatio = 6, 0.01
 	seed := equivSeed(t) + 2
-	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, nil, RestoreDBLP, dblpRanked)
+	runEquivalence(t, eng, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), seed, equivRounds, RestoreDBLP, dblpRanked)
 	// The pipeline still serves correct summaries after all that churn.
 	if _, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil {
 		t.Fatalf("post-harness search: %v", err)

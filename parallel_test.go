@@ -64,7 +64,7 @@ func TestRankSerialParallelEquivalence(t *testing.T) {
 					opts := rank.DefaultOptions()
 					opts.Damping = s.Damping
 					opts.Parallel = 1
-					want, wantStats, err := rank.Compute(fx.g, s.GA, opts)
+					want, wantStats, err := computeRank(fx.g, s.GA, opts)
 					if err != nil {
 						t.Fatalf("serial Compute: %v", err)
 					}

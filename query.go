@@ -33,9 +33,10 @@ var ErrStreamInvalidated = errors.New("sizelos: stream invalidated by mutation")
 var ErrCursorMalformed = errors.New("sizelos: malformed cursor")
 
 // ErrInvalidRequest reports a QueryRequest no database state could serve:
-// L < 1, an unknown Algorithm, a negative Limit or K. It is raised before
-// any match is looked at, so the verdict never depends on whether the
-// keywords hit. HTTP maps it to 400 Bad Request.
+// L < 1, an unknown Algorithm, a negative Limit or K, a Rel that is a
+// relation without a registered G_DS. It is raised before any match is
+// looked at, so the verdict never depends on whether the keywords hit. HTTP
+// maps it to 400 Bad Request.
 var ErrInvalidRequest = errors.New("sizelos: invalid query request")
 
 // QueryRequest is the one request currency from the HTTP handler to the
@@ -284,6 +285,11 @@ func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) 
 	sc, err := e.scoresLocked(req.Setting)
 	if err != nil {
 		return nil, err
+	}
+	// An unknown relation matches nothing and answers empty; a known one
+	// without a G_DS could only fail at its first match.
+	if _, ok := e.gds[req.Rel]; !ok && e.db.Relation(req.Rel) != nil {
+		return nil, fmt.Errorf("%w: no G_DS registered for %s", ErrInvalidRequest, req.Rel)
 	}
 	epoch := e.epochForLocked(req.Rel)
 	var resume cursorWire

@@ -512,17 +512,28 @@ func TestQueryNoGoroutineLeak(t *testing.T) {
 // database state could serve fails with ErrInvalidRequest before any match
 // is looked at — the verdict must not depend on whether the keywords hit.
 func TestQueryRequestValidation(t *testing.T) {
-	eng := getDBLP(t)
+	// A private engine: TestRegisterAutoGDS gives the shared one a
+	// Conference G_DS.
+	eng := mutableDBLP(t)
+	hits := map[string]string{"Author": "Faloutsos", "Conference": "vldb"}
+	for rel, kw := range hits {
+		if len(eng.Index().Lookup(rel, []string{kw})) == 0 {
+			t.Fatalf("%q matches no %s: the hit leg would not be one", kw, rel)
+		}
+	}
 	for _, bad := range []QueryRequest{
-		{L: 0},
-		{L: -1},
-		{L: 3, Algorithm: "bogus"},
-		{L: 5, Limit: -1},
-		{L: 5, K: -1},
-		{L: 5, RankBySummary: true, K: -1},
+		{Rel: "Author", L: 0},
+		{Rel: "Author", L: -1},
+		{Rel: "Author", L: 3, Algorithm: "bogus"},
+		{Rel: "Author", L: 5, Limit: -1},
+		{Rel: "Author", L: 5, K: -1},
+		{Rel: "Author", L: 5, RankBySummary: true, K: -1},
+		// A relation of the database that no G_DS is registered for.
+		{Rel: "Conference", L: 5},
+		{Rel: "Conference", L: 5, RankBySummary: true, K: 3},
 	} {
-		for _, kw := range []string{"Faloutsos", "zzzzqqq"} { // hit, miss
-			bad.Rel, bad.Query = "Author", kw
+		for _, kw := range []string{hits[bad.Rel], "zzzzqqq"} { // hit, miss
+			bad.Query = kw
 			if _, _, _, err := eng.QueryPage(bad); !errors.Is(err, ErrInvalidRequest) {
 				t.Errorf("QueryPage(%+v) error = %v, want ErrInvalidRequest", bad, err)
 			}

@@ -4,13 +4,13 @@ package sizelos
 // not change the sequence of floating-point operations, and this is how to
 // show it. Run the test at the old commit (copy this file into a clone of
 // it if it predates the file) and at the new one with SIZELOS_DIGEST_OUT
-// naming a file; it drives one seeded mutgen stream —
-// every batch re-ranked, engine defaults, residual workers 1 and 4, DBLP
-// and TPC-H — and writes two SHA-256s per re-rank, one over every setting's
-// raw score vectors and one over the normalized vectors queries are served
-// from. The two files must be identical. Digests are never committed: FMA
-// fusion makes them architecture-specific. `make rerank-digest BASE=<rev>`
-// does all of it against a throwaway worktree of the base.
+// naming a file; it drives one seeded mutgen stream — every batch
+// re-ranked, engine defaults, DBLP and TPC-H — and writes two SHA-256s per
+// re-rank, one over every setting's raw score vectors and one over the
+// normalized vectors queries are served from. The two files must be
+// identical. Digests are never committed: FMA fusion makes them
+// architecture-specific. `make rerank-digest BASE=<rev>` does all of it
+// against a scratch copy of the base.
 //
 //	SIZELOS_DIGEST_OUT=/tmp/new.txt go test -run TestRerankStreamDigest .
 
@@ -29,7 +29,7 @@ import (
 	"sizelos/internal/relational"
 )
 
-const digestBatches = 240
+const digestBatches = 480
 
 func TestRerankStreamDigest(t *testing.T) {
 	path := os.Getenv("SIZELOS_DIGEST_OUT")
@@ -46,35 +46,32 @@ func TestRerankStreamDigest(t *testing.T) {
 	var out strings.Builder
 	for _, dataset := range datasets {
 		ds := dataset.name
-		for _, workers := range []int{1, 4} {
-			eng, err := dataset.open()
-			if err != nil {
-				t.Fatalf("%s: %v", ds, err)
-			}
-			eng.residualWorkers = workers
-			gen := mutgen.New(eng.DB(), 0xD16E57)
-			pushes, rounds, fallbacks, compactions := 0, 0, 0, 0
-			for i := 0; i < digestBatches; i++ {
-				batch := toMutationBatch(gen.NextBatch())
-				batch.Rerank = true
-				res, err := eng.Mutate(batch)
-				if err != nil {
-					t.Fatalf("%s workers=%d batch %d: %v", ds, workers, i, err)
-				}
-				for _, st := range res.RerankStats {
-					pushes += st.Pushes
-					rounds += st.Rounds
-					if st.FallbackTaken {
-						fallbacks++
-					}
-				}
-				compactions += len(res.Compacted)
-				fmt.Fprintf(&out, "%s w=%d batch=%03d raw=%x served=%x\n", ds, workers, i,
-					scoreDigest(eng, eng.rawScores), scoreDigest(eng, eng.scores))
-			}
-			t.Logf("%s workers=%d: %d batches, %d pushes in %d rounds, %d fallbacks, %d compactions",
-				ds, workers, digestBatches, pushes, rounds, fallbacks, compactions)
+		eng, err := dataset.open()
+		if err != nil {
+			t.Fatalf("%s: %v", ds, err)
 		}
+		gen := mutgen.New(eng.DB(), 0xD16E57)
+		pushes, rounds, fallbacks, compactions := 0, 0, 0, 0
+		for i := 0; i < digestBatches; i++ {
+			batch := toMutationBatch(gen.NextBatch())
+			batch.Rerank = true
+			res, err := eng.Mutate(batch)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds, i, err)
+			}
+			for _, st := range res.RerankStats {
+				pushes += st.Pushes
+				rounds += st.Rounds
+				if st.FallbackTaken {
+					fallbacks++
+				}
+			}
+			compactions += len(res.Compacted)
+			fmt.Fprintf(&out, "%s batch=%03d raw=%x served=%x\n", ds, i,
+				scoreDigest(eng, eng.rawScores), scoreDigest(eng, eng.scores))
+		}
+		t.Logf("%s: %d re-ranks, %d pushes in %d rounds, %d fallbacks, %d compactions",
+			ds, digestBatches, pushes, rounds, fallbacks, compactions)
 	}
 	if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
 		t.Fatal(err)

@@ -200,7 +200,7 @@ func TestResidualFallbackBoundary(t *testing.T) {
 	// The served scores still satisfy the warm≡cold tolerance contract.
 	opts := rank.DefaultOptions()
 	opts.NormalizeMax = 0
-	cold, coldStats, err := rank.Compute(eng.Graph(), datagen.DBLPGA1(), opts)
+	cold, coldStats, err := computeRank(eng.Graph(), datagen.DBLPGA1(), opts)
 	if err != nil || !coldStats.Converged {
 		t.Fatalf("cold: err=%v stats=%+v", err, coldStats)
 	}
@@ -332,7 +332,7 @@ func TestResidualHighDampingBudgetTrip(t *testing.T) {
 	opts := rank.DefaultOptions()
 	opts.Damping = 0.99
 	opts.NormalizeMax = 0
-	cold, coldStats, err := rank.Compute(eng.Graph(), datagen.DBLPGA1(), opts)
+	cold, coldStats, err := computeRank(eng.Graph(), datagen.DBLPGA1(), opts)
 	if err != nil || !coldStats.Converged {
 		t.Fatalf("cold: err=%v stats=%+v", err, coldStats)
 	}
