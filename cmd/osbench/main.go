@@ -1,7 +1,7 @@
 // Command osbench regenerates every table and figure of the paper's
 // experimental evaluation (§6) against the synthetic DBLP-like and
 // TPC-H-like databases. Each figure is printed as a fixed-width table whose
-// series match the paper's plot legends; EXPERIMENTS.md records the
+// series match the paper's plot legends; docs/EXPERIMENTS.md records the
 // paper-vs-measured comparison.
 //
 // Usage:

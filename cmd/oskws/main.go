@@ -31,7 +31,6 @@ func main() {
 		weights  = flag.Bool("weights", false, "show local importance per tuple")
 		limit    = flag.Int("limit", 0, "max data subjects to summarize (0 = all)")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		parallel = flag.Int("parallel", 0, "summary workers per query (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
 	query := strings.Join(flag.Args(), " ")
@@ -62,10 +61,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Stream results instead of materializing the whole answer set: each
-	// summary prints as soon as it is computed, and -limit stops the
-	// pipeline before the remaining matches are ever summarized.
-	res, err := eng.Query(sizelos.QueryRequest{
+	// -limit stops the pipeline before the remaining matches are ever
+	// summarized: stats.Summaries counts the ones that were.
+	page, cursor, stats, err := eng.QueryPage(sizelos.QueryRequest{
 		Rel:          *rel,
 		Query:        query,
 		L:            *l,
@@ -75,38 +73,21 @@ func main() {
 		FromDatabase: *fromDB,
 		Limit:        *limit,
 		ShowWeights:  *weights,
-		Parallel:     *parallel,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "oskws: %v\n", err)
 		os.Exit(1)
 	}
-	defer res.Close()
-
-	total := res.Stats().Matches
-	if *limit > 0 && *limit < total {
-		total = *limit
-	}
-	if total == 0 {
+	if len(page) == 0 {
 		fmt.Printf("no %s tuples match %q\n", *rel, query)
 		return
 	}
-	i := 0
-	for {
-		r, ok := res.Next()
-		if !ok {
-			break
-		}
+	for i, r := range page {
 		fmt.Printf("--- result %d/%d: %s (Im(S)=%.2f, %d tuples) ---\n",
-			i+1, total, r.Headline, r.Result.Importance, len(r.Result.Nodes))
+			i+1, len(page), r.Headline, r.Result.Importance, len(r.Result.Nodes))
 		fmt.Println(r.Text)
-		i++
 	}
-	if err := res.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "oskws: %v\n", err)
-		os.Exit(1)
-	}
-	if i == 0 {
-		fmt.Printf("no %s tuples match %q\n", *rel, query)
+	if cursor != "" {
+		fmt.Printf("(summarized %d of %d matches)\n", stats.Summaries, stats.Matches)
 	}
 }

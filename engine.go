@@ -11,18 +11,14 @@
 // summary generation:
 //
 //	eng, _ := sizelos.OpenDBLP(datagen.DefaultDBLPConfig())
-//	results, _ := eng.Query(sizelos.QueryRequest{Rel: "Author", Query: "Faloutsos", L: 15})
-//	for {
-//	    r, ok := results.Next()
-//	    if !ok {
-//	        break
-//	    }
+//	page, _, _, _ := eng.QueryPage(sizelos.QueryRequest{Rel: "Author", Query: "Faloutsos", L: 15})
+//	for _, r := range page {
 //	    fmt.Println(r.Text)
 //	}
 //
-// Query streams: summaries are computed only for the prefix the caller
-// consumes; QueryPage drains one page of the same stream under a single
-// lock acquisition.
+// QueryPage is the one read entry: it serves a page on the caller's
+// goroutine under a single lock acquisition, computes summaries only for the
+// page it serves, and returns the cursor that resumes after it.
 package sizelos
 
 import (
@@ -162,8 +158,8 @@ type Engine struct {
 	// baseGDS[dsRel] is the unannotated original.
 	baseGDS map[string]*schemagraph.GDS
 	// epochs counts, per relation, the mutation batches that touched it.
-	// Everything bound to a match sequence — cursors, open streams, ranked
-	// bound tables, single-flight keys — binds to the sum over its DS
+	// Everything bound to a match sequence — cursors, ranked bound tables,
+	// single-flight keys — binds to the sum over its DS
 	// relation's deps (epochForLocked): any batch inside deps can reorder,
 	// add or drop matches. A summary binds to less: see wide and subj.
 	epochs map[string]uint64
@@ -307,10 +303,10 @@ const (
 // pending deltas; then it normalizes its own result, while the vectors are
 // still in that core's cache.
 //
-// At most GOMAXPROCS settings run at once: each sizes its own workers by
-// GOMAXPROCS already, so more would only queue, and it caps the push
-// scratches the plans hold. Settings do not read each other's results, so
-// the cap changes nothing observable. Callers hold the write lock (or are
+// At most GOMAXPROCS settings run at once, each on one goroutine: more
+// would only queue, and the cap bounds the push scratches the plans hold.
+// Settings do not read each other's results, so the cap changes nothing
+// observable. Callers hold the write lock (or are
 // still constructing e); an error leaves the tables half updated.
 func (e *Engine) rankSettings(residual bool) (map[string]rank.Stats, error) {
 	type result struct {
@@ -618,8 +614,8 @@ func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau f
 		}
 	}
 	// Each computation holds one shared-pool slot for its duration, so the
-	// machine-wide budget is enforced regardless of per-call Parallel (a nil
-	// Pool runs inline).
+	// machine-wide budget is enforced across requests (a nil Pool runs
+	// inline).
 	req.Pool.Do(func() {
 		// Re-probe after the (possibly long) slot wait: a sibling may have
 		// cached this summary meanwhile, and recomputing it would waste

@@ -245,7 +245,6 @@ func TestEngineExportedSurface(t *testing.T) {
 		"Graph",
 		"Index",
 		"Mutate",
-		"Query",
 		"QueryPage",
 		"RegisterAutoGDS",
 		"RegisterGDS",
@@ -263,5 +262,86 @@ func TestEngineExportedSurface(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("*Engine exports\n  %v\nwant\n  %v", got, want)
+	}
+}
+
+// TestSummaryCache verifies the LRU short-circuits repeated queries and
+// counts hits/misses, and that cached results are identical to fresh ones.
+func TestSummaryCache(t *testing.T) {
+	eng := getDBLP(t)
+	defer eng.EnableSummaryCache(0)
+
+	if _, ok := eng.SummaryCacheStats(); ok {
+		t.Fatal("stats reported before cache enabled")
+	}
+	eng.EnableSummaryCache(128)
+
+	fresh, err := search(eng, "Author", "Faloutsos", 15, QueryRequest{})
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	st, ok := eng.SummaryCacheStats()
+	if !ok {
+		t.Fatal("cache enabled but no stats")
+	}
+	if st.Hits != 0 || st.Misses != uint64(len(fresh)) {
+		t.Errorf("cold stats = %+v, want 0 hits / %d misses", st, len(fresh))
+	}
+
+	cached, err := search(eng, "Author", "Faloutsos", 15, QueryRequest{})
+	if err != nil {
+		t.Fatalf("repeat Search: %v", err)
+	}
+	if err := sameRanking(cached, fresh); err != nil {
+		t.Fatalf("cached answer differs from the fresh one: %v", err)
+	}
+	st, _ = eng.SummaryCacheStats()
+	if st.Hits != uint64(len(fresh)) {
+		t.Errorf("warm stats = %+v, want %d hits", st, len(fresh))
+	}
+
+	// A different l is a different key: no false sharing.
+	if _, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{}); err != nil {
+		t.Fatalf("Search(l=5): %v", err)
+	}
+	st2, _ := eng.SummaryCacheStats()
+	if st2.Hits != st.Hits {
+		t.Errorf("l=5 produced cache hits: %+v vs %+v", st2, st)
+	}
+
+	// Re-registering a G_DS invalidates the cache: entries computed under
+	// the old schema graph must not survive.
+	if err := eng.RegisterGDS(datagen.AuthorGDS().Threshold(Theta)); err != nil {
+		t.Fatalf("RegisterGDS: %v", err)
+	}
+	st3, ok := eng.SummaryCacheStats()
+	if !ok {
+		t.Fatal("cache disabled by RegisterGDS")
+	}
+	if st3.Hits != 0 || st3.Misses != 0 || st3.Len != 0 {
+		t.Errorf("cache not invalidated by RegisterGDS: %+v", st3)
+	}
+	if st3.Cap != st2.Cap {
+		t.Errorf("cache capacity changed on invalidation: %d vs %d", st3.Cap, st2.Cap)
+	}
+}
+
+// TestSizeLBounds is the regression for the headline panic: out-of-range
+// tuples and unknown relations must error, not panic.
+func TestSizeLBounds(t *testing.T) {
+	eng := getDBLP(t)
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 10}, 1<<30); err == nil {
+		t.Error("SizeL with out-of-range tuple should error")
+	}
+	if _, err := eng.SizeL(QueryRequest{Rel: "Author", L: 10}, -1); err == nil {
+		t.Error("SizeL with negative tuple should error")
+	}
+	if _, err := eng.SizeL(QueryRequest{Rel: "NoSuchRel", L: 10}, 0); err == nil {
+		t.Error("SizeL with unknown relation should error")
+	}
+	// Search on an unknown relation reports cleanly too (no matches or error,
+	// never a panic).
+	if _, err := search(eng, "NoSuchRel", "x", 10, QueryRequest{}); err != nil {
+		t.Logf("Search(unknown rel) errored cleanly: %v", err)
 	}
 }

@@ -23,21 +23,13 @@ func main() {
 		log.Fatalf("open dblp: %v", err)
 	}
 
-	res, err := eng.Query(sizelos.QueryRequest{Rel: "Author", Query: "Faloutsos", L: 15})
+	page, _, stats, err := eng.QueryPage(sizelos.QueryRequest{Rel: "Author", Query: "Faloutsos", L: 15})
 	if err != nil {
 		log.Fatalf("search: %v", err)
 	}
-	defer res.Close()
-	fmt.Printf("Q1 = \"Faloutsos\", l = 15: %d data subjects\n\n", res.Stats().Matches)
-	for {
-		r, ok := res.Next()
-		if !ok {
-			break
-		}
+	fmt.Printf("Q1 = \"Faloutsos\", l = 15: %d data subjects\n\n", stats.Matches)
+	for _, r := range page {
 		fmt.Printf("=== %s (Im(S) = %.2f) ===\n", r.Headline, r.Result.Importance)
 		fmt.Println(r.Text)
-	}
-	if err := res.Err(); err != nil {
-		log.Fatalf("search: %v", err)
 	}
 }

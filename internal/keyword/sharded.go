@@ -28,16 +28,13 @@ type Sharded struct {
 	known map[string]bool
 }
 
-// ShardedOptions tunes BuildSharded. The zero value picks sensible
-// defaults: one shard per CPU and a GOMAXPROCS-wide tokenizer pool.
+// ShardedOptions tunes BuildSharded. The zero value picks one shard per
+// CPU; the tokenizer pool is GOMAXPROCS wide either way.
 type ShardedOptions struct {
 	// NumShards is the number of token partitions (<= 0: DefaultNumShards).
 	// Shard count affects layout and build/query parallelism only, never
 	// results.
 	NumShards int
-	// Workers bounds the parallel tokenizer scanning the column stream
-	// (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultNumShards is one shard per available CPU, the build and fan-out
@@ -106,15 +103,14 @@ func BuildSharded(db *relational.DB, opts ShardedOptions) *Sharded {
 	// Phase 1: tokenize chunks in parallel; each worker routes its tokens
 	// into chunk-local per-shard maps, deduplicating within the chunk.
 	local := make([][]map[string][]relational.TupleID, len(chunks))
-	_ = searchexec.ForEach(len(chunks), opts.Workers, func(i int) error {
+	searchexec.ForEach(len(chunks), 0, func(i int) {
 		local[i] = tokenizeChunk(chunks[i], numShards)
-		return nil
 	})
 
 	// Phase 2: one goroutine per shard replays the stream in chunk order.
 	// Chunk tuple ranges are disjoint and ascending per relation, so plain
 	// concatenation preserves the flat index's posting order and dedup.
-	_ = searchexec.ForEach(numShards, numShards, func(s int) error {
+	searchexec.ForEach(numShards, numShards, func(s int) {
 		shard := make(map[string]map[string][]relational.TupleID)
 		for i, ch := range chunks {
 			m := local[i][s]
@@ -131,7 +127,6 @@ func BuildSharded(db *relational.DB, opts ShardedOptions) *Sharded {
 			}
 		}
 		idx.shards[s] = shard
-		return nil
 	})
 	return idx
 }

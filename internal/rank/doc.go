@@ -45,15 +45,14 @@
 //     allocates, clears and copies nothing of arena size: the residual
 //     vector and the node marks are a scratch of the Plans', all-zero
 //     between repairs and zeroed by walking the nodes the repair wrote.
-//   - Plans.Run is bit-for-bit deterministic at every Options.Parallel
-//     setting: each destination's contributions are summed by exactly one
-//     worker in the canonical order (plan ordinal, source ascending, target
-//     position). Changing the worker count must never change a score.
-//     RunResidual has no worker count: its rounds are frozen-value, one
-//     walker applies a round's contributions in source-ascending order,
-//     and the budget is checked per round, so a repair — fallback decision
-//     included — is a pure function of the prior, the pending delta and
-//     the options.
+//   - Plans.Run has one canonical order: each destination's contributions
+//     are summed plan ordinal, source ascending, target position, by the one
+//     goroutine that runs the iteration, so equal plans and options give
+//     bit-for-bit equal scores. RunResidual is as deterministic: its rounds
+//     are frozen-value, one walker applies a round's contributions in
+//     source-ascending order, and the budget is checked per round, so a
+//     repair — fallback decision included — is a pure function of the
+//     prior, the pending delta and the options.
 //   - Plans.Apply requires the batch to be already applied to the plans'
 //     database AND data graph (it recomputes changed rows from both), and
 //     must be serialized against Run/RunResidual by the caller. The engine

@@ -3,7 +3,6 @@ package rank
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"sizelos/internal/datagraph"
@@ -14,7 +13,7 @@ import (
 // power iteration. Compilation resolves every flow into CSR push plans,
 // lays the per-relation score vectors out in one contiguous arena, and
 // transposes the flows into per-destination contribution lists so the push
-// phase can be partitioned across workers without write conflicts.
+// phase writes each score once, summed in one canonical order.
 //
 // After Compile a *Plans is safe for concurrent Run/RunResidual calls: the
 // engine compiles each G_A once and runs the three GA1 dampings over the
@@ -103,9 +102,8 @@ func (ps *Plans) ensurePull() error {
 // buildPull transposes the push plans into per-destination CSR lists. The
 // canonical contribution order per destination — plan ordinal, then source
 // tuple ascending, then target position — fixes the floating-point
-// accumulation order, so Run produces bit-for-bit identical scores no
-// matter how many workers split the destination range. Rows are read
-// through the overlay, which yields the same arrays a fresh Compile over
+// accumulation order: it is the float program every Run executes. Rows are
+// read through the overlay, which yields the same arrays a fresh Compile over
 // the mutated graph would (plan rows are recomputed from the graph, and
 // the graph is maintained edge-exact).
 func (ps *Plans) buildPull() error {
@@ -175,20 +173,6 @@ func (ps *Plans) buildPull() error {
 // NumNodes reports the arena size (total tuples across all relations).
 func (ps *Plans) NumNodes() int { return ps.n }
 
-// resolveWorkers maps Options.Parallel onto a worker count for an n-node
-// arena: 0 sizes by GOMAXPROCS (serial on small arenas, where goroutine
-// overhead dominates), 1 forces serial, >1 forces that many (capped at n).
-func resolveWorkers(parallel, n int) int {
-	w := parallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if n < 4096 {
-			w = 1
-		}
-	}
-	return max(1, min(w, n))
-}
-
 // Run executes the ObjectRank/ValueRank power iteration over the compiled
 // plans and returns one score per tuple, keyed by relation name. The
 // recurrence per tuple v is
@@ -200,12 +184,10 @@ func resolveWorkers(parallel, n int) int {
 // (uniform, or value-proportional when the flow carries a ValueCol). Safe
 // to call concurrently on the same *Plans.
 //
-// Parallelism: Options.Parallel > 1 splits the destination arena into that
-// many contiguous worker ranges; 0 sizes the pool by GOMAXPROCS (falling
-// back to serial on small graphs where goroutine overhead dominates);
-// 1 forces serial. All settings produce bit-for-bit identical scores: each
-// destination's contributions are summed by exactly one worker in canonical
-// order, and the max-delta convergence scan is fused into the same pass.
+// One goroutine runs every iteration: each destination's contributions are
+// summed in canonical order, and the max-delta convergence scan is fused
+// into the same pass. The engine's parallelism is one level up, settings
+// side by side (Engine.rankSettings).
 func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	if opts.Damping < 0 || opts.Damping > 1 {
 		return nil, Stats{}, fmt.Errorf("rank: damping %v outside [0,1]", opts.Damping)
@@ -223,8 +205,6 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	if ps.n == 0 {
 		return relational.DBScores{}, Stats{Converged: true}, nil
 	}
-
-	workers := resolveWorkers(opts.Parallel, ps.n)
 
 	cur := make([]float64, ps.n)
 	next := make([]float64, ps.n)
@@ -249,34 +229,9 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	}
 	base := (1 - opts.Damping) / float64(ps.n)
 
-	deltas := make([]float64, workers)
 	stats := Stats{WarmStart: warm}
 	for it := 0; it < opts.MaxIter; it++ {
-		if workers == 1 {
-			deltas[0] = ps.pushRange(cur, next, 0, ps.n, opts.Damping, base)
-		} else {
-			var wg sync.WaitGroup
-			chunk := (ps.n + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > ps.n {
-					hi = ps.n
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					deltas[w] = ps.pushRange(cur, next, lo, hi, opts.Damping, base)
-				}(w, lo, hi)
-			}
-			wg.Wait()
-		}
-		maxDelta := 0.0
-		for _, d := range deltas {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
+		maxDelta := ps.pushAll(cur, next, opts.Damping, base)
 		cur, next = next, cur
 		stats.Iterations = it + 1
 		stats.MaxDelta = maxDelta
@@ -299,13 +254,13 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	return scores, stats, nil
 }
 
-// pushRange computes one iteration's scores for destination arena indices
-// [lo, hi) and returns the max |next-cur| delta over the range (the
-// convergence scan fused into the push).
-func (ps *Plans) pushRange(cur, next []float64, lo, hi int, damping, base float64) float64 {
+// pushAll computes one iteration's scores for every destination arena index
+// and returns the max |next-cur| delta (the convergence scan fused into the
+// push).
+func (ps *Plans) pushAll(cur, next []float64, damping, base float64) float64 {
 	maxDelta := 0.0
 	pullOff, pullSrc, pullW := ps.pullOff, ps.pullSrc, ps.pullW
-	for d := lo; d < hi; d++ {
+	for d := 0; d < ps.n; d++ {
 		sum := 0.0
 		for k := pullOff[d]; k < pullOff[d+1]; k++ {
 			sum += pullW[k] * cur[pullSrc[k]]

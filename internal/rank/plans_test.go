@@ -7,10 +7,9 @@ import (
 	"sizelos/internal/relational"
 )
 
-// scoresEqualBitwise fails unless the two score sets match exactly. The
-// parallel engine partitions destinations, never a single destination's
-// contribution list, so serial and parallel runs must agree bit for bit —
-// stronger than the PR's ≤1e-12 acceptance bound.
+// scoresEqualBitwise fails unless the two score sets match exactly: every
+// Run sums a destination's contributions in the one canonical order, so two
+// runs over equal plans and options must agree bit for bit.
 func scoresEqualBitwise(t *testing.T, name string, a, b relational.DBScores) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -53,46 +52,6 @@ func TestPlansReusedAcrossDampings(t *testing.T) {
 	}
 }
 
-func TestRunParallelBitwiseEqualSerial(t *testing.T) {
-	_, gCite := citeChain(t)
-	_, gVal := valueDB(t)
-	cases := []struct {
-		name  string
-		plans func() (*Plans, error)
-	}{
-		{"objectrank", func() (*Plans, error) { return Compile(gCite, citationGA(), nil) }},
-		{"valuerank", func() (*Plans, error) {
-			return Compile(gVal, NewGA("VR").DirectValue("Orders", 0, false, 0.5, "total"), nil)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plans, err := tc.plans()
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			serial := DefaultOptions()
-			serial.Parallel = 1
-			want, wantStats, err := plans.Run(serial)
-			if err != nil {
-				t.Fatalf("serial Run: %v", err)
-			}
-			for _, workers := range []int{2, 3, 4, 8} {
-				opts := DefaultOptions()
-				opts.Parallel = workers
-				got, gotStats, err := plans.Run(opts)
-				if err != nil {
-					t.Fatalf("Run(workers=%d): %v", workers, err)
-				}
-				if gotStats != wantStats {
-					t.Errorf("workers=%d: stats %+v vs %+v", workers, gotStats, wantStats)
-				}
-				scoresEqualBitwise(t, tc.name, got, want)
-			}
-		})
-	}
-}
-
 // TestRunConcurrentOnSharedPlans is the engine's actual usage: three
 // dampings racing over one compiled *Plans. Run under -race in CI.
 func TestRunConcurrentOnSharedPlans(t *testing.T) {
@@ -110,7 +69,6 @@ func TestRunConcurrentOnSharedPlans(t *testing.T) {
 			defer wg.Done()
 			opts := DefaultOptions()
 			opts.Damping = d
-			opts.Parallel = 2
 			sc, _, err := plans.Run(opts)
 			if err != nil {
 				t.Errorf("Run(d=%v): %v", d, err)

@@ -103,11 +103,6 @@ type Options struct {
 	// global maximum equals this value. The paper reports local-importance
 	// magnitudes like 21.74; scaling is cosmetic and preserves all rankings.
 	NormalizeMax float64
-	// Parallel sets the full iteration's worker count: 0 sizes the pool by
-	// GOMAXPROCS (serial on small graphs), 1 forces serial, >1 forces that
-	// many workers. Every setting yields bit-for-bit identical scores; see
-	// Plans.Run. A residual push is one walker whatever it says.
-	Parallel int
 	// Warm, when non-nil, seeds the power iteration with a prior score
 	// vector instead of the uniform distribution — the warm start that
 	// makes re-ranking after a small mutation converge in a handful of

@@ -291,8 +291,7 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // round runs in full or not at all). When the seed mass exceeds the safety
 // bound, the seeds cover too much of the arena, or the budget runs out,
 // RunResidual falls back to the warm full iteration over the same plans
-// (Stats.Fallback reports it; Options.Parallel sizes it) and returns that
-// run's fresh table, Options.Warm being, as on an error, exactly what was
+// (Stats.Fallback reports it) and returns that run's fresh table, Options.Warm being, as on an error, exactly what was
 // passed in. Either way the returned scores satisfy the convergence
 // contract.
 //

@@ -24,7 +24,7 @@ type PoolStats struct {
 
 // Pool is a shared concurrency budget for CPU-bound work spanning many
 // independent callers — e.g. summary generation across every tenant of a
-// multi-tenant service. Unlike the per-call worker count of ForEach, one
+// multi-tenant service, where each request runs on its own goroutine. One
 // Pool caps total in-flight work machine-wide: each unit of work holds one
 // slot for its duration, and callers beyond the budget block until a slot
 // frees. A nil *Pool is valid and imposes no limit.

@@ -7,65 +7,37 @@ import (
 )
 
 // ForEach invokes fn(0..n-1) across a bounded worker pool and blocks until
-// every call returns. workers <= 0 sizes the pool by GOMAXPROCS. Results
-// must be written by fn into caller-owned slots indexed by i, which keeps
-// output order deterministic regardless of scheduling.
-//
-// On failure ForEach returns the error of the lowest failing index — the
-// same error a serial loop would hit first — so error behavior is
-// deterministic too. With workers == 1 the loop runs inline and stops at
-// the first error; the parallel path stops claiming new indices once any
-// task fails (indices are claimed in ascending order, so the lowest
-// failing index is always among those executed).
-func ForEach(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
+// every call returns. workers <= 0 sizes the pool by GOMAXPROCS; with one
+// worker the loop runs inline. Results must be written by fn into
+// caller-owned slots indexed by i, which keeps output order deterministic
+// regardless of scheduling.
+func ForEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
+			fn(i)
 		}
-		return nil
+		return
 	}
-	errs := make([]error, n)
 	var idx atomic.Int64
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				// Stop claiming work once any task has failed; in-flight
-				// tasks finish, so every slot below the failing index is
-				// still populated before the error is reported.
-				if failed.Load() {
-					return
-				}
 				i := int(idx.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,12 +1,9 @@
 package searchexec
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForEachWritesEverySlot(t *testing.T) {
@@ -14,13 +11,7 @@ func TestForEachWritesEverySlot(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 100
 			out := make([]int, n)
-			err := ForEach(n, workers, func(i int) error {
-				out[i] = i * i
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("ForEach: %v", err)
-			}
+			ForEach(n, workers, func(i int) { out[i] = i * i })
 			for i := range out {
 				if out[i] != i*i {
 					t.Fatalf("out[%d] = %d, want %d", i, out[i], i*i)
@@ -30,72 +21,11 @@ func TestForEachWritesEverySlot(t *testing.T) {
 	}
 }
 
-func TestForEachReturnsLowestIndexError(t *testing.T) {
-	err3 := errors.New("boom at 3")
-	err7 := errors.New("boom at 7")
-	for _, workers := range []int{1, 4} {
-		err := ForEach(10, workers, func(i int) error {
-			switch i {
-			case 3:
-				return err3
-			case 7:
-				return err7
-			}
-			return nil
-		})
-		if !errors.Is(err, err3) {
-			t.Errorf("workers=%d: err = %v, want %v (the lowest failing index)", workers, err, err3)
-		}
-	}
-}
-
 func TestForEachEmpty(t *testing.T) {
 	called := false
-	if err := ForEach(0, 4, func(int) error { called = true; return nil }); err != nil {
-		t.Fatalf("ForEach(0): %v", err)
-	}
+	ForEach(0, 4, func(int) { called = true })
 	if called {
 		t.Error("fn called for n=0")
-	}
-}
-
-func TestForEachSerialStopsAtFirstError(t *testing.T) {
-	calls := 0
-	wantErr := errors.New("stop")
-	err := ForEach(10, 1, func(i int) error {
-		calls++
-		if i == 2 {
-			return wantErr
-		}
-		return nil
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("serial loop made %d calls after error at index 2, want 3", calls)
-	}
-}
-
-// TestForEachStopsClaimingAfterError: once a task fails, workers stop
-// claiming new indices instead of grinding through the whole range.
-func TestForEachStopsClaimingAfterError(t *testing.T) {
-	const n = 64
-	var executed atomic.Int64
-	wantErr := errors.New("boom")
-	err := ForEach(n, 4, func(i int) error {
-		executed.Add(1)
-		if i == 0 {
-			return wantErr
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := executed.Load(); got == n {
-		t.Errorf("all %d tasks executed despite early failure at index 0", n)
 	}
 }
 

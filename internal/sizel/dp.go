@@ -15,7 +15,8 @@ import (
 // The paper's analysis treats the child-combination step as exhaustive
 // (O(n^l) overall); the knapsack merge here explores the same solution
 // space exactly in O(n·l²) — still far costlier than the greedy heuristics,
-// preserving the efficiency ordering of Figure 10 (see EXPERIMENTS.md).
+// preserving the efficiency ordering of Figure 10 (see
+// docs/EXPERIMENTS.md).
 //
 // The context lets callers abort long runs (the paper stopped DP after 30
 // minutes on large OSs); on cancellation DP returns ctx.Err().

@@ -135,6 +135,11 @@ func (r *Registry) qosMiddleware(class trafficClass) Middleware {
 	}
 }
 
+// maxBudgetMs caps a client's latency budget at 24 h: far past any wait the
+// admission queue allows, and far short of the millisecond counts whose
+// conversion to a Duration wraps into a tiny or a negative budget.
+const maxBudgetMs = 86_400_000
+
 // requestBudget extracts the client's latency budget: the budget_ms query
 // parameter, else the X-Sizelos-Budget-Ms header, else 0 (the tenant's
 // configured default applies). The admission layer sheds the request
@@ -148,8 +153,8 @@ func requestBudget(req *http.Request) (time.Duration, error) {
 		return 0, nil
 	}
 	ms, err := strconv.Atoi(raw)
-	if err != nil || ms < 1 {
-		return 0, errBadRequest("invalid budget_ms %q (want a positive integer of milliseconds)", raw)
+	if err != nil || ms < 1 || ms > maxBudgetMs {
+		return 0, errBadRequest("invalid budget_ms %q (want a positive integer of milliseconds, at most %d)", raw, maxBudgetMs)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

@@ -1,6 +1,7 @@
 package tenancy
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -651,5 +652,56 @@ func TestQoSSoak(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > heapBefore*4+64<<20 {
 		t.Errorf("heap grew from %d to %d bytes over soak", heapBefore, ms.HeapAlloc)
+	}
+}
+
+// TestRequestBudget is the table of the budget parser: the query parameter
+// wins over the header, absent means the tenant default (0), and anything
+// that is not a whole number of milliseconds in [1, 24 h] is a bad request
+// — the two overflow values once wrapped to 448 µs and to a negative
+// Duration, which Admit replaced with the tenant default.
+func TestRequestBudget(t *testing.T) {
+	cases := []struct {
+		name, query, header string
+		want                time.Duration
+		bad                 bool
+	}{
+		{name: "absent"},
+		{name: "query", query: "250", want: 250 * time.Millisecond},
+		{name: "header fallback", header: "40", want: 40 * time.Millisecond},
+		{name: "query wins over header", query: "250", header: "40", want: 250 * time.Millisecond},
+		{name: "zero", query: "0", bad: true},
+		{name: "negative", query: "-1", bad: true},
+		{name: "garbage", query: "soon", bad: true},
+		{name: "garbage header", header: "1.5", bad: true},
+		{name: "wraps to 448us", query: "18446744073710", bad: true},
+		{name: "wraps negative", query: "9223372036855", bad: true},
+		{name: "wraps to 448us, header", header: "18446744073710", bad: true},
+		{name: "wraps negative, header", header: "9223372036855", bad: true},
+		{name: "the cap", query: "86400000", want: 24 * time.Hour},
+		{name: "past the cap", query: "86400001", bad: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			target := "/v1/demo/search"
+			if tc.query != "" {
+				target += "?budget_ms=" + tc.query
+			}
+			req := httptest.NewRequest(http.MethodGet, target, nil)
+			if tc.header != "" {
+				req.Header.Set("X-Sizelos-Budget-Ms", tc.header)
+			}
+			got, err := requestBudget(req)
+			if tc.bad {
+				var api *apiError
+				if !errors.As(err, &api) || api.status != http.StatusBadRequest || api.code != CodeBadRequest {
+					t.Fatalf("requestBudget = %v, %v; want a 400 bad_request", got, err)
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("requestBudget = %v, %v; want %v", got, err, tc.want)
+			}
+		})
 	}
 }

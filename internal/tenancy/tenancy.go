@@ -617,7 +617,7 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Page is one served slice of a query's result stream.
+// Page is one served slice of a query's result sequence.
 type Page struct {
 	// Summaries is the page content, in serving order.
 	Summaries []sizelos.Summary

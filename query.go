@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sort"
 
 	"sizelos/internal/keyword"
@@ -15,17 +14,16 @@ import (
 	"sizelos/internal/searchexec"
 )
 
-// This file is the engine's query surface: one request struct, one lazy
-// entry point (Query) plus its one-page drain (QueryPage), and a Results
-// stream that pipelines candidate matching -> summary computation
-// (cache-first, pool-bounded) -> size-l rendering, paying only for the
-// prefix the caller consumes.
+// This file is the engine's query surface: one request struct and one entry
+// point, QueryPage, which serves a page on the caller's goroutine under one
+// read lock: keyword matches best-first -> summary computation (cache-first,
+// pool-bounded) -> size-l rendering, paying only for the page it serves.
 
 // ErrStreamInvalidated reports that a mutation landed inside the query's
-// dependency set between pages (or between batch fills of one open
-// Results): the pre-mutation stream position is meaningless against the
-// post-mutation state, so the engine refuses to serve a torn view. Re-issue
-// the query without a cursor to start over. HTTP maps it to 410 Gone.
+// dependency set between two pages: the cursor's position in the
+// pre-mutation match sequence is meaningless against the post-mutation
+// state, so the engine refuses to serve a torn view. Re-issue the query
+// without a cursor to start over. HTTP maps it to 410 Gone.
 var ErrStreamInvalidated = errors.New("sizelos: stream invalidated by mutation")
 
 // ErrCursorMalformed reports a cursor that never came from this engine
@@ -73,11 +71,11 @@ type QueryRequest struct {
 	K int
 
 	// Limit bounds how many summaries this request produces (0 = all).
-	// Unconsumed matches stay uncomputed — the whole point of the
-	// streaming surface — and Cursor() resumes after the served prefix.
+	// Matches past the page stay uncomputed, and the cursor QueryPage
+	// returns resumes after it.
 	Limit int
 	// Cursor resumes a previous request after its last served summary.
-	// It must come from Results.Cursor (or the HTTP response) of a request
+	// It must come from QueryPage (or the HTTP response) for a request
 	// with identical parameters; a mutation in between invalidates it
 	// (ErrStreamInvalidated).
 	Cursor string
@@ -92,11 +90,7 @@ type QueryRequest struct {
 	// ShowWeights annotates rendered summaries with local importance.
 	ShowWeights bool
 
-	// Parallel bounds the worker pool summarizing one batch of matches:
-	// 0 sizes it by GOMAXPROCS, 1 forces serial. Output order and content
-	// are identical at every setting.
-	Parallel int
-	// Pool, when non-nil, additionally bounds this request's summary work by
+	// Pool, when non-nil, bounds this request's summary work by
 	// a concurrency budget shared with other callers — the multi-tenant
 	// service hands every tenant the same pool so one machine-wide cap
 	// governs total in-flight work. nil imposes no shared limit.
@@ -133,9 +127,17 @@ func (req QueryRequest) resolve() (QueryRequest, error) {
 	return req, nil
 }
 
+// cut bounds n, a count of summaries that could be served, by Limit.
+func (req QueryRequest) cut(n int) int {
+	if req.Limit > 0 && req.Limit < n {
+		return req.Limit
+	}
+	return n
+}
+
 // Fingerprint hashes every request parameter that shapes the result
-// sequence (not the paging: Limit, Cursor, Parallel and Pool change how the
-// sequence is consumed, never what it contains), with defaults resolved so
+// sequence (not the paging: Limit, Cursor and Pool change how the sequence
+// is consumed, never what it contains), with defaults resolved so
 // an omitted and an explicit default agree. A cursor binds to this value so
 // it can only resume the query that minted it, and request-coalescing
 // layers key on it.
@@ -181,285 +183,146 @@ func decodeCursor(s string) (cursorWire, error) {
 	}, nil
 }
 
-// QueryStats counts what one Results actually did — the observable proof of
-// early termination: a limit-10 query over thousands of matches reports
-// Summaries == 10.
+// QueryStats counts what one QueryPage call actually did — the observable
+// proof of early termination: a limit-10 query over thousands of matches
+// reports Summaries == 10.
 type QueryStats struct {
 	// Matches is the total keyword-match count of the query (what a full
 	// drain would have to summarize).
 	Matches int
-	// Summaries is how many size-l summaries this Results produced
+	// Summaries is how many size-l summaries the call produced
 	// (computed or served from cache) — under RankBySummary every candidate
 	// it scored, whether or not it made the page.
 	Summaries int
 	// Sealed counts the RankBySummary candidates excluded by their Im(S)
-	// upper bound with no selection computed: on a drained ranked query
+	// upper bound with no selection computed: on a ranked query
 	// Matches == Summaries + Sealed + Skipped.
 	Sealed int
 	// Skipped counts matches dropped because their DS tuple was tombstoned
-	// between indexing and serving; the stream backfills from the next
+	// between indexing and serving; the page backfills from the next
 	// rank instead of failing the query.
 	Skipped int
 }
 
-// Results is a lazy stream of size-l summaries in serving order. Pull with
-// Next (or Drain); only the consumed prefix is ever summarized. A Results
-// is single-goroutine; it holds no background workers, so abandoning one
-// leaks nothing. Between batch fills the engine may mutate — the next fill
-// then fails with ErrStreamInvalidated rather than serving a torn view.
-type Results struct {
-	eng *Engine
-	// req is the resolved request the stream serves.
-	req QueryRequest
-	// epoch is the dependency-set epoch the stream bound to at open.
-	epoch uint64
-	// stream yields keyword matches best-first; nil once Closed.
-	stream keyword.MatchStream
-
-	// holdLock marks a Results opened and drained entirely under the
-	// engine read lock the caller already holds (QueryPage); fills must not
-	// re-acquire it.
-	holdLock bool
-
-	// buf holds the current summarized batch — under RankBySummary the
-	// whole sorted, K-truncated ranking past the resume point, rendered only
-	// as far as Limit lets Next serve it — bufConsumed[i] the cursor
-	// position after serving buf[i] (the cumulative match-pop count through
-	// it; ranked: its rank), bufPos the serve offset.
-	buf         []Summary
-	bufConsumed []int
-	bufPos      int
-	// popped counts stream pops since the original query start (resume
-	// included), served the cursor position of the last served summary —
-	// at open, the resume cursor's.
-	popped int
-	served int
-
-	emitted   int
-	exhausted bool
-	done      bool
-	err       error
-	stats     QueryStats
-}
-
-// Query opens a lazy summary stream for req: one size-l OS per Data Subject
-// matching the keywords — the paper's end-to-end paradigm (Q1 "Faloutsos",
-// l=15 → Example 5). The keyword frontier is built under the engine read
-// lock (one consistent state); each subsequent batch fill re-acquires it
-// and verifies no mutation has landed in the query's dependency set — if
-// one has, the stream fails with ErrStreamInvalidated instead of mixing
-// pre- and post-mutation state.
-func (e *Engine) Query(req QueryRequest) (*Results, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.queryLocked(req, false)
-}
-
-// QueryPage opens req and drains it to its Limit under one engine read
-// lock, returning the page, the resume cursor ("" when the query is fully
-// served) and the stats. This is the HTTP serving shape: a page is always
-// internally consistent, and only a cursor resume can observe
-// ErrStreamInvalidated.
+// QueryPage serves one page of req: one size-l OS per Data Subject matching
+// the keywords — the paper's end-to-end paradigm (Q1 "Faloutsos", l=15 →
+// Example 5) — up to Limit of them, with the cursor that resumes after the
+// page ("" when the query is fully served) and the stats. Summaries arrive in
+// descending DS global importance, or descending Im(S) under RankBySummary.
+// The whole call runs on the caller's goroutine under one engine read lock,
+// so a page is always internally consistent and only a cursor can observe
+// ErrStreamInvalidated. The page is non-nil even when empty.
 func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	r, err := e.queryLocked(req, true)
-	if err != nil {
-		return nil, "", QueryStats{}, err
-	}
-	page, err := r.Drain()
-	if err != nil {
-		return nil, "", QueryStats{}, err
-	}
-	cursor, _ := r.Cursor()
-	return page, cursor, r.Stats(), nil
-}
-
-// queryLocked validates req and binds a Results to the current engine
-// state. Callers hold at least the read lock.
-func (e *Engine) queryLocked(req QueryRequest, holdLock bool) (*Results, error) {
 	req, err := req.resolve()
 	if err != nil {
-		return nil, err
+		return nil, "", QueryStats{}, err
 	}
 	sc, err := e.scoresLocked(req.Setting)
 	if err != nil {
-		return nil, err
+		return nil, "", QueryStats{}, err
 	}
 	// An unknown relation matches nothing and answers empty; a known one
 	// without a G_DS could only fail at its first match.
 	if _, ok := e.gds[req.Rel]; !ok && e.db.Relation(req.Rel) != nil {
-		return nil, fmt.Errorf("%w: no G_DS registered for %s", ErrInvalidRequest, req.Rel)
+		return nil, "", QueryStats{}, fmt.Errorf("%w: no G_DS registered for %s", ErrInvalidRequest, req.Rel)
 	}
 	epoch := e.epochForLocked(req.Rel)
 	var resume cursorWire
 	if req.Cursor != "" {
 		resume, err = decodeCursor(req.Cursor)
 		if err != nil {
-			return nil, err
+			return nil, "", QueryStats{}, err
 		}
 		if resume.Fingerprint != req.Fingerprint() {
-			return nil, fmt.Errorf("%w: cursor belongs to a different query", ErrStreamInvalidated)
+			return nil, "", QueryStats{}, fmt.Errorf("%w: cursor belongs to a different query", ErrStreamInvalidated)
 		}
 		if resume.Epoch != epoch {
-			return nil, fmt.Errorf("%w: engine state changed since the cursor was issued", ErrStreamInvalidated)
+			return nil, "", QueryStats{}, fmt.Errorf("%w: engine state changed since the cursor was issued", ErrStreamInvalidated)
 		}
 	}
-	r := &Results{
-		eng:      e,
-		req:      req,
-		epoch:    epoch,
-		stream:   e.index.SearchStream(req.Rel, req.Query, sc),
-		holdLock: holdLock,
+	stream := e.index.SearchStream(req.Rel, req.Query, sc)
+	stats := QueryStats{Matches: stream.Remaining()}
+	// A minted cursor never counts past the answer it pages through; one
+	// that does was forged, and its position must not reach a pop or a slice
+	// bound.
+	end := stats.Matches
+	if req.RankBySummary && req.K > 0 && req.K < end {
+		end = req.K
 	}
-	r.stats.Matches = r.stream.Remaining()
-	if req.Cursor != "" {
-		// A minted cursor never counts past the answer it pages through;
-		// one that does was forged, and its position must not reach a pop
-		// or a slice bound.
-		end := r.stats.Matches
-		if req.RankBySummary && req.K > 0 && req.K < end {
-			end = req.K
+	if resume.Consumed > uint64(end) {
+		return nil, "", QueryStats{}, fmt.Errorf("%w: position %d past the query's %d results", ErrCursorMalformed, resume.Consumed, end)
+	}
+
+	var page []Summary
+	// position is the cursor position after the page — the cumulative pop
+	// count through its last summary (skipped tombstones included), ranked:
+	// its rank — and more whether anything is left to resume.
+	position, more := int(resume.Consumed), false
+	if req.RankBySummary {
+		if page, more, err = e.rankLocked(req, stream, position, &stats); err != nil {
+			return nil, "", QueryStats{}, err
 		}
-		if resume.Consumed > uint64(end) {
-			return nil, fmt.Errorf("%w: position %d past the query's %d results", ErrCursorMalformed, resume.Consumed, end)
+		position += len(page)
+	} else {
+		// Replay to the cursor position: the epoch matched, so the stream
+		// emits the identical sequence and skipping that many pops lands
+		// exactly after the last served summary.
+		for i := 0; i < position; i++ {
+			stream.Next()
 		}
-		n := int(resume.Consumed)
-		if !r.req.RankBySummary {
-			// Replay to the cursor position: the epoch matched, so the
-			// stream emits the identical sequence and skipping n pops
-			// lands exactly after the last served summary.
-			for i := 0; i < n; i++ {
-				if _, ok := r.stream.Next(); !ok {
-					break
-				}
+		// Every summary costs a pop, so n bounds the page; tombstones can
+		// leave it shorter, and then the loop ends on a dry stream.
+		n := req.cut(stream.Remaining())
+		page = make([]Summary, 0, n)
+		for len(page) < n {
+			m, ok, err := e.nextLive(req.Rel, stream, &stats)
+			if err != nil {
+				return nil, "", QueryStats{}, err
 			}
-			r.popped = n
+			if !ok {
+				break
+			}
+			s, err := e.summaryLocked(req, m.Tuple, math.Inf(-1), true)
+			if err != nil {
+				return nil, "", QueryStats{}, err
+			}
+			stats.Summaries++
+			page = append(page, s.sum)
 		}
-		r.served = n
+		position, more = stats.Matches-stream.Remaining(), stream.Remaining() > 0
 	}
-	return r, nil
+	cursor := ""
+	if more {
+		cursor = encodeCursor(cursorWire{Fingerprint: req.Fingerprint(), Epoch: epoch, Consumed: uint64(position)})
+	}
+	return page, cursor, stats, nil
 }
 
-// Next serves the next summary; ok is false once the stream is exhausted,
-// the Limit is reached, or an error occurred (check Err). Summaries arrive
-// in descending DS global importance (or descending Im(S) under
-// RankBySummary) and are computed at most one batch ahead of consumption.
-func (r *Results) Next() (Summary, bool) {
-	if r.err != nil || r.done {
-		return Summary{}, false
-	}
-	if r.req.Limit > 0 && r.emitted >= r.req.Limit {
-		r.done = true
-		return Summary{}, false
-	}
-	for r.bufPos >= len(r.buf) {
-		if r.exhausted {
-			r.done = true
-			return Summary{}, false
+// nextLive pops the frontier down to its next live match; ok is false when
+// it runs dry first. Tombstoned subjects are skipped, counted and backfilled
+// from the next rank; a match pointing outside the relation fails the query.
+func (e *Engine) nextLive(rel string, stream keyword.MatchStream, stats *QueryStats) (m keyword.Match, ok bool, err error) {
+	for {
+		if m, ok = stream.Next(); !ok {
+			return m, false, nil
 		}
-		if err := r.fill(); err != nil {
-			r.err = err
-			return Summary{}, false
-		}
-	}
-	s := r.buf[r.bufPos]
-	r.served = r.bufConsumed[r.bufPos]
-	r.bufPos++
-	r.emitted++
-	return s, true
-}
-
-// fill summarizes the next batch under the engine read lock (unless the
-// caller already holds it), first checking that no mutation invalidated
-// the stream.
-func (r *Results) fill() error {
-	if !r.holdLock {
-		r.eng.mu.RLock()
-		defer r.eng.mu.RUnlock()
-		if r.eng.epochForLocked(r.req.Rel) != r.epoch {
-			return ErrStreamInvalidated
-		}
-	}
-	return r.fillLocked()
-}
-
-// popLive pops matches off the frontier until max are live (max <= 0: the
-// whole frontier). Tombstoned subjects are skipped and backfilled from the
-// next rank; a match pointing outside the relation fails the query.
-// consumedAt[i] is the cumulative pop count through matches[i].
-func (r *Results) popLive(max int) (matches []keyword.Match, consumedAt []int, err error) {
-	n := r.stream.Remaining()
-	if max > 0 && max < n {
-		n = max
-	}
-	matches, consumedAt = make([]keyword.Match, 0, n), make([]int, 0, n)
-	for max <= 0 || len(matches) < max {
-		m, ok := r.stream.Next()
-		if !ok {
-			r.exhausted = true
-			break
-		}
-		r.popped++
-		skip, err := r.eng.classifySubject(r.req.Rel, m.Tuple)
+		skip, err := e.classifySubject(rel, m.Tuple)
 		if err != nil {
-			return nil, nil, err
+			return m, false, err
 		}
-		if skip {
-			r.stats.Skipped++
-			continue
+		if !skip {
+			return m, true, nil
 		}
-		matches = append(matches, m)
-		consumedAt = append(consumedAt, r.popped)
+		stats.Skipped++
 	}
-	return matches, consumedAt, nil
-}
-
-// fillLocked summarizes the next batch of live matches across the worker
-// pool. Batches are sized to the parallel width and capped by the remaining
-// Limit, so a limit-k query never summarizes meaningfully more than k
-// candidates no matter how many match. RankBySummary fills once, through
-// rankLocked.
-func (r *Results) fillLocked() error {
-	if r.req.RankBySummary {
-		return r.rankLocked()
-	}
-	batch := r.req.Parallel
-	if batch <= 0 {
-		batch = runtime.GOMAXPROCS(0)
-	}
-	if r.req.Limit > 0 {
-		if rem := r.req.Limit - r.emitted; rem < batch {
-			batch = rem
-		}
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	matches, consumedAt, err := r.popLive(batch)
-	if err != nil {
-		return err
-	}
-	// Each summary lands in its match's slot, so the output order does not
-	// depend on scheduling.
-	sums := make([]Summary, len(matches))
-	err = searchexec.ForEach(len(matches), r.req.Parallel, func(i int) error {
-		sc, err := r.eng.summaryLocked(r.req, matches[i].Tuple, math.Inf(-1), true)
-		sums[i] = sc.sum
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	r.stats.Summaries += len(sums)
-	r.buf, r.bufConsumed, r.bufPos = sums, consumedAt, 0
-	return nil
 }
 
 // rankRound is how many candidates the ranked loop evaluates between two
-// looks at the threshold: enough to keep the workers busy, few enough that
-// little is evaluated past the point where the rest seals; fixed, so that
-// QueryStats and the bounds a query leaves behind do not depend on Parallel.
+// looks at the threshold. One goroutine could look after every candidate and
+// seal earlier; it stays 16 so that QueryStats and the bounds a query leaves
+// behind are what they were when a round was a batch for workers.
 const rankRound = 16
 
 // boundSlack covers how a bound and the Im(S) it bounds disagree in floating
@@ -478,20 +341,28 @@ type candidate struct {
 	bound float64
 }
 
-// rankLocked is the ranked fill, a threshold loop over the whole frontier:
+// rankLocked serves a ranked page, a threshold loop over the whole frontier:
 // candidates are ordered by remembered bound and evaluated in rounds; after
 // each round tau is Im(S) of the K-th best so far (K == 0: -Inf, nothing
 // seals), a candidate whose bound is under tau is never selected, and the
 // loop stops at the first remembered bound under tau — every later one is
 // smaller. A sealed candidate's Im(S) is strictly under K summaries already
 // scored, so the ranking equals the full scan's at every K, in any order of
-// evaluation. Only the page Next can serve is rendered, and none of it is
-// cached (EnableSummaryCache says why).
-func (r *Results) rankLocked() error {
-	e, req := r.eng, r.req
-	matches, _, err := r.popLive(0)
-	if err != nil {
-		return err
+// evaluation. A ranked cursor counts served ranks, not frontier pops: the
+// page is the Limit ranks after the first resume, returned with whether any
+// rank follows it. Only the page is rendered, and none of it is cached
+// (EnableSummaryCache says why). Callers hold at least the read lock.
+func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume int, stats *QueryStats) ([]Summary, bool, error) {
+	matches := make([]keyword.Match, 0, stream.Remaining())
+	for {
+		m, ok, err := e.nextLive(req.Rel, stream, stats)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		matches = append(matches, m)
 	}
 	cands := e.candidatesLocked(req, matches)
 	var best []Summary
@@ -506,20 +377,20 @@ func (r *Results) rankLocked() error {
 		}
 		round, out := cands[:n], make([]scored, n)
 		cands = cands[n:]
-		err := searchexec.ForEach(n, req.Parallel, func(i int) (err error) {
-			out[i], err = e.summaryLocked(req, round[i].tuple, tau, false)
-			return err
-		})
-		if err != nil {
-			return err
+		for i, c := range round {
+			s, err := e.summaryLocked(req, c.tuple, tau, false)
+			if err != nil {
+				return nil, false, err
+			}
+			out[i] = s
 		}
 		e.rememberLocked(req, round, out)
 		for _, s := range out {
 			if s.sealed {
-				r.stats.Sealed++
+				stats.Sealed++
 				continue
 			}
-			r.stats.Summaries++
+			stats.Summaries++
 			best = append(best, s.sum)
 		}
 		if req.K > 0 && len(best) >= req.K {
@@ -528,30 +399,19 @@ func (r *Results) rankLocked() error {
 			tau = best[req.K-1].Result.Importance
 		}
 	}
-	r.stats.Sealed += len(cands)
+	stats.Sealed += len(cands)
 	sortRanking(best)
 
-	// A ranked cursor counts served ranks, not frontier pops: rank i sits at
-	// cursor position i+1, and a resume skips the served ones (nothing is
-	// served before this one fill, so served is still the resume position).
-	start := min(r.served, len(best))
-	best = best[start:]
-	consumedAt := make([]int, len(best))
-	for i := range consumedAt {
-		consumedAt[i] = start + i + 1
-	}
-	r.buf, r.bufConsumed, r.bufPos = best, consumedAt, 0
-
-	page := best
-	if rem := req.Limit - r.emitted; req.Limit > 0 && rem < len(page) {
-		page = page[:rem]
-	}
-	return searchexec.ForEach(len(page), req.Parallel, func(i int) error {
+	rest := best[min(resume, len(best)):]
+	n := req.cut(len(rest))
+	// Copied, so that a page does not pin the ranking it was cut from.
+	page := append(make([]Summary, 0, n), rest[:n]...)
+	for i := range page {
 		if page[i].Text == "" { // scored this query, not served by the cache
 			req.Pool.Do(func() { e.materialize(req, &page[i]) })
 		}
-		return nil
-	})
+	}
+	return page, n < len(rest), nil
 }
 
 // sortRanking orders summaries by Im(S) descending, ties by tuple ascending.
@@ -633,73 +493,8 @@ func (e *Engine) rememberLocked(req QueryRequest, round []candidate, out []score
 	}
 }
 
-// Drain consumes the stream to its Limit (or exhaustion) and returns every
-// summary. The slice is non-nil even when empty.
-func (r *Results) Drain() ([]Summary, error) {
-	out := make([]Summary, 0, r.drainCap())
-	for {
-		s, ok := r.Next()
-		if !ok {
-			break
-		}
-		out = append(out, s)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return out, nil
-}
-
-// drainCap estimates how many summaries a full drain will produce.
-func (r *Results) drainCap() int {
-	n := r.stats.Matches
-	if r.req.Limit > 0 && r.req.Limit < n {
-		n = r.req.Limit
-	}
-	if r.req.RankBySummary && r.req.K > 0 && r.req.K < n {
-		n = r.req.K
-	}
-	return n
-}
-
-// Err returns the error that stopped the stream, if any. Exhaustion and
-// reaching the Limit are not errors.
-func (r *Results) Err() error { return r.err }
-
-// Stats reports what the stream has done so far. Summaries < Matches on a
-// limited query is the early-termination guarantee made observable.
-func (r *Results) Stats() QueryStats { return r.stats }
-
-// Cursor returns the opaque resume token for the served prefix; ok is
-// false when the query is fully served (nothing left to resume) or the
-// stream failed. Pass the token as QueryRequest.Cursor — with otherwise
-// identical parameters — to continue; if a mutation has landed in the
-// meantime the resume fails with ErrStreamInvalidated.
-func (r *Results) Cursor() (cursor string, ok bool) {
-	if r.err != nil || r.stream == nil {
-		return "", false
-	}
-	if r.bufPos >= len(r.buf) && r.stream.Remaining() == 0 {
-		return "", false
-	}
-	return encodeCursor(cursorWire{
-		Fingerprint: r.req.Fingerprint(),
-		Epoch:       r.epoch,
-		Consumed:    uint64(r.served),
-	}), true
-}
-
-// Close releases the stream's buffered state. Optional — a Results holds
-// no goroutines, locks or finalizable resources — but dropping the
-// references early helps when a large page is abandoned mid-iteration.
-func (r *Results) Close() {
-	r.done = true
-	r.stream = nil
-	r.buf, r.bufConsumed = nil, nil
-}
-
 // classifySubject checks DS coordinates before any summary work: serve it
-// (false, nil), a tombstone (true, nil) — which a stream skips and
+// (false, nil), a tombstone (true, nil) — which a page skips and
 // backfills and SizeL rejects — or coordinates that cannot have come from
 // this engine's index (false, err).
 func (e *Engine) classifySubject(dsRel string, tuple relational.TupleID) (skip bool, err error) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,32 +86,9 @@ func getAcme(t testing.TB) *Engine {
 	return eng
 }
 
-func drainQuery(t *testing.T, eng *Engine, req QueryRequest) []Summary {
-	t.Helper()
-	res, err := eng.Query(req)
-	if err != nil {
-		t.Fatalf("Query(%+v): %v", req, err)
-	}
-	defer res.Close()
-	var out []Summary
-	for {
-		s, ok := res.Next()
-		if !ok {
-			break
-		}
-		out = append(out, s)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	return out
-}
-
-// TestQueryStreamEqualsPage: pulling a Query stream one Next at a time —
-// re-taking the engine lock per batch — must reproduce the one-lock
-// QueryPage drain exactly, and any Limit-n stream must be the length-n
-// prefix of the full answer — on both evaluation databases.
-func TestQueryStreamEqualsPage(t *testing.T) {
+// TestQueryPageLimitIsPrefix: every Limit-n page is the length-n prefix of
+// the unlimited page — on both evaluation databases.
+func TestQueryPageLimitIsPrefix(t *testing.T) {
 	cases := []struct {
 		name, rel, q string
 		eng          func(*testing.T) *Engine
@@ -127,17 +105,11 @@ func TestQueryStreamEqualsPage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("QueryPage: %v", err)
 			}
-			streamed := drainQuery(t, eng, QueryRequest{Rel: tc.rel, Query: tc.q, L: 8})
-			if len(streamed) != len(full) {
-				t.Fatalf("streamed %d, QueryPage %d", len(streamed), len(full))
-			}
-			for i := range full {
-				if !reflect.DeepEqual(streamed[i], full[i]) {
-					t.Fatalf("streamed[%d] differs from QueryPage[%d]", i, i)
-				}
-			}
 			for _, n := range []int{1, 2, 5} {
-				prefix := drainQuery(t, eng, QueryRequest{Rel: tc.rel, Query: tc.q, L: 8, Limit: n})
+				prefix, err := search(eng, tc.rel, tc.q, 8, QueryRequest{Limit: n})
+				if err != nil {
+					t.Fatalf("QueryPage(limit %d): %v", n, err)
+				}
 				want := n
 				if want > len(full) {
 					want = len(full)
@@ -158,8 +130,8 @@ func TestQueryStreamEqualsPage(t *testing.T) {
 // refSummaries recomputes a query's answer through an independent eager
 // path: raw index matches, cut to Limit, summarized one at a time via
 // SizeL, then — under RankBySummary — sorted stably by Im(S) descending
-// (ties: tuple ascending) and cut to K. Any drift between the streamed
-// pipeline and this reference is a real behavior change.
+// (ties: tuple ascending) and cut to K. Any drift between QueryPage and
+// this reference is a real behavior change.
 func refSummaries(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 	t.Helper()
 	setting := req.Setting
@@ -196,10 +168,10 @@ func refSummaries(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 	return out
 }
 
-// TestQueryPageEqualsEagerReference (the retargeted TestWrapperBitIdentical)
-// pins the streaming pipeline to the paper's eager paradigm: QueryPage
-// returns bit-identical results to raw matches + SizeL per match, which
-// shares no code with the stream's batching, pooling or cursor logic.
+// TestQueryPageEqualsEagerReference pins the page pipeline to the paper's
+// eager paradigm: QueryPage returns bit-identical results to raw matches +
+// SizeL per match, which shares no code with the page's match stream, its
+// ranked loop or its cursor logic.
 func TestQueryPageEqualsEagerReference(t *testing.T) {
 	t.Run("tpch-ranked", testRankedEagerReference)
 	eng := getDBLP(t)
@@ -209,7 +181,6 @@ func TestQueryPageEqualsEagerReference(t *testing.T) {
 		{ShowWeights: true},
 		{Complete: true},
 		{Algorithm: AlgoDP},
-		{Parallel: 1},
 		{RankBySummary: true},
 		{RankBySummary: true, K: 1},
 		{RankBySummary: true, K: 2},
@@ -384,7 +355,8 @@ func TestQueryDeletedTupleBackfill(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 
-	sums, _, stats, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 2})
+	req := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 2}
+	sums, _, stats, err := eng.QueryPage(req)
 	if err != nil {
 		t.Fatalf("QueryPage after stale delete: %v", err)
 	}
@@ -398,42 +370,48 @@ func TestQueryDeletedTupleBackfill(t *testing.T) {
 		t.Fatalf("window = tuples %d,%d; want backfilled %d,%d",
 			sums[0].Tuple, sums[1].Tuple, matches[1].Tuple, matches[2].Tuple)
 	}
-	// The incremental stream heals the window the same way.
-	viaStream := drainQuery(t, eng, QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 2})
-	if !reflect.DeepEqual(viaStream, sums) {
-		t.Fatal("Query{Limit:2} disagrees with QueryPage{Limit:2} on the healed window")
+	// A cursor walk heals it the same way: the position counts the skipped
+	// pop, so the second page starts after the first's summary, not on it.
+	req.Limit = 1
+	first, cursor, _, err := eng.QueryPage(req)
+	if err != nil || len(first) != 1 || cursor == "" {
+		t.Fatalf("first page: %d summaries, cursor %q, err %v", len(first), cursor, err)
+	}
+	if w, _ := decodeCursor(cursor); w.Consumed != 2 {
+		t.Fatalf("cursor position %d after one skipped and one served match, want 2", w.Consumed)
+	}
+	req.Cursor = cursor
+	second, _, _, err := eng.QueryPage(req)
+	if err != nil {
+		t.Fatalf("second page: %v", err)
+	}
+	if walked := append(first, second...); !reflect.DeepEqual(walked, sums) {
+		t.Fatal("two limit-1 pages disagree with the limit-2 page on the healed window")
 	}
 }
 
-// TestQueryMutationInvalidatesStream: an open stream must refuse to serve
-// across a mutation — the next pull fails with ErrStreamInvalidated rather
-// than mixing summaries from two database states.
+// TestQueryMutationInvalidatesStream: a cursor must refuse to resume across
+// a mutation — the next page fails with ErrStreamInvalidated rather than
+// continuing a pre-mutation match sequence over post-mutation state.
 func TestQueryMutationInvalidatesStream(t *testing.T) {
 	eng := mutableDBLP(t)
-	res, err := eng.Query(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Parallel: 1})
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer res.Close()
-	if _, ok := res.Next(); !ok {
-		t.Fatalf("first pull failed: %v", res.Err())
+	req := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 1}
+	page, cursor, _, err := eng.QueryPage(req)
+	if err != nil || len(page) != 1 || cursor == "" {
+		t.Fatalf("first page: %d summaries, cursor %q, err %v", len(page), cursor, err)
 	}
 	if _, err := eng.Mutate(insertAuthorBatch(t, eng, 910001, "Streambreaker Faloutsos", "Tearing Pages")); err != nil {
 		t.Fatalf("Mutate: %v", err)
 	}
-	for {
-		if _, ok := res.Next(); !ok {
-			break
-		}
-	}
-	if !errors.Is(res.Err(), ErrStreamInvalidated) {
-		t.Fatalf("post-mutation stream error = %v, want ErrStreamInvalidated", res.Err())
-	}
-	if _, ok := res.Cursor(); ok {
-		t.Fatal("invalidated stream still offers a cursor")
+	req.Cursor = cursor
+	if page, next, _, err := eng.QueryPage(req); !errors.Is(err, ErrStreamInvalidated) || page != nil || next != "" {
+		t.Fatalf("post-mutation page 2 = %d summaries, cursor %q, err %v; want ErrStreamInvalidated alone", len(page), next, err)
 	}
 	// A fresh query sees the post-mutation state, including the new match.
-	fresh := drainQuery(t, eng, QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5})
+	fresh, err := search(eng, "Author", "Faloutsos", 5, QueryRequest{})
+	if err != nil {
+		t.Fatalf("fresh query: %v", err)
+	}
 	found := false
 	for _, s := range fresh {
 		if s.Headline == "Streambreaker Faloutsos" {
@@ -445,10 +423,10 @@ func TestQueryMutationInvalidatesStream(t *testing.T) {
 	}
 }
 
-// TestQueryRaceMutationVsStreams hammers open streams from several
-// goroutines while mutations land: every pull must yield either a valid
-// summary or a clean ErrStreamInvalidated. Run under -race this proves the
-// streaming fill path takes the engine lock correctly.
+// TestQueryRaceMutationVsStreams walks cursors from several goroutines
+// while mutations land: every page must be a valid page or a clean
+// ErrStreamInvalidated, after which the walk starts over. Run under -race
+// this proves pages and the writer order themselves on the engine lock.
 func TestQueryRaceMutationVsStreams(t *testing.T) {
 	eng := mutableDBLP(t)
 	done := make(chan struct{})
@@ -467,21 +445,20 @@ func TestQueryRaceMutationVsStreams(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				res, err := eng.Query(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Parallel: 1})
-				if err != nil {
-					t.Errorf("Query: %v", err)
+			req := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 1}
+			for i := 0; i < 90; i++ {
+				page, next, _, err := eng.QueryPage(req)
+				switch {
+				case errors.Is(err, ErrStreamInvalidated) && req.Cursor != "":
+					// Only a cursor can observe it; next is "", the walk starts over.
+				case err != nil:
+					t.Errorf("QueryPage: %v", err)
+					return
+				case len(page) != 1 || !strings.Contains(page[0].Headline, "Faloutsos"):
+					t.Errorf("page of %d summaries at cursor %q", len(page), req.Cursor)
 					return
 				}
-				for {
-					if _, ok := res.Next(); !ok {
-						break
-					}
-				}
-				if err := res.Err(); err != nil && !errors.Is(err, ErrStreamInvalidated) {
-					t.Errorf("stream error: %v", err)
-				}
-				res.Close()
+				req.Cursor = next
 			}
 		}()
 	}
@@ -489,22 +466,45 @@ func TestQueryRaceMutationVsStreams(t *testing.T) {
 	<-done
 }
 
-// TestQueryNoGoroutineLeak: streams are pull-driven with no internal
-// goroutines, so abandoning them mid-flight must leave the census flat.
+// TestQueryNoGoroutineLeak: a page starts no goroutine. The census — read
+// before, after, and by one background sampler while cold plain and ranked
+// pages run on the test's own goroutine, with and without a Pool — never
+// exceeds the starting count plus the sampler.
 func TestQueryNoGoroutineLeak(t *testing.T) {
 	eng := getDBLP(t)
 	before := runtime.NumGoroutine()
-	for i := 0; i < 64; i++ {
-		res, err := eng.Query(QueryRequest{Rel: "Author", Query: "Faloutsos", L: 8})
-		if err != nil {
-			t.Fatalf("Query: %v", err)
+	stop, sampled := make(chan struct{}), make(chan int)
+	go func() {
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			default:
+				peak = max(peak, runtime.NumGoroutine())
+				runtime.Gosched()
+			}
 		}
-		res.Next()  // partially consume...
-		res.Close() // ...then abandon
+	}()
+	for _, pool := range []*searchexec.Pool{nil, searchexec.NewPool(2)} {
+		for i := 0; i < 64; i++ {
+			for _, ranked := range []bool{false, true} {
+				req := QueryRequest{Rel: "Paper", Query: "efficient", L: 8, Limit: 10, RankBySummary: ranked, K: 10, Pool: pool}
+				page, _, stats, err := eng.QueryPage(req)
+				if err != nil {
+					t.Fatalf("QueryPage(%+v): %v", req, err)
+				}
+				if len(page) != 10 || stats.Summaries < 10 {
+					t.Fatalf("QueryPage(%+v): %d summaries served, %d computed: not the page this test means to watch", req, len(page), stats.Summaries)
+				}
+			}
+		}
 	}
-	after := runtime.NumGoroutine()
-	if after > before+4 {
-		t.Fatalf("goroutines grew %d -> %d across 64 abandoned streams", before, after)
+	after := runtime.NumGoroutine() // the sampler is still running
+	close(stop)
+	if peak := <-sampled; peak > before+1 || after > before+1 {
+		t.Fatalf("goroutines, sampler included: %d before it started, peak %d while 256 pages ran, %d after", before, peak, after)
 	}
 }
 
@@ -537,29 +537,15 @@ func TestQueryRequestValidation(t *testing.T) {
 			if _, _, _, err := eng.QueryPage(bad); !errors.Is(err, ErrInvalidRequest) {
 				t.Errorf("QueryPage(%+v) error = %v, want ErrInvalidRequest", bad, err)
 			}
-			if _, err := eng.Query(bad); !errors.Is(err, ErrInvalidRequest) {
-				t.Errorf("Query(%+v) error = %v, want ErrInvalidRequest", bad, err)
-			}
 		}
 	}
-	if _, err := eng.Query(QueryRequest{Rel: "Author", Query: "x", L: 5, Setting: "nope"}); err == nil {
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "x", L: 5, Setting: "nope"}); err == nil {
 		t.Fatal("unknown setting accepted")
 	}
 	// Unknown relation: empty answer, no error — the seed's contract.
-	res, err := eng.Query(QueryRequest{Rel: "Nope", Query: "x", L: 5})
-	if err != nil {
-		t.Fatalf("unknown relation: %v", err)
-	}
-	defer res.Close()
-	if s, ok := res.Next(); ok {
-		t.Fatalf("unknown relation served %+v", s)
-	}
-	if res.Err() != nil {
-		t.Fatalf("unknown relation stream error: %v", res.Err())
-	}
-	sums, err := res.Drain()
-	if err != nil || sums == nil || len(sums) != 0 {
-		t.Fatalf("Drain on empty stream = %v, %v (want non-nil empty)", sums, err)
+	sums, cursor, _, err := eng.QueryPage(QueryRequest{Rel: "Nope", Query: "x", L: 5})
+	if err != nil || sums == nil || len(sums) != 0 || cursor != "" {
+		t.Fatalf("unknown relation = %v, cursor %q, %v (want a non-nil empty page)", sums, cursor, err)
 	}
 }
 
@@ -583,8 +569,7 @@ func TestQueryRequestFieldClassification(t *testing.T) {
 		"FromDatabase": summaryShaping, "ShowWeights": summaryShaping,
 		"CacheScope": summaryShaping,
 		"Query":      sequenceShaping, "RankBySummary": sequenceShaping, "K": sequenceShaping,
-		"Limit": consumptionOnly, "Cursor": consumptionOnly,
-		"Parallel": consumptionOnly, "Pool": consumptionOnly,
+		"Limit": consumptionOnly, "Cursor": consumptionOnly, "Pool": consumptionOnly,
 	}
 	eng := getDBLP(t)
 	base := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5}

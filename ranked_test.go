@@ -14,7 +14,7 @@ import (
 	"sizelos/internal/datagen"
 )
 
-// The proofs of the ranked threshold loop (Results.rankLocked): whatever it
+// The proofs of the ranked threshold loop (Engine.rankLocked): whatever it
 // seals, skips or remembers, the page it serves is the eager full scan's.
 
 // openTPCH builds a private TPC-H engine; ranked tests that mutate, enable a
@@ -36,24 +36,22 @@ type rankedCase struct {
 	l, k         int
 	algo         Algorithm
 	complete     bool
-	parallel     int
 }
 
 func (c rankedCase) request() QueryRequest {
 	return QueryRequest{
 		Rel: c.rel, Query: strings.ToLower(c.rel), L: c.l, Setting: c.setting,
-		Algorithm: c.algo, Complete: c.complete, Parallel: c.parallel,
+		Algorithm: c.algo, Complete: c.complete,
 		RankBySummary: true, K: c.k,
 	}
 }
 
 var (
-	rankedRels      = []string{"Customer", "Supplier"}
-	rankedSettings  = []string{"GA1-d1", "GA1-d2", "GA1-d3", "GA2-d1"}
-	rankedLs        = []int{1, 2, 5, 15, 30, 54}
-	rankedKs        = []int{0, 1, 2, 10, 40, 1000}
-	rankedAlgos     = []Algorithm{AlgoTopPath, AlgoBottomUp, AlgoDP}
-	rankedParallels = []int{1, 4}
+	rankedRels     = []string{"Customer", "Supplier"}
+	rankedSettings = []string{"GA1-d1", "GA1-d2", "GA1-d3", "GA2-d1"}
+	rankedLs       = []int{1, 2, 5, 15, 30, 54}
+	rankedKs       = []int{0, 1, 2, 10, 40, 1000}
+	rankedAlgos    = []Algorithm{AlgoTopPath, AlgoBottomUp, AlgoDP}
 )
 
 // rankedGrid lists the cases to run: the whole cross product, or — sample
@@ -61,11 +59,11 @@ var (
 // shuffled rounds, so each value of each axis appears once sample reaches
 // the longest axis.
 func rankedGrid(sample int) []rankedCase {
-	axes := []int{len(rankedRels), len(rankedSettings), len(rankedLs), len(rankedKs), len(rankedAlgos), 2, len(rankedParallels)}
+	axes := []int{len(rankedRels), len(rankedSettings), len(rankedLs), len(rankedKs), len(rankedAlgos), 2}
 	at := func(ix []int) rankedCase {
 		return rankedCase{
 			rel: rankedRels[ix[0]], setting: rankedSettings[ix[1]], l: rankedLs[ix[2]], k: rankedKs[ix[3]],
-			algo: rankedAlgos[ix[4]], complete: ix[5] == 1, parallel: rankedParallels[ix[6]],
+			algo: rankedAlgos[ix[4]], complete: ix[5] == 1,
 		}
 	}
 	var out []rankedCase
@@ -293,7 +291,7 @@ func TestRankedRaceMutation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				req := QueryRequest{Rel: "Paper", Query: "efficient", L: 3 + 2*g + i%2, RankBySummary: true, K: 2, Parallel: 1 + g%2}
+				req := QueryRequest{Rel: "Paper", Query: "efficient", L: 3 + 2*g + i%2, RankBySummary: true, K: 2}
 				got, _, stats, err := eng.QueryPage(req)
 				if err != nil {
 					t.Errorf("QueryPage: %v", err)
@@ -351,9 +349,6 @@ func checkForgedPositions(t *testing.T, eng *Engine, req QueryRequest, cursor st
 		req.Cursor = forgeCursor(t, cursor, pos)
 		if _, _, _, err := eng.QueryPage(req); !errors.Is(err, ErrCursorMalformed) {
 			t.Errorf("QueryPage(%+v) at forged position %d: error = %v, want ErrCursorMalformed", req, pos, err)
-		}
-		if _, err := eng.Query(req); !errors.Is(err, ErrCursorMalformed) {
-			t.Errorf("Query(%+v) at forged position %d: error = %v, want ErrCursorMalformed", req, pos, err)
 		}
 	}
 	req.Cursor = forgeCursor(t, cursor, uint64(end))
