@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json gate loc loc-check rerank-digest benchmark-smoke benchmark serve soak scaleout clean
+.PHONY: all build vet test race bench bench-smoke loc loc-check rerank-digest benchmark-smoke benchmark serve soak scaleout clean
 
 all: vet build test
 
@@ -16,18 +16,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick textual benchmark pass over the perf-critical families.
+# The microbenchmark families worth a look by hand — one per layer of the
+# read, write, durability and routing paths (README "Benchmarks" maps each
+# to the BENCHMARK.json metric that watches the layer on every PR) plus the
+# paper's Fig. 10 cells — spelled once for both targets below.
+BENCH_FAMILIES := Fig10|RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery
+
+# Textual benchmark pass; read it on a quiet box, it gates nothing.
 bench:
-	$(GO) test -run '^$$' -bench 'RankCompute|RankCompile|NewEngine|EndToEndSearch' -benchmem .
+	$(GO) test -run '^$$' -bench '$(BENCH_FAMILIES)' -benchmem .
 
-# Archive the Fig-10 + rank + search benchmarks as the next BENCH_<n>.json.
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# Compare the gated ns/op families against the latest committed baseline
-# recorded on matching hardware; fails on >25% regression.
-gate:
-	$(GO) run ./cmd/benchgate
+# Every family compiles and runs once (CI's "Bench smoke" step).
+bench-smoke:
+	$(GO) test -run '^$$' -bench '$(BENCH_FAMILIES)' -benchtime 1x .
 
 # Non-test Go line count outside benchmark/ — the figure the "one path per
 # job" deletion campaign (ROADMAP.md) is measured by. (.bench_build/ is
@@ -38,7 +39,7 @@ loc:
 # The ratchet: `make loc` may not exceed LOC_BUDGET, so deleted lines stay
 # deleted. A PR that removes lines lowers it to its own result; one that
 # has to raise it says why in CHANGES.md.
-LOC_BUDGET := 18303
+LOC_BUDGET := 17688
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

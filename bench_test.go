@@ -370,8 +370,8 @@ func BenchmarkAblationBruteForceWall(b *testing.B) {
 
 // BenchmarkEndToEndSearch times the full paradigm: keyword -> DS tuples ->
 // prelim-l -> Top-Path -> rendered summaries (the user-visible latency),
-// computed ("serial", the sub-name BENCH_10 recorded it under) vs served
-// from the warm LRU cache.
+// computed ("serial", the sub-name README's benchmark record lists it
+// under) vs served from the warm LRU cache.
 func BenchmarkEndToEndSearch(b *testing.B) {
 	e := getEnv(b)
 	run := func(b *testing.B, req sizelos.QueryRequest) {
@@ -402,8 +402,8 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 
 // BenchmarkIndexBuild times keyword-index construction over the DBLP
 // corpus: the serial flat layout vs the sharded parallel build at fixed and
-// CPU-sized shard counts. The bench-gate CI job watches this family; the
-// GOMAXPROCS=4 leg asserts sharded4 is >= 1.5x faster than flat.
+// CPU-sized shard counts. CI's GOMAXPROCS=4 leg asserts sharded4 is >= 1.5x
+// faster than flat.
 func BenchmarkIndexBuild(b *testing.B) {
 	db := getEnv(b).dblp.DB()
 	b.Run("flat", func(b *testing.B) {
@@ -451,8 +451,9 @@ func rankBenchGraph(b *testing.B) *datagraph.Graph {
 
 // BenchmarkRankCompute times global ObjectRank computation (the setup cost
 // the paper precomputes offline): one cold ranking from the G_A ("serial",
-// the sub-name BENCH_10 recorded it under), and a compiled-plans run that
-// isolates the iteration cost the engine pays per extra damping.
+// the sub-name README's benchmark record lists it under), and a
+// compiled-plans run that isolates the iteration cost the engine pays per
+// extra damping.
 func BenchmarkRankCompute(b *testing.B) {
 	g := rankBenchGraph(b)
 	ga := datagen.DBLPGA1()
@@ -549,8 +550,7 @@ func mutateBenchDB(b *testing.B) (*relational.DB, *int64) {
 // citesStreamOp is the single-tuple stream op: one new citation between two
 // existing papers, retracting the citation the previous op added (prevPK,
 // 0 on the first op). Delete-then-insert keeps the live set stationary, so
-// per-op cost doesn't drift with b.N and the regression gate compares like
-// with like across runs.
+// per-op cost doesn't drift with b.N and two runs compare like with like.
 func citesStreamOp(db *relational.DB, pk, prevPK int64, i int) relational.Batch {
 	paper := db.Relation("Paper")
 	a := relational.TupleID(i % 1200)
@@ -572,9 +572,8 @@ func citesStreamOp(db *relational.DB, pk, prevPK int64, i int) relational.Batch 
 // BenchmarkMutateIncremental measures graph maintenance on the small-batch
 // stream shape (one tuple per batch): the incremental splice
 // (datagraph.Graph.Apply) against the from-scratch rebuild every batch paid
-// before, plus the full engine write path end to end. The bench-gate CI job
-// watches this family; the acceptance bar is incremental >= 3x faster than
-// rebuild.
+// before, plus the full engine write path end to end. The acceptance bar
+// (CI's GOMAXPROCS=4 leg) is incremental >= 3x faster than rebuild.
 func BenchmarkMutateIncremental(b *testing.B) {
 	b.Run("graph-incremental", func(b *testing.B) {
 		db, next := mutateBenchDB(b)
@@ -717,8 +716,9 @@ func BenchmarkRerankResidual(b *testing.B) {
 // BenchmarkRerankResidualParallel is the wide-frontier residual re-rank:
 // single-tuple streams keep frontiers at a handful of nodes, so this family
 // drives ~150-citation batches whose rounds run to hundreds. The push is
-// one walker; the sub-benchmark keeps the name BENCH_9 and BENCH_10
-// recorded that schedule under, so the gate still has its baseline.
+// one walker; the sub-benchmark keeps the name README's benchmark record
+// lists that schedule under (4.19 ms there, against the deleted
+// owner-tiled round's 5.58).
 func BenchmarkRerankResidualParallel(b *testing.B) {
 	const batchSize = 150
 	b.Run("workers-1", func(b *testing.B) {

@@ -27,7 +27,6 @@ func main() {
 		algo     = flag.String("algo", "top-path", "algorithm: dp, bottom-up, top-path")
 		setting  = flag.String("setting", sizelos.DefaultSetting, "ranking setting")
 		complete = flag.Bool("complete", false, "compute from the complete OS instead of prelim-l")
-		fromDB   = flag.Bool("from-db", false, "extract with database joins instead of the data graph")
 		weights  = flag.Bool("weights", false, "show local importance per tuple")
 		limit    = flag.Int("limit", 0, "max data subjects to summarize (0 = all)")
 		seed     = flag.Int64("seed", 1, "generator seed")
@@ -64,15 +63,14 @@ func main() {
 	// -limit stops the pipeline before the remaining matches are ever
 	// summarized: stats.Summaries counts the ones that were.
 	page, cursor, stats, err := eng.QueryPage(sizelos.QueryRequest{
-		Rel:          *rel,
-		Query:        query,
-		L:            *l,
-		Setting:      *setting,
-		Algorithm:    sizelos.Algorithm(*algo),
-		Complete:     *complete,
-		FromDatabase: *fromDB,
-		Limit:        *limit,
-		ShowWeights:  *weights,
+		Rel:         *rel,
+		Query:       query,
+		L:           *l,
+		Setting:     *setting,
+		Algorithm:   sizelos.Algorithm(*algo),
+		Complete:    *complete,
+		Limit:       *limit,
+		ShowWeights: *weights,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "oskws: %v\n", err)

@@ -11,10 +11,12 @@
 //	  -ops 2000 -mutate-permille 300 -out osload.json
 //
 // -register creates the named tenants (dataset dblp) through the front
-// door before the run. -out writes per-class p50/p99 latency, per-node
-// throughput (from the X-Sizelos-Node header osrouter stamps), and the
-// consistency ledger as a benchfmt report that merges into the repo's
-// committed BENCH_<n>.json baselines.
+// door before the run. -out writes the run — per-class p50/p99 latency
+// (nanoseconds), per-node response counts (from the X-Sizelos-Node header
+// osrouter stamps), and the consistency ledger — as the JSON encoding of
+// loadgen.Result. Throughput and latency under a fixed workload are the
+// repo benchmark's job (benchmark/, BENCHMARK.json); osload is the
+// consistency client for real processes under faults.
 package main
 
 import (
@@ -24,12 +26,10 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"sizelos/internal/benchfmt"
 	"sizelos/internal/loadgen"
 )
 
@@ -52,7 +52,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "op template seed")
 		register    = flag.Bool("register", false, "register the named tenants (dataset dblp) before the run")
 		adminToken  = flag.String("admin-token", "", "bearer token for -register against a locked admin plane")
-		out         = flag.String("out", "", "write the run as a benchfmt JSON report to this path")
+		out         = flag.String("out", "", "write the run (loadgen.Result) as JSON to this path")
 	)
 	flag.Var(&tenants, "tenant", "tenant to load (repeatable; at least one required)")
 	flag.Parse()
@@ -84,16 +84,7 @@ func main() {
 	printSummary(res)
 
 	if *out != "" {
-		report := benchfmt.Report{
-			Generated:  time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			BenchRegex: "Osload",
-			Package:    "cmd/osload",
-			Count:      1,
-			Results:    res.BenchResults(),
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
+		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			log.Fatalf("osload: %v", err)
 		}

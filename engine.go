@@ -646,15 +646,14 @@ func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau f
 // the batch cannot reach keep hitting.
 type summaryKey struct {
 	// Scope isolates tenants sharing one engine (QueryRequest.CacheScope).
-	Scope        string
-	DSRel        string
-	Tuple        relational.TupleID
-	L            int
-	Setting      string
-	Algorithm    Algorithm
-	Complete     bool
-	FromDatabase bool
-	ShowWeights  bool
+	Scope       string
+	DSRel       string
+	Tuple       relational.TupleID
+	L           int
+	Setting     string
+	Algorithm   Algorithm
+	Complete    bool
+	ShowWeights bool
 	// Epoch is the subject's stamp: the dependency-set epoch of the last
 	// batch that could have changed this subject's OS (Engine.wide, subj).
 	Epoch uint64
@@ -668,9 +667,8 @@ func (e *Engine) summaryKeyFor(req QueryRequest, tuple relational.TupleID) summa
 		Scope: req.CacheScope,
 		DSRel: req.Rel, Tuple: tuple, L: req.L,
 		Setting: req.Setting, Algorithm: req.Algorithm,
-		Complete: req.Complete, FromDatabase: req.FromDatabase,
-		ShowWeights: req.ShowWeights,
-		Epoch:       max(e.wide[req.Rel], e.subj[req.Rel][tuple]),
+		Complete: req.Complete, ShowWeights: req.ShowWeights,
+		Epoch: max(e.wide[req.Rel], e.subj[req.Rel][tuple]),
 	}
 }
 
@@ -766,12 +764,7 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 	if err != nil {
 		return scored{}, err
 	}
-	var src ostree.Source
-	if req.FromDatabase {
-		src = ostree.NewDBSource(e.db, sc)
-	} else {
-		src = ostree.NewGraphSource(e.graph, sc)
-	}
+	src := ostree.NewGraphSource(e.graph, sc)
 
 	var tree *ostree.Tree
 	var top []float64

@@ -146,17 +146,6 @@ func TestCompleteVsPrelimAgree(t *testing.T) {
 	}
 }
 
-func TestDatabaseSourcePath(t *testing.T) {
-	eng := getDBLP(t)
-	res, err := search(eng, "Author", "Christos Faloutsos", 10, QueryRequest{FromDatabase: true})
-	if err != nil {
-		t.Fatalf("Search(db source): %v", err)
-	}
-	if len(res) != 1 || len(res[0].Result.Nodes) != 10 {
-		t.Fatalf("unexpected result: %+v", res)
-	}
-}
-
 func TestSettings(t *testing.T) {
 	eng := getDBLP(t)
 	want := []string{"GA1-d1", "GA1-d2", "GA1-d3", "GA2-d1"}

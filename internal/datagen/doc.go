@@ -15,8 +15,8 @@
 //   - Generation is deterministic per (config, seed): every test fixture,
 //     benchmark baseline and harness replay depends on identical datasets
 //     across runs. Changing a generator's draw sequence invalidates
-//     committed BENCH_<n>.json comparisons and harness seeds — bump
-//     consciously.
+//     benchmark/baseline.json, docs/experiments-seed1.txt and harness
+//     seeds — bump consciously.
 //   - Generated value columns (totalprice, extendedprice, supplycost) are
 //     strictly positive so ValueRank splits stay well-defined.
 package datagen

@@ -6,9 +6,9 @@
 // harness later re-reads it through the same base URL, so a run doubles as
 // an end-to-end consistency oracle: with a router in front, an acked write
 // must be visible to every later routed read, across failovers and
-// migrations. Results report per-class p50/p99 latency and per-node
-// throughput (from the X-Sizelos-Node response header) in a shape that
-// drops into the benchfmt schema.
+// migrations. A Result carries per-class p50/p99 latency, per-node
+// response counts (from the X-Sizelos-Node response header) and the
+// acked-token ledger, and marshals to JSON as it stands.
 package loadgen
 
 import (

@@ -1,9 +1,11 @@
 package loadgen
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -110,8 +112,18 @@ func TestClosedLoopAgainstRoutedFleet(t *testing.T) {
 	if len(res.PerNode) != 2 {
 		t.Fatalf("expected both nodes to serve traffic: %v", res.PerNode)
 	}
-	if got := len(res.BenchResults()); got < 6 {
-		t.Fatalf("bench rendering has %d entries, want >= 6 (4 classes + nodes + ledger)", got)
+	// What `osload -out` writes is this value marshalled: per-class
+	// p50/p99, per-node counts and the ledger must survive the round trip.
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Result
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("report does not decode: %v\n%s", err, data)
+	}
+	if !reflect.DeepEqual(&back, res) {
+		t.Fatalf("report round trip changed the run:\n got %+v\nwant %+v\n%s", back, *res, data)
 	}
 }
 

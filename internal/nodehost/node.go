@@ -32,11 +32,11 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 	reg := cfg.NewRegistry()
 	hubCfg := opts
 	hubCfg.DefaultSeed = cfg.Seed
-	// Dynamic registration (POST /v1/tenants) builds engines with the same
-	// opener as the boot tenants; a request-supplied seed overrides the
-	// deployment default. With a data dir the recoverer supersedes this.
-	reg.SetOpener(func(dataset string, reqSeed int64) (*sizelos.Engine, error) {
-		return hubCfg.openDataset(dataset, hubCfg.resolveSeed(reqSeed))
+	// Without a data dir a tenant registered over HTTP is a from-scratch
+	// build by the same opener as the boot tenants; a request-supplied seed
+	// overrides the deployment default. With one, hub.Recover replaces it.
+	reg.SetRecoverer(func(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
+		return hubCfg.openDataset(spec.Dataset, hubCfg.resolveSeed(spec.Seed))
 	})
 
 	var hub *Hub

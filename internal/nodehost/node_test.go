@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 
 	"sizelos"
@@ -154,5 +155,61 @@ func TestBootRecoversFlagTenantsEagerly(t *testing.T) {
 	defer again.Close()
 	if _, ok := again.Registry.Get("demo"); !ok {
 		t.Fatal("boot tenant not recovered on reboot")
+	}
+}
+
+// TestRegisterConcurrentDuplicateBuildsOnce: on a node without a data dir,
+// two POST /v1/tenants of one name racing each other cost one engine build —
+// the name is claimed before the build starts, so the loser gets its 409
+// while the winner is still building, not after a build of its own.
+func TestRegisterConcurrentDuplicateBuildsOnce(t *testing.T) {
+	opts := smallOpts(t)
+	open := opts.Open
+	entered := make(chan struct{}, 2) // one send per build; never blocks a build
+	release := make(chan struct{})
+	opts.Open = func(dataset string, seed int64) (*sizelos.Engine, error) {
+		entered <- struct{}{}
+		<-release
+		return open(dataset, seed)
+	}
+	node, err := Boot(smallConfig(""), nil, opts)
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	srv := httptest.NewServer(node.Handler())
+	defer srv.Close()
+
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Post(srv.URL+"/v1/tenants", "application/json",
+				bytes.NewReader([]byte(`{"name":"twin","dataset":"dblp"}`)))
+			if err != nil {
+				t.Errorf("POST: %v", err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	<-entered // the winner is inside its build and stays there
+	var got []int
+	select {
+	case code := <-codes:
+		got = append(got, code)
+	case <-entered:
+		t.Error("both registrations are building an engine")
+	}
+	close(release)
+	for len(got) < 2 {
+		got = append(got, <-codes)
+	}
+	sort.Ints(got)
+	if got[0] != http.StatusCreated || got[1] != http.StatusConflict {
+		t.Errorf("statuses = %v, want one 201 and one 409", got)
+	}
+	if names := node.Registry.Names(); len(names) != 1 || names[0] != "twin" {
+		t.Errorf("tenants = %v, want only twin", names)
 	}
 }

@@ -10,10 +10,12 @@ import (
 )
 
 // Source extracts the child tuples of an OS node under a G_DS node's
-// traversal step. Two implementations exist: DBSource runs joins against
-// the relational engine ("directly from the database"), GraphSource walks
-// the in-memory data graph — the two OS generation paths compared in Figure
-// 10f. Junction tuples are hopped over and never returned.
+// traversal step. Two implementations exist: GraphSource walks the
+// in-memory data graph and is what the engine extracts with; DBSource runs
+// joins against the relational engine ("directly from the database") — the
+// other OS generation path of Figure 10f, and the reference GraphSource is
+// proven equal to (TestDBSourceMatchesGraphSource). Junction tuples are
+// hopped over and never returned.
 type Source interface {
 	// Children returns all child tuples of parent under gn, in extraction
 	// order.

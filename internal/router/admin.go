@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -150,10 +151,12 @@ func (r *Router) drainAll(mem *member) error {
 // request recovers the tenant there from the shared data dir.
 func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	var body MigrateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&body); err != nil ||
-		body.Tenant == "" || body.To == "" {
-		writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest,
-			`migrate body needs {"tenant":..., "to":...}`, false)
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&body)
+	if err == nil && (body.Tenant == "" || body.To == "") {
+		err = errors.New("missing field")
+	}
+	if err != nil {
+		writeBodyError(w, err, `migrate body needs {"tenant":..., "to":...}`)
 		return
 	}
 

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -257,13 +258,18 @@ func (r *Router) serveTenant(w http.ResponseWriter, req *http.Request) {
 	if ok {
 		mem = r.members[name]
 	}
+	if mem != nil {
+		// Counted in while the draining check still holds: a migration sets
+		// draining under the write lock and then awaits idle, so it either
+		// refused this request above or waits for it.
+		r.enter(tenant)
+	}
 	r.mu.RUnlock()
 	if mem == nil {
 		writeEnvelope(w, http.StatusServiceUnavailable, tenancy.CodeOverloaded,
 			"no healthy fleet member", true)
 		return
 	}
-	r.enter(tenant)
 	defer r.leave(tenant)
 	mem.requests.Add(1)
 	mem.proxy.ServeHTTP(w, req)
@@ -298,7 +304,7 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 	case http.MethodPost:
 		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
 		if err != nil {
-			writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, "unreadable body", false)
+			writeBodyError(w, err, "unreadable body")
 			return
 		}
 		var peek struct {
@@ -331,6 +337,8 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 }
 
 // enter/leave track per-tenant in-flight proxied requests for drains.
+// serveTenant calls enter holding r.mu (read); the lock order is mu, then
+// inflightMu, and leave and awaitIdle take inflightMu alone.
 func (r *Router) enter(tenant string) {
 	r.inflightMu.Lock()
 	g := r.inflight[tenant]
@@ -358,8 +366,10 @@ func (r *Router) leave(tenant string) {
 }
 
 // awaitIdle blocks until the tenant has no in-flight requests (or the
-// timeout passes). The caller has already made the tenant draining, so no
-// new request can enter.
+// timeout passes). The caller has already made the tenant draining under
+// the write lock, and serveTenant enters under the read lock it checked
+// draining with, so every request that was let through is counted here
+// and no new one can enter.
 func (r *Router) awaitIdle(tenant string, timeout time.Duration) bool {
 	r.inflightMu.Lock()
 	g := r.inflight[tenant]
@@ -439,6 +449,19 @@ func writeEnvelope(w http.ResponseWriter, status int, code, msg string, retryabl
 	writeJSON(w, status, tenancy.ErrorResponse{Error: tenancy.ErrorDetail{
 		Code: code, Message: msg, Retryable: retryable,
 	}})
+}
+
+// writeBodyError answers a request whose body could not be read or decoded:
+// 413 too_large when it ran over the cap, as a node answers it, else a 400
+// carrying msg.
+func writeBodyError(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeEnvelope(w, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge,
+			fmt.Sprintf("request body over %d bytes", tooLarge.Limit), false)
+		return
+	}
+	writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, msg, false)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

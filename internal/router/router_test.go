@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,24 +108,31 @@ type exchange struct {
 
 func do(t *testing.T, base, method, path string, body string) exchange {
 	t.Helper()
+	ex, err := doErr(base, method, path, body)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	return ex
+}
+
+// doErr is do for goroutines other than the test's: it returns the error
+// instead of calling t.Fatal.
+func doErr(base, method, path string, body string) (exchange, error) {
 	var rd io.Reader
 	if body != "" {
 		rd = strings.NewReader(body)
 	}
 	req, err := http.NewRequest(method, base+path, rd)
 	if err != nil {
-		t.Fatal(err)
+		return exchange{}, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, path, err)
+		return exchange{}, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return exchange{path: path, status: resp.StatusCode, node: resp.Header.Get(NodeHeader), body: string(b)}
+	return exchange{path: path, status: resp.StatusCode, node: resp.Header.Get(NodeHeader), body: string(b)}, err
 }
 
 // stream drives the equivalence workload against one base URL: tenant
@@ -394,6 +403,138 @@ func TestMigrationDrainsInFlight(t *testing.T) {
 	}
 	if got := do(t, f.rtSrv.URL, http.MethodGet, "/v1/mig/search?rel=Author&q=Faloutsos&l=5", ""); got.node != target {
 		t.Fatalf("post-drain traffic on %q, want %s", got.node, target)
+	}
+}
+
+// TestMigrationUnderLoad is the drain barrier under traffic: eight
+// closed-loop readers and one writer stay on a tenant while it moves
+// n1 <-> n2 a hundred times. A request the router let through is waited for
+// before the old owner is released, so a client sees answers and retryable
+// refusals, never the released owner's 404 — and every insert that was
+// acknowledged is readable at the end. Run with -race.
+func TestMigrationUnderLoad(t *testing.T) {
+	f := newFleet(t, "n1", "n2")
+	if ex := do(t, f.rtSrv.URL, http.MethodPost, "/v1/tenants", `{"name":"mig","dataset":"dblp"}`); ex.status != http.StatusCreated {
+		t.Fatalf("register: %d %s", ex.status, ex.body)
+	}
+	// served reports whether a response is an answer; a refusal must be a
+	// retryable 503 or 502, anything else fails the test.
+	served := func(who string, ex exchange, err error) bool {
+		if err != nil {
+			t.Errorf("%s: %v", who, err)
+			return false
+		}
+		if ex.status/100 == 2 {
+			return true
+		}
+		var env tenancy.ErrorResponse
+		_ = json.Unmarshal([]byte(ex.body), &env)
+		if (ex.status != http.StatusServiceUnavailable && ex.status != http.StatusBadGateway) || !env.Error.Retryable {
+			t.Errorf("%s: status %d is neither an answer nor a retryable refusal: %s", who, ex.status, ex.body)
+		}
+		return false
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var answered atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ex, err := doErr(f.rtSrv.URL, http.MethodGet, "/v1/mig/search?rel=Author&q=Faloutsos&l=5", "")
+				if served(fmt.Sprintf("reader %d", w), ex, err) {
+					answered.Add(1)
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		}(w)
+	}
+	var acked []string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			token := fmt.Sprintf("migrant%04d", i)
+			ex, err := doErr(f.rtSrv.URL, http.MethodPost, "/v1/mig/tuples",
+				fmt.Sprintf(`{"inserts":[{"rel":"Author","values":[%d,"%s Underload"]}]}`, 970000+i, token))
+			if served("writer", ex, err) {
+				acked = append(acked, token)
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < 100 && !t.Failed(); i++ {
+		from, _ := f.router.Owner("mig")
+		to := "n1"
+		if from == "n1" {
+			to = "n2"
+		}
+		if ex := do(t, f.rtSrv.URL, http.MethodPost, "/router/migrate", fmt.Sprintf(`{"tenant":"mig","to":%q}`, to)); ex.status != http.StatusOK {
+			t.Errorf("migration %d (%s -> %s): %d %s", i, from, to, ex.status, ex.body)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if answered.Load() == 0 || len(acked) == 0 {
+		t.Fatalf("%d reads answered, %d writes acked: the migrations ran against no load", answered.Load(), len(acked))
+	}
+	for _, token := range acked {
+		got := do(t, f.rtSrv.URL, http.MethodGet, "/v1/mig/search?rel=Author&q="+token+"&l=3", "")
+		var res struct {
+			Count int `json:"count"`
+		}
+		if err := json.Unmarshal([]byte(got.body), &res); got.status != http.StatusOK || err != nil || res.Count != 1 {
+			t.Fatalf("acked insert %s not readable after the migrations: %d %s", token, got.status, got.body)
+		}
+	}
+	t.Logf("100 migrations under %d answered reads and %d acked writes", answered.Load(), len(acked))
+}
+
+// TestOversizedBodiesAnswer413: a body over the router's 1 MiB cap is
+// answered as a node answers it (413 too_large), on both routes where the
+// router itself reads the body.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	f := newFleet(t, "n1")
+	pad := strings.Repeat("x", 1<<20)
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		code       string
+	}{
+		{"/v1/tenants", `{"name":"big","dataset":"` + pad + `"}`, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge},
+		{"/router/migrate", `{"tenant":"big","to":"` + pad + `"}`, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge},
+		{"/v1/tenants", `{"name":`, http.StatusBadRequest, tenancy.CodeBadRequest},
+		{"/router/migrate", `{"tenant":"big"}`, http.StatusBadRequest, tenancy.CodeBadRequest},
+	} {
+		ex := do(t, f.rtSrv.URL, http.MethodPost, tc.path, tc.body)
+		var env tenancy.ErrorResponse
+		if err := json.Unmarshal([]byte(ex.body), &env); err != nil {
+			t.Errorf("POST %s (%d bytes): body is no envelope: %s", tc.path, len(tc.body), ex.body)
+			continue
+		}
+		if ex.status != tc.status || env.Error.Code != tc.code {
+			t.Errorf("POST %s (%d bytes) = %d %s, want %d %s", tc.path, len(tc.body), ex.status, env.Error.Code, tc.status, tc.code)
+		}
 	}
 }
 

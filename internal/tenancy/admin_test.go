@@ -118,21 +118,21 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		return resp
 	}
 
-	// Without an opener, dynamic registration is explicitly unavailable.
+	// Without a recoverer, dynamic registration is explicitly unavailable.
 	resp := post("/v1/tenants", RegisterRequest{Name: "x", Dataset: "dblp"})
 	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("register without opener = %d, want 501", resp.StatusCode)
+		t.Fatalf("register without recoverer = %d, want 501", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	reg.SetOpener(func(dataset string, seed int64) (*sizelos.Engine, error) {
-		if dataset != "tinydblp" {
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
+	reg.SetRecoverer(func(spec TenantSpec) (*sizelos.Engine, error) {
+		if spec.Dataset != "tinydblp" {
+			return nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
 		}
-		if seed <= 0 {
-			seed = 5
+		if spec.Seed <= 0 {
+			spec.Seed = 5
 		}
-		return freshEngine(t, seed), nil
+		return freshEngine(t, spec.Seed), nil
 	})
 
 	resp = post("/v1/tenants", RegisterRequest{Name: "live", Dataset: "tinydblp", Cache: 64})

@@ -122,7 +122,7 @@ type AdmissionStatsJSON struct {
 // (writeError), with Retry-After on 429/503.
 //
 //	GET    /v1/tenants                  -> {"tenants": [...]} (?live=1: only in-memory tenants)
-//	POST   /v1/tenants                  -> register a tenant (authz; needs SetOpener)
+//	POST   /v1/tenants                  -> register a tenant (authz; needs SetRecoverer)
 //	DELETE /v1/{tenant}                 -> deregister a tenant (authz)
 //	POST   /v1/{tenant}/release        -> stop serving, keep durable state (authz; migration handoff)
 //	POST   /v1/{tenant}/adopt          -> re-arm adoption after a release (authz; failover return)
@@ -420,16 +420,15 @@ type RegisterResponse struct {
 	Settings []string `json:"settings"`
 }
 
-// serveRegister builds an engine for the requested dataset and registers it
-// as a live tenant. The engine build runs outside every lock, so existing
-// tenants keep serving. In a durable deployment (SetRecoverer +
-// SetDurability) the whole flow goes through RegisterDynamic: the name is
-// claimed in the lazy-recovery single-flight before the recoverer runs (a
-// concurrent POST or first-touch recovery must never open the same WAL
-// twice), manifest-pending names are conflicts, and the registration is
-// recorded in the manifest before it is acknowledged.
+// serveRegister registers a live tenant through RegisterDynamic: the name
+// is claimed in the lazy-recovery single-flight before the recoverer runs
+// (a concurrent POST or first-touch recovery must never build the same
+// tenant, or open the same WAL, twice), manifest-pending names are
+// conflicts, and with a Durability installed the registration is recorded
+// in the manifest before it is acknowledged. The engine build runs outside
+// every lock, so existing tenants keep serving.
 func (r *Registry) serveRegister(w http.ResponseWriter, req *http.Request) {
-	if r.opener == nil && r.recoverer == nil {
+	if r.recoverer == nil {
 		writeError(w, errNotImplemented("dynamic tenant registration is not configured"))
 		return
 	}
@@ -446,52 +445,16 @@ func (r *Registry) serveRegister(w http.ResponseWriter, req *http.Request) {
 		writeError(w, errBadRequest("invalid tenant name %q (want [A-Za-z0-9._-]+)", body.Name))
 		return
 	}
-	// Cheap duplicate probe before the (expensive) engine build; the
-	// registration path re-checks atomically, so a racing duplicate still
-	// loses.
-	if _, dup := r.Get(body.Name); dup {
-		writeError(w, errConflict(fmt.Sprintf("tenant %q already registered", body.Name)))
-		return
-	}
-	spec := TenantSpec{Name: body.Name, Dataset: body.Dataset, Seed: body.Seed, Cache: body.Cache}
-	if r.recoverer != nil {
-		t, err := r.RegisterDynamic(spec)
-		if err != nil {
-			// ErrTenantExists → 409 and ErrDurabilityFailed → 500 via
-			// toAPIError; anything else is a recoverer rejection (bad
-			// dataset, unreadable state) the client caused.
-			if !errors.Is(err, ErrTenantExists) && !errors.Is(err, ErrDurabilityFailed) {
-				err = errBadRequest("%v", err)
-			}
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, RegisterResponse{
-			Tenant:   t.Name,
-			Dataset:  body.Dataset,
-			Settings: t.Engine.SettingNames(),
-		})
-		return
-	}
-	eng, err := r.opener(body.Dataset, body.Seed)
+	t, err := r.RegisterDynamic(TenantSpec{Name: body.Name, Dataset: body.Dataset, Seed: body.Seed, Cache: body.Cache})
 	if err != nil {
-		writeError(w, errBadRequest("%v", err))
-		return
-	}
-	t, err := r.Register(body.Name, eng, Options{CacheBudget: body.Cache})
-	if err != nil {
-		writeError(w, errConflict(err.Error()))
-		return
-	}
-	if r.durability != nil {
-		// Only a durably recorded registration is acknowledged: a crash
-		// after the 201 must bring the tenant back.
-		if err := r.durability.RecordTenant(spec); err != nil {
-			_, _ = r.Deregister(body.Name)
-			writeError(w, errInternal(
-				fmt.Sprintf("tenant registration could not be made durable: %v", err), true))
-			return
+		// ErrTenantExists → 409 and ErrDurabilityFailed → 500 via
+		// toAPIError; anything else is a recoverer rejection (bad
+		// dataset, unreadable state) the client caused.
+		if !errors.Is(err, ErrTenantExists) && !errors.Is(err, ErrDurabilityFailed) {
+			err = errBadRequest("%v", err)
 		}
+		writeError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusCreated, RegisterResponse{
 		Tenant:   t.Name,

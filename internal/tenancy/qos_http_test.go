@@ -69,7 +69,7 @@ func TestAuthzAdminRoutes(t *testing.T) {
 		method, path string
 		// passStatus is what the handler itself answers once authz lets the
 		// request through — deliberately not 2xx, so the probe has no side
-		// effects (501: no opener; 404: ghost tenant; 400: bad JSON body).
+		// effects (501: no recoverer; 404: ghost tenant; 400: bad JSON body).
 		passStatus int
 	}{
 		{http.MethodPost, "/v1/tenants", http.StatusNotImplemented},

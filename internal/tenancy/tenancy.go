@@ -67,13 +67,10 @@ type Registry struct {
 	// defaultCache is the cache budget applied to registrations that do
 	// not name their own (WithDefaultCacheBudget).
 	defaultCache int
-	// opener, when set, builds an engine for a named dataset so tenants can
-	// be registered over HTTP (POST /v1/tenants) instead of only at
-	// startup. Set once with SetOpener before serving.
-	opener Opener
-	// recoverer and durability wire the registry to a durability tier (set
-	// once, before serving). recoverer builds-or-recovers engines for
-	// pending tenants; durability persists lifecycle events.
+	// recoverer builds — or, over a durability tier, recovers — the engine
+	// of a pending tenant and of one registered over HTTP (POST
+	// /v1/tenants); durability persists lifecycle events. Both are set
+	// once, before serving.
 	recoverer  Recoverer
 	durability Durability
 	stripes    [numStripes]struct {
@@ -142,8 +139,8 @@ type Durability interface {
 // re-read), so it may do I/O; it must be safe for concurrent use.
 type PendingLoader func(name string) (TenantSpec, bool)
 
-// SetRecoverer installs the engine builder used for pending tenants (and,
-// when set, for dynamic registration). Call before Handler is serving.
+// SetRecoverer installs the engine builder used for pending tenants and
+// for dynamic registration. Call before Handler is serving.
 func (r *Registry) SetRecoverer(fn Recoverer) { r.recoverer = fn }
 
 // SetPendingLoader installs the miss-path spec lookup used when this
@@ -365,16 +362,6 @@ func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 	c.t = t
 	return t, nil
 }
-
-// Opener builds a ready-to-serve engine (G_DSs registered) for a named
-// dataset; seed <= 0 means the deployment default. The admin handler calls
-// it outside any registry lock — engine builds take seconds and must not
-// block serving tenants.
-type Opener func(dataset string, seed int64) (*sizelos.Engine, error)
-
-// SetOpener enables dynamic tenant registration over HTTP. Call before
-// Handler is serving; the opener itself must be safe for concurrent use.
-func (r *Registry) SetOpener(fn Opener) { r.opener = fn }
 
 // NewRegistry creates an empty registry whose tenants share one summary
 // pool of poolSize slots (<= 0: GOMAXPROCS). Options configure the

@@ -8,8 +8,10 @@ import (
 
 	"sizelos/internal/datagen"
 	"sizelos/internal/datagraph"
+	"sizelos/internal/ostree"
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
+	"sizelos/internal/sizel"
 )
 
 // mutableDBLP builds a private small engine — mutation tests must not
@@ -392,9 +394,10 @@ func TestMutateDeletesInDescendingOrder(t *testing.T) {
 }
 
 // TestDeletedJunctionRowLeavesDBSource retracts the single Writes row
-// linking a fresh author to their paper and checks BOTH extraction paths
-// forget the connection — the data graph (rebuilt) and the database joins
-// (whose TOP-l junction lists must skip tombstoned junction rows).
+// linking a fresh author to their paper and checks BOTH extractions forget
+// the connection — the engine's, over the data graph Mutate patched in
+// place, and the reference database joins (ostree.DBSource, whose TOP-l
+// junction lists must skip tombstoned junction rows) over the same store.
 func TestDeletedJunctionRowLeavesDBSource(t *testing.T) {
 	eng := mutableDBLP(t)
 	res, err := eng.Mutate(insertAuthorBatch(t, eng, 950001, "Junctia Retractsdottir", "A Severable Link"))
@@ -402,27 +405,31 @@ func TestDeletedJunctionRowLeavesDBSource(t *testing.T) {
 		t.Fatalf("Mutate: %v", err)
 	}
 	author := res.Inserted[0]
-	for _, fromDB := range []bool{false, true} {
-		s, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5, FromDatabase: fromDB}, author)
+	linked := func() (graph, db bool) {
+		t.Helper()
+		s, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5}, author)
 		if err != nil {
-			t.Fatalf("SizeL(fromDB=%v): %v", fromDB, err)
+			t.Fatalf("SizeL: %v", err)
 		}
-		if !strings.Contains(s.Text, "Severable") {
-			t.Fatalf("fromDB=%v: summary misses the linked paper:\n%s", fromDB, s.Text)
+		gds, err := eng.gdsLocked("Author", DefaultSetting)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tree, _, err := sizel.PrelimL(ostree.NewDBSource(eng.db, eng.scores[DefaultSetting]), gds, author, 5, sizel.PrelimOptions{MaxDepth: 4})
+		if err != nil {
+			t.Fatalf("PrelimL(db): %v", err)
+		}
+		return strings.Contains(s.Text, "Severable"), strings.Contains(tree.Render(ostree.RenderOptions{}), "Severable")
+	}
+	if graph, db := linked(); !graph || !db {
+		t.Fatalf("summary misses the linked paper: graph %v, db joins %v", graph, db)
 	}
 	// Retract only the junction row; author and paper stay.
 	if _, err := eng.Mutate(MutationBatch{Deletes: []TupleDelete{{Rel: "Writes", PK: 950003}}}); err != nil {
 		t.Fatalf("Mutate delete: %v", err)
 	}
-	for _, fromDB := range []bool{false, true} {
-		s, err := eng.SizeL(QueryRequest{Rel: "Author", L: 5, FromDatabase: fromDB}, author)
-		if err != nil {
-			t.Fatalf("SizeL(fromDB=%v) after retract: %v", fromDB, err)
-		}
-		if strings.Contains(s.Text, "Severable") {
-			t.Fatalf("fromDB=%v: retracted junction row still connects the paper:\n%s", fromDB, s.Text)
-		}
+	if graph, db := linked(); graph || db {
+		t.Fatalf("retracted junction row still connects the paper: graph %v, db joins %v", graph, db)
 	}
 }
 
@@ -447,9 +454,7 @@ func TestMutateConcurrentWithSearches(t *testing.T) {
 					return
 				default:
 				}
-				// Odd workers read through the database-join source, whose
-				// access counter concurrent requests share.
-				if _, err := search(eng, "Author", queries[(i+w)%len(queries)], 5, QueryRequest{FromDatabase: w%2 == 1}); err != nil {
+				if _, err := search(eng, "Author", queries[(i+w)%len(queries)], 5, QueryRequest{}); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}

@@ -84,9 +84,6 @@ type QueryRequest struct {
 	// The paper recommends prelim-l ("constantly a better choice", §6.3),
 	// so the default is prelim.
 	Complete bool
-	// FromDatabase extracts tuples with database joins instead of the
-	// in-memory data graph (Fig. 10f compares the two).
-	FromDatabase bool
 	// ShowWeights annotates rendered summaries with local importance.
 	ShowWeights bool
 
@@ -144,10 +141,10 @@ func (req QueryRequest) cut(n int) int {
 func (req QueryRequest) Fingerprint() uint64 {
 	req, _ = req.resolve() // an invalid request still hashes; it never runs
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s\x00%s\x00%t\x00%d\x00%t\x00%t\x00%t\x00%s",
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s\x00%s\x00%t\x00%d\x00%t\x00%t\x00%s",
 		req.Rel, req.Query, req.L, req.Setting, req.Algorithm,
 		req.RankBySummary, req.K,
-		req.Complete, req.FromDatabase, req.ShowWeights, req.CacheScope)
+		req.Complete, req.ShowWeights, req.CacheScope)
 	return h.Sum64()
 }
 

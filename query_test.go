@@ -566,9 +566,8 @@ func TestQueryRequestFieldClassification(t *testing.T) {
 	classes := map[string]int{
 		"Rel": summaryShaping, "L": summaryShaping, "Setting": summaryShaping,
 		"Algorithm": summaryShaping, "Complete": summaryShaping,
-		"FromDatabase": summaryShaping, "ShowWeights": summaryShaping,
-		"CacheScope": summaryShaping,
-		"Query":      sequenceShaping, "RankBySummary": sequenceShaping, "K": sequenceShaping,
+		"ShowWeights": summaryShaping, "CacheScope": summaryShaping,
+		"Query": sequenceShaping, "RankBySummary": sequenceShaping, "K": sequenceShaping,
 		"Limit": consumptionOnly, "Cursor": consumptionOnly, "Pool": consumptionOnly,
 	}
 	eng := getDBLP(t)

@@ -3,11 +3,10 @@ package sizelos_test
 // BenchmarkRoutedQuery measures the full scale-out query path: an
 // in-process three-node fleet behind the consistent-hash router, with
 // every request travelling client -> router -> owner node -> engine and
-// back through the reverse proxy. The gate watches it next to
-// BenchmarkEndToEndSearch so the routing tier's overhead (ring lookup,
-// drain gate, proxy hop, node-header stamping) stays a bounded tax on the
-// query itself rather than silently growing into one more engine's worth
-// of latency.
+// back through the reverse proxy. Read it next to BenchmarkEndToEndSearch:
+// the difference is the routing tier's overhead (ring lookup, drain gate,
+// proxy hop, node-header stamping), the layer BENCHMARK.json's
+// router.hop_us watches on every PR.
 
 import (
 	"fmt"
