@@ -20,7 +20,7 @@ race:
 # read, write, durability and routing paths (README "Benchmarks" maps each
 # to the BENCHMARK.json metric that watches the layer on every PR) plus the
 # paper's Fig. 10 cells — spelled once for both targets below.
-BENCH_FAMILIES := Fig10|RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery
+BENCH_FAMILIES := Fig10|RankedScan|RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery
 
 # Textual benchmark pass; read it on a quiet box, it gates nothing.
 bench:
@@ -39,7 +39,7 @@ loc:
 # The ratchet: `make loc` may not exceed LOC_BUDGET, so deleted lines stay
 # deleted. A PR that removes lines lowers it to its own result; one that
 # has to raise it says why in CHANGES.md.
-LOC_BUDGET := 17688
+LOC_BUDGET := 17686
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

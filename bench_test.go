@@ -18,6 +18,7 @@ package sizelos_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -1038,4 +1039,88 @@ func BenchmarkQueryDrain(b *testing.B) {
 			b.Fatalf("drained %d of %d matches", len(sums), stats.Matches)
 		}
 	}
+}
+
+var (
+	rankedOnce sync.Once
+	rankedEng  *sizelos.Engine
+	rankedErr  error
+)
+
+// rankedScanOps deals n /ranked requests the way benchmark/gen.go deals one
+// tenant's ranked_scan ops: hands of three Customer scans and one Supplier
+// scan in a seeded order, l dealt per relation from 5..54 without
+// replacement with one value of each decade in any five draws, the setting
+// drawn, K = 10.
+func rankedScanOps(n int) []sizelos.QueryRequest {
+	r := rand.New(rand.NewSource(1))
+	var settings []string
+	for _, s := range sizelos.DefaultSettings(nil, nil) {
+		settings = append(settings, s.Name)
+	}
+	dealer := func() func() int {
+		var cycle []int
+		return func() int {
+			if len(cycle) == 0 {
+				var within [5][]int
+				for s := range within {
+					within[s] = r.Perm(10)
+				}
+				for round := 0; round < 10; round++ {
+					for _, s := range r.Perm(5) {
+						cycle = append(cycle, 5+s*10+within[s][round])
+					}
+				}
+			}
+			l := cycle[0]
+			cycle = cycle[1:]
+			return l
+		}
+	}
+	customerL, supplierL := dealer(), dealer()
+	hand := []bool{false, false, false, true}
+	ops := make([]sizelos.QueryRequest, 0, n)
+	for len(ops) < n {
+		r.Shuffle(len(hand), func(a, b int) { hand[a], hand[b] = hand[b], hand[a] })
+		for _, supplier := range hand {
+			req := sizelos.QueryRequest{Rel: "Customer", Query: "customer", RankBySummary: true, K: 10,
+				Setting: settings[r.Intn(len(settings))]}
+			if supplier {
+				req.Rel, req.Query, req.L = "Supplier", "supplier", supplierL()
+			} else {
+				req.L = customerL()
+			}
+			ops = append(ops, req)
+		}
+	}
+	return ops[:n]
+}
+
+// BenchmarkRankedScan is the engine side of the ranked_scan workload: one
+// TPC-H SF 0.004 engine serving the workload's /ranked mix, so the size-l
+// kernel runs as a scan — every candidate gets a prelim-l OS, and those its
+// bound does not seal a Top-Path selection. summaries/op and sealed/op are
+// the mix's QueryStats, the same on every commit that keeps the algorithm.
+func BenchmarkRankedScan(b *testing.B) {
+	rankedOnce.Do(func() { rankedEng, rankedErr = sizelos.OpenTPCH(datagen.DefaultTPCHConfig()) })
+	if rankedErr != nil {
+		b.Fatal(rankedErr)
+	}
+	ops := rankedScanOps(200)
+	var summaries, sealed int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page, _, stats, err := rankedEng.QueryPage(ops[i%len(ops)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(page) == 0 {
+			b.Fatalf("op %d served nothing", i)
+		}
+		summaries += stats.Summaries
+		sealed += stats.Sealed
+	}
+	b.ReportMetric(float64(summaries)/float64(b.N), "summaries/op")
+	b.ReportMetric(float64(sealed)/float64(b.N), "sealed/op")
 }

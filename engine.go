@@ -586,6 +586,14 @@ type Summary struct {
 	Text string
 }
 
+// kernel is what one request's evaluations share on its goroutine: the
+// extraction source, made at the first, and the trees a ranked loop dropped,
+// which the next are built into. Nothing in it outlives the request.
+type kernel struct {
+	src  *ostree.GraphSource
+	free []*ostree.Tree
+}
+
 // scored is one evaluated subject: its summary (rendered if the cache served
 // it or the caller asked, else DSRel, Tuple, Result and Tree only); the
 // prefix sums of its tree's l largest local importances, descending, so
@@ -601,8 +609,8 @@ type scored struct {
 // evaluates the subject against tau and, with serve set, renders and
 // memoizes the result at once — what a caller that serves every summary it
 // computes passes, with tau = -Inf. req must be resolved and the subject
-// validated live; callers hold at least the read lock.
-func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau float64, serve bool) (sc scored, err error) {
+// validated live; k is the request's; callers hold at least the read lock.
+func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau float64, serve bool, k *kernel) (sc scored, err error) {
 	// A cache hit is microseconds of work; serve it without waiting on the
 	// shared budget so hot cached queries stay fast even while the pool is
 	// saturated by cold computations.
@@ -627,7 +635,7 @@ func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau f
 				return
 			}
 		}
-		if sc, err = e.evaluate(req, tuple, tau); err != nil || !serve {
+		if sc, err = e.evaluate(req, tuple, tau, k); err != nil || !serve {
 			return
 		}
 		e.materialize(req, &sc.sum)
@@ -746,15 +754,15 @@ func (e *Engine) SizeL(req QueryRequest, tuple relational.TupleID) (Summary, err
 	} else if skip {
 		return Summary{}, fmt.Errorf("sizelos: tuple %d of %s is deleted", tuple, req.Rel)
 	}
-	sc, err := e.summaryLocked(req, tuple, math.Inf(-1), true)
+	sc, err := e.summaryLocked(req, tuple, math.Inf(-1), true, &kernel{})
 	return sc.sum, err
 }
 
 // evaluate is the first half of a summary computation: source → tree →
-// select; Headline and Text are left to materialize. When the tree's bound
-// at l is under tau (sealedBy) the selection is skipped too; tau = -Inf
-// always selects.
-func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float64) (scored, error) {
+// select; Headline and Text are left to materialize. The tree is built into
+// one k has spare. When its bound at l is under tau (sealedBy) the selection
+// is skipped too and the tree goes back to k; tau = -Inf always selects.
+func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float64, k *kernel) (scored, error) {
 	dsRel, l := req.Rel, req.L
 	sc, err := e.scoresLocked(req.Setting)
 	if err != nil {
@@ -764,27 +772,28 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 	if err != nil {
 		return scored{}, err
 	}
-	src := ostree.NewGraphSource(e.graph, sc)
-
-	var tree *ostree.Tree
-	var top []float64
-	if req.Complete {
-		if tree, err = ostree.Generate(src, gds, tuple, ostree.GenOptions{MaxDepth: l - 1}); err == nil {
-			top = sizel.TopWeights(tree, l)
-		}
-	} else {
-		var stats sizel.PrelimStats
-		tree, stats, err = sizel.PrelimL(src, gds, tuple, l, sizel.PrelimOptions{MaxDepth: l - 1})
-		top = stats.TopWeights
+	if k.src == nil {
+		k.src = ostree.NewGraphSource(e.graph, sc)
 	}
+
+	var into *ostree.Tree
+	if n := len(k.free); n > 0 {
+		into, k.free = k.free[n-1], k.free[:n-1]
+	}
+	// With both avoidance conditions off, PrelimL builds the complete OS.
+	tree, stats, err := sizel.PrelimL(k.src, gds, tuple, l, sizel.PrelimOptions{
+		MaxDepth: l - 1, DisableAC1: req.Complete, DisableAC2: req.Complete, Into: into,
+	})
 	if err != nil {
 		return scored{}, err
 	}
+	top := stats.TopWeights
 	for i := 1; i < len(top); i++ {
 		top[i] += top[i-1]
 	}
 	out := scored{sum: Summary{DSRel: dsRel, Tuple: tuple}, top: top}
 	if out.sealed = sealedBy(top[len(top)-1], tau); out.sealed {
+		k.free = append(k.free, tree)
 		return out, nil
 	}
 

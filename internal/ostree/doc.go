@@ -20,4 +20,12 @@
 //     reach their subject (the engine's summary cache keys them by stamp).
 //   - GraphSource.Parents is the exact inverse of Children; Subjects lists
 //     every subject whose OS a batch changed (the engine keeps the rest).
+//   - An extraction result (Children, ChildrenTopL) is read-only and may
+//     alias the source's scratch: it is valid until the next extraction on
+//     that source. Parents returns the caller's own slice, since Subjects
+//     recurses while it iterates one.
+//   - Complete and prelim-l OSs grow through one breadth-first builder
+//     (Build) whose node arena is its queue and can be reused tree after
+//     tree. A node's child list is a read-only sub-slice of the shared Iota
+//     ids: never written through, and valid for as long as the tree is.
 package ostree

@@ -1,9 +1,13 @@
 package ostree
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -353,4 +357,74 @@ func clip(s string) string {
 		return s[:400] + "..."
 	}
 	return s
+}
+
+// TestChildrenTopLMatchesNaive: both sources' TOP-l extraction is naiveTopL
+// over the full child list — on every step kind of the four engine G_DSs
+// (junction, parent FK, child FK), for thresholds below every child score,
+// exactly at one and above every one, limits 0, 1, l and unbounded, with
+// distinct and with tied scores — and nil whenever nothing passes.
+func TestChildrenTopLMatchesNaive(t *testing.T) {
+	const l = 10
+	r := rand.New(rand.NewSource(25))
+	for _, wf := range walkFixtures(t) {
+		for _, tied := range []bool{false, true} {
+			scores := make(relational.DBScores, len(wf.db.Relations))
+			for _, rel := range wf.db.Relations {
+				s := make(relational.Scores, rel.Len())
+				for i := range s {
+					if s[i] = r.Float64(); tied {
+						s[i] = float64(r.Intn(3))
+					}
+				}
+				scores[rel.Name] = s
+			}
+			dbs, gs := NewDBSource(wf.db, scores), NewGraphSource(wf.g, scores)
+			for _, gds := range wf.gdss {
+				for _, gn := range gds.Nodes()[1:] {
+					childScores := scores[gn.Rel]
+					for trial := 0; trial < 12; trial++ {
+						p := relational.TupleID(r.Intn(wf.db.Relation(gn.Parent.Rel).Len()))
+						children := slices.Clone(gs.Children(gn, p))
+						thresholds := []float64{-1, 4}
+						if len(children) > 0 {
+							thresholds = append(thresholds, childScores[children[r.Intn(len(children))]])
+						}
+						for _, min := range thresholds {
+							for _, limit := range []int{0, 1, l, math.MaxInt} {
+								want := naiveTopL(children, childScores, min, limit)
+								for name, src := range map[string]Source{"db": dbs, "graph": gs} {
+									if got := src.ChildrenTopL(gn, p, min, limit); !reflect.DeepEqual(got, want) {
+										t.Fatalf("%s %s/%s tied=%v parent %d min=%v limit=%d: %s source %#v, want %#v",
+											wf.name, gds.DSName, gn.Label, tied, p, min, limit, name, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIotaConcurrentGrowth: requests build trees concurrently, so Iota is
+// read and grown from several goroutines at once; every slice any of them
+// gets holds 0, 1, 2, … and at least what it asked for.
+func TestIotaConcurrentGrowth(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1; n < 1<<16; n = n*3 + g {
+				ids := Iota(n)
+				if len(ids) < n || ids[n-1] != NodeID(n-1) || ids[len(ids)-1] != NodeID(len(ids)-1) {
+					t.Errorf("Iota(%d) = %d ids ending %d", n, len(ids), ids[len(ids)-1])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

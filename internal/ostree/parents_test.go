@@ -2,6 +2,8 @@ package ostree
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -199,5 +201,80 @@ func TestSubjectsCoverChangedTrees(t *testing.T) {
 			t.Errorf("%s: Subjects listed %d of %d subject-rounds; a footprint should be a small share", f.name, listed, live)
 		}
 		t.Logf("%s: %d subject-rounds, %d listed, %d changed", f.name, live, listed, changed)
+	}
+}
+
+// TestSubjectsJunctionClimb: on a G_DS of three stacked junction hops
+// (Author -Writes-> Paper -Writes-> Co-Author -Writes-> Co-Author's Paper)
+// a changed row under the deepest node makes Subjects recurse through
+// Parents while it iterates a Parents result — and Children calls in between
+// leave the source's scratch dirty. Its answer must be the downward
+// reference: the subjects whose traversal reaches, as an instance of a
+// junction node's parent, the parent-side end of a changed junction row.
+func TestSubjectsJunctionClimb(t *testing.T) {
+	f := walkFixtures(t)[0]
+	gds := schemagraph.New("Author")
+	gds.Root.AddJunction("Paper", "Paper", "Writes", 1, 0, 0.92).
+		AddJunction("Co-Author", "Author", "Writes", 0, 1, 0.82).
+		AddJunction("Co-Author's Paper", "Paper", "Writes", 1, 0, 0.8)
+	if err := gds.Validate(f.db); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	src := f.source()
+	r := rand.New(rand.NewSource(25))
+	for round := 0; round < 8; round++ {
+		res := relational.BatchResult{Inserted: map[string][]relational.TupleID{}}
+		for _, j := range []string{"Writes", "Cites"} {
+			for i := 0; i < 1+round; i++ {
+				res.Inserted[j] = append(res.Inserted[j], relational.TupleID(r.Intn(f.db.Relation(j).Len())))
+			}
+		}
+		// ends[gn] holds the parent-side ends of gn's changed junction rows.
+		ends := make(map[*schemagraph.Node]map[relational.TupleID]bool)
+		for _, gn := range gds.Nodes()[1:] {
+			if gn.Step.Kind != schemagraph.StepJunction {
+				continue
+			}
+			j := f.db.Relation(gn.Step.Junction)
+			fk := j.FKs[gn.Step.JFKParent]
+			ends[gn] = make(map[relational.TupleID]bool)
+			for _, row := range res.Inserted[gn.Step.Junction] {
+				if end, ok := f.db.Relation(fk.Ref).LookupPK(j.Tuples[row][j.ColIndex(fk.Column)].Int); ok {
+					ends[gn][end] = true
+				}
+			}
+		}
+		var reaches func(gn *schemagraph.Node, tp relational.TupleID) bool
+		reaches = func(gn *schemagraph.Node, tp relational.TupleID) bool {
+			for _, c := range gn.Children {
+				if ends[c][tp] {
+					return true
+				}
+				for _, ct := range slices.Clone(src.Children(c, tp)) {
+					if reaches(c, ct) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		want := []relational.TupleID{}
+		for s := 0; s < f.db.Relation(gds.DSName).Len(); s++ {
+			if reaches(gds.Root, relational.TupleID(s)) {
+				want = append(want, relational.TupleID(s))
+			}
+		}
+		src.Children(gds.Root.Children[0], 0) // leave the junction scratch dirty
+		got, ok := src.Subjects(gds, res, 1<<20)
+		if !ok {
+			t.Fatalf("round %d: walk gave up under a budget of 2^20", round)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: Subjects %v, want %v", round, got, want)
+		}
+		if len(want) == 0 {
+			t.Fatalf("round %d: no subject reached; the test compared nothing", round)
+		}
 	}
 }

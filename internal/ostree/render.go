@@ -1,8 +1,8 @@
 package ostree
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -12,7 +12,8 @@ type RenderOptions struct {
 	// affinity below it are not displayed. Key columns are never displayed.
 	AttrTheta float64
 	// Keep restricts rendering to a node subset (a size-l OS); nil renders
-	// the whole tree. The subset must contain the root to render anything.
+	// the whole tree. The subset must contain the root to render anything;
+	// ids outside the tree are ignored.
 	Keep []NodeID
 	// ShowWeights appends each node's local importance, as in the paper's
 	// Figure 3.
@@ -23,13 +24,15 @@ type RenderOptions struct {
 // 5: one tuple per line, children indented under their parent, each line
 // "Label: attr, attr, ...".
 func (t *Tree) Render(opts RenderOptions) string {
-	var keep map[NodeID]bool
+	var keep []bool
 	if opts.Keep != nil {
-		keep = make(map[NodeID]bool, len(opts.Keep))
+		keep = make([]bool, t.Len())
 		for _, id := range opts.Keep {
-			keep[id] = true
+			if id >= 0 && int(id) < len(keep) {
+				keep[id] = true
+			}
 		}
-		if !keep[t.Root()] {
+		if len(keep) == 0 || !keep[t.Root()] {
 			return ""
 		}
 	}
@@ -38,45 +41,54 @@ func (t *Tree) Render(opts RenderOptions) string {
 	return b.String()
 }
 
-func (t *Tree) renderNode(b *strings.Builder, id NodeID, keep map[NodeID]bool, opts RenderOptions) {
+func (t *Tree) renderNode(b *strings.Builder, id NodeID, keep []bool, opts RenderOptions) {
 	n := &t.Nodes[id]
-	indent := strings.Repeat(".", int(n.Depth)*2)
-	if n.Depth > 0 {
-		indent += " "
+	for i := int32(0); i < 2*n.Depth; i++ {
+		b.WriteByte('.')
 	}
-	fmt.Fprintf(b, "%s%s: %s", indent, n.GDS.Label, t.describe(id, opts.AttrTheta))
+	if n.Depth > 0 {
+		b.WriteByte(' ')
+	}
+	b.WriteString(n.GDS.Label)
+	b.WriteString(": ")
+	t.describe(b, id, opts.AttrTheta)
 	if opts.ShowWeights {
-		fmt.Fprintf(b, "  [%.2f]", n.Weight)
+		var num [32]byte
+		b.WriteString("  [")
+		b.Write(strconv.AppendFloat(num[:0], n.Weight, 'f', 2, 64))
+		b.WriteByte(']')
 	}
 	b.WriteByte('\n')
 	// Children are rendered grouped by G_DS role, highest-weight first
 	// within a role, which mirrors the paper's examples (papers first, then
 	// details).
-	children := make([]NodeID, 0, len(n.Children))
+	var children []NodeID
 	for _, c := range n.Children {
 		if keep == nil || keep[c] {
 			children = append(children, c)
 		}
 	}
-	sort.SliceStable(children, func(a, b int) bool {
-		ca, cb := &t.Nodes[children[a]], &t.Nodes[children[b]]
-		if ca.GDS != cb.GDS {
-			return false // preserve role grouping as generated
-		}
-		return ca.Weight > cb.Weight
-	})
+	if len(children) > 1 {
+		sort.SliceStable(children, func(a, b int) bool {
+			ca, cb := &t.Nodes[children[a]], &t.Nodes[children[b]]
+			if ca.GDS != cb.GDS {
+				return false // preserve role grouping as generated
+			}
+			return ca.Weight > cb.Weight
+		})
+	}
 	for _, c := range children {
 		t.renderNode(b, c, keep, opts)
 	}
 }
 
-// describe renders the displayable attributes of a node's tuple: non-key
-// columns whose attribute affinity passes θ′.
-func (t *Tree) describe(id NodeID, attrTheta float64) string {
+// describe writes the displayable attributes of a node's tuple: non-key
+// columns whose attribute affinity passes θ′, comma-separated.
+func (t *Tree) describe(b *strings.Builder, id NodeID, attrTheta float64) {
 	n := &t.Nodes[id]
 	rel := t.DB.Relations[n.Rel]
 	tup := rel.Tuples[n.Tuple]
-	var parts []string
+	wrote := false
 	for ci, col := range rel.Columns {
 		if ci == rel.PKCol || rel.FKIndexOf(col.Name) >= 0 {
 			continue
@@ -84,11 +96,16 @@ func (t *Tree) describe(id NodeID, attrTheta float64) string {
 		if col.Affinity < attrTheta {
 			continue
 		}
-		parts = append(parts, tup[ci].String())
+		if wrote {
+			b.WriteString(", ")
+		}
+		b.WriteString(tup[ci].String())
+		wrote = true
 	}
-	if len(parts) == 0 {
+	if !wrote {
 		// Fall back to the primary key so every tuple renders something.
-		return fmt.Sprintf("#%d", rel.PK(n.Tuple))
+		var num [24]byte
+		b.WriteByte('#')
+		b.Write(strconv.AppendInt(num[:0], rel.PK(n.Tuple), 10))
 	}
-	return strings.Join(parts, ", ")
 }

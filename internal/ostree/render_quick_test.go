@@ -1,7 +1,9 @@
 package ostree
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -49,4 +51,103 @@ func TestRenderSubsetConnectivityProperty(t *testing.T) {
 				trial, got, want, len(keep))
 		}
 	}
+}
+
+// TestRenderMatchesReference: Render writes, byte for byte, what the
+// map-and-fmt renderer it replaced wrote (renderReference), on DBLP and
+// TPC-H OSs, for random keep sets (out-of-range ids included), attribute
+// thresholds and weight annotations.
+func TestRenderMatchesReference(t *testing.T) {
+	f := getFixture(t)
+	trees := []*Tree{}
+	for _, pk := range []int64{1, 2, 7} {
+		tree, err := Generate(f.graphSource(), datagen.AuthorGDS(), authorRoot(t, f, pk), GenOptions{})
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		trees = append(trees, tree)
+	}
+	for _, wf := range walkFixtures(t) {
+		for _, gds := range wf.gdss {
+			tree, err := Generate(wf.source(), gds, 3, GenOptions{MaxDepth: 4})
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			trees = append(trees, tree)
+		}
+	}
+	r := rand.New(rand.NewSource(25))
+	for i, tree := range trees {
+		for trial := 0; trial < 20; trial++ {
+			opts := RenderOptions{AttrTheta: []float64{0, 0.5, 0.9, 2}[r.Intn(4)], ShowWeights: r.Intn(2) == 0}
+			if trial > 0 {
+				opts.Keep = []NodeID{NodeID(tree.Len() + r.Intn(3)), -1}
+				for id := 0; id < tree.Len(); id++ {
+					if id == 0 && trial%5 == 0 || r.Intn(4) == 0 {
+						continue
+					}
+					opts.Keep = append(opts.Keep, NodeID(id))
+				}
+			}
+			if got, want := tree.Render(opts), renderReference(tree, opts); got != want {
+				t.Fatalf("tree %d trial %d (%+v): Render\n%s\nwant\n%s", i, trial, opts, clip(got), clip(want))
+			}
+		}
+	}
+}
+
+func renderReference(t *Tree, opts RenderOptions) string {
+	var keep map[NodeID]bool
+	if opts.Keep != nil {
+		keep = make(map[NodeID]bool, len(opts.Keep))
+		for _, id := range opts.Keep {
+			keep[id] = true
+		}
+		if !keep[t.Root()] {
+			return ""
+		}
+	}
+	var b strings.Builder
+	var node func(id NodeID)
+	node = func(id NodeID) {
+		n := &t.Nodes[id]
+		indent := strings.Repeat(".", int(n.Depth)*2)
+		if n.Depth > 0 {
+			indent += " "
+		}
+		rel := t.DB.Relations[n.Rel]
+		var parts []string
+		for ci, col := range rel.Columns {
+			if ci != rel.PKCol && rel.FKIndexOf(col.Name) < 0 && col.Affinity >= opts.AttrTheta {
+				parts = append(parts, rel.Tuples[n.Tuple][ci].String())
+			}
+		}
+		desc := strings.Join(parts, ", ")
+		if len(parts) == 0 {
+			desc = fmt.Sprintf("#%d", rel.PK(n.Tuple))
+		}
+		fmt.Fprintf(&b, "%s%s: %s", indent, n.GDS.Label, desc)
+		if opts.ShowWeights {
+			fmt.Fprintf(&b, "  [%.2f]", n.Weight)
+		}
+		b.WriteByte('\n')
+		children := make([]NodeID, 0, len(n.Children))
+		for _, c := range n.Children {
+			if keep == nil || keep[c] {
+				children = append(children, c)
+			}
+		}
+		sort.SliceStable(children, func(a, b int) bool {
+			ca, cb := &t.Nodes[children[a]], &t.Nodes[children[b]]
+			if ca.GDS != cb.GDS {
+				return false
+			}
+			return ca.Weight > cb.Weight
+		})
+		for _, c := range children {
+			node(c)
+		}
+	}
+	node(t.Root())
+	return b.String()
 }

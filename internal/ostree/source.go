@@ -1,7 +1,9 @@
 package ostree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sizelos/internal/datagraph"
@@ -16,15 +18,20 @@ import (
 // other OS generation path of Figure 10f, and the reference GraphSource is
 // proven equal to (TestDBSourceMatchesGraphSource). Junction tuples are
 // hopped over and never returned.
+//
+// An extraction's result is read-only and may alias the source: it stays
+// valid until the next Children or ChildrenTopL call on the same source, so
+// a caller that keeps it longer copies it. A source is used by one goroutine
+// at a time.
 type Source interface {
 	// Children returns all child tuples of parent under gn, in extraction
 	// order.
 	Children(gn *schemagraph.Node, parent relational.TupleID) []relational.TupleID
 	// ChildrenTopL returns up to limit child tuples whose *global* score is
-	// strictly greater than minScore, in descending score order: the
-	// Avoidance Condition 2 extraction of Algorithm 4 (line 10). Callers
-	// convert local-importance thresholds by dividing by the node's
-	// affinity.
+	// strictly greater than minScore, in descending score order (ties by
+	// ascending id), nil when none is: the Avoidance Condition 2 extraction
+	// of Algorithm 4 (line 10). Callers convert local-importance thresholds
+	// by dividing by the node's affinity.
 	ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID
 	// DB returns the underlying database (for schema and rendering).
 	DB() *relational.DB
@@ -134,8 +141,8 @@ func (s *DBSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID,
 		}
 		return idx.TopL(db, parentRel.PK(parent), minScore, limit)
 	case schemagraph.StepParentFK:
-		ids := s.Children(gn, parent)
-		return filterTopL(ids, relScores(s.scores, gn.Rel), minScore, limit)
+		scores := relScores(s.scores, gn.Rel)
+		return sortTopL(keepOver(nil, s.Children(gn, parent), scores, minScore), scores, limit)
 	case schemagraph.StepJunction:
 		lists, ok := s.junction[gn]
 		if !ok {
@@ -194,17 +201,29 @@ func topLFromSorted(sorted []relational.TupleID, scores relational.Scores, minSc
 	return out
 }
 
-func filterTopL(ids []relational.TupleID, scores relational.Scores, minScore float64, limit int) []relational.TupleID {
-	sorted := make([]relational.TupleID, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(a, b int) bool {
-		sa, sb := scores[sorted[a]], scores[sorted[b]]
-		if sa != sb {
-			return sa > sb
+// keepOver appends to dst the ids scoring over minScore, in order.
+func keepOver(dst, ids []relational.TupleID, scores relational.Scores, minScore float64) []relational.TupleID {
+	for _, id := range ids {
+		if scores[id] > minScore {
+			dst = append(dst, id)
 		}
-		return sorted[a] < sorted[b]
+	}
+	return dst
+}
+
+// sortTopL orders ids, which all passed the threshold, by descending score,
+// ties by ascending id, and cuts them to limit: nil when none are left.
+func sortTopL(ids []relational.TupleID, scores relational.Scores, limit int) []relational.TupleID {
+	if len(ids) == 0 || limit <= 0 {
+		return nil
+	}
+	slices.SortFunc(ids, func(a, b relational.TupleID) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	return topLFromSorted(sorted, scores, minScore, limit)
+	return ids[:min(limit, len(ids))]
 }
 
 // GraphSource extracts children by walking the in-memory data graph, the
@@ -214,6 +233,9 @@ type GraphSource struct {
 	g        *datagraph.Graph
 	scores   relational.DBScores
 	accesses int64
+	// hop and top are the scratch a junction step's children and a TOP-l
+	// extraction's survivors are written into (Source's aliasing contract).
+	hop, top []relational.TupleID
 }
 
 // NewGraphSource creates a data-graph-backed extraction source.
@@ -240,19 +262,23 @@ func (s *GraphSource) ResetAccesses() int64 {
 // Children implements Source.
 func (s *GraphSource) Children(gn *schemagraph.Node, parent relational.TupleID) []relational.TupleID {
 	s.accesses++
-	return s.step(gn, parent, false)
+	return s.step(gn, parent, false, &s.hop)
 }
 
 // Parents is the inverse of Children: the tuples p of gn's parent node with
-// child among Children(gn, p). Not an extraction: no access is counted.
+// child among Children(gn, p). Not an extraction: no access is counted. The
+// result is the caller's — Subjects recurses while it iterates one.
 func (s *GraphSource) Parents(gn *schemagraph.Node, child relational.TupleID) []relational.TupleID {
-	return s.step(gn, child, true)
+	var own []relational.TupleID
+	return s.step(gn, child, true, &own)
 }
 
 // step crosses gn's traversal step from t: down from a tuple of gn's parent
 // node to its children, or up from a tuple of gn to its parents — the same
-// edge types read the other way, so the two are inverse by construction.
-func (s *GraphSource) step(gn *schemagraph.Node, t relational.TupleID, up bool) []relational.TupleID {
+// edge types read the other way, so the two are inverse by construction. A
+// junction hop writes its result over *buf; the other steps return the
+// graph's adjacency list.
+func (s *GraphSource) step(gn *schemagraph.Node, t relational.TupleID, up bool, buf *[]relational.TupleID) []relational.TupleID {
 	db := s.g.DB
 	from := db.RelIndex(gn.Parent.Rel)
 	if up {
@@ -276,20 +302,23 @@ func (s *GraphSource) step(gn *schemagraph.Node, t relational.TupleID, up bool) 
 		if len(rows) == 0 {
 			return nil
 		}
-		out := make([]relational.TupleID, 0, len(rows))
+		out := (*buf)[:0]
 		for _, row := range rows {
 			out = append(out, s.g.NeighborsAlong(jIdx, row, etOut, true)...)
 		}
+		*buf = out
 		return out
 	default:
 		return nil
 	}
 }
 
-// ChildrenTopL implements Source.
+// ChildrenTopL implements Source, copying and sorting only the children
+// over minScore.
 func (s *GraphSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID {
-	ids := s.Children(gn, parent)
-	return filterTopL(ids, relScores(s.scores, gn.Rel), minScore, limit)
+	scores := relScores(s.scores, gn.Rel)
+	s.top = keepOver(s.top[:0], s.Children(gn, parent), scores, minScore)
+	return sortTopL(s.top, scores, limit)
 }
 
 // Subjects lists the root tuples of gds whose OS a committed batch can have

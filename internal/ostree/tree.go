@@ -2,6 +2,7 @@ package ostree
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
@@ -23,8 +24,10 @@ type Node struct {
 	// Tuple is the tuple id within the relation.
 	Tuple relational.TupleID
 	// Weight is the local importance Im(OS, t_i) = Im(t_i)·Af(t_i) (Eq. 3).
-	Weight   float64
-	Parent   NodeID
+	Weight float64
+	Parent NodeID
+	// Children are the node's children in ascending id order; Build cuts
+	// them from Iota (nil for a leaf), so they are never written through.
 	Children []NodeID
 	Depth    int32
 }
@@ -91,15 +94,22 @@ func (t *Tree) IsConnectedSubtree(ids []NodeID) bool {
 	return true
 }
 
-// addNode appends a node and wires it to its parent.
-func (t *Tree) addNode(n Node) NodeID {
-	id := NodeID(len(t.Nodes))
-	t.Nodes = append(t.Nodes, n)
-	if n.Parent != None {
-		p := &t.Nodes[n.Parent]
-		p.Children = append(p.Children, id)
+// iotaIDs backs Iota; a published slice is never written.
+var iotaIDs atomic.Pointer[[]NodeID]
+
+// Iota returns the ids 0, 1, 2, … in order, at least n of them: the one
+// read-only slice child lists are cut from. Outgrowing it publishes a longer
+// one; lists cut from an older one stay valid.
+func Iota(n int) []NodeID {
+	if p := iotaIDs.Load(); p != nil && len(*p) >= n {
+		return *p
 	}
-	return id
+	s := make([]NodeID, max(2*n, 1024))
+	for i := range s {
+		s[i] = NodeID(i)
+	}
+	iotaIDs.Store(&s)
+	return s
 }
 
 // Validate checks arena invariants: parent links, child links, and depths.

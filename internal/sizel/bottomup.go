@@ -72,7 +72,9 @@ type leafItem struct {
 }
 
 // leafHeap is a min-heap by weight; ties prefer the higher node id (deeper,
-// later-extracted tuples prune first), keeping results deterministic.
+// later-extracted tuples prune first), keeping results deterministic. It is
+// the package's one heap: TopPath keeps forest roots in it under negated
+// keys, PrelimL's top-l PQ its weights.
 type leafHeap struct {
 	items []leafItem
 }

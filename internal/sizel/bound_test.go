@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -54,9 +55,21 @@ func boundFixtures(t *testing.T) []boundFixture {
 	return out
 }
 
+// topWeights is the reference for PrelimStats.TopWeights: the l largest
+// local importances of t, descending.
+func topWeights(t *ostree.Tree, l int) []float64 {
+	var ws []float64
+	for _, n := range t.Nodes {
+		ws = append(ws, n.Weight)
+	}
+	slices.Sort(ws)
+	slices.Reverse(ws)
+	return ws[:min(l, len(ws))]
+}
+
 // TestTopWeightsBoundImportance is the property the ranked search seals
 // candidates with: the l largest local importances of an OS, as PrelimL
-// reports them (and TopWeights recomputes them from a complete OS), sum to
+// reports them (and topWeights recomputes them from a complete OS), sum to
 // at least Im(S) of every size-l' OS for each l' <= l — whichever algorithm
 // selected it, from the prelim-l' or the complete OS generated for l'. The
 // engine's comparison allows one part in 1e9 for summation order; so does
@@ -77,7 +90,7 @@ func TestTopWeightsBoundImportance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Generate: %v", fx.name, err)
 			}
-			if fromTree := TopWeights(complete, l); !reflect.DeepEqual(top, fromTree) {
+			if fromTree := topWeights(complete, l); !reflect.DeepEqual(top, fromTree) {
 				t.Fatalf("%s root %d l=%d: PrelimL's top weights %v differ from the complete OS's %v", fx.name, root, l, top, fromTree)
 			}
 			if len(top) != min(l, complete.Len()) {

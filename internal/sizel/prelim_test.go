@@ -2,6 +2,8 @@ package sizel
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -314,5 +316,95 @@ func TestPrelimSmallerThanComplete(t *testing.T) {
 	}
 	if stats.Extracted != prelim.Len() {
 		t.Errorf("stats.Extracted=%d, tree has %d", stats.Extracted, prelim.Len())
+	}
+}
+
+// TestPrelimIntoDirtyTreeEqualsFresh: a prelim-l OS built Into a tree that
+// last held a larger OS of the other DS relation of its dataset is the one
+// built fresh — nodes, child lists, stats — and both validate, on DBLP and
+// TPC-H, for seeded subjects, l, depth bounds and avoidance conditions.
+func TestPrelimIntoDirtyTreeEqualsFresh(t *testing.T) {
+	fxs := boundFixtures(t)
+	p := dblpPipeline(t)
+	paper := datagen.PaperGDS()
+	if err := annotate(paper, p.scores); err != nil {
+		t.Fatalf("Annotate: %v", err)
+	}
+	fxs = append(fxs, boundFixture{"dblp/Paper", p.graph, p.scores, paper, p.db.Relation("Paper").Len()})
+	r := rand.New(rand.NewSource(25))
+	grown := 0
+	const trials = 60
+	for trial := 0; trial < trials; trial++ {
+		fx := fxs[r.Intn(len(fxs))]
+		var others []boundFixture
+		for _, o := range fxs {
+			if o.graph == fx.graph && o.gds.DSName != fx.gds.DSName {
+				others = append(others, o)
+			}
+		}
+		other := others[r.Intn(len(others))]
+		dirty, _, err := PrelimL(ostree.NewGraphSource(other.graph, other.scores), other.gds,
+			relational.TupleID(r.Intn(other.roots)), 1, PrelimOptions{DisableAC1: true, DisableAC2: true})
+		if err != nil {
+			t.Fatalf("%s: PrelimL: %v", other.name, err)
+		}
+		held := dirty.Len()
+
+		root, l := relational.TupleID(r.Intn(fx.roots)), 1+r.Intn(56)
+		opts := PrelimOptions{DisableAC1: r.Intn(4) == 0, DisableAC2: r.Intn(4) == 0}
+		if r.Intn(3) > 0 {
+			opts.MaxDepth = l - 1
+		}
+		src := ostree.NewGraphSource(fx.graph, fx.scores)
+		fresh, freshStats, err := PrelimL(src, fx.gds, root, l, opts)
+		if err != nil {
+			t.Fatalf("%s: PrelimL: %v", fx.name, err)
+		}
+		opts.Into = dirty
+		reused, reusedStats, err := PrelimL(src, fx.gds, root, l, opts)
+		if err != nil {
+			t.Fatalf("%s: PrelimL Into: %v", fx.name, err)
+		}
+		if reused != dirty {
+			t.Fatalf("%s: PrelimL did not build Into the tree it was given", fx.name)
+		}
+		for _, tree := range []*ostree.Tree{fresh, reused} {
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("%s root %d l=%d: %v", fx.name, root, l, err)
+			}
+		}
+		if !reflect.DeepEqual(fresh, reused) || !reflect.DeepEqual(freshStats, reusedStats) {
+			t.Fatalf("%s root %d l=%d %+v: the tree built over a %d-node %s OS differs from the fresh one",
+				fx.name, root, l, opts, held, other.name)
+		}
+		if held > fresh.Len() {
+			grown++
+		}
+	}
+	if grown < trials/2 {
+		t.Fatalf("only %d of %d dirty trees held a larger OS", grown, trials)
+	}
+}
+
+// TestKernelAllocCeiling pins what one summary computation allocates when
+// its source and tree are reused, as a ranked query reuses them: PrelimL and
+// TopPath on one TPC-H Supplier at l = 30. The ceiling is the count measured
+// when it was set (CHANGES.md has the count before the arena); a change
+// that needs more says why.
+func TestKernelAllocCeiling(t *testing.T) {
+	const ceiling = 10
+	fx := boundFixtures(t)[2] // tpch/GA1/Supplier
+	src, tree := ostree.NewGraphSource(fx.graph, fx.scores), &ostree.Tree{}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := PrelimL(src, fx.gds, 3, 30, PrelimOptions{MaxDepth: 29, Into: tree}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TopPath(tree, 30, TopPathOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%s: PrelimL + TopPath at l=30 over %d nodes: %v allocs", fx.name, tree.Len(), allocs)
+	if allocs > ceiling {
+		t.Fatalf("PrelimL + TopPath allocate %v times per call, ceiling %d", allocs, ceiling)
 	}
 }

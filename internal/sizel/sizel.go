@@ -2,7 +2,7 @@ package sizel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sizelos/internal/ostree"
 )
@@ -20,7 +20,7 @@ type Result struct {
 
 // normalize sorts and sums a selection.
 func normalize(t *ostree.Tree, nodes []ostree.NodeID, algorithm string) Result {
-	sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
+	slices.Sort(nodes)
 	return Result{Nodes: nodes, Importance: t.ImportanceOf(nodes), Algorithm: algorithm}
 }
 

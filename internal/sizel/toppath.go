@@ -1,7 +1,7 @@
 package sizel
 
 import (
-	"container/heap"
+	"slices"
 
 	"sizelos/internal/ostree"
 )
@@ -34,30 +34,34 @@ func TopPath(t *ostree.Tree, l int, opts TopPathOptions) (Result, error) {
 
 	selected := make([]bool, n)
 	count := 0
-	var chosen []ostree.NodeID
+	chosen := make([]ostree.NodeID, 0, l)
 
 	// The forest starts as the single tree root. For each forest root we
 	// track its champion: the node with max AI in its subtree, where AI is
-	// the average weight along the path from the forest root.
-	pq := &championHeap{}
+	// the average weight along the path from the forest root. Roots wait in
+	// a leafHeap keyed (-AI, -root): its minimum is the largest AI, ties to
+	// the smaller root. Buffers are presized for the l values queries use.
+	w := walker{t: t, stack: make([]frame, 0, 64), path: make([]ostree.NodeID, 0, l)}
+	champ := make([]ostree.NodeID, n)
+	pq := leafHeap{items: make([]leafItem, 0, 64)}
 	push := func(root ostree.NodeID) {
-		champ, ai, pathLen := subtreeChampion(t, root)
-		heap.Push(pq, championEntry{root: root, champ: champ, ai: ai, pathLen: pathLen})
+		var ai float64
+		champ[root], ai = w.champion(root)
+		pq.push(leafItem{-ai, -root})
 	}
 	push(t.Root())
 
-	for count < l && pq.Len() > 0 {
-		entry := heap.Pop(pq).(championEntry)
+	for count < l && len(pq.items) > 0 {
+		root := -pq.pop().id
 		if opts.NoChampionCache {
 			// Ablation mode: recompute this root's champion at pop time
 			// instead of trusting the value cached at push time. Results
 			// are identical (a root's subtree never changes while it waits
 			// in the queue); the flag measures the recomputation cost.
-			champ, ai, pathLen := subtreeChampion(t, entry.root)
-			entry.champ, entry.ai, entry.pathLen = champ, ai, pathLen
+			champ[root], _ = w.champion(root)
 		}
 		// Collect the path from the forest root down to the champion.
-		path := pathDown(t, entry.root, entry.champ)
+		path := w.pathDown(root, champ[root])
 		// Take the top nodes first; stop when the summary is full.
 		took := path
 		if len(path) > l-count {
@@ -84,81 +88,57 @@ func TopPath(t *ostree.Tree, l int, opts TopPathOptions) (Result, error) {
 	return normalize(t, chosen, name), nil
 }
 
-// subtreeChampion finds, in the subtree rooted at root (within the live
-// forest), the node maximizing AI = average weight along the path from
-// root. It returns the champion, its AI, and the path length. Ties go to
-// the smaller node id for determinism.
+// walker holds what TopPath reuses across forest roots: the depth-first
+// stack of champion and the path pathDown returns.
+type walker struct {
+	t     *ostree.Tree
+	stack []frame
+	path  []ostree.NodeID
+}
+
+type frame struct {
+	id    ostree.NodeID
+	sum   float64
+	depth int
+}
+
+// champion finds, in the subtree rooted at root (within the live forest),
+// the node maximizing AI = average weight along the path from root, and its
+// AI. Ties go to the smaller node id for determinism.
 //
 // This is the s(v) computation of §5.2: the champion of a subtree stays
 // valid however the forest above it changes, so each subtree is scanned
 // once, when it becomes a forest root.
-func subtreeChampion(t *ostree.Tree, root ostree.NodeID) (ostree.NodeID, float64, int) {
-	type frame struct {
-		id    ostree.NodeID
-		sum   float64
-		depth int
-	}
-	bestID := root
-	bestAI := t.Nodes[root].Weight
-	bestLen := 1
-	stack := []frame{{root, t.Nodes[root].Weight, 1}}
+func (w *walker) champion(root ostree.NodeID) (ostree.NodeID, float64) {
+	t := w.t
+	bestID, bestAI := root, t.Nodes[root].Weight
+	stack := append(w.stack[:0], frame{root, t.Nodes[root].Weight, 1})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		ai := f.sum / float64(f.depth)
 		if ai > bestAI || (ai == bestAI && f.id < bestID) {
-			bestID, bestAI, bestLen = f.id, ai, f.depth
+			bestID, bestAI = f.id, ai
 		}
 		for _, c := range t.Nodes[f.id].Children {
 			stack = append(stack, frame{c, f.sum + t.Nodes[c].Weight, f.depth + 1})
 		}
 	}
-	return bestID, bestAI, bestLen
+	w.stack = stack
+	return bestID, bestAI
 }
 
 // pathDown returns the nodes from root down to target, inclusive, in
-// root-first order.
-func pathDown(t *ostree.Tree, root, target ostree.NodeID) []ostree.NodeID {
-	var rev []ostree.NodeID
-	for id := target; ; id = t.Nodes[id].Parent {
-		rev = append(rev, id)
+// root-first order; the slice is overwritten by the next call.
+func (w *walker) pathDown(root, target ostree.NodeID) []ostree.NodeID {
+	path := w.path[:0]
+	for id := target; ; id = w.t.Nodes[id].Parent {
+		path = append(path, id)
 		if id == root {
 			break
 		}
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-type championEntry struct {
-	root    ostree.NodeID
-	champ   ostree.NodeID
-	ai      float64
-	pathLen int
-}
-
-// championHeap is a max-heap over forest roots by champion AI.
-type championHeap struct {
-	items []championEntry
-}
-
-func (h *championHeap) Len() int { return len(h.items) }
-
-func (h *championHeap) Less(a, b int) bool {
-	if h.items[a].ai != h.items[b].ai {
-		return h.items[a].ai > h.items[b].ai
-	}
-	return h.items[a].root < h.items[b].root
-}
-
-func (h *championHeap) Swap(a, b int) { h.items[a], h.items[b] = h.items[b], h.items[a] }
-
-func (h *championHeap) Push(x any) { h.items = append(h.items, x.(championEntry)) }
-
-func (h *championHeap) Pop() any {
-	last := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return last
+	slices.Reverse(path)
+	w.path = path
+	return path
 }

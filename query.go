@@ -252,13 +252,14 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 		return nil, "", QueryStats{}, fmt.Errorf("%w: position %d past the query's %d results", ErrCursorMalformed, resume.Consumed, end)
 	}
 
+	k := &kernel{}
 	var page []Summary
 	// position is the cursor position after the page — the cumulative pop
 	// count through its last summary (skipped tombstones included), ranked:
 	// its rank — and more whether anything is left to resume.
 	position, more := int(resume.Consumed), false
 	if req.RankBySummary {
-		if page, more, err = e.rankLocked(req, stream, position, &stats); err != nil {
+		if page, more, err = e.rankLocked(req, stream, position, &stats, k); err != nil {
 			return nil, "", QueryStats{}, err
 		}
 		position += len(page)
@@ -281,7 +282,7 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 			if !ok {
 				break
 			}
-			s, err := e.summaryLocked(req, m.Tuple, math.Inf(-1), true)
+			s, err := e.summaryLocked(req, m.Tuple, math.Inf(-1), true, k)
 			if err != nil {
 				return nil, "", QueryStats{}, err
 			}
@@ -348,8 +349,10 @@ type candidate struct {
 // evaluation. A ranked cursor counts served ranks, not frontier pops: the
 // page is the Limit ranks after the first resume, returned with whether any
 // rank follows it. Only the page is rendered, and none of it is cached
-// (EnableSummaryCache says why). Callers hold at least the read lock.
-func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume int, stats *QueryStats) ([]Summary, bool, error) {
+// (EnableSummaryCache says why). The trees of sealed candidates and of
+// summaries a K-cut drops, if this query built them, go back to k for the
+// next evaluations. Callers hold at least the read lock.
+func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume int, stats *QueryStats, k *kernel) ([]Summary, bool, error) {
 	matches := make([]keyword.Match, 0, stream.Remaining())
 	for {
 		m, ok, err := e.nextLive(req.Rel, stream, stats)
@@ -375,7 +378,7 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 		round, out := cands[:n], make([]scored, n)
 		cands = cands[n:]
 		for i, c := range round {
-			s, err := e.summaryLocked(req, c.tuple, tau, false)
+			s, err := e.summaryLocked(req, c.tuple, tau, false, k)
 			if err != nil {
 				return nil, false, err
 			}
@@ -392,6 +395,11 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 		}
 		if req.K > 0 && len(best) >= req.K {
 			sortRanking(best)
+			for _, s := range best[req.K:] {
+				if s.Text == "" { // built by this query, not served by the cache
+					k.free = append(k.free, s.Tree)
+				}
+			}
 			best = best[:req.K]
 			tau = best[req.K-1].Result.Importance
 		}
