@@ -63,7 +63,6 @@ func main() {
 	var members memberFlags
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per member on the placement ring (0 = default)")
 		adminToken = flag.String("admin-token", "", "bearer token guarding /router/* and presented on fleet release calls (empty = open)")
 		healthInt  = flag.Duration("health-interval", 2*time.Second, "fleet health probe cadence")
 		healthTO   = flag.Duration("health-timeout", time.Second, "single health probe timeout")
@@ -75,7 +74,6 @@ func main() {
 
 	rt, err := router.New(router.Config{
 		Members:        members,
-		VirtualNodes:   *vnodes,
 		AdminToken:     *adminToken,
 		HealthInterval: *healthInt,
 		HealthTimeout:  *healthTO,

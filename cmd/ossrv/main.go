@@ -19,7 +19,8 @@
 //
 // The full configuration — including per-tenant QoS limits, which have no
 // flag form — can live in a JSON file (-config; the tenancy.ServerConfig
-// shape). Flags set on the command line override the file. -admin-token
+// shape). The file overrides the built-in defaults, and flags set on the
+// command line override the file. -admin-token
 // locks tenant registration, deregistration, and mutations behind
 // "Authorization: Bearer <token>"; per-tenant rate limits, admission
 // control, and latency-budget shedding are described in docs/QOS.md.
@@ -46,125 +47,92 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"sizelos/internal/nodehost"
-	"sizelos/internal/qos"
 	"sizelos/internal/tenancy"
 )
 
-// tenantFlags collects repeated -tenant name=dataset definitions.
-type tenantFlags []string
-
-func (t *tenantFlags) String() string { return strings.Join(*t, ",") }
-
-func (t *tenantFlags) Set(v string) error {
-	*t = append(*t, v)
-	return nil
-}
-
-// loadConfig assembles the ServerConfig the process runs with: the -config
-// JSON file (when given) seeds it, then every flag the command line
-// explicitly set overrides the file, and built-in defaults fill whatever
-// neither source named. Flags are a thin parser — all semantics live in
-// tenancy.ServerConfig.
-func loadConfig() (tenancy.ServerConfig, []string) {
-	var tenants tenantFlags
-	var (
-		configPath = flag.String("config", "", "JSON config file (tenancy.ServerConfig); flags set on the command line override it")
-		addr       = flag.String("addr", ":8080", "listen address")
-		cache      = flag.Int("cache", 1024, "per-tenant summary cache budget in entries (0 = off)")
-		pool       = flag.Int("pool", 0, "shared summary pool size across all tenants (0 = GOMAXPROCS)")
-		seed       = flag.Int64("seed", 1, "generator seed for the synthetic datasets")
-		adminToken = flag.String("admin-token", "", "bearer token guarding tenant admin and mutation endpoints (empty = open)")
-		dataDir    = flag.String("data-dir", "", "durability root: per-tenant WAL + snapshots (empty = in-memory only)")
-		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "cadence of periodic tenant snapshots (0 = only at shutdown; needs -data-dir)")
-		walSync    = flag.Duration("wal-sync", 0, "WAL group-commit interval; 0 fsyncs every mutation before acknowledging")
-		keepSnaps  = flag.Int("keep-snapshots", 2, "snapshots retained per tenant after pruning")
-		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	)
-	flag.Var(&tenants, "tenant", "tenant definition name=dataset (dataset: dblp or tpch); repeatable; 'none' starts empty")
-	flag.Parse()
-
-	var cfg tenancy.ServerConfig
+// loadConfig assembles the ServerConfig the process runs with from args,
+// in one precedence order: built-in defaults, then the -config JSON file,
+// then every flag the command line sets — an explicit zero included. Flags
+// are a thin parser — all semantics live in tenancy.ServerConfig. It also
+// returns the boot tenant definitions.
+func loadConfig(args []string) (tenancy.ServerConfig, []string, error) {
+	cfg := tenancy.DefaultServerConfig()
+	fs, configPath, tenants := flags(&cfg)
+	if err := fs.Parse(args); err != nil {
+		return cfg, nil, err
+	}
 	if *configPath != "" {
+		// The file replaces the defaults it names; parsing again puts the
+		// command line back on top.
 		var err error
-		cfg, err = tenancy.LoadServerConfig(*configPath)
-		if err != nil {
-			log.Fatalf("ossrv: %v", err)
+		if cfg, err = tenancy.LoadServerConfig(*configPath); err != nil {
+			return cfg, nil, err
 		}
-	}
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// An explicitly set flag beats the file; otherwise the file beats the
-	// flag default; otherwise the default stands. Fields the file cannot
-	// leave ambiguous (zero means "unset") just check for zero.
-	if set["addr"] || cfg.Addr == "" {
-		cfg.Addr = *addr
-	}
-	if set["cache"] || cfg.CacheBudget == 0 {
-		cfg.CacheBudget = *cache
-	}
-	if set["pool"] {
-		cfg.PoolSize = *pool
-	}
-	if set["seed"] || cfg.Seed == 0 {
-		cfg.Seed = *seed
-	}
-	if set["admin-token"] {
-		cfg.AdminToken = *adminToken
-	}
-	if set["data-dir"] {
-		cfg.DataDir = *dataDir
-	}
-	if set["snapshot-interval"] || cfg.SnapshotInterval == 0 {
-		cfg.SnapshotInterval = qos.Duration(*snapEvery)
-	}
-	if set["wal-sync"] {
-		cfg.WALSync = qos.Duration(*walSync)
-	}
-	if set["keep-snapshots"] || cfg.KeepSnapshots == 0 {
-		cfg.KeepSnapshots = *keepSnaps
-	}
-	if set["drain"] || cfg.Drain == 0 {
-		cfg.Drain = qos.Duration(*drain)
+		fs, _, tenants = flags(&cfg)
+		if err := fs.Parse(args); err != nil {
+			return cfg, nil, err
+		}
 	}
 
 	// Boot tenants: config-file entries first (sorted for a deterministic
 	// boot order), then -tenant flags. No tenant from either source means
 	// the demo pair; a single "none" starts empty.
 	var defs []string
-	for _, name := range sortedKeys(cfg.Tenants) {
+	for _, name := range slices.Sorted(maps.Keys(cfg.Tenants)) {
 		defs = append(defs, name+"="+cfg.Tenants[name])
 	}
-	defs = append(defs, tenants...)
+	defs = append(defs, *tenants...)
 	if len(defs) == 0 {
 		defs = []string{"dblp=dblp", "tpch=tpch"}
 	}
 	if len(defs) == 1 && defs[0] == "none" {
 		defs = nil
 	}
-	return cfg, defs
+	return cfg, defs, nil
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// flags binds the command line to cfg's fields, each defaulting to the
+// value cfg holds now, and returns the -config path and -tenant list.
+func flags(cfg *tenancy.ServerConfig) (*flag.FlagSet, *string, *[]string) {
+	fs := flag.NewFlagSet("ossrv", flag.ContinueOnError)
+	configPath := fs.String("config", "", "JSON config file (tenancy.ServerConfig); flags set on the command line override it")
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	fs.IntVar(&cfg.CacheBudget, "cache", cfg.CacheBudget, "per-tenant summary cache budget in entries (0 = off)")
+	fs.IntVar(&cfg.PoolSize, "pool", cfg.PoolSize, "shared summary pool size across all tenants (0 = GOMAXPROCS)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed for the synthetic datasets")
+	fs.StringVar(&cfg.AdminToken, "admin-token", cfg.AdminToken, "bearer token guarding tenant admin and mutation endpoints (empty = open)")
+	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "durability root: per-tenant WAL + snapshots (empty = in-memory only)")
+	fs.DurationVar((*time.Duration)(&cfg.SnapshotInterval), "snapshot-interval", cfg.SnapshotInterval.Std(), "cadence of periodic tenant snapshots (0 = only at shutdown; needs -data-dir)")
+	fs.DurationVar((*time.Duration)(&cfg.WALSync), "wal-sync", cfg.WALSync.Std(), "WAL group-commit interval; 0 fsyncs every mutation before acknowledging")
+	fs.IntVar(&cfg.KeepSnapshots, "keep-snapshots", cfg.KeepSnapshots, "snapshots retained per tenant after pruning")
+	fs.DurationVar((*time.Duration)(&cfg.Drain), "drain", cfg.Drain.Std(), "graceful-shutdown deadline for in-flight requests")
+	tenants := new([]string)
+	fs.Func("tenant", "tenant definition name=dataset (dataset: dblp or tpch); repeatable; 'none' starts empty", func(def string) error {
+		*tenants = append(*tenants, def)
+		return nil
+	})
+	return fs, configPath, tenants
 }
 
 func main() {
-	cfg, tenants := loadConfig()
+	cfg, tenants, err := loadConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		log.Fatalf("ossrv: %v", err)
+	}
 
 	node, err := nodehost.Boot(cfg, tenants, nodehost.Config{
 		Logf: func(format string, args ...any) {

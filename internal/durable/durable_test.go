@@ -460,6 +460,21 @@ func TestWALGroupCommit(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsNegativeSyncInterval: a WAL starts its flusher only for a
+// positive interval and fsyncs an append only for a zero one, so a
+// negative interval would acknowledge writes no fsync ever covers. The
+// store refuses it at Open.
+func TestOpenRejectsNegativeSyncInterval(t *testing.T) {
+	if _, err := Open(NewMemFS(), Options{SyncInterval: -time.Millisecond}); err == nil {
+		t.Fatal("Open accepted a negative SyncInterval")
+	}
+	for _, d := range []time.Duration{0, time.Millisecond} {
+		if _, err := Open(NewMemFS(), Options{SyncInterval: d}); err != nil {
+			t.Fatalf("Open(SyncInterval %s): %v", d, err)
+		}
+	}
+}
+
 func TestWALRecordSizeCap(t *testing.T) {
 	fs := NewMemFS()
 	w, _, err := openWAL(fs, "t", 0, 0)

@@ -37,8 +37,12 @@ type Store struct {
 	mu sync.Mutex // serializes manifest read-modify-write
 }
 
-// Open prepares a store over fsys. The layout is created lazily.
+// Open prepares a store over fsys. The layout is created lazily. A
+// negative SyncInterval, which would fsync no append, is refused.
 func Open(fsys FS, opts Options) (*Store, error) {
+	if opts.SyncInterval < 0 {
+		return nil, fmt.Errorf("durable: negative SyncInterval %s", opts.SyncInterval)
+	}
 	if opts.KeepSnapshots <= 0 {
 		opts.KeepSnapshots = 2
 	}
@@ -51,7 +55,11 @@ func Open(fsys FS, opts Options) (*Store, error) {
 const manifestName = "manifest.json"
 
 // TenantSpec is one manifest entry: everything needed to rebuild a tenant
-// from scratch (its dataset recipe) or recover it (its directory).
+// from scratch (its dataset recipe) or recover it (its directory). It is
+// also the tenancy registry's tenant recipe (tenancy.TenantSpec): a Seed
+// <= 0 means the deployment default (the manifest records it resolved),
+// and Cache is the summary-cache budget in entries (0: the deployment
+// default, < 0: off).
 type TenantSpec struct {
 	Name    string `json:"name"`
 	Dataset string `json:"dataset"`

@@ -10,13 +10,17 @@
 //
 // Invariants:
 //
+//   - Boot validates the one tenancy.ServerConfig and builds the registry
+//     with the Hub as its Recoverer and Durability (neither in memory);
+//     Config holds only node-local hooks.
+//   - One table maps a dataset name to its fresh build and its restore.
 //   - Specs are recorded with their seed resolved (a changed deployment
 //     default must never silently diverge a tenant's recovery recipe).
 //   - ReleaseTenant closes the tenant's WAL after a best-effort final
 //     snapshot but never deletes durable state; ForgetTenant deletes it.
 //     The tenancy layer guarantees a released (migrated-away) name cannot
 //     be re-adopted on this node without explicit re-registration.
-//   - LookupPending re-reads the shared manifest, so a node can adopt on
-//     first touch a tenant that another fleet node recorded after this
-//     node booted.
+//   - LookupPending (part of tenancy.Durability) re-reads the shared
+//     manifest, so a node can adopt on first touch a tenant that another
+//     fleet node recorded after this node booted.
 package nodehost

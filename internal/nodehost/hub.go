@@ -11,15 +11,12 @@ import (
 	"sizelos/internal/tenancy"
 )
 
-// Config carries the deployment-wide settings every engine a node builds
-// or recovers is constructed with.
+// Config carries a node's local hooks; everything deployment-wide is in
+// the tenancy.ServerConfig that Boot takes beside it.
 type Config struct {
-	// DefaultSeed is the dataset generator seed used when a spec does not
-	// pin its own (spec.Seed <= 0).
-	DefaultSeed int64
 	// Open overrides fresh dataset construction (tests substitute tiny
-	// recipes); nil means OpenDataset. The override must be deterministic
-	// in (dataset, seed) — recovery rebuilds through it.
+	// recipes); nil builds the named synthetic dataset. The override must
+	// be deterministic in (dataset, seed) — recovery rebuilds through it.
 	Open func(dataset string, seed int64) (*sizelos.Engine, error)
 	// Logf receives operational log lines; nil means log.Printf.
 	Logf func(format string, args ...any)
@@ -30,7 +27,11 @@ func (c Config) openDataset(dataset string, seed int64) (*sizelos.Engine, error)
 	if c.Open != nil {
 		return c.Open(dataset, seed)
 	}
-	return OpenDataset(dataset, seed)
+	d, err := lookupDataset(dataset)
+	if err != nil {
+		return nil, err
+	}
+	return d.open(seed)
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -43,50 +44,59 @@ func (c Config) logf(format string, args ...any) {
 
 // resolveSeed pins a concrete seed: dataset recipes must not silently
 // change when the deployment default does, so specs are recorded resolved.
-func (c Config) resolveSeed(s int64) int64 {
+func resolveSeed(s, deployment int64) int64 {
 	if s > 0 {
 		return s
 	}
-	return c.DefaultSeed
+	return deployment
 }
 
-// OpenDataset builds a ready-to-serve engine for a named synthetic dataset.
-func OpenDataset(dataset string, seed int64) (*sizelos.Engine, error) {
-	switch dataset {
-	case "dblp":
+// dataset is one named synthetic dataset: its fresh build at a generator
+// seed and its snapshot-restore constructor.
+type dataset struct {
+	open    func(seed int64) (*sizelos.Engine, error)
+	restore func(*sizelos.EngineState) (*sizelos.Engine, error)
+}
+
+// datasets is every dataset a node can serve, by the name a tenant spec
+// gives.
+var datasets = map[string]dataset{
+	"dblp": {func(seed int64) (*sizelos.Engine, error) {
 		c := datagen.DefaultDBLPConfig()
 		c.Seed = seed
 		return sizelos.OpenDBLP(c)
-	case "tpch":
+	}, sizelos.RestoreDBLP},
+	"tpch": {func(seed int64) (*sizelos.Engine, error) {
 		c := datagen.DefaultTPCHConfig()
 		c.Seed = seed
 		return sizelos.OpenTPCH(c)
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want dblp or tpch)", dataset)
+	}, sizelos.RestoreTPCH},
+}
+
+func lookupDataset(name string) (dataset, error) {
+	d, ok := datasets[name]
+	if !ok {
+		return dataset{}, fmt.Errorf("unknown dataset %q (want dblp or tpch)", name)
 	}
+	return d, nil
 }
 
 // Restorer maps a dataset name to its snapshot-restore constructor.
-func Restorer(dataset string) (func(*sizelos.EngineState) (*sizelos.Engine, error), error) {
-	switch dataset {
-	case "dblp":
-		return sizelos.RestoreDBLP, nil
-	case "tpch":
-		return sizelos.RestoreTPCH, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want dblp or tpch)", dataset)
-	}
+func Restorer(name string) (func(*sizelos.EngineState) (*sizelos.Engine, error), error) {
+	d, err := lookupDataset(name)
+	return d.restore, err
 }
 
 // Hub wires the registry's durability seam to a durable.Store: it recovers
 // tenants from their WAL+snapshot directories, records the tenant
 // lifecycle in the store manifest, and tracks every open TenantStore so
 // the snapshot ticker and the shutdown path can reach them. It implements
-// tenancy.Recoverer (Recover), tenancy.Durability, and tenancy's
-// PendingLoader (LookupPending).
+// tenancy.Recoverer (Recover) and tenancy.Durability.
 type Hub struct {
 	store *durable.Store
 	cfg   Config
+	// seed is the deployment-default generator seed (ServerConfig.Seed).
+	seed int64
 
 	mu      sync.Mutex
 	tenants map[string]*hubTenant
@@ -97,9 +107,9 @@ type hubTenant struct {
 	eng *sizelos.Engine
 }
 
-// NewHub builds a hub over an opened store.
-func NewHub(store *durable.Store, cfg Config) *Hub {
-	return &Hub{store: store, cfg: cfg, tenants: make(map[string]*hubTenant)}
+// newHub builds a hub over an opened store.
+func newHub(store *durable.Store, cfg Config, seed int64) *Hub {
+	return &Hub{store: store, cfg: cfg, seed: seed, tenants: make(map[string]*hubTenant)}
 }
 
 // Recover implements tenancy.Recoverer: rebuild the tenant from its
@@ -111,7 +121,7 @@ func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := h.cfg.resolveSeed(spec.Seed)
+	seed := resolveSeed(spec.Seed, h.seed)
 	ts := h.store.Tenant(spec.Name)
 	eng, info, err := ts.Recover(restore, func() (*sizelos.Engine, error) {
 		return h.cfg.openDataset(spec.Dataset, seed)
@@ -129,12 +139,8 @@ func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
 
 // RecordTenant implements tenancy.Durability.
 func (h *Hub) RecordTenant(spec tenancy.TenantSpec) error {
-	return h.store.RecordTenant(durable.TenantSpec{
-		Name:    spec.Name,
-		Dataset: spec.Dataset,
-		Seed:    h.cfg.resolveSeed(spec.Seed),
-		Cache:   spec.Cache,
-	})
+	spec.Seed = resolveSeed(spec.Seed, h.seed)
+	return h.store.RecordTenant(spec)
 }
 
 // ReleaseTenant implements tenancy.Durability: close the open TenantStore
@@ -177,9 +183,9 @@ func (h *Hub) ForgetTenant(name string) error {
 	return h.store.ForgetTenant(name)
 }
 
-// LookupPending implements the registry's PendingLoader seam: re-read the
-// (possibly shared) manifest for a name this process has never heard of,
-// so a tenant recorded by another fleet node — or migrated here — can be
+// LookupPending implements tenancy.Durability: re-read the (possibly
+// shared) manifest for a name this process has never heard of, so a
+// tenant recorded by another fleet node — or migrated here — can be
 // adopted on first touch. The tenancy layer guards the released-name case;
 // this lookup is a plain manifest probe.
 func (h *Hub) LookupPending(name string) (tenancy.TenantSpec, bool) {
@@ -190,7 +196,7 @@ func (h *Hub) LookupPending(name string) (tenancy.TenantSpec, bool) {
 	}
 	for _, spec := range specs {
 		if spec.Name == name {
-			return tenancy.TenantSpec{Name: spec.Name, Dataset: spec.Dataset, Seed: spec.Seed, Cache: spec.Cache}, true
+			return spec, true
 		}
 	}
 	return tenancy.TenantSpec{}, false

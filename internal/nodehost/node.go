@@ -17,29 +17,30 @@ type Node struct {
 	Registry *tenancy.Registry
 	// Hub is nil when the node runs without a data dir (in-memory only).
 	Hub *Hub
-	cfg tenancy.ServerConfig
 }
 
 // Boot assembles a node from a resolved ServerConfig and its boot tenant
 // definitions ("name=dataset"). With cfg.DataDir set the node is durable:
 // manifest tenants become lazily-recoverable pending entries, boot tenants
 // are recorded and recovered eagerly (an unrecoverable WAL fails the boot,
-// loudly), and the registry's pending loader re-probes the manifest so
-// tenants recorded by other nodes sharing the directory are adopted on
-// first touch. opts carries the node-local hooks (Logf, the test-only Open
-// override); its DefaultSeed is taken from cfg.
+// loudly), and the hub's manifest lookup lets the registry adopt on first
+// touch the tenants other nodes sharing the directory recorded. opts
+// carries the node-local hooks (Logf, the test-only Open override).
 func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error) {
-	reg := cfg.NewRegistry()
-	hubCfg := opts
-	hubCfg.DefaultSeed = cfg.Seed
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	// Without a data dir a tenant registered over HTTP is a from-scratch
 	// build by the same opener as the boot tenants; a request-supplied seed
 	// overrides the deployment default. With one, hub.Recover replaces it.
-	reg.SetRecoverer(func(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
-		return hubCfg.openDataset(spec.Dataset, hubCfg.resolveSeed(spec.Seed))
-	})
-
-	var hub *Hub
+	var rec tenancy.Recoverer = func(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
+		return opts.openDataset(spec.Dataset, resolveSeed(spec.Seed, cfg.Seed))
+	}
+	var (
+		hub   *Hub
+		d     tenancy.Durability
+		specs []tenancy.TenantSpec
+	)
 	if cfg.DataDir != "" {
 		store, err := durable.Open(durable.NewDirFS(cfg.DataDir), durable.Options{
 			SyncInterval:  cfg.WALSync.Std(),
@@ -48,23 +49,20 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 		if err != nil {
 			return nil, fmt.Errorf("open data dir %s: %w", cfg.DataDir, err)
 		}
-		hub = NewHub(store, hubCfg)
-		reg.SetRecoverer(hub.Recover)
-		reg.SetDurability(hub)
-		reg.SetPendingLoader(hub.LookupPending)
-		// Manifest tenants recover lazily: pending until first touched, so
-		// a restart with many tenants is ready to listen immediately.
-		specs, err := store.LoadManifest()
-		if err != nil {
+		if specs, err = store.LoadManifest(); err != nil {
 			return nil, err
 		}
-		for _, spec := range specs {
-			pend := tenancy.TenantSpec{Name: spec.Name, Dataset: spec.Dataset, Seed: spec.Seed, Cache: spec.Cache}
-			if err := reg.AddPending(pend); err != nil {
-				return nil, fmt.Errorf("manifest tenant %s: %w", spec.Name, err)
-			}
-			hubCfg.logf("nodehost: tenant %s pending recovery (dataset %s)", spec.Name, spec.Dataset)
+		hub = newHub(store, opts, cfg.Seed)
+		rec, d = hub.Recover, hub
+	}
+	reg := tenancy.NewRegistry(cfg, rec, d)
+	// Manifest tenants recover lazily: pending until first touched, so a
+	// restart with many tenants is ready to listen immediately.
+	for _, spec := range specs {
+		if err := reg.AddPending(spec); err != nil {
+			return nil, fmt.Errorf("manifest tenant %s: %w", spec.Name, err)
 		}
+		opts.logf("nodehost: tenant %s pending recovery (dataset %s)", spec.Name, spec.Dataset)
 	}
 
 	known := make(map[string]bool)
@@ -76,22 +74,22 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 		if !ok {
 			return nil, fmt.Errorf("bad tenant definition %q (want name=dataset)", def)
 		}
+		spec := tenancy.TenantSpec{Name: name, Dataset: dataset, Seed: cfg.Seed, Cache: cfg.CacheBudget}
 		if hub == nil {
-			eng, err := hubCfg.openDataset(dataset, cfg.Seed)
+			eng, err := opts.openDataset(dataset, cfg.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", name, err)
 			}
-			if _, err := reg.Register(name, eng, tenancy.Options{CacheBudget: cfg.CacheBudget}); err != nil {
+			if _, err := reg.Register(spec, eng); err != nil {
 				return nil, err
 			}
-			hubCfg.logf("nodehost: tenant %s ready (dataset %s, cache budget %d)", name, dataset, cfg.CacheBudget)
+			opts.logf("nodehost: tenant %s ready (dataset %s, cache budget %d)", name, dataset, cfg.CacheBudget)
 			continue
 		}
 		// Durable boot tenants: record the spec (unless the manifest already
 		// knows the name — its durable directory wins over the definition)
 		// and recover eagerly so an unrecoverable WAL fails the boot.
 		if !known[name] {
-			spec := tenancy.TenantSpec{Name: name, Dataset: dataset, Seed: cfg.Seed, Cache: cfg.CacheBudget}
 			if err := reg.AddPending(spec); err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", name, err)
 			}
@@ -102,9 +100,9 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 		if _, _, err := reg.Resolve(name); err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", name, err)
 		}
-		hubCfg.logf("nodehost: tenant %s ready (dataset %s, cache budget %d)", name, dataset, cfg.CacheBudget)
+		opts.logf("nodehost: tenant %s ready (dataset %s, cache budget %d)", name, dataset, cfg.CacheBudget)
 	}
-	return &Node{Registry: reg, Hub: hub, cfg: cfg}, nil
+	return &Node{Registry: reg, Hub: hub}, nil
 }
 
 // Handler returns the node's full HTTP surface (the tenancy API).

@@ -38,19 +38,20 @@ func (e *DelayError) Unwrap() error { return e.Err }
 // AdmissionStats snapshots an admission controller.
 type AdmissionStats struct {
 	// MaxInFlight is the concurrency bound; 0 means unbounded.
-	MaxInFlight int
+	MaxInFlight int `json:"max_in_flight"`
 	// InFlight is the number of admitted, unreleased units of work.
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// QueueDepth is the number of callers currently parked waiting for a
 	// slot.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// Admitted, Shed, and Expired count Admit outcomes since creation.
-	Admitted uint64
-	Shed     uint64
-	Expired  uint64
-	// EstimatedWait is the EWMA of recently observed queue waits — the
-	// signal the shed decision compares against a request's budget.
-	EstimatedWait time.Duration
+	Admitted uint64 `json:"admitted"`
+	Shed     uint64 `json:"shed"`
+	Expired  uint64 `json:"expired"`
+	// EstimatedWaitMs is the EWMA of recently observed queue waits, in
+	// milliseconds to the microsecond — the signal the shed decision
+	// compares against a request's budget.
+	EstimatedWaitMs float64 `json:"estimated_wait_ms"`
 }
 
 // Admission bounds a tenant's in-flight work. Callers past the bound wait
@@ -158,11 +159,11 @@ func (a *Admission) Stats() AdmissionStats {
 		return AdmissionStats{}
 	}
 	s := AdmissionStats{
-		QueueDepth:    int(a.depth.Load()),
-		Admitted:      a.admitted.Load(),
-		Shed:          a.shed.Load(),
-		Expired:       a.expired.Load(),
-		EstimatedWait: a.estimatedWait(),
+		QueueDepth:      int(a.depth.Load()),
+		Admitted:        a.admitted.Load(),
+		Shed:            a.shed.Load(),
+		Expired:         a.expired.Load(),
+		EstimatedWaitMs: float64(a.estimatedWait().Microseconds()) / 1e3,
 	}
 	if a.sem != nil {
 		s.MaxInFlight = cap(a.sem)

@@ -8,14 +8,14 @@ import (
 // BucketStats snapshots a token bucket's configuration and counters.
 type BucketStats struct {
 	// Rate is the refill rate in tokens per second; 0 means unlimited.
-	Rate float64
+	Rate float64 `json:"rate"`
 	// Burst is the bucket capacity.
-	Burst float64
+	Burst float64 `json:"burst"`
 	// Tokens is the balance at the snapshot's clock reading.
-	Tokens float64
+	Tokens float64 `json:"tokens"`
 	// Allowed and Throttled count Allow outcomes since creation.
-	Allowed   uint64
-	Throttled uint64
+	Allowed   uint64 `json:"allowed"`
+	Throttled uint64 `json:"throttled"`
 }
 
 // Bucket is a continuous-refill token bucket. The zero value is not

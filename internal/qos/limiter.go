@@ -3,6 +3,7 @@ package qos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -17,7 +18,8 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// UnmarshalJSON accepts "250ms"-style strings and raw nanosecond numbers.
+// UnmarshalJSON accepts "250ms"-style strings and raw nanosecond numbers
+// that fit an int64.
 func (d *Duration) UnmarshalJSON(data []byte) error {
 	var v any
 	if err := json.Unmarshal(data, &v); err != nil {
@@ -31,6 +33,10 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 		}
 		*d = Duration(parsed)
 	case float64:
+		// 2^63 ns and beyond would wrap when converted.
+		if x < math.MinInt64 || x >= math.MaxInt64 {
+			return fmt.Errorf("qos: invalid duration %v ns (outside the int64 range)", x)
+		}
 		*d = Duration(x)
 	default:
 		return fmt.Errorf("qos: invalid duration %v (want a string like \"250ms\" or nanoseconds)", v)
@@ -130,11 +136,12 @@ func (c Config) For(tenant string) Limits {
 	return l.normalized()
 }
 
-// LimiterStats snapshots one tenant's limiter.
+// LimiterStats snapshots one tenant's limiter; it is the qos section of a
+// tenant's /stats document as it stands.
 type LimiterStats struct {
-	Search    BucketStats
-	Mutate    BucketStats
-	Admission AdmissionStats
+	Search    BucketStats    `json:"search"`
+	Mutate    BucketStats    `json:"mutate"`
+	Admission AdmissionStats `json:"admission"`
 }
 
 // Limiter is one tenant's enforcement state: a bucket per traffic class
@@ -159,14 +166,6 @@ func NewLimiter(l Limits) *Limiter {
 	}
 	lim.admit = NewAdmission(l.MaxInFlight, l.MaxQueueWait.Std())
 	return lim
-}
-
-// Limits returns the recipe the limiter enforces.
-func (l *Limiter) Limits() Limits {
-	if l == nil {
-		return Limits{}
-	}
-	return l.limits
 }
 
 // AllowSearch spends one search-plane token; a refusal wraps

@@ -130,7 +130,8 @@ func TestDurationJSON(t *testing.T) {
 			t.Fatalf("unmarshal %s = %v, want %v", in, b.D.Std(), want)
 		}
 	}
-	for _, bad := range []string{`{"d":"soon"}`, `{"d":true}`, `{"d":["1s"]}`} {
+	// Nanosecond counts outside int64 would wrap into some other duration.
+	for _, bad := range []string{`{"d":"soon"}`, `{"d":true}`, `{"d":["1s"]}`, `{"d":1e19}`, `{"d":-1e19}`, `{"d":9223372036854775808}`} {
 		var b box
 		if err := json.Unmarshal([]byte(bad), &b); err == nil {
 			t.Fatalf("unmarshal %s succeeded, want error", bad)

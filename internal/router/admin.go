@@ -1,11 +1,13 @@
 package router
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
+	"time"
 
 	"sizelos/internal/tenancy"
 )
@@ -40,15 +42,9 @@ type MigrateResponse struct {
 //	POST   /router/migrate         -> MigrateRequest: drain, release, repin
 //	GET    /router/ring?key=t      -> owner of one key, or the full member list
 //
-// AdminToken (when configured) guards every route.
+// AdminToken (when configured) guards every route through the node's own
+// bearer check, tenancy.BearerAuth.
 func (r *Router) serveAdmin(w http.ResponseWriter, req *http.Request) {
-	if r.cfg.AdminToken != "" {
-		if req.Header.Get("Authorization") != "Bearer "+r.cfg.AdminToken {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="sizelos router"`)
-			writeEnvelope(w, http.StatusUnauthorized, tenancy.CodeUnauthorized, "admin token required", false)
-			return
-		}
-	}
 	path := req.URL.Path
 	switch {
 	case path == "/router/members" && req.Method == http.MethodGet:
@@ -62,14 +58,26 @@ func (r *Router) serveAdmin(w http.ResponseWriter, req *http.Request) {
 	case path == "/router/ring" && req.Method == http.MethodGet:
 		r.serveRing(w, req)
 	default:
-		writeEnvelope(w, http.StatusNotFound, tenancy.CodeNotFound, "no such endpoint", false)
+		tenancy.WriteError(w, tenancy.NotFound("no such endpoint"))
 	}
+}
+
+// decodeAdmin reads an admin body with the node's strict decoder: over the
+// cap it fails as on a node (413); any other malformed body — anything
+// after the JSON value included — is a 400 carrying the route's msg.
+func decodeAdmin(w http.ResponseWriter, req *http.Request, v any, msg string) error {
+	err := tenancy.DecodeBody(w, req, v, false)
+	var malformed *tenancy.Error
+	if errors.As(err, &malformed) {
+		err = tenancy.BadRequest("%s", msg)
+	}
+	return err
 }
 
 func (r *Router) serveMembers(w http.ResponseWriter) {
 	r.mu.RLock()
 	out := make([]MemberStatus, 0, len(r.members))
-	for _, name := range sortedMemberNames(r.members) {
+	for _, name := range slices.Sorted(maps.Keys(r.members)) {
 		mem := r.members[name]
 		out = append(out, MemberStatus{
 			Name: mem.name, URL: mem.url.String(), Healthy: mem.healthy,
@@ -77,26 +85,26 @@ func (r *Router) serveMembers(w http.ResponseWriter) {
 		})
 	}
 	r.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"members": out})
+	tenancy.WriteJSON(w, http.StatusOK, map[string]any{"members": out})
 }
 
 func (r *Router) serveAddMember(w http.ResponseWriter, req *http.Request) {
 	var m Member
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&m); err != nil {
-		writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, "bad member body", false)
+	if err := decodeAdmin(w, req, &m, "bad member body"); err != nil {
+		tenancy.WriteError(w, err)
 		return
 	}
 	r.mu.Lock()
 	err := r.addMemberLocked(m)
 	r.mu.Unlock()
 	if err != nil {
-		writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, err.Error(), false)
+		tenancy.WriteError(w, tenancy.BadRequest("%v", err))
 		return
 	}
 	r.logf("router: member %s (%s) added", m.Name, m.URL)
 	// The new member now owns ~1/N of the key space; move those tenants.
 	r.rebalance()
-	writeJSON(w, http.StatusCreated, map[string]string{"added": m.Name})
+	tenancy.WriteJSON(w, http.StatusCreated, map[string]string{"added": m.Name})
 }
 
 func (r *Router) serveRemoveMember(w http.ResponseWriter, name string) {
@@ -114,8 +122,7 @@ func (r *Router) serveRemoveMember(w http.ResponseWriter, name string) {
 	left := len(r.members)
 	r.mu.Unlock()
 	if !ok {
-		writeEnvelope(w, http.StatusNotFound, tenancy.CodeNotFound,
-			fmt.Sprintf("no member %q", name), false)
+		tenancy.WriteError(w, tenancy.NotFound(fmt.Sprintf("no member %q", name)))
 		return
 	}
 	// A graceful removal releases the leaving node's live tenants so their
@@ -126,7 +133,7 @@ func (r *Router) serveRemoveMember(w http.ResponseWriter, name string) {
 	}
 	r.logf("router: member %s removed (%d remain)", name, left)
 	r.rebalance()
-	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	tenancy.WriteJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
 // drainAll releases every tenant live on a leaving member.
@@ -151,12 +158,13 @@ func (r *Router) drainAll(mem *member) error {
 // request recovers the tenant there from the shared data dir.
 func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	var body MigrateRequest
-	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&body)
+	const needs = `migrate body needs {"tenant":..., "to":...}`
+	err := decodeAdmin(w, req, &body, needs)
 	if err == nil && (body.Tenant == "" || body.To == "") {
-		err = errors.New("missing field")
+		err = tenancy.BadRequest(needs)
 	}
 	if err != nil {
-		writeBodyError(w, err, `migrate body needs {"tenant":..., "to":...}`)
+		tenancy.WriteError(w, err)
 		return
 	}
 
@@ -164,20 +172,18 @@ func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	target, ok := r.members[body.To]
 	if !ok || !target.healthy {
 		r.mu.Unlock()
-		writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest,
-			fmt.Sprintf("no healthy member %q", body.To), false)
+		tenancy.WriteError(w, tenancy.BadRequest("no healthy member %q", body.To))
 		return
 	}
 	if _, mid := r.draining[body.Tenant]; mid {
 		r.mu.Unlock()
-		writeEnvelope(w, http.StatusConflict, tenancy.CodeConflict,
-			fmt.Sprintf("tenant %s is already migrating", body.Tenant), false)
+		tenancy.WriteError(w, tenancy.Conflict(fmt.Sprintf("tenant %s is already migrating", body.Tenant)))
 		return
 	}
 	fromName, _ := r.ownerLocked(body.Tenant)
 	if fromName == body.To {
 		r.mu.Unlock()
-		writeJSON(w, http.StatusOK, MigrateResponse{Tenant: body.Tenant, From: fromName, To: body.To})
+		tenancy.WriteJSON(w, http.StatusOK, MigrateResponse{Tenant: body.Tenant, From: fromName, To: body.To})
 		return
 	}
 	from := r.members[fromName]
@@ -195,9 +201,8 @@ func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	// New requests are now refused; wait for the in-flight ones.
 	if !r.awaitIdle(body.Tenant, r.cfg.DrainTimeout) {
 		finish()
-		w.Header().Set("Retry-After", "1")
-		writeEnvelope(w, http.StatusServiceUnavailable, tenancy.CodeOverloaded,
-			fmt.Sprintf("tenant %s did not drain within %s", body.Tenant, r.cfg.DrainTimeout), true)
+		tenancy.WriteError(w, tenancy.Overloaded(
+			fmt.Sprintf("tenant %s did not drain within %s", body.Tenant, r.cfg.DrainTimeout), time.Second))
 		return
 	}
 	// Old owner takes a final snapshot and closes the WAL before the pin
@@ -205,8 +210,7 @@ func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	if from != nil {
 		if err := r.release(from, body.Tenant); err != nil {
 			finish()
-			writeEnvelope(w, http.StatusBadGateway, tenancy.CodeOverloaded,
-				fmt.Sprintf("release on %s failed: %v", fromName, err), true)
+			tenancy.WriteError(w, badGateway(fmt.Sprintf("release on %s failed: %v", fromName, err)))
 			return
 		}
 	}
@@ -220,18 +224,17 @@ func (r *Router) serveMigrate(w http.ResponseWriter, req *http.Request) {
 	r.mu.Unlock()
 	finish()
 	r.logf("router: tenant %s migrated %s -> %s", body.Tenant, fromName, body.To)
-	writeJSON(w, http.StatusOK, MigrateResponse{Tenant: body.Tenant, From: fromName, To: body.To})
+	tenancy.WriteJSON(w, http.StatusOK, MigrateResponse{Tenant: body.Tenant, From: fromName, To: body.To})
 }
 
 func (r *Router) serveRing(w http.ResponseWriter, req *http.Request) {
 	if key := req.URL.Query().Get("key"); key != "" {
 		owner, ok := r.Owner(key)
 		if !ok {
-			writeEnvelope(w, http.StatusServiceUnavailable, tenancy.CodeOverloaded,
-				"no healthy fleet member", true)
+			tenancy.WriteError(w, errNoMember)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"key": key, "owner": owner})
+		tenancy.WriteJSON(w, http.StatusOK, map[string]string{"key": key, "owner": owner})
 		return
 	}
 	r.mu.RLock()
@@ -242,7 +245,7 @@ func (r *Router) serveRing(w http.ResponseWriter, req *http.Request) {
 		pins[tenant] = pin
 	}
 	r.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	tenancy.WriteJSON(w, http.StatusOK, map[string]any{
 		"members": members, "virtual_nodes": vnodes, "pins": pins,
 	})
 }

@@ -28,6 +28,9 @@
 //     ownership back to such a node — a dead pin's fall-back, a rebalance,
 //     a round-trip migration — it explicitly re-arms adoption there
 //     (POST /v1/{tenant}/adopt) before traffic arrives.
+//   - One front door: errors, the /router/* bearer check and admin body
+//     decoding are the node's own (tenancy.WriteError, BearerAuth,
+//     DecodeBody), so every status means what it means on a node.
 //
 // Every proxied response carries an X-Sizelos-Node header naming the
 // member that served it — cmd/osload aggregates per-node throughput from

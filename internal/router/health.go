@@ -2,7 +2,9 @@ package router
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"time"
 )
 
@@ -26,7 +28,7 @@ func (r *Router) healthLoop() {
 // (and the admin plane after membership edits) call it directly.
 func (r *Router) CheckNow() {
 	r.mu.RLock()
-	names := sortedMemberNames(r.members)
+	names := slices.Sorted(maps.Keys(r.members))
 	mems := make([]*member, 0, len(names))
 	for _, name := range names {
 		mems = append(mems, r.members[name])
@@ -151,20 +153,7 @@ func (r *Router) rebalance() {
 // close, durable state kept). A 404 means the member was not serving it —
 // already converged, not an error.
 func (r *Router) release(mem *member, tenant string) error {
-	req, err := http.NewRequest(http.MethodPost, mem.url.String()+"/v1/"+tenant+"/release", nil)
-	if err != nil {
-		return err
-	}
-	r.authorize(req)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("release %s on %s: status %d", tenant, mem.name, resp.StatusCode)
-	}
-	return nil
+	return r.tenantCall(mem, tenant, "release", http.StatusNotFound)
 }
 
 // adopt tells a member that ownership of a tenant has (re)turned to it:
@@ -173,7 +162,13 @@ func (r *Router) release(mem *member, tenant string) error {
 // touch again. Without this, "migrate away, then the target dies" would
 // leave the tenant permanently 404 on its fallback owner.
 func (r *Router) adopt(mem *member, tenant string) error {
-	req, err := http.NewRequest(http.MethodPost, mem.url.String()+"/v1/"+tenant+"/adopt", nil)
+	return r.tenantCall(mem, tenant, "adopt", http.StatusOK)
+}
+
+// tenantCall POSTs /v1/{tenant}/{verb} to a member under the admin token;
+// any answer but 200 or also is an error.
+func (r *Router) tenantCall(mem *member, tenant, verb string, also int) error {
+	req, err := http.NewRequest(http.MethodPost, mem.url.String()+"/v1/"+tenant+"/"+verb, nil)
 	if err != nil {
 		return err
 	}
@@ -183,8 +178,8 @@ func (r *Router) adopt(mem *member, tenant string) error {
 		return err
 	}
 	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("adopt %s on %s: status %d", tenant, mem.name, resp.StatusCode)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != also {
+		return fmt.Errorf("%s %s on %s: status %d", verb, tenant, mem.name, resp.StatusCode)
 	}
 	return nil
 }

@@ -3,13 +3,14 @@ package router
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,9 +35,6 @@ type Member struct {
 type Config struct {
 	// Members is the initial fleet. At least one is required.
 	Members []Member
-	// VirtualNodes per member on the placement ring (default
-	// placement.DefaultVirtualNodes).
-	VirtualNodes int
 	// AdminToken, when set, guards /router/* and is presented as the
 	// bearer token on the release calls the router issues to members.
 	AdminToken string
@@ -58,9 +56,6 @@ type Config struct {
 func (c *Config) fill() error {
 	if len(c.Members) == 0 {
 		return fmt.Errorf("router: no fleet members configured")
-	}
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = placement.DefaultVirtualNodes
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 2 * time.Second
@@ -96,6 +91,8 @@ type member struct {
 type Router struct {
 	cfg    Config
 	client *http.Client
+	// admin is the /router/* plane behind the admin token.
+	admin http.Handler
 
 	mu       sync.RWMutex
 	ring     *placement.Ring          // healthy members only
@@ -129,7 +126,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:      cfg,
 		client:   &http.Client{Timeout: cfg.HealthTimeout},
-		ring:     placement.New(cfg.VirtualNodes),
+		ring:     placement.New(placement.DefaultVirtualNodes),
 		members:  make(map[string]*member),
 		pins:     make(map[string]string),
 		draining: make(map[string]chan struct{}),
@@ -137,6 +134,7 @@ func New(cfg Config) (*Router, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	r.admin = tenancy.BearerAuth(cfg.AdminToken)(http.HandlerFunc(r.serveAdmin))
 	for _, m := range cfg.Members {
 		if err := r.addMemberLocked(m); err != nil {
 			return nil, err
@@ -188,8 +186,7 @@ func (r *Router) newProxy(mem *member) *httputil.ReverseProxy {
 		mem.errors.Add(1)
 		r.logf("router: proxy to %s: %v", mem.name, err)
 		w.Header().Set(NodeHeader, mem.name)
-		writeEnvelope(w, http.StatusBadGateway, tenancy.CodeOverloaded,
-			fmt.Sprintf("fleet member %s unreachable", mem.name), true)
+		tenancy.WriteError(w, badGateway(fmt.Sprintf("fleet member %s unreachable", mem.name)))
 	}
 	return p
 }
@@ -228,13 +225,13 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case path == "/router/members" || strings.HasPrefix(path, "/router/members/"),
 		path == "/router/migrate", path == "/router/ring":
-		r.serveAdmin(w, req)
+		r.admin.ServeHTTP(w, req)
 	case path == "/v1/tenants":
 		r.serveTenantsIndex(w, req)
 	case strings.HasPrefix(path, "/v1/"):
 		r.serveTenant(w, req)
 	default:
-		writeEnvelope(w, http.StatusNotFound, tenancy.CodeNotFound, "no such endpoint", false)
+		tenancy.WriteError(w, tenancy.NotFound("no such endpoint"))
 	}
 }
 
@@ -242,15 +239,13 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 func (r *Router) serveTenant(w http.ResponseWriter, req *http.Request) {
 	tenant := strings.SplitN(strings.TrimPrefix(req.URL.Path, "/v1/"), "/", 2)[0]
 	if tenant == "" {
-		writeEnvelope(w, http.StatusNotFound, tenancy.CodeNotFound, "no such endpoint", false)
+		tenancy.WriteError(w, tenancy.NotFound("no such endpoint"))
 		return
 	}
 	r.mu.RLock()
 	if _, mid := r.draining[tenant]; mid {
 		r.mu.RUnlock()
-		w.Header().Set("Retry-After", "1")
-		writeEnvelope(w, http.StatusServiceUnavailable, tenancy.CodeOverloaded,
-			fmt.Sprintf("tenant %s is migrating; retry shortly", tenant), true)
+		tenancy.WriteError(w, tenancy.Overloaded(fmt.Sprintf("tenant %s is migrating; retry shortly", tenant), time.Second))
 		return
 	}
 	name, ok := r.ownerLocked(tenant)
@@ -266,8 +261,7 @@ func (r *Router) serveTenant(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.RUnlock()
 	if mem == nil {
-		writeEnvelope(w, http.StatusServiceUnavailable, tenancy.CodeOverloaded,
-			"no healthy fleet member", true)
+		tenancy.WriteError(w, errNoMember)
 		return
 	}
 	defer r.leave(tenant)
@@ -300,19 +294,18 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		writeJSON(w, http.StatusOK, map[string][]string{"tenants": names})
+		tenancy.WriteJSON(w, http.StatusOK, map[string][]string{"tenants": names})
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, tenancy.MaxBodyBytes))
 		if err != nil {
-			writeBodyError(w, err, "unreadable body")
+			tenancy.WriteError(w, err)
 			return
 		}
 		var peek struct {
 			Name string `json:"name"`
 		}
 		if err := json.Unmarshal(body, &peek); err != nil || peek.Name == "" {
-			writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest,
-				"registration body needs a tenant name", false)
+			tenancy.WriteError(w, tenancy.BadRequest("registration body needs a tenant name"))
 			return
 		}
 		r.mu.RLock()
@@ -323,8 +316,7 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 		}
 		r.mu.RUnlock()
 		if mem == nil {
-			writeEnvelope(w, http.StatusServiceUnavailable, tenancy.CodeOverloaded,
-				"no healthy fleet member", true)
+			tenancy.WriteError(w, errNoMember)
 			return
 		}
 		req.Body = io.NopCloser(bytes.NewReader(body))
@@ -332,7 +324,7 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 		mem.requests.Add(1)
 		mem.proxy.ServeHTTP(w, req)
 	default:
-		writeEnvelope(w, http.StatusNotFound, tenancy.CodeNotFound, "no such endpoint", false)
+		tenancy.WriteError(w, tenancy.NotFound("no such endpoint"))
 	}
 }
 
@@ -395,21 +387,12 @@ func (r *Router) healthyMembers() []*member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*member
-	for _, name := range sortedMemberNames(r.members) {
+	for _, name := range slices.Sorted(maps.Keys(r.members)) {
 		if mem := r.members[name]; mem.healthy {
 			out = append(out, mem)
 		}
 	}
 	return out
-}
-
-func sortedMemberNames(members map[string]*member) []string {
-	names := make([]string, 0, len(members))
-	for name := range members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // getJSON issues an authorized GET against a member's API.
@@ -443,29 +426,10 @@ func queryString(req *http.Request) string {
 	return "?" + req.URL.RawQuery
 }
 
-// writeEnvelope emits the service's uniform JSON error envelope — routed
-// clients see the exact same error shape a single node serves.
-func writeEnvelope(w http.ResponseWriter, status int, code, msg string, retryable bool) {
-	writeJSON(w, status, tenancy.ErrorResponse{Error: tenancy.ErrorDetail{
-		Code: code, Message: msg, Retryable: retryable,
-	}})
-}
+// errNoMember answers a request no healthy member can take.
+var errNoMember = tenancy.Overloaded("no healthy fleet member", 0)
 
-// writeBodyError answers a request whose body could not be read or decoded:
-// 413 too_large when it ran over the cap, as a node answers it, else a 400
-// carrying msg.
-func writeBodyError(w http.ResponseWriter, err error, msg string) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeEnvelope(w, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge,
-			fmt.Sprintf("request body over %d bytes", tooLarge.Limit), false)
-		return
-	}
-	writeEnvelope(w, http.StatusBadRequest, tenancy.CodeBadRequest, msg, false)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// badGateway is the retryable answer for a member that did not answer.
+func badGateway(msg string) *tenancy.Error {
+	return &tenancy.Error{Status: http.StatusBadGateway, Code: tenancy.CodeOverloaded, Message: msg, Retryable: true}
 }

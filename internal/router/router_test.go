@@ -511,8 +511,9 @@ func TestMigrationUnderLoad(t *testing.T) {
 }
 
 // TestOversizedBodiesAnswer413: a body over the router's 1 MiB cap is
-// answered as a node answers it (413 too_large), on both routes where the
-// router itself reads the body.
+// answered as a node answers it (413 too_large), on every route where the
+// router itself reads the body; and, as on a node, an admin body is one
+// JSON value with nothing after it.
 func TestOversizedBodiesAnswer413(t *testing.T) {
 	f := newFleet(t, "n1")
 	pad := strings.Repeat("x", 1<<20)
@@ -523,8 +524,11 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 	}{
 		{"/v1/tenants", `{"name":"big","dataset":"` + pad + `"}`, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge},
 		{"/router/migrate", `{"tenant":"big","to":"` + pad + `"}`, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge},
+		{"/router/members", `{"name":"big","url":"` + pad + `"}`, http.StatusRequestEntityTooLarge, tenancy.CodeTooLarge},
 		{"/v1/tenants", `{"name":`, http.StatusBadRequest, tenancy.CodeBadRequest},
 		{"/router/migrate", `{"tenant":"big"}`, http.StatusBadRequest, tenancy.CodeBadRequest},
+		{"/router/migrate", `{"tenant":"big","to":"n1"} {"tenant":"big","to":"n1"}`, http.StatusBadRequest, tenancy.CodeBadRequest},
+		{"/router/members", `{"name":"n9","url":"http://127.0.0.1:1"} trailing`, http.StatusBadRequest, tenancy.CodeBadRequest},
 	} {
 		ex := do(t, f.rtSrv.URL, http.MethodPost, tc.path, tc.body)
 		var env tenancy.ErrorResponse
@@ -586,7 +590,10 @@ func TestAdminPlane(t *testing.T) {
 	}
 }
 
-// TestAdminTokenGuard verifies /router/* honors the admin token.
+// TestAdminTokenGuard verifies /router/* is guarded by the node's own
+// bearer check: a missing or non-bearer credential is a 401 with a
+// WWW-Authenticate challenge, a wrong token a 403, and the scheme name is
+// case-insensitive.
 func TestAdminTokenGuard(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Write([]byte(`{"tenants":[]}`))
@@ -604,23 +611,32 @@ func TestAdminTokenGuard(t *testing.T) {
 	rtSrv := httptest.NewServer(rt)
 	defer rtSrv.Close()
 
-	resp, err := http.Get(rtSrv.URL + "/router/members")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated admin = %d, want 401", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodGet, rtSrv.URL+"/router/members", nil)
-	req.Header.Set("Authorization", "Bearer sesame")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("authenticated admin = %d, want 200", resp.StatusCode)
+	for _, tc := range []struct {
+		auth      string
+		status    int
+		challenge bool
+	}{
+		{"", http.StatusUnauthorized, true},
+		{"Basic sesame", http.StatusUnauthorized, true},
+		{"Bearer wrong", http.StatusForbidden, false},
+		{"Bearer sesame", http.StatusOK, false},
+		{"bearer sesame", http.StatusOK, false},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, rtSrv.URL+"/router/members", nil)
+		if tc.auth != "" {
+			req.Header.Set("Authorization", tc.auth)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("Authorization %q = %d, want %d", tc.auth, resp.StatusCode, tc.status)
+		}
+		if got := resp.Header.Get("WWW-Authenticate") != ""; got != tc.challenge {
+			t.Errorf("Authorization %q: WWW-Authenticate present = %v, want %v", tc.auth, got, tc.challenge)
+		}
 	}
 }
 

@@ -6,20 +6,21 @@ import (
 	"time"
 )
 
-// PoolStats reports a shared pool's configuration and load.
+// PoolStats reports a shared pool's configuration and load; it is the pool
+// section of a tenant's /stats document as it stands.
 type PoolStats struct {
 	// Size is the concurrency budget.
-	Size int
+	Size int `json:"size"`
 	// InFlight is the number of slots currently held.
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// Waited counts acquisitions that had to block because the pool was
 	// saturated — the back-pressure signal for capacity planning.
-	Waited uint64
+	Waited uint64 `json:"waited"`
 	// WaitNanos is the cumulative time acquisitions spent blocked on a
 	// saturated pool. Waited says how often callers queued; WaitNanos says
 	// how badly — the admission layer's shed heuristics and the stats
 	// endpoint both read it.
-	WaitNanos uint64
+	WaitNanos uint64 `json:"wait_ns"`
 }
 
 // Pool is a shared concurrency budget for CPU-bound work spanning many

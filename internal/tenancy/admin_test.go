@@ -51,8 +51,8 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 // /v1/{tenant}/ included — must produce a JSON 404, never an empty-bodied
 // or text/plain response.
 func TestUnknownPathsReturnJSON404(t *testing.T) {
-	reg := NewRegistry(2)
-	if _, err := reg.Register("demo", testEngine(t, 1), Options{}); err != nil {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	if _, err := reg.Register(TenantSpec{Name: "demo"}, testEngine(t, 1)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -101,7 +101,27 @@ func TestUnknownPathsReturnJSON404(t *testing.T) {
 }
 
 func TestAdminRegisterDeregisterHTTP(t *testing.T) {
-	reg := NewRegistry(2)
+	// Without a recoverer, dynamic registration is explicitly unavailable.
+	bare := httptest.NewServer(NewRegistry(ServerConfig{PoolSize: 2}, nil, nil).Handler())
+	unconfigured, err := http.Post(bare.URL+"/v1/tenants", "application/json", strings.NewReader(`{"name":"x","dataset":"dblp"}`))
+	bare.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unconfigured.Body.Close()
+	if unconfigured.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("register without recoverer = %d, want 501", unconfigured.StatusCode)
+	}
+
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
+		if spec.Dataset != "tinydblp" {
+			return nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
+		}
+		if spec.Seed <= 0 {
+			spec.Seed = 5
+		}
+		return freshEngine(t, spec.Seed), nil
+	}, nil)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
@@ -118,24 +138,7 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		return resp
 	}
 
-	// Without a recoverer, dynamic registration is explicitly unavailable.
-	resp := post("/v1/tenants", RegisterRequest{Name: "x", Dataset: "dblp"})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("register without recoverer = %d, want 501", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	reg.SetRecoverer(func(spec TenantSpec) (*sizelos.Engine, error) {
-		if spec.Dataset != "tinydblp" {
-			return nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
-		}
-		if spec.Seed <= 0 {
-			spec.Seed = 5
-		}
-		return freshEngine(t, spec.Seed), nil
-	})
-
-	resp = post("/v1/tenants", RegisterRequest{Name: "live", Dataset: "tinydblp", Cache: 64})
+	resp := post("/v1/tenants", RegisterRequest{Name: "live", Dataset: "tinydblp", Cache: 64})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register = %d, want 201", resp.StatusCode)
 	}
@@ -155,7 +158,7 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		{RegisterRequest{Name: "ok", Dataset: "nope"}, http.StatusBadRequest},
 		{RegisterRequest{Name: "tenants", Dataset: "tinydblp"}, http.StatusBadRequest},
 		{RegisterRequest{Name: "", Dataset: ""}, http.StatusBadRequest},
-		{RegisterRequest{Name: "big", Dataset: strings.Repeat("x", maxBodyBytes)}, http.StatusRequestEntityTooLarge},
+		{RegisterRequest{Name: "big", Dataset: strings.Repeat("x", MaxBodyBytes)}, http.StatusRequestEntityTooLarge},
 		{`{"name":"two","dataset":"tinydblp"}{"name":"three","dataset":"tinydblp"}`, http.StatusBadRequest},
 		{`{"name":"junk","dataset":"tinydblp"} trailing garbage`, http.StatusBadRequest},
 	} {
@@ -182,7 +185,7 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		t.Fatal("dynamic tenant not in registry")
 	}
 	q := authorQuery(t, tn.Engine)
-	resp, err := http.Get(srv.URL + "/v1/live/search?rel=Author&q=" + q + "&l=4")
+	resp, err = http.Get(srv.URL + "/v1/live/search?rel=Author&q=" + q + "&l=4")
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
@@ -215,9 +218,9 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 }
 
 func TestMutateHTTP(t *testing.T) {
-	reg := NewRegistry(2)
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
 	eng := freshEngine(t, 11)
-	if _, err := reg.Register("mut", eng, Options{CacheBudget: 64}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "mut", Cache: 64}, eng); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -285,7 +288,7 @@ func TestMutateHTTP(t *testing.T) {
 		`{"inserts":[{"rel":"Author","values":[990003,"First"]}]}{"inserts":[{"rel":"Author","values":[990004,"Second"]}]}`:     http.StatusBadRequest,
 		`{"insert":[{"rel":"Author","values":[990005,"Misspelt"]}],"inserts":[{"rel":"Author","values":[990006,"Beside It"]}]}`: http.StatusBadRequest,
 
-		`{"inserts":[{"rel":"Author","values":[990002,"` + strings.Repeat("x", maxBodyBytes) + `"]}]}`: http.StatusRequestEntityTooLarge,
+		`{"inserts":[{"rel":"Author","values":[990002,"` + strings.Repeat("x", MaxBodyBytes) + `"]}]}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp := post(body)
 		if resp.StatusCode != want {
@@ -356,9 +359,9 @@ func TestMutateHTTP(t *testing.T) {
 // post-mutation request sees the new tuple — the cached pre-mutation
 // summaries are keyed to the old epoch and never resurface. Run with -race.
 func TestMutationDuringInFlightBatch(t *testing.T) {
-	reg := NewRegistry(1) // one pool slot so a held slot blocks all computes
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, nil, nil) // one pool slot so a held slot blocks all computes
 	eng := freshEngine(t, 12)
-	tn, err := reg.Register("flight", eng, Options{CacheBudget: 128})
+	tn, err := reg.Register(TenantSpec{Name: "flight", Cache: 128}, eng)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -447,9 +450,9 @@ func TestMutationDuringInFlightBatch(t *testing.T) {
 // computed) searches normally, and afterwards the name is gone. Run with
 // -race.
 func TestDeregisterRacesCachedLookup(t *testing.T) {
-	reg := NewRegistry(2)
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
 	eng := freshEngine(t, 13)
-	if _, err := reg.Register("victim", eng, Options{CacheBudget: 64}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "victim", Cache: 64}, eng); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	q := authorQuery(t, eng)

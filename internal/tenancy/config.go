@@ -1,18 +1,18 @@
 package tenancy
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 
 	"sizelos/internal/qos"
 )
 
 // ServerConfig is the whole service configuration in one object: cache
 // budgets, the shared pool, durability, authz, and the QoS surface.
-// cmd/ossrv's flags are a thin parser into it, and the same shape is
-// accepted as a JSON file (ossrv -config), where per-tenant QoS overrides
-// live without needing one flag per tenant:
+// NewRegistry is built from it, cmd/ossrv's flags are a thin parser into
+// it, and the same shape is accepted as a JSON file (ossrv -config), where
+// per-tenant QoS overrides live without needing one flag per tenant:
 //
 //	{
 //	  "addr": ":8080",
@@ -57,69 +57,46 @@ type ServerConfig struct {
 	QoS qos.Config `json:"qos"`
 }
 
-// LoadServerConfig reads a ServerConfig from a JSON file, rejecting
-// unknown fields so a typo'd knob fails loudly instead of silently
-// defaulting.
+// DefaultServerConfig is the configuration ossrv starts from before a
+// config file or a flag names a value.
+func DefaultServerConfig() ServerConfig {
+	return ServerConfig{
+		Addr:             ":8080",
+		CacheBudget:      1024,
+		Seed:             1,
+		SnapshotInterval: qos.Duration(5 * time.Minute),
+		KeepSnapshots:    2,
+		Drain:            qos.Duration(10 * time.Second),
+	}
+}
+
+// LoadServerConfig reads a ServerConfig from a JSON file over
+// DefaultServerConfig: a field the file names replaces the default, even
+// with a zero. The file is decoded as strictly as a request body — one
+// JSON value of known fields and nothing after it — so a typo'd knob or a
+// second object fails loudly instead of silently defaulting.
 func LoadServerConfig(path string) (ServerConfig, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return ServerConfig{}, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var c ServerConfig
-	if err := dec.Decode(&c); err != nil {
+	c := DefaultServerConfig()
+	if err := decodeOne(f, &c, true); err != nil {
 		return ServerConfig{}, fmt.Errorf("tenancy: config %s: %w", path, err)
 	}
 	return c, nil
 }
 
-// Option is a functional option for NewRegistry / NewHandler.
-type Option func(*Registry)
-
-// WithQoS installs per-tenant rate limits, admission control, and load
-// shedding from cfg. Without this option the service imposes no QoS at
-// all (the pre-QoS behavior, byte for byte).
-func WithQoS(cfg qos.Config) Option {
-	return func(r *Registry) { r.qos = qos.NewSet(cfg) }
-}
-
-// WithAdminToken locks the write plane behind a bearer token; empty
-// leaves it open.
-func WithAdminToken(token string) Option {
-	return func(r *Registry) { r.adminToken = token }
-}
-
-// WithDefaultCacheBudget sets the summary-cache budget applied to
-// registrations that do not name their own (Options.CacheBudget == 0).
-func WithDefaultCacheBudget(entries int) Option {
-	return func(r *Registry) { r.defaultCache = entries }
-}
-
-// Options lowers the config onto registry options.
-func (c ServerConfig) Options() []Option {
-	var opts []Option
-	if c.AdminToken != "" {
-		opts = append(opts, WithAdminToken(c.AdminToken))
+// Validate rejects a configuration no deployment can mean: a negative
+// duration. A negative wal_sync in particular would acknowledge writes
+// that are never fsynced.
+func (c ServerConfig) Validate() error {
+	names := []string{"snapshot_interval", "wal_sync", "drain"}
+	for i, d := range []qos.Duration{c.SnapshotInterval, c.WALSync, c.Drain} {
+		if d < 0 {
+			return fmt.Errorf("tenancy: %s %s is negative", names[i], d.Std())
+		}
 	}
-	if c.CacheBudget > 0 {
-		opts = append(opts, WithDefaultCacheBudget(c.CacheBudget))
-	}
-	if qosConfigured(c.QoS) {
-		opts = append(opts, WithQoS(c.QoS))
-	}
-	return opts
-}
-
-// NewRegistry builds the registry the config describes (pool size, cache
-// default, authz, QoS).
-func (c ServerConfig) NewRegistry() *Registry {
-	return NewRegistry(c.PoolSize, c.Options()...)
-}
-
-// qosConfigured reports whether cfg asks for any enforcement; a zero
-// config keeps the QoS layer entirely out of the request path.
-func qosConfigured(cfg qos.Config) bool {
-	return cfg.Default != (qos.Limits{}) || len(cfg.Tenants) > 0
+	return nil
 }

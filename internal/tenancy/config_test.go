@@ -63,16 +63,70 @@ func TestLoadServerConfig(t *testing.T) {
 	}
 }
 
-func TestLoadServerConfigRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"adress": ":9090"}`), 0o644); err != nil {
+// TestLoadServerConfigOverDefaults: a field the file leaves out keeps its
+// DefaultServerConfig value, and one the file names wins even with a zero.
+func TestLoadServerConfigOverDefaults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ossrv.json")
+	if err := os.WriteFile(path, []byte(`{"cache": 0, "addr": ":9"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadServerConfig(path); err == nil {
-		t.Fatal("typo'd field loaded silently; want an error")
+	cfg, err := LoadServerConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultServerConfig()
+	want.CacheBudget, want.Addr = 0, ":9"
+	if cfg.Addr != want.Addr || cfg.CacheBudget != want.CacheBudget || cfg.Seed != want.Seed ||
+		cfg.SnapshotInterval != want.SnapshotInterval || cfg.KeepSnapshots != want.KeepSnapshots || cfg.Drain != want.Drain {
+		t.Errorf("config = %+v, want %+v", cfg, want)
+	}
+}
+
+// TestLoadServerConfigRejectsUnknownFields: the file is decoded like a
+// request body — a typo'd key, anything after the first JSON value, or a
+// duration that does not fit an int64 fails the load instead of being
+// dropped or wrapped.
+func TestLoadServerConfigRejectsUnknownFields(t *testing.T) {
+	for _, doc := range []string{
+		`{"adress": ":9090"}`,
+		`{"addr":":1"} {"pool":3}`,
+		`{"addr":":1"} x`,
+		`{"wal_sync": 1e19}`,
+		`{"drain": -1e19}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cfg, err := LoadServerConfig(path); err == nil {
+			t.Errorf("%s loaded silently as %+v; want an error", doc, cfg)
+		}
 	}
 	if _, err := LoadServerConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file loaded silently; want an error")
+	}
+}
+
+// TestServerConfigValidate: a negative duration is refused — a negative
+// wal_sync would otherwise turn fsync off while writes keep being
+// acknowledged — and every zero is valid.
+func TestServerConfigValidate(t *testing.T) {
+	if err := (ServerConfig{}).Validate(); err != nil {
+		t.Fatalf("zero config: %v", err)
+	}
+	if err := DefaultServerConfig().Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
+	neg := qos.Duration(-time.Millisecond)
+	for _, cfg := range []ServerConfig{{WALSync: neg}, {SnapshotInterval: neg}, {Drain: neg}} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v validated; want a negative-duration error", cfg)
+		}
+	}
+	// A per-tenant QoS duration below zero means "explicitly unlimited".
+	cfg := ServerConfig{QoS: qos.Config{Tenants: map[string]qos.Limits{"t": {MaxQueueWait: neg}}}}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("negative per-tenant QoS override refused: %v", err)
 	}
 }
 
@@ -87,7 +141,7 @@ func TestServerConfigNewRegistry(t *testing.T) {
 			Default: qos.Limits{MaxInFlight: 4},
 		},
 	}
-	reg := cfg.NewRegistry()
+	reg := NewRegistry(cfg, nil, nil)
 	if reg.adminToken != "tok" {
 		t.Errorf("adminToken = %q", reg.adminToken)
 	}
@@ -100,7 +154,7 @@ func TestServerConfigNewRegistry(t *testing.T) {
 	if reg.qos == nil {
 		t.Fatal("qos not installed")
 	}
-	if _, err := reg.Register("demo", testEngine(t, 1), Options{}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "demo"}, testEngine(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if lim := reg.limiterFor("demo"); lim == nil {
@@ -114,7 +168,7 @@ func TestServerConfigNewRegistry(t *testing.T) {
 		t.Errorf("cache: enabled=%v cap=%d, want enabled cap 64", enabled, cs.Cap)
 	}
 	// A zero QoS config must install nothing at all.
-	if reg2 := (ServerConfig{PoolSize: 1}).NewRegistry(); reg2.qos != nil {
+	if reg2 := NewRegistry(ServerConfig{PoolSize: 1}, nil, nil); reg2.qos != nil {
 		t.Error("zero config installed a QoS set")
 	}
 }

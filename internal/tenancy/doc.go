@@ -19,8 +19,14 @@
 //     coalescing layer must preserve this or mutations become eventually
 //     visible instead of immediately visible. (A flight is a page; its
 //     summaries bind to subject stamps, so most of it is still cached.)
+//   - One constructor (NewRegistry) over one configuration (ServerConfig,
+//     which ossrv's flags and -config file both lower onto).
+//   - One envelope, one bearer check, one decoder, shared with the router:
+//     every failure becomes HTTP in WriteError, both admin planes use
+//     BearerAuth, and request bodies and the config file are decoded
+//     alike.
 //   - A write body is one JSON value of known keys and nothing after it:
-//     whatever a 200 acknowledges was applied in full (decodeBody).
+//     whatever a 200 acknowledges was applied in full (DecodeBody).
 //   - Each tenant's summary-cache entries are namespaced by its name
 //     (QueryRequest.CacheScope, stamped by Tenant.QueryPage), so per-tenant
 //     invalidation and quotas never bleed across tenants sharing one

@@ -27,6 +27,16 @@ type fakeDurability struct {
 	forgotten []string
 	released  []string
 	failNext  error
+	// lookup answers LookupPending — a shared manifest other nodes write;
+	// nil knows no tenant.
+	lookup func(name string) (TenantSpec, bool)
+}
+
+func (f *fakeDurability) LookupPending(name string) (TenantSpec, bool) {
+	if f.lookup == nil {
+		return TenantSpec{}, false
+	}
+	return f.lookup(name)
 }
 
 func (f *fakeDurability) RecordTenant(spec TenantSpec) error {
@@ -60,17 +70,16 @@ func (f *fakeDurability) ReleaseTenant(name string) {
 
 func TestResolveLazyRecoverySingleFlight(t *testing.T) {
 	eng := testEngine(t, 600)
-	reg := NewRegistry(2)
 	var recoveries atomic.Int32
 	release := make(chan struct{})
-	reg.SetRecoverer(func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
 		recoveries.Add(1)
 		<-release
 		if spec.Dataset != "dblp" || spec.Seed != 600 {
 			return nil, fmt.Errorf("wrong spec %+v", spec)
 		}
 		return eng, nil
-	})
+	}, nil)
 	if err := reg.AddPending(TenantSpec{Name: "lazy", Dataset: "dblp", Seed: 600, Cache: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +134,9 @@ func TestResolveLazyRecoverySingleFlight(t *testing.T) {
 }
 
 func TestResolveRecoveryFailureIsServerError(t *testing.T) {
-	reg := NewRegistry(1)
-	reg.SetRecoverer(func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
 		return nil, fmt.Errorf("disk exploded")
-	})
+	}, nil)
 	if err := reg.AddPending(TenantSpec{Name: "doomed", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +163,9 @@ func TestResolveRecoveryFailureIsServerError(t *testing.T) {
 
 func TestDeregisterForgetsDurableState(t *testing.T) {
 	eng := testEngine(t, 601)
-	reg := NewRegistry(1)
 	fd := &fakeDurability{}
-	reg.SetDurability(fd)
-	if _, err := reg.Register("live", eng, Options{}); err != nil {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, nil, fd)
+	if _, err := reg.Register(TenantSpec{Name: "live"}, eng); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.AddPending(TenantSpec{Name: "pend", Dataset: "dblp"}); err != nil {
@@ -182,15 +189,13 @@ func TestDeregisterForgetsDurableState(t *testing.T) {
 
 func TestServeRegisterRecordsDurably(t *testing.T) {
 	eng := testEngine(t, 602)
-	reg := NewRegistry(1)
 	fd := &fakeDurability{}
-	reg.SetDurability(fd)
-	reg.SetRecoverer(func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(spec TenantSpec) (*sizelos.Engine, error) {
 		if spec.Dataset != "dblp" {
 			return nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
 		}
 		return eng, nil
-	})
+	}, fd)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
@@ -231,19 +236,17 @@ func TestServeRegisterRecordsDurably(t *testing.T) {
 
 func TestRegisterDynamicSingleFlight(t *testing.T) {
 	eng := testEngine(t, 603)
-	reg := NewRegistry(1)
 	fd := &fakeDurability{}
-	reg.SetDurability(fd)
 	var recoveries atomic.Int32
 	started := make(chan struct{})
 	release := make(chan struct{})
-	reg.SetRecoverer(func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
 		if recoveries.Add(1) == 1 {
 			close(started)
 		}
 		<-release
 		return eng, nil
-	})
+	}, fd)
 
 	// Concurrent registrations of one name: exactly one may run the
 	// recoverer — a second recovery would open a second append handle on
@@ -289,12 +292,10 @@ func TestRegisterDynamicSingleFlight(t *testing.T) {
 }
 
 func TestRegisterDynamicRejectsPendingName(t *testing.T) {
-	reg := NewRegistry(1)
 	fd := &fakeDurability{}
-	reg.SetDurability(fd)
-	reg.SetRecoverer(func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
 		return nil, fmt.Errorf("recoverer must not run for a pending name")
-	})
+	}, fd)
 	if err := reg.AddPending(TenantSpec{Name: "pend", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)
 	}
@@ -323,16 +324,14 @@ func TestRegisterDynamicRejectsPendingName(t *testing.T) {
 
 func TestRegisterDynamicReleasesHandlesOnRegisterRace(t *testing.T) {
 	eng := testEngine(t, 604)
-	reg := NewRegistry(1)
 	fd := &fakeDurability{}
-	reg.SetDurability(fd)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	reg.SetRecoverer(func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
 		close(entered)
 		<-release
 		return eng, nil
-	})
+	}, fd)
 	done := make(chan error, 1)
 	go func() {
 		_, err := reg.RegisterDynamic(TenantSpec{Name: "clash", Dataset: "dblp"})
@@ -342,7 +341,7 @@ func TestRegisterDynamicReleasesHandlesOnRegisterRace(t *testing.T) {
 	// A direct Register sneaks in while the recoverer runs: the dynamic
 	// registration must lose AND close the durable handles its recovery
 	// opened — a leaked open WAL handle would corrupt the next append.
-	if _, err := reg.Register("clash", eng, Options{}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "clash"}, eng); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -359,16 +358,14 @@ func TestRegisterDynamicReleasesHandlesOnRegisterRace(t *testing.T) {
 
 func TestDeregisterWaitsForInFlightRecovery(t *testing.T) {
 	eng := testEngine(t, 605)
-	reg := NewRegistry(1)
 	fd := &fakeDurability{}
-	reg.SetDurability(fd)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	reg.SetRecoverer(func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
 		close(entered)
 		<-release
 		return eng, nil
-	})
+	}, fd)
 	if err := reg.AddPending(TenantSpec{Name: "racy", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)
 	}
@@ -412,5 +409,46 @@ func TestDeregisterWaitsForInFlightRecovery(t *testing.T) {
 	fd.mu.Unlock()
 	if !forgotten {
 		t.Fatalf("durable state not forgotten exactly once: %v", fd.forgotten)
+	}
+}
+
+// TestResolvePanickedRecoveryDoesNotWedge: a recoverer that panics ends
+// its flight like a failed one — the name stays pending and unclaimed, so
+// the next Resolve recovers it rather than wait forever on a dead flight.
+func TestResolvePanickedRecoveryDoesNotWedge(t *testing.T) {
+	eng := testEngine(t, 606)
+	var calls atomic.Int32
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+		if calls.Add(1) == 1 {
+			panic("recoverer blew up")
+		}
+		return eng, nil
+	}, nil)
+	if err := reg.AddPending(TenantSpec{Name: "fragile", Dataset: "dblp"}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("recoverer panic did not reach the leader")
+			}
+		}()
+		_, _, _ = reg.Resolve("fragile")
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, found, err := reg.Resolve("fragile")
+		if err == nil && !found {
+			err = fmt.Errorf("pending tenant lost")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Resolve after a panicked recovery: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Resolve wedged on a panicked recovery")
 	}
 }

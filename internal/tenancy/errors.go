@@ -46,55 +46,51 @@ const (
 	CodeRateLimited    = "rate_limited"    // 429
 	CodeInternal       = "internal"        // 500
 	CodeNotImplemented = "not_implemented" // 501
-	CodeOverloaded     = "overloaded"      // 503
+	CodeOverloaded     = "overloaded"      // 502, 503
 )
 
-// apiError is the typed error the handler layer funnels every failure
-// through; writeError is the single place it becomes HTTP.
-type apiError struct {
-	status     int
-	code       string
-	msg        string
-	retryable  bool
-	retryAfter time.Duration // > 0: emit Retry-After (429/503)
+// Error is the typed error every failure path of a node and of the router
+// funnels through; WriteError is the single place it becomes HTTP.
+type Error struct {
+	Status     int
+	Code       string
+	Message    string
+	Retryable  bool
+	RetryAfter time.Duration // > 0: emit Retry-After (429/503)
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (e *Error) Error() string { return e.Message }
 
-func errBadRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
+// BadRequest is a 400: the client sent something no state could serve.
+func BadRequest(format string, args ...any) *Error {
+	return &Error{Status: http.StatusBadRequest, Code: CodeBadRequest, Message: fmt.Sprintf(format, args...)}
 }
 
-func errUnauthorized(msg string) *apiError {
-	return &apiError{status: http.StatusUnauthorized, code: CodeUnauthorized, msg: msg}
+// NotFound is a 404.
+func NotFound(msg string) *Error {
+	return &Error{Status: http.StatusNotFound, Code: CodeNotFound, Message: msg}
 }
 
-func errForbidden(msg string) *apiError {
-	return &apiError{status: http.StatusForbidden, code: CodeForbidden, msg: msg}
+// Conflict is a 409: the request clashes with current state.
+func Conflict(msg string) *Error {
+	return &Error{Status: http.StatusConflict, Code: CodeConflict, Message: msg}
 }
 
-func errNotFound(msg string) *apiError {
-	return &apiError{status: http.StatusNotFound, code: CodeNotFound, msg: msg}
+// Overloaded is a retryable 503, with Retry-After when retryAfter > 0.
+func Overloaded(msg string, retryAfter time.Duration) *Error {
+	return &Error{Status: http.StatusServiceUnavailable, Code: CodeOverloaded, Message: msg, Retryable: true, RetryAfter: retryAfter}
 }
 
-func errConflict(msg string) *apiError {
-	return &apiError{status: http.StatusConflict, code: CodeConflict, msg: msg}
+func errInternal(msg string, retryable bool) *Error {
+	return &Error{Status: http.StatusInternalServerError, Code: CodeInternal, Message: msg, Retryable: retryable}
 }
 
-func errInternal(msg string, retryable bool) *apiError {
-	return &apiError{status: http.StatusInternalServerError, code: CodeInternal, msg: msg, retryable: retryable}
-}
-
-func errNotImplemented(msg string) *apiError {
-	return &apiError{status: http.StatusNotImplemented, code: CodeNotImplemented, msg: msg}
-}
-
-// toAPIError maps any error onto the envelope's typed form. Unrecognized
+// toError maps any error onto the envelope's typed form. Unrecognized
 // errors are conservative 500s.
-func toAPIError(err error) *apiError {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae
+func toError(err error) *Error {
+	var e *Error
+	if errors.As(err, &e) {
+		return e
 	}
 	var delay *qos.DelayError
 	retryAfter := time.Duration(0)
@@ -104,33 +100,30 @@ func toAPIError(err error) *apiError {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
-		return &apiError{
-			status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
-			msg: fmt.Sprintf("request body over %d bytes", tooLarge.Limit),
+		return &Error{
+			Status: http.StatusRequestEntityTooLarge, Code: CodeTooLarge,
+			Message: fmt.Sprintf("request body over %d bytes", tooLarge.Limit),
 		}
 	case errors.Is(err, qos.ErrRateLimited):
-		return &apiError{
-			status: http.StatusTooManyRequests, code: CodeRateLimited,
-			msg: err.Error(), retryable: true, retryAfter: retryAfter,
+		return &Error{
+			Status: http.StatusTooManyRequests, Code: CodeRateLimited,
+			Message: err.Error(), Retryable: true, RetryAfter: retryAfter,
 		}
 	case errors.Is(err, qos.ErrShed), errors.Is(err, qos.ErrDeadline):
-		return &apiError{
-			status: http.StatusServiceUnavailable, code: CodeOverloaded,
-			msg: err.Error(), retryable: true, retryAfter: retryAfter,
-		}
+		return Overloaded(err.Error(), retryAfter)
 	case errors.Is(err, sizelos.ErrCursorMalformed), errors.Is(err, sizelos.ErrInvalidRequest):
 		// A cursor that never came from this service, or a request no
 		// database state could serve (l < 1, unknown algorithm).
-		return errBadRequest("%v", err)
+		return BadRequest("%v", err)
 	case errors.Is(err, sizelos.ErrStreamInvalidated):
 		// A mutation outlived the cursor: the page it pointed into no
 		// longer exists. Restart the query; retrying as-is cannot succeed.
-		return &apiError{status: http.StatusGone, code: CodeGone, msg: err.Error()}
+		return &Error{Status: http.StatusGone, Code: CodeGone, Message: err.Error()}
 	case errors.Is(err, sizelos.ErrMutationInternal):
 		// Post-commit failure: the batch DID apply, clients must not retry.
 		return errInternal(err.Error(), false)
 	case errors.Is(err, ErrTenantExists):
-		return errConflict(err.Error())
+		return Conflict(err.Error())
 	case errors.Is(err, ErrDurabilityFailed):
 		// The registration was rolled back cleanly; a retry can succeed
 		// once the durable store recovers.
@@ -140,19 +133,20 @@ func toAPIError(err error) *apiError {
 	}
 }
 
-// writeError is the single typed-error→HTTP mapper: every failure path
-// emits the ErrorResponse envelope through it, with Retry-After on
-// throttle/overload responses and WWW-Authenticate on 401s.
-func writeError(w http.ResponseWriter, err error) {
-	ae := toAPIError(err)
-	if ae.retryAfter > 0 && (ae.status == http.StatusTooManyRequests || ae.status == http.StatusServiceUnavailable) {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(ae.retryAfter)))
+// WriteError is the single typed-error→HTTP mapper: every failure path of
+// a node and of the router emits the ErrorResponse envelope through it,
+// with Retry-After on throttle/overload responses and WWW-Authenticate on
+// 401s.
+func WriteError(w http.ResponseWriter, err error) {
+	e := toError(err)
+	if e.RetryAfter > 0 && (e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable) {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(e.RetryAfter)))
 	}
-	if ae.status == http.StatusUnauthorized {
+	if e.Status == http.StatusUnauthorized {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="sizelos admin"`)
 	}
-	writeJSON(w, ae.status, ErrorResponse{Error: ErrorDetail{
-		Code: ae.code, Message: ae.msg, Retryable: ae.retryable,
+	WriteJSON(w, e.Status, ErrorResponse{Error: ErrorDetail{
+		Code: e.Code, Message: e.Message, Retryable: e.Retryable,
 	}})
 }
 
@@ -167,7 +161,8 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a status response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// Encode errors past the header write are unrecoverable; ignore them.

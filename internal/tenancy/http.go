@@ -10,7 +10,9 @@ import (
 	"strconv"
 
 	"sizelos"
+	"sizelos/internal/qos"
 	"sizelos/internal/relational"
+	"sizelos/internal/searchexec"
 )
 
 // SummaryJSON is one size-l OS in a service response.
@@ -50,12 +52,12 @@ type StatsResponse struct {
 	Version      int                   `json:"version"`
 	CacheEnabled bool                  `json:"cache_enabled"`
 	Cache        searchexecCacheJSON   `json:"cache"`
-	Pool         searchexecPoolJSON    `json:"pool"`
+	Pool         searchexec.PoolStats  `json:"pool"`
 	Invalidation InvalidationStatsJSON `json:"invalidation"`
 	Settings     []string              `json:"settings"`
 	// QoS reports the tenant's limiter state; omitted when QoS is not
 	// configured for the deployment.
-	QoS *QoSStatsJSON `json:"qos,omitempty"`
+	QoS *qos.LimiterStats `json:"qos,omitempty"`
 }
 
 type searchexecCacheJSON struct {
@@ -64,15 +66,6 @@ type searchexecCacheJSON struct {
 	Len    int     `json:"len"`
 	Cap    int     `json:"cap"`
 	Rate   float64 `json:"hit_rate"`
-}
-
-type searchexecPoolJSON struct {
-	Size     int    `json:"size"`
-	InFlight int    `json:"in_flight"`
-	Waited   uint64 `json:"waited"`
-	// WaitNanos is the cumulative time summary work spent blocked on the
-	// shared pool — the machine-wide back-pressure signal.
-	WaitNanos uint64 `json:"wait_ns"`
 }
 
 // InvalidationStatsJSON splits the write batches that reached a summary:
@@ -84,45 +77,16 @@ type InvalidationStatsJSON struct {
 	SubjectsStamped  uint64 `json:"subjects_stamped"`
 }
 
-// QoSStatsJSON is the per-tenant QoS section of the stats document.
-type QoSStatsJSON struct {
-	Search    BucketStatsJSON    `json:"search"`
-	Mutate    BucketStatsJSON    `json:"mutate"`
-	Admission AdmissionStatsJSON `json:"admission"`
-}
-
-// BucketStatsJSON reports one token bucket. Rate 0 means the plane is
-// unlimited for this tenant.
-type BucketStatsJSON struct {
-	Rate      float64 `json:"rate"`
-	Burst     float64 `json:"burst"`
-	Tokens    float64 `json:"tokens"`
-	Allowed   uint64  `json:"allowed"`
-	Throttled uint64  `json:"throttled"`
-}
-
-// AdmissionStatsJSON reports the tenant's admission controller.
-type AdmissionStatsJSON struct {
-	MaxInFlight   int     `json:"max_in_flight"`
-	InFlight      int     `json:"in_flight"`
-	QueueDepth    int     `json:"queue_depth"`
-	Admitted      uint64  `json:"admitted"`
-	Shed          uint64  `json:"shed"`
-	Expired       uint64  `json:"expired"`
-	EstimatedWait float64 `json:"estimated_wait_ms"`
-}
-
-// NewHandler builds the service's HTTP handler over the registry, with
-// any remaining options applied first. Every route runs inside the
-// middleware chain
+// Handler builds the service's HTTP handler over the registry. Every
+// route runs inside the middleware chain
 //
 //	recover → authz (write plane) → rate-limit → admission → handler
 //
 // and every failure path emits the uniform ErrorResponse envelope
-// (writeError), with Retry-After on 429/503.
+// (WriteError), with Retry-After on 429/503.
 //
 //	GET    /v1/tenants                  -> {"tenants": [...]} (?live=1: only in-memory tenants)
-//	POST   /v1/tenants                  -> register a tenant (authz; needs SetRecoverer)
+//	POST   /v1/tenants                  -> register a tenant (authz; needs a Recoverer)
 //	DELETE /v1/{tenant}                 -> deregister a tenant (authz)
 //	POST   /v1/{tenant}/release        -> stop serving, keep durable state (authz; migration handoff)
 //	POST   /v1/{tenant}/adopt          -> re-arm adoption after a release (authz; failover return)
@@ -138,16 +102,13 @@ type AdmissionStatsJSON struct {
 // the X-Sizelos-Budget-Ms header). Tenants may be
 // registered and deregistered on a live registry; requests for unknown
 // tenants — and for any path the API does not define — get a JSON 404.
-func NewHandler(r *Registry, opts ...Option) http.Handler {
-	for _, opt := range opts {
-		opt(r)
-	}
-	authz := r.authzMiddleware()
+func (r *Registry) Handler() http.Handler {
+	authz := BearerAuth(r.adminToken)
 	mux := http.NewServeMux()
 	// Everything the explicit routes below don't claim is a JSON 404, never
 	// an empty 200 or a text/plain fallback.
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		writeError(w, errNotFound("no such endpoint"))
+		WriteError(w, NotFound("no such endpoint"))
 	})
 	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, req *http.Request) {
 		// ?live=1 restricts the listing to tenants materialized in THIS
@@ -161,7 +122,7 @@ func NewHandler(r *Registry, opts ...Option) http.Handler {
 		if names == nil {
 			names = []string{}
 		}
-		writeJSON(w, http.StatusOK, map[string][]string{"tenants": names})
+		WriteJSON(w, http.StatusOK, map[string][]string{"tenants": names})
 	})
 	mux.Handle("POST /v1/tenants", chain(http.HandlerFunc(r.serveRegister), authz))
 	mux.Handle("DELETE /v1/{tenant}", chain(http.HandlerFunc(r.serveDeregister), authz))
@@ -183,16 +144,12 @@ func NewHandler(r *Registry, opts ...Option) http.Handler {
 	return chain(mux, recoverMiddleware())
 }
 
-// Handler is NewHandler without extra options, kept for existing callers.
-func (r *Registry) Handler() http.Handler { return NewHandler(r) }
-
 func (r *Registry) serveStats(w http.ResponseWriter, req *http.Request) {
 	t, ok := r.resolveTenant(w, req.PathValue("tenant"))
 	if !ok {
 		return
 	}
 	cs, enabled := t.Engine.SummaryCacheStats()
-	ps := r.pool.Stats()
 	resp := StatsResponse{
 		Tenant:       t.Name,
 		Version:      StatsVersion,
@@ -201,10 +158,7 @@ func (r *Registry) serveStats(w http.ResponseWriter, req *http.Request) {
 			Hits: cs.Hits, Misses: cs.Misses, Len: cs.Len, Cap: cs.Cap,
 			Rate: cs.HitRate(),
 		},
-		Pool: searchexecPoolJSON{
-			Size: ps.Size, InFlight: ps.InFlight, Waited: ps.Waited,
-			WaitNanos: ps.WaitNanos,
-		},
+		Pool: r.pool.Stats(),
 		Invalidation: InvalidationStatsJSON{
 			FootprintBatches: t.footprintBatches.Load(),
 			WideBatches:      t.wideBatches.Load(),
@@ -214,41 +168,26 @@ func (r *Registry) serveStats(w http.ResponseWriter, req *http.Request) {
 	}
 	if lim := r.limiterFor(t.Name); lim != nil {
 		ls := lim.Stats()
-		resp.QoS = &QoSStatsJSON{
-			Search: BucketStatsJSON{
-				Rate: ls.Search.Rate, Burst: ls.Search.Burst, Tokens: ls.Search.Tokens,
-				Allowed: ls.Search.Allowed, Throttled: ls.Search.Throttled,
-			},
-			Mutate: BucketStatsJSON{
-				Rate: ls.Mutate.Rate, Burst: ls.Mutate.Burst, Tokens: ls.Mutate.Tokens,
-				Allowed: ls.Mutate.Allowed, Throttled: ls.Mutate.Throttled,
-			},
-			Admission: AdmissionStatsJSON{
-				MaxInFlight: ls.Admission.MaxInFlight, InFlight: ls.Admission.InFlight,
-				QueueDepth: ls.Admission.QueueDepth, Admitted: ls.Admission.Admitted,
-				Shed: ls.Admission.Shed, Expired: ls.Admission.Expired,
-				EstimatedWait: float64(ls.Admission.EstimatedWait.Microseconds()) / 1e3,
-			},
-		}
+		resp.QoS = &ls
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (r *Registry) serveDeregister(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("tenant")
 	ok, err := r.Deregister(name)
 	if !ok {
-		writeError(w, errNotFound("unknown tenant"))
+		WriteError(w, NotFound("unknown tenant"))
 		return
 	}
 	if err != nil {
 		// Removed from serving, but its durable state could not be
 		// cleaned up — the operator needs to know; retrying the DELETE
 		// can finish the durable removal.
-		writeError(w, errInternal(err.Error(), true))
+		WriteError(w, errInternal(err.Error(), true))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deregistered": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"deregistered": name})
 }
 
 // serveRelease stops serving a tenant on this node while leaving its
@@ -262,10 +201,10 @@ func (r *Registry) serveDeregister(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) serveRelease(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("tenant")
 	if !r.Release(name) {
-		writeError(w, errNotFound("unknown tenant"))
+		WriteError(w, NotFound("unknown tenant"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"released": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"released": name})
 }
 
 // serveAdopt clears a prior release handoff mark so this node may adopt
@@ -277,7 +216,7 @@ func (r *Registry) serveRelease(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) serveAdopt(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("tenant")
 	r.Readopt(name)
-	writeJSON(w, http.StatusOK, map[string]string{"adopted": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"adopted": name})
 }
 
 // resolveTenant materializes the tenant a request addresses, recovering it
@@ -288,11 +227,11 @@ func (r *Registry) resolveTenant(w http.ResponseWriter, name string) (*Tenant, b
 	if err != nil {
 		// The tenant exists durably but could not be recovered; the next
 		// touch retries recovery, so the failure is retryable.
-		writeError(w, errInternal(err.Error(), true))
+		WriteError(w, errInternal(err.Error(), true))
 		return nil, false
 	}
 	if !found {
-		writeError(w, errNotFound("unknown tenant"))
+		WriteError(w, NotFound("unknown tenant"))
 		return nil, false
 	}
 	return t, true
@@ -314,17 +253,17 @@ func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) 
 		Cursor:        params.Get("cursor"),
 	}
 	if q.Rel == "" || q.Query == "" {
-		return q, errBadRequest("rel and q parameters are required")
+		return q, BadRequest("rel and q parameters are required")
 	}
 	// topk was limit's legacy name. It is refused, never ignored like an
 	// unknown parameter: an old client must not receive an unbounded page.
 	if params.Has("topk") {
-		return q, errBadRequest("topk is no longer accepted: use limit")
+		return q, BadRequest("topk is no longer accepted: use limit")
 	}
 	// k belongs to /ranked; accepting it on /search would silently do
 	// nothing (and fragment single-flight batching), so reject it outright.
 	if !ranked && params.Get("k") != "" {
-		return q, errBadRequest("k applies to /ranked only (use limit on /search)")
+		return q, BadRequest("k applies to /ranked only (use limit on /search)")
 	}
 	// A fixed order, so a request with several bad parameters names the
 	// same one every time.
@@ -340,7 +279,7 @@ func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) 
 		// An explicit k=0 is rejected like any other invalid k, rather than
 		// silently coerced to the default.
 		if err != nil || v < 0 || (p.name == "k" && v < 1) {
-			return q, errBadRequest("invalid %s parameter", p.name)
+			return q, BadRequest("invalid %s parameter", p.name)
 		}
 		*p.dst = v
 	}
@@ -354,29 +293,29 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 	}
 	q, err := queryFromURL(req.URL.Query(), ranked)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// Client-input problems must surface as 400s, not 500s (or, for an
 	// unknown relation, as the engine's empty answer): validate the names
 	// the engine would not reject as ErrInvalidRequest.
 	if t.Engine.DB().Relation(q.Rel) == nil {
-		writeError(w, errBadRequest("unknown relation %q", q.Rel))
+		WriteError(w, BadRequest("unknown relation %q", q.Rel))
 		return
 	}
 	if q.Setting != "" {
 		if _, err := t.Engine.Scores(q.Setting); err != nil {
-			writeError(w, errBadRequest("%v", err))
+			WriteError(w, BadRequest("%v", err))
 			return
 		}
 	}
 	page, err := t.QueryPage(q)
 	if err != nil {
-		// toAPIError sorts the cases: an invalid request or a cursor that
+		// toError sorts the cases: an invalid request or a cursor that
 		// never came from this service is a 400, a cursor outlived by a
 		// mutation is a 410 (the page it pointed into no longer exists;
 		// restart the query).
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	results := page.Summaries
@@ -399,7 +338,7 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 			Text:       s.Text,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // RegisterRequest is the body of POST /v1/tenants.
@@ -429,34 +368,35 @@ type RegisterResponse struct {
 // every lock, so existing tenants keep serving.
 func (r *Registry) serveRegister(w http.ResponseWriter, req *http.Request) {
 	if r.recoverer == nil {
-		writeError(w, errNotImplemented("dynamic tenant registration is not configured"))
+		WriteError(w, &Error{Status: http.StatusNotImplemented, Code: CodeNotImplemented,
+			Message: "dynamic tenant registration is not configured"})
 		return
 	}
 	var body RegisterRequest
-	if err := decodeBody(w, req, &body, false); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(w, req, &body, false); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if body.Name == "" || body.Dataset == "" {
-		writeError(w, errBadRequest("name and dataset are required"))
+		WriteError(w, BadRequest("name and dataset are required"))
 		return
 	}
 	if !validName(body.Name) {
-		writeError(w, errBadRequest("invalid tenant name %q (want [A-Za-z0-9._-]+)", body.Name))
+		WriteError(w, BadRequest("invalid tenant name %q (want [A-Za-z0-9._-]+)", body.Name))
 		return
 	}
-	t, err := r.RegisterDynamic(TenantSpec{Name: body.Name, Dataset: body.Dataset, Seed: body.Seed, Cache: body.Cache})
+	t, err := r.RegisterDynamic(TenantSpec(body))
 	if err != nil {
 		// ErrTenantExists → 409 and ErrDurabilityFailed → 500 via
-		// toAPIError; anything else is a recoverer rejection (bad
+		// toError; anything else is a recoverer rejection (bad
 		// dataset, unreadable state) the client caused.
 		if !errors.Is(err, ErrTenantExists) && !errors.Is(err, ErrDurabilityFailed) {
-			err = errBadRequest("%v", err)
+			err = BadRequest("%v", err)
 		}
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, RegisterResponse{
+	WriteJSON(w, http.StatusCreated, RegisterResponse{
 		Tenant:   t.Name,
 		Dataset:  body.Dataset,
 		Settings: t.Engine.SettingNames(),
@@ -517,35 +457,44 @@ type RerankStatJSON struct {
 	Updates    int `json:"updates"`
 }
 
-// maxBodyBytes caps every request body this package decodes (mutation
-// batches, tenant registrations), as the router caps the ones it reads
-// itself. The largest body any test or benchmark client sends is 250
-// bytes; 1 MiB holds a batch of some ten thousand tuples.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes caps every request body a node or the router decodes
+// (mutation batches, tenant registrations, router admin bodies). The
+// largest body any test or benchmark client sends is 250 bytes; 1 MiB
+// holds a batch of some ten thousand tuples.
+const MaxBodyBytes = 1 << 20
 
-// decodeBody decodes the request's JSON body into v: exactly one value, then
+// DecodeBody decodes the request's JSON body into v: exactly one value, then
 // only whitespace — a second batch, or with knownFields a misspelt key's
-// tuples, would be acknowledged and never applied. A body over maxBodyBytes
+// tuples, would be acknowledged and never applied. A body over MaxBodyBytes
 // fails with *http.MaxBytesError (a 413), any other malformed body with a 400.
-func decodeBody(w http.ResponseWriter, req *http.Request, v any, knownFields bool) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+func DecodeBody(w http.ResponseWriter, req *http.Request, v any, knownFields bool) error {
+	err := decodeOne(http.MaxBytesReader(w, req.Body, MaxBodyBytes), v, knownFields)
+	var tooLarge *http.MaxBytesError
+	if err != nil && !errors.As(err, &tooLarge) {
+		err = BadRequest("invalid JSON body: %v", err)
+	}
+	return err
+}
+
+// decodeOne decodes exactly one JSON value from rd into v and requires
+// nothing but whitespace after it; with knownFields an unknown key fails.
+// Request bodies and the config file share it.
+func decodeOne(rd io.Reader, v any, knownFields bool) error {
+	dec := json.NewDecoder(rd)
 	dec.UseNumber() // keep 64-bit keys exact; float64 round-trips corrupt them
 	if knownFields {
 		dec.DisallowUnknownFields()
 	}
-	err := dec.Decode(v)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			return nil
-		} else if err == nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
 			err = errors.New("data after the JSON value")
 		}
+		return err
 	}
-	var tooLarge *http.MaxBytesError
-	if !errors.As(err, &tooLarge) {
-		err = errBadRequest("invalid JSON body: %v", err)
-	}
-	return err
+	return nil
 }
 
 // serveMutate decodes and applies one mutation batch against the tenant's
@@ -560,14 +509,14 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body MutateRequest
-	if err := decodeBody(w, req, &body, true); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(w, req, &body, true); err != nil {
+		WriteError(w, err)
 		return
 	}
 	// A bare {"rerank": true} is a supported batch: recompute global
 	// importance over the current data without touching any tuple.
 	if len(body.Deletes) == 0 && len(body.Inserts) == 0 && !body.Rerank {
-		writeError(w, errBadRequest("empty batch: provide inserts, deletes, and/or rerank"))
+		WriteError(w, BadRequest("empty batch: provide inserts, deletes, and/or rerank"))
 		return
 	}
 	batch := sizelos.MutationBatch{Rerank: body.Rerank}
@@ -576,7 +525,7 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 		// Naming a relation that doesn't exist is a malformed request (400,
 		// like the insert side), not a store conflict.
 		if db.Relation(d.Rel) == nil {
-			writeError(w, errBadRequest("delete %d: unknown relation %q", i, d.Rel))
+			WriteError(w, BadRequest("delete %d: unknown relation %q", i, d.Rel))
 			return
 		}
 		batch.Deletes = append(batch.Deletes, sizelos.TupleDelete{Rel: d.Rel, PK: d.PK})
@@ -584,7 +533,7 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 	for i, in := range body.Inserts {
 		tuple, err := tupleFromJSON(db, in.Rel, in.Values)
 		if err != nil {
-			writeError(w, errBadRequest("insert %d: %v", i, err))
+			WriteError(w, BadRequest("insert %d: %v", i, err))
 			return
 		}
 		batch.Inserts = append(batch.Inserts, sizelos.TupleInsert{Rel: in.Rel, Tuple: tuple})
@@ -594,9 +543,9 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 		// ErrMutationInternal → 500 via toAPIError; everything else the
 		// store rejects is a conflict that left the tenant untouched.
 		if !errors.Is(err, sizelos.ErrMutationInternal) {
-			err = errConflict(err.Error())
+			err = Conflict(err.Error())
 		}
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	resp := MutateResponse{
@@ -622,7 +571,7 @@ func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // tupleFromJSON converts a JSON values array into a typed tuple under the

@@ -51,7 +51,7 @@ func recoverMiddleware() Middleware {
 			defer func() {
 				if v := recover(); v != nil {
 					if !sw.wrote {
-						writeError(sw, errInternal(fmt.Sprintf("internal panic: %v", v), false))
+						WriteError(sw, errInternal(fmt.Sprintf("internal panic: %v", v), false))
 					}
 				}
 			}()
@@ -60,26 +60,26 @@ func recoverMiddleware() Middleware {
 	}
 }
 
-// authzMiddleware guards the write plane. With no admin token configured
-// the layer is a pass-through (a private deployment); with one, requests
-// must carry "Authorization: Bearer <token>" — absent or non-bearer
-// credentials are 401s, wrong tokens 403s, both compared in constant
-// time.
-func (r *Registry) authzMiddleware() Middleware {
+// BearerAuth guards an admin plane — a node's write plane and the router's
+// /router/* alike. With no token configured it is a pass-through (a
+// private deployment); with one, requests must carry "Authorization:
+// Bearer <token>" — absent or non-bearer credentials are 401s, wrong
+// tokens 403s, compared in constant time.
+func BearerAuth(token string) Middleware {
 	return func(next http.Handler) http.Handler {
+		if token == "" {
+			return next
+		}
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			if r.adminToken == "" {
-				next.ServeHTTP(w, req)
-				return
-			}
 			auth := req.Header.Get("Authorization")
-			scheme, token, ok := strings.Cut(auth, " ")
+			scheme, got, ok := strings.Cut(auth, " ")
 			if auth == "" || !ok || !strings.EqualFold(scheme, "Bearer") {
-				writeError(w, errUnauthorized("admin endpoint: provide Authorization: Bearer <token>"))
+				WriteError(w, &Error{Status: http.StatusUnauthorized, Code: CodeUnauthorized,
+					Message: "admin endpoint: provide Authorization: Bearer <token>"})
 				return
 			}
-			if subtle.ConstantTimeCompare([]byte(strings.TrimSpace(token)), []byte(r.adminToken)) != 1 {
-				writeError(w, errForbidden("admin token rejected"))
+			if subtle.ConstantTimeCompare([]byte(strings.TrimSpace(got)), []byte(token)) != 1 {
+				WriteError(w, &Error{Status: http.StatusForbidden, Code: CodeForbidden, Message: "admin token rejected"})
 				return
 			}
 			next.ServeHTTP(w, req)
@@ -111,7 +111,7 @@ func (r *Registry) qosMiddleware(class trafficClass) Middleware {
 			}
 			budget, err := requestBudget(req)
 			if err != nil {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
 			var allowErr error
@@ -121,12 +121,12 @@ func (r *Registry) qosMiddleware(class trafficClass) Middleware {
 				allowErr = lim.AllowSearch()
 			}
 			if allowErr != nil {
-				writeError(w, allowErr)
+				WriteError(w, allowErr)
 				return
 			}
 			release, err := lim.Admit(budget)
 			if err != nil {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
 			defer release()
@@ -154,7 +154,7 @@ func requestBudget(req *http.Request) (time.Duration, error) {
 	}
 	ms, err := strconv.Atoi(raw)
 	if err != nil || ms < 1 || ms > maxBudgetMs {
-		return 0, errBadRequest("invalid budget_ms %q (want a positive integer of milliseconds, at most %d)", raw, maxBudgetMs)
+		return 0, BadRequest("invalid budget_ms %q (want a positive integer of milliseconds, at most %d)", raw, maxBudgetMs)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }
@@ -180,9 +180,14 @@ func (r *Registry) knows(name string) bool {
 	}
 	r.pendMu.Lock()
 	defer r.pendMu.Unlock()
-	if _, ok := r.pending[name]; ok {
-		return true
-	}
-	_, ok := r.recovering[name]
-	return ok
+	return r.knownLocked(name)
+}
+
+// knownLocked reports whether name is live, pending, or mid-flight; the
+// caller holds pendMu.
+func (r *Registry) knownLocked(name string) bool {
+	_, pend := r.pending[name]
+	_, flying := r.recovering[name]
+	_, live := r.Get(name)
+	return pend || flying || live
 }

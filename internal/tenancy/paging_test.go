@@ -20,8 +20,8 @@ import (
 func pagingServer(t *testing.T, seed int64) (*httptest.Server, *Tenant, string) {
 	t.Helper()
 	eng := testEngine(t, seed)
-	reg := NewRegistry(2)
-	tn, err := reg.Register("acme", eng, Options{})
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	tn, err := reg.Register(TenantSpec{Name: "acme"}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,11 @@ import (
 // The engine is private (freshEngine), never the memoized fixture: tests
 // here pin the shared pool and rely on queries actually reaching it, which
 // a summary cache warmed by an unrelated test would defeat.
-func qosServer(t *testing.T, seed int64, cfg qos.Config, opts ...Option) (*Registry, *httptest.Server, string) {
+func qosServer(t *testing.T, seed int64, cfg qos.Config) (*Registry, *httptest.Server, string) {
 	t.Helper()
-	reg := NewRegistry(1, append([]Option{WithQoS(cfg)}, opts...)...)
+	reg := NewRegistry(ServerConfig{PoolSize: 1, QoS: cfg}, nil, nil)
 	eng := freshEngine(t, seed)
-	if _, err := reg.Register("demo", eng, Options{}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "demo"}, eng); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -41,9 +41,9 @@ func qosServer(t *testing.T, seed int64, cfg qos.Config, opts ...Option) (*Regis
 // challenge), wrong tokens are 403s, and the right token reaches the
 // handler. The read plane stays open throughout.
 func TestAuthzAdminRoutes(t *testing.T) {
-	reg := NewRegistry(1, WithAdminToken("sekrit"))
+	reg := NewRegistry(ServerConfig{PoolSize: 1, AdminToken: "sekrit"}, nil, nil)
 	eng := testEngine(t, 1)
-	if _, err := reg.Register("demo", eng, Options{}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "demo"}, eng); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -171,11 +171,11 @@ func TestRateLimitOverHTTP(t *testing.T) {
 // buckets: exhausting the mutate bucket 429s mutations but leaves search
 // untouched.
 func TestMutateRateLimitIndependent(t *testing.T) {
-	reg := NewRegistry(1, WithQoS(qos.Config{Tenants: map[string]qos.Limits{
+	reg := NewRegistry(ServerConfig{PoolSize: 1, QoS: qos.Config{Tenants: map[string]qos.Limits{
 		"mut": {MutateRate: 0.01, MutateBurst: 1},
-	}}))
+	}}}, nil, nil)
 	eng := freshEngine(t, 71)
-	if _, err := reg.Register("mut", eng, Options{}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "mut"}, eng); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -363,8 +363,8 @@ func TestAdmissionDeadlineOverHTTP(t *testing.T) {
 // no qos section, but the document is still version 2 with the original
 // field names.
 func TestStatsWithoutQoS(t *testing.T) {
-	reg := NewRegistry(2)
-	if _, err := reg.Register("demo", testEngine(t, 1), Options{}); err != nil {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	if _, err := reg.Register(TenantSpec{Name: "demo"}, testEngine(t, 1)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -425,10 +425,10 @@ func TestFairnessUnderAbuse(t *testing.T) {
 				MaxQueueWait: qos.Duration(5 * time.Millisecond)},
 		},
 	}
-	reg := NewRegistry(2, WithQoS(cfg))
+	reg := NewRegistry(ServerConfig{PoolSize: 2, QoS: cfg}, nil, nil)
 	eng := testEngine(t, 1)
 	for _, name := range []string{"good", "abuser"} {
-		if _, err := reg.Register(name, eng, Options{}); err != nil {
+		if _, err := reg.Register(TenantSpec{Name: name}, eng); err != nil {
 			t.Fatalf("Register %s: %v", name, err)
 		}
 	}
@@ -573,10 +573,10 @@ func TestQoSSoak(t *testing.T) {
 				MaxQueueWait: qos.Duration(10 * time.Millisecond)},
 		},
 	}
-	reg := NewRegistry(4, WithQoS(cfg))
+	reg := NewRegistry(ServerConfig{PoolSize: 4, QoS: cfg}, nil, nil)
 	eng := testEngine(t, 1)
 	for _, name := range []string{"good", "abuser"} {
-		if _, err := reg.Register(name, eng, Options{}); err != nil {
+		if _, err := reg.Register(TenantSpec{Name: name}, eng); err != nil {
 			t.Fatalf("Register %s: %v", name, err)
 		}
 	}
@@ -693,8 +693,8 @@ func TestRequestBudget(t *testing.T) {
 			}
 			got, err := requestBudget(req)
 			if tc.bad {
-				var api *apiError
-				if !errors.As(err, &api) || api.status != http.StatusBadRequest || api.code != CodeBadRequest {
+				var api *Error
+				if !errors.As(err, &api) || api.Status != http.StatusBadRequest || api.Code != CodeBadRequest {
 					t.Fatalf("requestBudget = %v, %v; want a 400 bad_request", got, err)
 				}
 				return

@@ -5,8 +5,8 @@ package tenancy
 // new owner serves from it), and a Deregister issued afterwards on the old
 // owner must 404 without ever reaching Durability.ForgetTenant — reaching
 // it would delete the state out from under the tenant's new owner. The
-// pending-loader seam (fleet adoption of tenants recorded by other nodes)
-// is covered here too.
+// miss-path lookup (Durability.LookupPending: fleet adoption of tenants
+// recorded by other nodes) is covered here too.
 
 import (
 	"net/http"
@@ -34,11 +34,9 @@ func (f *fakeDurability) forgottenNames() []string {
 func newDurableRegistry(t *testing.T, fake *fakeDurability) *Registry {
 	t.Helper()
 	eng := testEngine(t, 710)
-	reg := NewRegistry(2)
-	reg.SetDurability(fake)
-	reg.SetRecoverer(func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
 		return eng, nil
-	})
+	}, fake)
 	return reg
 }
 
@@ -104,15 +102,13 @@ func TestReleasePendingTenant(t *testing.T) {
 func TestReleaseWaitsForInFlightRecovery(t *testing.T) {
 	fake := &fakeDurability{}
 	eng := testEngine(t, 711)
-	reg := NewRegistry(2)
-	reg.SetDurability(fake)
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	reg.SetRecoverer(func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
 		close(started)
 		<-gate
 		return eng, nil
-	})
+	}, fake)
 	if err := reg.AddPending(TenantSpec{Name: "racy", Dataset: "dblp", Seed: 711}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +143,13 @@ func TestResolveConsultsPendingLoader(t *testing.T) {
 	fake := &fakeDurability{}
 	reg := newDurableRegistry(t, fake)
 	var loads atomic.Int32
-	reg.SetPendingLoader(func(name string) (TenantSpec, bool) {
+	fake.lookup = func(name string) (TenantSpec, bool) {
 		loads.Add(1)
 		if name == "ghost" {
 			return TenantSpec{Name: "ghost", Dataset: "dblp", Seed: 710}, true
 		}
 		return TenantSpec{}, false
-	})
+	}
 	// Unknown everywhere: loader consulted, still a miss.
 	if _, found, err := reg.Resolve("nobody"); found || err != nil {
 		t.Fatalf("Resolve(nobody) = found %v, err %v", found, err)
@@ -178,12 +174,12 @@ func TestPendingLoaderNeverReadoptsReleasedTenant(t *testing.T) {
 	fake := &fakeDurability{}
 	reg := newDurableRegistry(t, fake)
 	var loads atomic.Int32
-	reg.SetPendingLoader(func(name string) (TenantSpec, bool) {
+	fake.lookup = func(name string) (TenantSpec, bool) {
 		loads.Add(1)
 		// The shared manifest still lists the tenant after a release —
 		// its durable state belongs to the new owner.
 		return TenantSpec{Name: name, Dataset: "dblp", Seed: 710}, true
-	})
+	}
 	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +211,13 @@ func TestPendingLoaderNeverReadoptsReleasedTenant(t *testing.T) {
 func TestReadoptLiftsReleaseMark(t *testing.T) {
 	fake := &fakeDurability{}
 	reg := newDurableRegistry(t, fake)
-	reg.SetPendingLoader(func(name string) (TenantSpec, bool) {
+	fake.lookup = func(name string) (TenantSpec, bool) {
 		return TenantSpec{Name: name, Dataset: "dblp", Seed: 710}, true
-	})
+	}
 	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/v1/mig/release", "", nil)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"sizelos"
+	"sizelos/internal/durable"
 	"sizelos/internal/qos"
 	"sizelos/internal/searchexec"
 )
@@ -26,17 +27,6 @@ var (
 // keep cross-tenant contention negligible at far more tenants than one
 // machine serves while costing a few hundred bytes.
 const numStripes = 16
-
-// Options configures one tenant at registration.
-type Options struct {
-	// CacheBudget is the tenant's summary-cache capacity in entries;
-	// <= 0 leaves caching off. The budget is installed on the tenant's
-	// engine only when the engine has no cache yet: tenants sharing one
-	// engine share the first-installed budget (so a later registration
-	// can never wipe a sibling's warm cache), while cache entries stay
-	// per-tenant (keys are scoped by tenant name).
-	CacheBudget int
-}
 
 // Tenant is one registered (DB, Engine, Index) triple plus its service
 // state. Fields are immutable after registration; query methods are safe
@@ -59,18 +49,19 @@ type Tenant struct {
 // NewRegistry.
 type Registry struct {
 	pool *searchexec.Pool
-	// qos holds the per-tenant limiters when QoS is configured (WithQoS);
-	// nil imposes no limits and keeps the middleware out of the hot path.
+	// qos holds the per-tenant limiters when the config asks for any; nil
+	// imposes no limits and keeps the middleware out of the hot path.
 	qos *qos.Set
-	// adminToken, when non-empty, locks the write plane (WithAdminToken).
+	// adminToken, when non-empty, locks the write plane.
 	adminToken string
 	// defaultCache is the cache budget applied to registrations that do
-	// not name their own (WithDefaultCacheBudget).
+	// not name their own.
 	defaultCache int
 	// recoverer builds — or, over a durability tier, recovers — the engine
 	// of a pending tenant and of one registered over HTTP (POST
-	// /v1/tenants); durability persists lifecycle events. Both are set
-	// once, before serving.
+	// /v1/tenants); durability persists lifecycle events and, on a Resolve
+	// miss, finds tenants another fleet node recorded. Both are fixed at
+	// construction.
 	recoverer  Recoverer
 	durability Durability
 	stripes    [numStripes]struct {
@@ -78,36 +69,22 @@ type Registry struct {
 		tenants map[string]*Tenant
 	}
 
-	// pendingLoader, when set, is consulted on a Resolve miss: in a fleet
-	// sharing one durable store, a tenant recorded by another node (or
-	// migrated here) is not in this process's boot-time pending set, and
-	// the loader re-reads the shared manifest so the new owner can adopt
-	// it on first touch.
-	pendingLoader PendingLoader
-
 	// pending holds tenants known from the durable manifest but not yet
 	// recovered; Resolve materializes them lazily, single-flight per name.
 	pendMu     sync.Mutex
 	pending    map[string]TenantSpec
 	recovering map[string]*recoverCall
 	// released marks names handed off to another owner (Release). The
-	// pending loader never re-adopts a released name: a stray request on
+	// miss-path lookup never re-adopts a released name: a stray request on
 	// the old owner would otherwise re-open a WAL the new owner is
 	// appending to. Deliberate re-introduction (AddPending,
 	// RegisterDynamic) clears the mark.
 	released map[string]bool
 }
 
-// TenantSpec is a tenant's recipe: enough to rebuild it from scratch or
-// address its durable state.
-type TenantSpec struct {
-	Name    string
-	Dataset string
-	// Seed is the dataset generator seed; <= 0 means the deployment default.
-	Seed int64
-	// Cache is the tenant's summary-cache budget in entries (0 = off).
-	Cache int
-}
+// TenantSpec is a tenant's recipe: the manifest entry of the durable tier,
+// and what Register, AddPending and RegisterDynamic take.
+type TenantSpec = durable.TenantSpec
 
 // Recoverer builds a ready-to-serve engine for spec — for a durable
 // deployment, newest snapshot + WAL-tail replay with the WAL left attached
@@ -131,27 +108,41 @@ type Durability interface {
 	// WITHOUT touching its durable state. Releasing a tenant with no open
 	// handles is a no-op.
 	ReleaseTenant(name string)
+	// LookupPending resolves a tenant name the registry has never heard of
+	// to its durable spec — a tenant another fleet node recorded in a
+	// shared store, or one migrated here — or reports that none exists. It
+	// runs outside every registry lock on the Resolve miss path (typically
+	// a manifest re-read), so it may do I/O.
+	LookupPending(name string) (TenantSpec, bool)
 }
 
-// PendingLoader resolves a tenant name the registry has never heard of to
-// its spec, or reports that no such tenant exists durably. It runs outside
-// every registry lock on the Resolve miss path (typically a manifest
-// re-read), so it may do I/O; it must be safe for concurrent use.
-type PendingLoader func(name string) (TenantSpec, bool)
-
-// SetRecoverer installs the engine builder used for pending tenants and
-// for dynamic registration. Call before Handler is serving.
-func (r *Registry) SetRecoverer(fn Recoverer) { r.recoverer = fn }
-
-// SetPendingLoader installs the miss-path spec lookup used when this
-// process's pending set doesn't know a name — the seam that lets a fleet
-// node adopt a tenant another node recorded in a shared durable store.
-// Call before Handler is serving.
-func (r *Registry) SetPendingLoader(fn PendingLoader) { r.pendingLoader = fn }
-
-// SetDurability installs the lifecycle persistence hook. Call before
-// Handler is serving.
-func (r *Registry) SetDurability(d Durability) { r.durability = d }
+// NewRegistry builds the registry cfg describes: a summary pool of
+// cfg.PoolSize slots shared by every tenant (<= 0: GOMAXPROCS),
+// cfg.CacheBudget as the cache of registrations that name none,
+// cfg.AdminToken on the write plane, and per-tenant QoS when cfg.QoS asks
+// for any limit. rec builds the engine of a pending tenant and of one
+// registered over HTTP (nil: neither is possible). d persists the tenant
+// lifecycle; nil keeps the registry in memory.
+func NewRegistry(cfg ServerConfig, rec Recoverer, d Durability) *Registry {
+	r := &Registry{
+		pool:         searchexec.NewPool(cfg.PoolSize),
+		adminToken:   cfg.AdminToken,
+		defaultCache: max(cfg.CacheBudget, 0),
+		recoverer:    rec,
+		durability:   d,
+		pending:      make(map[string]TenantSpec),
+		recovering:   make(map[string]*recoverCall),
+		released:     make(map[string]bool),
+	}
+	// A zero QoS config keeps the QoS layer entirely out of the request path.
+	if cfg.QoS.Default != (qos.Limits{}) || len(cfg.QoS.Tenants) > 0 {
+		r.qos = qos.NewSet(cfg.QoS)
+	}
+	for i := range r.stripes {
+		r.stripes[i].tenants = make(map[string]*Tenant)
+	}
+	return r
+}
 
 // AddPending declares a tenant that exists durably but is not yet loaded:
 // it shows up in Names and is recovered on first Resolve. Startup calls
@@ -163,9 +154,6 @@ func (r *Registry) AddPending(spec TenantSpec) error {
 	}
 	r.pendMu.Lock()
 	defer r.pendMu.Unlock()
-	if r.pending == nil {
-		r.pending = make(map[string]TenantSpec)
-	}
 	r.pending[spec.Name] = spec
 	delete(r.released, spec.Name)
 	return nil
@@ -183,13 +171,13 @@ type recoverCall struct {
 // found=false means the registry has never heard of the name; a non-nil
 // error means the tenant exists durably but could not be recovered (the
 // caller should surface a server error, not a 404). Concurrent Resolves of
-// one pending tenant share a single recovery. With a PendingLoader
-// installed, a miss additionally consults the loader and adopts the spec
-// it returns — the first-touch path for tenants recorded in a shared
-// store by another fleet node or migrated to this one.
+// one pending tenant share a single recovery. With a Durability, a miss
+// additionally consults Durability.LookupPending and adopts the spec it
+// returns — the first-touch path for tenants recorded in a shared store by
+// another fleet node or migrated to this one.
 func (r *Registry) Resolve(name string) (t *Tenant, found bool, err error) {
 	t, found, err = r.resolveOnce(name)
-	if found || err != nil || r.pendingLoader == nil {
+	if found || err != nil || r.durability == nil {
 		return t, found, err
 	}
 	r.pendMu.Lock()
@@ -198,7 +186,7 @@ func (r *Registry) Resolve(name string) (t *Tenant, found bool, err error) {
 	if handedOff {
 		return nil, false, nil
 	}
-	spec, ok := r.pendingLoader(name)
+	spec, ok := r.durability.LookupPending(name)
 	if !ok || spec.Name != name {
 		return nil, false, nil
 	}
@@ -206,31 +194,19 @@ func (r *Registry) Resolve(name string) (t *Tenant, found bool, err error) {
 	return r.resolveOnce(name)
 }
 
-// adoptPending inserts a loader-supplied spec into the pending set unless
-// the name materialized (live, pending, or mid-creation) while the loader
-// ran — the race loser must not clobber a live tenant's recovery state.
+// adoptPending inserts a looked-up spec into the pending set unless the
+// name materialized (live, pending, or mid-creation) while the lookup ran
+// — the race loser must not clobber a live tenant's recovery state.
 func (r *Registry) adoptPending(spec TenantSpec) {
 	r.pendMu.Lock()
 	defer r.pendMu.Unlock()
-	if r.released[spec.Name] {
+	if r.released[spec.Name] || r.knownLocked(spec.Name) {
 		return
-	}
-	if _, pend := r.pending[spec.Name]; pend {
-		return
-	}
-	if _, creating := r.recovering[spec.Name]; creating {
-		return
-	}
-	if _, live := r.Get(spec.Name); live {
-		return
-	}
-	if r.pending == nil {
-		r.pending = make(map[string]TenantSpec)
 	}
 	r.pending[spec.Name] = spec
 }
 
-// resolveOnce is Resolve without the miss-path loader: live lookup, then
+// resolveOnce is Resolve without the miss-path lookup: live lookup, then
 // single-flight lazy recovery of a pending entry.
 func (r *Registry) resolveOnce(name string) (t *Tenant, found bool, err error) {
 	if t, ok := r.Get(name); ok {
@@ -251,37 +227,60 @@ func (r *Registry) resolveOnce(name string) (t *Tenant, found bool, err error) {
 		<-c.done
 		return c.t, true, c.err
 	}
-	c := &recoverCall{done: make(chan struct{})}
-	if r.recovering == nil {
-		r.recovering = make(map[string]*recoverCall)
-	}
-	r.recovering[name] = c
+	c := r.claimLocked(name)
 	r.pendMu.Unlock()
+	defer r.settle(name, c)
 
 	// Recovery runs outside every lock; only this goroutine works on name.
 	if r.recoverer == nil {
 		c.err = fmt.Errorf("tenancy: tenant %q is pending but no recoverer is configured", name)
-	} else {
-		eng, rerr := r.recoverer(spec)
-		if rerr != nil {
-			c.err = fmt.Errorf("tenancy: recover tenant %q: %w", name, rerr)
-		} else {
-			c.t, c.err = r.Register(name, eng, Options{CacheBudget: spec.Cache})
-			if c.err != nil && r.durability != nil {
-				// The recoverer attached durable handles (the WAL); a failed
-				// registration must not leak them open.
-				r.durability.ReleaseTenant(name)
-			}
-		}
+		return nil, true, c.err
+	}
+	eng, err := r.recoverer(spec)
+	if err != nil {
+		c.err = fmt.Errorf("tenancy: recover tenant %q: %w", name, err)
+		return nil, true, c.err
+	}
+	c.t, c.err = r.registerRecovered(spec, eng)
+	return c.t, true, c.err
+}
+
+// claimLocked marks name mid-flight — a lazy recovery or a dynamic
+// creation — so no second flight of it starts: Resolve waits on the
+// returned call, RegisterDynamic and adoptPending back off, and Deregister
+// and Release drain it. The caller holds pendMu and ends the flight with
+// settle.
+func (r *Registry) claimLocked(name string) *recoverCall {
+	c := &recoverCall{done: make(chan struct{})}
+	r.recovering[name] = c
+	return c
+}
+
+// settle ends name's flight with c's outcome: a tenant it made live leaves
+// the pending set, and every waiter wakes — with an error, not a nil
+// tenant, should the flight have panicked.
+func (r *Registry) settle(name string, c *recoverCall) {
+	if c.t == nil && c.err == nil {
+		c.err = fmt.Errorf("tenancy: flight for tenant %q panicked", name)
 	}
 	r.pendMu.Lock()
-	if c.err == nil {
+	if c.t != nil {
 		delete(r.pending, name)
 	}
 	delete(r.recovering, name)
 	r.pendMu.Unlock()
 	close(c.done)
-	return c.t, true, c.err
+}
+
+// registerRecovered registers an engine the recoverer built. The recoverer
+// may have attached durable handles (the WAL), so a failed registration
+// releases them rather than leak them open.
+func (r *Registry) registerRecovered(spec TenantSpec, eng *sizelos.Engine) (*Tenant, error) {
+	t, err := r.Register(spec, eng)
+	if err != nil && r.durability != nil {
+		r.durability.ReleaseTenant(spec.Name)
+	}
+	return t, err
 }
 
 // RegisterDynamic creates a brand-new tenant through the recoverer and, if
@@ -315,32 +314,20 @@ func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 		r.pendMu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, name)
 	}
-	c := &recoverCall{done: make(chan struct{})}
-	if r.recovering == nil {
-		r.recovering = make(map[string]*recoverCall)
-	}
-	r.recovering[name] = c
+	c := r.claimLocked(name)
 	// A deliberate re-registration lifts the handoff mark: this node is
 	// the tenant's owner again.
 	delete(r.released, name)
 	r.pendMu.Unlock()
-	defer func() {
-		r.pendMu.Lock()
-		delete(r.recovering, name)
-		r.pendMu.Unlock()
-		close(c.done)
-	}()
+	defer r.settle(name, c)
 
 	eng, err := r.recoverer(spec)
 	if err != nil {
 		c.err = err
 		return nil, err
 	}
-	t, err := r.Register(name, eng, Options{CacheBudget: spec.Cache})
+	t, err := r.registerRecovered(spec, eng)
 	if err != nil {
-		if r.durability != nil {
-			r.durability.ReleaseTenant(name)
-		}
 		c.err = fmt.Errorf("%w: %q", ErrTenantExists, name)
 		return nil, c.err
 	}
@@ -361,21 +348,6 @@ func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 	}
 	c.t = t
 	return t, nil
-}
-
-// NewRegistry creates an empty registry whose tenants share one summary
-// pool of poolSize slots (<= 0: GOMAXPROCS). Options configure the
-// service surface: WithQoS, WithAdminToken, WithDefaultCacheBudget —
-// ServerConfig.NewRegistry builds the whole thing from one config object.
-func NewRegistry(poolSize int, opts ...Option) *Registry {
-	r := &Registry{pool: searchexec.NewPool(poolSize)}
-	for i := range r.stripes {
-		r.stripes[i].tenants = make(map[string]*Tenant)
-	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	return r
 }
 
 // Pool exposes the shared summary pool, e.g. for load reporting.
@@ -409,24 +381,29 @@ func validName(name string) bool {
 	return true
 }
 
-// Register adds a tenant. The engine must be fully set up (G_DSs
-// registered); registration installs the tenant's cache budget and wires
-// the shared pool. Registering a live registry is safe while other tenants
-// serve traffic.
-func (r *Registry) Register(name string, eng *sizelos.Engine, opts Options) (*Tenant, error) {
+// Register adds tenant spec.Name serving eng, which must be fully set up
+// (G_DSs registered). Registration wires the shared pool and installs
+// spec.Cache (0: the registry default) on an engine that has no cache
+// yet: tenants sharing one engine share the first-installed budget, so a
+// later registration never wipes a sibling's warm cache, while entries
+// stay per-tenant (keys are scoped by name). Registering a live registry
+// is safe while other tenants serve traffic.
+func (r *Registry) Register(spec TenantSpec, eng *sizelos.Engine) (*Tenant, error) {
+	name := spec.Name
 	if !validName(name) {
 		return nil, fmt.Errorf("tenancy: invalid tenant name %q (want [A-Za-z0-9._-]+)", name)
 	}
 	if eng == nil {
 		return nil, fmt.Errorf("tenancy: tenant %q: nil engine", name)
 	}
-	if opts.CacheBudget == 0 {
-		opts.CacheBudget = r.defaultCache
+	budget := spec.Cache
+	if budget == 0 {
+		budget = r.defaultCache
 	}
 	t := &Tenant{
 		Name:        name,
 		Engine:      eng,
-		CacheBudget: opts.CacheBudget,
+		CacheBudget: budget,
 		pool:        r.pool,
 	}
 	s := r.stripe(name)
@@ -440,8 +417,8 @@ func (r *Registry) Register(name string, eng *sizelos.Engine, opts Options) (*Te
 	// Install the budget only on a cache-less engine: EnableSummaryCache
 	// swaps in an empty LRU, so re-installing on an engine shared with an
 	// already-live tenant would wipe that tenant's warm entries mid-traffic.
-	if _, enabled := eng.SummaryCacheStats(); !enabled && opts.CacheBudget > 0 {
-		eng.EnableSummaryCache(opts.CacheBudget)
+	if _, enabled := eng.SummaryCacheStats(); !enabled && budget > 0 {
+		eng.EnableSummaryCache(budget)
 	}
 	s.tenants[name] = t
 	return t, nil
@@ -464,35 +441,9 @@ func (r *Registry) Get(name string) (*Tenant, bool) {
 // for that flight to settle and then removes its result too, so a
 // successful DELETE never leaves the tenant serving from memory.
 func (r *Registry) Deregister(name string) (bool, error) {
-	// Drain any in-flight recovery/creation of the name first: its Register
-	// would otherwise land after our removal and resurrect the tenant in
-	// memory while its durable state is gone. Holding pendMu across the
-	// pending-entry removal guarantees no new flight starts in between.
-	r.pendMu.Lock()
-	for {
-		c, running := r.recovering[name]
-		if !running {
-			break
-		}
-		r.pendMu.Unlock()
-		<-c.done
-		r.pendMu.Lock()
-	}
-	_, pend := r.pending[name]
-	delete(r.pending, name)
-	r.pendMu.Unlock()
-
-	s := r.stripe(name)
-	s.mu.Lock()
-	_, live := s.tenants[name]
-	delete(s.tenants, name)
-	s.mu.Unlock()
-	if !live && !pend {
+	if !r.remove(name) {
 		return false, nil
 	}
-	// Drop the tenant's limiter state; a later re-registration under the
-	// same name starts with fresh buckets and counters.
-	r.qos.Drop(name)
 	if r.durability != nil {
 		if err := r.durability.ForgetTenant(name); err != nil {
 			return true, fmt.Errorf("tenancy: forget tenant %q: %w", name, err)
@@ -513,6 +464,25 @@ func (r *Registry) Deregister(name string) (bool, error) {
 // a later Deregister on this node 404s and must NOT reach ForgetTenant —
 // that would delete the state the new owner is serving from.
 func (r *Registry) Release(name string) bool {
+	if !r.remove(name) {
+		return false
+	}
+	r.pendMu.Lock()
+	r.released[name] = true
+	r.pendMu.Unlock()
+	if r.durability != nil {
+		r.durability.ReleaseTenant(name)
+	}
+	return true
+}
+
+// remove is the in-memory half of Deregister and Release: it drops name's
+// pending and live entries and its QoS state, reporting whether there was
+// either entry. Any in-flight recovery or creation of the name is drained
+// first — its Register would otherwise land after the removal and
+// resurrect the tenant in memory — and holding pendMu across the
+// pending-entry removal guarantees no new flight starts in between.
+func (r *Registry) remove(name string) bool {
 	r.pendMu.Lock()
 	for {
 		c, running := r.recovering[name]
@@ -535,20 +505,13 @@ func (r *Registry) Release(name string) bool {
 	if !live && !pend {
 		return false
 	}
-	r.pendMu.Lock()
-	if r.released == nil {
-		r.released = make(map[string]bool)
-	}
-	r.released[name] = true
-	r.pendMu.Unlock()
+	// A later re-registration under the same name starts with fresh
+	// buckets and counters.
 	r.qos.Drop(name)
-	if r.durability != nil {
-		r.durability.ReleaseTenant(name)
-	}
 	return true
 }
 
-// Readopt clears a prior Release handoff mark so the pending loader (or
+// Readopt clears a prior Release handoff mark so the miss-path lookup (or
 // a fresh AddPending) may adopt the name here again. Only the routing
 // tier calls it, at the moment ownership legitimately returns to this
 // node — the tenant's newer owner failed, or a rebalance mapped the

@@ -68,26 +68,26 @@ func authorQuery(t testing.TB, eng *sizelos.Engine) string {
 
 func TestRegistryBasics(t *testing.T) {
 	eng := testEngine(t, 1)
-	reg := NewRegistry(2)
-	if _, err := reg.Register("acme", eng, Options{CacheBudget: 8}); err != nil {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	if _, err := reg.Register(TenantSpec{Name: "acme", Cache: 8}, eng); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if _, err := reg.Register("acme", eng, Options{}); err == nil {
+	if _, err := reg.Register(TenantSpec{Name: "acme"}, eng); err == nil {
 		t.Error("duplicate Register succeeded")
 	}
 	for _, bad := range []string{"", "a/b", "sp ace", "q?x"} {
-		if _, err := reg.Register(bad, eng, Options{}); err == nil {
+		if _, err := reg.Register(TenantSpec{Name: bad}, eng); err == nil {
 			t.Errorf("Register(%q) accepted an unsafe name", bad)
 		}
 	}
-	if _, err := reg.Register("nil-engine", nil, Options{}); err == nil {
+	if _, err := reg.Register(TenantSpec{Name: "nil-engine"}, nil); err == nil {
 		t.Error("Register with nil engine succeeded")
 	}
 	tn, ok := reg.Get("acme")
 	if !ok || tn.Name != "acme" || tn.CacheBudget != 8 {
 		t.Fatalf("Get(acme) = %+v, %v", tn, ok)
 	}
-	if _, err := reg.Register("zeta", eng, Options{}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "zeta"}, eng); err != nil {
 		t.Fatalf("Register(zeta): %v", err)
 	}
 	if got, want := reg.Names(), []string{"acme", "zeta"}; !reflect.DeepEqual(got, want) {
@@ -119,8 +119,8 @@ func engineSearch(eng *sizelos.Engine, rel, q string, l int) ([]sizelos.Summary,
 // batching without changing results.
 func TestTenantSearchMatchesEngine(t *testing.T) {
 	eng := testEngine(t, 1)
-	reg := NewRegistry(2)
-	tn, err := reg.Register("acme", eng, Options{})
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	tn, err := reg.Register(TenantSpec{Name: "acme"}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Dedicated engine: the stats assertions below need this tenant's
 	// budget to be the one installed (shared engines keep the first).
 	eng := testEngine(t, 3)
-	reg := NewRegistry(2)
-	if _, err := reg.Register("acme", eng, Options{CacheBudget: 64}); err != nil {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	if _, err := reg.Register(TenantSpec{Name: "acme", Cache: 64}, eng); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -310,8 +310,8 @@ func TestHTTPEndpoints(t *testing.T) {
 // registration wiping a live tenant's warm summary cache.
 func TestDuplicateRegisterPreservesCache(t *testing.T) {
 	eng := testEngine(t, 1)
-	reg := NewRegistry(2)
-	tn, err := reg.Register("warm", eng, Options{CacheBudget: 16})
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	tn, err := reg.Register(TenantSpec{Name: "warm", Cache: 16}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestDuplicateRegisterPreservesCache(t *testing.T) {
 	if !ok || before.Len == 0 {
 		t.Fatalf("cache not warmed: %+v (ok=%v)", before, ok)
 	}
-	if _, err := reg.Register("warm", eng, Options{CacheBudget: 999}); err == nil {
+	if _, err := reg.Register(TenantSpec{Name: "warm", Cache: 999}, eng); err == nil {
 		t.Fatal("duplicate Register succeeded")
 	}
 	after, ok := eng.SummaryCacheStats()
@@ -337,8 +337,8 @@ func TestDuplicateRegisterPreservesCache(t *testing.T) {
 // the budget.
 func TestSharedEngineKeepsFirstBudget(t *testing.T) {
 	eng := testEngine(t, 4)
-	reg := NewRegistry(2)
-	first, err := reg.Register("first", eng, Options{CacheBudget: 32})
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
+	first, err := reg.Register(TenantSpec{Name: "first", Cache: 32}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestSharedEngineKeepsFirstBudget(t *testing.T) {
 	if !ok || before.Cap != 32 || before.Len == 0 {
 		t.Fatalf("cache not installed/warmed: %+v (ok=%v)", before, ok)
 	}
-	if _, err := reg.Register("second", eng, Options{CacheBudget: 8}); err != nil {
+	if _, err := reg.Register(TenantSpec{Name: "second", Cache: 8}, eng); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := eng.SummaryCacheStats()
@@ -365,8 +365,8 @@ func TestSharedEngineKeepsFirstBudget(t *testing.T) {
 func TestConcurrentSearchAndRegister(t *testing.T) {
 	engA := testEngine(t, 1)
 	engB := testEngine(t, 2)
-	reg := NewRegistry(0)
-	if _, err := reg.Register("alpha", engA, Options{CacheBudget: 32}); err != nil {
+	reg := NewRegistry(ServerConfig{PoolSize: 0}, nil, nil)
+	if _, err := reg.Register(TenantSpec{Name: "alpha", Cache: 32}, engA); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(reg.Handler())
@@ -399,7 +399,7 @@ func TestConcurrentSearchAndRegister(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := reg.Register("beta", engB, Options{CacheBudget: 32}); err != nil {
+		if _, err := reg.Register(TenantSpec{Name: "beta", Cache: 32}, engB); err != nil {
 			errs <- err
 			return
 		}
