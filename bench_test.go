@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -1096,22 +1097,69 @@ func rankedScanOps(n int) []sizelos.QueryRequest {
 	return ops[:n]
 }
 
-// BenchmarkRankedScan is the engine side of the ranked_scan workload: one
-// TPC-H SF 0.004 engine serving the workload's /ranked mix, so the size-l
-// kernel runs as a scan — every candidate gets a prelim-l OS, and those its
-// bound does not seal a Top-Path selection. summaries/op and sealed/op are
-// the mix's QueryStats, the same on every commit that keeps the algorithm.
-func BenchmarkRankedScan(b *testing.B) {
-	rankedOnce.Do(func() { rankedEng, rankedErr = sizelos.OpenTPCH(datagen.DefaultTPCHConfig()) })
-	if rankedErr != nil {
-		b.Fatal(rankedErr)
+// rankedScanKeys lists the 400 (relation, setting, l) keys of the ranked_scan
+// mix, each once, in a seeded order.
+func rankedScanKeys() []sizelos.QueryRequest {
+	var keys []sizelos.QueryRequest
+	for _, rel := range []string{"Customer", "Supplier"} {
+		for _, s := range sizelos.DefaultSettings(nil, nil) {
+			for l := 5; l < 55; l++ {
+				keys = append(keys, sizelos.QueryRequest{Rel: rel, Query: strings.ToLower(rel), L: l,
+					Setting: s.Name, RankBySummary: true, K: 10})
+			}
+		}
 	}
-	ops := rankedScanOps(200)
+	r := rand.New(rand.NewSource(1))
+	r.Shuffle(len(keys), func(a, b int) { keys[a], keys[b] = keys[b], keys[a] })
+	return keys
+}
+
+// BenchmarkRankedScan is the engine side of the ranked_scan workload: a
+// TPC-H SF 0.004 engine serving the workload's /ranked mix, so the size-l
+// kernel runs as a scan — every candidate the bound table cannot seal gets a
+// prelim-l OS, and those its tree's bound does not seal a Top-Path
+// selection. summaries/op and sealed/op are the mix's QueryStats, the same
+// on every commit that keeps the algorithm. The table remembers the exact
+// Im(S) of every selection at its (l, algorithm, OS kind), so there are two
+// legs: warm cycles 200 ops of the mix on one shared engine — past its first
+// pass every op revisits a key and it times the memo's hit path — and first
+// asks each of the mix's 400 keys once on an engine opened outside the
+// timer, so every op is a first visit.
+func BenchmarkRankedScan(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
+		rankedOnce.Do(func() { rankedEng, rankedErr = sizelos.OpenTPCH(datagen.DefaultTPCHConfig()) })
+		if rankedErr != nil {
+			b.Fatal(rankedErr)
+		}
+		ops := rankedScanOps(200)
+		runRankedScan(b, func(i int) (*sizelos.Engine, sizelos.QueryRequest) { return rankedEng, ops[i%len(ops)] })
+	})
+	b.Run("first", func(b *testing.B) {
+		keys := rankedScanKeys()
+		var eng *sizelos.Engine
+		runRankedScan(b, func(i int) (*sizelos.Engine, sizelos.QueryRequest) {
+			if i%len(keys) == 0 {
+				b.StopTimer()
+				var err error
+				if eng, err = sizelos.OpenTPCH(datagen.DefaultTPCHConfig()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			return eng, keys[i%len(keys)]
+		})
+	})
+}
+
+// runRankedScan times b.N ranked ops, op i on the engine and request next
+// hands out, and reports their mean QueryStats.
+func runRankedScan(b *testing.B, next func(i int) (*sizelos.Engine, sizelos.QueryRequest)) {
 	var summaries, sealed int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		page, _, stats, err := rankedEng.QueryPage(ops[i%len(ops)])
+		eng, req := next(i)
+		page, _, stats, err := eng.QueryPage(req)
 		if err != nil {
 			b.Fatal(err)
 		}

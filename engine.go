@@ -598,7 +598,8 @@ type kernel struct {
 // it or the caller asked, else DSRel, Tuple, Result and Tree only); the
 // prefix sums of its tree's l largest local importances, descending, so
 // top[i-1] bounds Im(S) of any i of its tuples from above (nil on a cache
-// hit); and whether top sealed it under the caller's threshold unselected.
+// hit); and whether top sealed it under the caller's threshold unselected,
+// leaving Result empty (a ranking remembers an unsealed Result.Importance).
 type scored struct {
 	sum    Summary
 	top    []float64
@@ -716,6 +717,8 @@ func (e *Engine) epochForLocked(dsRel string) uint64 {
 // RankBySummary query is served from the cache where it can be
 // but adds nothing to it: what it would add — the K largest OSs of every
 // ranking asked for — is the most memory per entry for the least reuse.
+// What a ranking keeps instead is each scored subject's exact Im(S), 16
+// bytes in its bound table, so a repeat builds only the K it serves.
 // Cached summaries share their Tree pointer; treat returned summaries as
 // read-only. capacity <= 0 disables caching. Safe to toggle
 // while searches are in flight: running queries finish against the cache

@@ -1,13 +1,14 @@
 package sizelos
 
 import (
+	"cmp"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"sizelos/internal/keyword"
 	"sizelos/internal/relational"
@@ -61,9 +62,10 @@ type QueryRequest struct {
 	// (§7): a DS whose neighborhood is important outranks a well-connected
 	// but shallow one. The answer is exactly the full scan's, but with K set
 	// the scan stops early: the sum of a subject's l largest local
-	// importances bounds its Im(S) from above, so once K summaries are
-	// scored, every candidate whose bound is under the K-th best is sealed
-	// without a selection, and only the served page is rendered.
+	// importances bounds its Im(S) from above (one a ranking already scored
+	// on this state, by its exact Im(S)), so once K summaries are scored,
+	// every candidate whose bound is under the K-th best is sealed without a
+	// selection, and only the served page is rendered.
 	RankBySummary bool
 	// K, with RankBySummary, caps the ranking to the best K summaries
 	// (0 = rank everything). It bounds the result set, not the page: use
@@ -189,7 +191,8 @@ type QueryStats struct {
 	Matches int
 	// Summaries is how many size-l summaries the call produced
 	// (computed or served from cache) — under RankBySummary every candidate
-	// it scored, whether or not it made the page.
+	// it scored, whether or not it made the page (a repeat on the same state:
+	// its K, plus any candidate tying the K-th).
 	Summaries int
 	// Sealed counts the RankBySummary candidates excluded by their Im(S)
 	// upper bound with no selection computed: on a ranked query
@@ -317,12 +320,6 @@ func (e *Engine) nextLive(rel string, stream keyword.MatchStream, stats *QuerySt
 	}
 }
 
-// rankRound is how many candidates the ranked loop evaluates between two
-// looks at the threshold. One goroutine could look after every candidate and
-// seal earlier; it stays 16 so that QueryStats and the bounds a query leaves
-// behind are what they were when a round was a batch for workers.
-const rankRound = 16
-
 // boundSlack covers how a bound and the Im(S) it bounds disagree in floating
 // point: the bound sums weights in descending order, ImportanceOf by node.
 const boundSlack = 1e-9
@@ -340,8 +337,8 @@ type candidate struct {
 }
 
 // rankLocked serves a ranked page, a threshold loop over the whole frontier:
-// candidates are ordered by remembered bound and evaluated in rounds; after
-// each round tau is Im(S) of the K-th best so far (K == 0: -Inf, nothing
+// candidates are ordered by remembered bound and evaluated one at a time;
+// after each, tau is Im(S) of the K-th best so far (K == 0: -Inf, nothing
 // seals), a candidate whose bound is under tau is never selected, and the
 // loop stops at the first remembered bound under tau — every later one is
 // smaller. A sealed candidate's Im(S) is strictly under K summaries already
@@ -366,46 +363,27 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 	}
 	cands := e.candidatesLocked(req, matches)
 	var best []Summary
+	var seen []scored
 	tau := math.Inf(-1)
-	for {
-		n := 0
-		for n < len(cands) && n < rankRound && !sealedBy(cands[n].bound, tau) {
-			n++
+	i := 0
+	for ; i < len(cands) && !sealedBy(cands[i].bound, tau); i++ {
+		s, err := e.summaryLocked(req, cands[i].tuple, tau, false, k)
+		if err != nil {
+			return nil, false, err
 		}
-		if n == 0 {
-			break
+		seen = append(seen, s)
+		if s.sealed {
+			stats.Sealed++
+			continue
 		}
-		round, out := cands[:n], make([]scored, n)
-		cands = cands[n:]
-		for i, c := range round {
-			s, err := e.summaryLocked(req, c.tuple, tau, false, k)
-			if err != nil {
-				return nil, false, err
-			}
-			out[i] = s
-		}
-		e.rememberLocked(req, round, out)
-		for _, s := range out {
-			if s.sealed {
-				stats.Sealed++
-				continue
-			}
-			stats.Summaries++
-			best = append(best, s.sum)
-		}
-		if req.K > 0 && len(best) >= req.K {
-			sortRanking(best)
-			for _, s := range best[req.K:] {
-				if s.Text == "" { // built by this query, not served by the cache
-					k.free = append(k.free, s.Tree)
-				}
-			}
-			best = best[:req.K]
+		stats.Summaries++
+		best = k.keep(best, s.sum, req.K)
+		if req.K > 0 && len(best) == req.K {
 			tau = best[req.K-1].Result.Importance
 		}
 	}
-	stats.Sealed += len(cands)
-	sortRanking(best)
+	stats.Sealed += len(cands) - i
+	e.rememberLocked(req, seen)
 
 	rest := best[min(resume, len(best)):]
 	n := req.cut(len(rest))
@@ -419,14 +397,27 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 	return page, n < len(rest), nil
 }
 
-// sortRanking orders summaries by Im(S) descending, ties by tuple ascending.
-func sortRanking(sums []Summary) {
-	sort.Slice(sums, func(a, b int) bool {
-		if sums[a].Result.Importance != sums[b].Result.Importance {
-			return sums[a].Result.Importance > sums[b].Result.Importance
-		}
-		return sums[a].Tuple < sums[b].Tuple
-	})
+// rankOrder orders summaries by Im(S) descending, ties by tuple ascending.
+func rankOrder(a, b Summary) int {
+	if c := cmp.Compare(b.Result.Importance, a.Result.Importance); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Tuple, b.Tuple)
+}
+
+// keep inserts s into best, which is in rankOrder, and cuts best to its K
+// best (K == 0: all); a summary the cut drops gives its tree back to k if
+// this query built it rather than the cache serving it.
+func (k *kernel) keep(best []Summary, s Summary, K int) []Summary {
+	i, _ := slices.BinarySearchFunc(best, s, rankOrder)
+	best = slices.Insert(best, i, s)
+	if K == 0 || len(best) <= K {
+		return best
+	}
+	if drop := best[K]; drop.Text == "" {
+		k.free = append(k.free, drop.Tree)
+	}
+	return best[:K]
 }
 
 // boundKey names one bound table.
@@ -434,7 +425,8 @@ type boundKey struct{ rel, setting string }
 
 // boundTable remembers what ranked queries learned about the subjects of
 // one (DS relation, setting): per subject, the prefix sums of its largest
-// local importances at the largest l evaluated so far. sums[i-1] bounds
+// local importances at the largest l evaluated so far, and each scored
+// Im(S), a bound that holds with equality at its exactKey. sums[i-1] bounds
 // Im(S) of every size-i OS of the subject from above for each i <= l: the OS
 // generated for a smaller l is the same OS cut at a smaller depth
 // (Definition 2), so its largest weights are no larger. It is filled as a
@@ -447,8 +439,41 @@ type boundTable struct {
 }
 
 type profile struct {
-	l    int
-	sums []float64
+	l     int
+	sums  []float64
+	exact []exactIm
+}
+
+// exactKey is what a subject's Im(S) depends on besides the table's subject,
+// setting and epoch: l, the algorithm and the OS kind it selected from.
+type exactKey struct {
+	l        int32
+	algo     uint8
+	complete bool
+}
+
+// exactIm is one remembered Im(S), 16 bytes.
+type exactIm struct {
+	exactKey
+	im float64
+}
+
+var algoCode = map[Algorithm]uint8{AlgoTopPath: 0, AlgoBottomUp: 1, AlgoDP: 2}
+
+// exactKeyFor returns req's exactKey; ok is false for an l past int32, whose
+// Im(S) is never remembered.
+func exactKeyFor(req QueryRequest) (key exactKey, ok bool) {
+	return exactKey{int32(req.L), algoCode[req.Algorithm], req.Complete}, req.L <= math.MaxInt32
+}
+
+// exactAt returns the remembered Im(S) at key, if any.
+func (p profile) exactAt(key exactKey) (float64, bool) {
+	for _, x := range p.exact {
+		if x.exactKey == key {
+			return x.im, true
+		}
+	}
+	return 0, false
 }
 
 // boundTableLocked returns req's bound table for the current epoch. Callers
@@ -467,34 +492,45 @@ func (e *Engine) boundTableLocked(req QueryRequest) *boundTable {
 }
 
 // candidatesLocked orders the live matches for the ranked loop: remembered
-// bound at req.L descending, subjects with no profile reaching req.L first
-// (unbounded) in stream order. Callers hold at least the read lock.
+// bound descending (the exact Im(S) at req's exactKey, else the prefix sum at
+// req.L), unbounded subjects first in stream order. Callers hold at least
+// the read lock.
 func (e *Engine) candidatesLocked(req QueryRequest, matches []keyword.Match) []candidate {
 	cands := make([]candidate, len(matches))
+	key, memo := exactKeyFor(req)
 	e.boundsMu.Lock()
 	t := e.boundTableLocked(req)
 	for i, m := range matches {
 		cands[i] = candidate{m.Tuple, math.Inf(1)}
-		if p, ok := t.profiles[m.Tuple]; ok && p.l >= req.L {
+		p := t.profiles[m.Tuple]
+		if im, ok := p.exactAt(key); ok && memo {
+			cands[i].bound = im
+		} else if p.l >= req.L {
 			cands[i].bound = p.sums[min(req.L, len(p.sums))-1]
 		}
 	}
 	e.boundsMu.Unlock()
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].bound > cands[b].bound })
+	slices.SortStableFunc(cands, func(a, b candidate) int { return cmp.Compare(b.bound, a.bound) })
 	return cands
 }
 
-// rememberLocked records the profiles a round learned; of two profiles of
-// one subject the one for the larger l stays. Callers hold at least the
-// read lock.
-func (e *Engine) rememberLocked(req QueryRequest, round []candidate, out []scored) {
+// rememberLocked records a request's evaluations under one boundsMu hold: of
+// two profiles of one subject the one for the larger l stays, and each
+// selection's Im(S) is kept at req's exactKey. Callers hold the read lock.
+func (e *Engine) rememberLocked(req QueryRequest, seen []scored) {
+	key, memo := exactKeyFor(req)
 	e.boundsMu.Lock()
 	defer e.boundsMu.Unlock()
 	t := e.boundTableLocked(req)
-	for i, c := range round {
-		if top := out[i].top; top != nil && t.profiles[c.tuple].l < req.L {
-			t.profiles[c.tuple] = profile{req.L, top}
+	for _, s := range seen {
+		p := t.profiles[s.sum.Tuple]
+		if s.top != nil && p.l < req.L {
+			p.l, p.sums = req.L, s.top
 		}
+		if _, ok := p.exactAt(key); memo && !s.sealed && !ok {
+			p.exact = append(p.exact, exactIm{key, s.sum.Result.Importance})
+		}
+		t.profiles[s.sum.Tuple] = p
 	}
 }
 

@@ -7,11 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sizelos/internal/datagen"
+	"sizelos/internal/relational"
 )
 
 // The proofs of the ranked threshold loop (Engine.rankLocked): whatever it
@@ -102,10 +105,12 @@ func rankedGrid(sample int) []rankedCase {
 
 // checkRankedGrid runs every case against the eager reference (refSummaries:
 // raw matches, one SizeL each, sort, cut — no code shared with the loop's
-// ordering, rounds, sealing or bound table) four times: on a cold bound
-// table, on the table that run left, and after a query at the next smaller
-// and then the next larger l of the grid re-warmed an emptied table — so a
-// bound read from a profile recorded at another l is exercised both ways.
+// ordering, sealing or bound table) five times: on a cold bound table, on
+// the table that run left (its exact Im(S) memo included), after a query at
+// the next smaller and then the next larger l of the grid re-warmed an
+// emptied table — so a bound read from a profile recorded at another l is
+// exercised both ways — and after another algorithm at the same l warmed an
+// emptied table, whose exact values must not be read at this case's key.
 func checkRankedGrid(t *testing.T, eng *Engine, cases []rankedCase) {
 	type refKey struct {
 		rel, setting string
@@ -149,14 +154,15 @@ func checkRankedGrid(t *testing.T, eng *Engine, cases []rankedCase) {
 			}
 			sealed += stats.Sealed
 		}
-		warmAt := func(l int) {
+		warmWith := func(l int, algo Algorithm) {
 			t.Helper()
 			warm := req
-			warm.L = l
+			warm.L, warm.Algorithm = l, algo
 			if _, _, _, err := eng.QueryPage(warm); err != nil {
-				t.Fatalf("%+v warming at l=%d: %v", c, l, err)
+				t.Fatalf("%+v warming at l=%d with %s: %v", c, l, algo, err)
 			}
 		}
+		warmAt := func(l int) { t.Helper(); warmWith(l, c.algo) }
 		eng.bounds = nil
 		ask("cold table")
 		ask("warm table")
@@ -174,6 +180,9 @@ func checkRankedGrid(t *testing.T, eng *Engine, cases []rankedCase) {
 			}
 			ask("table warmed at a larger l")
 		}
+		eng.bounds = nil
+		warmWith(c.l, rankedAlgos[(slices.Index(rankedAlgos, c.algo)+1)%len(rankedAlgos)])
+		ask("table warmed by another algorithm at the same l")
 	}
 	if sealed == 0 {
 		t.Fatal("no case sealed a single candidate: the grid never exercised the bound")
@@ -195,17 +204,18 @@ func testRankedEagerReference(t *testing.T) {
 }
 
 // TestRankedSealsCandidates is the loop's payoff made observable: with the
-// bound table warm, a top-10 over the 600 Customers scores under a quarter
-// of them and accounts for every other one as sealed; without a K nothing
-// can seal. The answers are the eager reference's throughout — with a
-// summary cache on that the ranking reads (a /search page left it 5
+// bound table warm, a repeated top-10 over the 600 Customers scores no more
+// than the 10 it serves and accounts for every other one as sealed; without
+// a K nothing can seal. The answers are the eager reference's throughout —
+// with a summary cache on that the ranking reads (a /search page left it 5
 // entries) and never adds to — and so are the pages of a paged top-10.
 func TestRankedSealsCandidates(t *testing.T) {
 	eng := openTPCH(t, 0.004)
 	req := QueryRequest{Rel: "Customer", Query: "customer", L: 25, RankBySummary: true, K: 10}
 	want := refSummaries(t, eng, req)
 	eng.EnableSummaryCache(64)
-	if _, err := search(eng, req.Rel, req.Query, req.L, QueryRequest{Limit: 5}); err != nil {
+	cached, err := search(eng, req.Rel, req.Query, req.L, QueryRequest{Limit: 5})
+	if err != nil {
 		t.Fatalf("QueryPage: %v", err)
 	}
 
@@ -226,13 +236,23 @@ func TestRankedSealsCandidates(t *testing.T) {
 		}
 	}
 	if cold.Sealed == 0 {
-		t.Fatalf("cold pass sealed nothing in-round: %+v", cold)
+		t.Fatalf("cold pass sealed nothing: %+v", cold)
 	}
-	if warm.Summaries > warm.Matches/4 {
-		t.Fatalf("warm top-10 scored %d of %d candidates, want at most a quarter", warm.Summaries, warm.Matches)
+	if warm.Summaries > req.K {
+		t.Fatalf("warm top-10 scored %d of %d candidates, want at most %d", warm.Summaries, warm.Matches, req.K)
 	}
-	if cs, _ := eng.SummaryCacheStats(); cs.Len != 5 || cs.Hits != 10 {
-		t.Fatalf("cache %+v: two rankings must hit the 5 cached candidates and cache nothing themselves", cs)
+	// The cold ranking reads the 5 cached candidates first, since it knows no
+	// bound for them, and remembers their exact Im(S). The warm one reads
+	// again only the cached candidates that memo cannot seal: those in the
+	// top 10 (all 5 of them on this fixture, so 10 hits in all).
+	hits := uint64(5)
+	for _, s := range want {
+		if slices.ContainsFunc(cached, func(c Summary) bool { return c.Tuple == s.Tuple }) {
+			hits++
+		}
+	}
+	if cs, _ := eng.SummaryCacheStats(); cs.Len != 5 || cs.Hits != hits {
+		t.Fatalf("cache %+v: two rankings must hit the cached candidates %d times and cache nothing themselves", cs, hits)
 	}
 
 	all := req
@@ -261,6 +281,125 @@ func TestRankedSealsCandidates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(walked, want) {
 		t.Fatalf("paged top-10 (%d summaries) diverged from the eager reference", len(walked))
+	}
+}
+
+// TestRankedExactMemo proves the bound table's exact Im(S) is read only at
+// the key and the epoch it was scored at. A repeated top-10 scores at most
+// the K it serves, plus any candidate whose Im(S) ties the K-th within the
+// bound's slack. The same warm table asked at l ± 1, with another algorithm
+// or from the complete OS scores more, and exactly what the table's prefix
+// sums alone would leave it, because it may not borrow another key's value.
+// A batch outside Customer's dependency set leaves the memo in
+// force; one inside it leaves the next query scoring exactly like a cold
+// table. Every page is the eager reference's.
+func TestRankedExactMemo(t *testing.T) {
+	if n := unsafe.Sizeof(exactIm{}); n > 16 {
+		t.Fatalf("a remembered Im(S) takes %d bytes, want at most 16", n)
+	}
+	eng := openTPCH(t, 0.004)
+	base := QueryRequest{Rel: "Customer", Query: "customer", L: 25, RankBySummary: true, K: 10}
+	ask := func(stage string, req QueryRequest) QueryStats {
+		t.Helper()
+		got, _, stats, err := eng.QueryPage(req)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if want := refSummaries(t, eng, req); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ranked page diverged from the eager reference", stage)
+		}
+		return stats
+	}
+	// revisit is what a repeat of req may score: the K best, and every later
+	// candidate that ties the K-th within the slack (sealedBy is strict).
+	revisit := func(req QueryRequest) int {
+		t.Helper()
+		all := req
+		all.K = 0
+		full := refSummaries(t, eng, all)
+		n := req.K
+		for n < len(full) && !sealedBy(full[n].Result.Importance, full[req.K-1].Result.Importance) {
+			n++
+		}
+		return n
+	}
+
+	cold := ask("cold", base)
+	if cold.Summaries <= base.K {
+		t.Fatalf("cold top-10 scored %d: nothing left for the memo to save", cold.Summaries)
+	}
+	if st, most := ask("repeat", base), revisit(base); st.Summaries > most {
+		t.Fatalf("repeated top-10 scored %d, want at most %d", st.Summaries, most)
+	}
+
+	// Another key must read the warm table exactly as if it held prefix sums
+	// alone: forget drops every remembered Im(S) and keeps the rest.
+	forget := func() {
+		for _, tb := range eng.bounds {
+			for id, p := range tb.profiles {
+				p.exact = nil
+				tb.profiles[id] = p
+			}
+		}
+	}
+	type variant struct {
+		name string
+		req  QueryRequest
+	}
+	var others []variant
+	for _, dl := range []int{-1, 1} {
+		req := base
+		req.L += dl
+		others = append(others, variant{fmt.Sprintf("l=%d", req.L), req})
+	}
+	for _, algo := range []Algorithm{AlgoBottomUp, AlgoDP} {
+		req := base
+		req.Algorithm = algo
+		others = append(others, variant{string(algo), req})
+	}
+	complete := base
+	complete.Complete = true
+	others = append(others, variant{"complete", complete})
+	for _, o := range others {
+		eng.bounds = nil
+		ask("warming for "+o.name, base)
+		forget()
+		want := ask(o.name+" on prefix sums alone", o.req)
+		eng.bounds = nil
+		ask("warming for "+o.name, base)
+		if got := ask(o.name+" on a table warmed at the base key", o.req); got != want || got.Summaries <= o.req.K {
+			t.Fatalf("%s on a table warmed at l=%d with %s scored %+v, on its prefix sums alone %+v: it read another key's Im(S)",
+				o.name, base.L, AlgoTopPath, got, want)
+		}
+	}
+
+	// Parts is outside Customer's dependency set, Orders inside it.
+	customers := eng.DB().Relation("Customer")
+	top := refSummaries(t, eng, base)[0].Tuple
+	batches := []struct {
+		name   string
+		insert TupleInsert
+	}{
+		{"outside", TupleInsert{Rel: "Parts", Tuple: relational.Tuple{relational.IntVal(9_000_001), relational.StrVal("memo part"), relational.FloatVal(1)}}},
+		{"inside", TupleInsert{Rel: "Orders", Tuple: relational.Tuple{relational.IntVal(9_000_002), relational.IntVal(customers.PK(top)), relational.FloatVal(1e6), relational.StrVal("1998-08-02")}}},
+	}
+	for _, b := range batches {
+		eng.bounds = nil
+		ask("warming before the "+b.name+" batch", base)
+		if _, err := eng.Mutate(MutationBatch{Inserts: []TupleInsert{b.insert}}); err != nil {
+			t.Fatalf("%s batch: %v", b.name, err)
+		}
+		after := ask("after the "+b.name+" batch", base)
+		if b.name == "outside" {
+			if most := revisit(base); after.Summaries > most {
+				t.Fatalf("after a batch outside the dependency set the top-10 scored %d, want at most %d", after.Summaries, most)
+			}
+			continue
+		}
+		eng.bounds = nil
+		if fresh := ask("cold after the inside batch", base); after != fresh {
+			t.Fatalf("after a batch inside the dependency set the top-10 scored %+v, a cold table %+v", after, fresh)
+		}
 	}
 }
 
@@ -418,26 +557,29 @@ func FuzzQueryCursor(f *testing.F) {
 	})
 }
 
-// rankedAfterBatch is TestMutationEquivalence's ranked leg: one top-k on the
+// rankedAfterBatch is TestMutationEquivalence's ranked leg: a top-k on the
 // live engine — whose bound tables earlier rounds warmed, so a table that
-// outlived its epoch would order and seal by stale weights — against the
-// same query on rebuilt, an engine restored from the live one's exported
+// outlived its epoch would order and seal by stale weights — asked twice, so
+// the second reads the exact Im(S) the first wrote this round, each against
+// the same query on rebuilt, an engine restored from the live one's exported
 // state.
 func rankedAfterBatch(t *testing.T, eng, rebuilt *Engine, round int, req QueryRequest) {
 	t.Helper()
-	got, _, stats, err := eng.QueryPage(req)
-	if err != nil {
-		t.Fatalf("round %d: live ranked query: %v", round, err)
-	}
-	if stats.Matches != stats.Summaries+stats.Sealed+stats.Skipped {
-		t.Fatalf("round %d: ranked stats %+v do not add up", round, stats)
-	}
 	want, _, _, err := rebuilt.QueryPage(req)
 	if err != nil {
 		t.Fatalf("round %d: rebuilt ranked query: %v", round, err)
 	}
-	if err := sameRanking(got, want); err != nil {
-		t.Fatalf("round %d: live ranked page diverged from the rebuilt engine's: %v", round, err)
+	for _, pass := range []string{"first", "repeated"} {
+		got, _, stats, err := eng.QueryPage(req)
+		if err != nil {
+			t.Fatalf("round %d: %s live ranked query: %v", round, pass, err)
+		}
+		if stats.Matches != stats.Summaries+stats.Sealed+stats.Skipped {
+			t.Fatalf("round %d: %s ranked stats %+v do not add up", round, pass, stats)
+		}
+		if err := sameRanking(got, want); err != nil {
+			t.Fatalf("round %d: %s live ranked page diverged from the rebuilt engine's: %v", round, pass, err)
+		}
 	}
 }
 
@@ -462,12 +604,13 @@ func sameSummary(g, w Summary) bool {
 }
 
 // TestRankedAllocCeiling pins what a warm-table top-10 over the Customers
-// allocates: trees drawn from the request's free list, one extraction
-// source, child lists cut from ostree.Iota. The ceiling is the count
-// measured when it was set (CHANGES.md has the count before the kernel
-// stopped allocating per node); a change that needs more says why.
+// allocates: the exact Im(S) memo leaves only the 10 it serves to build, one
+// extraction source, child lists cut from ostree.Iota. The ceiling is the
+// count measured when it was set (CHANGES.md has the counts before the
+// kernel stopped allocating per node and before the memo); a change that
+// needs more says why.
 func TestRankedAllocCeiling(t *testing.T) {
-	const ceiling = 2276
+	const ceiling = 1080
 	eng := openTPCH(t, 0.002)
 	req := QueryRequest{Rel: "Customer", Query: "customer", L: 30, RankBySummary: true, K: 10}
 	allocs := testing.AllocsPerRun(10, func() {
