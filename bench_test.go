@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sizelos"
 	"sizelos/internal/datagen"
@@ -779,9 +778,9 @@ func BenchmarkRerankResidualParallel(b *testing.B) {
 // durableBenchEngine opens a small DBLP engine attached to a WAL in a
 // fresh MemFS-backed store (in-memory so the numbers track the durability
 // tier's CPU cost — framing, checksumming, replay — not disk latency).
-func durableBenchEngine(b *testing.B, opts durable.Options) (*sizelos.Engine, *durable.Store, *durable.TenantStore) {
+func durableBenchEngine(b *testing.B) (*sizelos.Engine, *durable.Store, *durable.TenantStore) {
 	b.Helper()
-	store, err := durable.Open(durable.NewMemFS(), opts)
+	store, err := durable.Open(durable.NewMemFS(), durable.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -814,62 +813,54 @@ func toDurableBatch(rb relational.Batch) sizelos.MutationBatch {
 
 // BenchmarkWALAppend measures the durable commit path: Engine.Mutate with
 // a WAL attached, so each op pays gob encoding, CRC framing, the log
-// write and (in sync-always mode) the sync, on top of the in-memory
-// mutation work the MutateIncremental family tracks on its own.
+// write and the fsync, on top of the in-memory mutation work the
+// MutateIncremental family tracks on its own.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts durable.Options
-	}{
-		{"sync-always", durable.Options{}},
-		{"group-commit", durable.Options{SyncInterval: time.Millisecond}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			// Both the store and the WAL segment grow with every committed
-			// batch (and MemFS re-copies the whole segment on each fsync),
-			// so an unbounded run would measure ever-larger state instead
-			// of the commit path. Reset to a fresh engine every resetEvery
-			// commits — off the clock — to keep ns/op independent of b.N.
-			const resetEvery = 256
-			var (
-				eng *sizelos.Engine
-				ts  *durable.TenantStore
-				gen *mutgen.Gen
-			)
-			reset := func() {
-				if ts != nil {
-					if err := ts.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				eng, _, ts = durableBenchEngine(b, mode.opts)
-				// The generator tracks the live store, so every batch
-				// commits (and therefore appends).
-				gen = mutgen.New(eng.DB(), 1)
-			}
-			reset()
-			defer func() {
+	b.Run("sync-always", func(b *testing.B) {
+		// Both the store and the WAL segment grow with every committed
+		// batch (and MemFS re-copies the whole segment on each fsync),
+		// so an unbounded run would measure ever-larger state instead
+		// of the commit path. Reset to a fresh engine every resetEvery
+		// commits — off the clock — to keep ns/op independent of b.N.
+		const resetEvery = 256
+		var (
+			eng *sizelos.Engine
+			ts  *durable.TenantStore
+			gen *mutgen.Gen
+		)
+		reset := func() {
+			if ts != nil {
 				if err := ts.Close(); err != nil {
 					b.Fatal(err)
 				}
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if i > 0 && i%resetEvery == 0 {
-					reset()
-				}
-				batch := toDurableBatch(gen.NextBatch())
-				b.StartTimer()
-				if len(batch.Deletes) == 0 && len(batch.Inserts) == 0 {
-					continue
-				}
-				if _, err := eng.Mutate(batch); err != nil {
-					b.Fatal(err)
-				}
 			}
-		})
-	}
+			eng, _, ts = durableBenchEngine(b)
+			// The generator tracks the live store, so every batch
+			// commits (and therefore appends).
+			gen = mutgen.New(eng.DB(), 1)
+		}
+		reset()
+		defer func() {
+			if err := ts.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if i > 0 && i%resetEvery == 0 {
+				reset()
+			}
+			batch := toDurableBatch(gen.NextBatch())
+			b.StartTimer()
+			if len(batch.Deletes) == 0 && len(batch.Inserts) == 0 {
+				continue
+			}
+			if _, err := eng.Mutate(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRecoveryReplay measures crash recovery: restore the newest
@@ -878,7 +869,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // 32 more batches, close); each iteration is then one full recovery from
 // that fixed disk state.
 func BenchmarkRecoveryReplay(b *testing.B) {
-	eng, store, ts := durableBenchEngine(b, durable.Options{})
+	eng, store, ts := durableBenchEngine(b)
 	gen := mutgen.New(eng.DB(), 2)
 	mutate := func(n int) {
 		for i := 0; i < n; i++ {

@@ -34,7 +34,7 @@
 // Without -data-dir nothing is persisted and behavior is identical to the
 // in-memory-only service. SIGINT/SIGTERM trigger a graceful shutdown:
 // in-flight requests drain (bounded by -drain), then every tenant takes a
-// final snapshot and its WAL is flushed and closed.
+// final snapshot and its WAL is closed.
 //
 // Several ossrv processes pointed at the SAME -data-dir form a fleet: each
 // sees every manifest tenant, and cmd/osrouter places each tenant on
@@ -114,7 +114,6 @@ func flags(cfg *tenancy.ServerConfig) (*flag.FlagSet, *string, *[]string) {
 	fs.StringVar(&cfg.AdminToken, "admin-token", cfg.AdminToken, "bearer token guarding tenant admin and mutation endpoints (empty = open)")
 	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "durability root: per-tenant WAL + snapshots (empty = in-memory only)")
 	fs.DurationVar((*time.Duration)(&cfg.SnapshotInterval), "snapshot-interval", cfg.SnapshotInterval.Std(), "cadence of periodic tenant snapshots (0 = only at shutdown; needs -data-dir)")
-	fs.DurationVar((*time.Duration)(&cfg.WALSync), "wal-sync", cfg.WALSync.Std(), "WAL group-commit interval; 0 fsyncs every mutation before acknowledging")
 	fs.IntVar(&cfg.KeepSnapshots, "keep-snapshots", cfg.KeepSnapshots, "snapshots retained per tenant after pruning")
 	fs.DurationVar((*time.Duration)(&cfg.Drain), "drain", cfg.Drain.Std(), "graceful-shutdown deadline for in-flight requests")
 	tenants := new([]string)

@@ -25,14 +25,14 @@ func TestLoadConfigPrecedence(t *testing.T) {
 		}
 		return path
 	}
-	full := file("full.json", `{"addr":":9","cache":7,"pool":3,"seed":42,"wal_sync":"5ms",
+	full := file("full.json", `{"addr":":9","cache":7,"pool":3,"seed":42,
 		"snapshot_interval":"1m","keep_snapshots":4,"drain":"1s","admin_token":"tok","data_dir":"d",
 		"tenants":{"z":"dblp","a":"tpch"}}`)
 	zeroCache := file("zero.json", `{"cache":0}`)
 
 	defaults := tenancy.DefaultServerConfig()
 	fromFile := tenancy.ServerConfig{
-		Addr: ":9", CacheBudget: 7, PoolSize: 3, Seed: 42, WALSync: qos.Duration(5 * time.Millisecond),
+		Addr: ":9", CacheBudget: 7, PoolSize: 3, Seed: 42,
 		SnapshotInterval: qos.Duration(time.Minute), KeepSnapshots: 4, Drain: qos.Duration(time.Second),
 		AdminToken: "tok", DataDir: "d", Tenants: map[string]string{"z": "dblp", "a": "tpch"},
 	}
@@ -56,8 +56,10 @@ func TestLoadConfigPrecedence(t *testing.T) {
 			with(defaults, func(c *tenancy.ServerConfig) { c.CacheBudget = 0 }), demo},
 		{"flags over file", []string{"-addr", ":10", "-keep-snapshots", "9", "-config", full},
 			with(fromFile, func(c *tenancy.ServerConfig) { c.Addr, c.KeepSnapshots = ":10", 9 }), []string{"a=tpch", "z=dblp"}},
-		{"explicit zero flags over file", []string{"-config", full, "-wal-sync", "0", "-cache", "0", "-pool", "0", "-admin-token", ""},
-			with(fromFile, func(c *tenancy.ServerConfig) { c.WALSync, c.CacheBudget, c.PoolSize, c.AdminToken = 0, 0, 0, "" }),
+		{"explicit zero flags over file", []string{"-config", full, "-snapshot-interval", "0", "-cache", "0", "-pool", "0", "-admin-token", ""},
+			with(fromFile, func(c *tenancy.ServerConfig) {
+				c.SnapshotInterval, c.CacheBudget, c.PoolSize, c.AdminToken = 0, 0, 0, ""
+			}),
 			[]string{"a=tpch", "z=dblp"}},
 		{"file tenants before flag tenants", []string{"-tenant", "m=dblp", "-config", full, "-tenant", "b=tpch"},
 			fromFile, []string{"a=tpch", "z=dblp", "m=dblp", "b=tpch"}},
@@ -80,6 +82,7 @@ func TestLoadConfigPrecedence(t *testing.T) {
 	for _, args := range [][]string{
 		{"-config", filepath.Join(dir, "missing.json")},
 		{"-nope"},
+		{"-wal-sync", "0"}, // a retired knob fails the start, never silently
 	} {
 		if _, _, err := loadConfig(args); err == nil {
 			t.Errorf("loadConfig(%q) succeeded; want an error", args)

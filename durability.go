@@ -31,10 +31,10 @@ import (
 // of committed mutation batches. Append is called with the engine's write
 // lock held — after the batch is fully applied in memory, before Mutate
 // returns — so records land in exactly commit order and the acknowledgement
-// the caller receives implies the record is logged (and, under a
-// synchronous log, durable). Seq returns the sequence number of the last
-// appended record (0 before any); Engine.ExportState reads it under the
-// same lock so a snapshot can name precisely which log prefix it covers.
+// the caller receives implies the record is logged (and, for
+// internal/durable's WAL, fsynced). Seq returns the sequence number of the
+// last appended record (0 before any); Engine.ExportState reads it under
+// the same lock so a snapshot can name precisely which log prefix it covers.
 type MutationLog interface {
 	// AppendMutation logs one committed mutation batch.
 	AppendMutation(b MutationBatch) error

@@ -24,6 +24,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path"
@@ -351,105 +352,97 @@ func TestCrashRestartEquivalenceTPCH(t *testing.T) {
 	}, fresh, restore)
 }
 
-// TestCrashGroupCommitPrefixConsistency crashes a GROUP-COMMIT tenant
-// (fsync batched on an interval) with its entire WAL tail unsynced. The
-// durability contract weakens — acknowledged batches inside the last
-// interval may be lost — but consistency must not: recovery always lands
-// on some exact sequence prefix of the survivor's history, bit-identical
-// to the survivor's state at that seq, never a half-applied batch.
-func TestCrashGroupCommitPrefixConsistency(t *testing.T) {
+// attachTinyDBLP opens a store over fs and recovers tenant "t" on a tiny
+// DBLP engine, leaving the store attached.
+func attachTinyDBLP(t *testing.T, fs *MemFS) (*TenantStore, *sizelos.Engine) {
+	t.Helper()
+	store, err := Open(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := datagen.DefaultDBLPConfig()
-	cfg.Authors = 40
-	cfg.Papers = 130
-	cfg.Conferences = 4
-	cfg.YearSpan = 3
-	fresh := func() (*sizelos.Engine, error) {
-		eng, err := sizelos.OpenDBLP(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
-	restore := func(st *sizelos.EngineState) (*sizelos.Engine, error) {
-		eng, err := sizelos.RestoreDBLP(st)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
-	seed := crashSeed(t) + 2
-
-	fs := NewMemFS()
-	// An hour-long interval: nothing syncs unless Snapshot forces it.
-	store, err := Open(fs, Options{SyncInterval: 3600e9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Authors = 20
+	cfg.Papers = 60
+	cfg.Conferences = 3
+	cfg.YearSpan = 2
 	ts := store.Tenant("t")
-	fs.StartRecording()
-	eng, _, err := ts.Recover(restore, fresh)
+	eng, _, err := ts.Recover(sizelos.RestoreDBLP, func() (*sizelos.Engine, error) { return sizelos.OpenDBLP(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	fingerprints := map[uint64]*sizelos.EngineState{}
-	export := func() {
-		st, s, err := eng.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fingerprints[s] = st
+	return ts, eng
+}
+
+// insertAuthor is a one-tuple batch that always commits on DBLP.
+func insertAuthor(pk int64) sizelos.MutationBatch {
+	return sizelos.MutationBatch{Inserts: []sizelos.TupleInsert{{
+		Rel:   "Author",
+		Tuple: relational.Tuple{relational.IntVal(pk), relational.StrVal("synthetic")},
+	}}}
+}
+
+// snapshotCount is how many snapshot files ts's directory holds.
+func snapshotCount(t *testing.T, fs FS, ts *TenantStore) int {
+	t.Helper()
+	snaps, err := snapshotFiles(fs, ts.dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	export()
-	gen := mutgen.New(eng.DB(), seed)
-	for round := 0; round < 12; round++ {
-		batch := toBatch(gen.NextBatch())
-		batch.Rerank = round%5 == 4
-		if _, err := eng.Mutate(batch); err != nil {
-			t.Fatal(err)
-		}
-		export()
-		if round == 5 {
-			// Snapshot under group commit: must fsync the claimed prefix.
-			if _, err := ts.Snapshot(eng); err != nil {
-				t.Fatal(err)
-			}
-		}
+	return len(snaps)
+}
+
+// TestCrashDetachedStoreWritesNoSnapshot: a TenantStore before Recover or
+// after Close is detached, and its directory may already belong to the
+// tenant's next owner (a snapshot tick racing a release). Snapshot must
+// refuse there and write or prune nothing.
+func TestCrashDetachedStoreWritesNoSnapshot(t *testing.T) {
+	fs := NewMemFS()
+	ts, eng := attachTinyDBLP(t, fs)
+	store, err := Open(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Tenant("t").Snapshot(eng); err == nil {
+		t.Fatal("snapshot before Recover succeeded")
+	}
+	if _, err := eng.Mutate(insertAuthor(90001)); err != nil {
+		t.Fatal(err)
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-	images := fs.Images()
-	checked := 0
-	for i, img := range images {
-		modes := []TailMode{TailNone}
-		if img.HasTail() {
-			modes = TailModes
-		}
-		for _, mode := range modes {
-			rng := rand.New(rand.NewSource(seed + int64(i)*997 + int64(mode)))
-			store2, err := Open(img.View(mode, rng), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng2, info, err := store2.Tenant("t").Recover(restore, fresh)
-			if err != nil {
-				t.Fatalf("img %d tail=%v: recover: %v", i, mode, err)
-			}
-			want, ok := fingerprints[info.Seq]
-			if !ok {
-				t.Fatalf("img %d tail=%v: recovered to unknown seq %d", i, mode, info.Seq)
-			}
-			st, _, err := eng2.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertStatesIdentical(t, "group-commit img "+strconv.Itoa(i)+" tail="+mode.String(), want, st)
-			checked++
-		}
+	if _, err := ts.Snapshot(eng); err == nil {
+		t.Fatal("snapshot after Close succeeded")
 	}
-	t.Logf("group commit: %d images, %d prefix-consistent recoveries", len(images), checked)
+	if n := snapshotCount(t, fs, ts); n != 0 {
+		t.Fatalf("detached store left %d snapshot files", n)
+	}
+}
+
+// TestCrashPoisonedWALRefusesSnapshot: once an append's write fails, the
+// engine holds a batch the log never got, so the WAL is poisoned — and a
+// snapshot, which would claim that batch as logged, must refuse, even
+// after the fault clears.
+func TestCrashPoisonedWALRefusesSnapshot(t *testing.T) {
+	fs := NewMemFS()
+	ts, eng := attachTinyDBLP(t, fs)
+	if _, err := eng.Mutate(insertAuthor(90001)); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetCrashAt(fs.OpCount())
+	if _, err := eng.Mutate(insertAuthor(90002)); !errors.Is(err, sizelos.ErrMutationInternal) {
+		t.Fatalf("mutate with a failing append: %v, want ErrMutationInternal", err)
+	}
+	fs.SetCrashAt(-1)
+	if _, err := ts.Snapshot(eng); err == nil {
+		t.Fatal("snapshot of a poisoned WAL succeeded")
+	}
+	if n := snapshotCount(t, fs, ts); n != 0 {
+		t.Fatalf("poisoned WAL left %d snapshot files", n)
+	}
+	if _, err := eng.Mutate(insertAuthor(90003)); err == nil {
+		t.Fatal("mutate after the poisoning append succeeded")
+	}
 }
 
 // TestCrashDuringRecoveryTruncation injects crashes into the RECOVERY
@@ -457,7 +450,7 @@ func TestCrashGroupCommitPrefixConsistency(t *testing.T) {
 // creating a fresh segment must leave a state the next recovery handles.
 func TestCrashDuringRecoveryTruncation(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,11 +480,11 @@ func TestCrashDuringRecoveryTruncation(t *testing.T) {
 	// Crash the truncation op itself, then verify the follow-up recovery.
 	ops := fs.OpCount()
 	fs.SetCrashAt(ops)
-	if _, _, err := openWAL(fs, "t", 0, 0); err == nil {
+	if _, _, err := openWAL(fs, "t", 0); err == nil {
 		t.Fatal("expected the injected crash to surface")
 	}
 	fs.SetCrashAt(-1)
-	_, recs, err := openWAL(fs, "t", 0, 0)
+	_, recs, err := openWAL(fs, "t", 0)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("recovery after crashed recovery: %d recs, %v", len(recs), err)
 	}

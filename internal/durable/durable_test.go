@@ -8,7 +8,6 @@ import (
 	"path"
 	"strings"
 	"testing"
-	"time"
 
 	"sizelos"
 	"sizelos/internal/datagen"
@@ -179,7 +178,7 @@ func testBatch(i int) sizelos.MutationBatch {
 
 func TestWALRoundTrip(t *testing.T) {
 	fs := NewMemFS()
-	w, recs, err := openWAL(fs, "t", 0, 0)
+	w, recs, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatalf("open fresh: %v", err)
 	}
@@ -201,7 +200,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs, err = openWAL(fs, "t", 0, 0)
+	_, recs, err = openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -226,7 +225,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 
 	// afterSeq skips the covered prefix but resumes numbering at the end.
-	w3, recs, err := openWAL(fs, "t", 4, 0)
+	w3, recs, err := openWAL(fs, "t", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	before, _ := fs.ReadFile(path.Join("t", seg))
 
-	w, recs, err := openWAL(fs, "t", 0, 0)
+	w, recs, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
@@ -278,7 +277,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := w.AppendMutation(testBatch(9)); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err = openWAL(fs, "t", 0, 0)
+	_, recs, err = openWAL(fs, "t", 0)
 	if err != nil || len(recs) != 4 || recs[3].Seq != 4 {
 		t.Fatalf("post-truncation append: %d records, err %v", len(recs), err)
 	}
@@ -286,7 +285,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptionBeforeTailRefused(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,14 +312,14 @@ func TestWALCorruptionBeforeTailRefused(t *testing.T) {
 	data[len(data)/2] ^= 0xff
 	writeFile(t, fs, path.Join("t", firstSeg), data, true)
 
-	if _, _, err := openWAL(fs, "t", 0, 0); !errors.Is(err, ErrWALCorrupt) {
+	if _, _, err := openWAL(fs, "t", 0); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("mid-history corruption accepted: %v", err)
 	}
 }
 
 func TestWALRotatePrunesCoveredSegments(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +347,7 @@ func TestWALRotatePrunesCoveredSegments(t *testing.T) {
 		t.Fatalf("after two covering rotations: %+v", segs)
 	}
 	// A snapshot-covered, empty log reopens at the right seq.
-	w2, recs, err := openWAL(fs, "t", 5, 0)
+	w2, recs, err := openWAL(fs, "t", 5)
 	if err != nil || len(recs) != 0 || w2.Seq() != 5 {
 		t.Fatalf("reopen pruned log: %d recs, seq %d, err %v", len(recs), w2.Seq(), err)
 	}
@@ -362,7 +361,7 @@ func TestWALRotatePrunesCoveredSegments(t *testing.T) {
 
 func TestWALRotateKeepsUncoveredSegments(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +380,7 @@ func TestWALRotateKeepsUncoveredSegments(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("uncovered segment pruned: %+v", segs)
 	}
-	_, recs, err := openWAL(fs, "t", 2, 0)
+	_, recs, err := openWAL(fs, "t", 2)
 	if err != nil || len(recs) != 1 || recs[0].Seq != 3 {
 		t.Fatalf("uncovered record lost: %d recs, err %v", len(recs), err)
 	}
@@ -389,7 +388,7 @@ func TestWALRotateKeepsUncoveredSegments(t *testing.T) {
 
 func TestWALRefusesReplayGapAfterPrune(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,71 +412,23 @@ func TestWALRefusesReplayGapAfterPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replay from a snapshot covering the pruned prefix works...
-	_, recs, err := openWAL(fs, "t", 3, 0)
+	_, recs, err := openWAL(fs, "t", 3)
 	if err != nil || len(recs) != 2 || recs[0].Seq != 4 {
 		t.Fatalf("replay after covered prefix: %d recs, err %v", len(recs), err)
 	}
 	// ...but replay from BELOW the pruned-through seq must refuse: records
 	// 1..3 are gone, so continuing would silently drop committed batches.
-	if _, _, err := openWAL(fs, "t", 0, 0); !errors.Is(err, ErrWALCorrupt) {
+	if _, _, err := openWAL(fs, "t", 0); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("replay gap accepted: %v", err)
 	}
-	if _, _, err := openWAL(fs, "t", 2, 0); !errors.Is(err, ErrWALCorrupt) {
+	if _, _, err := openWAL(fs, "t", 2); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("partial replay gap accepted: %v", err)
-	}
-}
-
-func TestWALGroupCommit(t *testing.T) {
-	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := w.AppendMutation(testBatch(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		w.mu.Lock()
-		dirty := w.dirty
-		w.mu.Unlock()
-		if !dirty {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("group-commit flusher never synced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, err := openWAL(fs, "t", 0, 0)
-	if err != nil || len(recs) != 4 {
-		t.Fatalf("group-committed records lost: %d, err %v", len(recs), err)
-	}
-}
-
-// TestOpenRejectsNegativeSyncInterval: a WAL starts its flusher only for a
-// positive interval and fsyncs an append only for a zero one, so a
-// negative interval would acknowledge writes no fsync ever covers. The
-// store refuses it at Open.
-func TestOpenRejectsNegativeSyncInterval(t *testing.T) {
-	if _, err := Open(NewMemFS(), Options{SyncInterval: -time.Millisecond}); err == nil {
-		t.Fatal("Open accepted a negative SyncInterval")
-	}
-	for _, d := range []time.Duration{0, time.Millisecond} {
-		if _, err := Open(NewMemFS(), Options{SyncInterval: d}); err != nil {
-			t.Fatalf("Open(SyncInterval %s): %v", d, err)
-		}
 	}
 }
 
 func TestWALRecordSizeCap(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "t", 0, 0)
+	w, _, err := openWAL(fs, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

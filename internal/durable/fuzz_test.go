@@ -33,7 +33,7 @@ func fuzzSeedSegment(tb testing.TB) []byte {
 	if err := m.MkdirAll("seed"); err != nil {
 		tb.Fatal(err)
 	}
-	wal, _, err := openWAL(m, "seed", 0, 0)
+	wal, _, err := openWAL(m, "seed", 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		writeFile(t, m, "t/"+segmentName(1), data, true)
 
-		wal, recs, err := openWAL(m, "t", 0, 0)
+		wal, recs, err := openWAL(m, "t", 0)
 		if err != nil {
 			// The only legal refusal is detected corruption; any other
 			// failure class (or a panic) is a recovery bug.
@@ -116,7 +116,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}
-		wal2, recs2, err := openWAL(m, "t", 0, 0)
+		wal2, recs2, err := openWAL(m, "t", 0)
 		if err != nil {
 			t.Fatalf("reopen after truncate+append: %v", err)
 		}

@@ -7,19 +7,12 @@ import (
 	"path"
 	"sort"
 	"sync"
-	"time"
 
 	"sizelos"
 )
 
-// Options tunes a Store.
+// Options tunes a Store. Every WAL append is fsynced before it returns.
 type Options struct {
-	// SyncInterval selects the WAL commit discipline. Zero (the default)
-	// fsyncs every append before Mutate acknowledges — full durability.
-	// Positive enables group commit: appends return after the buffered
-	// write and a background flusher fsyncs at this cadence, so a crash
-	// can lose at most the last interval's acknowledged batches.
-	SyncInterval time.Duration
 	// KeepSnapshots is how many snapshots survive pruning (default 2: the
 	// newest plus one fallback should the newest be damaged). Retained
 	// snapshots pin WAL segments — the log is pruned only through the
@@ -37,12 +30,8 @@ type Store struct {
 	mu sync.Mutex // serializes manifest read-modify-write
 }
 
-// Open prepares a store over fsys. The layout is created lazily. A
-// negative SyncInterval, which would fsync no append, is refused.
+// Open prepares a store over fsys. The layout is created lazily.
 func Open(fsys FS, opts Options) (*Store, error) {
-	if opts.SyncInterval < 0 {
-		return nil, fmt.Errorf("durable: negative SyncInterval %s", opts.SyncInterval)
-	}
 	if opts.KeepSnapshots <= 0 {
 		opts.KeepSnapshots = 2
 	}
@@ -244,7 +233,7 @@ func (t *TenantStore) Recover(
 			return nil, RecoveryInfo{}, fmt.Errorf("durable: rebuild fresh engine: %w", err)
 		}
 	}
-	wal, records, err := openWAL(t.fs, t.dir, snapSeq, t.opts.SyncInterval)
+	wal, records, err := openWAL(t.fs, t.dir, snapSeq)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
@@ -275,6 +264,8 @@ func (t *TenantStore) Recover(
 // Snapshot durably captures eng's committed state, rotates the WAL, and
 // prunes segments and snapshots the new snapshot obsoletes. A no-op when
 // nothing was committed since the last snapshot. Returns the covered seq.
+// A detached store — before Recover or after Close — refuses: the
+// directory may already belong to the tenant's next owner.
 func (t *TenantStore) Snapshot(eng *sizelos.Engine) (uint64, error) {
 	st, seq, err := eng.ExportState()
 	if err != nil {
@@ -282,15 +273,17 @@ func (t *TenantStore) Snapshot(eng *sizelos.Engine) (uint64, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.wal == nil {
+		return 0, fmt.Errorf("durable: snapshot of detached tenant store %s", t.dir)
+	}
 	if t.hasSnapshot && seq == t.lastSnapSeq {
 		return seq, nil
 	}
 	// A snapshot claims coverage of every record <= seq, which licenses
-	// segment pruning: those records must be durable before the claim is.
-	if t.wal != nil {
-		if err := t.wal.Sync(); err != nil {
-			return 0, err
-		}
+	// segment pruning. Every append was fsynced before it returned; a log
+	// poisoned by a failed write or fsync may miss a batch the engine holds.
+	if err := t.wal.failed(); err != nil {
+		return 0, err
 	}
 	if err := writeSnapshot(t.fs, t.dir, seq, st); err != nil {
 		return 0, err
@@ -298,20 +291,18 @@ func (t *TenantStore) Snapshot(eng *sizelos.Engine) (uint64, error) {
 	if err := pruneSnapshots(t.fs, t.dir, t.opts.KeepSnapshots); err != nil {
 		return 0, err
 	}
-	if t.wal != nil {
-		// WAL pruning is licensed by the OLDEST retained snapshot, not the
-		// one just written: recovery falls back to older snapshots when the
-		// newest is damaged, and every fallback's replay chain must still
-		// start inside the surviving segments (openWAL refuses otherwise).
-		covered := seq
-		if snaps, err := snapshotFiles(t.fs, t.dir); err != nil {
-			return 0, err
-		} else if len(snaps) > 0 {
-			covered = snaps[len(snaps)-1].start
-		}
-		if err := t.wal.rotate(covered); err != nil {
-			return 0, err
-		}
+	// WAL pruning is licensed by the OLDEST retained snapshot, not the one
+	// just written: recovery falls back to older snapshots when the newest
+	// is damaged, and every fallback's replay chain must still start inside
+	// the surviving segments (openWAL refuses otherwise).
+	covered := seq
+	if snaps, err := snapshotFiles(t.fs, t.dir); err != nil {
+		return 0, err
+	} else if len(snaps) > 0 {
+		covered = snaps[len(snaps)-1].start
+	}
+	if err := t.wal.rotate(covered); err != nil {
+		return 0, err
 	}
 	t.lastSnapSeq = seq
 	t.hasSnapshot = true
@@ -328,17 +319,7 @@ func (t *TenantStore) Seq() uint64 {
 	return t.wal.Seq()
 }
 
-// Sync flushes any group-commit backlog (shutdown path).
-func (t *TenantStore) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.wal == nil {
-		return nil
-	}
-	return t.wal.Sync()
-}
-
-// Close flushes and closes the WAL; the handle is dead afterwards.
+// Close closes the WAL and detaches the store: a later Snapshot refuses.
 func (t *TenantStore) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"sizelos"
 	"sizelos/internal/relational"
@@ -182,13 +181,8 @@ type WAL struct {
 	segName  string
 	segStart uint64 // seq the active segment's first record has (or will have)
 	seq      uint64 // last appended seq
-	dirty    bool   // unsynced appends (group-commit mode)
 	err      error  // sticky write/sync failure; appends refuse afterwards
 	closed   bool
-
-	syncInterval time.Duration
-	stopFlush    chan struct{}
-	flushDone    chan struct{}
 }
 
 // openWAL scans dir's segments, validates the record chain, truncates a
@@ -199,7 +193,7 @@ type WAL struct {
 // a crash: replay stops cleanly at the last whole record and the tail is
 // truncated away. The same damage in an older segment — or a sequence gap —
 // is ErrWALCorrupt: continuing would silently drop committed batches.
-func openWAL(fsys FS, dir string, afterSeq uint64, syncInterval time.Duration) (*WAL, []Record, error) {
+func openWAL(fsys FS, dir string, afterSeq uint64) (*WAL, []Record, error) {
 	segs, err := walSegments(fsys, dir)
 	if err != nil {
 		return nil, nil, err
@@ -214,7 +208,7 @@ func openWAL(fsys FS, dir string, afterSeq uint64, syncInterval time.Duration) (
 		return nil, nil, fmt.Errorf("%w: oldest segment %s starts at seq %d, but replay after seq %d needs seq %d (records pruned past the recovered snapshot)",
 			ErrWALCorrupt, segs[0].name, segs[0].start, afterSeq, afterSeq+1)
 	}
-	w := &WAL{fs: fsys, dir: dir, seq: afterSeq, syncInterval: syncInterval}
+	w := &WAL{fs: fsys, dir: dir, seq: afterSeq}
 	var replay []Record
 	last := uint64(0) // last seq seen across segments
 	for i, seg := range segs {
@@ -259,10 +253,10 @@ func openWAL(fsys FS, dir string, afterSeq uint64, syncInterval time.Duration) (
 		}
 	}
 	// Resume numbering past everything known: the newest surviving record OR
-	// the snapshot's covered seq, whichever is higher. A group-commit crash
-	// can persist a snapshot claiming seq S while the WAL tail behind it was
-	// lost; resuming below S would mint duplicate seqs that a later recovery
-	// would wrongly skip as snapshot-covered.
+	// the snapshot's covered seq, whichever is higher. Rotation prunes the
+	// segments a snapshot at seq S covers, which may leave no record at or
+	// past S; resuming below S would mint duplicate seqs that a later
+	// recovery would wrongly skip as snapshot-covered.
 	if last > w.seq {
 		w.seq = last
 	}
@@ -286,44 +280,11 @@ func openWAL(fsys FS, dir string, afterSeq uint64, syncInterval time.Duration) (
 		return nil, nil, fmt.Errorf("durable: open segment %s for append: %w", w.segName, err)
 	}
 	w.f = f
-	if w.syncInterval > 0 {
-		w.stopFlush = make(chan struct{})
-		w.flushDone = make(chan struct{})
-		go w.flushLoop()
-	}
 	return w, replay, nil
 }
 
-// flushLoop is the group-commit fsync daemon: at most one fsync per
-// interval while appends are arriving.
-func (w *WAL) flushLoop() {
-	defer close(w.flushDone)
-	t := time.NewTicker(w.syncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stopFlush:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			if w.dirty && w.err == nil {
-				if err := w.f.Sync(); err != nil {
-					w.err = fmt.Errorf("durable: group-commit sync: %w", err)
-				} else {
-					w.dirty = false
-				}
-			}
-			w.mu.Unlock()
-		}
-	}
-}
-
-// append frames and writes one record, assigning its sequence number. In
-// sync-always mode (interval 0) the record is fsynced before returning —
-// the acknowledgement IS durability. In group-commit mode it returns after
-// the buffered write; the flush loop fsyncs within one interval, trading a
-// bounded loss window (unacknowledged by fsync, but acknowledged to the
-// caller) for one fsync amortized over many appends.
+// append frames, writes and fsyncs one record, assigning its sequence
+// number: the acknowledgement IS durability.
 func (w *WAL) append(rec Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -344,13 +305,9 @@ func (w *WAL) append(rec Record) error {
 		w.err = fmt.Errorf("durable: append record %d: %w", rec.Seq, err)
 		return w.err
 	}
-	if w.syncInterval == 0 {
-		if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("durable: sync record %d: %w", rec.Seq, err)
-			return w.err
-		}
-	} else {
-		w.dirty = true
+	if err := w.f.Sync(); err != nil {
+		w.err = fmt.Errorf("durable: sync record %d: %w", rec.Seq, err)
+		return w.err
 	}
 	w.seq = rec.Seq
 	return nil
@@ -378,41 +335,26 @@ func (w *WAL) Seq() uint64 {
 	return w.seq
 }
 
-// Sync flushes any group-commit backlog to disk; a no-op in sync-always
-// mode or when nothing is dirty.
-func (w *WAL) Sync() error {
+// failed returns the sticky write or fsync failure that poisoned the log,
+// or nil while every append has been durable.
+func (w *WAL) failed() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.syncLocked()
+	return w.err
 }
 
-func (w *WAL) syncLocked() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.dirty {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("durable: sync: %w", err)
-		return w.err
-	}
-	w.dirty = false
-	return nil
-}
-
-// rotate seals group-commit state, opens a fresh segment for future
-// appends (unless the active one is still empty), and deletes every older
-// segment fully covered by a snapshot at coveredSeq. Callers guarantee the
-// snapshot is durable before calling — deletion is only safe then.
+// rotate opens a fresh segment for future appends (unless the active one
+// is still empty) and deletes every older segment fully covered by a
+// snapshot at coveredSeq. Callers guarantee the snapshot is durable before
+// calling — deletion is only safe then. A poisoned log refuses.
 func (w *WAL) rotate(coveredSeq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return errWALClosed
 	}
-	if err := w.syncLocked(); err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
 	if w.segStart <= w.seq {
 		// The active segment has records; retire it. (An empty active
@@ -455,26 +397,18 @@ func (w *WAL) rotate(coveredSeq uint64) error {
 	return nil
 }
 
-// Close flushes and closes the log. Further appends fail.
+// Close closes the log, reporting the failure that poisoned it if one did.
+// Further appends fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	stop := w.stopFlush
-	w.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-w.flushDone
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	syncErr := w.syncLocked()
 	closeErr := w.f.Close()
-	if syncErr != nil {
-		return syncErr
+	if w.err != nil {
+		return w.err
 	}
 	if closeErr != nil {
 		return fmt.Errorf("durable: close wal: %w", closeErr)

@@ -203,8 +203,8 @@ func (h *Hub) LookupPending(name string) (tenancy.TenantSpec, bool) {
 }
 
 // SnapshotAll captures a snapshot of every recovered tenant. Errors are
-// logged, not fatal: the WAL still has every committed record, so a failed
-// snapshot only means a longer replay at the next recovery.
+// logged, not fatal: a failed snapshot only lengthens the next replay, and
+// a tenant released mid-tick is detached, so its store refuses to write.
 func (h *Hub) SnapshotAll() {
 	for name, dt := range h.open() {
 		if seq, err := dt.ts.Snapshot(dt.eng); err != nil {
@@ -215,7 +215,7 @@ func (h *Hub) SnapshotAll() {
 	}
 }
 
-// CloseAll flushes and closes every open WAL (shutdown path).
+// CloseAll closes every open WAL (shutdown path).
 func (h *Hub) CloseAll() {
 	for name, dt := range h.open() {
 		if err := dt.ts.Close(); err != nil {

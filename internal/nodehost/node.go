@@ -42,10 +42,7 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 		specs []tenancy.TenantSpec
 	)
 	if cfg.DataDir != "" {
-		store, err := durable.Open(durable.NewDirFS(cfg.DataDir), durable.Options{
-			SyncInterval:  cfg.WALSync.Std(),
-			KeepSnapshots: cfg.KeepSnapshots,
-		})
+		store, err := durable.Open(durable.NewDirFS(cfg.DataDir), durable.Options{KeepSnapshots: cfg.KeepSnapshots})
 		if err != nil {
 			return nil, fmt.Errorf("open data dir %s: %w", cfg.DataDir, err)
 		}

@@ -41,12 +41,11 @@ type ServerConfig struct {
 	// DELETE /v1/{tenant}, POST /v1/{tenant}/tuples) behind
 	// "Authorization: Bearer <token>".
 	AdminToken string `json:"admin_token,omitempty"`
-	// DataDir, SnapshotInterval, WALSync, and KeepSnapshots are the
-	// durability tier's knobs (docs/DURABILITY.md); empty DataDir keeps
-	// the service in-memory only.
+	// DataDir, SnapshotInterval, and KeepSnapshots are the durability
+	// tier's knobs (docs/DURABILITY.md); empty DataDir keeps the service
+	// in-memory only.
 	DataDir          string       `json:"data_dir,omitempty"`
 	SnapshotInterval qos.Duration `json:"snapshot_interval,omitempty"`
-	WALSync          qos.Duration `json:"wal_sync,omitempty"`
 	KeepSnapshots    int          `json:"keep_snapshots,omitempty"`
 	// Drain bounds the graceful-shutdown wait for in-flight requests.
 	Drain qos.Duration `json:"drain,omitempty"`
@@ -89,11 +88,10 @@ func LoadServerConfig(path string) (ServerConfig, error) {
 }
 
 // Validate rejects a configuration no deployment can mean: a negative
-// duration. A negative wal_sync in particular would acknowledge writes
-// that are never fsynced.
+// duration.
 func (c ServerConfig) Validate() error {
-	names := []string{"snapshot_interval", "wal_sync", "drain"}
-	for i, d := range []qos.Duration{c.SnapshotInterval, c.WALSync, c.Drain} {
+	names := []string{"snapshot_interval", "drain"}
+	for i, d := range []qos.Duration{c.SnapshotInterval, c.Drain} {
 		if d < 0 {
 			return fmt.Errorf("tenancy: %s %s is negative", names[i], d.Std())
 		}

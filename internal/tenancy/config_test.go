@@ -19,9 +19,8 @@ func TestLoadServerConfig(t *testing.T) {
 		"admin_token": "sekrit",
 		"data_dir": "/tmp/sizelos-test",
 		"snapshot_interval": "5m",
-		"wal_sync": 1000000,
 		"keep_snapshots": 3,
-		"drain": "2s",
+		"drain": 2000000000,
 		"tenants": {"demo": "dblp"},
 		"qos": {
 			"default": {"max_in_flight": 8, "default_budget": "250ms"},
@@ -44,9 +43,6 @@ func TestLoadServerConfig(t *testing.T) {
 	// Durations are accepted both as Go strings and as nanosecond numbers.
 	if cfg.SnapshotInterval.Std() != 5*time.Minute {
 		t.Errorf("snapshot_interval = %v", cfg.SnapshotInterval.Std())
-	}
-	if cfg.WALSync.Std() != time.Millisecond {
-		t.Errorf("wal_sync = %v", cfg.WALSync.Std())
 	}
 	if cfg.Drain.Std() != 2*time.Second || cfg.KeepSnapshots != 3 {
 		t.Errorf("drain/keep: %+v", cfg)
@@ -83,15 +79,16 @@ func TestLoadServerConfigOverDefaults(t *testing.T) {
 }
 
 // TestLoadServerConfigRejectsUnknownFields: the file is decoded like a
-// request body — a typo'd key, anything after the first JSON value, or a
-// duration that does not fit an int64 fails the load instead of being
-// dropped or wrapped.
+// request body — a typo'd or retired key, anything after the first JSON
+// value, or a duration that does not fit an int64 fails the load instead
+// of being dropped or wrapped.
 func TestLoadServerConfigRejectsUnknownFields(t *testing.T) {
 	for _, doc := range []string{
 		`{"adress": ":9090"}`,
+		`{"wal_sync": "5ms"}`,
 		`{"addr":":1"} {"pool":3}`,
 		`{"addr":":1"} x`,
-		`{"wal_sync": 1e19}`,
+		`{"snapshot_interval": 1e19}`,
 		`{"drain": -1e19}`,
 	} {
 		path := filepath.Join(t.TempDir(), "bad.json")
@@ -107,9 +104,8 @@ func TestLoadServerConfigRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestServerConfigValidate: a negative duration is refused — a negative
-// wal_sync would otherwise turn fsync off while writes keep being
-// acknowledged — and every zero is valid.
+// TestServerConfigValidate: a negative duration is refused and every zero
+// is valid.
 func TestServerConfigValidate(t *testing.T) {
 	if err := (ServerConfig{}).Validate(); err != nil {
 		t.Fatalf("zero config: %v", err)
@@ -118,7 +114,7 @@ func TestServerConfigValidate(t *testing.T) {
 		t.Fatalf("default config: %v", err)
 	}
 	neg := qos.Duration(-time.Millisecond)
-	for _, cfg := range []ServerConfig{{WALSync: neg}, {SnapshotInterval: neg}, {Drain: neg}} {
+	for _, cfg := range []ServerConfig{{SnapshotInterval: neg}, {Drain: neg}} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%+v validated; want a negative-duration error", cfg)
 		}
