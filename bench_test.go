@@ -799,16 +799,9 @@ func durableBenchEngine(b *testing.B) (*sizelos.Engine, *durable.Store, *durable
 	return eng, store, ts
 }
 
-// toDurableBatch lifts a generated relational batch to the engine type.
+// toDurableBatch is a generated relational batch as the engine's batch.
 func toDurableBatch(rb relational.Batch) sizelos.MutationBatch {
-	var mb sizelos.MutationBatch
-	for _, d := range rb.Deletes {
-		mb.Deletes = append(mb.Deletes, sizelos.TupleDelete{Rel: d.Rel, PK: d.PK})
-	}
-	for _, in := range rb.Inserts {
-		mb.Inserts = append(mb.Inserts, sizelos.TupleInsert{Rel: in.Rel, Tuple: in.Tuple})
-	}
-	return mb
+	return sizelos.MutationBatch{Deletes: rb.Deletes, Inserts: rb.Inserts}
 }
 
 // BenchmarkWALAppend measures the durable commit path: Engine.Mutate with

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"sizelos/internal/datagen"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 )
@@ -59,14 +58,16 @@ func (e *Engine) SetMutationLog(log MutationLog) {
 // appendLogLocked runs one MutationLog append under the write lock and
 // wraps a failure in ErrMutationInternal: the batch is committed in memory
 // but not durably logged, so the caller must not retry it (a retry would
-// double-apply) and should treat the engine as requiring a snapshot or
-// restart before further durable writes.
+// double-apply). The engine remembers the failure (e.logErr), and every
+// later Mutate and CompactNow returns it before touching the store; only a
+// restart, which recovers from what the log holds, writes again.
 func (e *Engine) appendLogLocked(append func() error, what string) error {
 	if e.mlog == nil {
 		return nil
 	}
 	if err := append(); err != nil {
-		return fmt.Errorf("%w: durability log (%s): %v", ErrMutationInternal, what, err)
+		e.logErr = fmt.Errorf("%w: durability log (%s): %v", ErrMutationInternal, what, err)
+		return e.logErr
 	}
 	return nil
 }
@@ -146,47 +147,25 @@ func copyMap[K comparable, V any](m map[K]V) map[K]V {
 // mutation-equivalence harnesses' proven contract, and the crash-recovery
 // harness re-asserts it end to end.
 //
-// As after a compaction, the restored engine's first re-rank takes the warm
-// full iteration (no residual deltas survive a restart); it re-arms the
-// residual path for the re-ranks after it. Register the same G_DSs as the
-// original engine, replay any WAL tail with Mutate, and only then install
-// the mutation log.
+// The raw vectors replace the cold-start power iterations: st must hold,
+// for every setting, a table positionally aligned with the store's physical
+// slots (tombstones included); they are deep-copied. As after a compaction,
+// the restored engine's first re-rank takes the warm full iteration (no
+// residual deltas survive a restart); it re-arms the residual path for the
+// re-ranks after it. Register the same G_DSs as the original engine, replay
+// any WAL tail with Mutate, and only then install the mutation log.
 func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
-	if len(settings) == 0 {
-		return nil, fmt.Errorf("sizelos: at least one ranking setting required")
-	}
 	db, err := relational.ReadDBState(bytes.NewReader(st.DB))
 	if err != nil {
 		return nil, fmt.Errorf("sizelos: restore state: %w", err)
 	}
-	e, err := NewEngineRanked(db, settings, st.RawScores)
-	if err != nil {
-		return nil, err
-	}
-	for rel, epoch := range st.Epochs {
-		e.epochs[rel] = epoch
-	}
-	for name, iters := range st.ColdIters {
-		e.coldIters[name] = iters
-	}
-	return e, nil
-}
-
-// NewEngineRanked builds an engine over db reusing already-converged raw
-// score vectors instead of running the cold-start power iterations — the
-// recovery path's constructor. raw must hold, for every setting, a vector
-// table positionally aligned with db's physical slots (tombstones
-// included); the vectors are deep-copied. The engine starts with
-// residual-push re-ranking armed off (first re-rank runs the warm full
-// iteration, which re-arms it), exactly like an engine that just compacted.
-func NewEngineRanked(db *relational.DB, settings []Setting, raw map[string]relational.DBScores) (*Engine, error) {
 	e, err := newUnrankedEngine(db, settings)
 	if err != nil {
 		return nil, err
 	}
 	normMax := rank.DefaultOptions().NormalizeMax
 	for _, s := range settings {
-		sc, ok := raw[s.Name]
+		sc, ok := st.RawScores[s.Name]
 		if !ok {
 			return nil, fmt.Errorf("sizelos: restore: no raw scores for setting %s", s.Name)
 		}
@@ -205,37 +184,23 @@ func NewEngineRanked(db *relational.DB, settings []Setting, raw map[string]relat
 		e.rawScores[s.Name] = cp
 		e.scores[s.Name], e.relMax[s.Name] = normalizeInto(nil, cp, normMax)
 	}
+	for rel, epoch := range st.Epochs {
+		e.epochs[rel] = epoch
+	}
+	for name, iters := range st.ColdIters {
+		e.coldIters[name] = iters
+	}
 	return e, nil
 }
 
 // RestoreDBLP reconstructs a DBLP-schema engine from an exported snapshot,
-// mirroring OpenDBLP's settings and G_DS registrations.
+// with OpenDBLP's settings and G_DS registrations.
 func RestoreDBLP(st *EngineState) (*Engine, error) {
-	eng, err := NewEngineFromState(DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()), st)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.AuthorGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.PaperGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return dblpRecipe.register(NewEngineFromState(dblpRecipe.settings(), st))
 }
 
 // RestoreTPCH reconstructs a TPC-H-schema engine from an exported snapshot,
-// mirroring OpenTPCH's settings and G_DS registrations.
+// with OpenTPCH's settings and G_DS registrations.
 func RestoreTPCH(st *EngineState) (*Engine, error) {
-	eng, err := NewEngineFromState(DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()), st)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.CustomerGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.SupplierGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return tpchRecipe.register(NewEngineFromState(tpchRecipe.settings(), st))
 }

@@ -189,6 +189,10 @@ type Engine struct {
 	// acknowledges it — the durability hook (SetMutationLog). Appends run
 	// under mu's write side, so records land in commit order.
 	mlog MutationLog
+	// logErr is the first failed mlog append. The engine then holds a batch
+	// its log never got, so Mutate and CompactNow refuse with it before
+	// touching the store: nothing more is served that a restart would lose.
+	logErr error
 }
 
 // NewEngine builds an engine over db: computes every setting's global
@@ -866,6 +870,39 @@ func headline(db *relational.DB, rel string, tuple relational.TupleID) string {
 	return fmt.Sprintf("%s #%d", rel, r.PK(tuple))
 }
 
+// recipe is one dataset's engine shape: the paper's four settings over its
+// two authority transfer graphs, and the G_DSs an engine over it registers
+// at θ. A fresh build (Open*) and a snapshot restore (Restore*) both take
+// it from here, so the two serve the same shape.
+type recipe struct {
+	ga1, ga2 func() *rank.GA
+	gds      []func() *schemagraph.GDS
+}
+
+var (
+	// At θ=0.7 the DBLP G_DSs keep all their relations (paper §2.1), so
+	// thresholding them is a no-op kept for symmetry with TPC-H.
+	dblpRecipe = recipe{datagen.DBLPGA1, datagen.DBLPGA2, []func() *schemagraph.GDS{datagen.AuthorGDS, datagen.PaperGDS}}
+	// ValueRank GA1, ObjectRank GA2; the Customer and Supplier G_DS(θ).
+	tpchRecipe = recipe{datagen.TPCHGA1, datagen.TPCHGA2, []func() *schemagraph.GDS{datagen.CustomerGDS, datagen.SupplierGDS}}
+)
+
+func (r recipe) settings() []Setting { return DefaultSettings(r.ga1(), r.ga2()) }
+
+// register finishes an engine a constructor returned by registering r's
+// G_DSs, each thresholded at Theta.
+func (r recipe) register(eng *Engine, err error) (*Engine, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, gds := range r.gds {
+		if err := eng.RegisterGDS(gds().Threshold(Theta)); err != nil {
+			return nil, err
+		}
+	}
+	return eng, nil
+}
+
 // OpenDBLP generates the DBLP-like database and returns an engine with the
 // paper's four settings and the Author and Paper G_DSs registered.
 func OpenDBLP(cfg datagen.DBLPConfig) (*Engine, error) {
@@ -873,19 +910,7 @@ func OpenDBLP(cfg datagen.DBLPConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := NewEngine(db, DefaultSettings(datagen.DBLPGA1(), datagen.DBLPGA2()))
-	if err != nil {
-		return nil, err
-	}
-	// At θ=0.7 the DBLP G_DSs keep all their relations (paper §2.1), so
-	// thresholding is a no-op kept for symmetry with OpenTPCH.
-	if err := eng.RegisterGDS(datagen.AuthorGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.PaperGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return dblpRecipe.register(NewEngine(db, dblpRecipe.settings()))
 }
 
 // Theta is the affinity threshold θ applied to G_DSs (§2.1): the paper's
@@ -901,15 +926,5 @@ func OpenTPCH(cfg datagen.TPCHConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := NewEngine(db, DefaultSettings(datagen.TPCHGA1(), datagen.TPCHGA2()))
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.CustomerGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterGDS(datagen.SupplierGDS().Threshold(Theta)); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return tpchRecipe.register(NewEngine(db, tpchRecipe.settings()))
 }

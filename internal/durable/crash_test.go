@@ -49,14 +49,7 @@ func crashSeed(t *testing.T) int64 {
 }
 
 func toBatch(b relational.Batch) sizelos.MutationBatch {
-	var out sizelos.MutationBatch
-	for _, d := range b.Deletes {
-		out.Deletes = append(out.Deletes, sizelos.TupleDelete{Rel: d.Rel, PK: d.PK})
-	}
-	for _, in := range b.Inserts {
-		out.Inserts = append(out.Inserts, sizelos.TupleInsert{Rel: in.Rel, Tuple: in.Tuple})
-	}
-	return out
+	return sizelos.MutationBatch{Deletes: b.Deletes, Inserts: b.Inserts}
 }
 
 // ackPoint marks that the batch with sequence number seq was acknowledged
@@ -384,7 +377,7 @@ func insertAuthor(pk int64) sizelos.MutationBatch {
 // snapshotCount is how many snapshot files ts's directory holds.
 func snapshotCount(t *testing.T, fs FS, ts *TenantStore) int {
 	t.Helper()
-	snaps, err := snapshotFiles(fs, ts.dir)
+	snaps, err := seqFiles(fs, ts.dir, snapPrefix, snapSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +415,8 @@ func TestCrashDetachedStoreWritesNoSnapshot(t *testing.T) {
 // TestCrashPoisonedWALRefusesSnapshot: once an append's write fails, the
 // engine holds a batch the log never got, so the WAL is poisoned — and a
 // snapshot, which would claim that batch as logged, must refuse, even
-// after the fault clears.
+// after the fault clears. The engine refuses every later batch before it
+// reaches the store: reads never serve a write a restart would lose.
 func TestCrashPoisonedWALRefusesSnapshot(t *testing.T) {
 	fs := NewMemFS()
 	ts, eng := attachTinyDBLP(t, fs)
@@ -440,9 +434,24 @@ func TestCrashPoisonedWALRefusesSnapshot(t *testing.T) {
 	if n := snapshotCount(t, fs, ts); n != 0 {
 		t.Fatalf("poisoned WAL left %d snapshot files", n)
 	}
-	if _, err := eng.Mutate(insertAuthor(90003)); err == nil {
-		t.Fatal("mutate after the poisoning append succeeded")
+	before, _, err := eng.ExportState()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := eng.Mutate(insertAuthor(90003)); !errors.Is(err, sizelos.ErrMutationInternal) {
+		t.Fatalf("mutate after the poisoning append: %v, want ErrMutationInternal", err)
+	}
+	if _, live := eng.DB().Relation("Author").LookupPK(90003); live {
+		t.Fatal("a batch refused after the poisoning append is served")
+	}
+	if _, err := eng.CompactNow(); !errors.Is(err, sizelos.ErrMutationInternal) {
+		t.Fatalf("compact after the poisoning append: %v, want ErrMutationInternal", err)
+	}
+	after, _, err := eng.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStatesIdentical(t, "refused batch", before, after)
 }
 
 // TestCrashDuringRecoveryTruncation injects crashes into the RECOVERY

@@ -339,11 +339,11 @@ func TestWALRotatePrunesCoveredSegments(t *testing.T) {
 	if err := w.rotate(5); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := walSegments(fs, "t")
+	segs, err := seqFiles(fs, "t", walPrefix, walSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 || segs[0].start != 6 {
+	if len(segs) != 1 || segs[0].seq != 6 {
 		t.Fatalf("after two covering rotations: %+v", segs)
 	}
 	// A snapshot-covered, empty log reopens at the right seq.
@@ -373,7 +373,7 @@ func TestWALRotateKeepsUncoveredSegments(t *testing.T) {
 	if err := w.rotate(2); err != nil { // record 3 NOT covered
 		t.Fatal(err)
 	}
-	segs, err := walSegments(fs, "t")
+	segs, err := seqFiles(fs, "t", walPrefix, walSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,15 +512,19 @@ func TestSnapshotPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pruneSnapshots(fs, "t", 2); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := snapshotFiles(fs, "t")
+	kept, err := pruneSnapshots(fs, "t", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 2 || snaps[0].start != 12 || snaps[1].start != 9 {
+	snaps, err := seqFiles(fs, "t", snapPrefix, snapSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 2 || snaps[0].seq != 9 || snaps[1].seq != 12 {
 		t.Fatalf("prune kept %+v", snaps)
+	}
+	if len(kept) != 2 || kept[0] != snaps[0] || kept[1] != snaps[1] {
+		t.Fatalf("prune reported %+v, directory holds %+v", kept, snaps)
 	}
 }
 
@@ -629,7 +633,7 @@ func TestStoreSnapshotFallbackAfterPruning(t *testing.T) {
 		t.Fatalf("took %d snapshots", len(snapSeqs))
 	}
 	// Retention pruned the first snapshot; the newer two remain.
-	snaps, err := snapshotFiles(fs, ts.dir)
+	snaps, err := seqFiles(fs, ts.dir, snapPrefix, snapSuffix)
 	if err != nil || len(snaps) != 2 {
 		t.Fatalf("retained snapshots: %+v, %v", snaps, err)
 	}

@@ -18,8 +18,11 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // isNotExist reports a missing-file error from any FS implementation.
@@ -62,6 +65,64 @@ type File interface {
 	Sync() error
 	// Close releases the handle without implying durability.
 	Close() error
+}
+
+// publish durably replaces dir/name with data: it writes data to name.tmp
+// in one write (so the fault-injection op count, and the crash harness's
+// cost, stay independent of size), fsyncs and closes it, renames it over
+// name and fsyncs dir. A crash leaves the old file or the new one whole,
+// and at worst an orphaned .tmp. Snapshots and the manifest both land
+// this way.
+func publish(fsys FS, dir, name string, data []byte) error {
+	tmp := path.Join(dir, name+".tmp")
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("durable: create %s: %w", tmp, err)
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("durable: write %s: %w", tmp, err)
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("durable: sync %s: %w", tmp, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("durable: close %s: %w", tmp, err)
+	}
+	if err := fsys.Rename(tmp, path.Join(dir, name)); err != nil {
+		return fmt.Errorf("durable: publish %s: %w", name, err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("durable: sync dir %s after publishing %s: %w", dir, name, err)
+	}
+	return nil
+}
+
+// seqFile is one seq-named file of a tenant directory: a WAL segment (seq
+// is its first record's) or a snapshot (seq is the last record it covers).
+type seqFile struct {
+	name string
+	seq  uint64
+}
+
+// seqFiles lists dir's files named prefix<seq %016x>suffix, ascending by
+// seq. A name that does not parse is not ours and is left alone.
+func seqFiles(fsys FS, dir, prefix, suffix string) ([]seqFile, error) {
+	names, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("durable: list %s*%s in %s: %w", prefix, suffix, dir, err)
+	}
+	var out []seqFile
+	for _, name := range names {
+		hex, okPrefix := strings.CutPrefix(name, prefix)
+		hex, okSuffix := strings.CutSuffix(hex, suffix)
+		if seq, err := strconv.ParseUint(hex, 16, 64); okPrefix && okSuffix && err == nil {
+			out = append(out, seqFile{name: name, seq: seq})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
+	return out, nil
 }
 
 // DirFS is the production FS: the OS filesystem rooted at a directory.

@@ -1,16 +1,12 @@
 package durable
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"path"
-	"sort"
-	"strconv"
-	"strings"
 
 	"sizelos"
 )
@@ -39,52 +35,20 @@ func snapshotName(seq uint64) string {
 }
 
 // writeSnapshot durably writes st (covering WAL records <= seq) into dir.
+// The payload is encoded behind room for the header, so the whole file is
+// one buffer and lands in one write.
 func writeSnapshot(fsys FS, dir string, seq uint64, st *sizelos.EngineState) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, snapHdr))
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return fmt.Errorf("durable: encode snapshot %d: %w", seq, err)
 	}
-	name := snapshotName(seq)
-	tmp := path.Join(dir, name+".tmp")
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("durable: create %s: %w", tmp, err)
-	}
-	// One large buffer: the whole snapshot lands in O(1) writes, keeping the
-	// fault-injection op count (and thus harness cost) independent of size.
-	w := bufio.NewWriterSize(f, snapHdr+payload.Len()+4)
-	var hdr [snapHdr]byte
-	copy(hdr[:], snapMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], seq)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(payload.Len()))
-	var footer [4]byte
-	binary.LittleEndian.PutUint32(footer[:], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(hdr[:]); err == nil {
-		if _, err = w.Write(payload.Bytes()); err == nil {
-			_, err = w.Write(footer[:])
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: close %s: %w", tmp, err)
-	}
-	if err := fsys.Rename(tmp, path.Join(dir, name)); err != nil {
-		return fmt.Errorf("durable: publish %s: %w", name, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("durable: sync dir after snapshot %d: %w", seq, err)
-	}
-	return nil
+	data := buf.Bytes()
+	copy(data, snapMagic)
+	binary.LittleEndian.PutUint64(data[8:], seq)
+	binary.LittleEndian.PutUint64(data[16:], uint64(len(data)-snapHdr))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data[snapHdr:]))
+	return publish(fsys, dir, snapshotName(seq), data)
 }
 
 // parseSnapshot validates and decodes one snapshot file.
@@ -111,39 +75,18 @@ func parseSnapshot(data []byte) (*sizelos.EngineState, uint64, error) {
 	return &st, seq, nil
 }
 
-// snapshotFiles lists dir's snapshots, newest (highest seq) first.
-func snapshotFiles(fsys FS, dir string) ([]walSegment, error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: list snapshots: %w", err)
-	}
-	var snaps []walSegment
-	for _, name := range names {
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix)
-		seq, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, walSegment{name: name, start: seq})
-	}
-	sort.Slice(snaps, func(a, b int) bool { return snaps[a].start > snaps[b].start })
-	return snaps, nil
-}
-
 // loadNewestSnapshot returns the newest snapshot in dir that validates, its
 // covered seq, and — when every candidate is damaged or none exists —
 // (nil, 0, nil): the caller then recovers from scratch by full WAL replay.
 // Only provable damage (missing file, bad checksum, failed parse) triggers
 // fallback; any other read error aborts the recovery.
 func loadNewestSnapshot(fsys FS, dir string) (*sizelos.EngineState, uint64, error) {
-	snaps, err := snapshotFiles(fsys, dir)
+	snaps, err := seqFiles(fsys, dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, s := range snaps {
+	for i := len(snaps) - 1; i >= 0; i-- {
+		s := snaps[i]
 		data, err := fsys.ReadFile(path.Join(dir, s.name))
 		if err != nil {
 			if isNotExist(err) {
@@ -155,7 +98,7 @@ func loadNewestSnapshot(fsys FS, dir string) (*sizelos.EngineState, uint64, erro
 			return nil, 0, fmt.Errorf("durable: read snapshot %s: %w", s.name, err)
 		}
 		st, seq, err := parseSnapshot(data)
-		if err != nil || seq != s.start {
+		if err != nil || seq != s.seq {
 			continue // damaged or mislabeled: fall back to the next-newest
 		}
 		return st, seq, nil
@@ -163,39 +106,28 @@ func loadNewestSnapshot(fsys FS, dir string) (*sizelos.EngineState, uint64, erro
 	return nil, 0, nil
 }
 
-// pruneSnapshots removes all but the keep newest snapshots and any orphaned
-// .tmp files from an interrupted write.
-func pruneSnapshots(fsys FS, dir string, keep int) error {
-	snaps, err := snapshotFiles(fsys, dir)
+// pruneSnapshots removes all but the keep newest snapshots, and the .tmp
+// file an interrupted write orphaned, and returns the snapshots it kept.
+func pruneSnapshots(fsys FS, dir string, keep int) ([]seqFile, error) {
+	snaps, err := seqFiles(fsys, dir, snapPrefix, snapSuffix)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	removed := false
-	for i, s := range snaps {
-		if i < keep {
-			continue
-		}
+	orphans, err := seqFiles(fsys, dir, snapPrefix, snapSuffix+".tmp")
+	if err != nil {
+		return nil, err
+	}
+	cut := max(len(snaps)-keep, 0)
+	doomed := append(snaps[:cut:cut], orphans...)
+	for _, s := range doomed {
 		if err := fsys.Remove(path.Join(dir, s.name)); err != nil {
-			return fmt.Errorf("durable: prune snapshot %s: %w", s.name, err)
-		}
-		removed = true
-	}
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, ".tmp") {
-			if err := fsys.Remove(path.Join(dir, name)); err != nil {
-				return fmt.Errorf("durable: remove orphan %s: %w", name, err)
-			}
-			removed = true
+			return nil, fmt.Errorf("durable: prune %s: %w", s.name, err)
 		}
 	}
-	if removed {
+	if len(doomed) > 0 {
 		if err := fsys.SyncDir(dir); err != nil {
-			return fmt.Errorf("durable: sync dir after prune: %w", err)
+			return nil, fmt.Errorf("durable: sync dir after prune: %w", err)
 		}
 	}
-	return nil
+	return snaps[cut:], nil
 }

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"path"
@@ -85,6 +84,26 @@ func (s *Store) loadManifestLocked() ([]TenantSpec, error) {
 
 // RecordTenant upserts one tenant into the manifest, durably.
 func (s *Store) RecordTenant(spec TenantSpec) error {
+	return s.rewriteManifest(spec.Name, &spec)
+}
+
+// ForgetTenant removes a tenant from the manifest and deletes its
+// directory. Safe to call for tenants never recorded.
+func (s *Store) ForgetTenant(name string) error {
+	if err := s.rewriteManifest(name, nil); err != nil {
+		return err
+	}
+	if err := s.fs.RemoveAll(path.Join("tenants", name)); err != nil {
+		return fmt.Errorf("durable: remove tenant dir %s: %w", name, err)
+	}
+	return nil
+}
+
+// rewriteManifest drops name's entry from the manifest and, when spec is
+// non-nil, adds spec in its place, then publishes the result sorted by
+// name so the bytes are deterministic. Dropping a name the manifest lacks
+// writes nothing.
+func (s *Store) rewriteManifest(name string, spec *TenantSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	specs, err := s.loadManifestLocked()
@@ -93,78 +112,21 @@ func (s *Store) RecordTenant(spec TenantSpec) error {
 	}
 	out := specs[:0]
 	for _, t := range specs {
-		if t.Name != spec.Name {
+		if t.Name != name {
 			out = append(out, t)
 		}
 	}
-	out = append(out, spec)
-	return s.saveManifestLocked(out)
-}
-
-// ForgetTenant removes a tenant from the manifest and deletes its
-// directory. Safe to call for tenants never recorded.
-func (s *Store) ForgetTenant(name string) error {
-	s.mu.Lock()
-	specs, err := s.loadManifestLocked()
+	if spec != nil {
+		out = append(out, *spec)
+	} else if len(out) == len(specs) {
+		return nil
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	data, err := json.MarshalIndent(manifestWire{Version: 1, Tenants: out}, "", "  ")
 	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	out := specs[:0]
-	changed := false
-	for _, t := range specs {
-		if t.Name == name {
-			changed = true
-			continue
-		}
-		out = append(out, t)
-	}
-	if changed {
-		if err := s.saveManifestLocked(out); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.mu.Unlock()
-	if err := s.fs.RemoveAll(path.Join("tenants", name)); err != nil {
-		return fmt.Errorf("durable: remove tenant dir %s: %w", name, err)
-	}
-	return nil
-}
-
-// saveManifestLocked writes the manifest atomically (tmp, sync, rename,
-// dir sync), sorted by name so the bytes are deterministic.
-func (s *Store) saveManifestLocked(specs []TenantSpec) error {
-	sort.Slice(specs, func(a, b int) bool { return specs[a].Name < specs[b].Name })
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(manifestWire{Version: 1, Tenants: specs}); err != nil {
 		return fmt.Errorf("durable: encode manifest: %w", err)
 	}
-	tmp := manifestName + ".tmp"
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("durable: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: close %s: %w", tmp, err)
-	}
-	if err := s.fs.Rename(tmp, manifestName); err != nil {
-		return fmt.Errorf("durable: publish manifest: %w", err)
-	}
-	if err := s.fs.SyncDir("."); err != nil {
-		return fmt.Errorf("durable: sync store root: %w", err)
-	}
-	return nil
+	return publish(s.fs, ".", manifestName, append(data, '\n'))
 }
 
 // Tenant returns the durability handle for one tenant's directory. The
@@ -288,7 +250,8 @@ func (t *TenantStore) Snapshot(eng *sizelos.Engine) (uint64, error) {
 	if err := writeSnapshot(t.fs, t.dir, seq, st); err != nil {
 		return 0, err
 	}
-	if err := pruneSnapshots(t.fs, t.dir, t.opts.KeepSnapshots); err != nil {
+	kept, err := pruneSnapshots(t.fs, t.dir, t.opts.KeepSnapshots)
+	if err != nil {
 		return 0, err
 	}
 	// WAL pruning is licensed by the OLDEST retained snapshot, not the one
@@ -296,10 +259,8 @@ func (t *TenantStore) Snapshot(eng *sizelos.Engine) (uint64, error) {
 	// is damaged, and every fallback's replay chain must still start inside
 	// the surviving segments (openWAL refuses otherwise).
 	covered := seq
-	if snaps, err := snapshotFiles(t.fs, t.dir); err != nil {
-		return 0, err
-	} else if len(snaps) > 0 {
-		covered = snaps[len(snaps)-1].start
+	if len(kept) > 0 {
+		covered = kept[0].seq
 	}
 	if err := t.wal.rotate(covered); err != nil {
 		return 0, err

@@ -8,9 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"sizelos"
@@ -48,7 +45,9 @@ const (
 )
 
 // Record is one WAL entry: a committed mutation batch (or explicit
-// compaction) with its sequence number.
+// compaction) with its sequence number. Its operations are the engine
+// batch's own (sizelos.TupleInsert is relational.InsertOp), so a batch is
+// logged and replayed without conversion.
 type Record struct {
 	Seq     uint64
 	Kind    recordKind
@@ -57,16 +56,9 @@ type Record struct {
 	Rerank  bool
 }
 
-// batch lifts a mutation record back to the engine's batch type for replay.
+// batch is a mutation record as the engine's batch, for replay.
 func (r Record) batch() sizelos.MutationBatch {
-	b := sizelos.MutationBatch{Rerank: r.Rerank}
-	for _, d := range r.Deletes {
-		b.Deletes = append(b.Deletes, sizelos.TupleDelete{Rel: d.Rel, PK: d.PK})
-	}
-	for _, in := range r.Inserts {
-		b.Inserts = append(b.Inserts, sizelos.TupleInsert{Rel: in.Rel, Tuple: in.Tuple})
-	}
-	return b
+	return sizelos.MutationBatch{Deletes: r.Deletes, Inserts: r.Inserts, Rerank: r.Rerank}
 }
 
 // encodeRecord frames one record for appending.
@@ -129,33 +121,6 @@ func scanSegment(data []byte) segScan {
 	return s
 }
 
-// walSegments lists dir's WAL segments sorted by start sequence.
-func walSegments(fsys FS, dir string) ([]walSegment, error) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: list wal segments: %w", err)
-	}
-	var segs []walSegment
-	for _, name := range names {
-		if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
-			continue
-		}
-		hex := strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix)
-		start, err := strconv.ParseUint(hex, 16, 64)
-		if err != nil {
-			continue // not ours; leave it alone
-		}
-		segs = append(segs, walSegment{name: name, start: start})
-	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].start < segs[b].start })
-	return segs, nil
-}
-
-type walSegment struct {
-	name  string
-	start uint64
-}
-
 func segmentName(start uint64) string {
 	return fmt.Sprintf("%s%016x%s", walPrefix, start, walSuffix)
 }
@@ -194,7 +159,7 @@ type WAL struct {
 // truncated away. The same damage in an older segment — or a sequence gap —
 // is ErrWALCorrupt: continuing would silently drop committed batches.
 func openWAL(fsys FS, dir string, afterSeq uint64) (*WAL, []Record, error) {
-	segs, err := walSegments(fsys, dir)
+	segs, err := seqFiles(fsys, dir, walPrefix, walSuffix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,9 +169,9 @@ func openWAL(fsys FS, dir string, afterSeq uint64) (*WAL, []Record, error) {
 	// surviving segment starts at or below afterSeq+1. A higher start means
 	// records in (afterSeq, start) were pruned under a snapshot this
 	// recovery is not using — refusing beats silently dropping them.
-	if len(segs) > 0 && segs[0].start > afterSeq+1 {
+	if len(segs) > 0 && segs[0].seq > afterSeq+1 {
 		return nil, nil, fmt.Errorf("%w: oldest segment %s starts at seq %d, but replay after seq %d needs seq %d (records pruned past the recovered snapshot)",
-			ErrWALCorrupt, segs[0].name, segs[0].start, afterSeq, afterSeq+1)
+			ErrWALCorrupt, segs[0].name, segs[0].seq, afterSeq, afterSeq+1)
 	}
 	w := &WAL{fs: fsys, dir: dir, seq: afterSeq}
 	var replay []Record
@@ -221,18 +186,18 @@ func openWAL(fsys FS, dir string, afterSeq uint64) (*WAL, []Record, error) {
 			return nil, nil, fmt.Errorf("%w: segment %s has %d bytes of garbage before segment %s",
 				ErrWALCorrupt, seg.name, int64(len(data))-scan.validLen, segs[i+1].name)
 		}
-		if i > 0 && len(scan.records) > 0 && seg.start != last+1 {
+		if i > 0 && len(scan.records) > 0 && seg.seq != last+1 {
 			return nil, nil, fmt.Errorf("%w: segment %s starts at seq %d, want %d",
-				ErrWALCorrupt, seg.name, seg.start, last+1)
+				ErrWALCorrupt, seg.name, seg.seq, last+1)
 		}
 		for _, rec := range scan.records {
 			if last != 0 && rec.Seq != last+1 {
 				return nil, nil, fmt.Errorf("%w: segment %s: record seq %d after %d",
 					ErrWALCorrupt, seg.name, rec.Seq, last)
 			}
-			if last == 0 && rec.Seq != seg.start {
+			if last == 0 && rec.Seq != seg.seq {
 				return nil, nil, fmt.Errorf("%w: segment %s: first record seq %d, want %d",
-					ErrWALCorrupt, seg.name, rec.Seq, seg.start)
+					ErrWALCorrupt, seg.name, rec.Seq, seg.seq)
 			}
 			last = rec.Seq
 			if rec.Seq > afterSeq {
@@ -249,7 +214,7 @@ func openWAL(fsys FS, dir string, afterSeq uint64) (*WAL, []Record, error) {
 				}
 			}
 			w.segName = seg.name
-			w.segStart = seg.start
+			w.segStart = seg.seq
 		}
 	}
 	// Resume numbering past everything known: the newest surviving record OR
@@ -315,14 +280,7 @@ func (w *WAL) append(rec Record) error {
 
 // AppendMutation implements sizelos.MutationLog.
 func (w *WAL) AppendMutation(b sizelos.MutationBatch) error {
-	rec := Record{Kind: recMutation, Rerank: b.Rerank}
-	for _, d := range b.Deletes {
-		rec.Deletes = append(rec.Deletes, relational.DeleteOp{Rel: d.Rel, PK: d.PK})
-	}
-	for _, in := range b.Inserts {
-		rec.Inserts = append(rec.Inserts, relational.InsertOp{Rel: in.Rel, Tuple: in.Tuple})
-	}
-	return w.append(rec)
+	return w.append(Record{Kind: recMutation, Deletes: b.Deletes, Inserts: b.Inserts, Rerank: b.Rerank})
 }
 
 // AppendCompact implements sizelos.MutationLog.
@@ -375,13 +333,13 @@ func (w *WAL) rotate(coveredSeq uint64) error {
 	}
 	// Prune: segment i (sorted) holds seqs [start_i, start_{i+1}-1]; it may
 	// go once start_{i+1}-1 <= coveredSeq. The active segment never goes.
-	segs, err := walSegments(w.fs, w.dir)
+	segs, err := seqFiles(w.fs, w.dir, walPrefix, walSuffix)
 	if err != nil {
 		return err
 	}
 	removed := false
 	for i := 0; i+1 < len(segs); i++ {
-		if segs[i].name == w.segName || segs[i+1].start > coveredSeq+1 {
+		if segs[i].name == w.segName || segs[i+1].seq > coveredSeq+1 {
 			continue
 		}
 		if err := w.fs.Remove(path.Join(w.dir, segs[i].name)); err != nil {

@@ -39,6 +39,15 @@ func (f *fakeDurability) LookupPending(name string) (TenantSpec, bool) {
 	return f.lookup(name)
 }
 
+// manifest is a lookup over what this fake recorded: a shared manifest
+// only this registry writes to.
+func (f *fakeDurability) manifest(name string) (TenantSpec, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	spec, ok := f.recorded[name]
+	return spec, ok
+}
+
 func (f *fakeDurability) RecordTenant(spec TenantSpec) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -319,6 +328,48 @@ func TestRegisterDynamicRejectsPendingName(t *testing.T) {
 	// The pending entry is untouched: the tenant still recovers on demand.
 	if names := reg.Names(); len(names) != 1 || names[0] != "pend" {
 		t.Fatalf("pending entry lost: %v", names)
+	}
+}
+
+// TestRegisterDynamicRejectsRecordedName: in a fleet sharing one manifest,
+// a name another node recorded is in none of this node's sets. Registering
+// it must still conflict: the recoverer would adopt the other tenant's WAL
+// and snapshots under the request's spec, and RecordTenant would then
+// overwrite its manifest entry.
+func TestRegisterDynamicRejectsRecordedName(t *testing.T) {
+	fd := &fakeDurability{lookup: func(name string) (TenantSpec, bool) {
+		if name == "theirs" {
+			return TenantSpec{Name: "theirs", Dataset: "dblp", Seed: 5}, true
+		}
+		return TenantSpec{}, false
+	}}
+	var recoveries atomic.Int32
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+		recoveries.Add(1)
+		return nil, fmt.Errorf("recoverer must not run for a recorded name")
+	}, fd)
+	if _, err := reg.RegisterDynamic(TenantSpec{Name: "theirs", Dataset: "tpch"}); !errors.Is(err, ErrTenantExists) {
+		t.Fatalf("recorded name registered: %v", err)
+	}
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/tenants", "application/json",
+		strings.NewReader(`{"name":"theirs","dataset":"tpch"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("recorded name over HTTP: %d, want 409", resp.StatusCode)
+	}
+	if n := recoveries.Load(); n != 0 {
+		t.Fatalf("recoverer ran %d times for a recorded name", n)
+	}
+	fd.mu.Lock()
+	_, overwritten := fd.recorded["theirs"]
+	fd.mu.Unlock()
+	if overwritten {
+		t.Fatal("a refused registration reached RecordTenant")
 	}
 }
 

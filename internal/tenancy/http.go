@@ -500,9 +500,10 @@ func decodeOne(rd io.Reader, v any, knownFields bool) error {
 // serveMutate decodes and applies one mutation batch against the tenant's
 // engine. Malformed requests are 400s; batches the store rejects (duplicate
 // or dangling keys, deletes of referenced tuples) are 409s and leave the
-// tenant untouched. A post-commit internal failure (ErrMutationInternal —
-// unreachable for batches that validate) is a 500: the batch DID apply, so
-// clients must not retry it.
+// tenant untouched. A post-commit internal failure (ErrMutationInternal: a
+// rebuild, re-rank or WAL append failed) is a 500: that batch DID apply, so
+// clients must not retry it, and after a failed append every later batch
+// gets the same 500 unapplied until the node restarts.
 func (r *Registry) serveMutate(w http.ResponseWriter, req *http.Request) {
 	t, ok := r.resolveTenant(w, req.PathValue("tenant"))
 	if !ok {

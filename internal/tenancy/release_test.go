@@ -9,6 +9,7 @@ package tenancy
 // recorded by other nodes) is covered here too.
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -173,15 +174,15 @@ func TestResolveConsultsPendingLoader(t *testing.T) {
 func TestPendingLoaderNeverReadoptsReleasedTenant(t *testing.T) {
 	fake := &fakeDurability{}
 	reg := newDurableRegistry(t, fake)
+	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); err != nil {
+		t.Fatal(err)
+	}
 	var loads atomic.Int32
 	fake.lookup = func(name string) (TenantSpec, bool) {
 		loads.Add(1)
 		// The shared manifest still lists the tenant after a release —
 		// its durable state belongs to the new owner.
-		return TenantSpec{Name: name, Dataset: "dblp", Seed: 710}, true
-	}
-	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); err != nil {
-		t.Fatal(err)
+		return fake.manifest(name)
 	}
 	if !reg.Release("mig") {
 		t.Fatal("Release reported not found")
@@ -194,7 +195,15 @@ func TestPendingLoaderNeverReadoptsReleasedTenant(t *testing.T) {
 	if loads.Load() != 0 {
 		t.Fatal("pending loader consulted for a released name")
 	}
-	// A deliberate re-registration lifts the mark.
+	// Nor may a registration take the name while the manifest records it.
+	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); !errors.Is(err, ErrTenantExists) {
+		t.Fatalf("re-register of a recorded name: %v, want ErrTenantExists", err)
+	}
+	// Once the new owner deletes it, a deliberate re-registration lifts the
+	// mark.
+	if err := fake.ForgetTenant("mig"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); err != nil {
 		t.Fatalf("re-register after release: %v", err)
 	}
@@ -211,9 +220,7 @@ func TestPendingLoaderNeverReadoptsReleasedTenant(t *testing.T) {
 func TestReadoptLiftsReleaseMark(t *testing.T) {
 	fake := &fakeDurability{}
 	reg := newDurableRegistry(t, fake)
-	fake.lookup = func(name string) (TenantSpec, bool) {
-		return TenantSpec{Name: name, Dataset: "dblp", Seed: 710}, true
-	}
+	fake.lookup = fake.manifest
 	if _, err := reg.RegisterDynamic(TenantSpec{Name: "mig", Dataset: "dblp", Seed: 710}); err != nil {
 		t.Fatal(err)
 	}

@@ -288,11 +288,12 @@ func (r *Registry) registerRecovered(spec TenantSpec, eng *sizelos.Engine) (*Ten
 // is claimed in the same per-name single-flight lazy recovery uses, so a
 // concurrent POST or first-touch Resolve of the same name can never both
 // run the recoverer — two recoveries would open two append handles on one
-// WAL and interleave frames. Names that are live, pending recovery (their
-// durable state exists; recovering it under a new spec would serve the old
-// tenant's data), or mid-creation fail with ErrTenantExists; a failed
-// durable record rolls the registration back and fails with
-// ErrDurabilityFailed.
+// WAL and interleave frames. Names that are live, pending recovery, recorded
+// in the durable store (Durability.LookupPending: in a fleet, another
+// node's tenant) or mid-creation fail with ErrTenantExists — their durable
+// state exists, and recovering it under a new spec would serve the old
+// tenant's data. A failed durable record rolls the registration back and
+// fails with ErrDurabilityFailed.
 func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 	if r.recoverer == nil {
 		return nil, fmt.Errorf("tenancy: dynamic registration needs a recoverer")
@@ -300,6 +301,12 @@ func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 	name := spec.Name
 	if !validName(name) {
 		return nil, fmt.Errorf("tenancy: invalid tenant name %q (want [A-Za-z0-9._-]+)", name)
+	}
+	// Outside every lock, as Resolve asks: the lookup may do I/O.
+	if r.durability != nil {
+		if _, recorded := r.durability.LookupPending(name); recorded {
+			return nil, fmt.Errorf("%w: %q is recorded in the durable store", ErrTenantExists, name)
+		}
 	}
 	r.pendMu.Lock()
 	if _, pend := r.pending[name]; pend {

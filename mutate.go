@@ -27,25 +27,22 @@ import (
 	"sizelos/internal/relational"
 )
 
-// ErrMutationInternal marks a Mutate failure that happened after the store
-// committed (data-graph rebuild or re-rank): the batch is applied but the
-// engine's derived state may be inconsistent. Callers must not treat such
-// an error as "batch rejected" — retrying the batch would double-apply.
-// Unreachable for batches that pass validation; test with errors.Is.
+// ErrMutationInternal marks a Mutate or CompactNow failure that happened
+// after the store committed: a data-graph rebuild, a re-rank, or the
+// mutation log append. That call's batch is applied in memory — retrying it
+// would double-apply — and after a rebuild or re-rank failure the derived
+// state may be inconsistent. A failed log append is sticky: every later
+// Mutate and CompactNow returns the same error, wrapping this one, and
+// applies nothing. Test with errors.Is.
 var ErrMutationInternal = errors.New("sizelos: mutation failed after store commit")
 
 // TupleInsert adds one tuple (schema order, kinds matching the relation's
-// columns) to Rel.
-type TupleInsert struct {
-	Rel   string
-	Tuple relational.Tuple
-}
+// columns) to Rel. It is the store's own insert operation, so a batch
+// reaches the store and the WAL without conversion.
+type TupleInsert = relational.InsertOp
 
 // TupleDelete removes the tuple of Rel whose primary key is PK.
-type TupleDelete struct {
-	Rel string
-	PK  int64
-}
+type TupleDelete = relational.DeleteOp
 
 // MutationBatch is one atomic group of engine mutations. Deletes apply
 // before inserts, each slice in order (see relational.Batch for the
@@ -145,25 +142,22 @@ type RerankStat struct {
 //
 // On a batch validation error (unknown relation, duplicate or dangling
 // key, delete of a still-referenced tuple) the engine is untouched. Errors
-// after the store commit — data-graph rebuild or re-rank failures — leave
-// the engine inconsistent and are returned wrapping ErrMutationInternal;
-// they are not reachable for batches that pass validation.
+// after the store commit are returned wrapping ErrMutationInternal: a
+// data-graph rebuild or re-rank failure leaves the engine inconsistent, and
+// a mutation-log failure leaves the batch applied but unlogged. Once the log
+// has failed, every later call returns that failure before touching the
+// store, so reads never serve a batch a restart would lose.
 func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
-	batch := relational.Batch{}
-	for _, d := range b.Deletes {
-		batch.Deletes = append(batch.Deletes, relational.DeleteOp{Rel: d.Rel, PK: d.PK})
-	}
-	for _, in := range b.Inserts {
-		batch.Inserts = append(batch.Inserts, relational.InsertOp{Rel: in.Rel, Tuple: in.Tuple})
-	}
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.logErr != nil {
+		return MutationResult{}, e.logErr
+	}
 
 	result := MutationResult{Epochs: make(map[string]uint64), Footprint: make(map[string]int)}
 	touched := make([]string, 0, 4)
 	var res relational.BatchResult
-	if !batch.Empty() {
+	if batch := (relational.Batch{Deletes: b.Deletes, Inserts: b.Inserts}); !batch.Empty() {
 		var err error
 		if res, err = e.db.Apply(batch); err != nil {
 			return MutationResult{}, err
@@ -550,6 +544,9 @@ func remapScores(s relational.Scores, remap []relational.TupleID, newLen int) re
 func (e *Engine) CompactNow() ([]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.logErr != nil {
+		return nil, e.logErr
+	}
 	var due []string
 	for _, r := range e.db.Relations {
 		if r.Tombstones() > 0 {

@@ -82,14 +82,7 @@ func equivSeed(t *testing.T) int64 {
 // mutation type (the generator lives in internal/mutgen so the durability
 // tier's crash-restart harness can drive the same streams).
 func toMutationBatch(b relational.Batch) MutationBatch {
-	var out MutationBatch
-	for _, d := range b.Deletes {
-		out.Deletes = append(out.Deletes, TupleDelete{Rel: d.Rel, PK: d.PK})
-	}
-	for _, in := range b.Inserts {
-		out.Inserts = append(out.Inserts, TupleInsert{Rel: in.Rel, Tuple: in.Tuple})
-	}
-	return out
+	return MutationBatch{Deletes: b.Deletes, Inserts: b.Inserts}
 }
 
 // runEquivalence is the harness body shared by both datasets. restore
