@@ -176,7 +176,7 @@ func main() {
 			}
 			log.Fatalf("ossrv: serve: %v", err)
 		case <-tick:
-			node.SnapshotAll()
+			reg.SnapshotAll()
 		case <-ctx.Done():
 			// Restore default signal handling so a second signal kills hard.
 			stop()

@@ -227,7 +227,6 @@ func TestEngineExportedSurface(t *testing.T) {
 		"CompactNow",
 		"DB",
 		"EnableSummaryCache",
-		"Epoch",
 		"EpochFor",
 		"ExportState",
 		"GDS",

@@ -3,7 +3,6 @@ package nodehost
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"sizelos"
 	"sizelos/internal/datagen"
@@ -88,38 +87,28 @@ func Restorer(name string) (func(*sizelos.EngineState) (*sizelos.Engine, error),
 }
 
 // Hub wires the registry's durability seam to a durable.Store: it recovers
-// tenants from their WAL+snapshot directories, records the tenant
-// lifecycle in the store manifest, and tracks every open TenantStore so
-// the snapshot ticker and the shutdown path can reach them. It implements
-// tenancy.Recoverer (Recover) and tenancy.Durability.
+// tenants from their WAL+snapshot directories, handing each one's WAL back
+// as the registry entry's attachment, and records the tenant lifecycle in
+// the store manifest. It keeps no per-tenant state: the registry owns every
+// open WAL. It implements tenancy.Recoverer (Recover) and
+// tenancy.Durability.
 type Hub struct {
 	store *durable.Store
 	cfg   Config
 	// seed is the deployment-default generator seed (ServerConfig.Seed).
 	seed int64
-
-	mu      sync.Mutex
-	tenants map[string]*hubTenant
-}
-
-type hubTenant struct {
-	ts  *durable.TenantStore
-	eng *sizelos.Engine
-}
-
-// newHub builds a hub over an opened store.
-func newHub(store *durable.Store, cfg Config, seed int64) *Hub {
-	return &Hub{store: store, cfg: cfg, seed: seed, tenants: make(map[string]*hubTenant)}
+	// reg is the registry the hub recovers tenants into.
+	reg *tenancy.Registry
 }
 
 // Recover implements tenancy.Recoverer: rebuild the tenant from its
 // durable directory (newest valid snapshot + WAL-tail replay; a fresh
-// dataset build when nothing durable exists yet) and leave its WAL
-// attached as the engine's mutation log.
-func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
+// dataset build when nothing durable exists yet) and return its WAL,
+// attached as the engine's mutation log, for the registry entry to own.
+func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, tenancy.Attachment, error) {
 	restore, err := Restorer(spec.Dataset)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	seed := resolveSeed(spec.Seed, h.seed)
 	ts := h.store.Tenant(spec.Name)
@@ -127,14 +116,11 @@ func (h *Hub) Recover(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
 		return h.cfg.openDataset(spec.Dataset, seed)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	h.mu.Lock()
-	h.tenants[spec.Name] = &hubTenant{ts: ts, eng: eng}
-	h.mu.Unlock()
 	h.cfg.logf("nodehost: tenant %s recovered (dataset %s, snapshot seq %d, %d records replayed, seq %d)",
 		spec.Name, spec.Dataset, info.SnapshotSeq, info.Replayed, info.Seq)
-	return eng, nil
+	return eng, &wal{name: spec.Name, ts: ts, eng: eng, cfg: h.cfg}, nil
 }
 
 // RecordTenant implements tenancy.Durability.
@@ -143,43 +129,9 @@ func (h *Hub) RecordTenant(spec tenancy.TenantSpec) error {
 	return h.store.RecordTenant(spec)
 }
 
-// ReleaseTenant implements tenancy.Durability: close the open TenantStore
-// of a tenant leaving this node, WITHOUT touching its manifest entry or
-// on-disk state. On the migration handoff path a best-effort final
-// snapshot is taken first, so the new owner's first-touch recovery replays
-// a short WAL tail instead of the whole log; a failed snapshot only costs
-// replay time (the WAL has every committed record) and is logged, not
-// fatal.
-func (h *Hub) ReleaseTenant(name string) {
-	h.mu.Lock()
-	dt := h.tenants[name]
-	delete(h.tenants, name)
-	h.mu.Unlock()
-	if dt == nil {
-		return
-	}
-	if seq, err := dt.ts.Snapshot(dt.eng); err != nil {
-		h.cfg.logf("nodehost: tenant %s: final snapshot before release: %v", name, err)
-	} else {
-		h.cfg.logf("nodehost: tenant %s: released with final snapshot through seq %d", name, seq)
-	}
-	if err := dt.ts.Close(); err != nil {
-		h.cfg.logf("nodehost: tenant %s: close WAL: %v", name, err)
-	}
-}
-
-// ForgetTenant implements tenancy.Durability: close the tenant's WAL if it
-// was recovered, then drop it from the manifest and delete its directory.
+// ForgetTenant implements tenancy.Durability: drop the tenant from the
+// manifest and delete its directory (the registry has closed its WAL).
 func (h *Hub) ForgetTenant(name string) error {
-	h.mu.Lock()
-	dt := h.tenants[name]
-	delete(h.tenants, name)
-	h.mu.Unlock()
-	if dt != nil {
-		if err := dt.ts.Close(); err != nil {
-			h.cfg.logf("nodehost: tenant %s: close WAL: %v", name, err)
-		}
-	}
 	return h.store.ForgetTenant(name)
 }
 
@@ -202,37 +154,30 @@ func (h *Hub) LookupPending(name string) (tenancy.TenantSpec, bool) {
 	return tenancy.TenantSpec{}, false
 }
 
-// SnapshotAll captures a snapshot of every recovered tenant. Errors are
-// logged, not fatal: a failed snapshot only lengthens the next replay, and
-// a tenant released mid-tick is detached, so its store refuses to write.
-func (h *Hub) SnapshotAll() {
-	for name, dt := range h.open() {
-		if seq, err := dt.ts.Snapshot(dt.eng); err != nil {
-			h.cfg.logf("nodehost: tenant %s: snapshot: %v", name, err)
-		} else {
-			h.cfg.logf("nodehost: tenant %s: snapshot through seq %d", name, seq)
-		}
+// CloseAll closes every open WAL without a snapshot (shutdown path).
+func (h *Hub) CloseAll() { h.reg.CloseAll() }
+
+// wal is a recovered tenant's tenancy.Attachment: its TenantStore, with the
+// WAL open as the engine's mutation log. Failures are logged, not
+// returned: a failed snapshot only lengthens the next replay, and a closed
+// store refuses to write.
+type wal struct {
+	name string
+	ts   *durable.TenantStore
+	eng  *sizelos.Engine
+	cfg  Config
+}
+
+func (w *wal) Snapshot() {
+	if seq, err := w.ts.Snapshot(w.eng); err != nil {
+		w.cfg.logf("nodehost: tenant %s: snapshot: %v", w.name, err)
+	} else {
+		w.cfg.logf("nodehost: tenant %s: snapshot through seq %d", w.name, seq)
 	}
 }
 
-// CloseAll closes every open WAL (shutdown path).
-func (h *Hub) CloseAll() {
-	for name, dt := range h.open() {
-		if err := dt.ts.Close(); err != nil {
-			h.cfg.logf("nodehost: tenant %s: close WAL: %v", name, err)
-		}
+func (w *wal) Close() {
+	if err := w.ts.Close(); err != nil {
+		w.cfg.logf("nodehost: tenant %s: close WAL: %v", w.name, err)
 	}
-	h.mu.Lock()
-	h.tenants = make(map[string]*hubTenant)
-	h.mu.Unlock()
-}
-
-func (h *Hub) open() map[string]*hubTenant {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	open := make(map[string]*hubTenant, len(h.tenants))
-	for name, dt := range h.tenants {
-		open[name] = dt
-	}
-	return open
 }

@@ -3,6 +3,7 @@ package nodehost
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"sizelos"
@@ -33,8 +34,9 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 	// Without a data dir a tenant registered over HTTP is a from-scratch
 	// build by the same opener as the boot tenants; a request-supplied seed
 	// overrides the deployment default. With one, hub.Recover replaces it.
-	var rec tenancy.Recoverer = func(spec tenancy.TenantSpec) (*sizelos.Engine, error) {
-		return opts.openDataset(spec.Dataset, resolveSeed(spec.Seed, cfg.Seed))
+	var rec tenancy.Recoverer = func(spec tenancy.TenantSpec) (*sizelos.Engine, tenancy.Attachment, error) {
+		eng, err := opts.openDataset(spec.Dataset, resolveSeed(spec.Seed, cfg.Seed))
+		return eng, nil, err
 	}
 	var (
 		hub   *Hub
@@ -49,10 +51,13 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 		if specs, err = store.LoadManifest(); err != nil {
 			return nil, err
 		}
-		hub = newHub(store, opts, cfg.Seed)
+		hub = &Hub{store: store, cfg: opts, seed: cfg.Seed}
 		rec, d = hub.Recover, hub
 	}
 	reg := tenancy.NewRegistry(cfg, rec, d)
+	if hub != nil {
+		hub.reg = reg
+	}
 	// Manifest tenants recover lazily: pending until first touched, so a
 	// restart with many tenants is ready to listen immediately.
 	for _, spec := range specs {
@@ -62,39 +67,30 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 		opts.logf("nodehost: tenant %s pending recovery (dataset %s)", spec.Name, spec.Dataset)
 	}
 
-	known := make(map[string]bool)
-	for _, name := range reg.Names() {
-		known[name] = true
-	}
 	for _, def := range tenants {
 		name, dataset, ok := strings.Cut(def, "=")
 		if !ok {
 			return nil, fmt.Errorf("bad tenant definition %q (want name=dataset)", def)
 		}
 		spec := tenancy.TenantSpec{Name: name, Dataset: dataset, Seed: cfg.Seed, Cache: cfg.CacheBudget}
+		var err error
 		if hub == nil {
-			eng, err := opts.openDataset(dataset, cfg.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("tenant %s: %w", name, err)
+			_, err = reg.RegisterDynamic(spec)
+		} else {
+			// Durable boot tenants: record the spec (unless the manifest
+			// already knows the name — its durable directory wins over the
+			// definition) and recover eagerly so an unrecoverable WAL fails
+			// the boot.
+			if !slices.ContainsFunc(specs, func(s tenancy.TenantSpec) bool { return s.Name == name }) {
+				if err = reg.AddPending(spec); err == nil {
+					err = hub.RecordTenant(spec)
+				}
 			}
-			if _, err := reg.Register(spec, eng); err != nil {
-				return nil, err
-			}
-			opts.logf("nodehost: tenant %s ready (dataset %s, cache budget %d)", name, dataset, cfg.CacheBudget)
-			continue
-		}
-		// Durable boot tenants: record the spec (unless the manifest already
-		// knows the name — its durable directory wins over the definition)
-		// and recover eagerly so an unrecoverable WAL fails the boot.
-		if !known[name] {
-			if err := reg.AddPending(spec); err != nil {
-				return nil, fmt.Errorf("tenant %s: %w", name, err)
-			}
-			if err := hub.RecordTenant(spec); err != nil {
-				return nil, fmt.Errorf("tenant %s: %w", name, err)
+			if err == nil {
+				_, _, err = reg.Resolve(name)
 			}
 		}
-		if _, _, err := reg.Resolve(name); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", name, err)
 		}
 		opts.logf("nodehost: tenant %s ready (dataset %s, cache budget %d)", name, dataset, cfg.CacheBudget)
@@ -105,18 +101,9 @@ func Boot(cfg tenancy.ServerConfig, tenants []string, opts Config) (*Node, error
 // Handler returns the node's full HTTP surface (the tenancy API).
 func (n *Node) Handler() http.Handler { return n.Registry.Handler() }
 
-// SnapshotAll snapshots every recovered tenant; a no-op without a data dir.
-func (n *Node) SnapshotAll() {
-	if n.Hub != nil {
-		n.Hub.SnapshotAll()
-	}
-}
-
 // Close takes final snapshots and closes every open WAL; a no-op without a
 // data dir. The caller drains in-flight HTTP traffic first.
 func (n *Node) Close() {
-	if n.Hub != nil {
-		n.Hub.SnapshotAll()
-		n.Hub.CloseAll()
-	}
+	n.Registry.SnapshotAll()
+	n.Registry.CloseAll()
 }

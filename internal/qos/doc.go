@@ -28,9 +28,9 @@
 //     slot leak). The fairness and soak tests in internal/tenancy assert
 //     this across full closed-loop runs.
 //
-//   - A nil *Limiter or nil *Set disables QoS entirely: every Allow/Admit
-//     succeeds without synchronization, so an unconfigured service keeps
-//     its pre-QoS behavior and cost.
+//   - A nil *Limiter disables QoS entirely: every Allow/Admit succeeds
+//     without synchronization, so an unconfigured service keeps its
+//     pre-QoS behavior and cost.
 //
 // Limits merging: a per-tenant override field with the zero value
 // inherits the registry-wide default; a negative rate, burst, in-flight

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -215,45 +214,4 @@ func (l *Limiter) Stats() LimiterStats {
 		Mutate:    l.mutate.Stats(),
 		Admission: l.admit.Stats(),
 	}
-}
-
-// Set owns the per-tenant limiters of one service, created lazily from
-// the Config on first touch. A nil *Set disables QoS. Safe for concurrent
-// use.
-type Set struct {
-	cfg      Config
-	mu       sync.Mutex
-	limiters map[string]*Limiter
-}
-
-// NewSet creates the limiter set for cfg.
-func NewSet(cfg Config) *Set {
-	return &Set{cfg: cfg, limiters: make(map[string]*Limiter)}
-}
-
-// For returns (creating if needed) the named tenant's limiter; nil on a
-// nil set.
-func (s *Set) For(tenant string) *Limiter {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lim, ok := s.limiters[tenant]; ok {
-		return lim
-	}
-	lim := NewLimiter(s.cfg.For(tenant))
-	s.limiters[tenant] = lim
-	return lim
-}
-
-// Drop forgets a deregistered tenant's limiter (its counters included);
-// a later re-registration starts fresh.
-func (s *Set) Drop(tenant string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	delete(s.limiters, tenant)
-	s.mu.Unlock()
 }

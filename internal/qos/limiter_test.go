@@ -85,33 +85,6 @@ func TestLimiterClassesAndStats(t *testing.T) {
 	rel()
 }
 
-func TestSetLazyCreateAndDrop(t *testing.T) {
-	set := NewSet(Config{Default: Limits{SearchRate: 1, SearchBurst: 1}})
-	a := set.For("t1")
-	if a == nil {
-		t.Fatal("nil limiter from set")
-	}
-	if set.For("t1") != a {
-		t.Fatal("second For returned a different limiter")
-	}
-	if err := a.AllowSearch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AllowSearch(); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("want throttle, got %v", err)
-	}
-	// Drop forgets counters; a fresh registration starts with a full burst.
-	set.Drop("t1")
-	if err := set.For("t1").AllowSearch(); err != nil {
-		t.Fatalf("post-drop limiter not fresh: %v", err)
-	}
-	var nilSet *Set
-	if nilSet.For("x") != nil {
-		t.Fatal("nil set produced a limiter")
-	}
-	nilSet.Drop("x")
-}
-
 func TestDurationJSON(t *testing.T) {
 	type box struct {
 		D Duration `json:"d"`

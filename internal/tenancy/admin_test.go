@@ -113,14 +113,14 @@ func TestAdminRegisterDeregisterHTTP(t *testing.T) {
 		t.Fatalf("register without recoverer = %d, want 501", unconfigured.StatusCode)
 	}
 
-	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		if spec.Dataset != "tinydblp" {
-			return nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
+			return nil, nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
 		}
 		if spec.Seed <= 0 {
 			spec.Seed = 5
 		}
-		return freshEngine(t, spec.Seed), nil
+		return freshEngine(t, spec.Seed), nil, nil
 	}, nil)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -271,7 +271,7 @@ func TestMutateHTTP(t *testing.T) {
 	// value, a misspelt key beside a valid one).
 	epochs := map[string]uint64{}
 	for _, rel := range eng.DB().Relations {
-		epochs[rel.Name] = eng.Epoch(rel.Name)
+		epochs[rel.Name] = eng.EpochFor(rel.Name)
 	}
 	for body, want := range map[string]int{
 		`{"inserts":[{"rel":"Author","values":[1,2,3]}]}`:   http.StatusBadRequest, // arity
@@ -299,7 +299,7 @@ func TestMutateHTTP(t *testing.T) {
 		}
 	}
 	for rel, before := range epochs {
-		if after := eng.Epoch(rel); after != before {
+		if after := eng.EpochFor(rel); after != before {
 			t.Errorf("rejected batches moved %s's epoch %d -> %d", rel, before, after)
 		}
 	}

@@ -1,13 +1,20 @@
 // Package tenancy turns the single-engine library into a multi-tenant
 // search substrate: a registry owns many named (DB, Engine, Index) triples
-// behind a lock-striped map, every tenant's summary work is bounded by one
-// shared searchexec pool, and concurrent identical requests to the same
-// tenant are batched through a per-tenant single-flight group so a burst of
-// the same hot query costs one computation. cmd/ossrv serves this registry
-// over HTTP.
+// in one tenant table, every tenant's summary work is bounded by one shared
+// searchexec pool, and concurrent identical requests to the same tenant are
+// batched through a per-tenant single-flight so a burst of the same hot
+// query costs one computation. cmd/ossrv serves this registry over HTTP.
 //
 // # Invariants
 //
+//   - One table under one lock: a name's whole lifecycle — live tenant,
+//     pending spec, in-flight recovery or creation, released mark — is one
+//     entry of one map behind one RWMutex; Get takes only the read lock.
+//   - No recoverer and no durable I/O under that lock: each path decides
+//     under it, then calls the Recoverer, Durability or Attachment.
+//   - The entry owns the durable attachment its recovery returned: the
+//     registry alone snapshots and closes a tenant's WAL — on release,
+//     forget, rollback and shutdown.
 //   - One request struct, sizelos.QueryRequest, runs from the URL parser
 //     (queryFromURL) through Tenant.QueryPage to the engine; the
 //     single-flight key is the engine's own QueryRequest.Fingerprint plus
@@ -36,8 +43,6 @@
 //     tenant can queue behind the cap but never oversubscribe the host.
 //   - The tenant name "tenants" is reserved (it is the registry's own
 //     HTTP listing endpoint); Register rejects it.
-//   - Deregistration is safe against in-flight queries: running lookups
-//     finish against the tenant state they resolved, and a Deregister
-//     racing a cached lookup never panics or serves a half-removed tenant
-//     (asserted under -race).
+//   - Deregistration is safe against in-flight queries: they finish against
+//     the tenant they resolved (asserted under -race).
 package tenancy

@@ -3,7 +3,7 @@ package tenancy
 // Tests for the registry's durability seam: lazy recovery of pending
 // tenants (single-flight under concurrency), manifest recording on dynamic
 // registration, and durable removal on deregistration. The registry sees
-// durability only through the Recoverer/Durability interfaces, so these
+// durability only through the Recoverer/Attachment/Durability seam, so these
 // tests use in-memory fakes; the real WAL-backed implementations are
 // proven in internal/durable and wired up in cmd/ossrv.
 
@@ -71,23 +71,33 @@ func (f *fakeDurability) ForgetTenant(name string) error {
 	return nil
 }
 
-func (f *fakeDurability) ReleaseTenant(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.released = append(f.released, name)
+// attach is the handle a fake recovery of name leaves open; closing it is
+// recorded in released.
+func (f *fakeDurability) attach(name string) Attachment { return fakeAttachment{f, name} }
+
+type fakeAttachment struct {
+	f    *fakeDurability
+	name string
+}
+
+func (a fakeAttachment) Snapshot() {}
+func (a fakeAttachment) Close() {
+	a.f.mu.Lock()
+	defer a.f.mu.Unlock()
+	a.f.released = append(a.f.released, a.name)
 }
 
 func TestResolveLazyRecoverySingleFlight(t *testing.T) {
 	eng := testEngine(t, 600)
 	var recoveries atomic.Int32
 	release := make(chan struct{})
-	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		recoveries.Add(1)
 		<-release
 		if spec.Dataset != "dblp" || spec.Seed != 600 {
-			return nil, fmt.Errorf("wrong spec %+v", spec)
+			return nil, nil, fmt.Errorf("wrong spec %+v", spec)
 		}
-		return eng, nil
+		return eng, nil, nil
 	}, nil)
 	if err := reg.AddPending(TenantSpec{Name: "lazy", Dataset: "dblp", Seed: 600, Cache: 8}); err != nil {
 		t.Fatal(err)
@@ -143,8 +153,8 @@ func TestResolveLazyRecoverySingleFlight(t *testing.T) {
 }
 
 func TestResolveRecoveryFailureIsServerError(t *testing.T) {
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
-		return nil, fmt.Errorf("disk exploded")
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, Attachment, error) {
+		return nil, nil, fmt.Errorf("disk exploded")
 	}, nil)
 	if err := reg.AddPending(TenantSpec{Name: "doomed", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)
@@ -199,11 +209,11 @@ func TestDeregisterForgetsDurableState(t *testing.T) {
 func TestServeRegisterRecordsDurably(t *testing.T) {
 	eng := testEngine(t, 602)
 	fd := &fakeDurability{}
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		if spec.Dataset != "dblp" {
-			return nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
+			return nil, nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
 		}
-		return eng, nil
+		return eng, fd.attach(spec.Name), nil
 	}, fd)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -249,12 +259,12 @@ func TestRegisterDynamicSingleFlight(t *testing.T) {
 	var recoveries atomic.Int32
 	started := make(chan struct{})
 	release := make(chan struct{})
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		if recoveries.Add(1) == 1 {
 			close(started)
 		}
 		<-release
-		return eng, nil
+		return eng, fd.attach(spec.Name), nil
 	}, fd)
 
 	// Concurrent registrations of one name: exactly one may run the
@@ -302,8 +312,8 @@ func TestRegisterDynamicSingleFlight(t *testing.T) {
 
 func TestRegisterDynamicRejectsPendingName(t *testing.T) {
 	fd := &fakeDurability{}
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
-		return nil, fmt.Errorf("recoverer must not run for a pending name")
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, Attachment, error) {
+		return nil, nil, fmt.Errorf("recoverer must not run for a pending name")
 	}, fd)
 	if err := reg.AddPending(TenantSpec{Name: "pend", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)
@@ -344,9 +354,9 @@ func TestRegisterDynamicRejectsRecordedName(t *testing.T) {
 		return TenantSpec{}, false
 	}}
 	var recoveries atomic.Int32
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, Attachment, error) {
 		recoveries.Add(1)
-		return nil, fmt.Errorf("recoverer must not run for a recorded name")
+		return nil, nil, fmt.Errorf("recoverer must not run for a recorded name")
 	}, fd)
 	if _, err := reg.RegisterDynamic(TenantSpec{Name: "theirs", Dataset: "tpch"}); !errors.Is(err, ErrTenantExists) {
 		t.Fatalf("recorded name registered: %v", err)
@@ -378,10 +388,10 @@ func TestRegisterDynamicReleasesHandlesOnRegisterRace(t *testing.T) {
 	fd := &fakeDurability{}
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		close(entered)
 		<-release
-		return eng, nil
+		return eng, fd.attach(spec.Name), nil
 	}, fd)
 	done := make(chan error, 1)
 	go func() {
@@ -412,10 +422,10 @@ func TestDeregisterWaitsForInFlightRecovery(t *testing.T) {
 	fd := &fakeDurability{}
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		close(entered)
 		<-release
-		return eng, nil
+		return eng, fd.attach(spec.Name), nil
 	}, fd)
 	if err := reg.AddPending(TenantSpec{Name: "racy", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)
@@ -469,11 +479,11 @@ func TestDeregisterWaitsForInFlightRecovery(t *testing.T) {
 func TestResolvePanickedRecoveryDoesNotWedge(t *testing.T) {
 	eng := testEngine(t, 606)
 	var calls atomic.Int32
-	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 1}, func(TenantSpec) (*sizelos.Engine, Attachment, error) {
 		if calls.Add(1) == 1 {
 			panic("recoverer blew up")
 		}
-		return eng, nil
+		return eng, nil, nil
 	}, nil)
 	if err := reg.AddPending(TenantSpec{Name: "fragile", Dataset: "dblp"}); err != nil {
 		t.Fatal(err)

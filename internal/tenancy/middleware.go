@@ -164,30 +164,13 @@ func requestBudget(req *http.Request) (time.Duration, error) {
 // names all count as known — a tenant must not dodge its limits during
 // lazy recovery).
 func (r *Registry) limiterFor(name string) *qos.Limiter {
-	if r.qos == nil || name == "" {
+	if r.qos == nil {
 		return nil
 	}
-	if !r.knows(name) {
-		return nil
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if e := r.tenants[name]; e != nil && (e.t != nil || e.pending != nil || e.flight != nil) {
+		return e.lim
 	}
-	return r.qos.For(name)
-}
-
-// knows reports whether the registry has any record of name.
-func (r *Registry) knows(name string) bool {
-	if _, ok := r.Get(name); ok {
-		return true
-	}
-	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	return r.knownLocked(name)
-}
-
-// knownLocked reports whether name is live, pending, or mid-flight; the
-// caller holds pendMu.
-func (r *Registry) knownLocked(name string) bool {
-	_, pend := r.pending[name]
-	_, flying := r.recovering[name]
-	_, live := r.Get(name)
-	return pend || flying || live
+	return nil
 }

@@ -263,7 +263,7 @@ func TestThrottleDoesNotPoisonFlight(t *testing.T) {
 	// and become the flight joiner itself.
 	go get()
 	waitForCond(t, time.Second, func() bool {
-		return reg.qos.For("demo").Stats().Search.Allowed >= 2
+		return reg.limiterFor("demo").Stats().Search.Allowed >= 2
 	})
 
 	// C is refused by the empty bucket in middleware — instantly, without
@@ -362,6 +362,65 @@ func TestAdmissionDeadlineOverHTTP(t *testing.T) {
 // TestStatsWithoutQoS pins the back-compat shape: no QoS configured means
 // no qos section, but the document is still version 2 with the original
 // field names.
+// TestTenantLimiterLifecycle: a tenant's limiter is part of its registry
+// entry — there for every known name (pending included), the same one on
+// every lookup, absent for an unknown name or without QoS — and a removal
+// drops it, so the name's next registration starts with a full burst.
+func TestTenantLimiterLifecycle(t *testing.T) {
+	cfg := qos.Config{Default: qos.Limits{SearchRate: 1, SearchBurst: 1}}
+	reg := NewRegistry(ServerConfig{PoolSize: 1, QoS: cfg}, nil, nil)
+	eng := testEngine(t, 1)
+	if err := reg.AddPending(TenantSpec{Name: "cold", Dataset: "dblp"}); err != nil {
+		t.Fatal(err)
+	}
+	if reg.limiterFor("cold") == nil {
+		t.Fatal("pending tenant has no limiter")
+	}
+	if reg.limiterFor("ghost") != nil {
+		t.Fatal("unknown name got a limiter")
+	}
+	remove := map[string]func(string){
+		"Deregister": func(name string) { _, _ = reg.Deregister(name) },
+		"Release":    func(name string) { reg.Release(name) },
+	}
+	for how, drop := range remove {
+		if _, err := reg.Register(TenantSpec{Name: "t1"}, eng); err != nil {
+			t.Fatal(err)
+		}
+		lim := reg.limiterFor("t1")
+		if lim == nil {
+			t.Fatal("registered tenant has no limiter")
+		}
+		if reg.limiterFor("t1") != lim {
+			t.Fatal("second lookup returned a different limiter")
+		}
+		if err := lim.AllowSearch(); err != nil {
+			t.Fatal(err)
+		}
+		if err := lim.AllowSearch(); !errors.Is(err, qos.ErrRateLimited) {
+			t.Fatalf("want throttle, got %v", err)
+		}
+		drop("t1")
+		if reg.limiterFor("t1") != nil {
+			t.Fatalf("%s left a limiter behind", how)
+		}
+		if _, err := reg.Register(TenantSpec{Name: "t1"}, eng); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.limiterFor("t1").AllowSearch(); err != nil {
+			t.Fatalf("limiter after %s and re-registration not fresh: %v", how, err)
+		}
+		drop("t1")
+	}
+	bare := NewRegistry(ServerConfig{PoolSize: 1}, nil, nil)
+	if _, err := bare.Register(TenantSpec{Name: "t1"}, eng); err != nil {
+		t.Fatal(err)
+	}
+	if bare.limiterFor("t1") != nil {
+		t.Fatal("registry without QoS produced a limiter")
+	}
+}
+
 func TestStatsWithoutQoS(t *testing.T) {
 	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
 	if _, err := reg.Register(TenantSpec{Name: "demo"}, testEngine(t, 1)); err != nil {

@@ -35,8 +35,8 @@ func (f *fakeDurability) forgottenNames() []string {
 func newDurableRegistry(t *testing.T, fake *fakeDurability) *Registry {
 	t.Helper()
 	eng := testEngine(t, 710)
-	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
-		return eng, nil
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
+		return eng, fake.attach(spec.Name), nil
 	}, fake)
 	return reg
 }
@@ -57,7 +57,7 @@ func TestReleaseKeepsDurableState(t *testing.T) {
 		t.Fatal("released tenant still live")
 	}
 	if got := fake.releasedNames(); len(got) != 1 || got[0] != "mig" {
-		t.Fatalf("ReleaseTenant calls = %v, want [mig]", got)
+		t.Fatalf("released handles = %v, want [mig]", got)
 	}
 	if got := fake.forgottenNames(); len(got) != 0 {
 		t.Fatalf("Release reached ForgetTenant (%v): durable state would be deleted", got)
@@ -92,9 +92,8 @@ func TestReleasePendingTenant(t *testing.T) {
 	if names := reg.Names(); len(names) != 0 {
 		t.Fatalf("names after pending release = %v", names)
 	}
-	// A pending tenant has no open handles, but the durability layer is
-	// still told (its ReleaseTenant is a documented no-op then), and the
-	// durable record survives.
+	// A pending tenant has no open handles to release, and the durable
+	// record survives.
 	if got := fake.forgottenNames(); len(got) != 0 {
 		t.Fatalf("pending release reached ForgetTenant (%v)", got)
 	}
@@ -105,10 +104,10 @@ func TestReleaseWaitsForInFlightRecovery(t *testing.T) {
 	eng := testEngine(t, 711)
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, error) {
+	reg := NewRegistry(ServerConfig{PoolSize: 2}, func(spec TenantSpec) (*sizelos.Engine, Attachment, error) {
 		close(started)
 		<-gate
-		return eng, nil
+		return eng, fake.attach(spec.Name), nil
 	}, fake)
 	if err := reg.AddPending(TenantSpec{Name: "racy", Dataset: "dblp", Seed: 711}); err != nil {
 		t.Fatal(err)
@@ -299,6 +298,6 @@ func TestReleaseOverHTTP(t *testing.T) {
 		t.Fatalf("HTTP release path reached ForgetTenant: %v", got)
 	}
 	if got := fake.releasedNames(); len(got) != 1 {
-		t.Fatalf("ReleaseTenant calls = %v, want exactly one", got)
+		t.Fatalf("released handles = %v, want exactly one", got)
 	}
 }

@@ -3,7 +3,6 @@ package tenancy
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,11 +22,6 @@ var (
 	ErrDurabilityFailed = errors.New("tenancy: registration could not be made durable")
 )
 
-// numStripes is the lock-striping width of the registry map. 16 stripes
-// keep cross-tenant contention negligible at far more tenants than one
-// machine serves while costing a few hundred bytes.
-const numStripes = 16
-
 // Tenant is one registered (DB, Engine, Index) triple plus its service
 // state. Fields are immutable after registration; query methods are safe
 // for concurrent use.
@@ -36,62 +30,77 @@ type Tenant struct {
 	Engine      *sizelos.Engine
 	CacheBudget int
 
-	pool   *searchexec.Pool
-	flight flightGroup
+	pool    *searchexec.Pool
+	flights pageFlights
 	// What this tenant's batches did to the summary cache, for /stats: how
 	// many stamped subjects only, how many invalidated a whole DS relation,
 	// and the subjects stamped (sizelos.MutationResult.Footprint).
 	footprintBatches, wideBatches, subjectsStamped atomic.Uint64
 }
 
-// Registry maps tenant names to tenants behind striped locks and owns the
-// shared summary pool. The zero value is not usable; construct with
-// NewRegistry.
+// Registry is the tenant table — one map from a name to its whole
+// lifecycle on this node, under one lock — and owns the shared summary
+// pool. The zero value is not usable; construct with NewRegistry.
 type Registry struct {
 	pool *searchexec.Pool
-	// qos holds the per-tenant limiters when the config asks for any; nil
-	// imposes no limits and keeps the middleware out of the hot path.
-	qos *qos.Set
+	// qos is the limits config when it asks for any; nil imposes no limits
+	// and keeps the middleware out of the hot path.
+	qos *qos.Config
 	// adminToken, when non-empty, locks the write plane.
 	adminToken string
 	// defaultCache is the cache budget applied to registrations that do
 	// not name their own.
 	defaultCache int
-	// recoverer builds — or, over a durability tier, recovers — the engine
-	// of a pending tenant and of one registered over HTTP (POST
-	// /v1/tenants); durability persists lifecycle events and, on a Resolve
-	// miss, finds tenants another fleet node recorded. Both are fixed at
-	// construction.
+	// recoverer builds the engine of a pending or HTTP-registered tenant;
+	// durability persists lifecycle events and, on a Resolve miss, finds
+	// tenants another fleet node recorded. Both are fixed at construction.
 	recoverer  Recoverer
 	durability Durability
-	stripes    [numStripes]struct {
-		mu      sync.RWMutex
-		tenants map[string]*Tenant
-	}
 
-	// pending holds tenants known from the durable manifest but not yet
-	// recovered; Resolve materializes them lazily, single-flight per name.
-	pendMu     sync.Mutex
-	pending    map[string]TenantSpec
-	recovering map[string]*recoverCall
-	// released marks names handed off to another owner (Release). The
-	// miss-path lookup never re-adopts a released name: a stray request on
-	// the old owner would otherwise re-open a WAL the new owner is
-	// appending to. Deliberate re-introduction (AddPending,
-	// RegisterDynamic) clears the mark.
-	released map[string]bool
+	// mu guards tenants. Every path decides under it and does its I/O —
+	// recoverer, Durability and Attachment calls — after releasing it.
+	mu      sync.RWMutex
+	tenants map[string]*entry
+}
+
+// entry is one name's whole lifecycle on this node; an entry with no state
+// leaves the table. The states combine: a pending name may have a flight
+// recovering it, and a direct Register can make a pending name live.
+type entry struct {
+	t   *Tenant      // live: serving from memory
+	att Attachment   // the durable state t's engine writes through; nil in memory
+	lim *qos.Limiter // the name's QoS state, fresh for each registration
+	// pending is the spec of a tenant known durably but not yet recovered.
+	pending *TenantSpec
+	// flight is the name's in-flight recovery or creation: Resolve waits on
+	// it, RegisterDynamic backs off, and Deregister and Release drain it.
+	flight *flight[*Tenant]
+	// released marks a name handed off to another owner (Release): the
+	// miss-path lookup never re-adopts it, or a stray request on the old
+	// owner would re-open a WAL the new owner appends to. AddPending,
+	// RegisterDynamic and Readopt clear it.
+	released bool
 }
 
 // TenantSpec is a tenant's recipe: the manifest entry of the durable tier,
 // and what Register, AddPending and RegisterDynamic take.
 type TenantSpec = durable.TenantSpec
 
-// Recoverer builds a ready-to-serve engine for spec — for a durable
-// deployment, newest snapshot + WAL-tail replay with the WAL left attached
-// as the engine's mutation log; for a fresh tenant, a from-scratch build.
-// Called outside every registry lock (engine builds take seconds) and at
-// most once concurrently per tenant name.
-type Recoverer func(spec TenantSpec) (*sizelos.Engine, error)
+// Recoverer builds a ready-to-serve engine for spec and hands back the
+// Attachment it left open: for a durable deployment, newest snapshot +
+// WAL-tail replay with the WAL attached as the engine's mutation log; for
+// an in-memory tenant, a fresh build and nil. Called outside the registry
+// lock (engine builds take seconds), at most once concurrently per name.
+type Recoverer func(spec TenantSpec) (*sizelos.Engine, Attachment, error)
+
+// Attachment is the durable state (the WAL) a recovery leaves attached to
+// its engine. The tenant's entry owns it; the registry alone snapshots and
+// closes it, outside its lock. Both are best effort and report their own
+// failures: a failed snapshot only lengthens the next replay.
+type Attachment interface {
+	Snapshot() // checkpoint the engine's committed state
+	Close()    // close the log; a later Snapshot refuses
+}
 
 // Durability persists tenant lifecycle events so a restarted service knows
 // which tenants to recover. Implementations must be safe for concurrent
@@ -99,20 +108,14 @@ type Recoverer func(spec TenantSpec) (*sizelos.Engine, error)
 type Durability interface {
 	// RecordTenant durably records that spec is registered (upsert).
 	RecordTenant(spec TenantSpec) error
-	// ForgetTenant removes the tenant's durable record and on-disk state,
-	// releasing any open log handles first. Removing an unrecorded tenant
-	// is not an error.
+	// ForgetTenant removes the tenant's durable record and on-disk state
+	// (the registry has closed its attachment); an unrecorded name is fine.
 	ForgetTenant(name string) error
-	// ReleaseTenant closes any open durable handles (WAL) the recoverer
-	// left attached for a tenant whose registration was rolled back,
-	// WITHOUT touching its durable state. Releasing a tenant with no open
-	// handles is a no-op.
-	ReleaseTenant(name string)
 	// LookupPending resolves a tenant name the registry has never heard of
 	// to its durable spec — a tenant another fleet node recorded in a
 	// shared store, or one migrated here — or reports that none exists. It
-	// runs outside every registry lock on the Resolve miss path (typically
-	// a manifest re-read), so it may do I/O.
+	// runs outside the registry lock on the Resolve miss path (typically a
+	// manifest re-read), so it may do I/O.
 	LookupPending(name string) (TenantSpec, bool)
 }
 
@@ -130,18 +133,34 @@ func NewRegistry(cfg ServerConfig, rec Recoverer, d Durability) *Registry {
 		defaultCache: max(cfg.CacheBudget, 0),
 		recoverer:    rec,
 		durability:   d,
-		pending:      make(map[string]TenantSpec),
-		recovering:   make(map[string]*recoverCall),
-		released:     make(map[string]bool),
+		tenants:      make(map[string]*entry),
 	}
 	// A zero QoS config keeps the QoS layer entirely out of the request path.
 	if cfg.QoS.Default != (qos.Limits{}) || len(cfg.QoS.Tenants) > 0 {
-		r.qos = qos.NewSet(cfg.QoS)
-	}
-	for i := range r.stripes {
-		r.stripes[i].tenants = make(map[string]*Tenant)
+		r.qos = &cfg.QoS
 	}
 	return r
+}
+
+// entryLocked returns name's entry, adding an empty one if there is none,
+// and gives it a limiter when QoS is on. The caller holds mu for writing.
+func (r *Registry) entryLocked(name string) *entry {
+	e := r.tenants[name]
+	if e == nil {
+		e = &entry{}
+		r.tenants[name] = e
+	}
+	if e.lim == nil && r.qos != nil {
+		e.lim = qos.NewLimiter(r.qos.For(name))
+	}
+	return e
+}
+
+// tidyLocked drops e, name's entry, once it holds no state.
+func (r *Registry) tidyLocked(name string, e *entry) {
+	if e.t == nil && e.pending == nil && e.flight == nil && !e.released {
+		delete(r.tenants, name)
+	}
 }
 
 // AddPending declares a tenant that exists durably but is not yet loaded:
@@ -152,19 +171,11 @@ func (r *Registry) AddPending(spec TenantSpec) error {
 	if !validName(spec.Name) {
 		return fmt.Errorf("tenancy: invalid tenant name %q (want [A-Za-z0-9._-]+)", spec.Name)
 	}
-	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	r.pending[spec.Name] = spec
-	delete(r.released, spec.Name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.entryLocked(spec.Name)
+	e.pending, e.released = &spec, false
 	return nil
-}
-
-// recoverCall is one in-flight lazy recovery every concurrent Resolve for
-// the same name waits on.
-type recoverCall struct {
-	done chan struct{}
-	t    *Tenant
-	err  error
 }
 
 // Resolve returns the named tenant, lazily recovering it if it is pending.
@@ -172,128 +183,88 @@ type recoverCall struct {
 // error means the tenant exists durably but could not be recovered (the
 // caller should surface a server error, not a 404). Concurrent Resolves of
 // one pending tenant share a single recovery. With a Durability, a miss
-// additionally consults Durability.LookupPending and adopts the spec it
-// returns — the first-touch path for tenants recorded in a shared store by
-// another fleet node or migrated to this one.
-func (r *Registry) Resolve(name string) (t *Tenant, found bool, err error) {
-	t, found, err = r.resolveOnce(name)
-	if found || err != nil || r.durability == nil {
-		return t, found, err
-	}
-	r.pendMu.Lock()
-	handedOff := r.released[name]
-	r.pendMu.Unlock()
-	if handedOff {
-		return nil, false, nil
-	}
-	spec, ok := r.durability.LookupPending(name)
-	if !ok || spec.Name != name {
-		return nil, false, nil
-	}
-	r.adoptPending(spec)
-	return r.resolveOnce(name)
-}
-
-// adoptPending inserts a looked-up spec into the pending set unless the
-// name materialized (live, pending, or mid-creation) while the lookup ran
-// — the race loser must not clobber a live tenant's recovery state.
-func (r *Registry) adoptPending(spec TenantSpec) {
-	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	if r.released[spec.Name] || r.knownLocked(spec.Name) {
-		return
-	}
-	r.pending[spec.Name] = spec
-}
-
-// resolveOnce is Resolve without the miss-path lookup: live lookup, then
-// single-flight lazy recovery of a pending entry.
-func (r *Registry) resolveOnce(name string) (t *Tenant, found bool, err error) {
+// on a name not released here consults Durability.LookupPending and adopts
+// the spec it returns — the first-touch path for tenants recorded in a
+// shared store by another fleet node or migrated to this one.
+func (r *Registry) Resolve(name string) (*Tenant, bool, error) {
 	if t, ok := r.Get(name); ok {
 		return t, true, nil
 	}
-	r.pendMu.Lock()
-	spec, ok := r.pending[name]
-	if !ok {
-		r.pendMu.Unlock()
-		// A racing Resolve may have just finished materializing it.
-		if t, ok := r.Get(name); ok {
+	// A second round only follows an adoption.
+	for lookup := r.durability != nil; ; lookup = false {
+		r.mu.Lock()
+		e := r.tenants[name]
+		switch {
+		case e != nil && e.t != nil:
+			// A racing Resolve has just made it live.
+			t := e.t
+			r.mu.Unlock()
 			return t, true, nil
+		case e != nil && e.pending != nil && e.flight != nil:
+			f := e.flight
+			r.mu.Unlock()
+			t, err := f.wait()
+			return t, true, err
+		case e != nil && e.pending != nil:
+			spec := *e.pending
+			t, err := r.flyLocked(name, e, func() (*Tenant, error) {
+				if r.recoverer == nil {
+					return nil, fmt.Errorf("tenancy: tenant %q is pending but no recoverer is configured", name)
+				}
+				eng, att, err := r.recoverer(spec)
+				if err != nil {
+					return nil, fmt.Errorf("tenancy: recover tenant %q: %w", name, err)
+				}
+				return r.register(spec, eng, att)
+			})
+			return t, true, err
 		}
-		return nil, false, nil
+		handedOff := e != nil && e.released
+		r.mu.Unlock()
+		if !lookup || handedOff {
+			return nil, false, nil
+		}
+		spec, ok := r.durability.LookupPending(name)
+		if !ok || spec.Name != name {
+			return nil, false, nil
+		}
+		// Adopt the spec unless the name gained any state while the lookup
+		// ran: the race loser must not clobber a live tenant's recovery.
+		r.mu.Lock()
+		if r.tenants[name] == nil {
+			r.entryLocked(name).pending = &spec
+		}
+		r.mu.Unlock()
 	}
-	if c, running := r.recovering[name]; running {
-		r.pendMu.Unlock()
-		<-c.done
-		return c.t, true, c.err
-	}
-	c := r.claimLocked(name)
-	r.pendMu.Unlock()
-	defer r.settle(name, c)
-
-	// Recovery runs outside every lock; only this goroutine works on name.
-	if r.recoverer == nil {
-		c.err = fmt.Errorf("tenancy: tenant %q is pending but no recoverer is configured", name)
-		return nil, true, c.err
-	}
-	eng, err := r.recoverer(spec)
-	if err != nil {
-		c.err = fmt.Errorf("tenancy: recover tenant %q: %w", name, err)
-		return nil, true, c.err
-	}
-	c.t, c.err = r.registerRecovered(spec, eng)
-	return c.t, true, c.err
 }
 
-// claimLocked marks name mid-flight — a lazy recovery or a dynamic
-// creation — so no second flight of it starts: Resolve waits on the
-// returned call, RegisterDynamic and adoptPending back off, and Deregister
-// and Release drain it. The caller holds pendMu and ends the flight with
-// settle.
-func (r *Registry) claimLocked(name string) *recoverCall {
-	c := &recoverCall{done: make(chan struct{})}
-	r.recovering[name] = c
-	return c
+// flyLocked claims name for a flight — a recovery or a creation — running
+// fn, whose outcome every concurrent Resolve of the name shares. The caller
+// holds mu, which flyLocked releases before fn runs. Landing, a tenant the
+// flight made live leaves the pending state and the name is free again.
+func (r *Registry) flyLocked(name string, e *entry, fn func() (*Tenant, error)) (*Tenant, error) {
+	f := newFlight[*Tenant]()
+	e.flight = f
+	r.mu.Unlock()
+	return f.run(fn, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if f.val != nil {
+			e.pending = nil
+		}
+		e.flight = nil
+		r.tidyLocked(name, e)
+	})
 }
 
-// settle ends name's flight with c's outcome: a tenant it made live leaves
-// the pending set, and every waiter wakes — with an error, not a nil
-// tenant, should the flight have panicked.
-func (r *Registry) settle(name string, c *recoverCall) {
-	if c.t == nil && c.err == nil {
-		c.err = fmt.Errorf("tenancy: flight for tenant %q panicked", name)
-	}
-	r.pendMu.Lock()
-	if c.t != nil {
-		delete(r.pending, name)
-	}
-	delete(r.recovering, name)
-	r.pendMu.Unlock()
-	close(c.done)
-}
-
-// registerRecovered registers an engine the recoverer built. The recoverer
-// may have attached durable handles (the WAL), so a failed registration
-// releases them rather than leak them open.
-func (r *Registry) registerRecovered(spec TenantSpec, eng *sizelos.Engine) (*Tenant, error) {
-	t, err := r.Register(spec, eng)
-	if err != nil && r.durability != nil {
-		r.durability.ReleaseTenant(spec.Name)
-	}
-	return t, err
-}
-
-// RegisterDynamic creates a brand-new tenant through the recoverer and, if
-// a Durability is installed, records it durably before returning. The name
-// is claimed in the same per-name single-flight lazy recovery uses, so a
-// concurrent POST or first-touch Resolve of the same name can never both
-// run the recoverer — two recoveries would open two append handles on one
-// WAL and interleave frames. Names that are live, pending recovery, recorded
-// in the durable store (Durability.LookupPending: in a fleet, another
-// node's tenant) or mid-creation fail with ErrTenantExists — their durable
-// state exists, and recovering it under a new spec would serve the old
-// tenant's data. A failed durable record rolls the registration back and
-// fails with ErrDurabilityFailed.
+// RegisterDynamic creates a brand-new tenant through the recoverer and,
+// with a Durability, records it durably before returning; a failed record
+// rolls the registration back (ErrDurabilityFailed). The name is claimed by
+// the flight lazy recovery uses, so two recoveries of one name — two append
+// handles on one WAL — never run at once. A name that is live, pending,
+// mid-creation or recorded in the durable store (LookupPending: in a fleet,
+// another node's tenant) fails with ErrTenantExists: recovering its durable
+// state under a new spec would serve the old tenant's data.
 func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 	if r.recoverer == nil {
 		return nil, fmt.Errorf("tenancy: dynamic registration needs a recoverer")
@@ -302,72 +273,70 @@ func (r *Registry) RegisterDynamic(spec TenantSpec) (*Tenant, error) {
 	if !validName(name) {
 		return nil, fmt.Errorf("tenancy: invalid tenant name %q (want [A-Za-z0-9._-]+)", name)
 	}
-	// Outside every lock, as Resolve asks: the lookup may do I/O.
+	// Outside the lock, as Resolve asks: the lookup may do I/O.
 	if r.durability != nil {
 		if _, recorded := r.durability.LookupPending(name); recorded {
 			return nil, fmt.Errorf("%w: %q is recorded in the durable store", ErrTenantExists, name)
 		}
 	}
-	r.pendMu.Lock()
-	if _, pend := r.pending[name]; pend {
-		r.pendMu.Unlock()
-		return nil, fmt.Errorf("%w: %q is pending recovery", ErrTenantExists, name)
+	r.mu.Lock()
+	e := r.entryLocked(name)
+	var err error
+	switch {
+	case e.pending != nil:
+		err = fmt.Errorf("%w: %q is pending recovery", ErrTenantExists, name)
+	case e.flight != nil:
+		err = fmt.Errorf("%w: %q is being created concurrently", ErrTenantExists, name)
+	case e.t != nil:
+		err = fmt.Errorf("%w: %q", ErrTenantExists, name)
 	}
-	if _, creating := r.recovering[name]; creating {
-		r.pendMu.Unlock()
-		return nil, fmt.Errorf("%w: %q is being created concurrently", ErrTenantExists, name)
-	}
-	if _, live := r.Get(name); live {
-		r.pendMu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrTenantExists, name)
-	}
-	c := r.claimLocked(name)
-	// A deliberate re-registration lifts the handoff mark: this node is
-	// the tenant's owner again.
-	delete(r.released, name)
-	r.pendMu.Unlock()
-	defer r.settle(name, c)
-
-	eng, err := r.recoverer(spec)
 	if err != nil {
-		c.err = err
+		r.mu.Unlock()
 		return nil, err
 	}
-	t, err := r.registerRecovered(spec, eng)
+	// A deliberate re-registration lifts the handoff mark: this node is the
+	// tenant's owner again.
+	e.released = false
+	return r.flyLocked(name, e, func() (*Tenant, error) { return r.create(spec) })
+}
+
+// create is RegisterDynamic's flight: build, register, record durably.
+func (r *Registry) create(spec TenantSpec) (*Tenant, error) {
+	eng, att, err := r.recoverer(spec)
 	if err != nil {
-		c.err = fmt.Errorf("%w: %q", ErrTenantExists, name)
-		return nil, c.err
+		return nil, err
 	}
-	if r.durability != nil {
-		// Only a durably recorded registration is acknowledged: a crash
-		// after success must bring the tenant back. Roll back inline rather
-		// than via Deregister — Deregister waits on in-flight creations,
-		// and this goroutine still holds the name's claim.
-		if err := r.durability.RecordTenant(spec); err != nil {
-			s := r.stripe(name)
-			s.mu.Lock()
-			delete(s.tenants, name)
-			s.mu.Unlock()
-			_ = r.durability.ForgetTenant(name)
-			c.err = fmt.Errorf("%w: %v", ErrDurabilityFailed, err)
-			return nil, c.err
-		}
+	t, err := r.register(spec, eng, att)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q", ErrTenantExists, spec.Name)
 	}
-	c.t = t
+	if r.durability == nil {
+		return t, nil
+	}
+	// Only a durably recorded registration is acknowledged: a crash after
+	// success must bring the tenant back. Roll back inline rather than via
+	// Deregister — Deregister drains in-flight creations, and this is one.
+	if err := r.durability.RecordTenant(spec); err != nil {
+		r.mu.Lock()
+		e := r.tenants[spec.Name]
+		e.t, e.att = nil, nil
+		r.mu.Unlock()
+		closeAttachment(att)
+		_ = r.durability.ForgetTenant(spec.Name)
+		return nil, fmt.Errorf("%w: %v", ErrDurabilityFailed, err)
+	}
 	return t, nil
+}
+
+// closeAttachment closes att, if there is one.
+func closeAttachment(att Attachment) {
+	if att != nil {
+		att.Close() //errlint:ok (void: an Attachment reports its own failures)
+	}
 }
 
 // Pool exposes the shared summary pool, e.g. for load reporting.
 func (r *Registry) Pool() *searchexec.Pool { return r.pool }
-
-func (r *Registry) stripe(name string) *struct {
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-} {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return &r.stripes[h.Sum32()%numStripes]
-}
 
 // validName keeps tenant names URL-path-safe: letters, digits, '.', '_',
 // '-', excluding the path elements "." and ".." (ServeMux cleans those out
@@ -396,6 +365,18 @@ func validName(name string) bool {
 // stay per-tenant (keys are scoped by name). Registering a live registry
 // is safe while other tenants serve traffic.
 func (r *Registry) Register(spec TenantSpec, eng *sizelos.Engine) (*Tenant, error) {
+	return r.register(spec, eng, nil)
+}
+
+// register is Register for an engine a recoverer built: att joins the
+// tenant's entry or, if the registration fails, is closed (after the
+// unlock) rather than leaked open.
+func (r *Registry) register(spec TenantSpec, eng *sizelos.Engine, att Attachment) (_ *Tenant, err error) {
+	defer func() {
+		if err != nil {
+			closeAttachment(att)
+		}
+	}()
 	name := spec.Name
 	if !validName(name) {
 		return nil, fmt.Errorf("tenancy: invalid tenant name %q (want [A-Za-z0-9._-]+)", name)
@@ -413,10 +394,10 @@ func (r *Registry) Register(spec TenantSpec, eng *sizelos.Engine) (*Tenant, erro
 		CacheBudget: budget,
 		pool:        r.pool,
 	}
-	s := r.stripe(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.tenants[name]; dup {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.entryLocked(name)
+	if e.t != nil {
 		// Fail before touching the engine: a duplicate Register (config
 		// reload, retry) must not wipe the live tenant's warm cache.
 		return nil, fmt.Errorf("tenancy: tenant %q already registered", name)
@@ -427,30 +408,32 @@ func (r *Registry) Register(spec TenantSpec, eng *sizelos.Engine) (*Tenant, erro
 	if _, enabled := eng.SummaryCacheStats(); !enabled && budget > 0 {
 		eng.EnableSummaryCache(budget)
 	}
-	s.tenants[name] = t
+	e.t, e.att = t, att
 	return t, nil
 }
 
-// Get returns a tenant by name.
+// Get returns a live tenant by name.
 func (r *Registry) Get(name string) (*Tenant, bool) {
-	s := r.stripe(name)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tenants[name]
-	return t, ok
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if e := r.tenants[name]; e != nil && e.t != nil {
+		return e.t, true
+	}
+	return nil, false
 }
 
-// Deregister removes a tenant — live or still pending; in-flight queries
-// on it finish normally. With a Durability installed, the tenant's durable
-// record and state are removed too; the returned error reports a failure
-// of that durable removal (the in-memory removal has already happened).
-// A DELETE racing a first-touch recovery (or a concurrent creation) waits
-// for that flight to settle and then removes its result too, so a
-// successful DELETE never leaves the tenant serving from memory.
+// Deregister removes a tenant, live or pending, closes its attachment and,
+// with a Durability, removes its durable record and state; the error
+// reports a failed durable removal (the in-memory one has happened).
+// In-flight queries finish normally; a racing recovery or creation is
+// drained first and its result removed too, so a successful DELETE never
+// leaves the tenant serving from memory.
 func (r *Registry) Deregister(name string) (bool, error) {
-	if !r.remove(name) {
+	att, ok := r.remove(name, false)
+	if !ok {
 		return false, nil
 	}
+	closeAttachment(att)
 	if r.durability != nil {
 		if err := r.durability.ForgetTenant(name); err != nil {
 			return true, fmt.Errorf("tenancy: forget tenant %q: %w", name, err)
@@ -459,117 +442,113 @@ func (r *Registry) Deregister(name string) (bool, error) {
 	return true, nil
 }
 
-// Release removes a tenant from serving — live or pending — WITHOUT
-// touching its durable state: open handles (the WAL) are closed through
-// Durability.ReleaseTenant, but the manifest entry and on-disk WAL +
-// snapshots survive, because after a migration they belong to the
-// tenant's NEW owner. This is the old-owner half of a tenant handoff;
-// contrast Deregister, which deletes the tenant everywhere. Like
-// Deregister it drains any in-flight recovery of the name first, so a
-// release racing a first-touch recovery can never leave the tenant
-// serving from memory. A released name is simply unknown here afterwards:
-// a later Deregister on this node 404s and must NOT reach ForgetTenant —
-// that would delete the state the new owner is serving from.
+// Release is the old-owner half of a handoff: it removes a tenant, live or
+// pending, from serving and ends its attachment with a final snapshot (so
+// the new owner replays a short tail), but leaves the manifest entry, WAL
+// and snapshots to the NEW owner — contrast Deregister. Like Deregister it
+// drains a racing recovery first. The name is then unknown here: a later
+// Deregister 404s and must NOT reach ForgetTenant, which would delete the
+// state the new owner serves from.
 func (r *Registry) Release(name string) bool {
-	if !r.remove(name) {
-		return false
+	att, ok := r.remove(name, true)
+	if ok && att != nil {
+		att.Snapshot()
+		att.Close() //errlint:ok (void: an Attachment reports its own failures)
 	}
-	r.pendMu.Lock()
-	r.released[name] = true
-	r.pendMu.Unlock()
-	if r.durability != nil {
-		r.durability.ReleaseTenant(name)
-	}
-	return true
+	return ok
 }
 
-// remove is the in-memory half of Deregister and Release: it drops name's
-// pending and live entries and its QoS state, reporting whether there was
-// either entry. Any in-flight recovery or creation of the name is drained
-// first — its Register would otherwise land after the removal and
-// resurrect the tenant in memory — and holding pendMu across the
-// pending-entry removal guarantees no new flight starts in between.
-func (r *Registry) remove(name string) bool {
-	r.pendMu.Lock()
-	for {
-		c, running := r.recovering[name]
-		if !running {
-			break
-		}
-		r.pendMu.Unlock()
-		<-c.done
-		r.pendMu.Lock()
+// remove is the in-memory half of Deregister and Release: after draining
+// any flight of name (whose registration would otherwise resurrect it), it
+// drops the live, pending and QoS states in the same lock hold, marks the
+// name released if asked, and returns the attachment to end outside the
+// lock and whether there was anything to remove.
+func (r *Registry) remove(name string, release bool) (Attachment, bool) {
+	r.mu.Lock()
+	e := r.tenants[name]
+	for e != nil && e.flight != nil {
+		done := e.flight.done
+		r.mu.Unlock()
+		<-done
+		r.mu.Lock()
+		e = r.tenants[name]
 	}
-	_, pend := r.pending[name]
-	delete(r.pending, name)
-	r.pendMu.Unlock()
-
-	s := r.stripe(name)
-	s.mu.Lock()
-	_, live := s.tenants[name]
-	delete(s.tenants, name)
-	s.mu.Unlock()
-	if !live && !pend {
-		return false
+	if e == nil || (e.t == nil && e.pending == nil) {
+		r.mu.Unlock()
+		return nil, false
 	}
-	// A later re-registration under the same name starts with fresh
-	// buckets and counters.
-	r.qos.Drop(name)
-	return true
+	att := e.att
+	// A later registration of the name starts with fresh QoS counters.
+	e.t, e.att, e.pending, e.lim = nil, nil, nil, nil
+	e.released = e.released || release
+	r.tidyLocked(name, e)
+	r.mu.Unlock()
+	return att, true
 }
 
-// Readopt clears a prior Release handoff mark so the miss-path lookup (or
-// a fresh AddPending) may adopt the name here again. Only the routing
-// tier calls it, at the moment ownership legitimately returns to this
-// node — the tenant's newer owner failed, or a rebalance mapped the
-// tenant back — which keeps the released-mark's split-brain protection
-// intact: a stray request on the old owner still cannot resurrect a
-// handed-off tenant by itself; only an explicit ownership assignment can.
+// Readopt clears a Release mark so the miss-path lookup may adopt the name
+// here again. Only the routing tier calls it, when ownership returns to
+// this node (the newer owner failed, or a rebalance mapped the tenant
+// back): a stray request still cannot resurrect a handed-off tenant; only
+// an explicit ownership assignment can.
 func (r *Registry) Readopt(name string) {
-	r.pendMu.Lock()
-	delete(r.released, name)
-	r.pendMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.tenants[name]; e != nil {
+		e.released = false
+		r.tidyLocked(name, e)
+	}
 }
 
-// LiveNames lists only materialized tenants — the ones this process has
-// actually recovered or registered and is serving from memory — sorted.
-// Pending manifest entries are excluded: in a fleet sharing one durable
-// store every node sees every tenant pending, and a rebalance needs to
-// know who is actually serving what.
-func (r *Registry) LiveNames() []string {
-	var out []string
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.RLock()
-		for name := range s.tenants {
-			out = append(out, name)
+// SnapshotAll checkpoints every attached tenant: the periodic tick, and the
+// first half of a node's shutdown. A tenant released meanwhile is detached
+// and its snapshot refuses.
+func (r *Registry) SnapshotAll() { r.eachAttachment(false, Attachment.Snapshot) }
+
+// CloseAll closes every tenant's attachment (shutdown). The tenants stay
+// registered; a batch after this fails at its log append.
+func (r *Registry) CloseAll() { r.eachAttachment(true, Attachment.Close) }
+
+// eachAttachment runs do on every live tenant's attachment outside the
+// lock, first taking each out of its entry when detach is set.
+func (r *Registry) eachAttachment(detach bool, do func(Attachment)) {
+	var atts []Attachment
+	r.mu.Lock()
+	for _, e := range r.tenants {
+		if e.att != nil {
+			atts = append(atts, e.att)
+			if detach {
+				e.att = nil
+			}
 		}
-		s.mu.RUnlock()
 	}
-	sort.Strings(out)
-	return out
+	r.mu.Unlock()
+	for _, att := range atts {
+		do(att)
+	}
+}
+
+// LiveNames lists, sorted, only the tenants this process serves from
+// memory: in a fleet sharing one store every node sees every tenant
+// pending, and a rebalance needs to know who serves what.
+func (r *Registry) LiveNames() []string {
+	return r.names(func(e *entry) bool { return e.t != nil })
 }
 
 // Names lists registered tenants — live and pending — sorted.
 func (r *Registry) Names() []string {
+	return r.names(func(e *entry) bool { return e.t != nil || e.pending != nil })
+}
+
+func (r *Registry) names(keep func(*entry) bool) []string {
 	var out []string
-	seen := make(map[string]bool)
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.RLock()
-		for name := range s.tenants {
-			out = append(out, name)
-			seen[name] = true
-		}
-		s.mu.RUnlock()
-	}
-	r.pendMu.Lock()
-	for name := range r.pending {
-		if !seen[name] {
+	r.mu.RLock()
+	for name, e := range r.tenants {
+		if keep(e) {
 			out = append(out, name)
 		}
 	}
-	r.pendMu.Unlock()
+	r.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -594,7 +573,7 @@ type Page struct {
 // entry hasn't been unregistered yet could otherwise be joined by a request
 // arriving after a completed mutation, handing it pre-mutation summaries;
 // with the epoch in the key, post-mutation requests hash to a fresh flight
-// and always recompute (or hit the epoch-keyed cache). The group is per
+// and always recompute (or hit the epoch-keyed cache). The flights are per
 // tenant, so a 64-bit fingerprint collision could at worst hand a tenant
 // the page of another of its own concurrently running queries.
 type flightKey struct {
@@ -616,7 +595,7 @@ func (t *Tenant) QueryPage(req sizelos.QueryRequest) (Page, error) {
 		req.K = 10
 	}
 	key := flightKey{req.Fingerprint(), req.Limit, req.Cursor, t.Engine.EpochFor(req.Rel)}
-	return t.flight.do(key, func() (Page, error) {
+	return t.flights.do(key, func() (Page, error) {
 		sums, cursor, stats, err := t.Engine.QueryPage(req)
 		return Page{Summaries: sums, Cursor: cursor, Stats: stats}, err
 	})
@@ -644,59 +623,74 @@ func (t *Tenant) Mutate(b sizelos.MutationBatch) (sizelos.MutationResult, error)
 	return res, err
 }
 
-// flightGroup coalesces concurrent calls with the same key into one
-// execution whose result every waiter shares — the request-batching layer
-// under the HTTP service. Unlike a cache, results are not retained: once
-// the last waiter leaves, the next identical request computes afresh
-// (or hits the engine's summary cache).
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[flightKey]*flightCall
-}
-
-type flightCall struct {
+// flight is one in-flight computation that concurrent callers share
+// instead of repeating it: a tenant's recovery or creation (held by its
+// registry entry) or one query page (held by the tenant's pageFlights).
+// Unlike a cache, an outcome is not retained once the flight has landed.
+type flight[V any] struct {
 	done chan struct{}
-	res  Page
+	val  V
 	err  error
 }
 
+func newFlight[V any]() *flight[V] { return &flight[V]{done: make(chan struct{})} }
+
+// wait blocks until the flight has landed and returns its outcome.
+func (f *flight[V]) wait() (V, error) {
+	<-f.done
+	return f.val, f.err
+}
+
+// run computes the flight's outcome with fn on the leader's goroutine,
+// then lands it: land unregisters the flight wherever it is held, and
+// every waiter wakes. It lands even if fn panics (net/http recovers
+// handler panics) — otherwise every later caller of the key would block on
+// a wedged flight. Waiters on a panicked flight get an error, not a silent
+// zero value; the panic itself propagates from the leader's goroutine.
+func (f *flight[V]) run(fn func() (V, error), land func()) (V, error) {
+	completed := false
+	defer func() {
+		if !completed {
+			f.err = errors.New("tenancy: in-flight call panicked")
+		}
+		land()
+		close(f.done)
+	}()
+	f.val, f.err = fn()
+	completed = true
+	return f.val, f.err
+}
+
+// pageFlights coalesces a tenant's concurrent identical page requests into
+// one flight whose result every waiter shares — the request-batching layer
+// under the HTTP service.
+type pageFlights struct {
+	mu    sync.Mutex
+	calls map[flightKey]*flight[Page]
+}
+
 // inFlight reports how many keys are currently executing.
-func (g *flightGroup) inFlight() int {
+func (g *pageFlights) inFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.calls)
 }
 
-func (g *flightGroup) do(key flightKey, fn func() (Page, error)) (Page, error) {
+func (g *pageFlights) do(key flightKey, fn func() (Page, error)) (Page, error) {
 	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[flightKey]*flightCall)
-	}
-	if c, ok := g.calls[key]; ok {
+	if f, ok := g.calls[key]; ok {
 		g.mu.Unlock()
-		<-c.done
-		return c.res, c.err
+		return f.wait()
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
+	if g.calls == nil {
+		g.calls = make(map[flightKey]*flight[Page])
+	}
+	f := newFlight[Page]()
+	g.calls[key] = f
 	g.mu.Unlock()
-
-	// Settle the flight even if fn panics (net/http recovers handler
-	// panics): the entry must leave the map and done must close, or every
-	// later identical request would block forever on a wedged key. Waiters
-	// on a panicked flight get an error, not a silent empty result; the
-	// panic itself propagates from the leader's goroutine.
-	completed := false
-	defer func() {
-		if !completed {
-			c.err = fmt.Errorf("tenancy: in-flight query panicked")
-		}
+	return f.run(fn, func() {
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
-		close(c.done)
-	}()
-	c.res, c.err = fn()
-	completed = true
-	return c.res, c.err
+	})
 }

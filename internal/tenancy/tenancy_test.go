@@ -146,7 +146,7 @@ func TestTenantSearchMatchesEngine(t *testing.T) {
 // TestFlightGroupBatches proves concurrent identical requests run the
 // underlying computation once.
 func TestFlightGroupBatches(t *testing.T) {
-	var g flightGroup
+	var g pageFlights
 	var calls atomic.Int32
 	gate := make(chan struct{})
 	const waiters = 8

@@ -568,15 +568,6 @@ func (e *Engine) CompactNow() ([]string, error) {
 	return result.Compacted, nil
 }
 
-// Epoch returns the current mutation epoch of one relation — the number of
-// mutation batches that touched it (plus one per re-ranked batch). Exposed
-// for observability; cursors and single-flight keys use the per-DS aggregate.
-func (e *Engine) Epoch(rel string) uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.epochs[rel]
-}
-
 // EpochFor returns the dependency-set epoch of one DS relation: the summed
 // epochs of every relation its G_DS can reach (the value cursors embed).
 // Request-coalescing layers fold it into their batching keys so a request

@@ -308,7 +308,7 @@ func TestFootprintInvalidation(t *testing.T) {
 // author earns a positive score in every setting) and rotates every epoch.
 func TestMutateRerank(t *testing.T) {
 	eng := mutableDBLP(t)
-	epoch0 := eng.Epoch("Conference")
+	epoch0 := eng.EpochFor("Conference") // no G_DS: the relation's own epoch
 	batch := insertAuthorBatch(t, eng, 910001, "Ada Quorumgate", "Reranked Realities")
 	batch.Rerank = true
 	res, err := eng.Mutate(batch)
@@ -318,8 +318,8 @@ func TestMutateRerank(t *testing.T) {
 	if !res.Reranked {
 		t.Fatal("Reranked not reported")
 	}
-	if eng.Epoch("Conference") != epoch0+1 {
-		t.Fatalf("untouched relation's epoch not rotated by rerank: %d", eng.Epoch("Conference"))
+	if got := res.Epochs["Conference"]; got != epoch0+1 {
+		t.Fatalf("untouched relation's epoch not rotated by rerank: %d", got)
 	}
 	authorID := res.Inserted[0]
 	for _, setting := range eng.SettingNames() {
@@ -346,7 +346,7 @@ func TestMutateRerank(t *testing.T) {
 // checks neither the store nor the index nor the epochs moved.
 func TestMutateAtomicOnEngine(t *testing.T) {
 	eng := mutableDBLP(t)
-	epoch0 := eng.Epoch("Author")
+	epoch0 := eng.EpochFor("Author")
 	_, err := eng.Mutate(MutationBatch{Inserts: []TupleInsert{
 		{Rel: "Author", Tuple: relational.Tuple{relational.IntVal(930001), relational.StrVal("Half Doneski")}},
 		{Rel: "Writes", Tuple: relational.Tuple{relational.IntVal(930002), relational.IntVal(-77), relational.IntVal(930001)}}, // dangling paper
@@ -354,7 +354,7 @@ func TestMutateAtomicOnEngine(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with dangling FK succeeded")
 	}
-	if eng.Epoch("Author") != epoch0 {
+	if eng.EpochFor("Author") != epoch0 {
 		t.Fatal("failed batch advanced an epoch")
 	}
 	if res, err := search(eng, "Author", "Doneski", 4, QueryRequest{}); err != nil || len(res) != 0 {
