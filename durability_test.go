@@ -7,10 +7,12 @@ package sizelos
 // internal/durable; these tests pin the seam itself.
 
 import (
+	"math"
 	"testing"
 
 	"sizelos/internal/datagen"
 	"sizelos/internal/mutgen"
+	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 )
 
@@ -116,13 +118,67 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// Mutating the restored engine works and stays equivalent to mutating
 	// the original: the two states are identical, so one generated batch is
 	// valid for both, and applying it must keep them identical.
-	for round := 0; round < 4; round++ {
+	both := func(rerank bool) (ra, rb MutationResult) {
+		t.Helper()
 		b := toMutationBatch(gen.NextBatch())
-		if _, err := restored.Mutate(b); err != nil {
-			t.Fatalf("restored mutate %d: %v", round, err)
+		b.Rerank = rerank
+		if rb, err = restored.Mutate(b); err != nil {
+			t.Fatalf("restored mutate: %v", err)
 		}
-		if _, err := eng.Mutate(b); err != nil {
-			t.Fatalf("original mutate %d: %v", round, err)
+		if ra, err = eng.Mutate(b); err != nil {
+			t.Fatalf("original mutate: %v", err)
+		}
+		return ra, rb
+	}
+	for round := 0; round < 4; round++ {
+		both(false)
+	}
+
+	// NewEngineFromState's re-rank contract: no residual deltas survive the
+	// restart, so the restored engine's first re-rank takes the warm full
+	// iteration and re-arms the residual path for its second, while the
+	// survivor repairs residually both times. Served scores stay within the
+	// fixed-point tolerance of the survivor's.
+	for rerank := 1; rerank <= 2; rerank++ {
+		both(false)
+		ra, rb := both(true)
+		raw, _, err := eng.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range dblpRecipe.settings() {
+			if !ra.RerankStats[s.Name].Residual {
+				t.Fatalf("re-rank %d: survivor %s took the full iteration", rerank, s.Name)
+			}
+			if got, want := rb.RerankStats[s.Name].Residual, rerank == 2; got != want {
+				t.Fatalf("re-rank %d: restored %s Residual = %v, want %v", rerank, s.Name, got, want)
+			}
+			maxRaw := 0.0
+			for _, v := range raw.RawScores[s.Name] {
+				maxRaw = max(maxRaw, v.MaxScore())
+			}
+			tol := warmColdTolerance(s.Damping, rank.DefaultOptions().Epsilon, maxRaw)
+			want, err := eng.Scores(s.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restored.Scores(s.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := 0.0
+			for rel, v := range want {
+				for i := range v {
+					d := math.Abs(v[i] - got[rel][i])
+					if d > tol {
+						t.Fatalf("re-rank %d: %s/%s tuple %d: served %v vs survivor %v (tol %g)",
+							rerank, s.Name, rel, i, got[rel][i], v[i], tol)
+					}
+					worst = max(worst, d)
+				}
+			}
+			t.Logf("re-rank %d, %s: restored iterations %d, survivor pushes %d, max served diff %.2g (tol %.2g)",
+				rerank, s.Name, rb.RerankStats[s.Name].Iterations, ra.RerankStats[s.Name].Pushes, worst, tol)
 		}
 	}
 	sa, _, err := eng.ExportState()

@@ -10,32 +10,17 @@ package keyword
 
 import "sizelos/internal/relational"
 
-// remapPostings rewrites every posting list of one relation's token map in
-// place under the monotonic remap.
-func remapPostings(postings map[string][]relational.TupleID, remap []relational.TupleID) {
-	for _, list := range postings {
-		for i, id := range list {
-			list[i] = remap[id]
-		}
-	}
-}
-
-// Remap rewrites one relation's posting ids after the storage layer
-// physically compacted it. remap[old] is the new TupleID of each slot, -1
-// for reclaimed tombstones; no live posting may map to -1. Like Apply,
-// Remap must be serialized against lookups by the caller.
-func (idx *Index) Remap(rel string, remap []relational.TupleID) {
-	if postings := idx.postings[rel]; postings != nil {
-		remapPostings(postings, remap)
-	}
-}
-
-// Remap is Index.Remap for the sharded index: shards partition by token,
-// so every shard's slice of the relation remaps independently.
+// Remap rewrites one relation's posting ids in place after the storage
+// layer physically compacted it. remap[old] is the new TupleID of each
+// slot, -1 for reclaimed tombstones; no live posting may map to -1. Shards
+// partition by token, so each shard's slice of the relation remaps on its
+// own. Like Apply, Remap must be serialized against lookups by the caller.
 func (idx *Sharded) Remap(rel string, remap []relational.TupleID) {
 	for _, shard := range idx.shards {
-		if postings := shard[rel]; postings != nil {
-			remapPostings(postings, remap)
+		for _, list := range shard[rel] {
+			for i, id := range list {
+				list[i] = remap[id]
+			}
 		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"sizelos/internal/relational"
 )
 
-// TestRemapMatchesRebuild tombstones a slice of DBLP authors and papers,
-// applies the posting deltas, compacts the relations, remaps both index
-// layouts, and asserts each is identical — tokens and exact posting lists —
-// to an index rebuilt from the compacted database.
+// TestRemapMatchesRebuild tombstones a slice of DBLP papers, applies the
+// posting deltas, compacts the relation, remaps the index at 1/4/17 shards,
+// and asserts each is identical — every shard's exact posting lists — to an
+// index rebuilt from the compacted database, and agrees with the scan.
 func TestRemapMatchesRebuild(t *testing.T) {
 	cfg := datagen.DefaultDBLPConfig()
 	cfg.Authors = 60
@@ -21,8 +21,10 @@ func TestRemapMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateDBLP: %v", err)
 	}
-	flat := BuildIndex(db)
-	sharded := BuildSharded(db, ShardedOptions{NumShards: 4})
+	shardeds := make([]*Sharded, len(equalityShardCounts))
+	for i, n := range equalityShardCounts {
+		shardeds[i] = BuildSharded(db, ShardedOptions{NumShards: n})
+	}
 
 	// Cascade every fifth paper away: its Writes/Cites referencers first
 	// (ints only, no postings), then the paper itself (whose title tokens
@@ -51,31 +53,23 @@ func TestRemapMatchesRebuild(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	for rel := range batch.Relations() {
-		flat.Apply(rel, res.Inserted[rel], res.Deleted[rel])
-		sharded.Apply(rel, res.Inserted[rel], res.Deleted[rel])
+		for _, idx := range shardeds {
+			idx.Apply(rel, res.Inserted[rel], res.Deleted[rel])
+		}
 	}
 
 	remap := paper.Compact()
 	if remap == nil {
 		t.Fatal("Compact returned nil")
 	}
-	flat.Remap("Paper", remap)
-	sharded.Remap("Paper", remap)
-
-	wantFlat := BuildIndex(db)
-	if !reflect.DeepEqual(flat.postings, wantFlat.postings) {
-		t.Fatal("flat postings after Remap differ from rebuild")
-	}
-	wantSharded := BuildSharded(db, ShardedOptions{NumShards: 4})
-	if !reflect.DeepEqual(sharded.shards, wantSharded.shards) {
-		t.Fatal("sharded postings after Remap differ from rebuild")
-	}
-
-	// Queries through both layouts agree post-compaction.
-	for _, q := range []string{"the", "mining", "data"} {
-		if got, want := flat.Lookup("Paper", Tokenize(q)), wantFlat.Lookup("Paper", Tokenize(q)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Lookup(%q) = %v, want %v", q, got, want)
+	scan := scanPostings(db)
+	for i, idx := range shardeds {
+		idx.Remap("Paper", remap)
+		want := BuildSharded(db, ShardedOptions{NumShards: equalityShardCounts[i]})
+		if !reflect.DeepEqual(idx.shards, want.shards) {
+			t.Fatalf("shards=%d: postings after Remap differ from rebuild", equalityShardCounts[i])
 		}
+		checkAgainstScan(t, idx, scan)
 	}
 }
 
@@ -88,6 +82,10 @@ func TestRemapUnknownRelation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateDBLP: %v", err)
 	}
-	BuildIndex(db).Remap("Nope", nil)
-	BuildSharded(db, ShardedOptions{NumShards: 2}).Remap("Nope", nil)
+	idx := BuildSharded(db, ShardedOptions{NumShards: 2})
+	before := postingsOf(t, idx)
+	idx.Remap("Nope", nil)
+	if !reflect.DeepEqual(postingsOf(t, idx), before) {
+		t.Fatal("Remap of an unknown relation changed the postings")
+	}
 }

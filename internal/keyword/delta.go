@@ -2,33 +2,12 @@ package keyword
 
 // This file implements incremental index maintenance: when the database
 // mutates, the engine retracts the postings of deleted tuples and adds
-// those of inserted ones instead of re-tokenizing the whole corpus. Both
-// layouts have the same Apply and are required to end up bit-identical to
-// a from-scratch rebuild over the mutated database — the
-// flat index by merging into its single posting map, the sharded index by
-// routing each touched token to the one FNV shard it lives in.
+// those of inserted ones instead of re-tokenizing the whole corpus, routing
+// each touched token to the one FNV shard it lives in. The result is
+// required to be bit-identical to a from-scratch rebuild over the mutated
+// database.
 
 import "sizelos/internal/relational"
-
-// collectTokens tokenizes the given tuples of rel tuple-major into a
-// token -> ascending deduplicated ids map. Unlike indexTuples it takes an
-// explicit id list and ignores tombstones: the delete path tokenizes tuples
-// that are already tombstoned.
-func collectTokens(rel *relational.Relation, strCols []int, ids []relational.TupleID) map[string][]relational.TupleID {
-	if len(ids) == 0 || len(strCols) == 0 {
-		return nil
-	}
-	tokens := make(map[string][]relational.TupleID)
-	for _, ti := range ids {
-		tup := rel.Tuples[ti]
-		for _, ci := range strCols {
-			for _, tok := range Tokenize(tup[ci].Str) {
-				postToken(tokens, tok, ti)
-			}
-		}
-	}
-	return tokens
-}
 
 // removePostings filters the ascending ids out of the ascending posting
 // list in one linear merge, preserving order.
@@ -93,40 +72,31 @@ func applyToPostings(postings map[string][]relational.TupleID, rem, add map[stri
 	}
 }
 
-// Apply folds one relation's mutation batch into the flat index. inserted
-// and deleted are ascending TupleID lists; deleted tuples must still hold
-// their content (the storage layer's tombstones guarantee this) so their
-// tokens can be retracted. Apply is not safe to run concurrently with
-// lookups — callers serialize mutations against in-flight searches.
-func (idx *Index) Apply(rel string, inserted, deleted []relational.TupleID) {
+// Apply folds one relation's mutation batch into the index. inserted and
+// deleted are ascending TupleID lists; deleted tuples must still hold their
+// content (the storage layer's tombstones guarantee this) so their tokens
+// can be retracted. Each tuple is tokenized straight into per-shard deltas
+// by the hash that placed its tokens at build time, then every touched
+// shard folds its slice — a handful of tokens, far too few to be worth a
+// goroutine per shard. Apply is not safe to run concurrently with lookups:
+// the engine holds its write lock across mutations.
+func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {
 	r := idx.db.Relation(rel)
 	if r == nil {
 		return
 	}
 	strCols := stringColumns(r)
-	postings := idx.postings[rel]
-	if postings == nil {
-		postings = make(map[string][]relational.TupleID)
-		idx.postings[rel] = postings
-	}
-	applyToPostings(postings,
-		collectTokens(r, strCols, deleted),
-		collectTokens(r, strCols, inserted))
-}
-
-// Apply is Index.Apply for the sharded index, under the same contract (the
-// engine holds its write lock across mutations): the batch's token deltas
-// are partitioned by the same FNV hash that placed them at build time,
-// then every touched shard folds its slice of the delta — a handful of
-// tokens, far too few to be worth a goroutine per shard.
-func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {
-	if !idx.known[rel] {
+	if len(strCols) == 0 {
 		return
 	}
-	r := idx.db.Relation(rel)
-	strCols := stringColumns(r)
-	rem := partitionByShard(collectTokens(r, strCols, deleted), idx.numShards)
-	add := partitionByShard(collectTokens(r, strCols, inserted), idx.numShards)
+	rem := make([]map[string][]relational.TupleID, len(idx.shards))
+	add := make([]map[string][]relational.TupleID, len(idx.shards))
+	for _, ti := range deleted {
+		tokenizeTuple(rem, r, strCols, ti)
+	}
+	for _, ti := range inserted {
+		tokenizeTuple(add, r, strCols, ti)
+	}
 	for s, shard := range idx.shards {
 		if len(rem[s]) == 0 && len(add[s]) == 0 {
 			continue
@@ -138,18 +108,4 @@ func (idx *Sharded) Apply(rel string, inserted, deleted []relational.TupleID) {
 		}
 		applyToPostings(relMap, rem[s], add[s])
 	}
-}
-
-// partitionByShard splits one token map into per-shard token maps under
-// shardOf, the index's placement function.
-func partitionByShard(tokens map[string][]relational.TupleID, numShards int) []map[string][]relational.TupleID {
-	out := make([]map[string][]relational.TupleID, numShards)
-	for tok, ids := range tokens {
-		s := shardOf(tok, numShards)
-		if out[s] == nil {
-			out[s] = make(map[string][]relational.TupleID)
-		}
-		out[s][tok] = ids
-	}
-	return out
 }

@@ -6,50 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"sizelos/internal/mutgen"
 	"sizelos/internal/relational"
 )
-
-// postingsOf normalizes any index layout to rel -> token -> postings,
-// dropping empty lists and empty relation maps, so physically different
-// layouts (and maps that emptied out incrementally) compare bit-for-bit at
-// the level queries observe.
-func postingsOf(t *testing.T, idx layout) map[string]map[string][]relational.TupleID {
-	t.Helper()
-	out := make(map[string]map[string][]relational.TupleID)
-	add := func(rel, tok string, ids []relational.TupleID) {
-		if len(ids) == 0 {
-			return
-		}
-		m := out[rel]
-		if m == nil {
-			m = make(map[string][]relational.TupleID)
-			out[rel] = m
-		}
-		if _, dup := m[tok]; dup {
-			t.Fatalf("token %q of %s appears in two shards", tok, rel)
-		}
-		m[tok] = append([]relational.TupleID(nil), ids...)
-	}
-	switch v := idx.(type) {
-	case *Index:
-		for rel, tokens := range v.postings {
-			for tok, ids := range tokens {
-				add(rel, tok, ids)
-			}
-		}
-	case *Sharded:
-		for _, shard := range v.shards {
-			for rel, tokens := range shard {
-				for tok, ids := range tokens {
-					add(rel, tok, ids)
-				}
-			}
-		}
-	default:
-		t.Fatalf("unknown layout %T", idx)
-	}
-	return out
-}
 
 // referencedBy maps relation name -> relations owning an FK into it.
 func referencedBy(db *relational.DB) map[string][]string {
@@ -63,11 +22,10 @@ func referencedBy(db *relational.DB) map[string][]string {
 }
 
 // anyToken returns the lexicographically first token of one relation in
-// the flat index, or "" when the relation has no string content.
-func anyToken(flat *Index, rel string) string {
-	tokens := flat.postings[rel]
+// the scan, or "" when the relation has no string content.
+func anyToken(scan scanIndex, rel string) string {
 	best := ""
-	for tok := range tokens {
+	for tok := range scan[rel] {
 		if best == "" || tok < best {
 			best = tok
 		}
@@ -80,7 +38,7 @@ func anyToken(flat *Index, rel string) string {
 // string-bearing referenced tuple (children first), and two inserts per
 // relation whose string values mix an existing token (merges into a live
 // posting list) with fresh ones (new posting lists).
-func mutationBatch(t *testing.T, db *relational.DB, flat *Index, round int) relational.Batch {
+func mutationBatch(t *testing.T, db *relational.DB, scan scanIndex, round int) relational.Batch {
 	t.Helper()
 	refs := referencedBy(db)
 	var batch relational.Batch
@@ -185,7 +143,7 @@ func mutationBatch(t *testing.T, db *relational.DB, flat *Index, round int) rela
 					}
 					tuple[ci] = relational.IntVal(src)
 				case col.Kind == relational.KindString:
-					tuple[ci] = relational.StrVal(fmt.Sprintf("%s zzmut%dr%dn%d", anyToken(flat, r.Name), ci, round, n))
+					tuple[ci] = relational.StrVal(fmt.Sprintf("%s zzmut%dr%dn%d", anyToken(scan, r.Name), ci, round, n))
 				case col.Kind == relational.KindFloat:
 					tuple[ci] = relational.FloatVal(1.5)
 				default:
@@ -203,21 +161,28 @@ func mutationBatch(t *testing.T, db *relational.DB, flat *Index, round int) rela
 	return batch
 }
 
-// TestIncrementalEqualsRebuild mutates the DBLP and TPC-H fixtures in two
-// rounds and requires, after each round, that incrementally maintained
-// indexes — the flat reference and the sharded layout at 1/4/17 shards —
-// are bit-identical (same tokens, same exact posting lists) to from-scratch
-// rebuilds over the mutated database, and that queries agree.
+// TestIncrementalEqualsRebuild mutates the DBLP and TPC-H fixtures — two
+// hand-built rounds (a cascaded delete, inserts merging into live posting
+// lists) then mutgenRounds random batches — and requires after every round
+// that the index maintained by Apply at 1/4/17 shards equals a rebuild
+// shard by shard and the scan oracle list by list, with every Lookup and a
+// spread of streams agreeing with the scan.
 func TestIncrementalEqualsRebuild(t *testing.T) {
+	const mutgenRounds = 40
 	for name, db := range equalityDBs(t) {
 		t.Run(name, func(t *testing.T) {
-			flat := BuildIndex(db)
 			shardeds := make(map[int]*Sharded, len(equalityShardCounts))
 			for _, n := range equalityShardCounts {
 				shardeds[n] = BuildSharded(db, ShardedOptions{NumShards: n})
 			}
-			for round := 0; round < 2; round++ {
-				batch := mutationBatch(t, db, flat, round)
+			gen := mutgen.New(db, 42)
+			for round := 0; round < 2+mutgenRounds; round++ {
+				var batch relational.Batch
+				if round < 2 {
+					batch = mutationBatch(t, db, scanPostings(db), round)
+				} else {
+					batch = gen.NextBatch()
+				}
 				res, err := db.Apply(batch)
 				if err != nil {
 					t.Fatalf("round %d: Apply: %v", round, err)
@@ -228,71 +193,53 @@ func TestIncrementalEqualsRebuild(t *testing.T) {
 				}
 				sort.Strings(rels)
 				for _, rel := range rels {
-					flat.Apply(rel, res.Inserted[rel], res.Deleted[rel])
 					for _, idx := range shardeds {
 						idx.Apply(rel, res.Inserted[rel], res.Deleted[rel])
 					}
 				}
 
-				want := postingsOf(t, BuildIndex(db))
-				if got := postingsOf(t, flat); !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d: incremental flat != rebuilt flat", round)
-				}
+				scan := scanPostings(db)
+				scores := syntheticScores(db)
+				pairs := corpusTokens(scan)
 				for _, n := range equalityShardCounts {
 					rebuilt := BuildSharded(db, ShardedOptions{NumShards: n})
-					if got := postingsOf(t, shardeds[n]); !reflect.DeepEqual(got, postingsOf(t, rebuilt)) {
-						t.Fatalf("round %d: incremental sharded(%d) != rebuilt sharded(%d)", round, n, n)
+					if !reflect.DeepEqual(shardPostings(shardeds[n]), shardPostings(rebuilt)) {
+						t.Fatalf("round %d: incremental shards=%d != rebuild", round, n)
 					}
-					if got := postingsOf(t, shardeds[n]); !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d: incremental sharded(%d) != rebuilt flat", round, n)
-					}
-				}
-
-				// Query-level agreement on a spread of the mutated corpus,
-				// including the fresh tokens and a miss.
-				scores := syntheticScores(db)
-				pairs := corpusTokens(flat)
-				for i := 0; i < len(pairs); i += 1 + len(pairs)/96 {
-					rel, tok := pairs[i][0], pairs[i][1]
-					want := flat.Search(rel, tok, scores)
-					for _, n := range equalityShardCounts {
-						if got := shardeds[n].Search(rel, tok, scores); !reflect.DeepEqual(got, want) {
-							t.Fatalf("round %d: Search(%s, %q) sharded(%d) diverged", round, rel, tok, n)
+					checkAgainstScan(t, shardeds[n], scan)
+					// Stream agreement on a spread of the mutated corpus.
+					for i := 0; i < len(pairs); i += 1 + len(pairs)/96 {
+						rel, tok := pairs[i][0], pairs[i][1]
+						if got, want := drain(shardeds[n].SearchStream(rel, tok, scores)), refSearch(scan, rel, tok, scores); !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d: shards=%d SearchStream(%s, %q) diverged from the scan", round, n, rel, tok)
 						}
 					}
-				}
-				if got := flat.Lookup(db.Relations[0].Name, []string{"zz-never-inserted"}); got != nil {
-					t.Fatalf("round %d: miss returned %v", round, got)
 				}
 			}
 		})
 	}
 }
 
-// TestApplyEmptiesToken retracts the only tuples carrying a token and
-// checks the posting entry disappears from every layout, exactly as a
-// rebuild would have it.
+// TestApplyEmptiesToken retracts the only tuple carrying a token and checks
+// the posting entry disappears from every shard, exactly as a rebuild would
+// have it.
 func TestApplyEmptiesToken(t *testing.T) {
 	db := libraryDB(t)
-	flat := BuildIndex(db)
-	sharded := BuildSharded(db, ShardedOptions{NumShards: 4})
-	book := db.Relation("Book")
+	idx := BuildSharded(db, ShardedOptions{NumShards: 4})
 	// "classic" occurs only in Book pk 2.
 	if _, err := db.Apply(relational.Batch{Deletes: []relational.DeleteOp{{Rel: "Book", PK: 2}}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	_ = book
-	flat.Apply("Book", nil, []relational.TupleID{1})
-	sharded.Apply("Book", nil, []relational.TupleID{1})
-	for _, idx := range []layout{flat, sharded} {
-		if got := idx.Lookup("Book", []string{"classic"}); got != nil {
-			t.Fatalf("%T: deleted token still resolves: %v", idx, got)
-		}
-		if got := idx.Lookup("Book", []string{"graph"}); !reflect.DeepEqual(got, []relational.TupleID{0}) {
-			t.Fatalf("%T: surviving token wrong: %v", idx, got)
-		}
+	idx.Apply("Book", nil, []relational.TupleID{1})
+	if got := idx.Lookup("Book", []string{"classic"}); got != nil {
+		t.Fatalf("deleted token still resolves: %v", got)
 	}
-	if _, ok := flat.postings["Book"]["classic"]; ok {
-		t.Fatal("flat kept an empty posting entry")
+	if got := idx.Lookup("Book", []string{"graph"}); !reflect.DeepEqual(got, []relational.TupleID{0}) {
+		t.Fatalf("surviving token wrong: %v", got)
+	}
+	for s, shard := range idx.shards {
+		if _, ok := shard["Book"]["classic"]; ok {
+			t.Fatalf("shard %d kept an empty posting entry", s)
+		}
 	}
 }

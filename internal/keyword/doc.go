@@ -4,21 +4,22 @@
 // attribute's value (paper §2.1). One size-l OS is then produced per
 // matching DS tuple, as in Example 5.
 //
-// Two implementations share one method set: Index is the flat reference
-// index built serially, which the tests compare against; Sharded
-// hash-partitions tokens across independent posting maps built in
-// parallel, and is what the engine holds (concretely — there is no index
-// interface to swap behind). Both return identical results for every
-// query — always against one DS relation, which the engine knows — and
-// both have Apply (incremental posting deltas for mutation batches) and
-// Remap (TupleID remaps after physical compaction), which run on the
-// caller's goroutine: a batch touches a handful of tokens.
+// There is one index, Sharded: tokens are hash-partitioned across
+// independent posting maps built in parallel, and the engine holds it
+// concretely. A query is always against one DS relation, which the engine
+// knows; Lookup and SearchStream both run the one galloping intersection
+// over the keywords' posting lists. Apply (incremental posting deltas for
+// mutation batches) and Remap (TupleID remaps after physical compaction)
+// run on the caller's goroutine: a batch touches a handful of tokens. The
+// tests' reference is a plain scan of the live tuples that shares no code
+// with the postings.
 //
 // # Invariants
 //
 //   - Posting lists are ascending and deduplicated across columns: a token
 //     appearing in two string columns of one tuple posts that tuple once.
-//     Search results are ranked by the caller-supplied global importance,
+//     The build and Apply post through one tokenizer, tokenizeTuple.
+//     Stream results are ranked by the caller-supplied global importance,
 //     ties broken by TupleID.
 //   - Posting lists hold LIVE tuples only. Apply retracts a
 //     deleted tuple's postings by re-tokenizing its retained slot content;
@@ -27,12 +28,12 @@
 //     ascending order — the relational.BatchResult contract.
 //   - Incremental maintenance is exact: after any sequence of Apply calls
 //     the index is bit-identical to a from-scratch rebuild over the
-//     mutated store — same tokens, same posting lists — at every shard
-//     count (delta_test.go enforces this on DBLP and TPC-H at 1/4/17
-//     shards).
-//   - Sharded.Apply partitions the token delta with the same FNV hash that
-//     placed tokens at build time; a token's shard assignment never
-//     changes across maintenance.
+//     mutated store — same tokens, same posting lists, same shards — at
+//     every shard count (delta_test.go enforces this on DBLP and TPC-H at
+//     1/4/17 shards).
+//   - Apply routes each token with the same FNV hash that placed it at
+//     build time; a token's shard assignment never changes across
+//     maintenance.
 //   - Remap is sound only because postings are live-only: a
 //     monotonic TupleID remap (relational.Relation.Compact's return)
 //     rewrites every posting without re-tokenization. Remapping with a

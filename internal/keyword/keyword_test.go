@@ -7,22 +7,6 @@ import (
 	"sizelos/internal/relational"
 )
 
-// layout is the method set the flat reference Index and Sharded share; the
-// flat≡sharded suites iterate both through it. Test-only: the engine holds
-// *Sharded concretely.
-type layout interface {
-	Lookup(rel string, keywords []string) []relational.TupleID
-	Search(dsRel, query string, scores relational.DBScores) []Match
-	SearchStream(dsRel, query string, scores relational.DBScores) MatchStream
-	Apply(rel string, inserted, deleted []relational.TupleID)
-	Remap(rel string, remap []relational.TupleID)
-}
-
-var (
-	_ layout = (*Index)(nil)
-	_ layout = (*Sharded)(nil)
-)
-
 func libraryDB(t *testing.T) *relational.DB {
 	t.Helper()
 	db := relational.NewDB("lib")
@@ -69,9 +53,14 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// libraryIndex indexes libraryDB at four shards.
+func libraryIndex(t *testing.T) *Sharded {
+	t.Helper()
+	return BuildSharded(libraryDB(t), ShardedOptions{NumShards: 4})
+}
+
 func TestLookupSingleKeyword(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
-	got := idx.Lookup("Author", []string{"faloutsos"})
+	got := libraryIndex(t).Lookup("Author", []string{"faloutsos"})
 	want := []relational.TupleID{0, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Lookup(faloutsos) = %v, want %v", got, want)
@@ -79,7 +68,7 @@ func TestLookupSingleKeyword(t *testing.T) {
 }
 
 func TestLookupAND(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
+	idx := libraryIndex(t)
 	got := idx.Lookup("Author", []string{"christos", "faloutsos"})
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
 		t.Errorf("Lookup(christos faloutsos) = %v, want [0]", got)
@@ -90,7 +79,7 @@ func TestLookupAND(t *testing.T) {
 }
 
 func TestLookupMisses(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
+	idx := libraryIndex(t)
 	if got := idx.Lookup("Author", []string{"nobody"}); got != nil {
 		t.Errorf("Lookup(nobody) = %v", got)
 	}
@@ -103,7 +92,7 @@ func TestLookupMisses(t *testing.T) {
 }
 
 func TestLookupMultipleColumns(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
+	idx := libraryIndex(t)
 	// "mining" appears in two books' titles; "faloutsos" in one blurb.
 	got := idx.Lookup("Book", []string{"mining"})
 	if !reflect.DeepEqual(got, []relational.TupleID{0, 1}) {
@@ -116,15 +105,13 @@ func TestLookupMultipleColumns(t *testing.T) {
 }
 
 func TestSearchRanked(t *testing.T) {
-	db := libraryDB(t)
-	idx := BuildIndex(db)
 	scores := relational.DBScores{
 		"Author": relational.Scores{1.0, 7.0, 3.0}, // Michalis outranks Christos
 		"Book":   relational.Scores{1, 1},
 	}
-	got := idx.Search("Author", "Faloutsos", scores)
+	got := drain(libraryIndex(t).SearchStream("Author", "Faloutsos", scores))
 	if len(got) != 2 {
-		t.Fatalf("Search returned %d matches, want 2", len(got))
+		t.Fatalf("SearchStream yielded %d matches, want 2", len(got))
 	}
 	if got[0].Tuple != 1 || got[1].Tuple != 0 {
 		t.Errorf("ranking wrong: %+v", got)
@@ -135,8 +122,7 @@ func TestSearchRanked(t *testing.T) {
 }
 
 func TestSearchEmptyQuery(t *testing.T) {
-	idx := BuildIndex(libraryDB(t))
-	if got := idx.Search("Author", "  ", relational.DBScores{}); got != nil {
+	if got := drain(libraryIndex(t).SearchStream("Author", "  ", relational.DBScores{})); got != nil {
 		t.Errorf("empty query matched %v", got)
 	}
 }
@@ -161,24 +147,23 @@ func TestCrossColumnDedup(t *testing.T) {
 	doc.MustInsert(relational.Tuple{relational.IntVal(2), relational.StrVal("Streams"), relational.StrVal("stream mining")})
 	doc.MustInsert(relational.Tuple{relational.IntVal(3), relational.StrVal("Mining"), relational.StrVal("mining text")})
 
-	for name, idx := range map[string]layout{
-		"flat":    BuildIndex(db),
-		"sharded": BuildSharded(db, ShardedOptions{NumShards: 4}),
-	} {
+	for _, n := range equalityShardCounts {
+		idx := BuildSharded(db, ShardedOptions{NumShards: n})
 		if got, want := idx.Lookup("Doc", []string{"graphs"}), []relational.TupleID{0}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Lookup(graphs) = %v, want %v (cross-column duplicate)", name, got, want)
+			t.Errorf("shards=%d: Lookup(graphs) = %v, want %v (cross-column duplicate)", n, got, want)
 		}
 		if got, want := idx.Lookup("Doc", []string{"mining"}), []relational.TupleID{1, 2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Lookup(mining) = %v, want %v (postings must stay ascending and unique)", name, got, want)
+			t.Errorf("shards=%d: Lookup(mining) = %v, want %v (postings must stay ascending and unique)", n, got, want)
 		}
 		// The AND path would previously see the unsorted [1 2 0 2] list and
 		// drop tuple 2 from intersections.
 		if got, want := idx.Lookup("Doc", []string{"mining", "text"}), []relational.TupleID{2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Lookup(mining text) = %v, want %v", name, got, want)
+			t.Errorf("shards=%d: Lookup(mining text) = %v, want %v", n, got, want)
 		}
 	}
 }
 
+// TestIntersect pins the galloping intersection's two-list results.
 func TestIntersect(t *testing.T) {
 	tests := []struct {
 		a, b, want []relational.TupleID
@@ -189,8 +174,8 @@ func TestIntersect(t *testing.T) {
 		{[]relational.TupleID{5, 9}, []relational.TupleID{5, 9}, []relational.TupleID{5, 9}},
 	}
 	for _, tc := range tests {
-		if got := intersect(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("intersect(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		if got := intersectAll(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("intersectAll(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
 }

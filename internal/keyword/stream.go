@@ -6,22 +6,22 @@ import (
 	"sizelos/internal/relational"
 )
 
-// This file is the streaming query side of the index: instead of
-// materializing and sorting the full match set (Search), a MatchStream
-// produces each next-best match on demand. The composition is
+// This file is the query side of the index: instead of materializing and
+// sorting the full match set, a MatchStream produces each next-best match
+// on demand. The composition is
 //
 //	posting lists -> lazy k-way intersection -> best-first frontier -> pop
 //
-// The intersection never materializes intermediate per-keyword results (the
-// old Lookup allocated one accumulator slice per keyword step); candidates
-// flow one id at a time into a binary-heap frontier built in O(n), and each
-// pop costs O(log n). A caller consuming k of n matches therefore pays
-// O(n + k log n) instead of the O(n log n) full sort — and, one layer up,
-// the engine computes summaries only for the k matches actually pulled.
+// The intersection never materializes intermediate per-keyword results;
+// candidates flow one id at a time into a binary-heap frontier built in
+// O(n), and each pop costs O(log n). A caller consuming k of n matches
+// therefore pays O(n + k log n) instead of the O(n log n) full sort — and,
+// one layer up, the engine computes summaries only for the k matches
+// actually pulled.
 
 // MatchStream is a pull cursor over keyword matches in best-first order
-// (score desc, relation asc, tuple asc — the same total order Search
-// returns). Next yields the next-best match until exhausted. Streams are
+// (score desc, relation asc, tuple asc). Next yields the next-best match
+// until exhausted. Streams are
 // single-consumer and must not be advanced concurrently with index
 // mutation; the engine pins one consistent state via its read lock and
 // epoch checks.
@@ -122,8 +122,7 @@ type frontierStream struct {
 var _ MatchStream = (*frontierStream)(nil)
 
 // newFrontier streams the lazy intersection of lists into a heap of
-// matches for one relation. Scores beyond the vector's length read as 0,
-// exactly like rankMatches.
+// matches for one relation. Scores beyond the vector's length read as 0.
 func newFrontier(dsRel string, lists [][]relational.TupleID, scores relational.DBScores) *frontierStream {
 	s := scores[dsRel]
 	f := &frontierStream{}
@@ -190,62 +189,18 @@ var _ MatchStream = emptyStream{}
 func (emptyStream) Next() (Match, bool) { return Match{}, false }
 func (emptyStream) Remaining() int      { return 0 }
 
-// drainStream materializes a stream — the body of the non-streaming Search
-// entry points, which guarantees the two surfaces can never order matches
-// differently.
-func drainStream(s MatchStream) []Match {
-	n := s.Remaining()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Match, 0, n)
-	for {
-		m, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, m)
-	}
-}
-
-// keywordLists resolves one relation's posting list per keyword from the
-// flat layout; ok=false when the relation is unknown, the query is empty,
-// or any keyword has no postings (AND semantics: the result is empty).
-func (idx *Index) keywordLists(rel string, keywords []string) ([][]relational.TupleID, bool) {
-	tokens := idx.postings[rel]
-	if tokens == nil || len(keywords) == 0 {
-		return nil, false
-	}
-	lists := make([][]relational.TupleID, len(keywords))
-	for i, kw := range keywords {
-		list := tokens[strings.ToLower(kw)]
-		if len(list) == 0 {
-			return nil, false
-		}
-		lists[i] = list
-	}
-	return lists, true
-}
-
-// SearchStream returns a pull cursor over exactly Search's matches and
-// order, produced on demand: O(n) frontier build, O(log n) per pop.
-func (idx *Index) SearchStream(dsRel, query string, scores relational.DBScores) MatchStream {
-	lists, ok := idx.keywordLists(dsRel, Tokenize(query))
-	if !ok {
-		return emptyStream{}
-	}
-	return newFrontier(dsRel, lists, scores)
-}
-
 // keywordLists resolves one relation's posting list per keyword, each from
-// the one shard it hashes to; ok=false mirrors the flat layout.
+// the one shard it hashes to; ok=false when the query is empty or any
+// keyword has no postings in rel (AND semantics: the result is empty),
+// which covers an unknown relation.
 func (idx *Sharded) keywordLists(rel string, keywords []string) ([][]relational.TupleID, bool) {
-	if !idx.known[rel] || len(keywords) == 0 {
+	if len(keywords) == 0 {
 		return nil, false
 	}
 	lists := make([][]relational.TupleID, len(keywords))
 	for i, kw := range keywords {
-		list := idx.postings(rel, strings.ToLower(kw))
+		tok := strings.ToLower(kw)
+		list := idx.shards[shardOf(tok, len(idx.shards))][rel][tok]
 		if len(list) == 0 {
 			return nil, false
 		}
@@ -254,8 +209,9 @@ func (idx *Sharded) keywordLists(rel string, keywords []string) ([][]relational.
 	return lists, true
 }
 
-// SearchStream returns a pull cursor over exactly Search's matches and
-// order; each keyword's posting list comes from the one shard it hashes to.
+// SearchStream returns a pull cursor over one DS relation's matches for a
+// keyword query — exactly Lookup's tuples — in best-first order, produced
+// on demand: O(n) frontier build, O(log n) per pop.
 func (idx *Sharded) SearchStream(dsRel, query string, scores relational.DBScores) MatchStream {
 	lists, ok := idx.keywordLists(dsRel, Tokenize(query))
 	if !ok {

@@ -1,19 +1,21 @@
 package keyword
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"sizelos/internal/relational"
 )
 
-// refSearch is the pre-stream reference ranking: Lookup's candidate ids
-// scored and sorted with sort.SliceStable under matchLess. Search and
-// SearchStream both must reproduce it exactly — Search now drains the
-// stream, so this independent path is what keeps the heap honest.
-func refSearch(idx *Index, dsRel, query string, scores relational.DBScores) []Match {
-	ids := idx.Lookup(dsRel, Tokenize(query))
+// refSearch is the reference ranking: the scan's matching ids scored and
+// sorted with sort.SliceStable under matchLess. SearchStream must
+// reproduce it exactly; this independent path is what keeps the heap
+// honest.
+func refSearch(scan scanIndex, dsRel, query string, scores relational.DBScores) []Match {
+	ids := scan.lookup(dsRel, Tokenize(query))
 	if len(ids) == 0 {
 		return nil
 	}
@@ -30,7 +32,7 @@ func refSearch(idx *Index, dsRel, query string, scores relational.DBScores) []Ma
 	return out
 }
 
-// streamPrefix pulls up to n matches off a stream.
+// streamPrefix pulls up to n matches off a stream; nil when it yields none.
 func streamPrefix(s MatchStream, n int) []Match {
 	var out []Match
 	for len(out) < n {
@@ -43,26 +45,32 @@ func streamPrefix(s MatchStream, n int) []Match {
 	return out
 }
 
-// TestStreamMatchesReference proves, for every expressible single-token and
-// AND-pair query over DBLP and TPC-H at shard counts {1, 4, 17}, that the
-// streaming surface emits exactly the reference ranking — fully drained,
-// and prefix-by-prefix (every limit n yields the first n of the drain).
+// drain pops a stream dry.
+func drain(s MatchStream) []Match { return streamPrefix(s, math.MaxInt) }
+
+// intersectAll drains the galloping intersection of lists.
+func intersectAll(lists ...[]relational.TupleID) []relational.TupleID {
+	var out []relational.TupleID
+	it := newIntersection(lists)
+	for id, ok := it.next(); ok; id, ok = it.next() {
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestStreamMatchesReference proves, for a spread of single-token and
+// AND-pair queries over DBLP and TPC-H at shard counts {1, 4, 17}, that the
+// streaming surface emits exactly the scan's ranking — fully drained, and
+// prefix-by-prefix (every limit n yields the first n of the drain).
 func TestStreamMatchesReference(t *testing.T) {
 	for name, db := range equalityDBs(t) {
 		t.Run(name, func(t *testing.T) {
-			flat := BuildIndex(db)
+			scan := scanPostings(db)
 			scores := syntheticScores(db)
-			pairs := corpusTokens(flat)
+			pairs := corpusTokens(scan)
 			if len(pairs) == 0 {
 				t.Fatal("fixture produced an empty corpus")
 			}
-			var indexes []layout
-			indexes = append(indexes, flat)
-			for _, n := range equalityShardCounts {
-				indexes = append(indexes, BuildSharded(db, ShardedOptions{NumShards: n}))
-			}
-			labels := []string{"flat", "sharded1", "sharded4", "sharded17"}
-
 			queries := make(map[string][]string) // rel -> queries
 			for i, p := range pairs {
 				if i%7 == 0 { // thin out: the full cross product is slow
@@ -77,13 +85,13 @@ func TestStreamMatchesReference(t *testing.T) {
 				queries[rel] = append(queries[rel], "zzz-no-such-token", "")
 			}
 
-			for rel, qs := range queries {
-				for _, q := range qs {
-					want := refSearch(flat, rel, q, scores)
-					for li, idx := range indexes {
-						got := drainStream(idx.SearchStream(rel, q, scores))
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s SearchStream(%q, %q) diverged from reference", labels[li], rel, q)
+			for _, numShards := range equalityShardCounts {
+				idx := BuildSharded(db, ShardedOptions{NumShards: numShards})
+				for rel, qs := range queries {
+					for _, q := range qs {
+						want := refSearch(scan, rel, q, scores)
+						if got := drain(idx.SearchStream(rel, q, scores)); !reflect.DeepEqual(got, want) {
+							t.Fatalf("shards=%d SearchStream(%q, %q) diverged from the scan", numShards, rel, q)
 						}
 						// Prefix law: limit n == first n of the drain.
 						for _, n := range []int{1, 2, 5, len(want)} {
@@ -92,7 +100,7 @@ func TestStreamMatchesReference(t *testing.T) {
 							}
 							prefix := streamPrefix(idx.SearchStream(rel, q, scores), n)
 							if !reflect.DeepEqual(prefix, want[:n]) {
-								t.Fatalf("%s SearchStream(%q, %q) limit %d != drain prefix", labels[li], rel, q, n)
+								t.Fatalf("shards=%d SearchStream(%q, %q) limit %d != drain prefix", numShards, rel, q, n)
 							}
 						}
 					}
@@ -106,9 +114,9 @@ func TestStreamMatchesReference(t *testing.T) {
 // count and decrements by exactly one per pop.
 func TestStreamRemaining(t *testing.T) {
 	for _, db := range equalityDBs(t) {
-		idx := BuildIndex(db)
+		idx := BuildSharded(db, ShardedOptions{NumShards: 4})
 		scores := syntheticScores(db)
-		pairs := corpusTokens(idx)
+		pairs := corpusTokens(scanPostings(db))
 		for i, p := range pairs {
 			if i%37 != 0 {
 				continue
@@ -130,9 +138,9 @@ func TestStreamRemaining(t *testing.T) {
 	}
 }
 
-// TestIntersectionCursor checks the lazy galloping intersection against the
-// materialized intersect() on adversarial list shapes: disjoint, nested,
-// skewed lengths, shared prefixes/suffixes, singletons.
+// TestIntersectionCursor checks the lazy galloping intersection against a
+// membership scan on adversarial list shapes: disjoint, nested, skewed
+// lengths, shared prefixes/suffixes, singletons.
 func TestIntersectionCursor(t *testing.T) {
 	mk := func(ids ...int) []relational.TupleID {
 		out := make([]relational.TupleID, len(ids))
@@ -155,33 +163,17 @@ func TestIntersectionCursor(t *testing.T) {
 		{mk(7), long},
 	}
 	for ci, c := range cases {
-		want := intersect(c[0], c[1])
-		it := newIntersection([][]relational.TupleID{c[0], c[1]})
-		var got []relational.TupleID
-		for {
-			id, ok := it.next()
-			if !ok {
-				break
+		var want []relational.TupleID
+		for _, id := range c[0] {
+			if _, found := slices.BinarySearch(c[1], id); found {
+				want = append(want, id)
 			}
-			got = append(got, id)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got := intersectAll(c[0], c[1]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: lazy intersection %v, want %v", ci, got, want)
 		}
 		// Three-way: intersect with itself must be idempotent.
-		it3 := newIntersection([][]relational.TupleID{c[0], c[1], c[1]})
-		got = got[:0]
-		for {
-			id, ok := it3.next()
-			if !ok {
-				break
-			}
-			got = append(got, id)
-		}
-		if len(got) == 0 {
-			got = nil
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := intersectAll(c[0], c[1], c[1]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: three-way lazy intersection %v, want %v", ci, got, want)
 		}
 	}

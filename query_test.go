@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"sizelos/internal/keyword"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
@@ -127,6 +128,23 @@ func TestQueryPageLimitIsPrefix(t *testing.T) {
 	}
 }
 
+// eagerMatches is the materialized keyword answer the eager paradigm starts
+// from: every tuple of rel matching all of query's keywords (Lookup), sorted
+// best-first — score descending, tuple ascending — without the match
+// stream's heap.
+func eagerMatches(eng *Engine, rel, query string, sc relational.DBScores) []keyword.Match {
+	ids := eng.Index().Lookup(rel, keyword.Tokenize(query))
+	out := make([]keyword.Match, len(ids))
+	for i, id := range ids {
+		out[i] = keyword.Match{Relation: rel, Tuple: id}
+		if int(id) < len(sc[rel]) {
+			out[i].Score = sc[rel][id]
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
+	return out
+}
+
 // refSummaries recomputes a query's answer through an independent eager
 // path: raw index matches, cut to Limit, summarized one at a time via
 // SizeL, then — under RankBySummary — sorted stably by Im(S) descending
@@ -142,7 +160,7 @@ func refSummaries(t *testing.T, eng *Engine, req QueryRequest) []Summary {
 	if err != nil {
 		t.Fatalf("Scores: %v", err)
 	}
-	matches := eng.Index().Search(req.Rel, req.Query, sc)
+	matches := eagerMatches(eng, req.Rel, req.Query, sc)
 	if !req.RankBySummary && req.Limit > 0 && len(matches) > req.Limit {
 		matches = matches[:req.Limit]
 	}
@@ -226,7 +244,7 @@ func TestQueryEarlyTermination(t *testing.T) {
 			stats.Summaries, stats.Matches)
 	}
 	// The served prefix is exactly the global best-first order.
-	full := eng.Index().Search("Item", "acme", mustScores(t, eng))
+	full := eagerMatches(eng, "Item", "acme", mustScores(t, eng))
 	for i, s := range sums {
 		if s.Tuple != full[i].Tuple {
 			t.Fatalf("prefix[%d] = tuple %d, best-first order says %d", i, s.Tuple, full[i].Tuple)
@@ -273,7 +291,7 @@ func TestQueryCursorWalk(t *testing.T) {
 		}
 		cursor = next
 	}
-	full := eng.Index().Search("Item", "acme", mustScores(t, eng))
+	full := eagerMatches(eng, "Item", "acme", mustScores(t, eng))
 	for i, s := range walked {
 		if s.Tuple != full[i].Tuple {
 			t.Fatalf("walked[%d] = tuple %d, want %d", i, s.Tuple, full[i].Tuple)
@@ -345,7 +363,7 @@ func TestRankedQueryPaging(t *testing.T) {
 func TestQueryDeletedTupleBackfill(t *testing.T) {
 	eng := mutableDBLP(t)
 	sc := mustScores(t, eng)
-	matches := eng.Index().Search("Author", "Faloutsos", sc)
+	matches := eagerMatches(eng, "Author", "Faloutsos", sc)
 	if len(matches) < 3 {
 		t.Fatalf("fixture has %d Faloutsos matches, need 3", len(matches))
 	}
