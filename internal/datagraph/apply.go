@@ -7,7 +7,7 @@ package datagraph
 // still be read to retract the mirror edges) and an inserted tuple always
 // takes a fresh slot larger than every existing id of its relation.
 //
-// After Apply the graph answers every Neighbors/Degree query exactly as a
+// After Apply the graph answers every Along query exactly as a
 // from-scratch Build over the mutated database would; the randomized
 // mutation-equivalence harness (TestMutationEquivalence) asserts this edge
 // for edge. The overlay grows with the number of touched tuples, never with
@@ -15,6 +15,7 @@ package datagraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sizelos/internal/relational"
@@ -43,19 +44,16 @@ func (g *Graph) Apply(res relational.BatchResult) error {
 		}
 		r := db.Relations[ri]
 		for _, d := range res.Deleted[rel] {
-			// The tuple leaves every incident direction wholesale: its
-			// forward lists (it no longer references anyone), and its
-			// backward lists (referential integrity guarantees every owner
-			// that pointed at it is deleted too — those owners retract their
-			// own forward edges below, and a retract against a cleared list
-			// is a no-op). Already-empty directions need no patch entry:
-			// skipping them keeps Patched() counting real splices, so the
-			// overlay-fold heuristic doesn't fire early on delete churn over
-			// sparsely connected tuples.
-			for di := range g.edges[ri] {
-				if adj := &g.edges[ri][di].adj; len(adj.list(d)) > 0 {
-					adj.override(d, nil)
-				}
+			// The tuple leaves every list it heads wholesale: its forward
+			// lists (it no longer references anyone), and its backward lists
+			// (referential integrity guarantees every owner that pointed at
+			// it is deleted too — those owners retract their own forward
+			// edges below, and a retract against a cleared list is a no-op).
+			for fi := range g.fks[ri] {
+				g.fks[ri][fi].fwd.empty(d)
+			}
+			for _, ref := range g.refs[ri] {
+				g.fks[ref.owner][ref.fk].bwd.empty(d)
 			}
 			// Retract the mirror edge from each still-live FK target's
 			// backward list. The tombstoned slot retains its content, so the
@@ -66,16 +64,9 @@ func (g *Graph) Apply(res relational.BatchResult) error {
 			// where the retract is a harmless no-op.
 			for fi, fk := range r.FKs {
 				key := r.Tuples[d][r.ColIndex(fk.Column)].Int
-				ref := db.Relation(fk.Ref)
-				target, ok := ref.LookupPK(key)
-				if !ok {
-					continue
+				if target, ok := db.Relation(fk.Ref).LookupPK(key); ok {
+					g.fks[ri][fi].bwd.retract(target, d)
 				}
-				mi, err := g.mirrorDir(db.RelIndex(fk.Ref), rel, fi)
-				if err != nil {
-					return err
-				}
-				g.edges[db.RelIndex(fk.Ref)][mi].adj.retract(target, d)
 			}
 		}
 	}
@@ -88,8 +79,7 @@ func (g *Graph) Apply(res relational.BatchResult) error {
 		for _, id := range res.Inserted[rel] {
 			for fi, fk := range r.FKs {
 				key := r.Tuples[id][r.ColIndex(fk.Column)].Int
-				ref := db.Relation(fk.Ref)
-				target, ok := ref.LookupPK(key)
+				target, ok := db.Relation(fk.Ref).LookupPK(key)
 				if !ok {
 					// Unreachable after a committed batch: inserts passed the
 					// FK check and nothing deleted the target afterwards
@@ -97,18 +87,11 @@ func (g *Graph) Apply(res relational.BatchResult) error {
 					return fmt.Errorf("datagraph: apply: %s tuple %d: dangling FK %s=%d into %s",
 						rel, id, fk.Column, key, fk.Ref)
 				}
-				fwd, err := g.forwardDir(ri, rel, fi)
-				if err != nil {
-					return err
-				}
-				g.edges[ri][fwd].adj.override(id, []relational.TupleID{target})
-				mi, err := g.mirrorDir(db.RelIndex(fk.Ref), rel, fi)
-				if err != nil {
-					return err
-				}
+				e := &g.fks[ri][fi]
+				e.fwd.override(id, []relational.TupleID{target})
 				// Ascending insert ids appended in order keep the backward
 				// list in owner-insertion order, matching buildBackward.
-				g.edges[db.RelIndex(fk.Ref)][mi].adj.extend(target, id)
+				e.bwd.extend(target, id)
 			}
 		}
 		g.sizes[ri] = r.Len()
@@ -116,76 +99,48 @@ func (g *Graph) Apply(res relational.BatchResult) error {
 	return nil
 }
 
-// forwardDir locates the owner-side (M:1) direction of FK fi of rel among
-// relation ordinal ri's incident directions.
-func (g *Graph) forwardDir(ri int, rel string, fi int) (int, error) {
-	return g.findDir(ri, rel, fi, true)
-}
-
-// mirrorDir locates the referenced-side (1:M) direction of FK fi of rel
-// among relation ordinal refIdx's incident directions.
-func (g *Graph) mirrorDir(refIdx int, rel string, fi int) (int, error) {
-	return g.findDir(refIdx, rel, fi, false)
-}
-
-func (g *Graph) findDir(ri int, rel string, fi int, forward bool) (int, error) {
-	et := EdgeType{Rel: rel, FK: fi}
-	for di := range g.edges[ri] {
-		e := &g.edges[ri][di]
-		if e.Type == et && e.Forward == forward {
-			return di, nil
-		}
-	}
-	return 0, fmt.Errorf("datagraph: apply: edge %v (forward=%v) not incident to relation ordinal %d", et, forward, ri)
-}
-
 // EquivalentTo reports the first edge-level difference between g and other
-// ("" when none): same relation sizes, same incident directions, and the
-// same neighbor list on every (relation, tuple, direction). It is the
-// "edge-exact" relation the mutation-equivalence harness asserts between an
-// incrementally maintained graph and a from-scratch rebuild.
+// ("" when none): same relation sizes, and the same neighbor list on every
+// (foreign key, direction, tuple). It is the "edge-exact" relation the
+// mutation-equivalence harness asserts between an incrementally maintained
+// graph and a from-scratch rebuild. Both graphs must be built over the same
+// schema.
 func (g *Graph) EquivalentTo(other *Graph) string {
-	if len(g.edges) != len(other.edges) {
-		return fmt.Sprintf("relation count %d vs %d", len(g.edges), len(other.edges))
+	for ri := range g.sizes {
+		if g.sizes[ri] != other.sizes[ri] {
+			return fmt.Sprintf("%s size %d vs %d", g.DB.Relations[ri].Name, g.sizes[ri], other.sizes[ri])
+		}
 	}
-	for ri := range g.edges {
-		if g.RelSize(ri) != other.RelSize(ri) {
-			return fmt.Sprintf("relation %d size %d vs %d", ri, g.RelSize(ri), other.RelSize(ri))
-		}
-		if len(g.edges[ri]) != len(other.edges[ri]) {
-			return fmt.Sprintf("relation %d has %d edge dirs vs %d", ri, len(g.edges[ri]), len(other.edges[ri]))
-		}
-		for di := range g.edges[ri] {
-			a, b := &g.edges[ri][di], &other.edges[ri][di]
-			if a.Type != b.Type || a.Forward != b.Forward || a.otherIdx != b.otherIdx {
-				return fmt.Sprintf("relation %d dir %d: %v/%v vs %v/%v", ri, di, a.Type, a.Forward, b.Type, b.Forward)
+	for rel, refs := range g.refs {
+		for _, ref := range refs {
+			if msg := g.diffList(other, ref, true, ref.owner); msg != "" {
+				return msg
 			}
-			for t := 0; t < g.RelSize(ri); t++ {
-				ga := g.Neighbors(ri, relational.TupleID(t), di)
-				gb := other.Neighbors(ri, relational.TupleID(t), di)
-				if len(ga) == 0 && len(gb) == 0 {
-					continue
-				}
-				if !tupleIDsEqual(ga, gb) {
-					return fmt.Sprintf("relation %d tuple %d dir %d (%v fwd=%v): %v vs %v",
-						ri, t, di, a.Type, a.Forward, ga, gb)
-				}
+			if msg := g.diffList(other, ref, false, rel); msg != "" {
+				return msg
 			}
 		}
 	}
 	return ""
 }
 
-func tupleIDsEqual(a, b []relational.TupleID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// diffList compares one direction of one foreign key on every tuple of the
+// relation ordinal its lists are indexed by.
+func (g *Graph) diffList(other *Graph, ref fkRef, forward bool, rel int) string {
+	for t := 0; t < g.sizes[rel]; t++ {
+		ga := g.Along(ref.owner, ref.fk, forward, relational.TupleID(t))
+		gb := other.Along(ref.owner, ref.fk, forward, relational.TupleID(t))
+		if !slices.Equal(ga, gb) {
+			r := g.DB.Relations[ref.owner]
+			dir := "backward"
+			if forward {
+				dir = "forward"
+			}
+			return fmt.Sprintf("%s.%s %s, %s tuple %d: %v vs %v",
+				r.Name, r.FKs[ref.fk].Column, dir, g.DB.Relations[rel].Name, t, ga, gb)
 		}
 	}
-	return true
+	return ""
 }
 
 // Patched reports how many per-tuple overlay entries the graph currently
@@ -194,9 +149,9 @@ func tupleIDsEqual(a, b []relational.TupleID) bool {
 // folding the overlay into fresh CSR arrays (a rebuild) pays for itself.
 func (g *Graph) Patched() int {
 	n := 0
-	for ri := range g.edges {
-		for di := range g.edges[ri] {
-			n += len(g.edges[ri][di].adj.patch)
+	for _, fks := range g.fks {
+		for _, e := range fks {
+			n += len(e.fwd.patch) + len(e.bwd.patch)
 		}
 	}
 	return n

@@ -1,14 +1,15 @@
 package datagraph
 
 import (
+	"strings"
 	"testing"
 
 	"sizelos/internal/relational"
 )
 
 // assertGraphsEqual compares g against a from-scratch rebuild over the same
-// database, edge for edge: every relation, every incident direction, every
-// tuple slot. This is the package-level notion of "edge-exact" the
+// database, edge for edge: every relation size, every foreign key in both
+// directions, every tuple slot. This is the package-level notion of "edge-exact" the
 // engine-level randomized harness reuses through EquivalentTo.
 func assertGraphsEqual(t *testing.T, db *relational.DB, g *Graph) {
 	t.Helper()
@@ -49,8 +50,7 @@ func TestApplyInsertSplicesEdges(t *testing.T) {
 	}})
 	assertGraphsEqual(t, db, g)
 	// The new paper's backward Writes list reaches the new junction row.
-	pi := db.RelIndex("Paper")
-	nb := g.NeighborsAlong(pi, 2, EdgeType{Rel: "Writes", FK: 0}, false)
+	nb := g.Along(db.RelIndex("Writes"), 0, false, 2)
 	if len(nb) != 1 || nb[0] != 3 {
 		t.Fatalf("new paper's Writes backlist = %v, want [3]", nb)
 	}
@@ -76,7 +76,7 @@ func TestApplyDeleteClearsBothDirections(t *testing.T) {
 	}})
 	assertGraphsEqual(t, db, g)
 	wi := db.RelIndex("Writes")
-	if nb := g.Neighbors(wi, 1, 0); len(nb) != 0 {
+	if nb := g.Along(wi, 0, true, 1); len(nb) != 0 {
 		t.Fatalf("deleted junction row keeps neighbors %v", nb)
 	}
 }
@@ -140,5 +140,101 @@ func TestApplyUnknownRelation(t *testing.T) {
 	err = g.Apply(relational.BatchResult{Inserted: map[string][]relational.TupleID{"Nope": {0}}})
 	if err == nil {
 		t.Fatal("Apply with unknown relation succeeded")
+	}
+}
+
+// TestApplyRefsPath drives the backward lists a delete clears through refs:
+// a self-citation puts one Cites row in two backward lists of the same
+// paper, deleting it retracts both, and deleting a paper after every Writes
+// and Cites row referencing it clears all three of its backward lists. Each
+// batch adds one overlay entry per list it really splices — clearing an
+// already-empty list adds none — so Patched() is counted by hand.
+func TestApplyRefsPath(t *testing.T) {
+	db := tinyDBLP(t)
+	g, err := Build(db)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	steps := []struct {
+		name    string
+		batch   relational.Batch
+		patched int
+	}{
+		// Cites row 1 gains two forward lists; p1's citing and cited
+		// backward lists each gain it.
+		{"insert self-citation", relational.Batch{Inserts: []relational.InsertOp{
+			{Rel: "Cites", Tuple: relational.Tuple{relational.IntVal(2), relational.IntVal(1), relational.IntVal(1)}},
+		}}, 4},
+		// The same four lists shrink again: no new entry.
+		{"delete self-citation", relational.Batch{Deletes: []relational.DeleteOp{
+			{Rel: "Cites", PK: 2},
+		}}, 4},
+		// New entries: Cites row 0's two forward lists and p2's citing list;
+		// p1's Writes.paper list (its citing list is already empty, its
+		// cited list already patched); Writes rows 0 and 2's four forward
+		// lists and the two authors' Writes.author lists.
+		{"delete paper after its referencers", relational.Batch{Deletes: []relational.DeleteOp{
+			{Rel: "Writes", PK: 1},
+			{Rel: "Writes", PK: 3},
+			{Rel: "Cites", PK: 1},
+			{Rel: "Paper", PK: 1},
+		}}, 14},
+	}
+	for _, s := range steps {
+		apply(t, db, g, s.batch)
+		assertGraphsEqual(t, db, g)
+		if got := g.Patched(); got != s.patched {
+			t.Fatalf("%s: Patched() = %d, want %d", s.name, got, s.patched)
+		}
+	}
+	paper := db.RelIndex("Paper")
+	for _, ref := range g.refs[paper] {
+		if nb := g.Along(ref.owner, ref.fk, false, 0); len(nb) != 0 {
+			t.Errorf("deleted p1 keeps backward list %v under %+v", nb, ref)
+		}
+	}
+}
+
+// TestEquivalentToReportsEveryList changes exactly one list (or one relation
+// size) of a second build over an identical database and checks the oracle
+// reports the difference by name: a forward list, a backward list under each
+// of the two FKs Cites holds into Paper, and a size.
+func TestEquivalentToReportsEveryList(t *testing.T) {
+	build := func() *Graph {
+		g, err := Build(tinyDBLP(t))
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return g
+	}
+	g := build()
+	if msg := g.EquivalentTo(build()); msg != "" {
+		t.Fatalf("identical builds differ: %s", msg)
+	}
+	writes, cites, author := g.DB.RelIndex("Writes"), g.DB.RelIndex("Cites"), g.DB.RelIndex("Author")
+	cases := []struct {
+		want   string
+		change func(h *Graph)
+	}{
+		// Writes row 0 references p1; point it at p2.
+		{"Writes.paper forward, Writes tuple 0", func(h *Graph) {
+			h.fks[writes][0].fwd.override(0, []relational.TupleID{1})
+		}},
+		// p1 cites nothing; p2's citing list is already [0].
+		{"Cites.citing backward, Paper tuple 0", func(h *Graph) {
+			h.fks[cites][0].bwd.override(0, []relational.TupleID{0})
+		}},
+		// p2 is cited by nothing.
+		{"Cites.cited backward, Paper tuple 1", func(h *Graph) {
+			h.fks[cites][1].bwd.override(1, []relational.TupleID{0})
+		}},
+		{"Author size 2 vs 3", func(h *Graph) { h.sizes[author]++ }},
+	}
+	for _, c := range cases {
+		h := build()
+		c.change(h)
+		if msg := g.EquivalentTo(h); !strings.Contains(msg, c.want) {
+			t.Errorf("changed %s: report %q does not name it", c.want, msg)
+		}
 	}
 }

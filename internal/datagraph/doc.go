@@ -10,6 +10,11 @@
 // (package rank), which needs typed edges: authority transfer rates are
 // declared per schema edge and direction.
 //
+// An edge is named by its foreign key and a direction: Graph.Along(owner,
+// fk, forward, t) reads FK fk of relation ordinal owner from tuple t, in
+// O(1) — forward from an owner tuple to the tuple it references, backward
+// from a referenced tuple to its owners.
+//
 // Build constructs the graph from scratch; Graph.Apply folds a committed
 // mutation batch in incrementally by splicing per-tuple deltas into a patch
 // overlay over the packed CSR arrays, in work proportional to the tuples
@@ -18,21 +23,20 @@
 // # Invariants
 //
 //   - Every adjacency read goes through list() (equivalently, the public
-//     Neighbors/Degree/NeighborsAlong). Never index the packed offsets
-//     directly: tuples inserted after the last full build live only in the
-//     overlay, beyond the packed arrays, and tombstoned or re-spliced
-//     tuples are overridden by it.
+//     Along). Never index the packed offsets directly: tuples inserted
+//     after the last full build live only in the overlay, beyond the packed
+//     arrays, and tombstoned or re-spliced tuples are overridden by it.
 //   - Apply requires the batch to be already committed to the graph's
 //     database — it reads the post-commit tombstone flags, the retained
 //     content of tombstoned slots (to retract mirror edges), and the PK
 //     index — and the per-relation id lists must be ascending: exactly the
 //     relational.BatchResult contract.
 //   - Overlay slices are owned by the adjacency and may be mutated in
-//     place by a later Apply. Neighbors results are valid only until the
-//     next Apply; callers that retain a list must copy it.
+//     place by a later Apply. Along results are valid only until the next
+//     Apply; callers that retain a list must copy it.
 //   - After any Apply the graph is edge-exact with a from-scratch Build
-//     over the mutated store — same relation sizes, same incident
-//     directions, same neighbor list on every (relation, tuple, direction).
+//     over the mutated store — same relation sizes, same neighbor list on
+//     every (foreign key, direction, tuple).
 //     EquivalentTo is that relation; the randomized mutation-equivalence
 //     harness (mutation_equiv_test.go at the repo root) asserts it after
 //     every seeded batch.

@@ -7,26 +7,7 @@ import (
 	"sizelos/internal/relational"
 )
 
-// NodeID identifies a tuple globally: the relation ordinal (registration
-// order in the DB) and the TupleID within that relation.
-type NodeID struct {
-	Rel   int32
-	Tuple relational.TupleID
-}
-
-// EdgeType identifies one foreign key in the schema: the relation owning the
-// FK and the FK ordinal within it. Each EdgeType yields edges in two
-// directions: forward (owner -> referenced, the M:1 direction) and backward
-// (referenced -> owner, the 1:M direction).
-type EdgeType struct {
-	Rel string // relation owning the foreign key
-	FK  int    // ordinal in Relation.FKs
-}
-
-// String renders the edge type as Rel.column->Ref.
-func (e EdgeType) String() string { return fmt.Sprintf("%s.fk%d", e.Rel, e.FK) }
-
-// adjacency holds, for one relation and one incident edge type, the
+// adjacency holds, for one foreign key in one direction, the
 // CSR-style neighbor lists of every tuple, plus a mutation overlay: Apply
 // splices per-tuple deltas into patch instead of rewriting the packed
 // arrays, so a small batch costs work proportional to the tuples it
@@ -34,7 +15,7 @@ func (e EdgeType) String() string { return fmt.Sprintf("%s.fk%d", e.Rel, e.FK) }
 type adjacency struct {
 	// offsets has len(tuples)+1 entries (as of the last full build);
 	// neighbors[offsets[i]:offsets[i+1]] are tuple i's neighbors along this
-	// edge type and direction, unless patch overrides tuple i.
+	// foreign key and direction, unless patch overrides tuple i.
 	offsets   []int32
 	neighbors []relational.TupleID
 	// patch maps a tuple to its current neighbor list when it diverged from
@@ -70,7 +51,7 @@ func (a *adjacency) override(t relational.TupleID, list []relational.TupleID) {
 // owned returns t's overlay list when one exists. Every overlay slice is
 // allocated by this adjacency (never aliased into the packed arrays), so an
 // owned list may be mutated in place — the caller (the engine, under its
-// write lock) has exclusive access, and Neighbors results are documented
+// write lock) has exclusive access, and Along results are documented
 // valid only until the next Apply. Mutating in place keeps a hot tuple's
 // repeated edge changes linear instead of copying its whole list per splice.
 func (a *adjacency) owned(t relational.TupleID) ([]relational.TupleID, bool) {
@@ -79,6 +60,16 @@ func (a *adjacency) owned(t relational.TupleID) ([]relational.TupleID, bool) {
 	}
 	l, ok := a.patch[t]
 	return l, ok
+}
+
+// empty clears t's neighbor list. An already-empty list gets no overlay
+// entry, so Patched() counts only real splices and the overlay-fold
+// heuristic does not fire early on delete churn over sparsely connected
+// tuples.
+func (a *adjacency) empty(t relational.TupleID) {
+	if len(a.list(t)) > 0 {
+		a.override(t, nil)
+	}
 }
 
 // retract removes id from t's ascending neighbor list — in place when the
@@ -122,15 +113,14 @@ func (a *adjacency) extend(t, id relational.TupleID) {
 	a.override(t, out)
 }
 
-// relEdges describes one direction of one edge type as seen from a source
-// relation.
-type relEdges struct {
-	Type     EdgeType
-	Forward  bool   // true: source owns the FK (M:1); false: 1:M direction
-	Other    string // the relation on the far end
-	adj      adjacency
-	otherIdx int32 // relation ordinal of Other
-}
+// fkEdges is one foreign key's edges in both directions: fwd maps each
+// owner tuple to the tuple it references (M:1), bwd maps each referenced
+// tuple to the owners referencing it (1:M).
+type fkEdges struct{ fwd, bwd adjacency }
+
+// fkRef names one foreign key by its owner's relation ordinal and its
+// ordinal in the owner's Relation.FKs.
+type fkRef struct{ owner, fk int }
 
 // Graph is the tuple-level data graph. Build constructs it from scratch;
 // Apply folds a committed mutation batch in incrementally. Reads and
@@ -138,9 +128,11 @@ type relEdges struct {
 // traversals under its write lock.
 type Graph struct {
 	DB *relational.DB
-	// edges[relOrdinal] lists every incident edge-type direction of that
-	// relation, in deterministic schema order.
-	edges [][]relEdges
+	// fks[owner][fk] holds FK fk of relation ordinal owner, both directions.
+	fks [][]fkEdges
+	// refs[rel] lists the foreign keys referencing relation ordinal rel, in
+	// schema order: the backward lists a deleted tuple of rel must clear.
+	refs [][]fkRef
 	// counts of nodes per relation, cached.
 	sizes []int
 }
@@ -151,34 +143,25 @@ type Graph struct {
 func Build(db *relational.DB) (*Graph, error) {
 	g := &Graph{
 		DB:    db,
-		edges: make([][]relEdges, len(db.Relations)),
+		fks:   make([][]fkEdges, len(db.Relations)),
+		refs:  make([][]fkRef, len(db.Relations)),
 		sizes: make([]int, len(db.Relations)),
 	}
-	for i, r := range db.Relations {
-		g.sizes[i] = r.Len()
-	}
-	for _, r := range db.Relations {
-		src := db.RelIndex(r.Name)
+	for owner, r := range db.Relations {
+		g.sizes[owner] = r.Len()
+		g.fks[owner] = make([]fkEdges, len(r.FKs))
 		for fi, fk := range r.FKs {
 			ref := db.Relation(fk.Ref)
 			if ref == nil {
 				return nil, fmt.Errorf("datagraph: %s.%s references unknown relation %s", r.Name, fk.Column, fk.Ref)
 			}
-			dst := db.RelIndex(fk.Ref)
-			et := EdgeType{Rel: r.Name, FK: fi}
-
 			fwd, err := buildForward(r, fi, ref)
 			if err != nil {
 				return nil, err
 			}
-			g.edges[src] = append(g.edges[src], relEdges{
-				Type: et, Forward: true, Other: fk.Ref, adj: fwd, otherIdx: int32(dst),
-			})
-
-			bwd := buildBackward(r, fi, ref)
-			g.edges[dst] = append(g.edges[dst], relEdges{
-				Type: et, Forward: false, Other: r.Name, adj: bwd, otherIdx: int32(src),
-			})
+			g.fks[owner][fi] = fkEdges{fwd: fwd, bwd: buildBackward(r, fi, ref)}
+			dst := db.RelIndex(fk.Ref)
+			g.refs[dst] = append(g.refs[dst], fkRef{owner, fi})
 		}
 	}
 	return g, nil
@@ -262,40 +245,16 @@ func (g *Graph) NumNodes() int {
 // RelSize returns the node count of relation ordinal rel.
 func (g *Graph) RelSize(rel int) int { return g.sizes[rel] }
 
-// EdgeDirs returns the incident edge-type directions of relation ordinal
-// rel, in deterministic order.
-func (g *Graph) EdgeDirs(rel int) []EdgeDir {
-	dirs := make([]EdgeDir, len(g.edges[rel]))
-	for i := range g.edges[rel] {
-		e := &g.edges[rel][i]
-		dirs[i] = EdgeDir{Type: e.Type, Forward: e.Forward, Other: e.Other, OtherIdx: int(e.otherIdx)}
+// Along returns t's neighbors across FK fk of relation ordinal owner:
+// forward, t is an owner tuple and the result the tuple it references;
+// backward, t is a referenced tuple and the result its owners, in owner
+// insertion order. The returned slice aliases internal storage and must not
+// be modified; it stays valid until the next Apply. An owner or fk out of
+// range panics.
+func (g *Graph) Along(owner, fk int, forward bool, t relational.TupleID) []relational.TupleID {
+	e := &g.fks[owner][fk]
+	if forward {
+		return e.fwd.list(t)
 	}
-	return dirs
-}
-
-// EdgeDir is the public view of one incident edge-type direction.
-type EdgeDir struct {
-	Type     EdgeType
-	Forward  bool
-	Other    string
-	OtherIdx int
-}
-
-// Neighbors returns the tuples adjacent to (rel, t) along the dir-th
-// incident edge direction of rel. The returned slice aliases internal
-// storage and must not be modified; it stays valid until the next Apply.
-func (g *Graph) Neighbors(rel int, t relational.TupleID, dir int) []relational.TupleID {
-	return g.edges[rel][dir].adj.list(t)
-}
-
-// NeighborsAlong returns neighbors along a specific edge type and direction,
-// or nil if that edge direction is not incident to rel.
-func (g *Graph) NeighborsAlong(rel int, t relational.TupleID, et EdgeType, forward bool) []relational.TupleID {
-	for i := range g.edges[rel] {
-		e := &g.edges[rel][i]
-		if e.Type == et && e.Forward == forward {
-			return g.Neighbors(rel, t, i)
-		}
-	}
-	return nil
+	return e.bwd.list(t)
 }

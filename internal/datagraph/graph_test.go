@@ -71,31 +71,24 @@ func TestBuildCounts(t *testing.T) {
 	}
 }
 
-func TestEdgeDirs(t *testing.T) {
+func TestRefs(t *testing.T) {
 	db := tinyDBLP(t)
 	g, err := Build(db)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	// Paper is referenced by Writes.paper, Cites.citing, Cites.cited: three
-	// backward directions.
-	dirs := g.EdgeDirs(db.RelIndex("Paper"))
-	if len(dirs) != 3 {
-		t.Fatalf("Paper has %d incident dirs, want 3: %+v", len(dirs), dirs)
+	author, paper, writes, cites := db.RelIndex("Author"), db.RelIndex("Paper"), db.RelIndex("Writes"), db.RelIndex("Cites")
+	// Paper is referenced by Writes.paper, Cites.citing and Cites.cited, in
+	// schema order; Author by Writes.author; the owners by nothing.
+	want := make([][]fkRef, len(db.Relations))
+	want[author] = []fkRef{{writes, 1}}
+	want[paper] = []fkRef{{writes, 0}, {cites, 0}, {cites, 1}}
+	if !reflect.DeepEqual(g.refs, want) {
+		t.Fatalf("refs = %v, want %v", g.refs, want)
 	}
-	for _, d := range dirs {
-		if d.Forward {
-			t.Errorf("Paper should only have backward dirs, got %+v", d)
-		}
-	}
-	// Writes owns two FKs: two forward directions.
-	dirs = g.EdgeDirs(db.RelIndex("Writes"))
-	if len(dirs) != 2 {
-		t.Fatalf("Writes has %d incident dirs, want 2", len(dirs))
-	}
-	for _, d := range dirs {
-		if !d.Forward {
-			t.Errorf("Writes should only have forward dirs, got %+v", d)
+	for rel, n := range map[int]int{author: 0, paper: 0, writes: 2, cites: 2} {
+		if len(g.fks[rel]) != n {
+			t.Errorf("relation %d owns %d FK edge sets, want %d", rel, len(g.fks[rel]), n)
 		}
 	}
 }
@@ -106,28 +99,22 @@ func TestNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	// Author a1 (tuple 0) -> Writes backward: rows 0 and 1.
-	aIdx := db.RelIndex("Author")
-	got := g.NeighborsAlong(aIdx, 0, EdgeType{Rel: "Writes", FK: 1}, false)
+	writes, cites := db.RelIndex("Writes"), db.RelIndex("Cites")
+	// Author a1 (tuple 0) <- Writes.author backward: rows 0 and 1.
+	got := g.Along(writes, 1, false, 0)
 	want := []relational.TupleID{0, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("a1 writes-backward = %v, want %v", got, want)
 	}
 	// Writes row 0 -> Paper forward: paper p1 (tuple 0).
-	wIdx := db.RelIndex("Writes")
-	got = g.NeighborsAlong(wIdx, 0, EdgeType{Rel: "Writes", FK: 0}, true)
+	got = g.Along(writes, 0, true, 0)
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
 		t.Errorf("writes0 paper-forward = %v, want [0]", got)
 	}
 	// Paper p1 cited by p2 via Cites: backward along Cites.cited.
-	pIdx := db.RelIndex("Paper")
-	got = g.NeighborsAlong(pIdx, 0, EdgeType{Rel: "Cites", FK: 1}, false)
+	got = g.Along(cites, 1, false, 0)
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
 		t.Errorf("p1 cited-backward = %v, want [0] (Cites row 0)", got)
-	}
-	// Missing edge direction.
-	if got := g.NeighborsAlong(pIdx, 0, EdgeType{Rel: "Nope", FK: 0}, true); got != nil {
-		t.Errorf("missing edge dir = %v, want nil", got)
 	}
 }
 
@@ -137,15 +124,14 @@ func TestDegree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	aIdx := db.RelIndex("Author")
-	dirs := g.EdgeDirs(aIdx)
-	if len(dirs) != 1 {
-		t.Fatalf("Author dirs = %d, want 1", len(dirs))
+	if refs := g.refs[db.RelIndex("Author")]; len(refs) != 1 {
+		t.Fatalf("Author referenced by %d FKs, want 1", len(refs))
 	}
-	if got := len(g.Neighbors(aIdx, 0, 0)); got != 2 {
+	writes := db.RelIndex("Writes")
+	if got := len(g.Along(writes, 1, false, 0)); got != 2 {
 		t.Errorf("Degree(a1) = %d, want 2", got)
 	}
-	if got := len(g.Neighbors(aIdx, 1, 0)); got != 1 {
+	if got := len(g.Along(writes, 1, false, 1)); got != 1 {
 		t.Errorf("Degree(a2) = %d, want 1", got)
 	}
 }
@@ -172,12 +158,5 @@ func TestBuildUnknownRef(t *testing.T) {
 	db.MustAddRelation(c)
 	if _, err := Build(db); err == nil {
 		t.Fatal("Build accepted unknown FK target")
-	}
-}
-
-func TestEdgeTypeString(t *testing.T) {
-	et := EdgeType{Rel: "Writes", FK: 1}
-	if got := et.String(); got != "Writes.fk1" {
-		t.Errorf("String() = %q", got)
 	}
 }

@@ -46,20 +46,19 @@ func TestForwardBackwardSymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		cIdx, pIdx := db.RelIndex("C"), db.RelIndex("P")
-		et := EdgeType{Rel: "C", FK: 0}
+		cIdx := db.RelIndex("C")
 
 		fwdEdges := map[string]bool{}
 		fwdCount := 0
 		for ct := 0; ct < children; ct++ {
-			for _, pt := range g.NeighborsAlong(cIdx, relational.TupleID(ct), et, true) {
+			for _, pt := range g.Along(cIdx, 0, true, relational.TupleID(ct)) {
 				fwdEdges[fmt.Sprintf("%d-%d", ct, pt)] = true
 				fwdCount++
 			}
 		}
 		bwdCount := 0
 		for pt := 0; pt < parents; pt++ {
-			for _, ct := range g.NeighborsAlong(pIdx, relational.TupleID(pt), et, false) {
+			for _, ct := range g.Along(cIdx, 0, false, relational.TupleID(pt)) {
 				if !fwdEdges[fmt.Sprintf("%d-%d", ct, pt)] {
 					t.Fatalf("trial %d: backward edge %d<-%d missing forward counterpart", trial, ct, pt)
 				}
@@ -80,10 +79,10 @@ func TestDegreeSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pIdx := db.RelIndex("P")
+	cIdx := db.RelIndex("C")
 	total := 0
 	for pt := 0; pt < 7; pt++ {
-		total += len(g.Neighbors(pIdx, relational.TupleID(pt), 0))
+		total += len(g.Along(cIdx, 0, false, relational.TupleID(pt)))
 	}
 	if total != 40 {
 		t.Fatalf("degree sum %d, want 40", total)

@@ -228,7 +228,9 @@ func sortTopL(ids []relational.TupleID, scores relational.Scores, limit int) []r
 
 // GraphSource extracts children by walking the in-memory data graph, the
 // fast OS-generation path of Figure 10f ("the OSs are generated much faster
-// using the data graph").
+// using the data graph"). It assumes every G_DS it walks was validated
+// against its database (GDS.Validate, which Engine.RegisterGDS runs): a
+// step naming an unknown relation or an out-of-range FK ordinal panics.
 type GraphSource struct {
 	g        *datagraph.Graph
 	scores   relational.DBScores
@@ -275,39 +277,32 @@ func (s *GraphSource) Parents(gn *schemagraph.Node, child relational.TupleID) []
 
 // step crosses gn's traversal step from t: down from a tuple of gn's parent
 // node to its children, or up from a tuple of gn to its parents — the same
-// edge types read the other way, so the two are inverse by construction. A
+// foreign keys read the other way, so the two are inverse by construction. A
 // junction hop writes its result over *buf; the other steps return the
 // graph's adjacency list.
 func (s *GraphSource) step(gn *schemagraph.Node, t relational.TupleID, up bool, buf *[]relational.TupleID) []relational.TupleID {
 	db := s.g.DB
-	from := db.RelIndex(gn.Parent.Rel)
-	if up {
-		from = db.RelIndex(gn.Rel)
-	}
 	switch gn.Step.Kind {
 	case schemagraph.StepChildFK:
-		et := datagraph.EdgeType{Rel: gn.Rel, FK: gn.Step.FKOrd}
-		return s.g.NeighborsAlong(from, t, et, up)
+		return s.g.Along(db.RelIndex(gn.Rel), gn.Step.FKOrd, up, t)
 	case schemagraph.StepParentFK:
-		et := datagraph.EdgeType{Rel: gn.Parent.Rel, FK: gn.Step.FKOrd}
-		return s.g.NeighborsAlong(from, t, et, !up)
+		return s.g.Along(db.RelIndex(gn.Parent.Rel), gn.Step.FKOrd, !up, t)
 	case schemagraph.StepJunction:
-		jIdx := db.RelIndex(gn.Step.Junction)
-		etIn := datagraph.EdgeType{Rel: gn.Step.Junction, FK: gn.Step.JFKParent}
-		etOut := datagraph.EdgeType{Rel: gn.Step.Junction, FK: gn.Step.JFKChild}
+		j := db.RelIndex(gn.Step.Junction)
+		in, out := gn.Step.JFKParent, gn.Step.JFKChild
 		if up {
-			etIn, etOut = etOut, etIn
+			in, out = out, in
 		}
-		rows := s.g.NeighborsAlong(from, t, etIn, false)
+		rows := s.g.Along(j, in, false, t)
 		if len(rows) == 0 {
 			return nil
 		}
-		out := (*buf)[:0]
+		hop := (*buf)[:0]
 		for _, row := range rows {
-			out = append(out, s.g.NeighborsAlong(jIdx, row, etOut, true)...)
+			hop = append(hop, s.g.Along(j, out, true, row)...)
 		}
-		*buf = out
-		return out
+		*buf = hop
+		return hop
 	default:
 		return nil
 	}

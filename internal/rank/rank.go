@@ -187,14 +187,14 @@ type plan struct {
 
 	// Incremental-maintenance metadata: how to detect and recompute the
 	// source rows a committed batch changed.
-	kind     planKind
-	dirIdx   int // direct plans: incident direction index on srcRel
-	ownerRel int // direct plans: relation ordinal owning the FK
-	ownerCol int // direct plans: FK column index in the owner relation
-	jRel     int // junction plans: junction relation ordinal
-	jFromCol int // junction plans: JFKFrom column index in the junction
-	etFrom   datagraph.EdgeType
-	etTo     datagraph.EdgeType
+	kind planKind
+	// owner is the relation ordinal owning fk: the FK owner of a direct
+	// plan, the junction of a junction plan. Its fk leads to srcRel on a
+	// backward or junction plan, and ownerCol is that FK's column.
+	owner    int
+	fk       int
+	ownerCol int
+	fkTo     int // junction plans: the junction's FK into dstRel
 	valueCol int // ValueRank value column in dstRel, -1 for uniform
 
 	// patch overrides rows that diverged from the packed CSR since
@@ -305,35 +305,22 @@ func compileDirect(g *datagraph.Graph, f Flow) (plan, error) {
 	if f.FK < 0 || f.FK >= len(rel.FKs) {
 		return plan{}, fmt.Errorf("rank: flow on %s: FK ordinal %d out of range", f.Rel, f.FK)
 	}
-	et := datagraph.EdgeType{Rel: f.Rel, FK: f.FK}
-	var src int
-	if f.Forward {
-		src = db.RelIndex(f.Rel)
-	} else {
-		src = db.RelIndex(rel.FKs[f.FK].Ref)
+	owner, ref := db.RelIndex(f.Rel), db.RelIndex(rel.FKs[f.FK].Ref)
+	p := plan{
+		srcRel: owner, dstRel: ref, kind: planForward,
+		owner: owner, fk: f.FK, ownerCol: rel.ColIndex(rel.FKs[f.FK].Column),
 	}
-	for di, ed := range g.EdgeDirs(src) {
-		if ed.Type == et && ed.Forward == f.Forward {
-			kind := planForward
-			if !f.Forward {
-				kind = planBackward
-			}
-			p := plan{
-				srcRel: src, dstRel: ed.OtherIdx,
-				kind: kind, dirIdx: di,
-				ownerRel: db.RelIndex(f.Rel), ownerCol: rel.ColIndex(rel.FKs[f.FK].Column),
-			}
-			n := g.RelSize(src)
-			p.offsets = make([]int32, n+1)
-			for t := 0; t < n; t++ {
-				p.offsets[t] = int32(len(p.targets))
-				p.targets = append(p.targets, g.Neighbors(src, relational.TupleID(t), di)...)
-			}
-			p.offsets[n] = int32(len(p.targets))
-			return p, nil
-		}
+	if !f.Forward {
+		p.srcRel, p.dstRel, p.kind = ref, owner, planBackward
 	}
-	return plan{}, fmt.Errorf("rank: edge %v (forward=%v) not incident to relation ordinal %d", et, f.Forward, src)
+	n := g.RelSize(p.srcRel)
+	p.offsets = make([]int32, n+1)
+	for t := 0; t < n; t++ {
+		p.offsets[t] = int32(len(p.targets))
+		p.targets = append(p.targets, g.Along(owner, f.FK, f.Forward, relational.TupleID(t))...)
+	}
+	p.offsets[n] = int32(len(p.targets))
+	return p, nil
 }
 
 func compileJunction(g *datagraph.Graph, f Flow) (plan, error) {
@@ -348,23 +335,17 @@ func compileJunction(g *datagraph.Graph, f Flow) (plan, error) {
 	src := db.RelIndex(j.FKs[f.JFKFrom].Ref)
 	dst := db.RelIndex(j.FKs[f.JFKTo].Ref)
 	jIdx := db.RelIndex(f.Junction)
-	etFrom := datagraph.EdgeType{Rel: f.Junction, FK: f.JFKFrom}
-	etTo := datagraph.EdgeType{Rel: f.Junction, FK: f.JFKTo}
-
 	p := plan{
 		srcRel: src, dstRel: dst,
-		kind: planJunction, jRel: jIdx,
-		jFromCol: j.ColIndex(j.FKs[f.JFKFrom].Column),
-		etFrom:   etFrom, etTo: etTo,
+		kind: planJunction, owner: jIdx, fk: f.JFKFrom, fkTo: f.JFKTo,
+		ownerCol: j.ColIndex(j.FKs[f.JFKFrom].Column),
 	}
 	n := g.RelSize(src)
 	p.offsets = make([]int32, n+1)
 	for t := 0; t < n; t++ {
 		p.offsets[t] = int32(len(p.targets))
-		rows := g.NeighborsAlong(src, relational.TupleID(t), etFrom, false)
-		for _, row := range rows {
-			far := g.NeighborsAlong(jIdx, row, etTo, true)
-			p.targets = append(p.targets, far...)
+		for _, row := range g.Along(jIdx, f.JFKFrom, false, relational.TupleID(t)) {
+			p.targets = append(p.targets, g.Along(jIdx, f.JFKTo, true, row)...)
 		}
 	}
 	p.offsets[n] = int32(len(p.targets))

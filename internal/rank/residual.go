@@ -175,16 +175,10 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 	// Early out for the common streaming case: the batch touched neither
 	// the source relation nor the relation whose tuples carry this plan's
 	// edges — no row can have changed, so skip the allocations entirely.
+	owner := db.Relations[p.owner]
 	touched := len(res.Deleted[srcRel.Name])+len(res.Inserted[srcRel.Name]) > 0
-	if !touched {
-		switch p.kind {
-		case planBackward:
-			owner := db.Relations[p.ownerRel].Name
-			touched = len(res.Deleted[owner])+len(res.Inserted[owner]) > 0
-		case planJunction:
-			j := db.Relations[p.jRel].Name
-			touched = len(res.Deleted[j])+len(res.Inserted[j]) > 0
-		}
+	if !touched && p.kind != planForward {
+		touched = len(res.Deleted[owner.Name])+len(res.Inserted[owner.Name]) > 0
 	}
 	if !touched {
 		return nil
@@ -204,15 +198,9 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 			}
 		}
 	}
-	switch p.kind {
-	case planBackward:
-		owner := db.Relations[p.ownerRel]
+	if p.kind != planForward {
 		addViaLookup(owner, p.ownerCol, res.Deleted[owner.Name])
 		addViaLookup(owner, p.ownerCol, res.Inserted[owner.Name])
-	case planJunction:
-		j := db.Relations[p.jRel]
-		addViaLookup(j, p.jFromCol, res.Deleted[j.Name])
-		addViaLookup(j, p.jFromCol, res.Inserted[j.Name])
 	}
 	if len(seen) == 0 {
 		return nil
@@ -229,11 +217,11 @@ func (ps *Plans) recomputeRow(p *plan, t relational.TupleID) ([]relational.Tuple
 	var targets []relational.TupleID
 	switch p.kind {
 	case planJunction:
-		for _, row := range ps.g.NeighborsAlong(p.srcRel, t, p.etFrom, false) {
-			targets = append(targets, ps.g.NeighborsAlong(p.jRel, row, p.etTo, true)...)
+		for _, row := range ps.g.Along(p.owner, p.fk, false, t) {
+			targets = append(targets, ps.g.Along(p.owner, p.fkTo, true, row)...)
 		}
 	default:
-		nb := ps.g.Neighbors(p.srcRel, t, p.dirIdx)
+		nb := ps.g.Along(p.owner, p.fk, p.kind == planForward, t)
 		if len(nb) > 0 {
 			targets = append(make([]relational.TupleID, 0, len(nb)), nb...)
 		}
