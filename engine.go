@@ -158,10 +158,10 @@ type Engine struct {
 	// baseGDS[dsRel] is the unannotated original.
 	baseGDS map[string]*schemagraph.GDS
 	// epochs counts, per relation, the mutation batches that touched it.
-	// Everything bound to a match sequence — cursors, ranked bound tables,
-	// single-flight keys — binds to the sum over its DS
-	// relation's deps (epochForLocked): any batch inside deps can reorder,
-	// add or drop matches. A summary binds to less: see wide and subj.
+	// Everything bound to a match sequence — cursors, ranked bound tables —
+	// binds to the sum over its DS relation's deps (epochForLocked): any
+	// batch inside deps can reorder, add or drop matches. A summary binds
+	// to less: see wide and subj.
 	epochs map[string]uint64
 	// deps[dsRel] lists, sorted, the relations dsRel's G_DS touches
 	// (including junction relations): a batch outside it can change neither
@@ -535,7 +535,7 @@ func (e *Engine) Scores(setting string) (relational.DBScores, error) {
 func (e *Engine) scoresLocked(setting string) (relational.DBScores, error) {
 	sc, ok := e.scores[setting]
 	if !ok {
-		return nil, fmt.Errorf("sizelos: unknown setting %q (have %v)", setting, e.settingNamesLocked())
+		return nil, fmt.Errorf("%w: unknown setting %q (have %v)", ErrInvalidRequest, setting, e.settingNamesLocked())
 	}
 	return sc, nil
 }

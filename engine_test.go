@@ -5,11 +5,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sizelos/internal/datagen"
 	"sizelos/internal/datagraph"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
+	"sizelos/internal/searchexec"
 )
 
 // testDBLP opens a small DBLP engine once per test binary.
@@ -311,6 +313,44 @@ func TestSummaryCache(t *testing.T) {
 	}
 	if st3.Cap != st2.Cap {
 		t.Errorf("cache capacity changed on invalidation: %d vs %d", st3.Cap, st2.Cap)
+	}
+}
+
+// TestPoolWaitReprobeSharesSummary pins the engine's one guard against
+// duplicate summary work: two identical cold requests parked on a saturated
+// pool compute the subject's size-l OS once, because whichever runs second
+// re-probes the cache after its wait and serves the first one's summary.
+func TestPoolWaitReprobeSharesSummary(t *testing.T) {
+	eng := mutableDBLP(t)
+	eng.EnableSummaryCache(64)
+	pool := searchexec.NewPool(1)
+	hold, held := make(chan struct{}), make(chan struct{})
+	go pool.Do(func() { close(held); <-hold })
+	<-held
+
+	req := QueryRequest{Rel: "Author", Query: "Faloutsos", L: 5, Limit: 1, Pool: pool}
+	pages := make(chan []Summary, 2)
+	for range 2 {
+		go func() {
+			sums, _, _, err := eng.QueryPage(req)
+			if err != nil {
+				t.Error(err)
+			}
+			pages <- sums
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); pool.Stats().Waited < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool stats %+v: both requests never queued", pool.Stats())
+		}
+	}
+	close(hold)
+	a, b := <-pages, <-pages
+	if len(a) != 1 || len(b) != 1 {
+		t.Fatalf("pages of %d and %d summaries, want 1 each", len(a), len(b))
+	}
+	if a[0].Tree != b[0].Tree {
+		t.Fatalf("tuple %d was summarized twice: the second request did not re-probe the cache after its pool wait", a[0].Tuple)
 	}
 }
 

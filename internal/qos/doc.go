@@ -19,8 +19,8 @@
 //     (an EWMA over recent admissions) already exceeds a request's budget,
 //     Admit refuses immediately with ErrShed instead of queuing work that
 //     is doomed to time out. A shed or throttled request never touches
-//     the engine, the shared pool, or a single-flight group — it cannot
-//     poison a flight other waiters joined.
+//     the engine or the shared pool — it cannot poison work other
+//     requests have in flight.
 //
 //   - Every admit is paired with exactly one release; after any sequence
 //     of admits, timeouts, and sheds drains, InFlight and QueueDepth

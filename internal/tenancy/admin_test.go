@@ -353,11 +353,11 @@ func TestMutateHTTP(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestMutationDuringInFlightBatch pins a single-flight search mid-compute
-// (its pool slot is occupied), lands a mutation behind it, and asserts the
-// in-flight batch completes against the pre-mutation state while every
-// post-mutation request sees the new tuple — the cached pre-mutation
-// summaries are keyed to the old epoch and never resurface. Run with -race.
+// TestMutationDuringInFlightBatch pins a search mid-compute (its pool slot
+// is occupied), lands a mutation behind it, and asserts the in-flight page
+// completes against the pre-mutation state while every post-mutation
+// request sees the new tuple — the cached pre-mutation summaries are keyed
+// to the old stamps and never resurface. Run with -race.
 func TestMutationDuringInFlightBatch(t *testing.T) {
 	reg := NewRegistry(ServerConfig{PoolSize: 1}, nil, nil) // one pool slot so a held slot blocks all computes
 	eng := freshEngine(t, 12)

@@ -1,9 +1,8 @@
 // Package tenancy turns the single-engine library into a multi-tenant
 // search substrate: a registry owns many named (DB, Engine, Index) triples
 // in one tenant table, every tenant's summary work is bounded by one shared
-// searchexec pool, and concurrent identical requests to the same tenant are
-// batched through a per-tenant single-flight so a burst of the same hot
-// query costs one computation. cmd/ossrv serves this registry over HTTP.
+// searchexec pool, and every page is served by the tenant's engine in one
+// call. cmd/ossrv serves this registry over HTTP.
 //
 // # Invariants
 //
@@ -16,16 +15,14 @@
 //     registry alone snapshots and closes a tenant's WAL — on release,
 //     forget, rollback and shutdown.
 //   - One request struct, sizelos.QueryRequest, runs from the URL parser
-//     (queryFromURL) through Tenant.QueryPage to the engine; the
-//     single-flight key is the engine's own QueryRequest.Fingerprint plus
-//     the page (Limit, Cursor), never a second field list to keep in sync.
-//   - Single-flight batching keys embed the engine's dependency-set epoch
-//     (Engine.EpochFor) for the queried DS relation: a request issued
-//     after a mutation can never join — and inherit the result of — a
-//     flight computed against the pre-mutation state. Any future
-//     coalescing layer must preserve this or mutations become eventually
-//     visible instead of immediately visible. (A flight is a page; its
-//     summaries bind to subject stamps, so most of it is still cached.)
+//     (queryFromURL, which also fills the wire defaults) through
+//     Tenant.QueryPage to the engine, never a second field list to keep in
+//     sync.
+//   - A page is one Engine.QueryPage call under one read lock: the engine
+//     validates the request, and a page never outlives the state it read,
+//     so a request issued after a mutation sees the mutation. Concurrent
+//     identical requests share work only through the summary cache, which
+//     the engine re-probes after every pool wait.
 //   - One constructor (NewRegistry) over one configuration (ServerConfig,
 //     which ossrv's flags and -config file both lower onto).
 //   - One envelope, one bearer check, one decoder, shared with the router:

@@ -239,8 +239,9 @@ func (r *Registry) resolveTenant(w http.ResponseWriter, name string) (*Tenant, b
 
 // queryFromURL lowers the /search and /ranked URL parameters onto the
 // engine's QueryRequest — the one place the wire names (rel q l limit k
-// cursor setting algo) meet the request struct. What it cannot know without
-// the engine (l >= 1, the algorithm name) the engine validates itself
+// cursor setting algo) and their defaults (l 15, /ranked's k 10) meet the
+// request struct. What it cannot know without the engine (l >= 1, the
+// algorithm and setting names) the engine validates itself
 // (sizelos.ErrInvalidRequest, a 400 like the rejections here).
 func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) {
 	q := sizelos.QueryRequest{
@@ -252,6 +253,9 @@ func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) 
 		RankBySummary: ranked,
 		Cursor:        params.Get("cursor"),
 	}
+	if ranked {
+		q.K = 10
+	}
 	if q.Rel == "" || q.Query == "" {
 		return q, BadRequest("rel and q parameters are required")
 	}
@@ -261,7 +265,7 @@ func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) 
 		return q, BadRequest("topk is no longer accepted: use limit")
 	}
 	// k belongs to /ranked; accepting it on /search would silently do
-	// nothing (and fragment single-flight batching), so reject it outright.
+	// nothing, so reject it outright.
 	if !ranked && params.Get("k") != "" {
 		return q, BadRequest("k applies to /ranked only (use limit on /search)")
 	}
@@ -297,17 +301,11 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 		return
 	}
 	// Client-input problems must surface as 400s, not 500s (or, for an
-	// unknown relation, as the engine's empty answer): validate the names
-	// the engine would not reject as ErrInvalidRequest.
+	// unknown relation, as the engine's empty answer): validate the one
+	// name the engine would not reject as ErrInvalidRequest.
 	if t.Engine.DB().Relation(q.Rel) == nil {
 		WriteError(w, BadRequest("unknown relation %q", q.Rel))
 		return
-	}
-	if q.Setting != "" {
-		if _, err := t.Engine.Scores(q.Setting); err != nil {
-			WriteError(w, BadRequest("%v", err))
-			return
-		}
 	}
 	page, err := t.QueryPage(q)
 	if err != nil {

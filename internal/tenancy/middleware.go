@@ -42,7 +42,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // recoverMiddleware is the outermost layer: a panicking handler (or
-// single-flight leader) becomes a JSON 500 envelope instead of an aborted
+// recovery-flight leader) becomes a JSON 500 envelope instead of an aborted
 // connection, and the panic never takes the process down.
 func recoverMiddleware() Middleware {
 	return func(next http.Handler) http.Handler {
@@ -97,10 +97,9 @@ const (
 
 // qosMiddleware enforces the addressed tenant's rate limit and admission
 // control around the handler. Refusals never reach the handler — a
-// throttled or shed request cannot join (or poison) a single-flight
-// group, touch the shared pool, or queue doomed work. Unknown tenant
-// names pass through untouched for the handler's own 404, so probes
-// cannot materialize limiter state.
+// throttled or shed request never touches the shared pool or the engine,
+// and queues no doomed work. Unknown tenant names pass through untouched
+// for the handler's own 404, so probes cannot materialize limiter state.
 func (r *Registry) qosMiddleware(class trafficClass) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

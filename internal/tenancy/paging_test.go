@@ -12,11 +12,13 @@ import (
 	"testing"
 
 	"sizelos"
+	"sizelos/internal/keyword"
 	"sizelos/internal/relational"
 )
 
 // pagingServer registers a private engine (its own seed — pagination tests
-// mutate it) and returns the test server plus a matching keyword.
+// mutate it) and returns the test server plus a keyword that at least three
+// authors share, so a limit-1 walk turns pages.
 func pagingServer(t *testing.T, seed int64) (*httptest.Server, *Tenant, string) {
 	t.Helper()
 	eng := testEngine(t, seed)
@@ -27,7 +29,40 @@ func pagingServer(t *testing.T, seed int64) (*httptest.Server, *Tenant, string) 
 	}
 	srv := httptest.NewServer(reg.Handler())
 	t.Cleanup(srv.Close)
-	return srv, tn, authorQuery(t, eng)
+	return srv, tn, sharedAuthorQuery(t, eng)
+}
+
+// sharedAuthorQuery returns the rarest keyword that at least three Author
+// tuples contain (ties to the smallest), read off the fixture itself.
+func sharedAuthorQuery(t *testing.T, eng *sizelos.Engine) string {
+	t.Helper()
+	const n = 3
+	rel := eng.DB().Relation("Author")
+	holders := map[string]int{}
+	for _, tup := range rel.Tuples {
+		seen := map[string]bool{}
+		for ci, col := range rel.Columns {
+			if col.Kind != relational.KindString {
+				continue
+			}
+			for _, tok := range keyword.Tokenize(tup[ci].Str) {
+				if !seen[tok] {
+					seen[tok] = true
+					holders[tok]++
+				}
+			}
+		}
+	}
+	best := ""
+	for tok, c := range holders {
+		if c >= n && (best == "" || c < holders[best] || c == holders[best] && tok < best) {
+			best = tok
+		}
+	}
+	if best == "" {
+		t.Fatalf("no keyword is shared by %d authors of the fixture", n)
+	}
+	return best
 }
 
 func getJSON(t *testing.T, url string, wantStatus int, into any) {
@@ -57,8 +92,8 @@ func TestHTTPPaginationWalk(t *testing.T) {
 
 	var full SearchResponse
 	getJSON(t, fmt.Sprintf("%s/v1/acme/search?rel=Author&q=%s&l=6", srv.URL, q), http.StatusOK, &full)
-	if full.Count < 2 {
-		t.Skipf("fixture keyword %q matched %d authors; need >= 2 to page", q, full.Count)
+	if full.Count < 3 {
+		t.Fatalf("fixture keyword %q matched %d authors; need >= 3 to page", q, full.Count)
 	}
 	if full.Cursor != "" {
 		t.Fatalf("unpaged response carries cursor %q", full.Cursor)
@@ -178,7 +213,7 @@ func TestHTTPCursorInvalidatedByMutation(t *testing.T) {
 	var page SearchResponse
 	getJSON(t, fmt.Sprintf("%s/v1/acme/search?rel=Author&q=%s&l=6&limit=1", srv.URL, q), http.StatusOK, &page)
 	if page.Cursor == "" {
-		t.Skipf("fixture keyword %q matched too few authors to leave a cursor", q)
+		t.Fatalf("fixture keyword %q matched too few authors to leave a cursor", q)
 	}
 
 	// A cursor bound to one query must not leak into another (different l

@@ -214,17 +214,17 @@ func TestMutateRateLimitIndependent(t *testing.T) {
 	}
 }
 
-// TestThrottleDoesNotPoisonFlight is the shed-vs-single-flight invariant:
-// a rate-limited request identical to one already in flight is refused in
-// middleware, before it could join (or cancel) the flight — the leader and
-// any joined waiter must complete untouched.
+// TestThrottleDoesNotPoisonFlight is the refusal-leaves-in-flight-work
+// invariant: a rate-limited request identical to two already in flight is
+// refused in middleware, before it reaches the pool or the engine — both
+// in-flight requests must complete untouched, with the same answer.
 func TestThrottleDoesNotPoisonFlight(t *testing.T) {
 	cfg := qos.Config{Tenants: map[string]qos.Limits{
 		"demo": {SearchRate: 0.001, SearchBurst: 2},
 	}}
 	reg, _, searchURL := qosServer(t, 82, cfg)
 
-	// Pin the single pool slot so the flight leader blocks mid-handler.
+	// Pin the single pool slot so the in-flight requests block mid-handler.
 	held, release := make(chan struct{}), make(chan struct{})
 	var holder sync.WaitGroup
 	holder.Add(1)
@@ -253,21 +253,19 @@ func TestThrottleDoesNotPoisonFlight(t *testing.T) {
 		}
 		results <- result{resp.StatusCode, string(body)}
 	}
-	// A is the flight leader; it consumes token 1 and blocks on the pinned
-	// pool. The flight registers before the pool wait, so once the pool
-	// reports a waiter, any identical request joins A's flight.
+	// A consumes token 1 and blocks on the pinned pool.
 	go get()
 	waitForCond(t, time.Second, func() bool { return reg.Pool().Stats().Waited >= 1 })
-	// B joins the flight (token 2). Wait until B's request has passed the
-	// bucket before sending C — otherwise C could race B to the last token
-	// and become the flight joiner itself.
+	// B consumes token 2 and queues behind A. Wait until B's request has
+	// passed the bucket before sending C — otherwise C could race B to the
+	// last token and be admitted itself.
 	go get()
 	waitForCond(t, time.Second, func() bool {
 		return reg.limiterFor("demo").Stats().Search.Allowed >= 2
 	})
 
 	// C is refused by the empty bucket in middleware — instantly, without
-	// touching the flight or the pool.
+	// touching the pool or the engine.
 	start := time.Now()
 	resp, err := http.Get(searchURL)
 	if err != nil {
@@ -285,10 +283,10 @@ func TestThrottleDoesNotPoisonFlight(t *testing.T) {
 	holder.Wait()
 	a, b := <-results, <-results
 	if a.status != http.StatusOK || b.status != http.StatusOK {
-		t.Fatalf("flight participants = %d / %d, want 200 / 200 (refusal poisoned the flight?)", a.status, b.status)
+		t.Fatalf("in-flight requests = %d / %d, want 200 / 200 (refusal poisoned them?)", a.status, b.status)
 	}
 	if a.body != b.body {
-		t.Errorf("flight participants disagree:\n%s\n%s", a.body, b.body)
+		t.Errorf("in-flight requests disagree:\n%s\n%s", a.body, b.body)
 	}
 }
 
@@ -495,7 +493,7 @@ func TestFairnessUnderAbuse(t *testing.T) {
 	defer srv.Close()
 	q := authorQuery(t, eng)
 	urlFor := func(tenant string, i int) string {
-		// Vary l so requests don't all collapse into one flight/cache entry:
+		// Vary l so requests don't all collapse into one cache entry:
 		// the closed loop must exercise real work, deterministically (seeded
 		// engine, fixed modulus — no wall-clock randomness).
 		return fmt.Sprintf("%s/v1/%s/search?rel=Author&q=%s&l=%d", srv.URL, tenant, q, 5+i%7)

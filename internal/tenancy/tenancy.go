@@ -30,8 +30,7 @@ type Tenant struct {
 	Engine      *sizelos.Engine
 	CacheBudget int
 
-	pool    *searchexec.Pool
-	flights pageFlights
+	pool *searchexec.Pool
 	// What this tenant's batches did to the summary cache, for /stats: how
 	// many stamped subjects only, how many invalidated a whole DS relation,
 	// and the subjects stamped (sizelos.MutationResult.Footprint).
@@ -565,49 +564,20 @@ type Page struct {
 	Stats sizelos.QueryStats
 }
 
-// flightKey canonicalizes a request for single-flight batching: the
-// engine's one fingerprint of the sequence-shaping fields, plus the page
-// (Limit and Cursor: different pages of one query are different
-// computations), plus the DS relation's invalidation epoch. The epoch
-// matters because a leader whose engine call has returned but whose flight
-// entry hasn't been unregistered yet could otherwise be joined by a request
-// arriving after a completed mutation, handing it pre-mutation summaries;
-// with the epoch in the key, post-mutation requests hash to a fresh flight
-// and always recompute (or hit the epoch-keyed cache). The flights are per
-// tenant, so a 64-bit fingerprint collision could at worst hand a tenant
-// the page of another of its own concurrently running queries.
-type flightKey struct {
-	fingerprint uint64
-	limit       int
-	cursor      string
-	epoch       uint64
-}
-
 // QueryPage serves one page of req (Limit/Cursor) through the shared pool
-// under the tenant's cache scope. Concurrent identical requests are
-// batched: one computation runs, every caller receives the same summaries
-// (read-only by the engine's cache contract).
+// under the tenant's cache scope: one Engine.QueryPage call.
 func (t *Tenant) QueryPage(req sizelos.QueryRequest) (Page, error) {
 	req.Pool, req.CacheScope = t.pool, t.Name
-	// Default K before fingerprinting so an omitted k and an explicit k=10
-	// batch as the identical computation they are.
-	if req.RankBySummary && req.K <= 0 {
-		req.K = 10
-	}
-	key := flightKey{req.Fingerprint(), req.Limit, req.Cursor, t.Engine.EpochFor(req.Rel)}
-	return t.flights.do(key, func() (Page, error) {
-		sums, cursor, stats, err := t.Engine.QueryPage(req)
-		return Page{Summaries: sums, Cursor: cursor, Stats: stats}, err
-	})
+	sums, cursor, stats, err := t.Engine.QueryPage(req)
+	return Page{Summaries: sums, Cursor: cursor, Stats: stats}, err
 }
 
 // Mutate applies one atomic batch of tuple mutations to the tenant's
 // engine. The engine serializes the batch against this tenant's (and any
 // engine-sharing sibling's) in-flight searches and stamps the subjects the
 // batch reaches, so no post-mutation request is ever served a pre-mutation
-// summary of one. Single-flight batches that are already executing finish
-// against the pre-mutation state; their results are keyed to the old epoch
-// and never reused afterwards.
+// summary of one. Pages already executing finish against the pre-mutation
+// state, under the read lock the batch waits for.
 func (t *Tenant) Mutate(b sizelos.MutationBatch) (sizelos.MutationResult, error) {
 	res, err := t.Engine.Mutate(b)
 	batches := &t.footprintBatches
@@ -624,9 +594,9 @@ func (t *Tenant) Mutate(b sizelos.MutationBatch) (sizelos.MutationResult, error)
 }
 
 // flight is one in-flight computation that concurrent callers share
-// instead of repeating it: a tenant's recovery or creation (held by its
-// registry entry) or one query page (held by the tenant's pageFlights).
-// Unlike a cache, an outcome is not retained once the flight has landed.
+// instead of repeating it: a tenant's recovery or creation, held by its
+// registry entry. Unlike a cache, an outcome is not retained once the
+// flight has landed.
 type flight[V any] struct {
 	done chan struct{}
 	val  V
@@ -642,9 +612,9 @@ func (f *flight[V]) wait() (V, error) {
 }
 
 // run computes the flight's outcome with fn on the leader's goroutine,
-// then lands it: land unregisters the flight wherever it is held, and
-// every waiter wakes. It lands even if fn panics (net/http recovers
-// handler panics) — otherwise every later caller of the key would block on
+// then lands it: land unregisters the flight from its entry, and every
+// waiter wakes. It lands even if fn panics (net/http recovers handler
+// panics) — otherwise every later caller of the name would block on
 // a wedged flight. Waiters on a panicked flight get an error, not a silent
 // zero value; the panic itself propagates from the leader's goroutine.
 func (f *flight[V]) run(fn func() (V, error), land func()) (V, error) {
@@ -659,38 +629,4 @@ func (f *flight[V]) run(fn func() (V, error), land func()) (V, error) {
 	f.val, f.err = fn()
 	completed = true
 	return f.val, f.err
-}
-
-// pageFlights coalesces a tenant's concurrent identical page requests into
-// one flight whose result every waiter shares — the request-batching layer
-// under the HTTP service.
-type pageFlights struct {
-	mu    sync.Mutex
-	calls map[flightKey]*flight[Page]
-}
-
-// inFlight reports how many keys are currently executing.
-func (g *pageFlights) inFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.calls)
-}
-
-func (g *pageFlights) do(key flightKey, fn func() (Page, error)) (Page, error) {
-	g.mu.Lock()
-	if f, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		return f.wait()
-	}
-	if g.calls == nil {
-		g.calls = make(map[flightKey]*flight[Page])
-	}
-	f := newFlight[Page]()
-	g.calls[key] = f
-	g.mu.Unlock()
-	return f.run(fn, func() {
-		g.mu.Lock()
-		delete(g.calls, key)
-		g.mu.Unlock()
-	})
 }

@@ -6,9 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sizelos"
@@ -116,7 +114,7 @@ func engineSearch(eng *sizelos.Engine, rel, q string, l int) ([]sizelos.Summary,
 }
 
 // TestTenantSearchMatchesEngine verifies the tenancy layer adds pooling and
-// batching without changing results.
+// a cache scope without changing results.
 func TestTenantSearchMatchesEngine(t *testing.T) {
 	eng := testEngine(t, 1)
 	reg := NewRegistry(ServerConfig{PoolSize: 2}, nil, nil)
@@ -140,57 +138,6 @@ func TestTenantSearchMatchesEngine(t *testing.T) {
 		if got[i].Text != want[i].Text || got[i].Tuple != want[i].Tuple {
 			t.Fatalf("result %d diverges: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestFlightGroupBatches proves concurrent identical requests run the
-// underlying computation once.
-func TestFlightGroupBatches(t *testing.T) {
-	var g pageFlights
-	var calls atomic.Int32
-	gate := make(chan struct{})
-	const waiters = 8
-	results := make([][]sizelos.Summary, waiters)
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := g.do(flightKey{cursor: "same-key"}, func() (Page, error) {
-				calls.Add(1)
-				<-gate // hold every other caller in the wait path
-				return Page{Summaries: []sizelos.Summary{{Headline: "shared"}}}, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = res.Summaries
-		}(i)
-	}
-	// Let the goroutines pile onto the in-flight call, then release it.
-	for g.inFlight() == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-	if n := calls.Load(); n < 1 || n > waiters {
-		t.Fatalf("calls = %d", n)
-	}
-	for i, res := range results {
-		if len(res) != 1 || res[0].Headline != "shared" {
-			t.Fatalf("waiter %d got %+v", i, res)
-		}
-	}
-	// After the flight lands, the next call computes afresh.
-	before := calls.Load()
-	if _, err := g.do(flightKey{cursor: "same-key"}, func() (Page, error) {
-		calls.Add(1)
-		return Page{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != before+1 {
-		t.Error("post-flight call did not recompute")
 	}
 }
 
@@ -266,7 +213,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&l=0", q), http.StatusBadRequest, nil)
 	// Client typos in engine-level names are 400s, not 500s.
 	get(t, "/v1/acme/search?rel=Ghost&q=x", http.StatusBadRequest, nil)
-	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&setting=GA9-d9", q), http.StatusBadRequest, nil)
+	var badSetting ErrorResponse
+	get(t, fmt.Sprintf("/v1/acme/search?rel=Author&q=%s&setting=GA9-d9", q), http.StatusBadRequest, &badSetting)
+	if badSetting.Error.Code != CodeBadRequest {
+		t.Errorf("unknown setting: code %q, want %q", badSetting.Error.Code, CodeBadRequest)
+	}
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&algo=quantum", q), http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("/v1/acme/ranked?rel=Author&q=%s&l=0", q), http.StatusBadRequest, nil)
 	// ...whether or not the keywords hit: the engine validates before it

@@ -570,9 +570,6 @@ func (e *Engine) CompactNow() ([]string, error) {
 
 // EpochFor returns the dependency-set epoch of one DS relation: the summed
 // epochs of every relation its G_DS can reach (the value cursors embed).
-// Request-coalescing layers fold it into their batching keys so a request
-// issued after a mutation can never join — and inherit the result of — a
-// pre-mutation computation.
 func (e *Engine) EpochFor(dsRel string) uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

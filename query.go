@@ -32,10 +32,11 @@ var ErrStreamInvalidated = errors.New("sizelos: stream invalidated by mutation")
 var ErrCursorMalformed = errors.New("sizelos: malformed cursor")
 
 // ErrInvalidRequest reports a QueryRequest no database state could serve:
-// L < 1, an unknown Algorithm, a negative Limit or K, a Rel that is a
-// relation without a registered G_DS. It is raised before any match is
-// looked at, so the verdict never depends on whether the keywords hit. HTTP
-// maps it to 400 Bad Request.
+// L < 1, an unknown Algorithm or Setting (settings are fixed at
+// construction), a negative Limit or K, a Rel that is a relation without a
+// registered G_DS. It is raised before any match is looked at, so the
+// verdict never depends on whether the keywords hit. HTTP maps it to 400
+// Bad Request.
 var ErrInvalidRequest = errors.New("sizelos: invalid query request")
 
 // QueryRequest is the one request currency from the HTTP handler to the
@@ -134,14 +135,12 @@ func (req QueryRequest) cut(n int) int {
 	return n
 }
 
-// Fingerprint hashes every request parameter that shapes the result
+// fingerprint hashes every request parameter that shapes the result
 // sequence (not the paging: Limit, Cursor and Pool change how the sequence
-// is consumed, never what it contains), with defaults resolved so
-// an omitted and an explicit default agree. A cursor binds to this value so
-// it can only resume the query that minted it, and request-coalescing
-// layers key on it.
-func (req QueryRequest) Fingerprint() uint64 {
-	req, _ = req.resolve() // an invalid request still hashes; it never runs
+// is consumed, never what it contains). req must be resolved, so an omitted
+// and an explicit default agree. A cursor binds to this value so it can
+// only resume the query that minted it.
+func (req QueryRequest) fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s\x00%s\x00%t\x00%d\x00%t\x00%t\x00%s",
 		req.Rel, req.Query, req.L, req.Setting, req.Algorithm,
@@ -235,7 +234,7 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 		if err != nil {
 			return nil, "", QueryStats{}, err
 		}
-		if resume.Fingerprint != req.Fingerprint() {
+		if resume.Fingerprint != req.fingerprint() {
 			return nil, "", QueryStats{}, fmt.Errorf("%w: cursor belongs to a different query", ErrStreamInvalidated)
 		}
 		if resume.Epoch != epoch {
@@ -296,7 +295,7 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 	}
 	cursor := ""
 	if more {
-		cursor = encodeCursor(cursorWire{Fingerprint: req.Fingerprint(), Epoch: epoch, Consumed: uint64(position)})
+		cursor = encodeCursor(cursorWire{Fingerprint: req.fingerprint(), Epoch: epoch, Consumed: uint64(position)})
 	}
 	return page, cursor, stats, nil
 }

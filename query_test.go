@@ -557,8 +557,8 @@ func TestQueryRequestValidation(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "x", L: 5, Setting: "nope"}); err == nil {
-		t.Fatal("unknown setting accepted")
+	if _, _, _, err := eng.QueryPage(QueryRequest{Rel: "Author", Query: "x", L: 5, Setting: "nope"}); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("unknown setting: error = %v, want ErrInvalidRequest", err)
 	}
 	// Unknown relation: empty answer, no error — the seed's contract.
 	sums, cursor, _, err := eng.QueryPage(QueryRequest{Rel: "Nope", Query: "x", L: 5})
@@ -595,7 +595,7 @@ func TestQueryRequestFieldClassification(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolve(%+v): %v", req, err)
 		}
-		return eng.summaryKeyFor(resolved, 0), req.Fingerprint()
+		return eng.summaryKeyFor(resolved, 0), resolved.fingerprint()
 	}
 	baseKey, baseFP := observe(base)
 
