@@ -193,6 +193,30 @@ func BenchmarkFig10SizeL(b *testing.B) {
 			})
 		}
 	}
+	// The exact method at a large l, on the prelim-l OS a TPC-H Supplier
+	// summary at algo=dp&l=1000 computes, built the way the engine builds it.
+	e := getEnv(b)
+	scores, err := e.tpch.Scores(sizelos.DefaultSetting)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gds, err := e.tpch.GDS("Supplier", sizelos.DefaultSetting)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const bigL = 1000
+	supplier, _, err := sizel.PrelimL(ostree.NewGraphSource(e.tpch.Graph(), scores), gds, e.tpchRoots[0], bigL,
+		sizel.PrelimOptions{MaxDepth: bigL - 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("dp/l=%d/supplier_prelim", bigL), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sizel.DP(context.Background(), supplier, bigL); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFig10eScalability times Bottom-Up (the fastest method) on OSs of

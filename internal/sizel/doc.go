@@ -5,7 +5,11 @@
 //
 // Four algorithms are provided:
 //
-//   - DP (Algorithm 1): exact dynamic programming over the tree.
+//   - DP (Algorithm 1): exact dynamic programming over the tree, a
+//     tree knapsack whose merges only try budgets a subtree can fill,
+//     O(n·min(n, l)). Every budget it leaves out holds no candidate, so it
+//     returns the nodes and Im(S) bits of the unbounded O(n·l²) merge
+//     (TestDPMatchesReference keeps that merge as its oracle).
 //   - BruteForce: exhaustive enumeration of candidate size-l OSs, feasible
 //     only on tiny trees; used to verify DP in tests.
 //   - BottomUp (Algorithm 2): greedy leaf pruning with a priority queue,

@@ -2,7 +2,6 @@ package sizel
 
 import (
 	"context"
-	"fmt"
 
 	"sizelos/internal/ostree"
 )
@@ -14,9 +13,17 @@ import (
 //
 // The paper's analysis treats the child-combination step as exhaustive
 // (O(n^l) overall); the knapsack merge here explores the same solution
-// space exactly in O(n·l²) — still far costlier than the greedy heuristics,
-// preserving the efficiency ordering of Figure 10 (see
-// docs/EXPERIMENTS.md).
+// space exactly. A merge only tries budgets the subtrees can fill: child c,
+// holding size(c) usable nodes, joins the acc nodes merged before it at
+// budgets j ≤ min(cap−1, acc+size(c)) with shares
+// max(1, j−acc) ≤ k ≤ min(size(c), j), so the whole DP costs
+// O(n·min(n, l)) time and table space. Every (j, k) left out is one where
+// the merged children hold no j−k-node selection or the child no k-node
+// subtree — a candidate the unbounded O(n·l²) merge skips too — so the
+// candidates that remain are compared in the same ascending-k order under
+// the same strict >, and the selection and its Im(S) are bit-identical to
+// that merge's (TestDPMatchesReference). Figure 10 times it against the
+// greedy heuristics (see docs/EXPERIMENTS.md).
 //
 // The context lets callers abort long runs (the paper stopped DP after 30
 // minutes on large OSs); on cancellation DP returns ctx.Err().
@@ -29,119 +36,99 @@ func DP(ctx context.Context, t *ostree.Tree, l int) (Result, error) {
 		return wholeTree(t, name), nil
 	}
 
+	// Generate appends in BFS order, so children always have higher ids
+	// than parents: reverse arena order is a valid bottom-up schedule.
+	// The pre-pass sizes the arenas. size is the usable nodes (depth < l,
+	// footnote 1) of a node's subtree, 0 for an unusable node; best is the
+	// offset of its row best[i], i ≤ min(cap, size) with cap = l − depth:
+	// the max importance of an i-node subtree rooted at it. take is the
+	// offset of the row, indexed by budget j, of how many nodes the winning
+	// combination of its parent assigned to it when it was merged.
 	n := t.Len()
-	// best[v] has length cap(v)+1 where cap(v) = l - depth(v):
-	// best[v][i] = max importance of an i-node subtree rooted at v
-	// (i=0 → 0, i>=1 includes v). take[v] records, per child position and
-	// node budget, how many nodes the winning combination assigned to that
-	// child.
-	best := make([][]float64, n)
-	take := make([][][]int16, n)
+	meta := make([]struct{ size, best, take int }, n)
+	nBest, nTake := 0, 0
+	for v := n - 1; v >= 0; v-- {
+		capV := l - int(t.Nodes[v].Depth)
+		if capV <= 0 {
+			continue
+		}
+		acc := 0
+		for _, c := range t.Nodes[v].Children {
+			if meta[c].size > 0 {
+				acc += meta[c].size
+				meta[c].take, nTake = nTake, nTake+min(capV-1, acc)+1
+			}
+		}
+		meta[v].size, meta[v].best = 1+acc, nBest
+		nBest += min(capV, 1+acc) + 1
+	}
+	best := make([]float64, nBest)
+	take := make([]int16, nTake)
+	// comb[j] = best importance of j nodes drawn from the children merged
+	// so far; only j ≤ acc is ever read.
+	comb := make([]float64, min(l, meta[0].size))
 
-	// Process nodes in reverse arena order: Generate appends in BFS order,
-	// so children always have higher ids than parents — reverse order is a
-	// valid bottom-up schedule.
 	for v := n - 1; v >= 0; v-- {
 		if ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
+		m := meta[v]
+		if m.size == 0 {
+			continue
+		}
 		node := &t.Nodes[v]
 		capV := l - int(node.Depth)
-		if capV <= 0 {
-			continue // deeper than l-1: unusable (footnote 1)
-		}
-		row := make([]float64, capV+1)
-		for i := 1; i <= capV; i++ {
-			row[i] = negInf
-		}
-		// comb[j] = best importance using the first c children with j
-		// selected nodes in total.
-		comb := make([]float64, capV) // at most capV-1 child nodes used
-		for j := 1; j < len(comb); j++ {
-			comb[j] = negInf
-		}
-		usable := usableChildren(t, node, l)
-		takeV := make([][]int16, len(usable))
-		for ci, c := range usable {
-			childBest := best[c]
-			tk := make([]int16, len(comb))
-			for i := range tk {
-				tk[i] = -1
+		comb[0] = 0
+		acc := 0
+		for _, c := range node.Children {
+			s := meta[c].size
+			if s == 0 {
+				continue
 			}
-			// Merge child c into comb, iterating budgets downward so each
-			// child is counted once.
-			for j := len(comb) - 1; j >= 0; j-- {
-				bestVal := comb[j]
-				bestTake := int16(0)
-				maxFromChild := len(childBest) - 1
-				if maxFromChild > j {
-					maxFromChild = j
+			childBest, tk := best[meta[c].best:], take[meta[c].take:]
+			// Iterate budgets downward so each child is counted once.
+			for j := min(capV-1, acc+s); j >= 0; j-- {
+				bestVal, bestTake := negInf, int16(0)
+				if j <= acc {
+					bestVal = comb[j]
 				}
-				for k := 1; k <= maxFromChild; k++ {
-					if comb[j-k] == negInf || childBest[k] == negInf {
-						continue
-					}
+				for k, hi := max(1, j-acc), min(s, j); k <= hi; k++ {
 					if val := comb[j-k] + childBest[k]; val > bestVal {
-						bestVal = val
-						bestTake = int16(k)
+						bestVal, bestTake = val, int16(k)
 					}
 				}
-				comb[j] = bestVal
-				tk[j] = bestTake
+				comb[j], tk[j] = bestVal, bestTake
 			}
-			takeV[ci] = tk
+			acc += s
 		}
-		for i := 1; i <= capV; i++ {
-			if i-1 < len(comb) && comb[i-1] != negInf {
-				row[i] = node.Weight + comb[i-1]
-			}
+		row := best[m.best : m.best+min(capV, m.size)+1]
+		for i := 1; i < len(row); i++ {
+			row[i] = node.Weight + comb[i-1]
 		}
-		best[v] = row
-		take[v] = takeV
 	}
 
-	if best[0] == nil || l >= len(best[0]) || best[0][l] == negInf {
-		// Fewer than l usable nodes (depth exclusions): fall back to the
-		// largest feasible size.
-		feasible := l
-		for feasible > 0 && (feasible >= len(best[0]) || best[0][feasible] == negInf) {
-			feasible--
-		}
-		if feasible == 0 {
-			return Result{}, fmt.Errorf("sizel: no feasible size-%d OS", l)
-		}
-		l = feasible
-	}
-
-	// Reconstruct the chosen selection.
-	var chosen []ostree.NodeID
-	var rec func(v int, budget int)
-	rec = func(v int, budget int) {
+	// Fewer than l usable nodes (depth exclusions): the largest feasible
+	// size is all of them.
+	l = min(l, meta[0].size)
+	chosen := make([]ostree.NodeID, 0, l)
+	var rec func(v, budget int)
+	rec = func(v, budget int) {
 		chosen = append(chosen, ostree.NodeID(v))
 		remaining := budget - 1
-		usable := usableChildren(t, &t.Nodes[v], l)
-		for ci := len(usable) - 1; ci >= 0 && remaining > 0; ci-- {
-			k := int(take[v][ci][remaining])
-			if k > 0 {
-				rec(int(usable[ci]), k)
+		children := t.Nodes[v].Children
+		for ci := len(children) - 1; ci >= 0 && remaining > 0; ci-- {
+			c := children[ci]
+			if meta[c].size == 0 {
+				continue
+			}
+			if k := int(take[meta[c].take+remaining]); k > 0 {
+				rec(int(c), k)
 				remaining -= k
 			}
 		}
 	}
 	rec(0, l)
 	return normalize(t, chosen, name), nil
-}
-
-// usableChildren filters children that can contribute at least one node
-// (depth < l).
-func usableChildren(t *ostree.Tree, n *ostree.Node, l int) []ostree.NodeID {
-	out := make([]ostree.NodeID, 0, len(n.Children))
-	for _, c := range n.Children {
-		if int(t.Nodes[c].Depth) < l {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 var negInf = float64(-1 << 60)
