@@ -46,7 +46,7 @@ type Algorithm string
 
 // The available size-l algorithms (paper §4 and §5).
 const (
-	// AlgoDP is the exact dynamic program (Algorithm 1). Slow on large OSs.
+	// AlgoDP is the exact dynamic program (Algorithm 1), O(n·min(n, l)).
 	AlgoDP Algorithm = "dp"
 	// AlgoBottomUp is greedy leaf pruning (Algorithm 2): fastest.
 	AlgoBottomUp Algorithm = "bottom-up"
@@ -185,6 +185,9 @@ type Engine struct {
 	// under the read lock, ordered by boundsMu; writers hold mu exclusively.
 	boundsMu sync.Mutex
 	bounds   map[boundKey]*boundTable
+	// arenas are the trees evaluate builds prelim-l OSs into, up to one per
+	// P that can build at once; a summary keeps only a compact copy.
+	arenas chan *ostree.Tree
 	// mlog, when non-nil, receives every committed mutation before Mutate
 	// acknowledges it — the durability hook (SetMutationLog). Appends run
 	// under mu's write side, so records land in commit order.
@@ -248,6 +251,7 @@ func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		scores:          make(map[string]relational.DBScores, len(settings)),
 		rawScores:       make(map[string]relational.DBScores, len(settings)),
 		relMax:          make(map[string]map[string]float64, len(settings)),
+		arenas:          make(chan *ostree.Tree, runtime.GOMAXPROCS(0)),
 	}
 	for _, r := range db.Relations {
 		e.epochs[r.Name] = 0
@@ -584,24 +588,23 @@ type Summary struct {
 	Headline string
 	// Result holds the selected nodes and Im(S).
 	Result sizel.Result
-	// Tree is the OS the selection indexes into (prelim-l or complete).
+	// Tree is the size-l OS itself, compacted out of the prelim-l or
+	// complete OS it was selected from: Result.Nodes are 0..Len()-1.
 	Tree *ostree.Tree
 	// Text is the rendered size-l OS in the style of Example 5.
 	Text string
 }
 
 // kernel is what one request's evaluations share on its goroutine: the
-// extraction source, made at the first, and the trees a ranked loop dropped,
-// which the next are built into. Nothing in it outlives the request.
+// extraction source, made at the first. Nothing in it outlives the request.
 type kernel struct {
-	src  *ostree.GraphSource
-	free []*ostree.Tree
+	src *ostree.GraphSource
 }
 
 // scored is one evaluated subject: its summary (rendered if the cache served
 // it or the caller asked, else DSRel, Tuple, Result and Tree only); the
-// prefix sums of its tree's l largest local importances, descending, so
-// top[i-1] bounds Im(S) of any i of its tuples from above (nil on a cache
+// prefix sums of its prelim-l OS's l largest local importances, descending,
+// so top[i-1] bounds Im(S) of any i of its tuples from above (nil on a cache
 // hit); and whether top sealed it under the caller's threshold unselected,
 // leaving Result empty (a ranking remembers an unsealed Result.Importance).
 type scored struct {
@@ -765,10 +768,10 @@ func (e *Engine) SizeL(req QueryRequest, tuple relational.TupleID) (Summary, err
 	return sc.sum, err
 }
 
-// evaluate is the first half of a summary computation: source → tree →
-// select; Headline and Text are left to materialize. The tree is built into
-// one k has spare. When its bound at l is under tau (sealedBy) the selection
-// is skipped too and the tree goes back to k; tau = -Inf always selects.
+// evaluate is the first half of a summary computation: source → prelim-l
+// tree → select → compact; Headline and Text are left to materialize. The
+// tree is built into an arena from e.arenas, given back on return. When its
+// bound at l is under tau (sealedBy) selection is skipped; -Inf selects.
 func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float64, k *kernel) (scored, error) {
 	dsRel, l := req.Rel, req.L
 	sc, err := e.scoresLocked(req.Setting)
@@ -783,24 +786,30 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 		k.src = ostree.NewGraphSource(e.graph, sc)
 	}
 
-	var into *ostree.Tree
-	if n := len(k.free); n > 0 {
-		into, k.free = k.free[n-1], k.free[:n-1]
+	var arena *ostree.Tree // nil: PrelimL makes one
+	select {
+	case arena = <-e.arenas:
+	default:
 	}
 	// With both avoidance conditions off, PrelimL builds the complete OS.
 	tree, stats, err := sizel.PrelimL(k.src, gds, tuple, l, sizel.PrelimOptions{
-		MaxDepth: l - 1, DisableAC1: req.Complete, DisableAC2: req.Complete, Into: into,
+		MaxDepth: l - 1, DisableAC1: req.Complete, DisableAC2: req.Complete, Into: arena,
 	})
 	if err != nil {
 		return scored{}, err
 	}
+	defer func() {
+		select {
+		case e.arenas <- tree:
+		default:
+		}
+	}()
 	top := stats.TopWeights
 	for i := 1; i < len(top); i++ {
 		top[i] += top[i-1]
 	}
 	out := scored{sum: Summary{DSRel: dsRel, Tuple: tuple}, top: top}
 	if out.sealed = sealedBy(top[len(top)-1], tau); out.sealed {
-		k.free = append(k.free, tree)
 		return out, nil
 	}
 
@@ -818,14 +827,15 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 	if err != nil {
 		return scored{}, err
 	}
-	out.sum.Tree = tree
+	out.sum.Tree = tree.Compact(out.sum.Result.Nodes)
+	copy(out.sum.Result.Nodes, ostree.Iota(len(out.sum.Result.Nodes)))
 	return out, nil
 }
 
 // materialize is the second half: it renders an evaluated summary.
 func (e *Engine) materialize(req QueryRequest, sum *Summary) {
 	sum.Headline = headline(e.db, sum.DSRel, sum.Tuple)
-	sum.Text = sum.Tree.Render(ostree.RenderOptions{Keep: sum.Result.Nodes, ShowWeights: req.ShowWeights})
+	sum.Text = sum.Tree.Render(ostree.RenderOptions{ShowWeights: req.ShowWeights})
 }
 
 // RegisterAutoGDS derives a G_DS for dsRel automatically from the schema

@@ -84,3 +84,22 @@ func TestDBSourceRepeatable(t *testing.T) {
 		t.Fatalf("cached TopL differs: %v vs %v", x, y)
 	}
 }
+
+// Compact cuts each node's kept children from Iota, which holds only when
+// they are consecutive, as in Build's breadth-first arena. On a tree where
+// they are not (node 0's children 1 and 3 around node 1's child 2) it
+// panics rather than return wrong child lists.
+func TestCompactNonBreadthFirstPanics(t *testing.T) {
+	tree := &Tree{Nodes: []Node{
+		{Parent: None, Children: []NodeID{1, 3}},
+		{Parent: 0, Children: []NodeID{2}, Depth: 1},
+		{Parent: 1, Depth: 2},
+		{Parent: 0, Depth: 1},
+	}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on non-consecutive kept children")
+		}
+	}()
+	tree.Compact([]NodeID{0, 1, 2, 3})
+}

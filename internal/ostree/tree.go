@@ -2,6 +2,7 @@ package ostree
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"sizelos/internal/relational"
@@ -26,8 +27,9 @@ type Node struct {
 	// Weight is the local importance Im(OS, t_i) = Im(t_i)·Af(t_i) (Eq. 3).
 	Weight float64
 	Parent NodeID
-	// Children are the node's children in ascending id order; Build cuts
-	// them from Iota (nil for a leaf), so they are never written through.
+	// Children are the node's children in ascending id order. Build's
+	// breadth-first order makes them consecutive ids, cut from Iota (nil
+	// for a leaf), so they are never written through.
 	Children []NodeID
 	Depth    int32
 }
@@ -92,6 +94,37 @@ func (t *Tree) IsConnectedSubtree(ids []NodeID) bool {
 		}
 	}
 	return true
+}
+
+// Compact returns the partial OS that keep selects from t as a tree of its
+// own: the i-th kept node becomes node i, its parent remapped and its kept
+// children its child list; G_DS node, relation, tuple, weight and depth are
+// copied. keep must be ascending and hold the root and every member's parent
+// (a size-l selection's nodes), and t must be breadth-first, as Build makes
+// it: each node's children hold consecutive ids, so its kept children are
+// consecutive in keep and their new ids one Iota cut; Compact panics on a
+// tree where they are not. Kept nodes keep their order, so the result
+// renders as t does under RenderOptions{Keep: keep} and its TotalImportance
+// is t.ImportanceOf(keep), bit for bit. It shares no memory with t's arena.
+func (t *Tree) Compact(keep []NodeID) *Tree {
+	out := &Tree{Nodes: make([]Node, len(keep)), GDS: t.GDS, DB: t.DB}
+	ids := Iota(len(keep))
+	for i, id := range keep {
+		n := t.Nodes[id]
+		n.Children = nil
+		if i > 0 {
+			p, _ := slices.BinarySearch(keep, n.Parent)
+			n.Parent = NodeID(p)
+			// Each kept child extends its parent's cut by one.
+			c := &out.Nodes[p].Children
+			if k := len(*c); k > 0 && (*c)[k-1] != NodeID(i-1) {
+				panic(fmt.Sprintf("ostree: Compact: kept children of node %d are not consecutive", keep[p]))
+			}
+			*c = ids[i-len(*c) : i+1 : i+1]
+		}
+		out.Nodes[i] = n
+	}
+	return out
 }
 
 // iotaIDs backs Iota; a published slice is never written.

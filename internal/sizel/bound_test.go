@@ -2,6 +2,8 @@ package sizel
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -132,6 +134,105 @@ func TestTopWeightsBoundImportance(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// randomOS builds a seeded random breadth-first arena of n nodes over fx's
+// database: each node, in id order, takes up to four children, and every
+// node is a random tuple under a random G_DS node, so it renders, with a
+// heavyWeight.
+func randomOS(r *rand.Rand, fx boundFixture, n int) *ostree.Tree {
+	db := ostree.NewGraphSource(fx.graph, fx.scores).DB()
+	var gns []*schemagraph.Node
+	var walk func(gn *schemagraph.Node)
+	walk = func(gn *schemagraph.Node) {
+		gns = append(gns, gn)
+		for _, c := range gn.Children {
+			walk(c)
+		}
+	}
+	walk(fx.gds.Root)
+	node := func(parent ostree.NodeID, depth int32) ostree.Node {
+		gn := gns[r.Intn(len(gns))]
+		return ostree.Node{GDS: gn, Rel: int32(db.RelIndex(gn.Rel)), Tuple: relational.TupleID(r.Intn(db.Relation(gn.Rel).Len())),
+			Weight: heavyWeight(r), Parent: parent, Depth: depth}
+	}
+	tree := &ostree.Tree{Nodes: []ostree.Node{node(ostree.None, 0)}, GDS: fx.gds, DB: db}
+	for cur := 0; cur < len(tree.Nodes) && len(tree.Nodes) < n; cur++ {
+		first := len(tree.Nodes)
+		for c := r.Intn(5); c > 0 && len(tree.Nodes) < n; c-- {
+			tree.Nodes = append(tree.Nodes, node(ostree.NodeID(cur), tree.Nodes[cur].Depth+1))
+		}
+		if last := len(tree.Nodes); last > first {
+			tree.Nodes[cur].Children = ostree.Iota(last)[first:last:last]
+		}
+	}
+	return tree
+}
+
+// TestCompactRendersAsKeep: the size-l OS a summary keeps — its selection
+// compacted out of the tree it was selected from — validates, renders byte
+// for byte as the selection does on that tree (weights shown or not), sums
+// to the bits of its Im(S) and holds its l tuples, for every algorithm and
+// l, on seeded random trees and on the prelim-l and complete OSs of the DBLP
+// Author and TPC-H Customer/Supplier fixtures.
+func TestCompactRendersAsKeep(t *testing.T) {
+	algos := []struct {
+		name string
+		run  func(*ostree.Tree, int) (Result, error)
+	}{
+		{"dp", func(tr *ostree.Tree, l int) (Result, error) { return DP(context.Background(), tr, l) }},
+		{"bottom-up", BottomUp},
+		{"top-path", func(tr *ostree.Tree, l int) (Result, error) { return TopPath(tr, l, TopPathOptions{}) }},
+	}
+	check := func(what string, tree *ostree.Tree, l int) {
+		t.Helper()
+		for _, algo := range algos {
+			res, err := algo.run(tree, l)
+			if err != nil {
+				t.Fatalf("%s l=%d: %s: %v", what, l, algo.name, err)
+			}
+			c := tree.Compact(res.Nodes)
+			if err := c.Validate(); err != nil {
+				t.Fatalf("%s l=%d: %s: compacted tree: %v", what, l, algo.name, err)
+			}
+			for _, w := range []bool{false, true} {
+				want := tree.Render(ostree.RenderOptions{Keep: res.Nodes, ShowWeights: w})
+				if got := c.Render(ostree.RenderOptions{ShowWeights: w}); got != want {
+					t.Fatalf("%s l=%d: %s (weights %v): compacted tree renders\n%s\nthe selection renders\n%s", what, l, algo.name, w, got, want)
+				}
+			}
+			if got, want := math.Float64bits(c.TotalImportance()), math.Float64bits(res.Importance); got != want {
+				t.Fatalf("%s l=%d: %s: compacted Im %v, selection's %v", what, l, algo.name, c.TotalImportance(), res.Importance)
+			}
+			if c.Len() != len(res.Nodes) {
+				t.Fatalf("%s l=%d: %s: compacted tree has %d nodes, selection %d", what, l, algo.name, c.Len(), len(res.Nodes))
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(37))
+	for _, fx := range boundFixtures(t) {
+		src := ostree.NewGraphSource(fx.graph, fx.scores)
+		for trial := 0; trial < 3; trial++ {
+			root := relational.TupleID(r.Intn(fx.roots))
+			for _, l := range []int{1, 3, 10, 30, 50} {
+				for i := 0; i < 2; i++ {
+					check(fmt.Sprintf("%s random tree %d.%d", fx.name, trial, i), randomOS(r, fx, 1+r.Intn(300)), l)
+					// Equal weights within a role meet Render's stable sort.
+					check(fmt.Sprintf("%s tie-heavy tree %d.%d", fx.name, trial, i), tieWeights(r, randomOS(r, fx, 1+r.Intn(300))), l)
+				}
+				prelim, _, err := PrelimL(src, fx.gds, root, l, PrelimOptions{MaxDepth: l - 1})
+				if err != nil {
+					t.Fatalf("%s: PrelimL: %v", fx.name, err)
+				}
+				check(fmt.Sprintf("%s root %d prelim", fx.name, root), prelim, l)
+				complete, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: l - 1})
+				if err != nil {
+					t.Fatalf("%s: Generate: %v", fx.name, err)
+				}
+				check(fmt.Sprintf("%s root %d complete", fx.name, root), complete, l)
 			}
 		}
 	}

@@ -23,7 +23,8 @@ type PrelimOptions struct {
 	// when generating for a size-l query. Zero means unbounded.
 	MaxDepth int
 	// Into, when non-nil, is the tree PrelimL returns, its node arena reused
-	// (ostree.Build); whatever it held before is overwritten.
+	// (ostree.Build); whatever it held before is overwritten. The engine
+	// reuses its arenas and keeps only ostree.Tree.Compact copies.
 	Into *ostree.Tree
 }
 

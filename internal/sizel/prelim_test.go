@@ -387,10 +387,10 @@ func TestPrelimIntoDirtyTreeEqualsFresh(t *testing.T) {
 }
 
 // TestKernelAllocCeiling pins what one summary computation allocates when
-// its source and tree are reused, as a ranked query reuses them: PrelimL and
-// TopPath on one TPC-H Supplier at l = 30. The ceiling is the count measured
-// when it was set (CHANGES.md has the count before the arena); a change
-// that needs more says why.
+// its source and tree are reused, as a request reuses its source and every
+// evaluation a reused arena: PrelimL and TopPath on one TPC-H Supplier at
+// l = 30. The ceiling is the count measured when it was set (CHANGES.md has
+// the count before the arena); a change that needs more says why.
 func TestKernelAllocCeiling(t *testing.T) {
 	const ceiling = 10
 	fx := boundFixtures(t)[2] // tpch/GA1/Supplier

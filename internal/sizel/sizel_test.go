@@ -218,15 +218,19 @@ func randomTree(r *rand.Rand, n int, monotone bool) *ostree.Tree {
 		if monotone {
 			weights[i] = weights[parents[i]] * (0.3 + 0.7*r.Float64())
 		} else {
-			// Heavy-tailed weights with occasional gems under junk parents.
-			w := r.Float64() * 10
-			if r.Intn(6) == 0 {
-				w = 50 + r.Float64()*100
-			}
-			weights[i] = w
+			weights[i] = heavyWeight(r)
 		}
 	}
 	return buildTree(nil, parents, weights)
+}
+
+// heavyWeight draws a heavy-tailed weight: occasional gems under junk
+// parents.
+func heavyWeight(r *rand.Rand) float64 {
+	if w := r.Float64() * 10; r.Intn(6) != 0 {
+		return w
+	}
+	return 50 + r.Float64()*100
 }
 
 func TestDPMatchesBruteForce(t *testing.T) {

@@ -345,9 +345,7 @@ type candidate struct {
 // evaluation. A ranked cursor counts served ranks, not frontier pops: the
 // page is the Limit ranks after the first resume, returned with whether any
 // rank follows it. Only the page is rendered, and none of it is cached
-// (EnableSummaryCache says why). The trees of sealed candidates and of
-// summaries a K-cut drops, if this query built them, go back to k for the
-// next evaluations. Callers hold at least the read lock.
+// (EnableSummaryCache says why). Callers hold at least the read lock.
 func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume int, stats *QueryStats, k *kernel) ([]Summary, bool, error) {
 	matches := make([]keyword.Match, 0, stream.Remaining())
 	for {
@@ -376,9 +374,10 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 			continue
 		}
 		stats.Summaries++
-		best = k.keep(best, s.sum, req.K)
-		if req.K > 0 && len(best) == req.K {
-			tau = best[req.K-1].Result.Importance
+		// best stays in rankOrder, cut to its K best (K == 0: all).
+		at, _ := slices.BinarySearchFunc(best, s.sum, rankOrder)
+		if best = slices.Insert(best, at, s.sum); req.K > 0 && len(best) >= req.K {
+			best, tau = best[:req.K], best[req.K-1].Result.Importance
 		}
 	}
 	stats.Sealed += len(cands) - i
@@ -402,21 +401,6 @@ func rankOrder(a, b Summary) int {
 		return c
 	}
 	return cmp.Compare(a.Tuple, b.Tuple)
-}
-
-// keep inserts s into best, which is in rankOrder, and cuts best to its K
-// best (K == 0: all); a summary the cut drops gives its tree back to k if
-// this query built it rather than the cache serving it.
-func (k *kernel) keep(best []Summary, s Summary, K int) []Summary {
-	i, _ := slices.BinarySearchFunc(best, s, rankOrder)
-	best = slices.Insert(best, i, s)
-	if K == 0 || len(best) <= K {
-		return best
-	}
-	if drop := best[K]; drop.Text == "" {
-		k.free = append(k.free, drop.Tree)
-	}
-	return best[:K]
 }
 
 // boundKey names one bound table.
