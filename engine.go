@@ -282,8 +282,9 @@ func compilePlans(g *datagraph.Graph, settings []Setting) (map[*rank.GA]*rank.Pl
 // SetResidualRerank toggles residual-push re-ranking (on by default): when
 // off, every MutationBatch.Rerank runs the warm-started full power
 // iteration instead of the localized Gauss–Southwell repair. Both modes
-// satisfy the same fixed-point tolerance contract; the switch exists for
-// operational comparison and as an escape hatch.
+// satisfy the same fixed-point tolerance contract. A restored engine's first
+// re-rank is the full iteration, so internal/durable's crash harness turns
+// residual off on both sides to compare survivor and recovery bit for bit.
 func (e *Engine) SetResidualRerank(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -324,19 +325,9 @@ func (e *Engine) rankSettings(residual bool) (map[string]rank.Stats, error) {
 		err         error
 	}
 	results := make([]result, len(e.settings))
-	// One setting of each G_A goes first: after an Apply the first Run over
-	// a Plans rebuilds its pull transpose while the other settings of that
-	// G_A wait for it, so the rebuilds should overlap each other, not their
-	// own waiters.
 	work := make(chan int, len(e.settings))
-	for _, leads := range []bool{true, false} {
-		seen := make(map[*rank.GA]bool, len(e.plans))
-		for i, s := range e.settings {
-			if seen[s.GA] != leads {
-				work <- i
-			}
-			seen[s.GA] = true
-		}
+	for i := range e.settings {
+		work <- i
 	}
 	close(work)
 	normMax := rank.DefaultOptions().NormalizeMax

@@ -20,17 +20,17 @@
 // drawn.
 //
 // Execution model: Compile resolves a G_A against one data graph into
-// *Plans — per-flow CSR push plans, one contiguous score arena, and a
-// per-destination pull transpose — and Plans.Run is the power iteration
-// (cold or warm): the two are the one way to rank. Plans.Apply splices a
-// committed mutation batch into the compiled rows; Plans.RunResidual
-// repairs the prior fixed point, in the caller's own vectors, with a
-// localized Gauss–Southwell residual push (residual.go has the math,
-// push.go the round schedule) and has one safety net:
-// when the seeded residual is too large or the push budget runs out, the
-// same call returns Plans.Run warm-started from the prior instead. What one
-// entry of a source row transfers is written once (split, in rank.go); the
-// push, the residual seeding and the pull transpose all read it there.
+// *Plans — per-flow CSR push rows, the one form of the flows, and one
+// contiguous score arena — and Plans.Run is the power iteration (cold or
+// warm), scattering along those rows: the two are the one way to rank.
+// Plans.Apply splices a committed mutation batch into the compiled rows;
+// Plans.RunResidual repairs the prior fixed point, in the caller's own
+// vectors, with a localized Gauss–Southwell residual push (residual.go has
+// the math, push.go the round schedule) and has one safety net: when the
+// seeded residual is too large or the push budget runs out, the same call
+// returns Plans.Run warm-started from the prior instead. What one entry of
+// a source row transfers is written once (split, in rank.go); the full
+// iteration, the residual seeding and the push all read it there.
 //
 // # Invariants
 //
@@ -46,9 +46,9 @@
 //     vector and the node marks are a scratch of the Plans', all-zero
 //     between repairs and zeroed by walking the nodes the repair wrote.
 //   - Plans.Run has one canonical order: each destination's contributions
-//     are summed plan ordinal, source ascending, target position, by the one
-//     goroutine that runs the iteration, so equal plans and options give
-//     bit-for-bit equal scores. RunResidual is as deterministic: its rounds
+//     are summed plan ordinal, source ascending (overlaid rows merged in),
+//     target position, by the one goroutine that runs the iteration, so
+//     equal plans and options give bit-for-bit equal scores. RunResidual is as deterministic: its rounds
 //     are frozen-value, one walker applies a round's contributions in
 //     source-ascending order, and the budget is checked per round, so a
 //     repair — fallback decision included — is a pure function of the

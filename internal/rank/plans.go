@@ -2,7 +2,9 @@ package rank
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 
 	"sizelos/internal/datagraph"
@@ -10,10 +12,9 @@ import (
 )
 
 // Plans is a G_A compiled against one data graph: the reusable half of the
-// power iteration. Compilation resolves every flow into CSR push plans,
-// lays the per-relation score vectors out in one contiguous arena, and
-// transposes the flows into per-destination contribution lists so the push
-// phase writes each score once, summed in one canonical order.
+// power iteration. Compilation resolves every flow into CSR push plans and
+// lays the per-relation score vectors out in one contiguous arena; the push
+// rows are the one form of the flows that Run, RunResidual and Apply share.
 //
 // After Compile a *Plans is safe for concurrent Run/RunResidual calls: the
 // engine compiles each G_A once and runs the three GA1 dampings over the
@@ -35,24 +36,6 @@ type Plans struct {
 	// the out-flows a residual push at a node of ri propagates along.
 	bySrc [][]int32
 
-	// Pull form: the transpose of every push plan, concatenated in
-	// canonical order (plan ordinal, then source tuple, then target
-	// ordinal). Destination arena index d receives contributions
-	// pullW[k]*cur[pullSrc[k]] for k in [pullOff[d], pullOff[d+1]).
-	// pullW folds together the flow rate and the split weight (uniform
-	// 1/outdegree, or the value-proportional ValueRank weight), so one
-	// fused multiply-add per contribution is the whole push phase.
-	//
-	// The pull arrays are derived state, released when Apply invalidates
-	// them and rebuilt lazily (pullOnce is swapped for a fresh sync.Once):
-	// the residual path never needs them, so a mutation stream that stays
-	// on residual re-ranks neither pays the transpose nor holds a stale one.
-	pullOff  []int32
-	pullSrc  []int32
-	pullW    []float64
-	pullOnce *sync.Once
-	pullErr  error
-
 	// scratchFree holds the arena-sized working state of residual repairs
 	// (pushScratch), all-zero while it sits here: as many as repairs ever
 	// ran at once over these plans, gone when the plans are.
@@ -61,11 +44,10 @@ type Plans struct {
 }
 
 // Compile resolves ga's flows against the data graph into reusable push
-// plans: the per-flow CSR rows, the arena layout, the source index, and the
-// eager first pull transpose (so layout overflow surfaces at compile time,
-// not mid-query). vf is the ValueRank f(·) applied to value columns (nil
-// means identity; it must map non-negative inputs to non-negative outputs)
-// and is baked into the compiled split weights.
+// plans: the per-flow CSR rows, the arena layout and the source index. vf
+// is the ValueRank f(·) applied to value columns (nil means identity; it
+// must map non-negative inputs to non-negative outputs) and is baked into
+// the compiled split weights.
 func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, error) {
 	if vf == nil {
 		vf = func(x float64) float64 { return x }
@@ -76,7 +58,7 @@ func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, erro
 	}
 	db := g.DB
 	nRel := len(db.Relations)
-	ps := &Plans{g: g, plans: plans, vf: vf, relOff: make([]int32, nRel+1), pullOnce: new(sync.Once)}
+	ps := &Plans{g: g, plans: plans, vf: vf, relOff: make([]int32, nRel+1)}
 	for ri := 0; ri < nRel; ri++ {
 		ps.relOff[ri+1] = ps.relOff[ri] + int32(g.RelSize(ri))
 	}
@@ -86,88 +68,7 @@ func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, erro
 		src := ps.plans[pi].srcRel
 		ps.bySrc[src] = append(ps.bySrc[src], int32(pi))
 	}
-	if err := ps.ensurePull(); err != nil {
-		return nil, err
-	}
 	return ps, nil
-}
-
-// ensurePull (re)builds the pull transpose if an Apply invalidated it.
-// Safe for concurrent Run callers; Apply must not run concurrently.
-func (ps *Plans) ensurePull() error {
-	ps.pullOnce.Do(func() { ps.pullErr = ps.buildPull() })
-	return ps.pullErr
-}
-
-// buildPull transposes the push plans into per-destination CSR lists. The
-// canonical contribution order per destination — plan ordinal, then source
-// tuple ascending, then target position — fixes the floating-point
-// accumulation order: it is the float program every Run executes. Rows are
-// read through the overlay, which yields the same arrays a fresh Compile over
-// the mutated graph would (plan rows are recomputed from the graph, and
-// the graph is maintained edge-exact).
-func (ps *Plans) buildPull() error {
-	// The pull CSR uses int32 offsets; guard the total contribution count
-	// before building so overflow surfaces as an error, not corruption.
-	total := int64(0)
-	for pi := range ps.plans {
-		p := &ps.plans[pi]
-		srcN := int(ps.relOff[p.srcRel+1] - ps.relOff[p.srcRel])
-		if p.patch == nil {
-			total += int64(len(p.targets))
-			continue
-		}
-		for t := 0; t < srcN; t++ {
-			row, _ := p.row(relational.TupleID(t))
-			total += int64(len(row))
-		}
-	}
-	if total > math.MaxInt32 {
-		return fmt.Errorf("rank: %d flow contributions exceed the int32 plan layout", total)
-	}
-	counts := make([]int32, ps.n+1)
-	for pi := range ps.plans {
-		p := &ps.plans[pi]
-		dstOff := ps.relOff[p.dstRel]
-		if p.patch == nil {
-			for _, t := range p.targets {
-				counts[dstOff+int32(t)+1]++
-			}
-			continue
-		}
-		srcN := int(ps.relOff[p.srcRel+1] - ps.relOff[p.srcRel])
-		for t := 0; t < srcN; t++ {
-			row, _ := p.row(relational.TupleID(t))
-			for _, tgt := range row {
-				counts[dstOff+int32(tgt)+1]++
-			}
-		}
-	}
-	for d := 0; d < ps.n; d++ {
-		counts[d+1] += counts[d]
-	}
-	ps.pullOff = counts
-	ps.pullSrc = make([]int32, total)
-	ps.pullW = make([]float64, total)
-	fill := make([]int32, ps.n)
-	copy(fill, ps.pullOff[:ps.n])
-	for pi := range ps.plans {
-		p := &ps.plans[pi]
-		srcOff := ps.relOff[p.srcRel]
-		dstOff := ps.relOff[p.dstRel]
-		srcN := int(ps.relOff[p.srcRel+1]) - int(srcOff)
-		for t := 0; t < srcN; t++ {
-			targets, w := p.flows(relational.TupleID(t))
-			src := srcOff + int32(t)
-			for k, tgt := range targets {
-				d := dstOff + int32(tgt)
-				ps.pullSrc[fill[d]] = src
-				ps.pullW[fill[d]] = w.at(k)
-				fill[d]++
-			}
-		}
-	}
-	return nil
 }
 
 // NumNodes reports the arena size (total tuples across all relations).
@@ -184,10 +85,11 @@ func (ps *Plans) NumNodes() int { return ps.n }
 // (uniform, or value-proportional when the flow carries a ValueCol). Safe
 // to call concurrently on the same *Plans.
 //
-// One goroutine runs every iteration: each destination's contributions are
-// summed in canonical order, and the max-delta convergence scan is fused
-// into the same pass. The engine's parallelism is one level up, settings
-// side by side (Engine.rankSettings).
+// One goroutine runs every iteration: it scatters every source's score
+// along its rows, so each destination sums its contributions in canonical
+// order, and the max-delta convergence scan is fused into the closing pass.
+// The engine's parallelism is one level up, settings side by side
+// (Engine.rankSettings).
 func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	if opts.Damping < 0 || opts.Damping > 1 {
 		return nil, Stats{}, fmt.Errorf("rank: damping %v outside [0,1]", opts.Damping)
@@ -197,9 +99,6 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 1e-9
-	}
-	if err := ps.ensurePull(); err != nil {
-		return nil, Stats{}, err
 	}
 	db := ps.g.DB
 	if ps.n == 0 {
@@ -229,9 +128,15 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	}
 	base := (1 - opts.Damping) / float64(ps.n)
 
+	// The overlaid sources of each plan, ascending: the walk merges them
+	// into the packed rows instead of probing the overlay for every source.
+	patched := make([][]relational.TupleID, len(ps.plans))
+	for pi := range ps.plans {
+		patched[pi] = slices.Sorted(maps.Keys(ps.plans[pi].patch))
+	}
 	stats := Stats{WarmStart: warm}
 	for it := 0; it < opts.MaxIter; it++ {
-		maxDelta := ps.pushAll(cur, next, opts.Damping, base)
+		maxDelta := ps.pushAll(cur, next, patched, opts.Damping, base)
 		cur, next = next, cur
 		stats.Iterations = it + 1
 		stats.MaxDelta = maxDelta
@@ -254,17 +159,29 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	return scores, stats, nil
 }
 
-// pushAll computes one iteration's scores for every destination arena index
-// and returns the max |next-cur| delta (the convergence scan fused into the
-// push).
-func (ps *Plans) pushAll(cur, next []float64, damping, base float64) float64 {
-	maxDelta := 0.0
-	pullOff, pullSrc, pullW := ps.pullOff, ps.pullSrc, ps.pullW
-	for d := 0; d < ps.n; d++ {
-		sum := 0.0
-		for k := pullOff[d]; k < pullOff[d+1]; k++ {
-			sum += pullW[k] * cur[pullSrc[k]]
+// pushAll computes one iteration's scores into next and returns the max
+// |next-cur| delta. Walking plans by ordinal, sources ascending (a row from
+// the overlay when the source is in patched[pi], the packed CSR otherwise)
+// and targets in row order, it adds each destination's contributions in the
+// canonical order: that order is the float program.
+func (ps *Plans) pushAll(cur, next []float64, patched [][]relational.TupleID, damping, base float64) float64 {
+	clear(next)
+	for pi := range ps.plans {
+		p := &ps.plans[pi]
+		src := cur[ps.relOff[p.srcRel]:ps.relOff[p.srcRel+1]]
+		dst := next[ps.relOff[p.dstRel]:ps.relOff[p.dstRel+1]]
+		packed := relational.TupleID(len(p.offsets) - 1)
+		from := relational.TupleID(0)
+		for _, t := range patched[pi] {
+			p.scatterPacked(src, dst, from, min(t, packed))
+			r := p.patch[t]
+			scatter(dst, r.targets, p.splitOf(len(r.targets), r.weights), src[t])
+			from = t + 1
 		}
+		p.scatterPacked(src, dst, from, packed)
+	}
+	maxDelta := 0.0
+	for d, sum := range next {
 		s := base + damping*sum
 		next[d] = s
 		if delta := math.Abs(s - cur[d]); delta > maxDelta {
@@ -272,4 +189,30 @@ func (ps *Plans) pushAll(cur, next []float64, damping, base float64) float64 {
 		}
 	}
 	return maxDelta
+}
+
+// scatterPacked scatters the packed rows of sources [lo, hi) of p.
+func (p *plan) scatterPacked(src, dst []float64, lo, hi relational.TupleID) {
+	if lo >= hi {
+		return
+	}
+	offsets := p.offsets[lo : hi+1]
+	for i, x := range src[lo:hi] {
+		a, b := offsets[i], offsets[i+1]
+		if a == b {
+			continue
+		}
+		var weights []float64
+		if p.weights != nil {
+			weights = p.weights[a:b]
+		}
+		scatter(dst, p.targets[a:b], p.splitOf(int(b-a), weights), x)
+	}
+}
+
+// scatter adds what one source row at score x transfers to each target.
+func scatter(dst []float64, targets []relational.TupleID, w split, x float64) {
+	for k, tgt := range targets {
+		dst[tgt] += w.at(k) * x
+	}
 }

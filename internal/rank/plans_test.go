@@ -53,43 +53,93 @@ func TestPlansReusedAcrossDampings(t *testing.T) {
 }
 
 // TestRunConcurrentOnSharedPlans is the engine's actual usage: three
-// dampings racing over one compiled *Plans. Run under -race in CI.
+// dampings racing over one compiled *Plans, freshly compiled (a cold start)
+// and carrying an Apply overlay, each run warm from its own prior (a
+// refresh round). Run under -race in CI.
 func TestRunConcurrentOnSharedPlans(t *testing.T) {
-	_, g := citeChain(t)
-	plans, err := Compile(g, citationGA(), nil)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
 	dampings := []float64{0.85, 0.10, 0.99}
+	t.Run("fresh", func(t *testing.T) {
+		_, g := citeChain(t)
+		plans, err := Compile(g, citationGA(), nil)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		results := raceRuns(t, plans, dampings, make([]relational.DBScores, len(dampings)))
+		for i, d := range dampings {
+			opts := DefaultOptions()
+			opts.Damping = d
+			want, _, err := compute(g, citationGA(), opts)
+			if err != nil {
+				t.Fatalf("compute(d=%v): %v", d, err)
+			}
+			scoresEqualBitwise(t, "concurrent", results[i], want)
+		}
+	})
+	t.Run("overlay", func(t *testing.T) {
+		db, g, ps := ringFixture(t, 400, 2, 0.7)
+		priors := make([]relational.DBScores, len(dampings))
+		for i, d := range dampings {
+			priors[i] = runAt(t, ps, d, nil)
+		}
+		res, err := db.Apply(ringBatch(db, 40))
+		if err != nil {
+			t.Fatalf("db.Apply: %v", err)
+		}
+		if err := g.Apply(res); err != nil {
+			t.Fatalf("graph.Apply: %v", err)
+		}
+		ps.Apply(res, nil)
+		if ps.Patched() == 0 {
+			t.Fatal("Apply left no overlay rows")
+		}
+		results := raceRuns(t, ps, dampings, priors)
+		for i, d := range dampings {
+			scoresEqualBitwise(t, "concurrent over an overlay", results[i], runAt(t, ps, d, priors[i]))
+		}
+	})
+}
+
+// runAt is one unnormalized Run of ps at damping d, warm from warm when it
+// is non-nil.
+func runAt(t *testing.T, ps *Plans, d float64, warm relational.DBScores) relational.DBScores {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Damping, opts.NormalizeMax, opts.Warm = d, 0, warm
+	sc, st, err := ps.Run(opts)
+	if err != nil || !st.Converged {
+		t.Fatalf("Run(d=%v): err=%v stats=%+v", d, err, st)
+	}
+	return sc
+}
+
+// raceRuns runs ps at every damping at once, the i-th warm from warm[i]
+// (nil: cold) and normalized when cold, as compute is.
+func raceRuns(t *testing.T, ps *Plans, dampings []float64, warm []relational.DBScores) []relational.DBScores {
+	t.Helper()
 	results := make([]relational.DBScores, len(dampings))
 	var wg sync.WaitGroup
 	for i, d := range dampings {
 		wg.Add(1)
-		go func(i int, d float64) {
+		go func() {
 			defer wg.Done()
 			opts := DefaultOptions()
-			opts.Damping = d
-			sc, _, err := plans.Run(opts)
+			opts.Damping, opts.Warm = d, warm[i]
+			if warm[i] != nil {
+				opts.NormalizeMax = 0
+			}
+			sc, _, err := ps.Run(opts)
 			if err != nil {
 				t.Errorf("Run(d=%v): %v", d, err)
 				return
 			}
 			results[i] = sc
-		}(i, d)
+		}()
 	}
 	wg.Wait()
-	for i, d := range dampings {
-		if results[i] == nil {
-			continue
-		}
-		opts := DefaultOptions()
-		opts.Damping = d
-		want, _, err := compute(g, citationGA(), opts)
-		if err != nil {
-			t.Fatalf("compute(d=%v): %v", d, err)
-		}
-		scoresEqualBitwise(t, "concurrent", results[i], want)
+	if t.Failed() {
+		t.FailNow()
 	}
+	return results
 }
 
 func TestCompileErrors(t *testing.T) {

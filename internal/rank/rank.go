@@ -2,6 +2,7 @@ package rank
 
 import (
 	"fmt"
+	"math"
 
 	"sizelos/internal/datagraph"
 	"sizelos/internal/relational"
@@ -279,6 +280,11 @@ func compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) ([]plan, erro
 		}
 		if err != nil {
 			return nil, err
+		}
+		// The packed rows use int32 offsets: a plan past them is an error,
+		// not a wrapped layout.
+		if len(p.targets) > math.MaxInt32 {
+			return nil, fmt.Errorf("rank: %d flow contributions exceed the int32 plan layout", len(p.targets))
 		}
 		p.rate = f.Rate
 		p.valueCol = -1

@@ -52,7 +52,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync"
 
 	"sizelos/internal/relational"
 )
@@ -112,10 +111,9 @@ func (p *Pending) capture(pi int, src relational.TupleID, targets []relational.T
 // RunResidual; nil just keeps the plans current.
 //
 // After Apply, Run produces the same scores a fresh Compile over the
-// mutated graph would (the pull transpose is rebuilt lazily from the
-// overlaid rows).
+// mutated graph would: its walk reads the overlaid rows in place of the
+// packed ones, in the same canonical order.
 func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
-	rowsChanged := false
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
 		changed := ps.changedSources(p, res)
@@ -129,24 +127,13 @@ func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
 				p.patch = make(map[relational.TupleID]patchRow)
 			}
 			p.patch[t] = patchRow{targets: targets, weights: weights}
-			rowsChanged = true
 		}
 	}
-	oldN := ps.n
 	nRel := len(ps.relOff) - 1
 	for ri := 0; ri < nRel; ri++ {
 		ps.relOff[ri+1] = ps.relOff[ri] + int32(ps.g.RelSize(ri))
 	}
 	ps.n = int(ps.relOff[nRel])
-	// The pull transpose no longer matches the overlaid rows or the arena
-	// layout; drop it and rebuild it lazily on the next full Run (the
-	// frontier push never reads it). Relation sizes only grow, so an
-	// unchanged node count means the layout is intact too.
-	if rowsChanged || ps.n != oldN {
-		ps.pullOnce = new(sync.Once)
-		ps.pullErr = nil
-		ps.pullOff, ps.pullSrc, ps.pullW = nil, nil, nil
-	}
 }
 
 // Patched reports how many overlaid source rows the plans carry across all

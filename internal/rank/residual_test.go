@@ -328,7 +328,8 @@ func TestResidualValueRank(t *testing.T) {
 // fallback path relies on: a full Run over incrementally Applied plans is
 // bit-for-bit identical to a Run over plans recompiled from the mutated
 // graph (rows recomputed from the maintained graph are content-identical,
-// and the lazily rebuilt pull transpose preserves the canonical order).
+// and Run's walk merges the overlaid rows into the packed ones in the same
+// canonical order).
 func TestPlansApplyMatchesRecompile(t *testing.T) {
 	const damping = 0.85
 	db, g, ps, _ := residualFixture(t, damping)
