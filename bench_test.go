@@ -590,7 +590,7 @@ func citesStreamOp(db *relational.DB, pk, prevPK int64, i int) relational.Batch 
 }
 
 // BenchmarkMutateIncremental measures graph maintenance on the small-batch
-// stream shape (one tuple per batch): the incremental splice
+// stream shape (one tuple per batch): the in-place edit
 // (datagraph.Graph.Apply) against the from-scratch rebuild every batch paid
 // before, plus the full engine write path end to end. The acceptance bar
 // (CI's GOMAXPROCS=4 leg) is incremental >= 3x faster than rebuild.
@@ -666,8 +666,8 @@ func BenchmarkMutateIncremental(b *testing.B) {
 			}
 		}
 	}
-	// The full write path per stream op (store + index delta + graph splice
-	// + epochs, including amortized compactions and overlay folds).
+	// The full write path per stream op (store + index delta + graph edit
+	// + epochs, including amortized compactions and plan-overlay folds).
 	b.Run("engine-stream", engineStream(false))
 	// The warm-started re-rank a streaming deployment pays when it wants
 	// fresh global importance after every batch.

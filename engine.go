@@ -106,8 +106,8 @@ type Engine struct {
 	settings []Setting
 	// plans holds each distinct G_A compiled once against the data graph,
 	// kept current across mutations via rank.Plans.Apply so re-ranks never
-	// recompile; recompiled only when the graph is rebuilt (compaction,
-	// overlay fold) or the plan overlay outgrows its fold threshold.
+	// recompile; recompiled only when compaction rebuilds the graph or the
+	// plan overlay outgrows its fold threshold.
 	plans map[*rank.GA]*rank.Plans
 	// pending accumulates, per G_A, the contribution-row changes applied
 	// since the last re-rank — the seeds of the next residual-push re-rank.
@@ -505,9 +505,8 @@ func (e *Engine) DB() *relational.DB { return e.db }
 // read-only, and do not probe it concurrently with Mutate.
 func (e *Engine) Index() *keyword.Sharded { return e.index }
 
-// Graph exposes the tuple data graph. Mutate splices each batch into this
-// same object in place (it is replaced only by compaction or an overlay
-// fold), so the returned pointer must not be traversed concurrently with —
+// Graph exposes the tuple data graph. Mutate edits each batch into this
+// same object in place (only compaction replaces it), so the returned pointer must not be traversed concurrently with —
 // or retained across — any Mutate: use it within one mutation quiescence
 // and re-fetch afterwards.
 func (e *Engine) Graph() *datagraph.Graph {

@@ -1,17 +1,16 @@
 package datagraph
 
-// Incremental maintenance: Apply splices a committed mutation batch's FK
-// edges into the graph instead of rebuilding the CSR arrays. The relational
-// layer's stable TupleID slots are what make this sound — a tombstoned
-// tuple keeps its slot (and its content, so its outgoing FK values can
-// still be read to retract the mirror edges) and an inserted tuple always
-// takes a fresh slot larger than every existing id of its relation.
+// Incremental maintenance: Apply edits a committed mutation batch's FK
+// edges into the graph's lists in place instead of rebuilding them. The
+// relational layer's stable TupleID slots are what make this sound — a
+// tombstoned tuple keeps its slot (and its forward entries name the
+// targets whose lists it must leave) and an inserted tuple always takes a
+// fresh slot larger than every existing id of its relation.
 //
 // After Apply the graph answers every Along query exactly as a
 // from-scratch Build over the mutated database would; the randomized
 // mutation-equivalence harness (TestMutationEquivalence) asserts this edge
-// for edge. The overlay grows with the number of touched tuples, never with
-// database size; the engine folds it away when it rebuilds on compaction.
+// for edge.
 
 import (
 	"fmt"
@@ -22,59 +21,69 @@ import (
 )
 
 // Apply folds one committed relational batch into the graph in place. The
-// batch must already be applied to g's database (Apply reads the tombstone
-// flags, retained slot contents and PK index of the post-commit state), and
-// the per-relation id lists must be ascending — exactly the contract of
+// batch must already be applied to g's database (Apply reads the relation
+// sizes, the inserted tuples and the PK index of the post-commit state),
+// and the per-relation id lists must be ascending — exactly the contract of
 // relational.BatchResult.
 //
-// Cost is O(Δ) list splices for a batch touching Δ tuples: each deleted
-// tuple clears its own lists and retracts itself from its FK targets'
-// mirror lists; each inserted tuple gains a single-target list per FK and
-// appends itself to the mirror lists. An error means the batch references a
-// relation the graph was not built over; the graph is then unspecified and
-// the caller must rebuild.
+// Cost is O(Δ) list edits for a batch touching Δ tuples, plus growing the
+// lists of each inserted relation: each deleted tuple leaves its targets'
+// backward lists and clears its own; each inserted tuple sets its forward
+// entry per FK and appends itself to its targets' backward lists. An error
+// means the batch references a relation the graph was not built over; the
+// graph is then unspecified and the caller must rebuild.
 func (g *Graph) Apply(res relational.BatchResult) error {
 	db := g.DB
-	// Deterministic relation order keeps the splice sequence reproducible
-	// (map iteration order must not leak into patch allocation patterns).
+	// Deterministic relation order keeps the edit sequence reproducible.
 	for _, rel := range sortedKeys(res.Deleted) {
 		ri := db.RelIndex(rel)
 		if ri < 0 {
 			return fmt.Errorf("datagraph: apply: unknown relation %q", rel)
 		}
-		r := db.Relations[ri]
 		for _, d := range res.Deleted[rel] {
-			// The tuple leaves every list it heads wholesale: its forward
-			// lists (it no longer references anyone), and its backward lists
-			// (referential integrity guarantees every owner that pointed at
-			// it is deleted too — those owners retract their own forward
-			// edges below, and a retract against a cleared list is a no-op).
+			// Leave each target's backward list. A target deleted in the
+			// same batch has had — or will have — its lists cleared
+			// wholesale, where the search finds nothing.
 			for fi := range g.fks[ri] {
-				g.fks[ri][fi].fwd.empty(d)
-			}
-			for _, ref := range g.refs[ri] {
-				g.fks[ref.owner][ref.fk].bwd.empty(d)
-			}
-			// Retract the mirror edge from each still-live FK target's
-			// backward list. The tombstoned slot retains its content, so the
-			// FK values are still readable; a target deleted in the same
-			// batch fails the PK lookup and needs nothing (its lists were —
-			// or will be — cleared wholesale). A target deleted and
-			// re-inserted under the same PK resolves to the fresh slot,
-			// where the retract is a harmless no-op.
-			for fi, fk := range r.FKs {
-				key := r.Tuples[d][r.ColIndex(fk.Column)].Int
-				if target, ok := db.Relation(fk.Ref).LookupPK(key); ok {
-					g.fks[ri][fi].bwd.retract(target, d)
+				e := &g.fks[ri][fi]
+				if target := e.fwd[d]; target >= 0 {
+					l := e.bwd[target]
+					if i, ok := slices.BinarySearch(l, d); ok {
+						e.bwd[target] = slices.Delete(l, i, i+1)
+					}
+					e.fwd[d] = -1
 				}
+			}
+			// Referential integrity guarantees every owner that pointed at
+			// the tuple is deleted too, so the lists it heads simply empty.
+			for _, ref := range g.refs[ri] {
+				g.fks[ref.owner][ref.fk].bwd[d] = nil
 			}
 		}
 	}
-	for _, rel := range sortedKeys(res.Inserted) {
+	inserted := sortedKeys(res.Inserted)
+	// Grow every list indexed by an inserted relation first: a tuple may
+	// reference one inserted into a relation that sorts later in the batch.
+	for _, rel := range inserted {
 		ri := db.RelIndex(rel)
 		if ri < 0 {
 			return fmt.Errorf("datagraph: apply: unknown relation %q", rel)
 		}
+		n := db.Relations[ri].Len()
+		for fi := range g.fks[ri] {
+			e := &g.fks[ri][fi]
+			for len(e.fwd) < n {
+				e.fwd = append(e.fwd, -1)
+			}
+		}
+		for _, ref := range g.refs[ri] {
+			e := &g.fks[ref.owner][ref.fk]
+			e.bwd = append(e.bwd, make([][]relational.TupleID, n-len(e.bwd))...)
+		}
+		g.sizes[ri] = n
+	}
+	for _, rel := range inserted {
+		ri := db.RelIndex(rel)
 		r := db.Relations[ri]
 		for _, id := range res.Inserted[rel] {
 			for fi, fk := range r.FKs {
@@ -88,13 +97,12 @@ func (g *Graph) Apply(res relational.BatchResult) error {
 						rel, id, fk.Column, key, fk.Ref)
 				}
 				e := &g.fks[ri][fi]
-				e.fwd.override(id, []relational.TupleID{target})
+				e.fwd[id] = target
 				// Ascending insert ids appended in order keep the backward
 				// list in owner-insertion order, matching buildBackward.
-				e.bwd.extend(target, id)
+				e.bwd[target] = append(e.bwd[target], id)
 			}
 		}
-		g.sizes[ri] = r.Len()
 	}
 	return nil
 }
@@ -141,20 +149,6 @@ func (g *Graph) diffList(other *Graph, ref fkRef, forward bool, rel int) string 
 		}
 	}
 	return ""
-}
-
-// Patched reports how many per-tuple overlay entries the graph currently
-// carries across all adjacencies — the memory the incremental path has
-// accumulated since the last full build. The engine reads it to decide when
-// folding the overlay into fresh CSR arrays (a rebuild) pays for itself.
-func (g *Graph) Patched() int {
-	n := 0
-	for _, fks := range g.fks {
-		for _, e := range fks {
-			n += len(e.fwd.patch) + len(e.bwd.patch)
-		}
-	}
-	return n
 }
 
 func sortedKeys(m map[string][]relational.TupleID) []string {

@@ -100,11 +100,15 @@ func TestApplyDeleteThenReinsertSamePK(t *testing.T) {
 
 // TestApplyAcrossManyBatches drives a sequence of single-tuple batches —
 // the streaming shape the incremental path exists for — asserting
-// equivalence after every step and that the overlay stays bounded by the
-// touched tuples.
+// equivalence after every step and that the batches edited the graph built
+// before them.
 func TestApplyAcrossManyBatches(t *testing.T) {
 	db := tinyDBLP(t)
 	g, err := Build(db)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	before, err := Build(db)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -124,9 +128,50 @@ func TestApplyAcrossManyBatches(t *testing.T) {
 		}})
 		assertGraphsEqual(t, db, g)
 	}
-	if g.Patched() == 0 {
-		t.Fatal("no overlay entries after 16 incremental batches")
+	if g.EquivalentTo(before) == "" {
+		t.Fatal("16 incremental batches left the graph as it was built")
 	}
+}
+
+// TestAlongResultsAreCapped appends a sentinel to every list Along returns
+// and checks the graph still equals a rebuild: an append to one tuple's list
+// must never write into another's storage. It runs on a fresh build and
+// again after a batch that inserts and deletes.
+func TestAlongResultsAreCapped(t *testing.T) {
+	db := tinyDBLP(t)
+	g, err := Build(db)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	scribble := func(stage string) {
+		for rel, refs := range g.refs {
+			for _, ref := range refs {
+				for id := 0; id < g.sizes[ref.owner]; id++ {
+					_ = append(g.Along(ref.owner, ref.fk, true, relational.TupleID(id)), -7)
+				}
+				for id := 0; id < g.sizes[rel]; id++ {
+					_ = append(g.Along(ref.owner, ref.fk, false, relational.TupleID(id)), -7)
+				}
+			}
+		}
+		want, err := Build(db)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if msg := g.EquivalentTo(want); msg != "" {
+			t.Fatalf("%s: an append to an Along result changed another list: %s", stage, msg)
+		}
+	}
+	scribble("fresh build")
+	apply(t, db, g, relational.Batch{
+		Deletes: []relational.DeleteOp{{Rel: "Writes", PK: 2}},
+		Inserts: []relational.InsertOp{
+			{Rel: "Author", Tuple: relational.Tuple{relational.IntVal(3), relational.StrVal("a3")}},
+			{Rel: "Writes", Tuple: relational.Tuple{relational.IntVal(4), relational.IntVal(1), relational.IntVal(3)}},
+			{Rel: "Writes", Tuple: relational.Tuple{relational.IntVal(5), relational.IntVal(2), relational.IntVal(2)}},
+		},
+	})
+	scribble("after a batch")
 }
 
 // TestApplyUnknownRelation feeds a result naming a relation the graph was
@@ -146,46 +191,32 @@ func TestApplyUnknownRelation(t *testing.T) {
 // TestApplyRefsPath drives the backward lists a delete clears through refs:
 // a self-citation puts one Cites row in two backward lists of the same
 // paper, deleting it retracts both, and deleting a paper after every Writes
-// and Cites row referencing it clears all three of its backward lists. Each
-// batch adds one overlay entry per list it really splices — clearing an
-// already-empty list adds none — so Patched() is counted by hand.
+// and Cites row referencing it clears all three of its backward lists.
 func TestApplyRefsPath(t *testing.T) {
 	db := tinyDBLP(t)
 	g, err := Build(db)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	steps := []struct {
-		name    string
-		batch   relational.Batch
-		patched int
-	}{
-		// Cites row 1 gains two forward lists; p1's citing and cited
-		// backward lists each gain it.
-		{"insert self-citation", relational.Batch{Inserts: []relational.InsertOp{
+	for _, b := range []relational.Batch{
+		// A self-citation enters p1's citing and cited lists...
+		{Inserts: []relational.InsertOp{
 			{Rel: "Cites", Tuple: relational.Tuple{relational.IntVal(2), relational.IntVal(1), relational.IntVal(1)}},
-		}}, 4},
-		// The same four lists shrink again: no new entry.
-		{"delete self-citation", relational.Batch{Deletes: []relational.DeleteOp{
+		}},
+		// ...and leaves both.
+		{Deletes: []relational.DeleteOp{
 			{Rel: "Cites", PK: 2},
-		}}, 4},
-		// New entries: Cites row 0's two forward lists and p2's citing list;
-		// p1's Writes.paper list (its citing list is already empty, its
-		// cited list already patched); Writes rows 0 and 2's four forward
-		// lists and the two authors' Writes.author lists.
-		{"delete paper after its referencers", relational.Batch{Deletes: []relational.DeleteOp{
+		}},
+		// p1 goes after every row referencing it.
+		{Deletes: []relational.DeleteOp{
 			{Rel: "Writes", PK: 1},
 			{Rel: "Writes", PK: 3},
 			{Rel: "Cites", PK: 1},
 			{Rel: "Paper", PK: 1},
-		}}, 14},
-	}
-	for _, s := range steps {
-		apply(t, db, g, s.batch)
+		}},
+	} {
+		apply(t, db, g, b)
 		assertGraphsEqual(t, db, g)
-		if got := g.Patched(); got != s.patched {
-			t.Fatalf("%s: Patched() = %d, want %d", s.name, got, s.patched)
-		}
 	}
 	paper := db.RelIndex("Paper")
 	for _, ref := range g.refs[paper] {
@@ -218,15 +249,15 @@ func TestEquivalentToReportsEveryList(t *testing.T) {
 	}{
 		// Writes row 0 references p1; point it at p2.
 		{"Writes.paper forward, Writes tuple 0", func(h *Graph) {
-			h.fks[writes][0].fwd.override(0, []relational.TupleID{1})
+			h.fks[writes][0].fwd[0] = 1
 		}},
 		// p1 cites nothing; p2's citing list is already [0].
 		{"Cites.citing backward, Paper tuple 0", func(h *Graph) {
-			h.fks[cites][0].bwd.override(0, []relational.TupleID{0})
+			h.fks[cites][0].bwd[0] = []relational.TupleID{0}
 		}},
 		// p2 is cited by nothing.
 		{"Cites.cited backward, Paper tuple 1", func(h *Graph) {
-			h.fks[cites][1].bwd.override(1, []relational.TupleID{0})
+			h.fks[cites][1].bwd[1] = []relational.TupleID{0}
 		}},
 		{"Author size 2 vs 3", func(h *Graph) { h.sizes[author]++ }},
 	}

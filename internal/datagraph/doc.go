@@ -15,25 +15,26 @@
 // O(1) — forward from an owner tuple to the tuple it references, backward
 // from a referenced tuple to its owners.
 //
-// Build constructs the graph from scratch; Graph.Apply folds a committed
-// mutation batch in incrementally by splicing per-tuple deltas into a patch
-// overlay over the packed CSR arrays, in work proportional to the tuples
-// touched.
+// Each foreign key holds one editable form per direction: a dense forward
+// array (an owner tuple's referenced tuple, -1 once tombstoned) and one
+// ascending backward list per referenced tuple. Build constructs them from
+// scratch; Graph.Apply edits a committed mutation batch into them in
+// place, in work proportional to the tuples touched.
 //
 // # Invariants
 //
-//   - Every adjacency read goes through list() (equivalently, the public
-//     Along). Never index the packed offsets directly: tuples inserted
-//     after the last full build live only in the overlay, beyond the packed
-//     arrays, and tombstoned or re-spliced tuples are overridden by it.
+//   - Build cuts every backward list from one backing array with a full
+//     slice expression (cap == len), and Along returns a forward edge as
+//     fwd[t:t+1:t+1]: appending to a list never writes into another
+//     tuple's list.
+//   - A forward entry is -1 exactly when its owner tuple is tombstoned;
+//     Along then returns nil.
 //   - Apply requires the batch to be already committed to the graph's
-//     database — it reads the post-commit tombstone flags, the retained
-//     content of tombstoned slots (to retract mirror edges), and the PK
-//     index — and the per-relation id lists must be ascending: exactly the
-//     relational.BatchResult contract.
-//   - Overlay slices are owned by the adjacency and may be mutated in
-//     place by a later Apply. Along results are valid only until the next
-//     Apply; callers that retain a list must copy it.
+//     database — it reads the post-commit relation sizes, the inserted
+//     tuples' FK values and the PK index — and the per-relation id lists
+//     must be ascending: exactly the relational.BatchResult contract.
+//   - Apply edits lists in place, so Along results are valid only until
+//     the next Apply; callers that retain a list must copy it.
 //   - After any Apply the graph is edge-exact with a from-scratch Build
 //     over the mutated store — same relation sizes, same neighbor list on
 //     every (foreign key, direction, tuple).

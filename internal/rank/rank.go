@@ -176,8 +176,8 @@ const (
 // plan is one compiled flow: a CSR adjacency from every tuple of srcRel to
 // its targets, with optional per-edge split weights. After Compile the CSR
 // arrays are frozen; Plans.Apply overlays mutated rows in patch (a present
-// key overrides the packed range — exactly the datagraph overlay idea, one
-// level up).
+// key overrides the packed range), and the engine folds the overlay back by
+// recompiling once it grows large.
 type plan struct {
 	srcRel  int
 	dstRel  int

@@ -13,8 +13,9 @@ package sizelos
 // maxima. Two amortized maintenance passes keep the incremental structures
 // from degrading under sustained churn: relations whose tombstones cross
 // the compaction policy are physically compacted (TupleIDs remapped through
-// every derived structure), and the graph's splice overlay is folded back
-// into packed CSR arrays once it outgrows a fraction of the node count.
+// every derived structure, the data graph rebuilt), and the compiled rank
+// plans' row overlay is folded back into packed arrays once it outgrows a
+// fraction of the node count.
 
 import (
 	"errors"
@@ -171,7 +172,7 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		for _, rel := range touched {
 			e.index.Apply(rel, res.Inserted[rel], res.Deleted[rel])
 		}
-		// Splice the batch's FK edges into the data graph in place — cost
+		// Edit the batch's FK edges into the data graph in place — cost
 		// proportional to the tuples touched, not to the database. The
 		// randomized mutation-equivalence harness proves this edge-identical
 		// to a from-scratch rebuild.
@@ -211,7 +212,7 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 	}
 
 	// Amortized maintenance: reclaim tombstone-heavy relations and fold an
-	// outgrown splice overlay back into packed CSR arrays.
+	// outgrown plan overlay back into packed arrays.
 	if err := e.maybeCompactLocked(&result, b.Inserts); err != nil {
 		return result, err
 	}
@@ -375,10 +376,10 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 
 // maybeCompactLocked runs the amortized maintenance passes of one Mutate:
 // physical compaction of relations whose tombstones crossed the policy, and
-// folding the data graph's splice overlay into fresh CSR arrays once the
-// overlay outgrows a quarter of the nodes. Callers hold the write lock.
-// inserts is the batch's insert list, whose result ids must be remapped if
-// compaction moves them.
+// folding the compiled plans' row overlay back into packed arrays once it
+// outgrows a quarter of the nodes. Callers hold the write lock. inserts is
+// the batch's insert list, whose result ids must be remapped if compaction
+// moves them.
 func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInsert) error {
 	if e.compactMin > 0 {
 		var due []string
@@ -394,34 +395,15 @@ func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInser
 		}
 	}
 	// Folding the overlay is pure maintenance: node ids don't move, results
-	// don't change, no epoch rotates — so no error path leaves derived
-	// state inconsistent and cached summaries stay valid.
-	foldPlans := false
-	if p := e.graph.Patched(); p > overlayFoldMin && p*4 > e.graph.NumNodes() {
-		g, err := datagraph.Build(e.db)
-		if err != nil {
-			return fmt.Errorf("%w: fold graph overlay: %v", ErrMutationInternal, err)
-		}
-		e.graph = g
-		// The compiled plans recompute rows from the graph they were built
-		// against; rebind them to the fresh object by recompiling.
-		foldPlans = true
-	}
-	if !foldPlans {
-		// The plans carry their own per-source overlay; fold it back into
-		// packed arrays on the same economics as the graph overlay.
-		for _, ps := range e.plans {
-			if p := ps.Patched(); p > overlayFoldMin && p*4 > e.graph.NumNodes() {
-				foldPlans = true
-				break
+	// don't change, no epoch rotates — so cached summaries stay valid, and
+	// the pending residual deltas (captured pre-mutation rows) stay valid
+	// across the recompile.
+	for _, ps := range e.plans {
+		if p := ps.Patched(); p > overlayFoldMin && p*4 > e.graph.NumNodes() {
+			if err := e.recompilePlansLocked(true); err != nil {
+				return fmt.Errorf("%w: recompile rank plans: %v", ErrMutationInternal, err)
 			}
-		}
-	}
-	if foldPlans {
-		// TupleIDs are unchanged by a fold, so the pending residual deltas
-		// (captured pre-mutation rows) stay valid across the recompile.
-		if err := e.recompilePlansLocked(true); err != nil {
-			return fmt.Errorf("%w: recompile rank plans: %v", ErrMutationInternal, err)
+			break
 		}
 	}
 	return nil
@@ -429,7 +411,7 @@ func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInser
 
 // recompilePlansLocked rebuilds every G_A's compiled plans against the
 // current graph. keepPending preserves the accumulated residual deltas
-// (sound when TupleIDs did not move — an overlay fold); a compaction
+// (sound when TupleIDs did not move — a plan-overlay fold); a compaction
 // remaps ids out from under the captured rows, so it passes false, which
 // also forces the next re-rank onto the warm full iteration. Callers hold
 // the write lock.
@@ -446,8 +428,8 @@ func (e *Engine) recompilePlansLocked(keepPending bool) error {
 	return nil
 }
 
-// overlayFoldMin is the minimum splice-overlay size before folding it back
-// into packed CSR arrays is worth a rebuild; below it the map overhead is
+// overlayFoldMin is the minimum plan-overlay size before folding it back
+// into packed arrays is worth a recompile; below it the map overhead is
 // noise regardless of ratio.
 const overlayFoldMin = 4096
 
@@ -455,8 +437,7 @@ const overlayFoldMin = 4096
 // TupleID remap through every structure that stores them: PK/FK indexes
 // (inside Relation.Compact), keyword postings (keyword.Sharded.Remap),
 // normalized and raw score vectors, this batch's already-assigned insert
-// ids, and the data graph (rebuilt over the dense store, which also sheds
-// its overlay). Each compacted relation's epoch advances and every DS
+// ids, and the data graph (rebuilt over the dense store). Each compacted relation's epoch advances and every DS
 // relation whose G_DS reaches one is widened — the TupleIDs its cached trees
 // and subject stamps name changed meaning. Callers hold the write lock.
 func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert) error {

@@ -8,8 +8,8 @@ package sizelos
 // correctness on:
 //
 //  1. Edge-exactness: the incrementally maintained data graph
-//     (datagraph.Graph.Apply splices, plus whatever compactions and overlay
-//     folds the engine interleaved) is edge-identical to a from-scratch
+//     (datagraph.Graph.Apply's in-place edits, plus whatever compactions
+//     the engine interleaved) is edge-identical to a from-scratch
 //     datagraph.Build over the mutated store.
 //  2. Warm≡cold: on re-ranked rounds, the warm-started power iteration
 //     lands on the same global-importance scores a cold start over a fresh
@@ -111,11 +111,11 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 		rankedAfterBatch(t, eng, rebuilt, round, ranked)
 		sweep.run(t, eng, rebuilt, round, !res.Reranked && len(res.Compacted) == 0)
 		if eng.Graph() != prevGraph {
-			// Only compaction or an overlay fold may swap the graph out.
+			// Only compaction may swap the graph out.
 			graphRebuilds++
 			prevGraph = eng.Graph()
-			if len(res.Compacted) == 0 && eng.Graph().Patched() != 0 {
-				t.Fatalf("round %d: graph swapped without compaction or a clean fold", round)
+			if len(res.Compacted) == 0 {
+				t.Fatalf("round %d: graph swapped without a compaction", round)
 			}
 		}
 
@@ -180,8 +180,12 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 			}
 		}
 	}
-	t.Logf("%d rounds, %d graph swaps (compactions/folds), final nodes %d, overlay %d",
-		rounds, graphRebuilds, eng.Graph().NumNodes(), eng.Graph().Patched())
+	planOverlay := 0
+	for _, ps := range eng.plans {
+		planOverlay += ps.Patched()
+	}
+	t.Logf("%d rounds, %d graph swaps (compactions), final nodes %d, plan overlay %d",
+		rounds, graphRebuilds, eng.Graph().NumNodes(), planOverlay)
 	// Invariant 4 proves the stamps are wide enough; this is the other half,
 	// that on plain batches they are a footprint and not the relation.
 	t.Logf("cache sweeps: %d plain rounds served %d of %d summaries from the cache (worst round %.2f)",
