@@ -155,7 +155,7 @@ type Engine struct {
 	compactRatio float64
 	// gds[dsRel][setting] is the annotated G_DS clone for that setting.
 	gds map[string]map[string]*schemagraph.GDS
-	// baseGDS[dsRel] is the unannotated original.
+	// baseGDS[dsRel] is the unannotated G_DS, bound to db.
 	baseGDS map[string]*schemagraph.GDS
 	// epochs counts, per relation, the mutation batches that touched it.
 	// Everything bound to a match sequence — cursors, ranked bound tables —
@@ -411,11 +411,14 @@ func normalizeInto(served, raw relational.DBScores, normMax float64) (relational
 // RegisterGDS installs a Data Subject Schema Graph; one annotated clone is
 // prepared per ranking setting. Registration takes the engine's write lock,
 // so it is safe while searches are in flight; the summaries cached under
-// the previous G_DS of this DS relation are discarded wholesale.
+// the previous G_DS of this DS relation are discarded wholesale. The
+// engine keeps a clone bound to its database (GDS.Bind); gds itself is
+// not modified.
 func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := gds.Validate(e.db); err != nil {
+	gds = gds.Clone()
+	if err := gds.Bind(e.db); err != nil {
 		return err
 	}
 	perSetting, err := e.annotateLocked(gds)
@@ -424,7 +427,7 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 	}
 	e.baseGDS[gds.DSName] = gds
 	e.gds[gds.DSName] = perSetting
-	e.deps[gds.DSName] = gdsDeps(gds)
+	e.deps[gds.DSName] = gdsDeps(e.db, gds)
 	// The cache swapped in below starts empty, so the stamps start over with
 	// it (under a smaller deps the old ones could exceed every later epoch).
 	delete(e.wide, gds.DSName)
@@ -477,15 +480,16 @@ func (e *Engine) reannotateLocked() error {
 	return nil
 }
 
-// gdsDeps lists, sorted and deduplicated, every relation a G_DS traversal
-// can touch: the node relations plus the junction relations hopped over.
-// A mutation outside this set cannot change any summary rooted at the G_DS.
-func gdsDeps(gds *schemagraph.GDS) []string {
+// gdsDeps lists, sorted and deduplicated, every relation a traversal of
+// the bound gds can touch: the node relations plus the owners of the hops
+// between them (a junction hopped over, or a node's own relation). A
+// mutation outside this set cannot change any summary rooted at the G_DS.
+func gdsDeps(db *relational.DB, gds *schemagraph.GDS) []string {
 	set := make(map[string]bool)
 	for _, n := range gds.Nodes() {
 		set[n.Rel] = true
-		if n.Step.Junction != "" {
-			set[n.Step.Junction] = true
+		if n.Parent != nil {
+			set[db.Relations[n.Hop.Owner()].Name] = true
 		}
 	}
 	out := make([]string, 0, len(set))

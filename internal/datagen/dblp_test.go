@@ -173,10 +173,10 @@ func TestDBLPGDSsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateDBLP: %v", err)
 	}
-	if err := AuthorGDS().Validate(db); err != nil {
+	if err := AuthorGDS().Bind(db); err != nil {
 		t.Errorf("AuthorGDS invalid: %v", err)
 	}
-	if err := PaperGDS().Validate(db); err != nil {
+	if err := PaperGDS().Bind(db); err != nil {
 		t.Errorf("PaperGDS invalid: %v", err)
 	}
 }

@@ -154,10 +154,10 @@ func TestTPCHGDSsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateTPCH: %v", err)
 	}
-	if err := CustomerGDS().Validate(db); err != nil {
+	if err := CustomerGDS().Bind(db); err != nil {
 		t.Errorf("CustomerGDS invalid: %v", err)
 	}
-	if err := SupplierGDS().Validate(db); err != nil {
+	if err := SupplierGDS().Bind(db); err != nil {
 		t.Errorf("SupplierGDS invalid: %v", err)
 	}
 }

@@ -7,7 +7,7 @@ package datagraph
 // targets whose lists it must leave) and an inserted tuple always takes a
 // fresh slot larger than every existing id of its relation.
 //
-// After Apply the graph answers every Along query exactly as a
+// After Apply the graph answers every Cross query exactly as a
 // from-scratch Build over the mutated database would; the randomized
 // mutation-equivalence harness (TestMutationEquivalence) asserts this edge
 // for edge.
@@ -136,8 +136,8 @@ func (g *Graph) EquivalentTo(other *Graph) string {
 // relation ordinal its lists are indexed by.
 func (g *Graph) diffList(other *Graph, ref fkRef, forward bool, rel int) string {
 	for t := 0; t < g.sizes[rel]; t++ {
-		ga := g.Along(ref.owner, ref.fk, forward, relational.TupleID(t))
-		gb := other.Along(ref.owner, ref.fk, forward, relational.TupleID(t))
+		ga := g.along(ref.owner, ref.fk, forward, relational.TupleID(t))
+		gb := other.along(ref.owner, ref.fk, forward, relational.TupleID(t))
 		if !slices.Equal(ga, gb) {
 			r := g.DB.Relations[ref.owner]
 			dir := "backward"

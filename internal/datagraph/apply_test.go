@@ -50,7 +50,7 @@ func TestApplyInsertSplicesEdges(t *testing.T) {
 	}})
 	assertGraphsEqual(t, db, g)
 	// The new paper's backward Writes list reaches the new junction row.
-	nb := g.Along(db.RelIndex("Writes"), 0, false, 2)
+	nb := g.along(db.RelIndex("Writes"), 0, false, 2)
 	if len(nb) != 1 || nb[0] != 3 {
 		t.Fatalf("new paper's Writes backlist = %v, want [3]", nb)
 	}
@@ -76,7 +76,7 @@ func TestApplyDeleteClearsBothDirections(t *testing.T) {
 	}})
 	assertGraphsEqual(t, db, g)
 	wi := db.RelIndex("Writes")
-	if nb := g.Along(wi, 0, true, 1); len(nb) != 0 {
+	if nb := g.along(wi, 0, true, 1); len(nb) != 0 {
 		t.Fatalf("deleted junction row keeps neighbors %v", nb)
 	}
 }
@@ -147,10 +147,10 @@ func TestAlongResultsAreCapped(t *testing.T) {
 		for rel, refs := range g.refs {
 			for _, ref := range refs {
 				for id := 0; id < g.sizes[ref.owner]; id++ {
-					_ = append(g.Along(ref.owner, ref.fk, true, relational.TupleID(id)), -7)
+					_ = append(g.along(ref.owner, ref.fk, true, relational.TupleID(id)), -7)
 				}
 				for id := 0; id < g.sizes[rel]; id++ {
-					_ = append(g.Along(ref.owner, ref.fk, false, relational.TupleID(id)), -7)
+					_ = append(g.along(ref.owner, ref.fk, false, relational.TupleID(id)), -7)
 				}
 			}
 		}
@@ -220,7 +220,7 @@ func TestApplyRefsPath(t *testing.T) {
 	}
 	paper := db.RelIndex("Paper")
 	for _, ref := range g.refs[paper] {
-		if nb := g.Along(ref.owner, ref.fk, false, 0); len(nb) != 0 {
+		if nb := g.along(ref.owner, ref.fk, false, 0); len(nb) != 0 {
 			t.Errorf("deleted p1 keeps backward list %v under %+v", nb, ref)
 		}
 	}

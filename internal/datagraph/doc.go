@@ -10,10 +10,15 @@
 // (package rank), which needs typed edges: authority transfer rates are
 // declared per schema edge and direction.
 //
-// An edge is named by its foreign key and a direction: Graph.Along(owner,
-// fk, forward, t) reads FK fk of relation ordinal owner from tuple t, in
-// O(1) — forward from an owner tuple to the tuple it references, backward
-// from a referenced tuple to its owners.
+// An edge is named by a Hop: one foreign-key join bound to relation and FK
+// ordinals — direct (forward from an owner tuple to the tuple it
+// references, or backward from a referenced tuple to its owners) or through
+// a junction relation, whose rows are stepped over. FKHop and JunctionHop
+// bind one against a schema, schemagraph.GDS.Bind binds every G_DS step and
+// rank.Compile every G_A flow, and Graph.Cross(h, t, buf) is the one code
+// that crosses an edge, in O(1) per list read. h.Reverse() walks the same
+// join the other way, so an OS extraction and its inverse (the footprint
+// walk) read the same lists.
 //
 // Each foreign key holds one editable form per direction: a dense forward
 // array (an owner tuple's referenced tuple, -1 once tombstoned) and one
@@ -24,16 +29,16 @@
 // # Invariants
 //
 //   - Build cuts every backward list from one backing array with a full
-//     slice expression (cap == len), and Along returns a forward edge as
+//     slice expression (cap == len), and Cross returns a forward edge as
 //     fwd[t:t+1:t+1]: appending to a list never writes into another
 //     tuple's list.
 //   - A forward entry is -1 exactly when its owner tuple is tombstoned;
-//     Along then returns nil.
+//     Cross then returns nil.
 //   - Apply requires the batch to be already committed to the graph's
 //     database — it reads the post-commit relation sizes, the inserted
 //     tuples' FK values and the PK index — and the per-relation id lists
 //     must be ascending: exactly the relational.BatchResult contract.
-//   - Apply edits lists in place, so Along results are valid only until
+//   - Apply edits lists in place, so Cross results are valid only until
 //     the next Apply; callers that retain a list must copy it.
 //   - After any Apply the graph is edge-exact with a from-scratch Build
 //     over the mutated store — same relation sizes, same neighbor list on

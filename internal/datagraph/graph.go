@@ -125,13 +125,13 @@ func (g *Graph) NumNodes() int {
 // RelSize returns the node count of relation ordinal rel.
 func (g *Graph) RelSize(rel int) int { return g.sizes[rel] }
 
-// Along returns t's neighbors across FK fk of relation ordinal owner:
+// along returns t's neighbors across FK fk of relation ordinal owner:
 // forward, t is an owner tuple and the result the tuple it references;
 // backward, t is a referenced tuple and the result its owners, in owner
 // insertion order. The returned slice aliases internal storage and must not
 // be modified (appending to it never reaches another tuple's list); it
 // stays valid until the next Apply. An owner, fk or t out of range panics.
-func (g *Graph) Along(owner, fk int, forward bool, t relational.TupleID) []relational.TupleID {
+func (g *Graph) along(owner, fk int, forward bool, t relational.TupleID) []relational.TupleID {
 	e := &g.fks[owner][fk]
 	if !forward {
 		return e.bwd[t]

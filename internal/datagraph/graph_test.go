@@ -101,18 +101,18 @@ func TestNeighbors(t *testing.T) {
 	}
 	writes, cites := db.RelIndex("Writes"), db.RelIndex("Cites")
 	// Author a1 (tuple 0) <- Writes.author backward: rows 0 and 1.
-	got := g.Along(writes, 1, false, 0)
+	got := g.along(writes, 1, false, 0)
 	want := []relational.TupleID{0, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("a1 writes-backward = %v, want %v", got, want)
 	}
 	// Writes row 0 -> Paper forward: paper p1 (tuple 0).
-	got = g.Along(writes, 0, true, 0)
+	got = g.along(writes, 0, true, 0)
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
 		t.Errorf("writes0 paper-forward = %v, want [0]", got)
 	}
 	// Paper p1 cited by p2 via Cites: backward along Cites.cited.
-	got = g.Along(cites, 1, false, 0)
+	got = g.along(cites, 1, false, 0)
 	if !reflect.DeepEqual(got, []relational.TupleID{0}) {
 		t.Errorf("p1 cited-backward = %v, want [0] (Cites row 0)", got)
 	}
@@ -128,10 +128,10 @@ func TestDegree(t *testing.T) {
 		t.Fatalf("Author referenced by %d FKs, want 1", len(refs))
 	}
 	writes := db.RelIndex("Writes")
-	if got := len(g.Along(writes, 1, false, 0)); got != 2 {
+	if got := len(g.along(writes, 1, false, 0)); got != 2 {
 		t.Errorf("Degree(a1) = %d, want 2", got)
 	}
-	if got := len(g.Along(writes, 1, false, 1)); got != 1 {
+	if got := len(g.along(writes, 1, false, 1)); got != 1 {
 		t.Errorf("Degree(a2) = %d, want 1", got)
 	}
 }

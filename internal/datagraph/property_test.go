@@ -51,14 +51,14 @@ func TestForwardBackwardSymmetry(t *testing.T) {
 		fwdEdges := map[string]bool{}
 		fwdCount := 0
 		for ct := 0; ct < children; ct++ {
-			for _, pt := range g.Along(cIdx, 0, true, relational.TupleID(ct)) {
+			for _, pt := range g.along(cIdx, 0, true, relational.TupleID(ct)) {
 				fwdEdges[fmt.Sprintf("%d-%d", ct, pt)] = true
 				fwdCount++
 			}
 		}
 		bwdCount := 0
 		for pt := 0; pt < parents; pt++ {
-			for _, ct := range g.Along(cIdx, 0, false, relational.TupleID(pt)) {
+			for _, ct := range g.along(cIdx, 0, false, relational.TupleID(pt)) {
 				if !fwdEdges[fmt.Sprintf("%d-%d", ct, pt)] {
 					t.Fatalf("trial %d: backward edge %d<-%d missing forward counterpart", trial, ct, pt)
 				}
@@ -82,7 +82,7 @@ func TestDegreeSums(t *testing.T) {
 	cIdx := db.RelIndex("C")
 	total := 0
 	for pt := 0; pt < 7; pt++ {
-		total += len(g.Along(cIdx, 0, false, relational.TupleID(pt)))
+		total += len(g.along(cIdx, 0, false, relational.TupleID(pt)))
 	}
 	if total != 40 {
 		t.Fatalf("degree sum %d, want 40", total)

@@ -8,6 +8,11 @@
 //     whose costs Figure 10f compares, and
 //   - the indented rendering used in the paper's Examples 4 and 5.
 //
+// One hop rule: Build walks only a bound G_DS (schemagraph.GDS.Bind).
+// GraphSource crosses each node's datagraph.Hop (reversed for Parents) and
+// reads scores by relation ordinal, resolved once per source: no name is
+// looked up per extraction. DBSource reads the name-based Step instead.
+//
 // # Invariants
 //
 //   - The two sources (database joins and data graph) must produce

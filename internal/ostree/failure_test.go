@@ -12,7 +12,7 @@ import (
 // it by construction. This test pins the failure mode.
 func TestMissingScoresPanics(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	broken := relational.DBScores{}
 	for k, v := range f.scores {
 		if k != "Paper" {
@@ -32,7 +32,7 @@ func TestMissingScoresPanics(t *testing.T) {
 // parent must yield an empty child set, not an error.
 func TestEmptyJoinResults(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	// The least productive author may have very few papers; every extraction
 	// path must tolerate empty joins. Use an author with no papers if one
 	// exists, otherwise any author (the test is then vacuous but harmless).
@@ -62,7 +62,7 @@ func TestEmptyJoinResults(t *testing.T) {
 // (its caches are read-only indexes).
 func TestDBSourceRepeatable(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	src := f.dbSource()
 	root := authorRoot(t, f, 1)
 	a, err := Generate(src, gds, root, GenOptions{})

@@ -14,9 +14,6 @@ type GenOptions struct {
 	// tuples or subtrees which have distance at least l from the root are
 	// excluded"). Zero means unbounded.
 	MaxDepth int
-	// MaxNodes aborts generation beyond this many tuples (safety valve for
-	// pathological G_DS configurations). Zero means unbounded.
-	MaxNodes int
 }
 
 // Generate materializes the complete OS for the data subject tuple root
@@ -37,7 +34,8 @@ func Generate(src Source, gds *schemagraph.GDS, root relational.TupleID, opts Ge
 // Source's result can be passed through) — every child for a complete OS, the
 // avoidance conditions' choice for a prelim-l one (Algorithm 4). Each node
 // carries its local importance Im(OS, t_i) = Im(t_i)·Af(R_i), and its child
-// list is cut from Iota. On error t holds a partial tree.
+// list is cut from Iota. gds must be bound (GDS.Bind): an unbound G_DS, or a
+// root out of range, is an error before t is touched.
 //
 // A child tuple identical to its grandparent node (same relation and tuple)
 // is skipped: hopping Author -> Paper -> Co-Author must not re-list the
@@ -45,38 +43,19 @@ func Generate(src Source, gds *schemagraph.GDS, root relational.TupleID, opts Ge
 // his own co-author.
 func Build(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID, opts GenOptions,
 	extract func(gn *schemagraph.Node, parent relational.TupleID) []relational.TupleID) error {
-	db := src.DB()
-	rootRel := db.Relation(gds.DSName)
-	if rootRel == nil {
-		return fmt.Errorf("ostree: unknown data subject relation %s", gds.DSName)
+	if !gds.Bound() {
+		return fmt.Errorf("ostree: G_DS of %s is not bound to a database (GDS.Bind)", gds.DSName)
 	}
-	if int(root) < 0 || int(root) >= rootRel.Len() {
+	db := src.DB()
+	if n := db.Relations[gds.Root.RelOrd].Len(); int(root) < 0 || int(root) >= n {
 		return fmt.Errorf("ostree: root tuple %d out of range for %s", root, gds.DSName)
 	}
-	// A G_DS node's relation ordinal and scores, resolved at its first use.
-	type resolved struct {
-		gn     *schemagraph.Node
-		rel    int32
-		scores relational.Scores
-	}
-	steps := make([]resolved, 0, 8)
-	resolve := func(gn *schemagraph.Node) *resolved {
-		for i := range steps {
-			if steps[i].gn == gn {
-				return &steps[i]
-			}
-		}
-		steps = append(steps, resolved{gn, int32(db.RelIndex(gn.Rel)), relScores(src.Scores(), gn.Rel)})
-		return &steps[len(steps)-1]
-	}
-
-	rs := resolve(gds.Root)
 	*t = Tree{Nodes: t.Nodes[:0], GDS: gds, DB: db}
 	t.Nodes = append(t.Nodes, Node{
 		GDS:    gds.Root,
-		Rel:    rs.rel,
+		Rel:    int32(gds.Root.RelOrd),
 		Tuple:  root,
-		Weight: rs.scores[root] * gds.Root.Affinity,
+		Weight: src.Scores(gds.Root.RelOrd)[root] * gds.Root.Affinity,
 		Parent: None,
 	})
 	var ids []NodeID
@@ -95,22 +74,19 @@ func Build(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID, o
 			if len(children) == 0 {
 				continue
 			}
-			st := resolve(gchild)
+			rel, scores := int32(gchild.RelOrd), src.Scores(gchild.RelOrd)
 			for _, ct := range children {
-				if st.rel == gpRel && ct == gpTuple {
+				if rel == gpRel && ct == gpTuple {
 					continue
 				}
 				t.Nodes = append(t.Nodes, Node{
 					GDS:    gchild,
-					Rel:    st.rel,
+					Rel:    rel,
 					Tuple:  ct,
-					Weight: st.scores[ct] * gchild.Affinity,
+					Weight: scores[ct] * gchild.Affinity,
 					Parent: NodeID(cur),
 					Depth:  n.Depth + 1,
 				})
-			}
-			if opts.MaxNodes > 0 && len(t.Nodes) > opts.MaxNodes {
-				return fmt.Errorf("ostree: OS exceeds %d nodes", opts.MaxNodes)
 			}
 		}
 		if last := len(t.Nodes); last > first {

@@ -33,7 +33,7 @@ func TestJunctionTopLSkipsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatalf("computeRank: %v", err)
 	}
-	gds := datagen.AuthorGDS()
+	gds := bound(t, db, datagen.AuthorGDS())
 	paperNode := gds.Find("Paper")
 	author := db.Relation("Author")
 	writes := db.Relation("Writes")

@@ -65,6 +65,15 @@ func getFixture(t *testing.T) *fixture {
 func (f *fixture) dbSource() *DBSource       { return NewDBSource(f.db, f.scores) }
 func (f *fixture) graphSource() *GraphSource { return NewGraphSource(f.graph, f.scores) }
 
+// bound binds gds to db, failing the test if it does not bind.
+func bound(t testing.TB, db *relational.DB, gds *schemagraph.GDS) *schemagraph.GDS {
+	t.Helper()
+	if err := gds.Bind(db); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	return gds
+}
+
 func authorRoot(t *testing.T, f *fixture, pk int64) relational.TupleID {
 	t.Helper()
 	id, ok := f.db.Relation("Author").LookupPK(pk)
@@ -76,7 +85,7 @@ func authorRoot(t *testing.T, f *fixture, pk int64) relational.TupleID {
 
 func TestGenerateCompleteOS(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	tree, err := Generate(f.dbSource(), gds, authorRoot(t, f, 1), GenOptions{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -110,7 +119,7 @@ func TestGenerateCompleteOS(t *testing.T) {
 
 func TestGenerateSourcesAgree(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	root := authorRoot(t, f, 2)
 	a, err := Generate(f.dbSource(), gds, root, GenOptions{})
 	if err != nil {
@@ -133,7 +142,7 @@ func TestGenerateSourcesAgree(t *testing.T) {
 
 func TestGrandparentExclusion(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	root := authorRoot(t, f, 1)
 	tree, err := Generate(f.graphSource(), gds, root, GenOptions{})
 	if err != nil {
@@ -150,7 +159,7 @@ func TestGrandparentExclusion(t *testing.T) {
 
 func TestGenerateMaxDepth(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	tree, err := Generate(f.graphSource(), gds, authorRoot(t, f, 1), GenOptions{MaxDepth: 1})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -169,25 +178,29 @@ func TestGenerateMaxDepth(t *testing.T) {
 	}
 }
 
-func TestGenerateMaxNodes(t *testing.T) {
-	f := getFixture(t)
-	gds := datagen.AuthorGDS()
-	if _, err := Generate(f.graphSource(), gds, authorRoot(t, f, 1), GenOptions{MaxNodes: 5}); err == nil {
-		t.Fatal("MaxNodes cap not enforced")
-	}
-}
-
 func TestGenerateErrors(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	if _, err := Generate(f.graphSource(), gds, relational.TupleID(1<<30), GenOptions{}); err == nil {
 		t.Error("out-of-range root accepted")
 	}
 }
 
+// TestBuildRefusesUnboundGDS: Build reads only bound hops and relation
+// ordinals, so a G_DS never passed through GDS.Bind is an error on both
+// sources, before anything is extracted.
+func TestBuildRefusesUnboundGDS(t *testing.T) {
+	f := getFixture(t)
+	for _, src := range []Source{f.graphSource(), f.dbSource()} {
+		if _, err := Generate(src, datagen.AuthorGDS(), authorRoot(t, f, 1), GenOptions{}); err == nil || !strings.Contains(err.Error(), "not bound") {
+			t.Errorf("%T: unbound G_DS: %v", src, err)
+		}
+	}
+}
+
 func TestIsConnectedSubtree(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	tree, err := Generate(f.graphSource(), gds, authorRoot(t, f, 1), GenOptions{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -225,7 +238,7 @@ func TestIsConnectedSubtree(t *testing.T) {
 
 func TestImportanceSums(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	tree, err := Generate(f.graphSource(), gds, authorRoot(t, f, 3), GenOptions{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -251,7 +264,7 @@ func approx(a, b float64) bool {
 
 func TestChildrenTopLAgree(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	paperNode := gds.Find("Paper")
 	coauthorNode := gds.Find("Co-Author")
 	yearNode := gds.Find("Year")
@@ -316,7 +329,7 @@ func naiveTopL(ids []relational.TupleID, scores relational.Scores, min float64, 
 
 func TestRenderCompleteAndSubset(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	tree, err := Generate(f.graphSource(), gds, authorRoot(t, f, 1), GenOptions{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)

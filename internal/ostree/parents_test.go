@@ -47,6 +47,9 @@ func walkFixtures(t *testing.T) []*walkFixture {
 		if f.g, err = datagraph.Build(f.db); err != nil {
 			t.Fatalf("%s: datagraph.Build: %v", f.name, err)
 		}
+		for _, gds := range f.gdss {
+			bound(t, f.db, gds)
+		}
 	}
 	return out
 }
@@ -221,9 +224,7 @@ func TestSubjectsJunctionClimb(t *testing.T) {
 	gds.Root.AddJunction("Paper", "Paper", "Writes", 1, 0, 0.92).
 		AddJunction("Co-Author", "Author", "Writes", 0, 1, 0.82).
 		AddJunction("Co-Author's Paper", "Paper", "Writes", 1, 0, 0.8)
-	if err := gds.Validate(f.db); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	bound(t, f.db, gds)
 	src := f.source()
 	r := rand.New(rand.NewSource(25))
 	for round := 0; round < 8; round++ {

@@ -15,7 +15,7 @@ import (
 // set) — never disconnected fragments.
 func TestRenderSubsetConnectivityProperty(t *testing.T) {
 	f := getFixture(t)
-	gds := datagen.AuthorGDS()
+	gds := bound(t, f.db, datagen.AuthorGDS())
 	tree, err := Generate(f.graphSource(), gds, authorRoot(t, f, 1), GenOptions{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -61,7 +61,7 @@ func TestRenderMatchesReference(t *testing.T) {
 	f := getFixture(t)
 	trees := []*Tree{}
 	for _, pk := range []int64{1, 2, 7} {
-		tree, err := Generate(f.graphSource(), datagen.AuthorGDS(), authorRoot(t, f, pk), GenOptions{})
+		tree, err := Generate(f.graphSource(), bound(t, f.db, datagen.AuthorGDS()), authorRoot(t, f, pk), GenOptions{})
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}

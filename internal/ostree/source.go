@@ -2,7 +2,6 @@ package ostree
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -35,31 +34,34 @@ type Source interface {
 	ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID
 	// DB returns the underlying database (for schema and rendering).
 	DB() *relational.DB
-	// Scores returns the active global-importance setting.
-	Scores() relational.DBScores
+	// Scores returns the active setting's global-importance scores of
+	// relation ordinal rel, resolved once when the source was made.
+	Scores(rel int) relational.Scores
 	// Accesses returns the number of extraction operations performed.
 	Accesses() int64
 	// ResetAccesses zeroes the counter and returns its prior value.
 	ResetAccesses() int64
 }
 
-// relScores resolves the scores array of a relation, panicking on a
-// missing relation — a configuration error, not a runtime condition.
-func relScores(scores relational.DBScores, rel string) relational.Scores {
-	s, ok := scores[rel]
-	if !ok {
-		panic(fmt.Sprintf("ostree: no scores for relation %s", rel))
+// byOrdinal appends to dst a setting's score vectors by relation ordinal,
+// nil for a relation the setting does not score (reading one panics: a
+// configuration error, not a runtime condition).
+func byOrdinal(dst []relational.Scores, db *relational.DB, scores relational.DBScores) []relational.Scores {
+	for _, r := range db.Relations {
+		dst = append(dst, scores[r.Name])
 	}
-	return s
+	return dst
 }
 
 // DBSource extracts children with joins against the relational engine.
 // TOP-l extractions use importance-ordered FK indexes, built lazily per
 // (G_DS node); this models a database index on the local-importance
-// attribute li that the paper's SQL assumes.
+// attribute li that the paper's SQL assumes. It reads each G_DS node's
+// name-based Step, not its bound hop, so a DBSource agreeing with a
+// GraphSource checks Bind against a second reading of the schema.
 type DBSource struct {
 	db     *relational.DB
-	scores relational.DBScores
+	scores []relational.Scores // by relation ordinal
 
 	ordered map[*schemagraph.Node]*relational.OrderedFKIndex
 	// junction caches, per junction-step G_DS node: children of each parent
@@ -72,7 +74,7 @@ type DBSource struct {
 func NewDBSource(db *relational.DB, scores relational.DBScores) *DBSource {
 	return &DBSource{
 		db:       db,
-		scores:   scores,
+		scores:   byOrdinal(nil, db, scores),
 		ordered:  make(map[*schemagraph.Node]*relational.OrderedFKIndex),
 		junction: make(map[*schemagraph.Node]map[int64][]relational.TupleID),
 	}
@@ -82,7 +84,7 @@ func NewDBSource(db *relational.DB, scores relational.DBScores) *DBSource {
 func (s *DBSource) DB() *relational.DB { return s.db }
 
 // Scores implements Source.
-func (s *DBSource) Scores() relational.DBScores { return s.scores }
+func (s *DBSource) Scores(rel int) relational.Scores { return s.scores[rel] }
 
 // Accesses implements Source.
 func (s *DBSource) Accesses() int64 { return s.db.Accesses() }
@@ -136,21 +138,21 @@ func (s *DBSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID,
 		idx, ok := s.ordered[gn]
 		if !ok {
 			child := db.Relation(gn.Rel)
-			idx = relational.BuildOrderedFKIndex(child, gn.Step.FKOrd, relScores(s.scores, gn.Rel))
+			idx = relational.BuildOrderedFKIndex(child, gn.Step.FKOrd, s.scores[gn.RelOrd])
 			s.ordered[gn] = idx
 		}
 		return idx.TopL(db, parentRel.PK(parent), minScore, limit)
 	case schemagraph.StepParentFK:
-		scores := relScores(s.scores, gn.Rel)
+		scores := s.scores[gn.RelOrd]
 		return sortTopL(keepOver(nil, s.Children(gn, parent), scores, minScore), scores, limit)
 	case schemagraph.StepJunction:
 		lists, ok := s.junction[gn]
 		if !ok {
-			lists = buildJunctionLists(db, gn, relScores(s.scores, gn.Rel))
+			lists = buildJunctionLists(db, gn, s.scores[gn.RelOrd])
 			s.junction[gn] = lists
 		}
 		db.ChargeAccess() // the TOP-l join is charged even when empty (§5.3)
-		return topLFromSorted(lists[parentRel.PK(parent)], relScores(s.scores, gn.Rel), minScore, limit)
+		return topLFromSorted(lists[parentRel.PK(parent)], s.scores[gn.RelOrd], minScore, limit)
 	default:
 		return nil
 	}
@@ -228,28 +230,33 @@ func sortTopL(ids []relational.TupleID, scores relational.Scores, limit int) []r
 
 // GraphSource extracts children by walking the in-memory data graph, the
 // fast OS-generation path of Figure 10f ("the OSs are generated much faster
-// using the data graph"). It assumes every G_DS it walks was validated
-// against its database (GDS.Validate, which Engine.RegisterGDS runs): a
-// step naming an unknown relation or an out-of-range FK ordinal panics.
+// using the data graph"). It crosses each G_DS node's bound hop (GDS.Bind,
+// which Engine.RegisterGDS runs) and reads scores by the node's relation
+// ordinal: no name is looked up per extraction.
 type GraphSource struct {
 	g        *datagraph.Graph
-	scores   relational.DBScores
+	scores   []relational.Scores // by relation ordinal
 	accesses int64
 	// hop and top are the scratch a junction step's children and a TOP-l
 	// extraction's survivors are written into (Source's aliasing contract).
 	hop, top []relational.TupleID
+	// inline backs scores up to 8 relations (TPC-H's count), so a source
+	// is one allocation: the engine makes one per page.
+	inline [8]relational.Scores
 }
 
 // NewGraphSource creates a data-graph-backed extraction source.
 func NewGraphSource(g *datagraph.Graph, scores relational.DBScores) *GraphSource {
-	return &GraphSource{g: g, scores: scores}
+	s := &GraphSource{g: g}
+	s.scores = byOrdinal(s.inline[:0], g.DB, scores)
+	return s
 }
 
 // DB implements Source.
 func (s *GraphSource) DB() *relational.DB { return s.g.DB }
 
 // Scores implements Source.
-func (s *GraphSource) Scores() relational.DBScores { return s.scores }
+func (s *GraphSource) Scores(rel int) relational.Scores { return s.scores[rel] }
 
 // Accesses implements Source.
 func (s *GraphSource) Accesses() int64 { return s.accesses }
@@ -261,57 +268,26 @@ func (s *GraphSource) ResetAccesses() int64 {
 	return n
 }
 
-// Children implements Source.
+// Children implements Source: gn's hop, crossed from a tuple of its parent
+// node.
 func (s *GraphSource) Children(gn *schemagraph.Node, parent relational.TupleID) []relational.TupleID {
 	s.accesses++
-	return s.step(gn, parent, false, &s.hop)
+	return s.g.Cross(gn.Hop, parent, &s.hop)
 }
 
 // Parents is the inverse of Children: the tuples p of gn's parent node with
-// child among Children(gn, p). Not an extraction: no access is counted. The
-// result is the caller's — Subjects recurses while it iterates one.
+// child among Children(gn, p) — gn's hop reversed, the same foreign keys
+// read the other way. Not an extraction: no access is counted. The result
+// is the caller's — Subjects recurses while it iterates one.
 func (s *GraphSource) Parents(gn *schemagraph.Node, child relational.TupleID) []relational.TupleID {
 	var own []relational.TupleID
-	return s.step(gn, child, true, &own)
-}
-
-// step crosses gn's traversal step from t: down from a tuple of gn's parent
-// node to its children, or up from a tuple of gn to its parents — the same
-// foreign keys read the other way, so the two are inverse by construction. A
-// junction hop writes its result over *buf; the other steps return the
-// graph's adjacency list.
-func (s *GraphSource) step(gn *schemagraph.Node, t relational.TupleID, up bool, buf *[]relational.TupleID) []relational.TupleID {
-	db := s.g.DB
-	switch gn.Step.Kind {
-	case schemagraph.StepChildFK:
-		return s.g.Along(db.RelIndex(gn.Rel), gn.Step.FKOrd, up, t)
-	case schemagraph.StepParentFK:
-		return s.g.Along(db.RelIndex(gn.Parent.Rel), gn.Step.FKOrd, !up, t)
-	case schemagraph.StepJunction:
-		j := db.RelIndex(gn.Step.Junction)
-		in, out := gn.Step.JFKParent, gn.Step.JFKChild
-		if up {
-			in, out = out, in
-		}
-		rows := s.g.Along(j, in, false, t)
-		if len(rows) == 0 {
-			return nil
-		}
-		hop := (*buf)[:0]
-		for _, row := range rows {
-			hop = append(hop, s.g.Along(j, out, true, row)...)
-		}
-		*buf = hop
-		return hop
-	default:
-		return nil
-	}
+	return s.g.Cross(gn.Hop.Reverse(), child, &own)
 }
 
 // ChildrenTopL implements Source, copying and sorting only the children
 // over minScore.
 func (s *GraphSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID {
-	scores := relScores(s.scores, gn.Rel)
+	scores := s.scores[gn.RelOrd]
 	s.top = keepOver(s.top[:0], s.Children(gn, parent), scores, minScore)
 	return sortTopL(s.top, scores, limit)
 }
@@ -343,31 +319,11 @@ func (s *GraphSource) Subjects(gds *schemagraph.GDS, res relational.BatchResult,
 			climb(gn.Parent, p)
 		}
 	}
-	db := s.g.DB
 	for _, gn := range gds.Nodes()[1:] {
-		// The climb starts at the parent-side end of each changed edge, the
-		// tuple one FK of the edge's owner names: read from the owner's slot,
-		// which a tombstone keeps (its adjacency is already cleared), and
-		// skipped if itself deleted, since whatever reached it did so over
+		// The climb starts at the parent-side end of each changed edge. An
+		// end no longer live is skipped: whatever reached it did so over
 		// another removed edge, nearer the root, whose end is live.
-		rel, fkOrd := gn.Rel, gn.Step.FKOrd
-		switch gn.Step.Kind {
-		case schemagraph.StepJunction:
-			rel, fkOrd = gn.Step.Junction, gn.Step.JFKParent
-		case schemagraph.StepParentFK:
-			// Owned by the parent-side tuple: as new or as deleted as the edge.
-			continue
-		}
-		r := db.Relation(rel)
-		fk := r.FKs[fkOrd]
-		col, ref := r.ColIndex(fk.Column), db.Relation(fk.Ref)
-		for _, owners := range [][]relational.TupleID{res.Deleted[rel], res.Inserted[rel]} {
-			for _, t := range owners {
-				if end, live := ref.LookupPK(r.Tuples[t][col].Int); live {
-					climb(gn.Parent, end)
-				}
-			}
-		}
+		gn.Hop.ChangedFrom(s.g.DB, res, func(end relational.TupleID) { climb(gn.Parent, end) })
 	}
 	return subjects, len(seen) <= budget
 }

@@ -76,6 +76,11 @@ func TestDBSourceMatchesGraphSource(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: datagraph.Build: %v", f.name, err)
 		}
+		for _, gds := range f.gdss {
+			if err := gds.Bind(f.db); err != nil {
+				t.Fatalf("%s: Bind: %v", f.name, err)
+			}
+		}
 		before, err := datagraph.Build(f.db)
 		if err != nil {
 			t.Fatalf("%s: datagraph.Build: %v", f.name, err)

@@ -19,10 +19,14 @@
 // for that flow — matching how G_A figures like the paper's Figure 13 are
 // drawn.
 //
-// Execution model: Compile resolves a G_A against one data graph into
-// *Plans — per-flow CSR push rows, the one form of the flows, and one
-// contiguous score arena — and Plans.Run is the power iteration (cold or
-// warm), scattering along those rows: the two are the one way to rank.
+// Execution model: Compile binds each flow of a G_A to a datagraph.Hop —
+// the same edge description G_DS steps bind to — and crosses it from every
+// source tuple into *Plans: per-flow CSR push rows, the one form of the
+// flows, and one contiguous score arena. A row recomputed after a mutation
+// is the same Graph.Cross for one tuple, and the sources a batch changed
+// through the hop's owner are Hop.ChangedFrom's, so no flow kind is
+// switched on anywhere. Plans.Run is the power iteration (cold or warm),
+// scattering along those rows: Compile and Run are the one way to rank.
 // Plans.Apply splices a committed mutation batch into the compiled rows;
 // Plans.RunResidual repairs the prior fixed point, in the caller's own
 // vectors, with a localized Gauss–Southwell residual push (residual.go has

@@ -21,8 +21,8 @@ func (ps *Plans) RunGather(opts Options) (relational.DBScores, int) {
 	in := make([][]contrib, ps.n)
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
-		srcOff, dstOff := ps.relOff[p.srcRel], ps.relOff[p.dstRel]
-		for t := range ps.relOff[p.srcRel+1] - srcOff {
+		srcOff, dstOff := ps.relOff[p.hop.From()], ps.relOff[p.hop.To()]
+		for t := range ps.relOff[p.hop.From()+1] - srcOff {
 			targets, w := p.flows(relational.TupleID(t))
 			for k, tgt := range targets {
 				d := dstOff + int32(tgt)

@@ -65,7 +65,7 @@ func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, erro
 	ps.n = int(ps.relOff[nRel])
 	ps.bySrc = make([][]int32, nRel)
 	for pi := range ps.plans {
-		src := ps.plans[pi].srcRel
+		src := ps.plans[pi].hop.From()
 		ps.bySrc[src] = append(ps.bySrc[src], int32(pi))
 	}
 	return ps, nil
@@ -168,8 +168,8 @@ func (ps *Plans) pushAll(cur, next []float64, patched [][]relational.TupleID, da
 	clear(next)
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
-		src := cur[ps.relOff[p.srcRel]:ps.relOff[p.srcRel+1]]
-		dst := next[ps.relOff[p.dstRel]:ps.relOff[p.dstRel+1]]
+		src := cur[ps.relOff[p.hop.From()]:ps.relOff[p.hop.From()+1]]
+		dst := next[ps.relOff[p.hop.To()]:ps.relOff[p.hop.To()+1]]
 		packed := relational.TupleID(len(p.offsets) - 1)
 		from := relational.TupleID(0)
 		for _, t := range patched[pi] {

@@ -170,7 +170,7 @@ func (pr *pushRun) expand(frontier []int32, frozen []float64, hit *[]int32) (fre
 		for _, pi := range ps.bySrc[ri] {
 			p := &ps.plans[pi]
 			targets, w := p.flows(src)
-			dstOff := ps.relOff[p.dstRel]
+			dstOff := ps.relOff[p.hop.To()]
 			for k, tgt := range targets {
 				dst := dstOff + int32(tgt)
 				// Rounded here, so that no architecture fuses the product

@@ -160,43 +160,20 @@ type Stats struct {
 	Rounds int
 }
 
-// planKind discriminates how a source tuple's row of a compiled plan is
-// recomputed after a mutation (see residual.go).
-type planKind uint8
-
-const (
-	// planForward: direct FK flow, FK owner -> referenced tuple.
-	planForward planKind = iota
-	// planBackward: direct FK flow, referenced tuple -> its owners.
-	planBackward
-	// planJunction: two-hop flow through a junction relation.
-	planJunction
-)
-
-// plan is one compiled flow: a CSR adjacency from every tuple of srcRel to
-// its targets, with optional per-edge split weights. After Compile the CSR
-// arrays are frozen; Plans.Apply overlays mutated rows in patch (a present
-// key overrides the packed range), and the engine folds the overlay back by
-// recompiling once it grows large.
+// plan is one compiled flow: a CSR adjacency from every tuple of the hop's
+// From relation to its targets, with optional per-edge split weights. After
+// Compile the CSR arrays are frozen; Plans.Apply overlays mutated rows in
+// patch (a present key overrides the packed range), and the engine folds
+// the overlay back by recompiling once it grows large.
 type plan struct {
-	srcRel  int
-	dstRel  int
+	// hop is the flow's edge: a row of source t is Cross(hop, t).
+	hop     datagraph.Hop
 	rate    float64
 	offsets []int32
 	targets []relational.TupleID
 	weights []float64 // nil => uniform split per source tuple
 
-	// Incremental-maintenance metadata: how to detect and recompute the
-	// source rows a committed batch changed.
-	kind planKind
-	// owner is the relation ordinal owning fk: the FK owner of a direct
-	// plan, the junction of a junction plan. Its fk leads to srcRel on a
-	// backward or junction plan, and ownerCol is that FK's column.
-	owner    int
-	fk       int
-	ownerCol int
-	fkTo     int // junction plans: the junction's FK into dstRel
-	valueCol int // ValueRank value column in dstRel, -1 for uniform
+	valueCol int // ValueRank value column in the target relation, -1 for uniform
 
 	// patch overrides rows that diverged from the packed CSR since
 	// Compile: sources touched by mutations, and sources inserted after
@@ -263,7 +240,8 @@ func (p *plan) flows(t relational.TupleID) ([]relational.TupleID, split) {
 	return targets, p.splitOf(len(targets), weights)
 }
 
-// compile resolves ga's flows against the data graph into push plans.
+// compile binds ga's flows to hops and crosses each from every source
+// tuple into its push plan's rows.
 func compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) ([]plan, error) {
 	db := g.DB
 	var plans []plan
@@ -271,25 +249,26 @@ func compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) ([]plan, erro
 		if f.Rate == 0 {
 			continue
 		}
-		var p plan
-		var err error
-		if f.Junction != "" {
-			p, err = compileJunction(g, f)
-		} else {
-			p, err = compileDirect(g, f)
-		}
+		h, err := f.hop(db)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("rank: flow: %w", err)
 		}
+		p := plan{hop: h, rate: f.Rate, valueCol: -1}
+		n := g.RelSize(h.From())
+		p.offsets = make([]int32, n+1)
+		var buf []relational.TupleID
+		for t := 0; t < n; t++ {
+			p.offsets[t] = int32(len(p.targets))
+			p.targets = append(p.targets, g.Cross(h, relational.TupleID(t), &buf)...)
+		}
+		p.offsets[n] = int32(len(p.targets))
 		// The packed rows use int32 offsets: a plan past them is an error,
 		// not a wrapped layout.
 		if len(p.targets) > math.MaxInt32 {
 			return nil, fmt.Errorf("rank: %d flow contributions exceed the int32 plan layout", len(p.targets))
 		}
-		p.rate = f.Rate
-		p.valueCol = -1
 		if f.ValueCol != "" {
-			target := db.Relations[p.dstRel]
+			target := db.Relations[h.To()]
 			col := target.ColIndex(f.ValueCol)
 			if col < 0 {
 				return nil, fmt.Errorf("rank: %s has no value column %s", target.Name, f.ValueCol)
@@ -302,60 +281,12 @@ func compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) ([]plan, erro
 	return plans, nil
 }
 
-func compileDirect(g *datagraph.Graph, f Flow) (plan, error) {
-	db := g.DB
-	rel := db.Relation(f.Rel)
-	if rel == nil {
-		return plan{}, fmt.Errorf("rank: flow on unknown relation %s", f.Rel)
+// hop binds f to db's schema.
+func (f Flow) hop(db *relational.DB) (datagraph.Hop, error) {
+	if f.Junction != "" {
+		return datagraph.JunctionHop(db, f.Junction, f.JFKFrom, f.JFKTo)
 	}
-	if f.FK < 0 || f.FK >= len(rel.FKs) {
-		return plan{}, fmt.Errorf("rank: flow on %s: FK ordinal %d out of range", f.Rel, f.FK)
-	}
-	owner, ref := db.RelIndex(f.Rel), db.RelIndex(rel.FKs[f.FK].Ref)
-	p := plan{
-		srcRel: owner, dstRel: ref, kind: planForward,
-		owner: owner, fk: f.FK, ownerCol: rel.ColIndex(rel.FKs[f.FK].Column),
-	}
-	if !f.Forward {
-		p.srcRel, p.dstRel, p.kind = ref, owner, planBackward
-	}
-	n := g.RelSize(p.srcRel)
-	p.offsets = make([]int32, n+1)
-	for t := 0; t < n; t++ {
-		p.offsets[t] = int32(len(p.targets))
-		p.targets = append(p.targets, g.Along(owner, f.FK, f.Forward, relational.TupleID(t))...)
-	}
-	p.offsets[n] = int32(len(p.targets))
-	return p, nil
-}
-
-func compileJunction(g *datagraph.Graph, f Flow) (plan, error) {
-	db := g.DB
-	j := db.Relation(f.Junction)
-	if j == nil {
-		return plan{}, fmt.Errorf("rank: unknown junction %s", f.Junction)
-	}
-	if f.JFKFrom < 0 || f.JFKFrom >= len(j.FKs) || f.JFKTo < 0 || f.JFKTo >= len(j.FKs) {
-		return plan{}, fmt.Errorf("rank: junction %s: FK ordinals (%d,%d) out of range", f.Junction, f.JFKFrom, f.JFKTo)
-	}
-	src := db.RelIndex(j.FKs[f.JFKFrom].Ref)
-	dst := db.RelIndex(j.FKs[f.JFKTo].Ref)
-	jIdx := db.RelIndex(f.Junction)
-	p := plan{
-		srcRel: src, dstRel: dst,
-		kind: planJunction, owner: jIdx, fk: f.JFKFrom, fkTo: f.JFKTo,
-		ownerCol: j.ColIndex(j.FKs[f.JFKFrom].Column),
-	}
-	n := g.RelSize(src)
-	p.offsets = make([]int32, n+1)
-	for t := 0; t < n; t++ {
-		p.offsets[t] = int32(len(p.targets))
-		for _, row := range g.Along(jIdx, f.JFKFrom, false, relational.TupleID(t)) {
-			p.targets = append(p.targets, g.Along(jIdx, f.JFKTo, true, row)...)
-		}
-	}
-	p.offsets[n] = int32(len(p.targets))
-	return p, nil
+	return datagraph.FKHop(db, f.Rel, f.FK, f.Forward)
 }
 
 // splitWeights computes value-proportional split weights aligned with the

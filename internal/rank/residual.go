@@ -152,19 +152,16 @@ func (ps *Plans) Patched() int {
 // p whose rows the batch changed: deleted and inserted tuples of the source
 // relation itself, plus — for backward and junction flows — the sources
 // whose neighbor lists gained or lost an edge because a referencing tuple
-// (FK owner or junction row) was inserted or deleted. The retained content
-// of tombstoned slots makes the FK values of deleted referencers readable;
-// a PK lookup that fails means the far end was deleted in the same batch
-// and is already covered by its own relation's delete list.
+// (FK owner or junction row) was inserted or deleted (Hop.ChangedFrom).
 func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relational.TupleID {
 	db := ps.g.DB
-	srcRel := db.Relations[p.srcRel]
+	srcRel := db.Relations[p.hop.From()]
 	// Early out for the common streaming case: the batch touched neither
 	// the source relation nor the relation whose tuples carry this plan's
 	// edges — no row can have changed, so skip the allocations entirely.
-	owner := db.Relations[p.owner]
+	owner := db.Relations[p.hop.Owner()]
 	touched := len(res.Deleted[srcRel.Name])+len(res.Inserted[srcRel.Name]) > 0
-	if !touched && p.kind != planForward {
+	if !touched && !p.hop.Forward() {
 		touched = len(res.Deleted[owner.Name])+len(res.Inserted[owner.Name]) > 0
 	}
 	if !touched {
@@ -177,18 +174,7 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 	for _, t := range res.Inserted[srcRel.Name] {
 		seen[t] = true
 	}
-	addViaLookup := func(owner *relational.Relation, col int, ids []relational.TupleID) {
-		for _, id := range ids {
-			key := owner.Tuples[id][col].Int
-			if target, ok := srcRel.LookupPK(key); ok {
-				seen[target] = true
-			}
-		}
-	}
-	if p.kind != planForward {
-		addViaLookup(owner, p.ownerCol, res.Deleted[owner.Name])
-		addViaLookup(owner, p.ownerCol, res.Inserted[owner.Name])
-	}
+	p.hop.ChangedFrom(db, res, func(t relational.TupleID) { seen[t] = true })
 	if len(seen) == 0 {
 		return nil
 	}
@@ -196,28 +182,19 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 }
 
 // recomputeRow rebuilds source t's row of p from the maintained data graph
-// — the same traversal compileDirect/compileJunction perform for every
-// source at compile time, for one tuple. The returned slices are freshly
-// allocated (graph neighbor lists are mutated in place by later batches,
-// so they must not be aliased).
+// — the crossing compile performs for every source, for one tuple. The
+// returned slices are freshly allocated (graph neighbor lists are mutated
+// in place by later batches, so they must not be aliased).
 func (ps *Plans) recomputeRow(p *plan, t relational.TupleID) ([]relational.TupleID, []float64) {
 	var targets []relational.TupleID
-	switch p.kind {
-	case planJunction:
-		for _, row := range ps.g.Along(p.owner, p.fk, false, t) {
-			targets = append(targets, ps.g.Along(p.owner, p.fkTo, true, row)...)
-		}
-	default:
-		nb := ps.g.Along(p.owner, p.fk, p.kind == planForward, t)
-		if len(nb) > 0 {
-			targets = append(make([]relational.TupleID, 0, len(nb)), nb...)
-		}
+	if nb := ps.g.Cross(p.hop, t, &targets); len(targets) == 0 {
+		targets = slices.Clone(nb) // a direct hop returned the graph's own list
 	}
 	if len(targets) == 0 || p.valueCol < 0 {
 		return targets, nil
 	}
 	weights := make([]float64, len(targets))
-	valueSplit(weights, targets, ps.g.DB.Relations[p.dstRel], p.valueCol, ps.vf)
+	valueSplit(weights, targets, ps.g.DB.Relations[p.hop.To()], p.valueCol, ps.vf)
 	return targets, weights
 }
 
@@ -329,9 +306,9 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	}
 	for pi, rows := range pending.rows {
 		p := &ps.plans[pi]
-		dstOff := ps.relOff[p.dstRel]
+		dstOff := ps.relOff[p.hop.To()]
 		for _, src := range slices.Sorted(maps.Keys(rows)) {
-			pv := pr.prior(p.srcRel, int32(src))
+			pv := pr.prior(p.hop.From(), int32(src))
 			if pv == 0 {
 				continue
 			}

@@ -17,6 +17,11 @@
 //   - Automatic: Treealize derives the tree from the schema and computes
 //     affinities from distance/connectivity/cardinality metrics.
 //
+// GDS.Bind checks every step against a database and records each node's
+// relation ordinal and datagraph.Hop from its parent: Step is read once,
+// there, and extraction (package ostree) refuses an unbound G_DS. Clone and
+// Threshold keep the binding.
+//
 // # Invariants
 //
 //   - Annotation mutates nodes in place: clone before annotating against a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sizelos/internal/datagraph"
 	"sizelos/internal/relational"
 )
 
@@ -54,6 +55,12 @@ type Node struct {
 	Parent   *Node
 	Children []*Node
 
+	// RelOrd and Hop are set by GDS.Bind: the ordinal of Rel in the bound
+	// database, and the hop from the parent node's tuples to this node's
+	// (the zero Hop on the root). Extraction reads these, never Step.
+	RelOrd int
+	Hop    datagraph.Hop
+
 	// Max is max(Ri): the maximum local importance (global score × this
 	// node's affinity) over all tuples of Rel. MMax is mmax(Ri): the
 	// maximum Max over all descendant nodes, 0 for leaves. Both are set by
@@ -67,6 +74,8 @@ type GDS struct {
 	Root *Node
 	// DSName names the data-subject relation (== Root.Rel).
 	DSName string
+	// bound records a successful Bind.
+	bound bool
 }
 
 // New creates a G_DS with only the root node (affinity 1, per the paper's
@@ -152,96 +161,86 @@ func (g *GDS) Find(label string) *Node {
 // Threshold returns a deep copy of g containing only nodes with affinity
 // >= theta: the paper's G_DS(θ) (§2.1). A node is kept only if all its
 // ancestors are kept (affinity decreases along paths, so this is the
-// natural subtree semantics).
+// natural subtree semantics). The binding is kept; annotations are not.
 func (g *GDS) Threshold(theta float64) *GDS {
-	out := New(g.DSName)
-	out.Root.Affinity = g.Root.Affinity
-	var rec func(src, dst *Node)
-	rec = func(src, dst *Node) {
-		for _, c := range src.Children {
-			if c.Affinity < theta {
-				continue
-			}
-			nc := dst.addChild(c.Label, c.Rel, c.Step, c.Affinity)
-			rec(c, nc)
-		}
-	}
-	rec(g.Root, out.Root)
-	return out
+	return g.copyWhere(func(n *Node) bool { return n.Affinity >= theta }, false)
 }
 
-// Clone returns a deep copy of the G_DS. Annotations (Max/MMax) are copied
-// too; callers typically clone before annotating against a different
+// Clone returns a deep copy of the G_DS, binding and annotations (Max/MMax)
+// included; callers typically clone before annotating against a different
 // ranking setting, since annotation mutates the nodes.
 func (g *GDS) Clone() *GDS {
+	return g.copyWhere(func(*Node) bool { return true }, true)
+}
+
+// copyWhere copies the subtree of nodes keep admits (with all their
+// ancestors), with their bindings and, if annotated, their Max/MMax.
+func (g *GDS) copyWhere(keep func(*Node) bool, annotated bool) *GDS {
 	out := New(g.DSName)
-	out.Root.Affinity = g.Root.Affinity
-	out.Root.Max, out.Root.MMax = g.Root.Max, g.Root.MMax
+	out.bound = g.bound
 	var rec func(src, dst *Node)
 	rec = func(src, dst *Node) {
+		dst.Affinity, dst.RelOrd, dst.Hop = src.Affinity, src.RelOrd, src.Hop
+		if annotated {
+			dst.Max, dst.MMax = src.Max, src.MMax
+		}
 		for _, c := range src.Children {
-			nc := dst.addChild(c.Label, c.Rel, c.Step, c.Affinity)
-			nc.Max, nc.MMax = c.Max, c.MMax
-			rec(c, nc)
+			if keep(c) {
+				rec(c, dst.addChild(c.Label, c.Rel, c.Step, c.Affinity))
+			}
 		}
 	}
 	rec(g.Root, out.Root)
 	return out
 }
 
-// Validate checks that every node's relation and traversal exists in db and
-// that the FK endpoints match the parent/child relations.
-func (g *GDS) Validate(db *relational.DB) error {
+// Bind checks that every node's relation and traversal exists in db and
+// that the FK endpoints match the parent/child relations, and records each
+// node's relation ordinal and hop: the one reading of Step, done once per
+// G_DS. Build and PrelimL (package ostree, sizel) refuse a G_DS not bound.
+// On error g stays unbound.
+func (g *GDS) Bind(db *relational.DB) error {
+	g.bound = false
 	var err error
 	g.Walk(func(n *Node) bool {
-		err = validateNode(db, n)
+		err = bindNode(db, n)
 		return err == nil
 	})
+	g.bound = err == nil
 	return err
 }
 
-func validateNode(db *relational.DB, n *Node) error {
-	rel := db.Relation(n.Rel)
-	if rel == nil {
+// Bound reports whether Bind succeeded on g (or on the G_DS it was copied
+// from).
+func (g *GDS) Bound() bool { return g.bound }
+
+func bindNode(db *relational.DB, n *Node) error {
+	n.RelOrd = db.RelIndex(n.Rel)
+	if n.RelOrd < 0 {
 		return fmt.Errorf("gds: node %s: unknown relation %s", n.Label, n.Rel)
 	}
+	var err error
 	switch n.Step.Kind {
 	case StepRoot:
 		if n.Parent != nil {
 			return fmt.Errorf("gds: non-root node %s has root step", n.Label)
 		}
+		return nil
 	case StepChildFK:
-		if n.Step.FKOrd < 0 || n.Step.FKOrd >= len(rel.FKs) {
-			return fmt.Errorf("gds: node %s: FK ordinal %d out of range for %s", n.Label, n.Step.FKOrd, n.Rel)
-		}
-		if ref := rel.FKs[n.Step.FKOrd].Ref; ref != n.Parent.Rel {
-			return fmt.Errorf("gds: node %s: FK references %s, parent is %s", n.Label, ref, n.Parent.Rel)
-		}
+		n.Hop, err = datagraph.FKHop(db, n.Rel, n.Step.FKOrd, false)
 	case StepParentFK:
-		prel := db.Relation(n.Parent.Rel)
-		if n.Step.FKOrd < 0 || n.Step.FKOrd >= len(prel.FKs) {
-			return fmt.Errorf("gds: node %s: FK ordinal %d out of range for parent %s", n.Label, n.Step.FKOrd, n.Parent.Rel)
-		}
-		if ref := prel.FKs[n.Step.FKOrd].Ref; ref != n.Rel {
-			return fmt.Errorf("gds: node %s: parent FK references %s, node is %s", n.Label, ref, n.Rel)
-		}
+		n.Hop, err = datagraph.FKHop(db, n.Parent.Rel, n.Step.FKOrd, true)
 	case StepJunction:
-		j := db.Relation(n.Step.Junction)
-		if j == nil {
-			return fmt.Errorf("gds: node %s: unknown junction %s", n.Label, n.Step.Junction)
-		}
-		if n.Step.JFKParent < 0 || n.Step.JFKParent >= len(j.FKs) ||
-			n.Step.JFKChild < 0 || n.Step.JFKChild >= len(j.FKs) {
-			return fmt.Errorf("gds: node %s: junction FK ordinals out of range", n.Label)
-		}
-		if ref := j.FKs[n.Step.JFKParent].Ref; ref != n.Parent.Rel {
-			return fmt.Errorf("gds: node %s: junction parent FK references %s, parent is %s", n.Label, ref, n.Parent.Rel)
-		}
-		if ref := j.FKs[n.Step.JFKChild].Ref; ref != n.Rel {
-			return fmt.Errorf("gds: node %s: junction child FK references %s, node is %s", n.Label, ref, n.Rel)
-		}
+		n.Hop, err = datagraph.JunctionHop(db, n.Step.Junction, n.Step.JFKParent, n.Step.JFKChild)
 	default:
 		return fmt.Errorf("gds: node %s: unknown step kind %d", n.Label, n.Step.Kind)
+	}
+	if err != nil {
+		return fmt.Errorf("gds: node %s: %w", n.Label, err)
+	}
+	if n.Hop.From() != n.Parent.RelOrd || n.Hop.To() != n.RelOrd {
+		return fmt.Errorf("gds: node %s: step references %s -> %s, not %s -> %s", n.Label,
+			db.Relations[n.Hop.From()].Name, db.Relations[n.Hop.To()].Name, n.Parent.Rel, n.Rel)
 	}
 	return nil
 }

@@ -103,33 +103,67 @@ func TestGDSStructure(t *testing.T) {
 	}
 }
 
-func TestValidateGDS(t *testing.T) {
+// TestBindGDS binds the Figure 2 G_DS, checking each node's recorded
+// relation ordinal and hop endpoints, and rejects every malformed G_DS:
+// each leaves the G_DS unbound.
+func TestBindGDS(t *testing.T) {
 	db := miniDBLP(t)
-	if err := authorGDS().Validate(db); err != nil {
+	g := authorGDS()
+	if g.Bound() {
+		t.Fatal("fresh G_DS reports bound")
+	}
+	if err := g.Bind(db); err != nil || !g.Bound() {
 		t.Fatalf("valid GDS rejected: %v", err)
 	}
-
-	bad := New("Author")
-	bad.Root.AddChildFK("Paper", "Paper", 0, 0.9) // Paper.fk0 references Year, not Author
-	if err := bad.Validate(db); err == nil || !strings.Contains(err.Error(), "references") {
-		t.Errorf("mismatched FK accepted: %v", err)
+	for _, n := range g.Nodes() {
+		if n.RelOrd != db.RelIndex(n.Rel) {
+			t.Errorf("%s: RelOrd %d, want %d", n.Label, n.RelOrd, db.RelIndex(n.Rel))
+		}
+		if n.Parent != nil && (n.Hop.From() != n.Parent.RelOrd || n.Hop.To() != n.RelOrd) {
+			t.Errorf("%s: hop %d -> %d, want %d -> %d", n.Label, n.Hop.From(), n.Hop.To(), n.Parent.RelOrd, n.RelOrd)
+		}
+	}
+	for _, c := range []*GDS{g.Clone(), g.Threshold(0.8)} {
+		if !c.Bound() || c.Find("Year").Hop != g.Find("Year").Hop {
+			t.Error("Clone/Threshold dropped the binding")
+		}
 	}
 
-	unknown := New("Ghost")
-	if err := unknown.Validate(db); err == nil {
+	cases := []struct {
+		name, want string
+		build      func(root *Node)
+	}{
+		// Paper.fk0 references Year, not Author.
+		{"mismatched child FK", "references", func(r *Node) { r.AddChildFK("Paper", "Paper", 0, 0.9) }},
+		{"child FK ordinal", "out of range", func(r *Node) { r.AddChildFK("Paper", "Paper", 3, 0.9) }},
+		// Author owns no FK.
+		{"parent FK ordinal", "out of range", func(r *Node) { r.AddParentFK("Year", "Year", 0, 0.9) }},
+		{"mismatched parent FK", "references", func(r *Node) {
+			r.AddJunction("Paper", "Paper", "Writes", 1, 0, 0.9).AddParentFK("Conference", "Conference", 0, 0.8)
+		}},
+		{"unknown relation", "unknown relation", func(r *Node) { r.AddChildFK("Ghost", "Ghost", 0, 0.9) }},
+		{"unknown junction", "unknown junction", func(r *Node) { r.AddJunction("Paper", "Paper", "Ghost", 0, 1, 0.9) }},
+		{"junction ordinal", "out of range", func(r *Node) { r.AddJunction("Paper", "Paper", "Writes", 5, 0, 0.9) }},
+		// Writes.fk0 references Paper, not the Author parent.
+		{"mismatched junction parent", "references", func(r *Node) { r.AddJunction("Paper", "Paper", "Writes", 0, 0, 0.9) }},
+		{"mismatched junction child", "references", func(r *Node) { r.AddJunction("Year", "Year", "Writes", 1, 0, 0.9) }},
+		{"root step below root", "root step", func(r *Node) { r.addChild("Paper", "Paper", Step{Kind: StepRoot}, 0.9) }},
+		{"unknown step kind", "unknown step kind", func(r *Node) { r.addChild("Paper", "Paper", Step{Kind: 9}, 0.9) }},
+	}
+	for _, c := range cases {
+		bad := New("Author")
+		c.build(bad.Root)
+		if err := bad.Bind(db); err == nil || !strings.Contains(err.Error(), c.want) || bad.Bound() {
+			t.Errorf("%s: Bind = %v (bound %v), want an error containing %q", c.name, err, bad.Bound(), c.want)
+		}
+	}
+	if err := New("Ghost").Bind(db); err == nil {
 		t.Error("unknown root relation accepted")
 	}
-
-	badJ := New("Author")
-	badJ.Root.AddJunction("Paper", "Paper", "Ghost", 0, 1, 0.9)
-	if err := badJ.Validate(db); err == nil || !strings.Contains(err.Error(), "unknown junction") {
-		t.Errorf("unknown junction accepted: %v", err)
-	}
-
-	badOrd := New("Author")
-	badOrd.Root.AddJunction("Paper", "Paper", "Writes", 5, 0, 0.9)
-	if err := badOrd.Validate(db); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("bad junction ordinal accepted: %v", err)
+	// A failed Bind unbinds a G_DS bound before.
+	g.Find("Year").Step.FKOrd = 7
+	if err := g.Bind(db); err == nil || g.Bound() {
+		t.Errorf("rebind of a broken G_DS: %v, bound %v", err, g.Bound())
 	}
 }
 

@@ -17,7 +17,7 @@ func TestTreealizeAuthor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Treealize: %v", err)
 	}
-	if err := g.Validate(db); err != nil {
+	if err := g.Bind(db); err != nil {
 		t.Fatalf("auto GDS invalid: %v", err)
 	}
 	// Root -> Paper via Writes.
@@ -170,7 +170,7 @@ func TestTreealizePaperRoot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Treealize: %v", err)
 	}
-	if err := g.Validate(db); err != nil {
+	if err := g.Bind(db); err != nil {
 		t.Fatalf("auto Paper GDS invalid: %v", err)
 	}
 	// Expect Author, Year and the two cite hops under the root.

@@ -48,7 +48,7 @@ func boundFixtures(t *testing.T) []boundFixture {
 			t.Fatalf("Compute: %v", err)
 		}
 		for _, gds := range []*schemagraph.GDS{datagen.CustomerGDS().Threshold(0.7), datagen.SupplierGDS().Threshold(0.7)} {
-			if err := annotate(gds, scores); err != nil {
+			if err := annotate(gds, db, scores); err != nil {
 				t.Fatalf("Annotate: %v", err)
 			}
 			out = append(out, boundFixture{"tpch/" + ga.Name + "/" + gds.DSName, g, scores, gds, db.Relation(gds.DSName).Len()})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -25,8 +26,12 @@ func computeRank(g *datagraph.Graph, ga *rank.GA, opts rank.Options) (relational
 	return plans.Run(opts)
 }
 
-// annotate is GDS.AnnotateMax from full score vectors.
-func annotate(gds *schemagraph.GDS, scores relational.DBScores) error {
+// annotate binds gds to db and runs GDS.AnnotateMax from full score
+// vectors: what Engine.RegisterGDS does before a G_DS is searched.
+func annotate(gds *schemagraph.GDS, db *relational.DB, scores relational.DBScores) error {
+	if err := gds.Bind(db); err != nil {
+		return err
+	}
 	maxes := make(map[string]float64, len(scores))
 	for rel, s := range scores {
 		maxes[rel] = s.MaxScore()
@@ -66,7 +71,7 @@ func dblpPipeline(t *testing.T) *pipeline {
 		t.Fatalf("Compute: %v", err)
 	}
 	gds := datagen.AuthorGDS()
-	if err := annotate(gds, scores); err != nil {
+	if err := annotate(gds, db, scores); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
 	cached = &pipeline{db: db, graph: g, scores: scores, gds: gds}
@@ -252,7 +257,7 @@ func TestPrelimMonotoneContainsOptimal(t *testing.T) {
 		scores[rel.Name] = s
 	}
 	gds := datagen.AuthorGDS()
-	if err := annotate(gds, scores); err != nil {
+	if err := annotate(gds, p.db, scores); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
 
@@ -301,6 +306,22 @@ func TestPrelimErrors(t *testing.T) {
 	}
 }
 
+// TestPrelimRefusesUnboundGDS: a G_DS annotated but never bound is an
+// error on either source.
+func TestPrelimRefusesUnboundGDS(t *testing.T) {
+	p := dblpPipeline(t)
+	src := ostree.NewGraphSource(p.graph, p.scores)
+	unbound := datagen.AuthorGDS()
+	if err := unbound.AnnotateMax(map[string]float64{"Author": 1, "Paper": 1, "Year": 1, "Conference": 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []ostree.Source{src, ostree.NewDBSource(p.db, p.scores)} {
+		if _, _, err := PrelimL(s, unbound, p.rootOf(t, 1), 5, PrelimOptions{}); err == nil || !strings.Contains(err.Error(), "not bound") {
+			t.Errorf("%T: unbound GDS: %v", s, err)
+		}
+	}
+}
+
 func TestPrelimSmallerThanComplete(t *testing.T) {
 	p := dblpPipeline(t)
 	root := p.rootOf(t, 1) // most prolific author: large complete OS
@@ -327,7 +348,7 @@ func TestPrelimIntoDirtyTreeEqualsFresh(t *testing.T) {
 	fxs := boundFixtures(t)
 	p := dblpPipeline(t)
 	paper := datagen.PaperGDS()
-	if err := annotate(paper, p.scores); err != nil {
+	if err := annotate(paper, p.db, p.scores); err != nil {
 		t.Fatalf("Annotate: %v", err)
 	}
 	fxs = append(fxs, boundFixture{"dblp/Paper", p.graph, p.scores, paper, p.db.Relation("Paper").Len()})

@@ -35,7 +35,11 @@ func dblpTree(t *testing.T) *ostree.Tree {
 	}
 	src := ostree.NewGraphSource(g, scores)
 	root, _ := db.Relation("Author").LookupPK(1)
-	tree, err := ostree.Generate(src, datagen.AuthorGDS(), root, ostree.GenOptions{})
+	gds := datagen.AuthorGDS()
+	if err := gds.Bind(db); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
