@@ -39,7 +39,7 @@ loc:
 # The ratchet: `make loc` may not exceed LOC_BUDGET, so deleted lines stay
 # deleted. A PR that removes lines lowers it to its own result; one that
 # has to raise it says why in CHANGES.md.
-LOC_BUDGET := 16254
+LOC_BUDGET := 16194
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

@@ -667,7 +667,7 @@ func BenchmarkMutateIncremental(b *testing.B) {
 		}
 	}
 	// The full write path per stream op (store + index delta + graph edit
-	// + epochs, including amortized compactions and plan-overlay folds).
+	// + epochs + rank-row rebuilds, including amortized compactions).
 	b.Run("engine-stream", engineStream(false))
 	// The warm-started re-rank a streaming deployment pays when it wants
 	// fresh global importance after every batch.

@@ -106,8 +106,7 @@ type Engine struct {
 	settings []Setting
 	// plans holds each distinct G_A compiled once against the data graph,
 	// kept current across mutations via rank.Plans.Apply so re-ranks never
-	// recompile; recompiled only when compaction rebuilds the graph or the
-	// plan overlay outgrows its fold threshold.
+	// recompile; recompiled only when compaction rebuilds the graph.
 	plans map[*rank.GA]*rank.Plans
 	// pending accumulates, per G_A, the contribution-row changes applied
 	// since the last re-rank — the seeds of the next residual-push re-rank.

@@ -21,13 +21,14 @@
 //
 // Execution model: Compile binds each flow of a G_A to a datagraph.Hop —
 // the same edge description G_DS steps bind to — and crosses it from every
-// source tuple into *Plans: per-flow CSR push rows, the one form of the
-// flows, and one contiguous score arena. A row recomputed after a mutation
-// is the same Graph.Cross for one tuple, and the sources a batch changed
-// through the hop's owner are Hop.ChangedFrom's, so no flow kind is
+// source tuple into *Plans: per-flow push rows, the one form of the flows,
+// and one contiguous score arena. Each source's row is a span of its
+// flow's one append-only store; one row builder makes every row, for every
+// source at Compile and for the sources a batch changed (Hop.ChangedFrom
+// finds those through the hop's owner) at Plans.Apply, so no flow kind is
 // switched on anywhere. Plans.Run is the power iteration (cold or warm),
 // scattering along those rows: Compile and Run are the one way to rank.
-// Plans.Apply splices a committed mutation batch into the compiled rows;
+// Plans.Apply appends a committed mutation batch's rebuilt rows;
 // Plans.RunResidual repairs the prior fixed point, in the caller's own
 // vectors, with a localized Gauss–Southwell residual push (residual.go has
 // the math, push.go the round schedule) and has one safety net: when the
@@ -50,22 +51,26 @@
 //     vector and the node marks are a scratch of the Plans', all-zero
 //     between repairs and zeroed by walking the nodes the repair wrote.
 //   - Plans.Run has one canonical order: each destination's contributions
-//     are summed plan ordinal, source ascending (overlaid rows merged in),
-//     target position, by the one goroutine that runs the iteration, so
-//     equal plans and options give bit-for-bit equal scores. RunResidual is as deterministic: its rounds
-//     are frozen-value, one walker applies a round's contributions in
-//     source-ascending order, and the budget is checked per round, so a
+//     are summed plan ordinal, source ascending, target position, by the
+//     one goroutine that runs the iteration, so equal plans and options
+//     give bit-for-bit equal scores. RunResidual is as deterministic: its
+//     rounds are frozen-value, one walker applies a round's contributions
+//     in source-ascending order, and the budget is checked per round, so a
 //     repair — fallback decision included — is a pure function of the
 //     prior, the pending delta and the options.
 //   - Plans.Apply requires the batch to be already applied to the plans'
-//     database AND data graph (it recomputes changed rows from both), and
+//     database AND data graph (it rebuilds changed rows from both), and
 //     must be serialized against Run/RunResidual by the caller. The engine
 //     does all three under its write lock, in that order.
-//   - A Pending pairs the prior scores with the FIRST pre-mutation row of
-//     every changed source; it is invalidated by anything that remaps
-//     TupleIDs (physical compaction). After a remap the caller must drop
-//     the Pending, recompile, and take one warm full re-rank before
-//     resuming residual repairs.
+//   - A row is only ever appended to its store, never written over, and a
+//     store that has to grow moves its live rows into new arrays (dropping
+//     the dead ones) without writing the old arrays again; rows are handed
+//     out capped at their end. So a row read before a batch stays valid
+//     after it. A Pending pairs the prior scores with the FIRST
+//     pre-mutation row of every changed source, read that way; it is
+//     invalidated by anything that remaps TupleIDs (physical compaction).
+//     After a remap the caller must drop the Pending, recompile, and take
+//     one warm full re-rank before resuming residual repairs.
 //   - Run and RunResidual stop on the same criterion — max per-node
 //     residual below Options.Epsilon (the full iteration's per-node delta
 //     IS its residual) — so both land in the same fixed-point tolerance

@@ -2,9 +2,7 @@ package rank
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sync"
 
 	"sizelos/internal/datagraph"
@@ -12,16 +10,17 @@ import (
 )
 
 // Plans is a G_A compiled against one data graph: the reusable half of the
-// power iteration. Compilation resolves every flow into CSR push plans and
-// lays the per-relation score vectors out in one contiguous arena; the push
-// rows are the one form of the flows that Run, RunResidual and Apply share.
+// power iteration. Compilation resolves every flow into push rows — one
+// span per source tuple into the flow's append-only row store — and lays
+// the per-relation score vectors out in one contiguous arena; the rows are
+// the one form of the flows that Run, RunResidual and Apply share.
 //
 // After Compile a *Plans is safe for concurrent Run/RunResidual calls: the
 // engine compiles each G_A once and runs the three GA1 dampings over the
 // same compiled plans, concurrently. Apply mutates the plans in place
-// (splicing a committed batch's row changes into a per-source overlay) and
-// must be serialized against runs by the caller — the engine does both
-// under its write lock.
+// (appending a committed batch's rebuilt rows to the stores) and must be
+// serialized against runs by the caller — the engine does both under its
+// write lock.
 type Plans struct {
 	g     *datagraph.Graph
 	plans []plan
@@ -44,30 +43,32 @@ type Plans struct {
 }
 
 // Compile resolves ga's flows against the data graph into reusable push
-// plans: the per-flow CSR rows, the arena layout and the source index. vf
-// is the ValueRank f(·) applied to value columns (nil means identity; it
+// plans: every source tuple's row, the arena layout and the source index.
+// vf is the ValueRank f(·) applied to value columns (nil means identity; it
 // must map non-negative inputs to non-negative outputs) and is baked into
-// the compiled split weights.
+// the rows' split weights.
 func Compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) (*Plans, error) {
 	if vf == nil {
 		vf = func(x float64) float64 { return x }
 	}
-	plans, err := compile(g, ga, vf)
-	if err != nil {
-		return nil, err
-	}
 	db := g.DB
 	nRel := len(db.Relations)
-	ps := &Plans{g: g, plans: plans, vf: vf, relOff: make([]int32, nRel+1)}
+	ps := &Plans{g: g, vf: vf, relOff: make([]int32, nRel+1), bySrc: make([][]int32, nRel)}
+	for _, f := range ga.Flows {
+		if f.Rate == 0 {
+			continue
+		}
+		p, err := ps.compilePlan(f)
+		if err != nil {
+			return nil, err
+		}
+		ps.bySrc[p.hop.From()] = append(ps.bySrc[p.hop.From()], int32(len(ps.plans)))
+		ps.plans = append(ps.plans, p)
+	}
 	for ri := 0; ri < nRel; ri++ {
 		ps.relOff[ri+1] = ps.relOff[ri] + int32(g.RelSize(ri))
 	}
 	ps.n = int(ps.relOff[nRel])
-	ps.bySrc = make([][]int32, nRel)
-	for pi := range ps.plans {
-		src := ps.plans[pi].hop.From()
-		ps.bySrc[src] = append(ps.bySrc[src], int32(pi))
-	}
 	return ps, nil
 }
 
@@ -128,15 +129,9 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 	}
 	base := (1 - opts.Damping) / float64(ps.n)
 
-	// The overlaid sources of each plan, ascending: the walk merges them
-	// into the packed rows instead of probing the overlay for every source.
-	patched := make([][]relational.TupleID, len(ps.plans))
-	for pi := range ps.plans {
-		patched[pi] = slices.Sorted(maps.Keys(ps.plans[pi].patch))
-	}
 	stats := Stats{WarmStart: warm}
 	for it := 0; it < opts.MaxIter; it++ {
-		maxDelta := ps.pushAll(cur, next, patched, opts.Damping, base)
+		maxDelta := ps.pushAll(cur, next, opts.Damping, base)
 		cur, next = next, cur
 		stats.Iterations = it + 1
 		stats.MaxDelta = maxDelta
@@ -160,25 +155,16 @@ func (ps *Plans) Run(opts Options) (relational.DBScores, Stats, error) {
 }
 
 // pushAll computes one iteration's scores into next and returns the max
-// |next-cur| delta. Walking plans by ordinal, sources ascending (a row from
-// the overlay when the source is in patched[pi], the packed CSR otherwise)
-// and targets in row order, it adds each destination's contributions in the
-// canonical order: that order is the float program.
-func (ps *Plans) pushAll(cur, next []float64, patched [][]relational.TupleID, damping, base float64) float64 {
+// |next-cur| delta. Walking plans by ordinal, sources ascending and targets
+// in row order, it adds each destination's contributions in the canonical
+// order: that order is the float program.
+func (ps *Plans) pushAll(cur, next []float64, damping, base float64) float64 {
 	clear(next)
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
 		src := cur[ps.relOff[p.hop.From()]:ps.relOff[p.hop.From()+1]]
 		dst := next[ps.relOff[p.hop.To()]:ps.relOff[p.hop.To()+1]]
-		packed := relational.TupleID(len(p.offsets) - 1)
-		from := relational.TupleID(0)
-		for _, t := range patched[pi] {
-			p.scatterPacked(src, dst, from, min(t, packed))
-			r := p.patch[t]
-			scatter(dst, r.targets, p.splitOf(len(r.targets), r.weights), src[t])
-			from = t + 1
-		}
-		p.scatterPacked(src, dst, from, packed)
+		p.scatterRows(src, dst)
 	}
 	maxDelta := 0.0
 	for d, sum := range next {
@@ -191,22 +177,15 @@ func (ps *Plans) pushAll(cur, next []float64, patched [][]relational.TupleID, da
 	return maxDelta
 }
 
-// scatterPacked scatters the packed rows of sources [lo, hi) of p.
-func (p *plan) scatterPacked(src, dst []float64, lo, hi relational.TupleID) {
-	if lo >= hi {
-		return
-	}
-	offsets := p.offsets[lo : hi+1]
-	for i, x := range src[lo:hi] {
-		a, b := offsets[i], offsets[i+1]
-		if a == b {
-			continue
+// scatterRows adds every source's row of p at the source's score in src,
+// sources ascending. It is a function of its own because inlined into
+// pushAll's plan loop the same loop spilled to the stack and ran about 8 %
+// slower on DBLP at ten times the default size.
+func (p *plan) scatterRows(src, dst []float64) {
+	for t, x := range src {
+		if targets, weights := p.row(relational.TupleID(t)); len(targets) > 0 {
+			scatter(dst, targets, p.splitOf(len(targets), weights), x)
 		}
-		var weights []float64
-		if p.weights != nil {
-			weights = p.weights[a:b]
-		}
-		scatter(dst, p.targets[a:b], p.splitOf(int(b-a), weights), x)
 	}
 }
 

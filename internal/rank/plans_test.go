@@ -54,7 +54,7 @@ func TestPlansReusedAcrossDampings(t *testing.T) {
 
 // TestRunConcurrentOnSharedPlans is the engine's actual usage: three
 // dampings racing over one compiled *Plans, freshly compiled (a cold start)
-// and carrying an Apply overlay, each run warm from its own prior (a
+// and carrying rows an Apply rebuilt, each run warm from its own prior (a
 // refresh round). Run under -race in CI.
 func TestRunConcurrentOnSharedPlans(t *testing.T) {
 	dampings := []float64{0.85, 0.10, 0.99}
@@ -75,7 +75,7 @@ func TestRunConcurrentOnSharedPlans(t *testing.T) {
 			scoresEqualBitwise(t, "concurrent", results[i], want)
 		}
 	})
-	t.Run("overlay", func(t *testing.T) {
+	t.Run("applied", func(t *testing.T) {
 		db, g, ps := ringFixture(t, 400, 2, 0.7)
 		priors := make([]relational.DBScores, len(dampings))
 		for i, d := range dampings {
@@ -89,12 +89,16 @@ func TestRunConcurrentOnSharedPlans(t *testing.T) {
 			t.Fatalf("graph.Apply: %v", err)
 		}
 		ps.Apply(res, nil)
-		if ps.Patched() == 0 {
-			t.Fatal("Apply left no overlay rows")
+		fresh, err := Compile(g, ringGA(0.7), nil)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		if msg := ps.RowsDiff(fresh); msg != "" {
+			t.Fatalf("Apply left a row unlike a fresh Compile's: %s", msg)
 		}
 		results := raceRuns(t, ps, dampings, priors)
 		for i, d := range dampings {
-			scoresEqualBitwise(t, "concurrent over an overlay", results[i], runAt(t, ps, d, priors[i]))
+			scoresEqualBitwise(t, "concurrent over applied rows", results[i], runAt(t, ps, d, priors[i]))
 		}
 	})
 }

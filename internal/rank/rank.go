@@ -160,52 +160,92 @@ type Stats struct {
 	Rounds int
 }
 
-// plan is one compiled flow: a CSR adjacency from every tuple of the hop's
-// From relation to its targets, with optional per-edge split weights. After
-// Compile the CSR arrays are frozen; Plans.Apply overlays mutated rows in
-// patch (a present key overrides the packed range), and the engine folds
-// the overlay back by recompiling once it grows large.
+// span locates one source's row in its plan's store: targets[lo:hi], and
+// weights[lo:hi] under a value split.
+type span struct{ lo, hi int32 }
+
+// plan is one compiled flow: the row of every tuple of the hop's From
+// relation — its targets, with their split weights under a value split —
+// as a span of one append-only store. A row is only ever appended (build),
+// never written over, and a full store is replaced, not written, so a row
+// read before a batch stays valid after it (see Pending); the rows a batch
+// left dead are dropped when the store next has to grow (reclaim).
 type plan struct {
 	// hop is the flow's edge: a row of source t is Cross(hop, t).
-	hop     datagraph.Hop
-	rate    float64
-	offsets []int32
-	targets []relational.TupleID
-	weights []float64 // nil => uniform split per source tuple
-
+	hop      datagraph.Hop
+	rate     float64
 	valueCol int // ValueRank value column in the target relation, -1 for uniform
 
-	// patch overrides rows that diverged from the packed CSR since
-	// Compile: sources touched by mutations, and sources inserted after
-	// the build (beyond offsets). Row slices are never mutated in place,
-	// so captured pre-mutation rows stay valid (see Pending).
-	patch map[relational.TupleID]patchRow
+	spans   []span // one per source tuple
+	targets []relational.TupleID
+	weights []float64 // parallel to targets; nil => uniform split
+	dead    int       // store entries no span points at
 }
 
-// patchRow is one overlaid source row: the current target list and split
+// capturedRow is one source row as it was read: the target list and split
 // weights (nil weights => uniform split).
-type patchRow struct {
+type capturedRow struct {
 	targets []relational.TupleID
 	weights []float64
 }
 
-// row returns t's current target list and split weights (nil => uniform):
-// the overlay entry if one exists, the packed CSR range if t predates the
-// compile, empty otherwise. The returned slices must not be modified.
+// row returns t's target list and split weights (nil => uniform), capped
+// at the row's end so that an append to them cannot reach the next row.
+// The returned slices must not be modified.
 func (p *plan) row(t relational.TupleID) ([]relational.TupleID, []float64) {
-	if p.patch != nil {
-		if r, ok := p.patch[t]; ok {
-			return r.targets, r.weights
+	s := p.spans[t]
+	if p.weights == nil {
+		return p.targets[s.lo:s.hi:s.hi], nil
+	}
+	return p.targets[s.lo:s.hi:s.hi], p.weights[s.lo:s.hi:s.hi]
+}
+
+// build crosses p's hop from source t and appends what it reaches — with
+// its value split under ValueRank — to the store as t's row: the one way a
+// row is made. Compile builds every source's row, Apply a changed one's.
+func (ps *Plans) build(p *plan, t relational.TupleID, buf *[]relational.TupleID) {
+	p.dead += int(p.spans[t].hi - p.spans[t].lo) // the old row is dead from here on
+	p.spans[t] = span{}
+	row := ps.g.Cross(p.hop, t, buf)
+	if len(p.targets)+len(row) > cap(p.targets) {
+		p.reclaim(len(row))
+	}
+	lo := len(p.targets)
+	p.targets = append(p.targets, row...)
+	if p.valueCol >= 0 {
+		p.weights = p.weights[:len(p.targets)]
+		valueSplit(p.weights[lo:], row, ps.g.DB.Relations[p.hop.To()], p.valueCol, ps.vf)
+	}
+	p.spans[t] = span{int32(lo), int32(len(p.targets))}
+}
+
+// reclaim replaces a full store with new arrays that hold only the live
+// rows and room for as many entries again plus k: dead rows are dropped
+// here, when the store has to grow, and nowhere else, and the live rows are
+// then copied in source order. The old arrays are never written again, so
+// rows read from them stay valid.
+func (p *plan) reclaim(k int) {
+	size := 2 * (len(p.targets) - p.dead + k)
+	targets := make([]relational.TupleID, 0, size)
+	var weights []float64
+	if p.valueCol >= 0 {
+		weights = make([]float64, 0, size)
+	}
+	if p.dead == 0 {
+		// Nothing to drop (always so in Compile): every row keeps its place.
+		targets = append(targets, p.targets...)
+		weights = append(weights, p.weights...)
+	} else {
+		for t, s := range p.spans {
+			lo := int32(len(targets))
+			targets = append(targets, p.targets[s.lo:s.hi]...)
+			if weights != nil {
+				weights = append(weights, p.weights[s.lo:s.hi]...)
+			}
+			p.spans[t] = span{lo, int32(len(targets))}
 		}
 	}
-	if int(t)+1 < len(p.offsets) {
-		lo, hi := p.offsets[t], p.offsets[t+1]
-		if p.weights != nil {
-			return p.targets[lo:hi], p.weights[lo:hi]
-		}
-		return p.targets[lo:hi], nil
-	}
-	return nil, nil
+	p.targets, p.weights, p.dead = targets, weights, 0
 }
 
 // split is how one source row divides its plan's rate among the row's
@@ -240,45 +280,36 @@ func (p *plan) flows(t relational.TupleID) ([]relational.TupleID, split) {
 	return targets, p.splitOf(len(targets), weights)
 }
 
-// compile binds ga's flows to hops and crosses each from every source
-// tuple into its push plan's rows.
-func compile(g *datagraph.Graph, ga *GA, vf func(float64) float64) ([]plan, error) {
-	db := g.DB
-	var plans []plan
-	for _, f := range ga.Flows {
-		if f.Rate == 0 {
-			continue
-		}
-		h, err := f.hop(db)
-		if err != nil {
-			return nil, fmt.Errorf("rank: flow: %w", err)
-		}
-		p := plan{hop: h, rate: f.Rate, valueCol: -1}
-		n := g.RelSize(h.From())
-		p.offsets = make([]int32, n+1)
-		var buf []relational.TupleID
-		for t := 0; t < n; t++ {
-			p.offsets[t] = int32(len(p.targets))
-			p.targets = append(p.targets, g.Cross(h, relational.TupleID(t), &buf)...)
-		}
-		p.offsets[n] = int32(len(p.targets))
-		// The packed rows use int32 offsets: a plan past them is an error,
-		// not a wrapped layout.
-		if len(p.targets) > math.MaxInt32 {
-			return nil, fmt.Errorf("rank: %d flow contributions exceed the int32 plan layout", len(p.targets))
-		}
-		if f.ValueCol != "" {
-			target := db.Relations[h.To()]
-			col := target.ColIndex(f.ValueCol)
-			if col < 0 {
-				return nil, fmt.Errorf("rank: %s has no value column %s", target.Name, f.ValueCol)
-			}
-			p.valueCol = col
-			p.weights = splitWeights(p, target, col, vf)
-		}
-		plans = append(plans, p)
+// compilePlan binds f to its hop and builds the row of every source tuple,
+// ascending.
+func (ps *Plans) compilePlan(f Flow) (plan, error) {
+	db := ps.g.DB
+	h, err := f.hop(db)
+	if err != nil {
+		return plan{}, fmt.Errorf("rank: flow: %w", err)
 	}
-	return plans, nil
+	p := plan{hop: h, rate: f.Rate, valueCol: -1, spans: make([]span, ps.g.RelSize(h.From()))}
+	if f.ValueCol != "" {
+		target := db.Relations[h.To()]
+		if p.valueCol = target.ColIndex(f.ValueCol); p.valueCol < 0 {
+			return plan{}, fmt.Errorf("rank: %s has no value column %s", target.Name, f.ValueCol)
+		}
+	}
+	var buf []relational.TupleID
+	for t := range p.spans {
+		ps.build(&p, relational.TupleID(t), &buf)
+	}
+	// Spans are int32: a plan past them is an error, not a wrapped layout.
+	if len(p.targets) > math.MaxInt32 {
+		return plan{}, fmt.Errorf("rank: %d flow contributions exceed the int32 plan layout", len(p.targets))
+	}
+	// A fresh plan holds exactly its rows: the first Apply to add an entry
+	// reclaims.
+	p.targets = append(make([]relational.TupleID, 0, len(p.targets)), p.targets...)
+	if p.weights != nil {
+		p.weights = append(make([]float64, 0, len(p.weights)), p.weights...)
+	}
+	return p, nil
 }
 
 // hop binds f to db's schema.
@@ -287,17 +318,6 @@ func (f Flow) hop(db *relational.DB) (datagraph.Hop, error) {
 		return datagraph.JunctionHop(db, f.Junction, f.JFKFrom, f.JFKTo)
 	}
 	return datagraph.FKHop(db, f.Rel, f.FK, f.Forward)
-}
-
-// splitWeights computes value-proportional split weights aligned with the
-// plan's target list.
-func splitWeights(p plan, target *relational.Relation, col int, vf func(float64) float64) []float64 {
-	weights := make([]float64, len(p.targets))
-	for t := 0; t+1 < len(p.offsets); t++ {
-		lo, hi := p.offsets[t], p.offsets[t+1]
-		valueSplit(weights[lo:hi], p.targets[lo:hi], target, col, vf)
-	}
-	return weights
 }
 
 // valueSplit fills weights with one source row's value-proportional split

@@ -2,8 +2,8 @@ package rank
 
 // Incremental rank maintenance: instead of re-running the full power
 // iteration after every mutation batch (even warm-started, each iteration
-// touches every node), Apply splices a committed batch's row changes into
-// the compiled plans and RunResidual repairs the prior fixed point with a
+// touches every node), Apply rebuilds the rows a committed batch changed
+// and RunResidual repairs the prior fixed point with a
 // Gauss–Southwell-style residual push that only touches the region the
 // mutation actually perturbed.
 //
@@ -70,9 +70,9 @@ type Pending struct {
 	oldN     int
 	oldSizes []int32
 	// rows[pi] maps a changed source tuple of plan pi to its pre-mutation
-	// row. Row slices alias plan storage that is never mutated in place,
-	// so captures stay valid across later batches.
-	rows []map[relational.TupleID]patchRow
+	// row. Row slices alias plan stores that are only ever appended to, so
+	// captures stay valid across later batches and reclaims.
+	rows []map[relational.TupleID]capturedRow
 }
 
 // NewPending snapshots the current arena geometry. Call it before the
@@ -82,7 +82,7 @@ func (ps *Plans) NewPending() *Pending {
 	p := &Pending{
 		oldN:     ps.n,
 		oldSizes: make([]int32, len(ps.relOff)-1),
-		rows:     make([]map[relational.TupleID]patchRow, len(ps.plans)),
+		rows:     make([]map[relational.TupleID]capturedRow, len(ps.plans)),
 	}
 	for ri := range p.oldSizes {
 		p.oldSizes[ri] = ps.relOff[ri+1] - ps.relOff[ri]
@@ -95,38 +95,38 @@ func (ps *Plans) NewPending() *Pending {
 // that pairs with it).
 func (p *Pending) capture(pi int, src relational.TupleID, targets []relational.TupleID, weights []float64) {
 	if p.rows[pi] == nil {
-		p.rows[pi] = make(map[relational.TupleID]patchRow)
+		p.rows[pi] = make(map[relational.TupleID]capturedRow)
 	}
 	if _, ok := p.rows[pi][src]; !ok {
-		p.rows[pi][src] = patchRow{targets: targets, weights: weights}
+		p.rows[pi][src] = capturedRow{targets: targets, weights: weights}
 	}
 }
 
 // Apply splices one committed relational batch into the compiled plans:
-// every source row the batch changed is recomputed from the (already
-// incrementally maintained) data graph and overlaid, in work proportional
-// to the tuples touched. The batch must already be applied to the plans'
-// database AND data graph — exactly the engine's Mutate ordering. pending,
-// when non-nil, captures each changed row's pre-mutation state for a later
-// RunResidual; nil just keeps the plans current.
+// every source row the batch changed is rebuilt from the (already
+// incrementally maintained) data graph and appended to its plan's store,
+// in work proportional to the tuples touched. The batch must already be
+// applied to the plans' database AND data graph — exactly the engine's
+// Mutate ordering. pending, when non-nil, captures each changed row's
+// pre-mutation state for a later RunResidual; nil just keeps the plans
+// current.
 //
 // After Apply, Run produces the same scores a fresh Compile over the
-// mutated graph would: its walk reads the overlaid rows in place of the
-// packed ones, in the same canonical order.
+// mutated graph would: every row is what Compile would have built for it,
+// read in the same canonical order.
 func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
+	var buf []relational.TupleID
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
-		changed := ps.changedSources(p, res)
-		for _, t := range changed {
+		if n := ps.g.RelSize(p.hop.From()); n > len(p.spans) {
+			p.spans = append(p.spans, make([]span, n-len(p.spans))...)
+		}
+		for _, t := range ps.changedSources(p, res) {
 			if pending != nil {
 				oldT, oldW := p.row(t)
 				pending.capture(pi, t, oldT, oldW)
 			}
-			targets, weights := ps.recomputeRow(p, t)
-			if p.patch == nil {
-				p.patch = make(map[relational.TupleID]patchRow)
-			}
-			p.patch[t] = patchRow{targets: targets, weights: weights}
+			ps.build(p, t, &buf)
 		}
 	}
 	nRel := len(ps.relOff) - 1
@@ -134,18 +134,6 @@ func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
 		ps.relOff[ri+1] = ps.relOff[ri] + int32(ps.g.RelSize(ri))
 	}
 	ps.n = int(ps.relOff[nRel])
-}
-
-// Patched reports how many overlaid source rows the plans carry across all
-// flows — the memory the incremental path has accumulated since Compile.
-// The engine reads it to decide when folding the overlay into fresh packed
-// plans (a recompile) pays for itself.
-func (ps *Plans) Patched() int {
-	n := 0
-	for pi := range ps.plans {
-		n += len(ps.plans[pi].patch)
-	}
-	return n
 }
 
 // changedSources returns, ascending and deduplicated, the source tuples of
@@ -179,23 +167,6 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 		return nil
 	}
 	return slices.Sorted(maps.Keys(seen))
-}
-
-// recomputeRow rebuilds source t's row of p from the maintained data graph
-// — the crossing compile performs for every source, for one tuple. The
-// returned slices are freshly allocated (graph neighbor lists are mutated
-// in place by later batches, so they must not be aliased).
-func (ps *Plans) recomputeRow(p *plan, t relational.TupleID) ([]relational.TupleID, []float64) {
-	var targets []relational.TupleID
-	if nb := ps.g.Cross(p.hop, t, &targets); len(targets) == 0 {
-		targets = slices.Clone(nb) // a direct hop returned the graph's own list
-	}
-	if len(targets) == 0 || p.valueCol < 0 {
-		return targets, nil
-	}
-	weights := make([]float64, len(targets))
-	valueSplit(weights, targets, ps.g.DB.Relations[p.hop.To()], p.valueCol, ps.vf)
-	return targets, weights
 }
 
 // residualMassBound is the fallback safety bound on the seeded residual:

@@ -75,6 +75,20 @@ func citesBatch(t *testing.T, db *relational.DB, nIns int, deleteFirst bool) rel
 	return b
 }
 
+// requireRowsCompiled fails unless every row of ps equals the row a fresh
+// Compile of ga over g builds: after an Apply, proof that the batch's rows
+// were rebuilt.
+func requireRowsCompiled(t *testing.T, ps *rank.Plans, g *datagraph.Graph, ga *rank.GA) {
+	t.Helper()
+	fresh, err := rank.Compile(g, ga, nil)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if msg := ps.RowsDiff(fresh); msg != "" {
+		t.Fatalf("a row differs from a fresh Compile's: %s", msg)
+	}
+}
+
 // applyAll threads one batch through store, graph and plans — the engine's
 // Mutate ordering.
 func applyAll(t *testing.T, db *relational.DB, g *datagraph.Graph, ps *rank.Plans, b relational.Batch, pending *rank.Pending) {
@@ -327,16 +341,13 @@ func TestResidualValueRank(t *testing.T) {
 // TestPlansApplyMatchesRecompile pins the plans-level equivalence the
 // fallback path relies on: a full Run over incrementally Applied plans is
 // bit-for-bit identical to a Run over plans recompiled from the mutated
-// graph (rows recomputed from the maintained graph are content-identical,
-// and Run's walk merges the overlaid rows into the packed ones in the same
-// canonical order).
+// graph (rows rebuilt from the maintained graph are content-identical, and
+// Run reads every row in the same canonical order).
 func TestPlansApplyMatchesRecompile(t *testing.T) {
 	const damping = 0.85
 	db, g, ps, _ := residualFixture(t, damping)
 	applyAll(t, db, g, ps, citesBatch(t, db, 4, true), nil)
-	if ps.Patched() == 0 {
-		t.Fatal("Apply left no overlay rows")
-	}
+	requireRowsCompiled(t, ps, g, datagen.DBLPGA1())
 
 	opts := rank.DefaultOptions()
 	opts.Damping = damping

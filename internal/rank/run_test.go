@@ -30,11 +30,11 @@ func requireSameBits(t *testing.T, label string, want, got relational.DBScores) 
 	}
 }
 
-// dblpOverlayBatch inserts a paper that writes, cites and is cited, a new
+// dblpApplyBatch inserts a paper that writes, cites and is cited, a new
 // author with no papers, and a few citations between existing papers, and
-// deletes one citation and one authorship: overlaid rows, a grown arena, and
-// sources past the packed offsets.
-func dblpOverlayBatch(t *testing.T, db *relational.DB) relational.Batch {
+// deletes one citation and one authorship: rebuilt rows, a grown arena, and
+// sources past the compiled ones.
+func dblpApplyBatch(t *testing.T, db *relational.DB) relational.Batch {
 	t.Helper()
 	b := citesBatch(t, db, 4, true)
 	paper, year := db.Relation("Paper"), db.Relation("Year")
@@ -56,9 +56,9 @@ func dblpOverlayBatch(t *testing.T, db *relational.DB) relational.Batch {
 	return b
 }
 
-// tpchOverlayBatch inserts an order with two lineitems and deletes one
+// tpchApplyBatch inserts an order with two lineitems and deletes one
 // existing lineitem, so value-weighted rows are renormalized and grown.
-func tpchOverlayBatch(t *testing.T, db *relational.DB) relational.Batch {
+func tpchApplyBatch(t *testing.T, db *relational.DB) relational.Batch {
 	t.Helper()
 	customer, partsupp, li := db.Relation("Customer"), db.Relation("Partsupp"), db.Relation("Lineitem")
 	const pk = 82_000_000
@@ -91,12 +91,12 @@ func TestRunMatchesGatherReference(t *testing.T) {
 			cfg := datagen.DefaultDBLPConfig()
 			cfg.Authors, cfg.Papers = 120, 500
 			return datagen.GenerateDBLP(cfg)
-		}, datagen.DBLPGA1(), dblpOverlayBatch},
+		}, datagen.DBLPGA1(), dblpApplyBatch},
 		{"TPC-H GA1", func() (*relational.DB, error) {
 			cfg := datagen.DefaultTPCHConfig()
 			cfg.ScaleFactor = 0.002
 			return datagen.GenerateTPCH(cfg)
-		}, datagen.TPCHGA1(), tpchOverlayBatch},
+		}, datagen.TPCHGA1(), tpchApplyBatch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := tc.db()
@@ -130,9 +130,7 @@ func TestRunMatchesGatherReference(t *testing.T) {
 			check("fresh, warm", 0.85, other)
 
 			applyAll(t, db, g, ps, tc.batch(t, db), nil)
-			if ps.Patched() == 0 {
-				t.Fatal("Apply left no overlay rows")
-			}
+			requireRowsCompiled(t, ps, g, tc.ga)
 			check("applied, cold", 0.85, nil)
 			check("applied, warm", 0.85, prior)
 		})
@@ -140,8 +138,8 @@ func TestRunMatchesGatherReference(t *testing.T) {
 }
 
 // TestRunAllocBytes bounds what a warm full iteration allocates after an
-// Apply: its two working vectors, the returned table and the sorted overlay
-// ids — about 24 bytes a node, with no per-contribution layout rebuilt.
+// Apply: its two working vectors and the returned table — about 24 bytes a
+// node, with no per-contribution layout rebuilt.
 func TestRunAllocBytes(t *testing.T) {
 	const damping = 0.85
 	db, g, ps, prior := residualFixture(t, damping)

@@ -10,12 +10,12 @@ package sizelos
 // reaches a tuple the batch touched. A batch that asks for a re-rank then has
 // every setting's scores repaired where they live — a residual push, or the
 // warm full iteration — and every registered G_DS re-annotated from the new
-// maxima. Two amortized maintenance passes keep the incremental structures
+// maxima. One amortized maintenance pass keeps the incremental structures
 // from degrading under sustained churn: relations whose tombstones cross
 // the compaction policy are physically compacted (TupleIDs remapped through
-// every derived structure, the data graph rebuilt), and the compiled rank
-// plans' row overlay is folded back into packed arrays once it outgrows a
-// fraction of the node count.
+// every derived structure, the data graph rebuilt, the rank plans
+// recompiled). The plans' row stores reclaim their own dead rows as they
+// grow (rank.Plans.Apply), so they need no pass of their own.
 
 import (
 	"errors"
@@ -211,8 +211,7 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		}
 	}
 
-	// Amortized maintenance: reclaim tombstone-heavy relations and fold an
-	// outgrown plan overlay back into packed arrays.
+	// Amortized maintenance: reclaim tombstone-heavy relations.
 	if err := e.maybeCompactLocked(&result, b.Inserts); err != nil {
 		return result, err
 	}
@@ -374,72 +373,35 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 	return changed, nil
 }
 
-// maybeCompactLocked runs the amortized maintenance passes of one Mutate:
-// physical compaction of relations whose tombstones crossed the policy, and
-// folding the compiled plans' row overlay back into packed arrays once it
-// outgrows a quarter of the nodes. Callers hold the write lock. inserts is
-// the batch's insert list, whose result ids must be remapped if compaction
-// moves them.
+// maybeCompactLocked runs the amortized maintenance pass of one Mutate:
+// physical compaction of relations whose tombstones crossed the policy.
+// Callers hold the write lock. inserts is the batch's insert list, whose
+// result ids must be remapped if compaction moves them.
 func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInsert) error {
-	if e.compactMin > 0 {
-		var due []string
-		for _, r := range e.db.Relations {
-			if t := r.Tombstones(); t >= e.compactMin && float64(t) > e.compactRatio*float64(r.Len()) {
-				due = append(due, r.Name)
-			}
-		}
-		if len(due) > 0 {
-			if err := e.compactLocked(due, result, inserts); err != nil {
-				return err
-			}
+	if e.compactMin <= 0 {
+		return nil
+	}
+	var due []string
+	for _, r := range e.db.Relations {
+		if t := r.Tombstones(); t >= e.compactMin && float64(t) > e.compactRatio*float64(r.Len()) {
+			due = append(due, r.Name)
 		}
 	}
-	// Folding the overlay is pure maintenance: node ids don't move, results
-	// don't change, no epoch rotates — so cached summaries stay valid, and
-	// the pending residual deltas (captured pre-mutation rows) stay valid
-	// across the recompile.
-	for _, ps := range e.plans {
-		if p := ps.Patched(); p > overlayFoldMin && p*4 > e.graph.NumNodes() {
-			if err := e.recompilePlansLocked(true); err != nil {
-				return fmt.Errorf("%w: recompile rank plans: %v", ErrMutationInternal, err)
-			}
-			break
-		}
+	if len(due) == 0 {
+		return nil
 	}
-	return nil
+	return e.compactLocked(due, result, inserts)
 }
-
-// recompilePlansLocked rebuilds every G_A's compiled plans against the
-// current graph. keepPending preserves the accumulated residual deltas
-// (sound when TupleIDs did not move — a plan-overlay fold); a compaction
-// remaps ids out from under the captured rows, so it passes false, which
-// also forces the next re-rank onto the warm full iteration. Callers hold
-// the write lock.
-func (e *Engine) recompilePlansLocked(keepPending bool) error {
-	plans, err := compilePlans(e.graph, e.settings)
-	if err != nil {
-		return err
-	}
-	e.plans = plans
-	if !keepPending {
-		e.pending = make(map[*rank.GA]*rank.Pending)
-		e.residualOK = false
-	}
-	return nil
-}
-
-// overlayFoldMin is the minimum plan-overlay size before folding it back
-// into packed arrays is worth a recompile; below it the map overhead is
-// noise regardless of ratio.
-const overlayFoldMin = 4096
 
 // compactLocked physically compacts the named relations and threads the
 // TupleID remap through every structure that stores them: PK/FK indexes
 // (inside Relation.Compact), keyword postings (keyword.Sharded.Remap),
 // normalized and raw score vectors, this batch's already-assigned insert
-// ids, and the data graph (rebuilt over the dense store). Each compacted relation's epoch advances and every DS
-// relation whose G_DS reaches one is widened — the TupleIDs its cached trees
-// and subject stamps name changed meaning. Callers hold the write lock.
+// ids, the data graph (rebuilt over the dense store) and the rank plans
+// (recompiled; it is the only recompile after NewEngine). Each compacted
+// relation's epoch advances and every DS relation whose G_DS reaches one is
+// widened — the TupleIDs its cached trees and subject stamps name changed
+// meaning. Callers hold the write lock.
 func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert) error {
 	remaps := make(map[string][]relational.TupleID, len(rels))
 	for _, rel := range rels {
@@ -487,9 +449,13 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 	// The remap moved TupleIDs out from under the compiled plans and any
 	// captured residual deltas: recompile fresh and force the next re-rank
 	// onto the warm full iteration.
-	if err := e.recompilePlansLocked(false); err != nil {
+	plans, err := compilePlans(g, e.settings)
+	if err != nil {
 		return fmt.Errorf("%w: recompile rank plans after compaction: %v", ErrMutationInternal, err)
 	}
+	e.plans = plans
+	e.pending = make(map[*rank.GA]*rank.Pending)
+	e.residualOK = false
 	// Refresh the Max/MMax annotation inputs of the compacted relations:
 	// dropping tombstoned entries can lower a relation's max score, and
 	// tighter bounds mean better pruning. A re-rank later in the same Mutate

@@ -11,6 +11,8 @@ package sizelos
 //     (datagraph.Graph.Apply's in-place edits, plus whatever compactions
 //     the engine interleaved) is edge-identical to a from-scratch
 //     datagraph.Build over the mutated store.
+//     1b. Rows≡compiled: the rank plans rank.Plans.Apply kept current run,
+//     bit for bit, like plans compiled afresh over the current graph.
 //  2. Warm≡cold: on re-ranked rounds, the warm-started power iteration
 //     lands on the same global-importance scores a cold start over a fresh
 //     graph produces, within fixed-point tolerance.
@@ -34,6 +36,7 @@ package sizelos
 // its settings concurrently.
 
 import (
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -128,6 +131,14 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 			t.Fatalf("round %d (seed %d): incremental graph diverged from rebuild: %s", round, seed, msg)
 		}
 
+		// Invariant 1b: the push rows Apply kept current are the rows a
+		// fresh compile builds, so a full iteration over each G_A's live
+		// plans equals one over plans compiled from the current graph, bit
+		// for bit.
+		for ga, ps := range eng.plans {
+			requirePlansCompiled(t, round, ps, eng.Graph(), ga)
+		}
+
 		// Invariant 2: on re-ranked rounds, warm-started scores match a
 		// cold start over the fresh graph within fixed-point tolerance.
 		if batch.Rerank {
@@ -180,18 +191,44 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 			}
 		}
 	}
-	planOverlay := 0
-	for _, ps := range eng.plans {
-		planOverlay += ps.Patched()
-	}
-	t.Logf("%d rounds, %d graph swaps (compactions), final nodes %d, plan overlay %d",
-		rounds, graphRebuilds, eng.Graph().NumNodes(), planOverlay)
+	t.Logf("%d rounds, %d graph swaps (compactions), final nodes %d",
+		rounds, graphRebuilds, eng.Graph().NumNodes())
 	// Invariant 4 proves the stamps are wide enough; this is the other half,
 	// that on plain batches they are a footprint and not the relation.
 	t.Logf("cache sweeps: %d plain rounds served %d of %d summaries from the cache (worst round %.2f)",
 		sweep.plainRounds, sweep.hits, sweep.lookups, sweep.worst)
 	if sweep.plainRounds == 0 || float64(sweep.hits) < 0.9*float64(sweep.lookups) {
 		t.Fatalf("plain batches left %d of %d swept summaries cached over %d rounds, want >= 90%%", sweep.hits, sweep.lookups, sweep.plainRounds)
+	}
+}
+
+// requirePlansCompiled fails unless a cold full iteration over ps is bit
+// for bit the one over ga compiled afresh against g.
+func requirePlansCompiled(t *testing.T, round int, ps *rank.Plans, g *datagraph.Graph, ga *rank.GA) {
+	t.Helper()
+	fresh, err := rank.Compile(g, ga, nil)
+	if err != nil {
+		t.Fatalf("round %d: Compile %s: %v", round, ga.Name, err)
+	}
+	opts := rank.DefaultOptions()
+	opts.NormalizeMax = 0
+	live, _, err := ps.Run(opts)
+	if err != nil {
+		t.Fatalf("round %d: Run %s: %v", round, ga.Name, err)
+	}
+	want, _, err := fresh.Run(opts)
+	if err != nil {
+		t.Fatalf("round %d: Run fresh %s: %v", round, ga.Name, err)
+	}
+	for rel, w := range want {
+		for i, v := range live[rel] {
+			if math.Float64bits(v) != math.Float64bits(w[i]) {
+				t.Fatalf("round %d: %s %s[%d]: live plans %v vs fresh compile %v", round, ga.Name, rel, i, v, w[i])
+			}
+		}
+		if len(live[rel]) != len(w) {
+			t.Fatalf("round %d: %s %s: %d live scores vs %d", round, ga.Name, rel, len(live[rel]), len(w))
+		}
 	}
 }
 
@@ -317,7 +354,7 @@ func TestMutationEquivalenceTPCH(t *testing.T) {
 // TestMutationEquivalenceUnderCompaction rides the same harness with an
 // aggressive compaction policy and a delete-heavy mix, so rounds regularly
 // cross the tombstone threshold: equivalence must hold across physical
-// TupleID remaps, not just overlay splices.
+// TupleID remaps, not just in-place edits.
 func TestMutationEquivalenceUnderCompaction(t *testing.T) {
 	cfg := datagen.DefaultDBLPConfig()
 	cfg.Authors = 60
