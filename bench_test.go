@@ -677,9 +677,9 @@ func BenchmarkMutateIncremental(b *testing.B) {
 // BenchmarkRerankResidual measures the per-batch re-rank cost of the
 // single-tuple mutation stream under the two re-rank modes: the
 // Gauss–Southwell residual repair (PR 5) against the PR-4 warm full
-// iteration, over the practical d=0.85 serving settings. Beyond ns/op
-// (watched by the bench gate), each variant reports node-score updates per
-// op — the hardware-independent work metric on which residual mode's
+// iteration, over the practical d=0.85 serving settings. Beyond ns/op,
+// each variant reports node-score updates per op — the
+// hardware-independent work metric on which residual mode's
 // acceptance bar is >=5x fewer (TestResidualUpdateSavings asserts it).
 func BenchmarkRerankResidual(b *testing.B) {
 	stream := func(residual bool) func(b *testing.B) {
@@ -733,12 +733,11 @@ func BenchmarkRerankResidual(b *testing.B) {
 	b.Run("warm-full", stream(false))
 }
 
-// BenchmarkRerankResidualParallel is the wide-frontier residual re-rank:
-// single-tuple streams keep frontiers at a handful of nodes, so this family
-// drives ~150-citation batches whose rounds run to hundreds. The push is
-// one walker; the sub-benchmark keeps the name README's benchmark record
-// lists that schedule under (4.19 ms there, against the deleted
-// owner-tiled round's 5.58).
+// BenchmarkRerankResidualParallel is the wide-queue residual re-rank:
+// single-tuple streams keep each queue generation at a handful of nodes, so
+// this family drives ~150-citation batches whose generations run to
+// hundreds. The push is one walker; the sub-benchmark keeps the name
+// README's benchmark record lists it under.
 func BenchmarkRerankResidualParallel(b *testing.B) {
 	const batchSize = 150
 	b.Run("workers-1", func(b *testing.B) {

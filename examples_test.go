@@ -234,8 +234,7 @@ func Example_incrementalRerank() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The practical serving settings (d=0.85). The high-damping d3 stress
-	// setting would trip the residual push budget and fall back.
+	// The practical serving settings (d=0.85).
 	eng, err := sizelos.NewEngine(db, []sizelos.Setting{
 		{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
 		{Name: "GA2-d1", GA: datagen.DBLPGA2(), Damping: 0.85},
@@ -306,37 +305,37 @@ func Example_incrementalRerank() {
 	// engine up: 9674 nodes, settings [GA1-d1 GA2-d1]
 	//
 	// batch  1:
-	//   GA1-d1  residual           pushes=6272  nodes-touched=1640  updates=6272   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1355  nodes-touched=732   updates=1355   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=4696  nodes-touched=1639  updates=4696   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=1192  nodes-touched=735   updates=1192   (cold-equivalent 212828)
 	// batch  2:
-	//   GA1-d1  residual           pushes=5157  nodes-touched=1597  updates=5157   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1756  nodes-touched=946   updates=1756   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=3463  nodes-touched=1582  updates=3463   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=1387  nodes-touched=943   updates=1387   (cold-equivalent 212828)
 	// batch  3:
-	//   GA1-d1  residual           pushes=4817  nodes-touched=1508  updates=4817   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1219  nodes-touched=737   updates=1219   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=3903  nodes-touched=1492  updates=3903   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=1037  nodes-touched=721   updates=1037   (cold-equivalent 212828)
 	// batch  4:
-	//   GA1-d1  residual           pushes=5893  nodes-touched=1564  updates=5893   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1447  nodes-touched=852   updates=1447   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=4181  nodes-touched=1531  updates=4181   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=1196  nodes-touched=820   updates=1196   (cold-equivalent 212828)
 	// batch  5:
-	//   GA1-d1  residual           pushes=2999  nodes-touched=1353  updates=2999   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1062  nodes-touched=707   updates=1062   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=2439  nodes-touched=1331  updates=2439   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=928   nodes-touched=694   updates=928    (cold-equivalent 212828)
 	// batch  6:
-	//   GA1-d1  residual           pushes=3902  nodes-touched=1322  updates=3902   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=986   nodes-touched=643   updates=986    (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=2832  nodes-touched=1303  updates=2832   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=849   nodes-touched=625   updates=849    (cold-equivalent 212828)
 	// batch  7:
-	//   GA1-d1  residual           pushes=3660  nodes-touched=1263  updates=3660   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=869   nodes-touched=590   updates=869    (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=2821  nodes-touched=1248  updates=2821   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=761   nodes-touched=584   updates=761    (cold-equivalent 212828)
 	// batch  8:
-	//   GA1-d1  residual           pushes=5170  nodes-touched=1546  updates=5170   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1307  nodes-touched=829   updates=1307   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=4055  nodes-touched=1541  updates=4055   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=1144  nodes-touched=808   updates=1144   (cold-equivalent 212828)
 	// batch  9:
-	//   GA1-d1  residual           pushes=5338  nodes-touched=1542  updates=5338   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=1343  nodes-touched=849   updates=1343   (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=3994  nodes-touched=1531  updates=3994   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=1186  nodes-touched=833   updates=1186   (cold-equivalent 212828)
 	// batch 10:
-	//   GA1-d1  residual           pushes=2755  nodes-touched=1191  updates=2755   (cold-equivalent 280546)
-	//   GA2-d1  residual           pushes=807   nodes-touched=543   updates=807    (cold-equivalent 212828)
+	//   GA1-d1  residual           pushes=2250  nodes-touched=1168  updates=2250   (cold-equivalent 280546)
+	//   GA2-d1  residual           pushes=732   nodes-touched=540   updates=732    (cold-equivalent 212828)
 	//
-	// stream total: 58114 node-score updates vs 4933740 cold-equivalent (84.9x saved)
+	// stream total: 45046 node-score updates vs 4933740 cold-equivalent (109.5x saved)
 	//
 	// post-stream search: 3 summaries, first:
 	// Author: Christos Faloutsos

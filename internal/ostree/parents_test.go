@@ -54,8 +54,8 @@ func walkFixtures(t *testing.T) []*walkFixture {
 	return out
 }
 
-// mutate commits one generated batch to the store and splices it into the
-// graph's overlay, as Engine.Mutate does.
+// mutate commits one generated batch to the store and applies it to the
+// data graph's edge lists in place, as Engine.Mutate does.
 func (f *walkFixture) mutate(t *testing.T, gen *mutgen.Gen) relational.BatchResult {
 	t.Helper()
 	res, err := f.db.Apply(gen.NextBatch())

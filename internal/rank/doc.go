@@ -31,9 +31,10 @@
 // Plans.Apply appends a committed mutation batch's rebuilt rows;
 // Plans.RunResidual repairs the prior fixed point, in the caller's own
 // vectors, with a localized Gauss–Southwell residual push (residual.go has
-// the math, push.go the round schedule) and has one safety net: when the
+// the math, push.go the one push loop) and has one safety net: when the
 // seeded residual is too large or the push budget runs out, the same call
-// returns Plans.Run warm-started from the prior instead. What one entry of
+// returns Plans.Run warm-started from what the repair left in those vectors
+// instead. What one entry of
 // a source row transfers is written once (split, in rank.go); the full
 // iteration, the residual seeding and the push all read it there.
 //
@@ -44,20 +45,21 @@
 //     moves a vector far from the fixed point; feeding it back as a warm
 //     start squanders the head start, and feeding it to RunResidual breaks
 //     the residual-seeding identity outright. Callers keep two tables.
-//   - RunResidual writes no score until its push has drained: a completed
-//     repair returns Options.Warm itself, rewritten in place, and a
-//     fallback returns exactly Plans.Run over the untouched prior. It
-//     allocates, clears and copies nothing of arena size: the residual
-//     vector and the node marks are a scratch of the Plans', all-zero
-//     between repairs and zeroed by walking the nodes the repair wrote.
+//   - RunResidual repairs Options.Warm in place: it rescales the prior
+//     there and adds every push into it as it is made. A completed repair
+//     returns Options.Warm itself; a fallback returns exactly Plans.Run
+//     warm-started from what the repair left in it. It allocates, clears
+//     and copies nothing of arena size: the residual vector and the node
+//     marks are a scratch of the Plans', all-zero between repairs and
+//     zeroed by walking the nodes the repair wrote.
 //   - Plans.Run has one canonical order: each destination's contributions
 //     are summed plan ordinal, source ascending, target position, by the
 //     one goroutine that runs the iteration, so equal plans and options
-//     give bit-for-bit equal scores. RunResidual is as deterministic: its
-//     rounds are frozen-value, one walker applies a round's contributions
-//     in source-ascending order, and the budget is checked per round, so a
-//     repair — fallback decision included — is a pure function of the
-//     prior, the pending delta and the options.
+//     give bit-for-bit equal scores. RunResidual is as deterministic: one
+//     walker drains one FIFO queue seeded in ascending order, adding each
+//     push's contributions in plan-ordinal, row order, and the budget is
+//     checked per push, so a repair — fallback decision included — is a
+//     pure function of the prior, the pending delta and the options.
 //   - Plans.Apply requires the batch to be already applied to the plans'
 //     database AND data graph (it rebuilds changed rows from both), and
 //     must be serialized against Run/RunResidual by the caller. The engine

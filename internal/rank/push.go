@@ -1,37 +1,33 @@
 package rank
 
-// The round schedule of the residual push, and the scratch it runs in.
+// The residual push loop, and the scratch it runs in.
 //
-// Round semantics. A round consumes every frontier node's residual at its
-// value frozen at round start (score[u] += r[u]; r[u] = 0), expands each
-// consumed value along the node's out-flows, and applies the resulting
-// contributions r[dst] += d·w·rv. The next frontier is every node whose
-// post-round |r| ≥ ε, ascending. Every round is one pushRun.expand over the
-// whole frontier, adding each contribution straight into r and listing dst
-// the first time the round hits it; pushScratch.settle turns that list
-// into the next frontier: everything at or above threshold at round start
-// was consumed, so a node that is there now was hit. No round scans the
-// arena.
+// The loop. One FIFO queue, seeded with the seeds at or above ε in
+// ascending arena order. drain pops its head u and, unless |r[u]| has
+// fallen below ε since u was queued, pushes it: r[u] goes into u's score,
+// r[u] = 0, and d·w·r[u] goes to the residual of each out-flow target,
+// plan ordinal then row order; a target not on the queue whose residual
+// now reaches ε joins its tail. A node is on the queue at most once at a
+// time, and every node at or above ε is on it, so the queue is empty
+// exactly when max|r| < ε.
 //
-// Determinism argument. Frozen values make a round a pure function of the
-// round-start state, and floating-point addition is not associative, so
-// the order each destination's contributions are applied in is fixed too:
-// one walker, in source arena index ascending, then plan ordinal, then
-// target position order.
+// Determinism argument. Floating-point addition is not associative, so the
+// order of every add is fixed: ascending seeds, a FIFO, and one walker
+// adding each push's contributions in plan-ordinal, row order. A repair is
+// a pure function of the prior, the pending delta and the options.
 //
-// The push budget is enforced at round granularity: a round either runs in
-// full or not at all.
+// The push budget is counted per push: the loop stops before the push that
+// would exceed it.
 //
 // The scratch invariant. The residual vector and the per-node marks are
 // the only arena-sized state a repair has beyond the scores it repairs, and
 // they belong to the Plans (pushScratch, on a free list): all-zero between
 // repairs, and zeroed again by walking the list of nodes the repair wrote —
-// a node gets on it the first time a seed or a round touches its residual —
+// a node gets on it the first time a seed or a push touches its residual —
 // never by clearing the arrays.
 
 import (
 	"math"
-	"slices"
 
 	"sizelos/internal/relational"
 )
@@ -39,24 +35,17 @@ import (
 // The per-node marks of a repair, one byte per arena index.
 const (
 	markDirty  uint8 = 1 << iota // on pushScratch.dirty: the reset walk will zero it
-	markPushed                   // consumed at least once (Stats.ResidualNodes)
-	markSeen                     // already listed as hit by the current round
+	markPushed                   // pushed at least once (Stats.ResidualNodes)
+	markQueued                   // on the queue
 )
 
 // pushScratch is the arena-sized working state of one repair — the
-// residual vector and the marks — plus the frontier-sized buffers its
-// rounds reuse.
+// residual vector and the marks — plus the queue it drains.
 type pushScratch struct {
 	r     []float64
 	mark  []uint8
 	dirty []int32 // every node whose r or mark was written, each once
-
-	frontier, spare []int32 // the current frontier and the previous one's storage
-	// The push log, round after round: node pushed[k] was consumed at
-	// frozen[k]. No score is written until the push has drained and the log
-	// is replayed, so a repair that trips the budget leaves the prior alone.
-	pushed []int32
-	frozen []float64
+	queue []int32 // the FIFO of nodes to push; drain keeps it within twice its live length
 }
 
 // takeScratch pops a scratch off the free list, or makes one. Arrays the
@@ -77,15 +66,12 @@ func (ps *Plans) takeScratch() *pushScratch {
 }
 
 // putScratch zeroes what the repair wrote and returns the scratch to the
-// free list, without a log that outgrew the arena (a budget trip's).
+// free list.
 func (ps *Plans) putScratch(sc *pushScratch) {
 	for _, v := range sc.dirty {
 		sc.r[v], sc.mark[v] = 0, 0
 	}
-	sc.dirty = sc.dirty[:0]
-	if cap(sc.pushed) > len(sc.r) {
-		sc.pushed, sc.frozen = nil, nil
-	}
+	sc.dirty, sc.queue = sc.dirty[:0], sc.queue[:0]
 	ps.scratchMu.Lock()
 	ps.scratchFree = append(ps.scratchFree, sc)
 	ps.scratchMu.Unlock()
@@ -99,42 +85,19 @@ func (sc *pushScratch) touch(v int32) {
 	}
 }
 
-// settle turns the destinations one round hit into the next frontier: seen
-// marks cleared, first-time nodes put on dirty, only the nodes still at or
-// above threshold kept, and those ascending. The returned slice aliases
-// hit's backing array.
-func (sc *pushScratch) settle(hit []int32, eps float64) []int32 {
-	out := hit[:0]
-	for _, v := range hit {
-		sc.mark[v] &^= markSeen
-		sc.touch(v)
-		if math.Abs(sc.r[v]) >= eps {
-			out = append(out, v)
-		}
-	}
-	slices.Sort(out)
-	return out
+// enqueue puts v at the tail of the queue.
+func (sc *pushScratch) enqueue(v int32) {
+	sc.mark[v] |= markQueued
+	sc.queue = append(sc.queue, v)
 }
 
-// pushRun is the state one repair's rounds share, and what the prior
-// score vectors it repairs stand for until the drained push is written
-// through: raw[ri] is relation ri's vector, whose entries under covered[ri]
-// hold the prior p and stand for c·p; the rest are fresh inserts, at base.
+// pushRun is the state one repair shares: raw[ri] is relation ri's score
+// vector, already rescaled, that every push adds into.
 type pushRun struct {
-	ps      *Plans
-	sc      *pushScratch
-	raw     []relational.Scores
-	covered []int32
-	c, base float64
-	d       float64
-}
-
-// prior returns what entry idx of relation ri stands for.
-func (pr *pushRun) prior(ri int, idx int32) float64 {
-	if idx < pr.covered[ri] {
-		return pr.c * pr.raw[ri][idx]
-	}
-	return pr.base
+	ps  *Plans
+	sc  *pushScratch
+	raw []relational.Scores
+	d   float64
 }
 
 // relOf returns the ordinal of the relation arena index u belongs to.
@@ -146,27 +109,43 @@ func (ps *Plans) relOf(u int32) int {
 	return ri
 }
 
-// expand is the frontier expansion of every round: consume the ascending
-// frontier at its frozen values (frozen[i] = r[u]; r[u] = 0), then add each
-// value's contributions d·w·rv into r in source-ascending, plan-ordinal,
-// target-position order, listing on *hit every destination the round
-// reaches. Consumption must finish first, or a later source's frozen value
-// would include this round's adds. It reports how many nodes were consumed
-// for the first time.
-func (pr *pushRun) expand(frontier []int32, frozen []float64, hit *[]int32) (fresh int) {
-	ps, r, mark, d := pr.ps, pr.sc.r, pr.sc.mark, pr.d
-	for i, u := range frontier {
-		frozen[i] = r[u]
+// drain pushes from the scratch's queue until it is empty (max |r| < eps)
+// or the next push would exceed the budget, in which case it returns false
+// so the caller can fall back. Every queued node must be marked queued and
+// on the dirty list. Stats.Rounds counts queue generations: the seeds, the
+// nodes they queued, and so on.
+func (pr *pushRun) drain(eps float64, budget int, stats *Stats) bool {
+	ps, sc, d := pr.ps, pr.sc, pr.d
+	r, mark := sc.r, sc.mark
+	head, gen, left := 0, 0, 0 // left: entries of generation gen not yet popped
+	for head < len(sc.queue) {
+		if left == 0 {
+			gen, left = gen+1, len(sc.queue)-head
+		}
+		if head > len(sc.queue)/2 {
+			sc.queue = sc.queue[:copy(sc.queue, sc.queue[head:])]
+			head = 0
+		}
+		u := sc.queue[head]
+		head, left = head+1, left-1
+		mark[u] &^= markQueued
+		rv := r[u]
+		if math.Abs(rv) < eps {
+			continue
+		}
+		if stats.Pushes == budget {
+			return false
+		}
+		stats.Pushes++
+		stats.Rounds = gen
 		r[u] = 0
 		if mark[u]&markPushed == 0 {
 			mark[u] |= markPushed
-			fresh++
+			stats.ResidualNodes++
 		}
-	}
-	for i, u := range frontier {
-		rv := frozen[i]
 		ri := ps.relOf(u)
 		src := relational.TupleID(u - ps.relOff[ri])
+		pr.raw[ri][src] += rv
 		for _, pi := range ps.bySrc[ri] {
 			p := &ps.plans[pi]
 			targets, w := p.flows(src)
@@ -175,40 +154,13 @@ func (pr *pushRun) expand(frontier []int32, frozen []float64, hit *[]int32) (fre
 				dst := dstOff + int32(tgt)
 				// Rounded here, so that no architecture fuses the product
 				// into the add below: same bits with and without FMA.
-				add := float64(d * w.at(k) * rv)
-				r[dst] += add
-				if mark[dst]&markSeen == 0 {
-					mark[dst] |= markSeen
-					*hit = append(*hit, dst)
+				r[dst] += float64(d * w.at(k) * rv)
+				sc.touch(dst)
+				if mark[dst]&markQueued == 0 && math.Abs(r[dst]) >= eps {
+					sc.enqueue(dst)
 				}
 			}
 		}
-	}
-	return fresh
-}
-
-// runPushRounds drives the residual push from the scratch's frontier until
-// it drains (max |r| < eps) or the budget would be exceeded, in which case
-// it stops without touching the remaining rounds and returns false so the
-// caller can fall back. sc.frontier must be ascending and hold exactly the
-// nodes with |r| ≥ eps, all of them on the dirty list. Residuals are
-// mutated in place; what was pushed is on the scratch's log.
-func (pr *pushRun) runPushRounds(eps float64, budget int, stats *Stats) bool {
-	sc := pr.sc
-	sc.pushed, sc.frozen = sc.pushed[:0], sc.frozen[:0]
-	for len(sc.frontier) > 0 {
-		frontier := sc.frontier
-		if stats.Pushes+len(frontier) > budget {
-			return false
-		}
-		stats.Rounds++
-		stats.Pushes += len(frontier)
-		sc.pushed = append(sc.pushed, frontier...)
-		sc.frozen = append(sc.frozen, make([]float64, len(frontier))...)
-		frozen := sc.frozen[len(sc.frozen)-len(frontier):]
-		next := sc.spare[:0]
-		stats.ResidualNodes += pr.expand(frontier, frozen, &next)
-		sc.frontier, sc.spare = sc.settle(next, eps), frontier
 	}
 	return true
 }

@@ -1,13 +1,11 @@
 package rank
 
-// Edge tests for the residual push's round schedule (push.go): empty
-// frontier, narrow and wide frontiers, a seed-mass trip, budget exhaustion
+// Edge tests for the residual push loop (push.go): an empty queue, narrow
+// and wide queue generations, a seed-mass trip, budget exhaustion
 // mid-repair — each holding the scratch and fallback contracts. The
-// fixtures here are hand-built rings large enough that frontiers run to
-// hundreds of nodes and the arena exceeds the full iteration's 4096
-// auto-parallel threshold, so the fallback's worker splits genuinely engage
-// (the engine-level harness re-proves the same contract end to end on
-// DBLP/TPC-H shapes).
+// fixtures here are hand-built rings large enough that a generation runs to
+// hundreds of nodes (the engine-level harness re-proves the same contract
+// end to end on DBLP/TPC-H shapes).
 
 import (
 	"math"
@@ -144,18 +142,17 @@ func requireBitIdentical(t *testing.T, label string, a, b relational.DBScores) {
 	}
 }
 
-// TestRunPushRoundsEmptyFrontier: a repair with nothing above threshold
-// performs no rounds, no pushes, and reports success — the no-op edge of
-// the schedule.
-func TestRunPushRoundsEmptyFrontier(t *testing.T) {
+// TestDrainEmptyQueue: a repair with nothing above threshold performs no
+// rounds, no pushes, and reports success — the no-op edge of the loop.
+func TestDrainEmptyQueue(t *testing.T) {
 	_, _, ps := ringFixture(t, 50, 2, 0.7)
 	pr := &pushRun{ps: ps, sc: ps.takeScratch(), d: 0.85}
 	var stats Stats
-	if !pr.runPushRounds(1e-9, 4*ps.n, &stats) {
-		t.Fatal("empty frontier reported budget exhaustion")
+	if !pr.drain(1e-9, 4*ps.n, &stats) {
+		t.Fatal("empty queue reported budget exhaustion")
 	}
 	if stats.Rounds != 0 || stats.Pushes != 0 {
-		t.Fatalf("empty frontier did work: %+v", stats)
+		t.Fatalf("empty queue did work: %+v", stats)
 	}
 	ps.putScratch(pr.sc)
 	requireScratchZero(t, ps)
@@ -184,10 +181,9 @@ func requireScratchZero(t *testing.T, ps *Plans) {
 	}
 }
 
-// wideFrontier is the frontier size the wide cases must reach in at least
-// one round: well past anything DBLP or TPC-H traffic produces, so the
-// schedule's per-round buffers are exercised at a size a one-tuple batch
-// never grows them to.
+// wideFrontier is the queue-generation size the wide cases must reach in
+// at least one round: well past anything DBLP or TPC-H traffic produces, so
+// the queue is exercised at a length a one-tuple batch never grows it to.
 const wideFrontier = 256
 
 // TestResidualScratchAndFallbackInvariants walks every way a RunResidual
@@ -197,8 +193,8 @@ const wideFrontier = 256
 // Plans' one scratch is back all-zero, the same call from another copy of
 // the prior returns the same bits, a drained repair hands back the very
 // table it was given and lands on the cold fixed point, and a trip returns
-// bit for bit what Plans.Run returns over the original prior while the
-// table it was given is exactly as it was.
+// bit for bit what Plans.Run returns warm from what the repair left in the
+// table it was given, on the cold fixed point.
 func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -213,7 +209,7 @@ func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 			}
 		}},
 		{"drained, wide frontier", 150, 0.7, 0.85, 0, func(t *testing.T, st Stats) {
-			// A mean frontier this wide means some round's was.
+			// A mean generation this wide means some round's was.
 			if st.Fallback || st.Pushes < wideFrontier*st.Rounds {
 				t.Fatalf("want a drained push with a round of %d nodes: %+v", wideFrontier, st)
 			}
@@ -258,14 +254,14 @@ func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 				}
 				requireNearCold(t, ps, got, tc.damping)
 			} else {
-				requireSameTable(t, "prior after a trip", prior, opts.Warm)
 				full := opts
-				full.Warm = cloneScores(prior)
+				full.Warm = cloneScores(opts.Warm)
 				want, _, err := ps.Run(full)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
-				requireSameTable(t, "fallback vs Plans.Run", want, got)
+				requireSameTable(t, "fallback vs Plans.Run from what the repair left", want, got)
+				requireNearCold(t, ps, got, tc.damping)
 			}
 
 			opts.Warm = cloneScores(prior)
@@ -292,9 +288,9 @@ func requireSameTable(t *testing.T, label string, a, b relational.DBScores) {
 	requireBitIdentical(t, label, a, b)
 }
 
-// TestResidualBudgetExhaustion: the budget is enforced at round
-// granularity, so a repair that exhausts it mid-stream stops before the
-// round that would cross it — rounds ran, pushes never exceed the budget —
+// TestResidualBudgetExhaustion: the budget is counted per push, so a repair
+// that exhausts it mid-stream stops before the push that would cross it —
+// rounds ran, pushes never exceed the budget —
 // and falls back to full-iteration scores on the cold fixed point. Two
 // trips: a tight explicit budget at d = 0.85, and the default 4n budget at
 // d = 0.99, where the slow global modes of a disruptive batch decay too

@@ -122,8 +122,8 @@ type Options struct {
 	// iterations of arena-wide updates, so a residual run still wins well
 	// past one sweep, while a genuinely global perturbation trips the
 	// budget early and takes the vectorized iteration instead. The budget
-	// is enforced at push-round granularity — a round either runs in full
-	// or falls back before starting.
+	// is counted per push: a repair falls back before the push that would
+	// exceed it.
 	ResidualBudget int
 }
 
@@ -146,8 +146,8 @@ type Stats struct {
 	// power iteration, the push count for a residual run. It is the common
 	// work metric residual mode is measured against.
 	Updates int
-	// Pushes counts residual pushes — frontier nodes consumed across all
-	// rounds (RunResidual only).
+	// Pushes counts residual pushes — queue pops whose residual was still
+	// at or above Epsilon (RunResidual only).
 	Pushes int
 	// ResidualNodes counts the distinct nodes a residual run touched
 	// (RunResidual only).
@@ -156,7 +156,8 @@ type Stats struct {
 	// mass over the safety bound or the push budget exhausted) and the
 	// reported scores come from the warm full iteration instead.
 	Fallback bool
-	// Rounds counts the frozen-value push rounds a RunResidual executed.
+	// Rounds counts the queue generations a RunResidual pushed from: the
+	// seeds, the nodes they queued, the nodes those queued, and so on.
 	Rounds int
 }
 

@@ -29,10 +29,9 @@ package rank
 //
 // A push at node u then moves r[u] into the score and propagates
 // d·w(u→v)·r[u] to u's flow targets, preserving the invariant
-// x = cur + (I−M)⁻¹r. The push runs in rounds (push.go): each round
-// consumes every above-threshold residual at its round-start value and
-// applies the expanded contributions per destination in a fixed
-// source-ascending order, so the repair is deterministic and round-empty ⟺
+// x = cur + (I−M)⁻¹r. The pushes drain one FIFO queue (push.go) that holds
+// every node whose residual is at or above Options.Epsilon, seeded in
+// ascending order, so the repair is deterministic and queue-empty ⟺
 // max|r| < Options.Epsilon — the same convergence criterion, hence the same
 // fixed-point tolerance class, as the full iteration. Because the
 // per-source rate sums of real G_As can exceed 1 (DBLP's Paper emits 1.2),
@@ -41,11 +40,10 @@ package rank
 // or whose seed mass already dwarfs the prior's — falls back to the warm
 // full iteration, which is correct from any seed.
 //
-// The rescaled prior is never materialized on its own. The seeds read c·p
-// on demand; the pushed amounts are logged, not applied; and a drained
-// push is written through with the rescale in the one pass over the arena
-// a repair makes, in the caller's own vectors. A run that falls back has
-// written no score.
+// The repair works in the caller's own vectors: one pass over the arena
+// rescales the prior in place, the seeds read c·p there, and every push
+// adds into them as it is made. A run that falls back warm-starts the full
+// iteration from what it left there.
 
 import (
 	"fmt"
@@ -176,15 +174,15 @@ func (ps *Plans) changedSources(p *plan, res relational.BatchResult) []relationa
 const residualMassBound = 0.5
 
 // outweighs reports whether seedMass exceeds residualMassBound of the
-// prior's mass — the sum, in arena order, of what every entry stands for —
-// without summing further than the answer needs. The terms are magnitudes,
+// rescaled prior's mass — the sum of its entries' magnitudes, in arena
+// order — without summing further than the answer needs. The terms are magnitudes,
 // so the running sum never decreases: once it clears the bar the full sum
 // does too, and for a localized batch that is a few entries in.
 func (pr *pushRun) outweighs(seedMass float64) bool {
 	mass := 0.0
-	for ri, x := range pr.raw {
-		for i := range x {
-			mass += math.Abs(pr.prior(ri, int32(i)))
+	for _, x := range pr.raw {
+		for _, v := range x {
+			mass += math.Abs(v)
 			if seedMass <= residualMassBound*mass {
 				return false
 			}
@@ -208,15 +206,16 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // first and its entry replaced); Options.NormalizeMax is ignored, a table
 // repaired again must stay raw. Nothing of arena size is allocated, cleared
 // or copied: the residual vector and the node marks are a scratch of the
-// Plans', and no score is written until the push has drained.
+// Plans'.
 //
-// Options.ResidualBudget caps the pushes (enforced at round granularity: a
-// round runs in full or not at all). When the seed mass exceeds the safety
-// bound, the seeds cover too much of the arena, or the budget runs out,
-// RunResidual falls back to the warm full iteration over the same plans
-// (Stats.Fallback reports it) and returns that run's fresh table, Options.Warm being, as on an error, exactly what was
-// passed in. Either way the returned scores satisfy the convergence
-// contract.
+// Options.ResidualBudget caps the pushes (counted per push: the repair
+// stops before the push that would exceed it). When the seed mass exceeds
+// the safety bound, the seeds cover too much of the arena, or the budget
+// runs out, RunResidual falls back to the warm full iteration over the same
+// plans (Stats.Fallback reports it), seeded from what the repair left in
+// Options.Warm — the rescaled prior plus the pushes made so far — and
+// returns that run's fresh table. Either way the returned scores satisfy
+// the convergence contract; an invalid call errors before writing anything.
 //
 // Safe to call concurrently on the same *Plans and *Pending with distinct
 // Warm tables (each run takes its own scratch); Apply must not run
@@ -243,23 +242,26 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		budget = 4 * ps.n
 	}
 	d := opts.Damping
-	pr := &pushRun{
-		ps:      ps,
-		raw:     make([]relational.Scores, len(db.Relations)),
-		covered: make([]int32, len(db.Relations)),
-		c:       float64(pending.oldN) / float64(ps.n),
-		base:    (1 - d) / float64(ps.n),
-		d:       d,
-	}
+	pr := &pushRun{ps: ps, raw: make([]relational.Scores, len(db.Relations)), d: d}
 
+	// Rescale the prior in place: x = c·p on the slots it covers, base on
+	// fresh inserts, each vector grown to its relation first.
+	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
 	for ri, rel := range db.Relations {
 		w := opts.Warm[rel.Name]
 		size := int(ps.relOff[ri+1] - ps.relOff[ri])
-		pr.covered[ri] = int32(min(int(pending.oldSizes[ri]), len(w), size))
+		covered := min(int(pending.oldSizes[ri]), len(w), size)
 		if len(w) < size {
 			w = append(w, make(relational.Scores, size-len(w))...)
 		}
-		pr.raw[ri] = w[:size]
+		x := w[:size]
+		for i, v := range x[:covered] {
+			x[i] = c * v
+		}
+		for i := covered; i < size; i++ {
+			x[i] = base
+		}
+		opts.Warm[rel.Name], pr.raw[ri] = x, x
 	}
 
 	// Seed residuals from the changed rows: remove each captured old row's
@@ -279,7 +281,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		p := &ps.plans[pi]
 		dstOff := ps.relOff[p.hop.To()]
 		for _, src := range slices.Sorted(maps.Keys(rows)) {
-			pv := pr.prior(p.hop.From(), int32(src))
+			pv := pr.raw[p.hop.From()][src]
 			if pv == 0 {
 				continue
 			}
@@ -308,41 +310,21 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		return fallback()
 	}
 
-	// Seeds form the first frontier in ascending arena order; every round
-	// consumes the whole frontier at frozen values, and frontier-empty ⟺
-	// max|r| < ε.
+	// The seeds at or above ε, ascending, are the queue drain starts from.
 	eps := opts.Epsilon
-	sc.frontier = sc.frontier[:0]
+	slices.Sort(sc.dirty)
 	for _, v := range sc.dirty {
 		if math.Abs(sc.r[v]) >= eps {
-			sc.frontier = append(sc.frontier, v)
+			sc.enqueue(v)
 		}
 	}
-	slices.Sort(sc.frontier)
-	drained := pr.runPushRounds(eps, budget, &stats)
+	drained := pr.drain(eps, budget, &stats)
 	stats.Updates = stats.Pushes
 	if !drained {
 		return fallback()
 	}
 	stats.Converged = true
 
-	// The push can no longer fall back. Write it through: every score takes
-	// the value it stood for, then the log's amounts in the order they were
-	// consumed.
-	for ri, rel := range db.Relations {
-		x, covered := pr.raw[ri], int(pr.covered[ri])
-		for i, v := range x[:covered] {
-			x[i] = pr.c * v
-		}
-		for i := covered; i < len(x); i++ {
-			x[i] = pr.base
-		}
-		opts.Warm[rel.Name] = x
-	}
-	for k, u := range sc.pushed {
-		ri := ps.relOf(u)
-		pr.raw[ri][u-ps.relOff[ri]] += sc.frozen[k]
-	}
 	ps.putScratch(sc)
 	return opts.Warm, stats, nil
 }

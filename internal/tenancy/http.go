@@ -446,7 +446,8 @@ type RerankStatJSON struct {
 	// budget) and the warm full iteration produced the scores.
 	Residual bool `json:"residual"`
 	Fallback bool `json:"fallback,omitempty"`
-	// Pushes and Rounds describe the residual push that ran.
+	// Pushes and Rounds describe the residual push that ran: Rounds counts
+	// its queue generations (the seeds, the nodes they queued, and so on).
 	Pushes int `json:"pushes,omitempty"`
 	Rounds int `json:"rounds,omitempty"`
 	// Iterations counts full power-iteration sweeps (fallback or warm

@@ -105,8 +105,8 @@ type RerankStat struct {
 	// Residual records that this setting took the residual-push path
 	// (possibly falling back; see FallbackTaken).
 	Residual bool
-	// Pushes counts the residual pushes performed (frontier nodes consumed
-	// across all push rounds).
+	// Pushes counts the residual pushes performed (nodes popped off the
+	// push queue with a residual still at or above epsilon).
 	Pushes int
 	// NodesTouched counts the distinct nodes the residual repair updated
 	// (the full iteration touches every node every iteration; see Updates).
@@ -119,7 +119,8 @@ type RerankStat struct {
 	// abandoned (seed mass over the safety bound or push budget exhausted);
 	// the reported scores come from the warm full iteration.
 	FallbackTaken bool
-	// Rounds counts the frozen-value push rounds of the residual repair.
+	// Rounds counts the push queue's generations in the residual repair:
+	// the seeds, the nodes they queued, and so on.
 	Rounds int
 	// Accelerated is never set: no re-rank path reports it. The field
 	// stays because benchmark/trace.go reads it (rank.accelerated_ratio).
