@@ -86,9 +86,6 @@ type EngineState struct {
 	RawScores map[string]relational.DBScores
 	// Epochs are the per-relation cache-invalidation counters.
 	Epochs map[string]uint64
-	// ColdIters are each setting's cold-start iteration baselines, kept so
-	// recovered engines report warm-start savings against the same floor.
-	ColdIters map[string]int
 }
 
 // ExportState captures the engine's durable state and the log sequence
@@ -107,7 +104,6 @@ func (e *Engine) ExportState() (st *EngineState, seq uint64, err error) {
 		DB:        buf.Bytes(),
 		RawScores: copyScoreTable(e.rawScores),
 		Epochs:    copyMap(e.epochs),
-		ColdIters: copyMap(e.coldIters),
 	}
 	if e.mlog != nil {
 		seq = e.mlog.Seq()
@@ -141,19 +137,19 @@ func copyMap[K comparable, V any](m map[K]V) map[K]V {
 // NewEngineFromState reconstructs an engine from an exported snapshot: the
 // relational store is decoded layout-preserving, every derived structure
 // (data graph, keyword index, push plans, normalized scores, relation
-// maxima) is rebuilt from it, and the raw score vectors, epochs and
-// cold-start baselines are restored verbatim. The rebuilt derived state is
-// identical to what the snapshotted engine was serving — that is the
-// mutation-equivalence harnesses' proven contract, and the crash-recovery
-// harness re-asserts it end to end.
+// maxima) is rebuilt from it, and the raw score vectors and epochs are
+// restored verbatim. The rebuilt derived state is identical to what the
+// snapshotted engine was serving — that is the mutation-equivalence
+// harnesses' proven contract, and the crash-recovery harness re-asserts it
+// end to end.
 //
 // The raw vectors replace the cold-start power iterations: st must hold,
 // for every setting, a table positionally aligned with the store's physical
 // slots (tombstones included); they are deep-copied. As after a compaction,
-// the restored engine's first re-rank takes the warm full iteration (no
-// residual deltas survive a restart); it re-arms the residual path for the
-// re-ranks after it. Register the same G_DSs as the original engine, replay
-// any WAL tail with Mutate, and only then install the mutation log.
+// the restored engine's first re-rank seeds from one exact sweep (no
+// captured rows survive a restart). Register the same G_DSs as the
+// original engine, replay any WAL tail with Mutate, and only then install
+// the mutation log.
 func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 	db, err := relational.ReadDBState(bytes.NewReader(st.DB))
 	if err != nil {
@@ -186,9 +182,6 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 	}
 	for rel, epoch := range st.Epochs {
 		e.epochs[rel] = epoch
-	}
-	for name, iters := range st.ColdIters {
-		e.coldIters[name] = iters
 	}
 	return e, nil
 }

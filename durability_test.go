@@ -134,10 +134,10 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		both(false)
 	}
 
-	// NewEngineFromState's re-rank contract: no residual deltas survive the
-	// restart, so the restored engine's first re-rank takes the warm full
-	// iteration and re-arms the residual path for its second, while the
-	// survivor repairs residually both times. Served scores stay within the
+	// NewEngineFromState's re-rank contract: no captured rows survive the
+	// restart, so the restored engine's first re-rank seeds its push from
+	// one exact sweep and its second from captured rows again, while the
+	// survivor seeds from captured rows both times. Served scores stay within the
 	// fixed-point tolerance of the survivor's.
 	for rerank := 1; rerank <= 2; rerank++ {
 		both(false)
@@ -148,7 +148,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		}
 		for _, s := range dblpRecipe.settings() {
 			if !ra.RerankStats[s.Name].Residual {
-				t.Fatalf("re-rank %d: survivor %s took the full iteration", rerank, s.Name)
+				t.Fatalf("re-rank %d: survivor %s did not seed from captured rows", rerank, s.Name)
 			}
 			if got, want := rb.RerankStats[s.Name].Residual, rerank == 2; got != want {
 				t.Fatalf("re-rank %d: restored %s Residual = %v, want %v", rerank, s.Name, got, want)
@@ -202,7 +202,7 @@ func TestRestoreRejectsMisalignedScores(t *testing.T) {
 	}
 	name := eng.SettingNames()[0]
 
-	broken := &EngineState{DB: st.DB, Epochs: st.Epochs, ColdIters: st.ColdIters}
+	broken := &EngineState{DB: st.DB, Epochs: st.Epochs}
 	broken.RawScores = map[string]relational.DBScores{}
 	for s, sc := range st.RawScores {
 		broken.RawScores[s] = sc

@@ -108,18 +108,12 @@ type Engine struct {
 	// kept current across mutations via rank.Plans.Apply so re-ranks never
 	// recompile; recompiled only when compaction rebuilds the graph.
 	plans map[*rank.GA]*rank.Plans
-	// pending accumulates, per G_A, the contribution-row changes applied
-	// since the last re-rank — the seeds of the next residual-push re-rank.
-	// nil entries (or an empty map) mean the served scores are the
-	// converged fixed point of the current graph.
+	// pending accumulates, per G_A, the pre-mutation rows of every source
+	// changed since the last re-rank (empty: nothing changed). nil means the
+	// rows do not cover (after a restore, a compaction or with residual
+	// capture off), so the next re-rank seeds from a sweep.
 	pending map[*rank.GA]*rank.Pending
-	// residualOK reports that pending covers every change since the last
-	// full convergence. A compaction remaps TupleIDs out from under the
-	// captured rows, so it clears the flag; the next re-rank then runs the
-	// warm full iteration and re-arms it.
-	residualOK bool
-	// residualEnabled gates residual-push re-ranking (SetResidualRerank);
-	// when off, every re-rank runs the warm full iteration.
+	// residualEnabled gates capturing rows (SetResidualRerank).
 	residualEnabled bool
 	// residualBudget is rank.Options.ResidualBudget for every residual
 	// re-rank: the push count past which one abandons the localized path and
@@ -127,9 +121,9 @@ type Engine struct {
 	// means the rank package default (4× the node count); only in-package
 	// tests set it.
 	residualBudget int
-	// residualRuns counts consecutive residual re-ranks; every
-	// residualRefreshInterval-th re-rank runs the full iteration instead,
-	// re-grounding the epsilon-scale drift each residual repair inherits
+	// residualRuns counts consecutive re-ranks seeded from captured rows;
+	// every residualRefreshInterval-th re-rank seeds from one exact sweep
+	// instead, re-grounding the epsilon-scale drift each repair inherits
 	// from its prior.
 	residualRuns int
 	// scores per setting name, normalized for presentation (NormalizeMax).
@@ -142,9 +136,6 @@ type Engine struct {
 	// setting — the G_DS Max/MMax annotation input, which normalizeInto
 	// yields with the scores so annotating never scans a vector.
 	relMax map[string]map[string]float64
-	// coldIters records each setting's cold-start iteration count from
-	// NewEngine, the baseline warm-started re-ranks report savings against.
-	coldIters map[string]int
 	// compactMin and compactRatio are the auto-compaction trigger: a
 	// relation is physically compacted when it carries at least compactMin
 	// tombstones AND they exceed compactRatio of its slots. compactMin <= 0
@@ -209,20 +200,16 @@ func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats, err := e.rankSettings(false)
-	if err != nil {
+	if _, err := e.rankSettings(); err != nil {
 		return nil, err
 	}
-	e.residualOK = true
-	for name, st := range stats {
-		e.coldIters[name] = st.Iterations
-	}
+	e.pending = make(map[*rank.GA]*rank.Pending)
 	return e, nil
 }
 
 // newUnrankedEngine is an engine with everything but scores: data graph,
-// keyword index, compiled plans and empty score tables. Its residual path
-// is unarmed (residualOK false) until a full convergence arms it.
+// keyword index, compiled plans and empty score tables. It captures no rows
+// (pending nil) until a re-rank converges.
 func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 	if len(settings) == 0 {
 		return nil, fmt.Errorf("sizelos: at least one ranking setting required")
@@ -242,10 +229,8 @@ func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		deps:            make(map[string][]string),
 		wide:            make(map[string]uint64),
 		subj:            make(map[string]map[relational.TupleID]uint64),
-		coldIters:       make(map[string]int, len(settings)),
 		compactMin:      DefaultCompactMinTombstones,
 		compactRatio:    DefaultCompactRatio,
-		pending:         make(map[*rank.GA]*rank.Pending),
 		residualEnabled: true,
 		scores:          make(map[string]relational.DBScores, len(settings)),
 		rawScores:       make(map[string]relational.DBScores, len(settings)),
@@ -278,16 +263,18 @@ func compilePlans(g *datagraph.Graph, settings []Setting) (map[*rank.GA]*rank.Pl
 	return plansByGA, nil
 }
 
-// SetResidualRerank toggles residual-push re-ranking (on by default): when
-// off, every MutationBatch.Rerank runs the warm-started full power
-// iteration instead of the localized Gauss–Southwell repair. Both modes
-// satisfy the same fixed-point tolerance contract. A restored engine's first
-// re-rank is the full iteration, so internal/durable's crash harness turns
-// residual off on both sides to compare survivor and recovery bit for bit.
+// SetResidualRerank toggles capturing the rows a batch changes (on by
+// default, from the next re-rank). Off, every re-rank's residual push seeds
+// from one exact sweep — as a restored engine's first re-rank does, so
+// internal/durable's crash harness turns it off on both sides to compare
+// survivor and recovery bit for bit.
 func (e *Engine) SetResidualRerank(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.residualEnabled = on
+	if !on {
+		e.pending = nil
+	}
 }
 
 // DefaultCompactMinTombstones and DefaultCompactRatio are the engine's
@@ -305,18 +292,17 @@ const (
 // rankSettings brings every setting's three tables up to date with the
 // graph: the raw converged vectors (what the next re-rank starts from), the
 // normalized copy served to queries, and that copy's per-relation maxima
-// (the Max/MMax annotation inputs). A setting runs the power iteration —
-// cold without a raw table, warm from it otherwise — or, when residual is
-// set, has its raw table repaired in place by the residual push over the
-// pending deltas; then it normalizes its own result, while the vectors are
-// still in that core's cache.
+// (the Max/MMax annotation inputs). A setting without a raw table runs the
+// cold power iteration (NewEngine); any other has it repaired in place by
+// the residual push over its G_A's pending rows. Then it normalizes its own
+// result, while the vectors are still in that core's cache.
 //
 // At most GOMAXPROCS settings run at once, each on one goroutine: more
 // would only queue, and the cap bounds the push scratches the plans hold.
 // Settings do not read each other's results, so the cap changes nothing
 // observable. Callers hold the write lock (or are
 // still constructing e); an error leaves the tables half updated.
-func (e *Engine) rankSettings(residual bool) (map[string]rank.Stats, error) {
+func (e *Engine) rankSettings() (map[string]rank.Stats, error) {
 	type result struct {
 		raw, served relational.DBScores
 		relMax      map[string]float64
@@ -324,40 +310,27 @@ func (e *Engine) rankSettings(residual bool) (map[string]rank.Stats, error) {
 		err         error
 	}
 	results := make([]result, len(e.settings))
-	work := make(chan int, len(e.settings))
-	for i := range e.settings {
-		work <- i
-	}
-	close(work)
 	normMax := rank.DefaultOptions().NormalizeMax
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(e.settings)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				s, res := e.settings[i], &results[i]
-				opts := rank.DefaultOptions()
-				opts.Damping = s.Damping
-				// Run unnormalized: the raw fixed point is what the next
-				// re-rank must start from.
-				opts.NormalizeMax = 0
-				opts.Warm, opts.ResidualBudget = e.rawScores[s.Name], e.residualBudget
-				if residual {
-					res.raw, res.stats, res.err = e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
-				} else {
-					res.raw, res.stats, res.err = e.plans[s.GA].Run(opts)
-				}
-				if res.err == nil && !res.stats.Converged {
-					res.err = fmt.Errorf("did not converge after %d iterations", res.stats.Iterations)
-				}
-				if res.err == nil {
-					res.served, res.relMax = normalizeInto(e.scores[s.Name], res.raw, normMax)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	searchexec.ForEach(len(e.settings), 0, func(i int) {
+		s, res := e.settings[i], &results[i]
+		opts := rank.DefaultOptions()
+		opts.Damping = s.Damping
+		// Run unnormalized: the raw fixed point is what the next re-rank
+		// must start from.
+		opts.NormalizeMax = 0
+		opts.Warm, opts.ResidualBudget = e.rawScores[s.Name], e.residualBudget
+		if opts.Warm == nil {
+			res.raw, res.stats, res.err = e.plans[s.GA].Run(opts)
+		} else {
+			res.raw, res.stats, res.err = e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
+		}
+		if res.err == nil && !res.stats.Converged {
+			res.err = fmt.Errorf("did not converge after %d iterations", res.stats.Iterations)
+		}
+		if res.err == nil {
+			res.served, res.relMax = normalizeInto(e.scores[s.Name], res.raw, normMax)
+		}
+	})
 	stats := make(map[string]rank.Stats, len(e.settings))
 	for i, s := range e.settings {
 		res := &results[i]

@@ -9,6 +9,7 @@ import (
 	"sizelos"
 	"sizelos/internal/datagen"
 	"sizelos/internal/ostree"
+	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/sizel"
 )
@@ -220,9 +221,9 @@ func Example_dpaReport() {
 	// ... full report available on request (2256 further tuples omitted)
 }
 
-// A live mutation stream with a re-rank on every batch, printing which
-// re-rank path ran (residual push or warm full iteration), how many
-// Gauss–Southwell pushes it took and the work saved against a cold
+// A live mutation stream with a re-rank on every batch, printing where
+// each re-rank's Gauss–Southwell push was seeded from (captured rows or an
+// exact sweep), how many pushes it took and the work saved against a cold
 // iteration. Each op inserts one citation between existing papers and
 // retracts the previous op's, so every line is the steady-state cost of
 // keeping global importance fresh after one tuple changed.
@@ -235,12 +236,29 @@ func Example_incrementalRerank() {
 		log.Fatal(err)
 	}
 	// The practical serving settings (d=0.85).
-	eng, err := sizelos.NewEngine(db, []sizelos.Setting{
+	settings := []sizelos.Setting{
 		{Name: "GA1-d1", GA: datagen.DBLPGA1(), Damping: 0.85},
 		{Name: "GA2-d1", GA: datagen.DBLPGA2(), Damping: 0.85},
-	})
+	}
+	eng, err := sizelos.NewEngine(db, settings)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// What a cold power iteration pays per setting: the yardstick of every
+	// re-rank below.
+	coldUpdates := make(map[string]int, len(settings))
+	for _, s := range settings {
+		ps, err := rank.Compile(eng.Graph(), s.GA, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		opts := rank.DefaultOptions()
+		opts.Damping = s.Damping
+		_, st, err := ps.Run(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		coldUpdates[s.Name] = st.Updates
 	}
 	if err := eng.RegisterGDS(datagen.AuthorGDS().Threshold(sizelos.Theta)); err != nil {
 		log.Fatal(err)
@@ -272,19 +290,18 @@ func Example_incrementalRerank() {
 		fmt.Printf("batch %2d:\n", i+1)
 		for _, name := range eng.SettingNames() {
 			st := res.RerankStats[name]
-			mode := "warm-full"
+			mode := "sweep"
 			if st.Residual {
 				mode = "residual"
 			}
 			if st.FallbackTaken {
 				mode = "residual->fallback"
 			}
-			// What a warm full iteration would have paid for the same
-			// refresh: the cold iteration count times the arena, floored by
-			// what actually ran.
+			// What a cold iteration would have paid for the same refresh,
+			// or what actually ran when the push fell back.
 			fullEquiv := st.Updates
-			if st.Residual && !st.FallbackTaken {
-				fullEquiv = (st.IterationsSaved + st.Iterations) * nodes
+			if !st.FallbackTaken {
+				fullEquiv = coldUpdates[name]
 			}
 			totalResidual += st.Updates
 			totalFullEquiv += fullEquiv

@@ -106,11 +106,6 @@ func assertStatesIdentical(t *testing.T, tag string, want, got *sizelos.EngineSt
 			t.Fatalf("%s: epoch[%s] %d vs %d", tag, rel, we, got.Epochs[rel])
 		}
 	}
-	for name, wi := range want.ColdIters {
-		if got.ColdIters[name] != wi {
-			t.Fatalf("%s: coldIters[%s] %d vs %d", tag, name, wi, got.ColdIters[name])
-		}
-	}
 }
 
 // crashConfig parameterizes one harness run.

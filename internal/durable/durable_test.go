@@ -452,7 +452,6 @@ func testState(tag byte) *sizelos.EngineState {
 		DB:        []byte{tag, 1, 2, 3},
 		RawScores: map[string]relational.DBScores{"g1d1": {"Author": {1.5, 2.5}}},
 		Epochs:    map[string]uint64{"Author": 7},
-		ColdIters: map[string]int{"g1d1": 42},
 	}
 }
 
@@ -465,7 +464,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil || st == nil {
 		t.Fatalf("load: %v (st=%v)", err, st)
 	}
-	if seq != 12 || st.DB[0] != 1 || st.Epochs["Author"] != 7 || st.ColdIters["g1d1"] != 42 {
+	if seq != 12 || st.DB[0] != 1 || st.Epochs["Author"] != 7 {
 		t.Fatalf("round-trip mismatch: seq %d, %+v", seq, st)
 	}
 	if got := st.RawScores["g1d1"]["Author"][1]; got != 2.5 {

@@ -30,13 +30,13 @@
 // scattering along those rows: Compile and Run are the one way to rank.
 // Plans.Apply appends a committed mutation batch's rebuilt rows;
 // Plans.RunResidual repairs the prior fixed point, in the caller's own
-// vectors, with a localized Gauss–Southwell residual push (residual.go has
-// the math, push.go the one push loop) and has one safety net: when the
-// seeded residual is too large or the push budget runs out, the same call
-// returns Plans.Run warm-started from what the repair left in those vectors
-// instead. What one entry of
-// a source row transfers is written once (split, in rank.go); the full
-// iteration, the residual seeding and the push all read it there.
+// vectors, with a localized Gauss–Southwell residual push seeded from the
+// captured rows or one exact sweep (residual.go has the math, push.go the
+// one push loop) and has one safety net: when the seeded residual is too
+// large or the push budget runs out, the same call returns Plans.Run
+// warm-started from what the repair left in those vectors instead. What
+// one entry of a source row transfers is written once (split, in rank.go);
+// the full iteration, the seeding and the push all read it there.
 //
 // # Invariants
 //
@@ -70,9 +70,9 @@
 //     out capped at their end. So a row read before a batch stays valid
 //     after it. A Pending pairs the prior scores with the FIRST
 //     pre-mutation row of every changed source, read that way; it is
-//     invalidated by anything that remaps TupleIDs (physical compaction).
-//     After a remap the caller must drop the Pending, recompile, and take
-//     one warm full re-rank before resuming residual repairs.
+//     invalidated by anything that remaps TupleIDs (physical compaction):
+//     the caller drops it, recompiles, and seeds the next repair from a
+//     sweep.
 //   - Run and RunResidual stop on the same criterion — max per-node
 //     residual below Options.Epsilon (the full iteration's per-node delta
 //     IS its residual) — so both land in the same fixed-point tolerance

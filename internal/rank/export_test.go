@@ -31,6 +31,35 @@ func (ps *Plans) Store(pi int) (*relational.TupleID, int) {
 	return unsafe.SliceData(p.targets), len(p.targets)
 }
 
+// StoreSize reports plan pi's row store: its capacity, the entries it
+// holds (dead rows included) and the length of its longest live row.
+func (ps *Plans) StoreSize(pi int) (capacity, entries, longest int) {
+	p := &ps.plans[pi]
+	for _, s := range p.spans {
+		longest = max(longest, int(s.hi-s.lo))
+	}
+	return cap(p.targets), len(p.targets), longest
+}
+
+// SweepSeeds rescales warm in place as RunResidual(pending, …) does and
+// returns the residuals one exact sweep of it seeds, per relation.
+func (ps *Plans) SweepSeeds(pending *Pending, warm relational.DBScores, damping, eps float64) map[string]map[relational.TupleID]float64 {
+	pr := ps.rescale(pending, warm, damping)
+	pr.sc = ps.takeScratch()
+	defer ps.putScratch(pr.sc)
+	pr.sweep(eps)
+	seeds := make(map[string]map[relational.TupleID]float64)
+	for _, v := range pr.sc.dirty {
+		ri := ps.relOf(v)
+		rel := ps.g.DB.Relations[ri].Name
+		if seeds[rel] == nil {
+			seeds[rel] = make(map[relational.TupleID]float64)
+		}
+		seeds[rel][relational.TupleID(v-ps.relOff[ri])] = pr.sc.r[v]
+	}
+	return seeds
+}
+
 // Captured calls fn with every pre-mutation row pending holds for plan pi.
 func (pd *Pending) Captured(pi int, fn func(t relational.TupleID, targets []relational.TupleID, weights []float64)) {
 	for t, r := range pd.rows[pi] {

@@ -138,13 +138,11 @@ type Stats struct {
 	Iterations int
 	Converged  bool
 	MaxDelta   float64 // the last iteration's largest per-node change (Run only)
-	// WarmStart records whether a prior score vector seeded the run
-	// (Options.Warm or a residual run's prior), so callers can attribute
-	// saved work.
+	// WarmStart records whether a prior score vector seeded the run.
 	WarmStart bool
-	// Updates counts node-score writes: Iterations × arena size for a full
-	// power iteration, the push count for a residual run. It is the common
-	// work metric residual mode is measured against.
+	// Updates counts node-score work, the common work metric: Iterations ×
+	// arena size for a full power iteration, the push count for a residual
+	// run plus the arena size when a sweep seeded it.
 	Updates int
 	// Pushes counts residual pushes — queue pops whose residual was still
 	// at or above Epsilon (RunResidual only).
@@ -221,12 +219,13 @@ func (ps *Plans) build(p *plan, t relational.TupleID, buf *[]relational.TupleID)
 }
 
 // reclaim replaces a full store with new arrays that hold only the live
-// rows and room for as many entries again plus k: dead rows are dropped
+// rows, with room for k entries and an eighth more: dead rows are dropped
 // here, when the store has to grow, and nowhere else, and the live rows are
 // then copied in source order. The old arrays are never written again, so
 // rows read from them stay valid.
 func (p *plan) reclaim(k int) {
-	size := 2 * (len(p.targets) - p.dead + k)
+	live := len(p.targets) - p.dead
+	size := live + live/8 + k
 	targets := make([]relational.TupleID, 0, size)
 	var weights []float64
 	if p.valueCol >= 0 {
@@ -295,6 +294,13 @@ func (ps *Plans) compilePlan(f Flow) (plan, error) {
 		if p.valueCol = target.ColIndex(f.ValueCol); p.valueCol < 0 {
 			return plan{}, fmt.Errorf("rank: %s has no value column %s", target.Name, f.ValueCol)
 		}
+	}
+	// One entry per tuple of the hop's owner at most (each is one edge): the
+	// store never grows while it is compiled.
+	room := ps.g.RelSize(h.Owner())
+	p.targets = make([]relational.TupleID, 0, room)
+	if p.valueCol >= 0 {
+		p.weights = make([]float64, 0, room)
 	}
 	var buf []relational.TupleID
 	for t := range p.spans {

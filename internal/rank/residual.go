@@ -27,6 +27,9 @@ package rank
 //     yields the true residual of c·p under the new system (up to the
 //     prior's own sub-epsilon residual).
 //
+// Without captured rows one exact sweep seeds r = b·1 + M·x − x where
+// |r| ≥ ε (c = 1 without a Pending).
+//
 // A push at node u then moves r[u] into the score and propagates
 // d·w(u→v)·r[u] to u's flow targets, preserving the invariant
 // x = cur + (I−M)⁻¹r. The pushes drain one FIFO queue (push.go) that holds
@@ -86,6 +89,12 @@ func (ps *Plans) NewPending() *Pending {
 		p.oldSizes[ri] = ps.relOff[ri+1] - ps.relOff[ri]
 	}
 	return p
+}
+
+// WithoutRows returns p's geometry without its rows, for a RunResidual
+// that rescales as p would but seeds from a sweep (never for Apply).
+func (p *Pending) WithoutRows() *Pending {
+	return &Pending{oldN: p.oldN, oldSizes: p.oldSizes}
 }
 
 // capture records src's pre-mutation row for plan pi unless one is already
@@ -198,7 +207,8 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // RunResidual repairs the prior fixed point after the batches recorded in
 // pending (the math is at the top of this file) and drives the max residual
 // below Options.Epsilon — the criterion the full iteration stops on, so the
-// result lands in the same fixed-point tolerance class.
+// result lands in the same fixed-point tolerance class. A nil pending, or
+// one WithoutRows, seeds from one exact sweep instead of captured rows.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
 // accumulated against, and a completed repair returns that same table,
@@ -227,13 +237,9 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	if opts.Warm == nil {
 		return nil, Stats{}, fmt.Errorf("rank: RunResidual requires prior raw scores in Options.Warm")
 	}
-	if pending == nil {
-		return nil, Stats{}, fmt.Errorf("rank: RunResidual requires a Pending delta")
-	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 1e-9
 	}
-	db := ps.g.DB
 	if ps.n == 0 {
 		return relational.DBScores{}, Stats{Converged: true, WarmStart: true}, nil
 	}
@@ -241,58 +247,38 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	if budget <= 0 {
 		budget = 4 * ps.n
 	}
-	d := opts.Damping
-	pr := &pushRun{ps: ps, raw: make([]relational.Scores, len(db.Relations)), d: d}
-
-	// Rescale the prior in place: x = c·p on the slots it covers, base on
-	// fresh inserts, each vector grown to its relation first.
-	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
-	for ri, rel := range db.Relations {
-		w := opts.Warm[rel.Name]
-		size := int(ps.relOff[ri+1] - ps.relOff[ri])
-		covered := min(int(pending.oldSizes[ri]), len(w), size)
-		if len(w) < size {
-			w = append(w, make(relational.Scores, size-len(w))...)
-		}
-		x := w[:size]
-		for i, v := range x[:covered] {
-			x[i] = c * v
-		}
-		for i := covered; i < size; i++ {
-			x[i] = base
-		}
-		opts.Warm[rel.Name], pr.raw[ri] = x, x
-	}
-
-	// Seed residuals from the changed rows: remove each captured old row's
-	// contributions, add the current row's, both valued at the rescaled
-	// prior of the source. Deterministic order: plan ordinal, then source
-	// ascending.
-	sc := ps.takeScratch()
+	sweep := pending == nil || pending.rows == nil
+	pr := ps.rescale(pending, opts.Warm, opts.Damping)
+	sc, eps := ps.takeScratch(), opts.Epsilon
 	pr.sc = sc
-	seed := func(dstOff int32, targets []relational.TupleID, w split, pv float64) {
-		for k, tgt := range targets {
-			v := dstOff + int32(tgt)
-			sc.r[v] += d * w.at(k) * pv
-			sc.touch(v)
-		}
-	}
-	for pi, rows := range pending.rows {
-		p := &ps.plans[pi]
-		dstOff := ps.relOff[p.hop.To()]
-		for _, src := range slices.Sorted(maps.Keys(rows)) {
-			pv := pr.raw[p.hop.From()][src]
-			if pv == 0 {
-				continue
-			}
-			old := rows[src]
-			seed(dstOff, old.targets, p.splitOf(len(old.targets), old.weights), -pv)
-			targets, w := p.flows(src)
-			seed(dstOff, targets, w, pv)
-		}
-	}
-
 	stats := Stats{WarmStart: true}
+	if sweep {
+		pr.sweep(eps)
+		stats.Updates = ps.n // the sweep reads every node once
+	} else {
+		// Remove each captured old row's contributions and add the current
+		// row's, both valued at the rescaled prior of the source, plan
+		// ordinal then source ascending.
+		seed := func(dstOff int32, targets []relational.TupleID, w split, pv float64) {
+			for k, tgt := range targets {
+				v := dstOff + int32(tgt)
+				sc.r[v] += pr.d * w.at(k) * pv
+				sc.touch(v)
+			}
+		}
+		for pi, rows := range pending.rows {
+			p := &ps.plans[pi]
+			dstOff := ps.relOff[p.hop.To()]
+			for _, src := range slices.Sorted(maps.Keys(rows)) {
+				if pv := pr.raw[p.hop.From()][src]; pv != 0 {
+					old := rows[src]
+					seed(dstOff, old.targets, p.splitOf(len(old.targets), old.weights), -pv)
+					targets, w := p.flows(src)
+					seed(dstOff, targets, w, pv)
+				}
+			}
+		}
+	}
 	fallback := func() (relational.DBScores, Stats, error) {
 		ps.putScratch(sc)
 		opts.NormalizeMax = 0
@@ -311,7 +297,6 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	}
 
 	// The seeds at or above ε, ascending, are the queue drain starts from.
-	eps := opts.Epsilon
 	slices.Sort(sc.dirty)
 	for _, v := range sc.dirty {
 		if math.Abs(sc.r[v]) >= eps {
@@ -319,7 +304,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		}
 	}
 	drained := pr.drain(eps, budget, &stats)
-	stats.Updates = stats.Pushes
+	stats.Updates += stats.Pushes
 	if !drained {
 		return fallback()
 	}
@@ -327,4 +312,57 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 
 	ps.putScratch(sc)
 	return opts.Warm, stats, nil
+}
+
+// rescale rescales the prior in warm in place — c·p on the slots pending
+// covers (a nil pending: c = 1, every slot), b on fresh ones, each vector
+// grown to its relation first — and returns the push run over it.
+func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) *pushRun {
+	if pending == nil {
+		pending = ps.NewPending()
+	}
+	db := ps.g.DB
+	pr := &pushRun{ps: ps, raw: make([]relational.Scores, len(db.Relations)), d: d}
+	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
+	for ri, rel := range db.Relations {
+		w := warm[rel.Name]
+		size := int(ps.relOff[ri+1] - ps.relOff[ri])
+		covered := min(int(pending.oldSizes[ri]), len(w), size)
+		if len(w) < size {
+			w = append(w, make(relational.Scores, size-len(w))...)
+		}
+		x := w[:size]
+		for i, v := range x[:covered] {
+			x[i] = c * v
+		}
+		for i := covered; i < size; i++ {
+			x[i] = base
+		}
+		warm[rel.Name], pr.raw[ri] = x, x
+	}
+	return pr
+}
+
+// sweep seeds the exact residual: it sums M·x into the scratch in
+// pushAll's order, then one ascending pass sets r[v] = b + d·(M·x)[v] − x[v]
+// — one full iteration's step minus x — where that is at or above eps and
+// zeroes r[v] elsewhere, so the dirty list is the seeds, ascending.
+func (pr *pushRun) sweep(eps float64) {
+	ps, sc := pr.ps, pr.sc
+	r, base := sc.r[:ps.n], (1-pr.d)/float64(ps.n)
+	for pi := range ps.plans {
+		p := &ps.plans[pi]
+		p.scatterRows(pr.raw[p.hop.From()], r[ps.relOff[p.hop.To()]:ps.relOff[p.hop.To()+1]])
+	}
+	for ri, x := range pr.raw {
+		off := ps.relOff[ri]
+		for i, xv := range x {
+			v := off + int32(i)
+			if r[v] = base + pr.d*r[v] - xv; math.Abs(r[v]) >= eps {
+				sc.touch(v)
+			} else {
+				r[v] = 0
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package rank_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -374,5 +375,72 @@ func TestPlansApplyMatchesRecompile(t *testing.T) {
 				t.Fatalf("%s[%d]: applied %v vs recompiled %v (must be bitwise identical)", rel, i, o[i], s[i])
 			}
 		}
+	}
+}
+
+// TestSweepSeedsMatchOneIteration: the seeds a sweep-seeded RunResidual
+// drains from are, bit for bit, one step of the full iteration from the
+// rescaled prior minus that prior, at every node where the difference is
+// at or above ε, and nowhere else. It holds unrescaled (no Pending) and,
+// after an Apply, under the rescale of a Pending whose rows were dropped,
+// for uniform (DBLP) and value-proportional (TPC-H) splits.
+func TestSweepSeedsMatchOneIteration(t *testing.T) {
+	const damping, eps = 0.85, 1e-9
+	for _, tc := range rowsCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.db(t)
+			g, err := datagraph.Build(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := rank.Compile(g, tc.ga, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A prior some iterations short of converged, so that nodes
+			// all over the arena seed, and some do not.
+			prior, _, err := ps.Run(rank.Options{Damping: damping, Epsilon: eps, MaxIter: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string, pending *rank.Pending) {
+				t.Helper()
+				x := make(relational.DBScores, len(prior))
+				for rel, v := range prior {
+					x[rel] = slices.Clone(v)
+				}
+				seeds := ps.SweepSeeds(pending, x, damping, eps)
+				step, _, err := ps.Run(rank.Options{Damping: damping, Epsilon: eps, MaxIter: 1, Warm: x})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, got := 0, 0
+				for _, rel := range db.Relations {
+					got += len(seeds[rel.Name])
+					for i, xv := range x[rel.Name] {
+						r := step[rel.Name][i] - xv
+						seed, ok := seeds[rel.Name][relational.TupleID(i)]
+						if math.Abs(r) < eps {
+							if ok {
+								t.Fatalf("%s: %s tuple %d seeded %g, below ε", stage, rel.Name, i, seed)
+							}
+							continue
+						}
+						want++
+						if !ok || math.Float64bits(seed) != math.Float64bits(r) {
+							t.Fatalf("%s: %s tuple %d: seed %v (present %v), one iteration gives %v", stage, rel.Name, i, seed, ok, r)
+						}
+					}
+				}
+				if got != want || want == 0 || want == ps.NumNodes() {
+					t.Fatalf("%s: %d seeds, %d nodes at or above ε of %d", stage, got, want, ps.NumNodes())
+				}
+				t.Logf("%s: %d of %d nodes seeded", stage, want, ps.NumNodes())
+			}
+			check("before Apply", nil)
+			pending := ps.NewPending()
+			applyAll(t, db, g, ps, tc.batch(t, db), pending)
+			check("after Apply", pending.WithoutRows())
+		})
 	}
 }

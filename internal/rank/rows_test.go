@@ -148,7 +148,8 @@ func TestPlanRowsAreCapped(t *testing.T) {
 // equals the row a Compile taken before the first batch holds for its
 // source: a reclaim moves live rows but never writes over the arrays a
 // capture reads. A compiled store has no room, so every plan a batch adds a
-// row to reclaims at least once; some must reclaim again.
+// row to reclaims at least once; some must reclaim again. At the end no
+// store keeps more room than reclaim gives a churned one.
 func TestApplyRowsMatchCompileAcrossReclaims(t *testing.T) {
 	const rounds = 200
 	for _, tc := range rowsCases() {
@@ -210,6 +211,14 @@ func TestApplyRowsMatchCompileAcrossReclaims(t *testing.T) {
 			}
 			if !again {
 				t.Error("no plan reclaimed a second time: no capture outlived a reclaim of the store it was read from")
+			}
+			// No store keeps more room than a reclaim gives: an eighth of
+			// its entries plus one row. (Entries, not live entries: rows a
+			// later batch emptied lower the live count without a reclaim.)
+			for pi := range ps.NumPlans() {
+				if c, entries, longest := ps.StoreSize(pi); 8*c > 9*entries+8*longest {
+					t.Errorf("plan %d: store capacity %d for %d entries (longest row %d)", pi, c, entries, longest)
+				}
 			}
 			t.Logf("%d rounds: reclaims per plan %v, %d captured rows", rounds, reclaims, captured)
 		})

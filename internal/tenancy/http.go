@@ -441,9 +441,9 @@ type MutateResponse struct {
 
 // RerankStatJSON is one setting's re-rank telemetry in a MutateResponse.
 type RerankStatJSON struct {
-	// Residual reports the localized push path ran (false: warm full
-	// iteration); Fallback that the push abandoned the repair (seed mass or
-	// budget) and the warm full iteration produced the scores.
+	// Residual reports the push was seeded from captured rows (false: from
+	// an exact sweep); Fallback that the push abandoned the repair (seed mass
+	// or budget) and the warm full iteration produced the scores.
 	Residual bool `json:"residual"`
 	Fallback bool `json:"fallback,omitempty"`
 	// Pushes and Rounds describe the residual push that ran: Rounds counts

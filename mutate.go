@@ -8,13 +8,12 @@ package sizelos
 // (datagraph.Graph.Apply — no rebuild), the per-relation epochs advance, and
 // the summary cache forgets exactly the Data Subjects from which a G_DS path
 // reaches a tuple the batch touched. A batch that asks for a re-rank then has
-// every setting's scores repaired where they live — a residual push, or the
-// warm full iteration — and every registered G_DS re-annotated from the new
-// maxima. One amortized maintenance pass keeps the incremental structures
-// from degrading under sustained churn: relations whose tombstones cross
-// the compaction policy are physically compacted (TupleIDs remapped through
-// every derived structure, the data graph rebuilt, the rank plans
-// recompiled). The plans' row stores reclaim their own dead rows as they
+// every setting's scores repaired where they live by a residual push, and
+// every registered G_DS re-annotated from the new maxima. One amortized
+// maintenance pass keeps the incremental structures from degrading under
+// sustained churn: relations whose tombstones cross the compaction policy
+// are physically compacted (TupleIDs remapped through every derived
+// structure, the data graph rebuilt, the rank plans recompiled). The plans' row stores reclaim their own dead rows as they
 // grow (rank.Plans.Apply), so they need no pass of their own.
 
 import (
@@ -52,12 +51,11 @@ type MutationBatch struct {
 	Deletes []TupleDelete
 	Inserts []TupleInsert
 	// Rerank refreshes every ranking setting's global importance over the
-	// mutated data graph — by localized residual push when the accumulated
-	// deltas allow it, by warm-started full iteration otherwise — and
-	// re-annotates the registered G_DSs, so the new tuples earn real global
-	// importance. Without it the batch is cheap: new tuples score 0 until
-	// the next re-ranked batch, and the cached summary of every subject that
-	// cannot reach a touched tuple stays warm.
+	// mutated data graph by a localized residual push and re-annotates the
+	// registered G_DSs, so the new tuples earn real global importance.
+	// Without it the batch is cheap: new tuples score 0 until the next
+	// re-ranked batch, and the cached summary of every subject that cannot
+	// reach a touched tuple stays warm.
 	// A re-rank rescales every score, so it advances every relation's epoch
 	// and every subject's stamp — except a no-op rerank-only batch right after
 	// a re-rank, whose scores (and cached summaries) are unchanged and reused.
@@ -82,9 +80,7 @@ type MutationResult struct {
 	Footprint map[string]int
 	// Reranked reports whether global importance was recomputed.
 	Reranked bool
-	// RerankStats, present when Reranked, reports each setting's
-	// warm-started power iteration: how many iterations it took and how
-	// many the warm start saved against the engine's cold-start baseline.
+	// RerankStats, present when Reranked, reports each setting's re-rank.
 	RerankStats map[string]RerankStat
 	// Compacted lists the relations this call physically compacted (their
 	// TupleIDs were remapped; previously returned ids for them are stale).
@@ -93,34 +89,27 @@ type MutationResult struct {
 
 // RerankStat describes one setting's re-rank during a mutation batch.
 type RerankStat struct {
-	// Iterations the full power iteration ran (0 for a completed residual
-	// repair, which never sweeps the whole arena).
+	// Iterations the fallback's full power iteration ran.
 	Iterations int
-	// IterationsSaved vs the cold-start count NewEngine measured for this
-	// setting (floored at zero — a heavily mutated graph can genuinely need
-	// more iterations than the original cold start).
-	IterationsSaved int
 	// WarmStart records whether a prior vector seeded the run.
 	WarmStart bool
-	// Residual records that this setting took the residual-push path
-	// (possibly falling back; see FallbackTaken).
+	// Residual records that the push was seeded from captured rows, not
+	// from a sweep (a refresh, the first re-rank after a compaction or a
+	// restore, or every re-rank with residual capture off).
 	Residual bool
-	// Pushes counts the residual pushes performed (nodes popped off the
-	// push queue with a residual still at or above epsilon).
+	// Pushes counts the pushes performed (nodes popped off the push queue
+	// with a residual still at or above epsilon).
 	Pushes int
-	// NodesTouched counts the distinct nodes the residual repair updated
-	// (the full iteration touches every node every iteration; see Updates).
+	// NodesTouched counts the distinct nodes the pushes updated.
 	NodesTouched int
-	// Updates counts node-score writes: Iterations × node count for a full
-	// iteration, Pushes for a completed push repair (a fallback reports
-	// both) — the common work metric the modes are compared by.
+	// Updates counts node-score work: Pushes, plus the node count for a
+	// sweep and Iterations × node count for a fallback's full iteration.
 	Updates int
-	// FallbackTaken records that the residual path was attempted but
-	// abandoned (seed mass over the safety bound or push budget exhausted);
-	// the reported scores come from the warm full iteration.
+	// FallbackTaken records that the push was abandoned (seeds over the
+	// safety bounds or budget exhausted) for the warm full iteration.
 	FallbackTaken bool
-	// Rounds counts the push queue's generations in the residual repair:
-	// the seeds, the nodes they queued, and so on.
+	// Rounds counts the push queue's generations: the seeds, the nodes
+	// they queued, and so on.
 	Rounds int
 	// Accelerated is never set: no re-rank path reports it. The field
 	// stays because benchmark/trace.go reads it (rank.accelerated_ratio).
@@ -132,8 +121,8 @@ type RerankStat struct {
 // posting delta incrementally (shard by shard), the data graph absorbs the
 // same delta in place (datagraph.Graph.Apply — work proportional to the
 // tuples touched, no rebuild), score vectors grow to cover new tuples (at
-// importance 0 unless Rerank is set, which warm-starts each setting's power
-// iteration from the prior converged vector), the touched relations' epochs
+// importance 0 unless Rerank is set, which repairs each setting's prior
+// converged vector in place), the touched relations' epochs
 // advance, and the subjects the batch can reach are stamped so exactly
 // their summary-cache entries stop being served. Relations whose tombstones cross the compaction policy are
 // physically compacted along the way (see MutationResult.Compacted). The
@@ -187,22 +176,25 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		for _, table := range []map[string]relational.DBScores{e.scores, e.rawScores} {
 			for _, sc := range table {
 				for _, rel := range touched {
-					r := e.db.Relation(rel)
-					if s := sc[rel]; len(s) < r.Len() {
-						sc[rel] = append(s, make(relational.Scores, r.Len()-len(s))...)
+					n := e.db.Relation(rel).Len()
+					if s := sc[rel]; len(s) < n {
+						if cap(s) < n { // a sixteenth as room, like the push scratch
+							s = append(make(relational.Scores, 0, n+n/16), s...)
+						}
+						sc[rel] = append(s, make(relational.Scores, n-len(s))...)
 					}
 				}
 			}
 		}
 		// Splice the same delta into each compiled G_A's push plans (work
 		// proportional to the touched rows), capturing the pre-mutation
-		// rows the next residual-push re-rank will seed from. The pending
-		// delta must be created before this batch's Apply resizes the
-		// arena, so its geometry matches the state the prior raw scores
-		// converged under.
+		// rows the next re-rank will seed from (while pending covers every
+		// batch since it). The pending delta must be created before this
+		// batch's Apply resizes the arena, so its geometry matches the state
+		// the prior raw scores converged under.
 		for ga, ps := range e.plans {
 			var pend *rank.Pending
-			if e.residualOK {
+			if e.pending != nil {
 				if e.pending[ga] == nil {
 					e.pending[ga] = ps.NewPending()
 				}
@@ -291,87 +283,79 @@ func (e *Engine) stampFootprintLocked(res relational.BatchResult, result *Mutati
 	}
 }
 
-// residualRefreshInterval bounds how many consecutive re-ranks may take
-// the residual path before one full warm iteration re-grounds the scores:
-// each residual repair inherits its prior's sub-epsilon residual, so the
-// drift grows (linearly, at epsilon scale) until a full convergence resets
-// it. Well inside the fixed-point tolerance at this cadence.
+// residualRefreshInterval bounds how many consecutive re-ranks may seed
+// from captured rows before one seeds from an exact sweep: each repair
+// inherits its prior's sub-epsilon residual, so the drift grows (linearly,
+// at epsilon scale) until a sweep re-grounds it. Well inside the
+// fixed-point tolerance at this cadence.
 const residualRefreshInterval = 16
 
 // rerankLocked recomputes every setting's global importance over the
 // mutated graph and re-annotates the registered G_DSs from the new maxima.
-// Mode selection: the residual-push repair runs when it is enabled, the
-// pending deltas cover every change since the last full convergence (no
-// compaction intervened), and the periodic full refresh isn't due; a
-// re-rank with no pending changes at all reuses the served scores as-is
-// (they are already the converged fixed point). The returned bool reports
-// whether the served scores were recomputed (false only for the reuse
-// case, whose scores — and therefore cached summaries — are unchanged).
-// Callers hold the write lock.
+// Every setting is repaired by a residual push, seeded from the captured
+// rows when pending covers every batch since the last re-rank and the
+// periodic refresh isn't due, from one exact sweep otherwise. A re-rank
+// with no pending changes at all reuses the served scores as-is (they are
+// already the converged fixed point). The returned bool reports whether
+// the served scores were recomputed (false only for the reuse case, whose
+// scores — and therefore cached summaries — are unchanged). Callers hold
+// the write lock.
 func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) {
-	residual := e.residualEnabled && e.residualOK && e.residualRuns < residualRefreshInterval
-	tookResidual := residual && len(e.pending) > 0
-
-	var stats map[string]rank.Stats
-	if residual && len(e.pending) == 0 {
-		// Nothing mutated since the last re-rank: the served scores are
-		// already the converged fixed point of the current graph.
-		stats = make(map[string]rank.Stats, len(e.settings))
+	fromRows := e.pending != nil && e.residualRuns < residualRefreshInterval
+	result.RerankStats = make(map[string]RerankStat, len(e.settings))
+	if fromRows && len(e.pending) == 0 {
 		for _, s := range e.settings {
-			stats[s.Name] = rank.Stats{Converged: true, WarmStart: true}
+			result.RerankStats[s.Name] = RerankStat{WarmStart: true}
 		}
-	} else {
-		if stats, err = e.rankSettings(residual); err != nil {
-			return false, fmt.Errorf("%w: re-rank: %v", ErrMutationInternal, err)
-		}
-		changed = true
+		return false, nil
 	}
-
-	result.RerankStats = make(map[string]RerankStat, len(stats))
+	if !fromRows {
+		// The refresh keeps the rescale and seeds from a sweep.
+		for ga, p := range e.pending {
+			e.pending[ga] = p.WithoutRows()
+		}
+	}
+	stats, err := e.rankSettings()
+	if err != nil {
+		return false, fmt.Errorf("%w: re-rank: %v", ErrMutationInternal, err)
+	}
 	pushRepairs, fallbacks := 0, 0
 	for name, st := range stats {
-		saved := e.coldIters[name] - st.Iterations
-		if saved < 0 {
-			saved = 0
-		}
 		if st.Fallback {
 			fallbacks++
 		} else if st.Pushes > 0 {
 			pushRepairs++
 		}
 		result.RerankStats[name] = RerankStat{
-			Iterations:      st.Iterations,
-			IterationsSaved: saved,
-			WarmStart:       st.WarmStart,
-			Residual:        tookResidual,
-			Pushes:          st.Pushes,
-			NodesTouched:    st.ResidualNodes,
-			Updates:         st.Updates,
-			FallbackTaken:   st.Fallback,
-			Rounds:          st.Rounds,
+			Iterations:    st.Iterations,
+			WarmStart:     st.WarmStart,
+			Residual:      fromRows,
+			Pushes:        st.Pushes,
+			NodesTouched:  st.ResidualNodes,
+			Updates:       st.Updates,
+			FallbackTaken: st.Fallback,
+			Rounds:        st.Rounds,
 		}
 	}
-	if changed {
-		if err := e.reannotateLocked(); err != nil {
-			return changed, fmt.Errorf("%w: re-annotate: %v", ErrMutationInternal, err)
-		}
+	if err := e.reannotateLocked(); err != nil {
+		return true, fmt.Errorf("%w: re-annotate: %v", ErrMutationInternal, err)
 	}
-	// The served scores are a converged fixed point again: residual deltas
+	// The served scores are a converged fixed point again: captured rows
 	// restart from here. The refresh counter tracks accumulated drift, so
-	// it only advances when a setting actually completed a push repair
-	// (which inherits the prior's sub-epsilon residual), while a full
-	// iteration — explicit or via every setting falling back — re-grounds
-	// the drift and resets it, and no-op reuse or pure-rescale re-ranks add
-	// nothing.
-	e.pending = make(map[*rank.GA]*rank.Pending)
-	e.residualOK = true
+	// it only advances when a setting completed a push seeded from rows,
+	// while a sweep or every setting falling back re-grounds the drift and
+	// resets it, and pure-rescale re-ranks add nothing.
+	e.pending = nil
+	if e.residualEnabled {
+		e.pending = make(map[*rank.GA]*rank.Pending)
+	}
 	switch {
-	case !residual, tookResidual && fallbacks == len(stats):
+	case !fromRows, fallbacks == len(stats):
 		e.residualRuns = 0
 	case pushRepairs > 0:
 		e.residualRuns++
 	}
-	return changed, nil
+	return true, nil
 }
 
 // maybeCompactLocked runs the amortized maintenance pass of one Mutate:
@@ -396,14 +380,16 @@ func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInser
 
 // compactLocked physically compacts the named relations and threads the
 // TupleID remap through every structure that stores them: PK/FK indexes
-// (inside Relation.Compact), keyword postings (keyword.Sharded.Remap),
-// normalized and raw score vectors, this batch's already-assigned insert
-// ids, the data graph (rebuilt over the dense store) and the rank plans
-// (recompiled; it is the only recompile after NewEngine). Each compacted
+// (inside Relation.Compact), keyword postings (keyword.Sharded.Remap), raw
+// score vectors (rescaled to the smaller arena, then normalized again into
+// the served ones), this batch's already-assigned insert ids, the data
+// graph (rebuilt over the dense store) and the rank plans (recompiled; it
+// is the only recompile after NewEngine). Each compacted
 // relation's epoch advances and every DS relation whose G_DS reaches one is
 // widened — the TupleIDs its cached trees and subject stamps name changed
 // meaning. Callers hold the write lock.
 func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert) error {
+	nBefore := e.graph.NumNodes()
 	remaps := make(map[string][]relational.TupleID, len(rels))
 	for _, rel := range rels {
 		r := e.db.Relation(rel)
@@ -413,10 +399,8 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 		}
 		remaps[rel] = remap
 		e.index.Remap(rel, remap)
-		for _, table := range []map[string]relational.DBScores{e.scores, e.rawScores} {
-			for _, sc := range table {
-				sc[rel] = remapScores(sc[rel], remap, r.Len())
-			}
+		for _, sc := range e.rawScores {
+			sc[rel] = remapScores(sc[rel], remap, r.Len())
 		}
 		if result.Versions == nil {
 			result.Versions = make(map[string]uint64)
@@ -447,25 +431,28 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 		return fmt.Errorf("%w: rebuild data graph after compaction: %v", ErrMutationInternal, err)
 	}
 	e.graph = g
+	// A reclaimed slot held only b = (1−d)/N and fed no other node: scaled by
+	// N_before/N_after the raw scores stay the fixed point they were, for the
+	// next re-rank's sweep (c = 1). The served copy and its maxima follow.
+	c := float64(nBefore) / float64(g.NumNodes())
+	normMax := rank.DefaultOptions().NormalizeMax
+	for _, s := range e.settings {
+		raw := e.rawScores[s.Name]
+		for _, v := range raw {
+			for i := range v {
+				v[i] *= c
+			}
+		}
+		e.scores[s.Name], e.relMax[s.Name] = normalizeInto(e.scores[s.Name], raw, normMax)
+	}
 	// The remap moved TupleIDs out from under the compiled plans and any
-	// captured residual deltas: recompile fresh and force the next re-rank
-	// onto the warm full iteration.
+	// captured rows: recompile fresh and seed the next re-rank from a sweep.
 	plans, err := compilePlans(g, e.settings)
 	if err != nil {
 		return fmt.Errorf("%w: recompile rank plans after compaction: %v", ErrMutationInternal, err)
 	}
 	e.plans = plans
-	e.pending = make(map[*rank.GA]*rank.Pending)
-	e.residualOK = false
-	// Refresh the Max/MMax annotation inputs of the compacted relations:
-	// dropping tombstoned entries can lower a relation's max score, and
-	// tighter bounds mean better pruning. A re-rank later in the same Mutate
-	// redoes both: microseconds, beside the graph rebuild above.
-	for name, m := range e.relMax {
-		for rel := range remaps {
-			m[rel] = e.scores[name][rel].MaxScore()
-		}
-	}
+	e.pending = nil
 	if err := e.reannotateLocked(); err != nil {
 		return fmt.Errorf("%w: re-annotate after compaction: %v", ErrMutationInternal, err)
 	}

@@ -504,33 +504,6 @@ func TestMutateIncrementalGraphInPlace(t *testing.T) {
 	}
 }
 
-// TestMutateRerankWarmStats checks a re-ranked batch reports warm-started
-// iterations and a real saving against the cold baseline for the default
-// setting's d=0.85 iteration.
-func TestMutateRerankWarmStats(t *testing.T) {
-	eng := mutableDBLP(t)
-	batch := insertAuthorBatch(t, eng, 975001, "Warmstart Iterson", "Few Iterations Needed")
-	batch.Rerank = true
-	res, err := eng.Mutate(batch)
-	if err != nil {
-		t.Fatalf("Mutate: %v", err)
-	}
-	if !res.Reranked || res.RerankStats == nil {
-		t.Fatalf("RerankStats missing: %+v", res)
-	}
-	st, ok := res.RerankStats[DefaultSetting]
-	if !ok {
-		t.Fatalf("no stats for %s: %v", DefaultSetting, res.RerankStats)
-	}
-	if !st.WarmStart {
-		t.Fatal("re-rank did not warm-start")
-	}
-	if st.IterationsSaved <= 0 {
-		t.Fatalf("warm start saved %d iterations after a 3-tuple mutation, want > 0 (ran %d)",
-			st.IterationsSaved, st.Iterations)
-	}
-}
-
 // TestAutoCompaction drives deletes past the compaction policy and checks
 // the whole remap choreography: the relation's tombstones are reclaimed,
 // searches still resolve (index remapped), summaries reach the right
