@@ -11,16 +11,17 @@ package sizelos
 //
 // What gets persisted is deliberately minimal: the relational store in
 // layout-preserving form (relational.EncodeState) plus the raw score
-// vectors, epochs and cold-iteration baselines. Everything else the engine
-// holds — data graph, keyword postings, compiled push plans, normalized
-// scores, G_DS annotations — is derived state whose from-scratch
-// construction the mutation-equivalence harnesses already prove identical
-// to the incrementally-maintained original, so recovery rebuilds it instead
-// of trusting bytes on disk.
+// vectors, epochs and the geometry they converged under. Everything else
+// the engine holds — data graph, keyword postings, compiled push plans,
+// normalized scores, G_DS annotations — is derived state whose
+// from-scratch construction the mutation-equivalence harnesses already
+// prove identical to the incrementally-maintained original, so recovery
+// rebuilds it instead of trusting bytes on disk.
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
@@ -86,6 +87,10 @@ type EngineState struct {
 	RawScores map[string]relational.DBScores
 	// Epochs are the per-relation cache-invalidation counters.
 	Epochs map[string]uint64
+	// ConvergedSlots is each relation's slot count when RawScores last
+	// became a fixed point, so the first re-rank after a restore rescales
+	// exactly. A snapshot without it takes the restored arena's counts.
+	ConvergedSlots []int32
 }
 
 // ExportState captures the engine's durable state and the log sequence
@@ -101,9 +106,10 @@ func (e *Engine) ExportState() (st *EngineState, seq uint64, err error) {
 		return nil, 0, fmt.Errorf("sizelos: export state: %w", err)
 	}
 	st = &EngineState{
-		DB:        buf.Bytes(),
-		RawScores: copyScoreTable(e.rawScores),
-		Epochs:    copyMap(e.epochs),
+		DB:             buf.Bytes(),
+		RawScores:      copyScoreTable(e.rawScores),
+		Epochs:         copyMap(e.epochs),
+		ConvergedSlots: e.convergedSlots,
 	}
 	if e.mlog != nil {
 		seq = e.mlog.Seq()
@@ -147,9 +153,9 @@ func copyMap[K comparable, V any](m map[K]V) map[K]V {
 // for every setting, a table positionally aligned with the store's physical
 // slots (tombstones included); they are deep-copied. As after a compaction,
 // the restored engine's first re-rank seeds from one exact sweep (no
-// captured rows survive a restart). Register the same G_DSs as the
-// original engine, replay any WAL tail with Mutate, and only then install
-// the mutation log.
+// captured rows survive a restart) under st.ConvergedSlots. Register the
+// same G_DSs as the original engine, replay any WAL tail with Mutate, and
+// only then install the mutation log.
 func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 	db, err := relational.ReadDBState(bytes.NewReader(st.DB))
 	if err != nil {
@@ -182,6 +188,22 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 	}
 	for rel, epoch := range st.Epochs {
 		e.epochs[rel] = epoch
+	}
+	switch slots := st.ConvergedSlots; {
+	case slots == nil:
+		// A snapshot from before the field: the restored arena is the best
+		// known geometry.
+		e.convergedSlots = e.arenaSlots()
+	case len(slots) != len(db.Relations):
+		return nil, fmt.Errorf("sizelos: restore: converged geometry has %d relations, store %d",
+			len(slots), len(db.Relations))
+	default:
+		for ri, rel := range db.Relations {
+			if n := slots[ri]; n < 0 || int(n) > rel.Len() {
+				return nil, fmt.Errorf("sizelos: restore: converged geometry has %d slots for %s's %d", n, rel.Name, rel.Len())
+			}
+		}
+		e.convergedSlots = slices.Clone(slots)
 	}
 	return e, nil
 }

@@ -8,6 +8,7 @@ package sizelos
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -91,6 +92,9 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		if st2.Epochs[rel] != e {
 			t.Fatalf("epoch[%s]: %d vs %d", rel, e, st2.Epochs[rel])
 		}
+	}
+	if st.ConvergedSlots == nil || !slices.Equal(st.ConvergedSlots, st2.ConvergedSlots) {
+		t.Fatalf("converged geometry %v vs %v", st.ConvergedSlots, st2.ConvergedSlots)
 	}
 
 	// Served (normalized) scores agree too, and the engine answers queries.
@@ -220,6 +224,18 @@ func TestRestoreRejectsMisalignedScores(t *testing.T) {
 	delete(broken.RawScores, name)
 	if _, err := RestoreDBLP(broken); err == nil {
 		t.Fatal("restore accepted a missing setting")
+	}
+
+	// A snapshot from before the converged geometry restores (under the
+	// restored arena's); one that has it must name every relation, none
+	// past its slots.
+	if _, err := RestoreDBLP(&EngineState{DB: st.DB, RawScores: st.RawScores, Epochs: st.Epochs}); err != nil {
+		t.Fatalf("restore without converged geometry: %v", err)
+	}
+	for _, slots := range [][]int32{st.ConvergedSlots[1:], append([]int32{st.ConvergedSlots[0] + 1}, st.ConvergedSlots[1:]...)} {
+		if _, err := RestoreDBLP(&EngineState{DB: st.DB, RawScores: st.RawScores, Epochs: st.Epochs, ConvergedSlots: slots}); err == nil {
+			t.Fatalf("restore accepted converged geometry %v for %v", slots, st.ConvergedSlots)
+		}
 	}
 }
 

@@ -113,6 +113,10 @@ type Engine struct {
 	// rows do not cover (after a restore, a compaction or with residual
 	// capture off), so the next re-rank seeds from a sweep.
 	pending map[*rank.GA]*rank.Pending
+	// convergedSlots is each relation's slot count when rawScores last
+	// became a fixed point (a re-rank or a compaction): the geometry a
+	// sweep-seeded re-rank rescales by (rank.Geometry).
+	convergedSlots []int32
 	// residualEnabled gates capturing rows (SetResidualRerank).
 	residualEnabled bool
 	// residualBudget is rank.Options.ResidualBudget for every residual
@@ -204,7 +208,17 @@ func NewEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		return nil, err
 	}
 	e.pending = make(map[*rank.GA]*rank.Pending)
+	e.convergedSlots = e.arenaSlots()
 	return e, nil
+}
+
+// arenaSlots is each relation's slot count, tombstones included.
+func (e *Engine) arenaSlots() []int32 {
+	slots := make([]int32, len(e.db.Relations))
+	for ri, rel := range e.db.Relations {
+		slots[ri] = int32(rel.Len())
+	}
+	return slots
 }
 
 // newUnrankedEngine is an engine with everything but scores: data graph,
@@ -294,7 +308,8 @@ const (
 // normalized copy served to queries, and that copy's per-relation maxima
 // (the Max/MMax annotation inputs). A setting without a raw table runs the
 // cold power iteration (NewEngine); any other has it repaired in place by
-// the residual push over its G_A's pending rows. Then it normalizes its own
+// the residual push over its G_A's pending rows, or from a sweep under the
+// converged geometry when there are none. Then it normalizes its own
 // result, while the vectors are still in that core's cache.
 //
 // At most GOMAXPROCS settings run at once, each on one goroutine: more
@@ -319,10 +334,14 @@ func (e *Engine) rankSettings() (map[string]rank.Stats, error) {
 		// must start from.
 		opts.NormalizeMax = 0
 		opts.Warm, opts.ResidualBudget = e.rawScores[s.Name], e.residualBudget
+		pending := e.pending[s.GA]
+		if pending == nil {
+			pending = rank.Geometry(e.convergedSlots)
+		}
 		if opts.Warm == nil {
 			res.raw, res.stats, res.err = e.plans[s.GA].Run(opts)
 		} else {
-			res.raw, res.stats, res.err = e.plans[s.GA].RunResidual(e.pending[s.GA], opts)
+			res.raw, res.stats, res.err = e.plans[s.GA].RunResidual(pending, opts)
 		}
 		if res.err == nil && !res.stats.Converged {
 			res.err = fmt.Errorf("did not converge after %d iterations", res.stats.Iterations)

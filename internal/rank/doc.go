@@ -72,7 +72,7 @@
 //     pre-mutation row of every changed source, read that way; it is
 //     invalidated by anything that remaps TupleIDs (physical compaction):
 //     the caller drops it, recompiles, and seeds the next repair from a
-//     sweep.
+//     sweep under the compacted arena's Geometry.
 //   - Run and RunResidual stop on the same criterion — max per-node
 //     residual below Options.Epsilon (the full iteration's per-node delta
 //     IS its residual) — so both land in the same fixed-point tolerance

@@ -41,6 +41,16 @@ func (ps *Plans) StoreSize(pi int) (capacity, entries, longest int) {
 	return cap(p.targets), len(p.targets), longest
 }
 
+// ArenaSlots is each relation's slot count, tombstones included: the
+// Geometry of an arena over db.
+func ArenaSlots(db *relational.DB) []int32 {
+	slots := make([]int32, len(db.Relations))
+	for ri, rel := range db.Relations {
+		slots[ri] = int32(rel.Len())
+	}
+	return slots
+}
+
 // SweepSeeds rescales warm in place as RunResidual(pending, …) does and
 // returns the residuals one exact sweep of it seeds, per relation.
 func (ps *Plans) SweepSeeds(pending *Pending, warm relational.DBScores, damping, eps float64) map[string]map[relational.TupleID]float64 {

@@ -104,7 +104,7 @@ func ringMutated(t *testing.T, papers, fanout, nIns int, rate, damping float64) 
 	if err != nil || !st.Converged {
 		t.Fatalf("prior Run: err=%v stats=%+v", err, st)
 	}
-	pending := ps.NewPending()
+	pending := Geometry(ArenaSlots(db))
 	res, err := db.Apply(ringBatch(db, nIns))
 	if err != nil {
 		t.Fatalf("db.Apply: %v", err)

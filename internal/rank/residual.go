@@ -28,7 +28,8 @@ package rank
 //     prior's own sub-epsilon residual).
 //
 // Without captured rows one exact sweep seeds r = b·1 + M·x − x where
-// |r| ≥ ε (c = 1 without a Pending).
+// |r| ≥ ε, after the rescale by the Geometry the prior converged under
+// (c = 1 without one).
 //
 // A push at node u then moves r[u] into the score and propagates
 // d·w(u→v)·r[u] to u's flow targets, preserving the invariant
@@ -60,14 +61,14 @@ import (
 // Pending accumulates what residual re-ranking must know about the batches
 // applied since the last re-rank: the pre-mutation rows of every changed
 // source (first capture wins — the prior scores date from before the first
-// batch) and the arena geometry at capture time. One Pending serves every
-// damping run over the same Plans; the caller discards it after a
-// successful re-rank, or whenever a compaction remaps TupleIDs out from
-// under the captured rows.
+// batch) and the arena geometry the prior converged under. One Pending
+// serves every damping run over the same Plans; the caller discards it
+// after a successful re-rank, or whenever a compaction remaps TupleIDs out
+// from under the captured rows.
 type Pending struct {
-	// oldN and oldSizes snapshot the arena at creation: the node count the
-	// prior scores converged under, and each relation's slot count (slots
-	// at or beyond oldSizes[ri] are fresh inserts the prior doesn't cover).
+	// oldN and oldSizes are that geometry: the node count the prior
+	// scores converged under, and each relation's slot count (slots at or
+	// beyond oldSizes[ri] are fresh inserts the prior doesn't cover).
 	oldN     int
 	oldSizes []int32
 	// rows[pi] maps a changed source tuple of plan pi to its pre-mutation
@@ -76,25 +77,17 @@ type Pending struct {
 	rows []map[relational.TupleID]capturedRow
 }
 
-// NewPending snapshots the current arena geometry. Call it before the
-// first Apply after a re-rank, while the plans still describe the state
-// the prior scores converged under.
-func (ps *Plans) NewPending() *Pending {
-	p := &Pending{
-		oldN:     ps.n,
-		oldSizes: make([]int32, len(ps.relOff)-1),
-		rows:     make([]map[relational.TupleID]capturedRow, len(ps.plans)),
+// Geometry is a Pending for an arena whose relations held slots[ri]
+// slots, tombstones included, when the prior scores converged. Without
+// rows, a RunResidual over it seeds from one exact sweep and rescales by
+// the node count the slots sum to; passed to Apply, it captures the rows
+// a later RunResidual seeds from instead. slots is kept, not copied.
+func Geometry(slots []int32) *Pending {
+	n := 0
+	for _, s := range slots {
+		n += int(s)
 	}
-	for ri := range p.oldSizes {
-		p.oldSizes[ri] = ps.relOff[ri+1] - ps.relOff[ri]
-	}
-	return p
-}
-
-// WithoutRows returns p's geometry without its rows, for a RunResidual
-// that rescales as p would but seeds from a sweep (never for Apply).
-func (p *Pending) WithoutRows() *Pending {
-	return &Pending{oldN: p.oldN, oldSizes: p.oldSizes}
+	return &Pending{oldN: n, oldSizes: slots}
 }
 
 // capture records src's pre-mutation row for plan pi unless one is already
@@ -123,6 +116,9 @@ func (p *Pending) capture(pi int, src relational.TupleID, targets []relational.T
 // read in the same canonical order.
 func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
 	var buf []relational.TupleID
+	if pending != nil && pending.rows == nil {
+		pending.rows = make([]map[relational.TupleID]capturedRow, len(ps.plans))
+	}
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
 		if n := ps.g.RelSize(p.hop.From()); n > len(p.spans) {
@@ -207,8 +203,9 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // RunResidual repairs the prior fixed point after the batches recorded in
 // pending (the math is at the top of this file) and drives the max residual
 // below Options.Epsilon — the criterion the full iteration stops on, so the
-// result lands in the same fixed-point tolerance class. A nil pending, or
-// one WithoutRows, seeds from one exact sweep instead of captured rows.
+// result lands in the same fixed-point tolerance class. A nil pending
+// (c = 1), or a Geometry no Apply captured into, seeds from one exact
+// sweep instead of captured rows.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
 // accumulated against, and a completed repair returns that same table,
@@ -318,16 +315,19 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 // covers (a nil pending: c = 1, every slot), b on fresh ones, each vector
 // grown to its relation first — and returns the push run over it.
 func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) *pushRun {
-	if pending == nil {
-		pending = ps.NewPending()
-	}
 	db := ps.g.DB
 	pr := &pushRun{ps: ps, raw: make([]relational.Scores, len(db.Relations)), d: d}
-	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
+	c, base := 1.0, (1-d)/float64(ps.n)
+	if pending != nil {
+		c = float64(pending.oldN) / float64(ps.n)
+	}
 	for ri, rel := range db.Relations {
 		w := warm[rel.Name]
 		size := int(ps.relOff[ri+1] - ps.relOff[ri])
-		covered := min(int(pending.oldSizes[ri]), len(w), size)
+		covered := min(len(w), size)
+		if pending != nil {
+			covered = min(covered, int(pending.oldSizes[ri]))
+		}
 		if len(w) < size {
 			w = append(w, make(relational.Scores, size-len(w))...)
 		}

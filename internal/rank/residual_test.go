@@ -148,7 +148,7 @@ func maxDiff(t *testing.T, a, b relational.DBScores) float64 {
 func TestResidualMatchesCold(t *testing.T) {
 	for _, damping := range []float64{0.85, 0.10} {
 		db, g, ps, prior := residualFixture(t, damping)
-		pending := ps.NewPending()
+		pending := rank.Geometry(rank.ArenaSlots(db))
 		applyAll(t, db, g, ps, citesBatch(t, db, 3, true), pending)
 
 		opts := rank.DefaultOptions()
@@ -190,7 +190,7 @@ func TestResidualMatchesCold(t *testing.T) {
 func TestResidualAccumulatesAcrossBatches(t *testing.T) {
 	const damping = 0.85
 	db, g, ps, prior := residualFixture(t, damping)
-	pending := ps.NewPending()
+	pending := rank.Geometry(rank.ArenaSlots(db))
 	applyAll(t, db, g, ps, citesBatch(t, db, 2, true), pending)
 	applyAll(t, db, g, ps, citesBatch(t, db, 0, true), pending) // delete again: re-touches sources
 	opts := rank.DefaultOptions()
@@ -240,7 +240,7 @@ func TestResidualRescaleOnly(t *testing.T) {
 		t.Fatalf("prior: %v", err)
 	}
 
-	pending := ps.NewPending()
+	pending := rank.Geometry(rank.ArenaSlots(db))
 	applyAll(t, db, g, ps, relational.Batch{Inserts: []relational.InsertOp{
 		{Rel: "Author", Tuple: relational.Tuple{relational.IntVal(80_000_000), relational.StrVal("Lone Author")}},
 	}}, pending)
@@ -265,7 +265,7 @@ func TestResidualRescaleOnly(t *testing.T) {
 func TestResidualBudgetFallback(t *testing.T) {
 	const damping = 0.85
 	db, g, ps, prior := residualFixture(t, damping)
-	pending := ps.NewPending()
+	pending := rank.Geometry(rank.ArenaSlots(db))
 	applyAll(t, db, g, ps, citesBatch(t, db, 3, true), pending)
 
 	opts := rank.DefaultOptions()
@@ -325,7 +325,7 @@ func TestResidualValueRank(t *testing.T) {
 			break
 		}
 	}
-	pending := ps.NewPending()
+	pending := rank.Geometry(rank.ArenaSlots(db))
 	applyAll(t, db, g, ps, relational.Batch{Deletes: []relational.DeleteOp{del}}, pending)
 
 	opts.Warm = prior
@@ -382,8 +382,8 @@ func TestPlansApplyMatchesRecompile(t *testing.T) {
 // drains from are, bit for bit, one step of the full iteration from the
 // rescaled prior minus that prior, at every node where the difference is
 // at or above ε, and nowhere else. It holds unrescaled (no Pending) and,
-// after an Apply, under the rescale of a Pending whose rows were dropped,
-// for uniform (DBLP) and value-proportional (TPC-H) splits.
+// after an Apply, under the rescale of the Geometry the prior converged
+// under, for uniform (DBLP) and value-proportional (TPC-H) splits.
 func TestSweepSeedsMatchOneIteration(t *testing.T) {
 	const damping, eps = 0.85, 1e-9
 	for _, tc := range rowsCases() {
@@ -438,9 +438,9 @@ func TestSweepSeedsMatchOneIteration(t *testing.T) {
 				t.Logf("%s: %d of %d nodes seeded", stage, want, ps.NumNodes())
 			}
 			check("before Apply", nil)
-			pending := ps.NewPending()
-			applyAll(t, db, g, ps, tc.batch(t, db), pending)
-			check("after Apply", pending.WithoutRows())
+			slots := rank.ArenaSlots(db)
+			applyAll(t, db, g, ps, tc.batch(t, db), nil)
+			check("after Apply", rank.Geometry(slots))
 		})
 	}
 }

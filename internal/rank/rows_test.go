@@ -167,7 +167,7 @@ func TestApplyRowsMatchCompileAcrossReclaims(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pending := ps.NewPending()
+			pending := rank.Geometry(rank.ArenaSlots(db))
 			gen := mutgen.New(db, 0x5EED)
 			touched := make([]bool, ps.NumPlans())
 			reclaims := make([]int, ps.NumPlans())

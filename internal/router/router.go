@@ -91,6 +91,12 @@ type member struct {
 type Router struct {
 	cfg    Config
 	client *http.Client
+	// transport carries every proxied request and keeps MaxIdleConns idle
+	// connections per member (http.DefaultTransport keeps 2), so concurrent
+	// traffic to one member reuses its connections instead of redialing.
+	transport *http.Transport
+	// copyBufs is the BufferPool every member proxy shares.
+	copyBufs *tenancy.FreeList[[]byte]
 	// admin is the /router/* plane behind the admin token.
 	admin http.Handler
 
@@ -123,16 +129,20 @@ func New(cfg Config) (*Router, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = transport.MaxIdleConns
 	r := &Router{
-		cfg:      cfg,
-		client:   &http.Client{Timeout: cfg.HealthTimeout},
-		ring:     placement.New(placement.DefaultVirtualNodes),
-		members:  make(map[string]*member),
-		pins:     make(map[string]string),
-		draining: make(map[string]chan struct{}),
-		inflight: make(map[string]*tenantGate),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg:       cfg,
+		client:    &http.Client{Timeout: cfg.HealthTimeout},
+		transport: transport,
+		copyBufs:  tenancy.NewFreeList(func() []byte { return make([]byte, copyBufSize) }),
+		ring:      placement.New(placement.DefaultVirtualNodes),
+		members:   make(map[string]*member),
+		pins:      make(map[string]string),
+		draining:  make(map[string]chan struct{}),
+		inflight:  make(map[string]*tenantGate),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	r.admin = tenancy.BearerAuth(cfg.AdminToken)(http.HandlerFunc(r.serveAdmin))
 	for _, m := range cfg.Members {
@@ -176,8 +186,17 @@ func (r *Router) addMemberLocked(m Member) error {
 	return nil
 }
 
+// copyBufSize is the size of the proxy's copy buffers, the size
+// httputil.ReverseProxy allocates per response without a BufferPool.
+const copyBufSize = 32 << 10
+
+// newProxy builds a member's reverse proxy over the router's transport and
+// the shared copy buffers. Node bodies carry a Content-Length, so the
+// proxy copies them with no flush interval of its own.
 func (r *Router) newProxy(mem *member) *httputil.ReverseProxy {
 	p := httputil.NewSingleHostReverseProxy(mem.url)
+	p.Transport = r.transport
+	p.BufferPool = r.copyBufs
 	p.ModifyResponse = func(resp *http.Response) error {
 		resp.Header.Set(NodeHeader, mem.name)
 		return nil
@@ -191,10 +210,12 @@ func (r *Router) newProxy(mem *member) *httputil.ReverseProxy {
 	return p
 }
 
-// Close stops the health loop. It does not touch the fleet.
+// Close stops the health loop and drops the proxy's idle connections.
+// It does not touch the fleet.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
+	r.transport.CloseIdleConnections()
 }
 
 // Owner reports the member a tenant's traffic routes to right now: its

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,12 +99,15 @@ func (f *fleet) kill(t *testing.T, name string) {
 	}
 }
 
-// exchange is one recorded request/response against a base URL.
+// exchange is one recorded request/response against a base URL, with its
+// framing: the Content-Length header and any transfer coding.
 type exchange struct {
-	path   string
-	status int
-	node   string
-	body   string
+	path          string
+	status        int
+	node          string
+	body          string
+	contentLength string
+	transfer      []string
 }
 
 func do(t *testing.T, base, method, path string, body string) exchange {
@@ -132,7 +136,10 @@ func doErr(base, method, path string, body string) (exchange, error) {
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	return exchange{path: path, status: resp.StatusCode, node: resp.Header.Get(NodeHeader), body: string(b)}, err
+	return exchange{
+		path: path, status: resp.StatusCode, node: resp.Header.Get(NodeHeader), body: string(b),
+		contentLength: resp.Header.Get("Content-Length"), transfer: resp.TransferEncoding,
+	}, err
 }
 
 // stream drives the equivalence workload against one base URL: tenant
@@ -181,7 +188,8 @@ func stream(t *testing.T, base string) []exchange {
 
 // TestRoutedEquivalence pins the tentpole contract: the same request
 // stream through the router over a three-node fleet returns bit-identical
-// status codes and bodies to a single ossrv node.
+// status codes and bodies to a single ossrv node, every one framed by a
+// Content-Length and never chunked.
 func TestRoutedEquivalence(t *testing.T) {
 	f := newFleet(t, "n1", "n2", "n3")
 
@@ -203,6 +211,14 @@ func TestRoutedEquivalence(t *testing.T) {
 
 	if len(routed) != len(direct) {
 		t.Fatalf("stream lengths diverged: routed %d, direct %d", len(routed), len(direct))
+	}
+	for side, exs := range map[string][]exchange{"routed": routed, "direct": direct} {
+		for i, ex := range exs {
+			if ex.contentLength != strconv.Itoa(len(ex.body)) || len(ex.transfer) != 0 {
+				t.Errorf("%s exchange %d (%s): Content-Length %q, transfer coding %v for a %d-byte body",
+					side, i, ex.path, ex.contentLength, ex.transfer, len(ex.body))
+			}
+		}
 	}
 	nodesSeen := make(map[string]bool)
 	for i := range routed {

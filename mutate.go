@@ -189,14 +189,13 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		// Splice the same delta into each compiled G_A's push plans (work
 		// proportional to the touched rows), capturing the pre-mutation
 		// rows the next re-rank will seed from (while pending covers every
-		// batch since it). The pending delta must be created before this
-		// batch's Apply resizes the arena, so its geometry matches the state
-		// the prior raw scores converged under.
+		// batch since it), under the geometry the prior raw scores
+		// converged under.
 		for ga, ps := range e.plans {
 			var pend *rank.Pending
 			if e.pending != nil {
 				if e.pending[ga] == nil {
-					e.pending[ga] = ps.NewPending()
+					e.pending[ga] = rank.Geometry(e.convergedSlots)
 				}
 				pend = e.pending[ga]
 			}
@@ -310,10 +309,8 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 		return false, nil
 	}
 	if !fromRows {
-		// The refresh keeps the rescale and seeds from a sweep.
-		for ga, p := range e.pending {
-			e.pending[ga] = p.WithoutRows()
-		}
+		// The refresh seeds from a sweep under the converged geometry.
+		e.pending = nil
 	}
 	stats, err := e.rankSettings()
 	if err != nil {
@@ -349,6 +346,7 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 	if e.residualEnabled {
 		e.pending = make(map[*rank.GA]*rank.Pending)
 	}
+	e.convergedSlots = e.arenaSlots()
 	switch {
 	case !fromRows, fallbacks == len(stats):
 		e.residualRuns = 0
@@ -389,7 +387,6 @@ func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInser
 // widened — the TupleIDs its cached trees and subject stamps name changed
 // meaning. Callers hold the write lock.
 func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []TupleInsert) error {
-	nBefore := e.graph.NumNodes()
 	remaps := make(map[string][]relational.TupleID, len(rels))
 	for _, rel := range rels {
 		r := e.db.Relation(rel)
@@ -431,10 +428,17 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 		return fmt.Errorf("%w: rebuild data graph after compaction: %v", ErrMutationInternal, err)
 	}
 	e.graph = g
-	// A reclaimed slot held only b = (1−d)/N and fed no other node: scaled by
-	// N_before/N_after the raw scores stay the fixed point they were, for the
-	// next re-rank's sweep (c = 1). The served copy and its maxima follow.
-	c := float64(nBefore) / float64(g.NumNodes())
+	// The raw scores are the fixed point of b = (1−d)/N_conv, N_conv the
+	// node count of the geometry they converged under. A reclaimed slot
+	// held only b and fed no other node: scaled by N_conv/N_after the raw
+	// scores stay the fixed point they were, under the compacted geometry
+	// the next re-rank's sweep rescales from. The served copy and its
+	// maxima follow.
+	nConv := 0
+	for _, n := range e.convergedSlots {
+		nConv += int(n)
+	}
+	c := float64(nConv) / float64(g.NumNodes())
 	normMax := rank.DefaultOptions().NormalizeMax
 	for _, s := range e.settings {
 		raw := e.rawScores[s.Name]
@@ -453,6 +457,7 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 	}
 	e.plans = plans
 	e.pending = nil
+	e.convergedSlots = e.arenaSlots()
 	if err := e.reannotateLocked(); err != nil {
 		return fmt.Errorf("%w: re-annotate after compaction: %v", ErrMutationInternal, err)
 	}

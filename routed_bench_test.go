@@ -77,6 +77,7 @@ func benchFleet(b *testing.B) string {
 
 func BenchmarkRoutedQuery(b *testing.B) {
 	front := benchFleet(b)
+	b.ReportAllocs()
 	client := &http.Client{}
 	tenants := []string{"tenant-a", "tenant-b", "tenant-c"}
 	b.ResetTimer()
