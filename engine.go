@@ -578,6 +578,8 @@ type Summary struct {
 	Tree *ostree.Tree
 	// Text is the rendered size-l OS in the style of Example 5.
 	Text string
+	// Wire holds a server's encoding of the summary for every copy of it.
+	Wire *atomic.Pointer[[]byte]
 }
 
 // kernel is what one request's evaluations share on its goroutine: the
@@ -631,7 +633,7 @@ func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau f
 		if sc, err = e.evaluate(req, tuple, tau, k); err != nil || !serve {
 			return
 		}
-		e.materialize(req, &sc.sum)
+		e.materialize(req, &sc.sum, new(atomic.Pointer[[]byte]))
 		if cache != nil {
 			cache.Put(key, sc.sum)
 		}
@@ -711,8 +713,8 @@ func (e *Engine) epochForLocked(dsRel string) uint64 {
 // ranking asked for — is the most memory per entry for the least reuse.
 // What a ranking keeps instead is each scored subject's exact Im(S), 16
 // bytes in its bound table, so a repeat builds only the K it serves.
-// Cached summaries share their Tree pointer; treat returned summaries as
-// read-only. capacity <= 0 disables caching. Safe to toggle
+// Cached summaries share their Tree and Wire pointers; treat returned
+// summaries as read-only. capacity <= 0 disables caching. Safe to toggle
 // while searches are in flight: running queries finish against the cache
 // they started with.
 func (e *Engine) EnableSummaryCache(capacity int) {
@@ -817,10 +819,11 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 	return out, nil
 }
 
-// materialize is the second half: it renders an evaluated summary.
-func (e *Engine) materialize(req QueryRequest, sum *Summary) {
+// materialize is the second half: it renders an evaluated summary; wire is its empty holder.
+func (e *Engine) materialize(req QueryRequest, sum *Summary, wire *atomic.Pointer[[]byte]) {
 	sum.Headline = headline(e.db, sum.DSRel, sum.Tuple)
 	sum.Text = sum.Tree.Render(ostree.RenderOptions{ShowWeights: req.ShowWeights})
+	sum.Wire = wire
 }
 
 // RegisterAutoGDS derives a G_DS for dsRel automatically from the schema

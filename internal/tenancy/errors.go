@@ -211,6 +211,10 @@ var bodyBufs = NewFreeList(func() *bytes.Buffer { return new(bytes.Buffer) })
 // in one write, and a value encoding/json rejects answers a 500 envelope
 // instead of a torn body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(v) })
+}
+
+func writeBody(w http.ResponseWriter, status int, encode func(*bytes.Buffer) error) {
 	buf := bodyBufs.Get()
 	buf.Reset()
 	defer func() {
@@ -218,7 +222,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 			bodyBufs.Put(buf)
 		}
 	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := encode(buf); err != nil {
 		WriteError(w, errInternal("encode response: "+err.Error(), false))
 		return
 	}

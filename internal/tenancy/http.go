@@ -1,6 +1,7 @@
 package tenancy
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -316,27 +317,56 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 		WriteError(w, err)
 		return
 	}
-	results := page.Summaries
-	resp := SearchResponse{
-		Tenant:   t.Name,
-		Relation: q.Rel,
-		Query:    q.Query,
-		L:        q.L,
-		Count:    len(results),
-		Results:  make([]SummaryJSON, 0, len(results)),
-		Cursor:   page.Cursor,
+	writeSearch(w, SearchResponse{Tenant: t.Name, Relation: q.Rel, Query: q.Query, L: q.L,
+		Count: len(page.Summaries)}, page.Summaries, page.Cursor)
+}
+
+// writeSearch answers page and cursor byte for byte as json.Encoder writes
+// their SearchResponse: head's fields around each summary's SummaryJSON.
+func writeSearch(w http.ResponseWriter, head SearchResponse, page []sizelos.Summary, cursor string) {
+	writeBody(w, http.StatusOK, func(buf *bytes.Buffer) error {
+		enc := json.NewEncoder(buf)
+		head.Results = []SummaryJSON{}
+		_ = enc.Encode(head) // strings and ints always encode
+		buf.Truncate(buf.Len() - len("]}\n"))
+		for i := range page {
+			if err := writeSummary(enc, buf, &page[i]); err != nil {
+				return err
+			}
+			buf.WriteByte(',')
+		}
+		buf.Truncate(buf.Len() - min(len(page), 1)) // the last comma
+		buf.WriteByte(']')
+		if cursor != "" {
+			buf.WriteString(`,"cursor":`)
+			_ = enc.Encode(cursor)
+			buf.Truncate(buf.Len() - 1)
+		}
+		buf.WriteString("}\n")
+		return nil
+	})
+}
+
+// writeSummary appends s's SummaryJSON to buf through enc. A summary's first
+// page leaves its Wire an empty mark; the second, a cache hit, keeps the bytes
+// there for later pages, so an entry evicted before that keeps none.
+func writeSummary(enc *json.Encoder, buf *bytes.Buffer, s *sizelos.Summary) error {
+	p, start := s.Wire.Load(), buf.Len()
+	if p != nil && len(*p) > 0 {
+		buf.Write(*p)
+		return nil
 	}
-	for _, s := range results {
-		resp.Results = append(resp.Results, SummaryJSON{
-			Relation:   s.DSRel,
-			Tuple:      int(s.Tuple),
-			Headline:   s.Headline,
-			Importance: s.Result.Importance,
-			Tuples:     len(s.Result.Nodes),
-			Text:       s.Text,
-		})
+	if err := enc.Encode(SummaryJSON{Relation: s.DSRel, Tuple: int(s.Tuple), Headline: s.Headline,
+		Importance: s.Result.Importance, Tuples: len(s.Result.Nodes), Text: s.Text}); err != nil {
+		return err
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	buf.Truncate(buf.Len() - 1)
+	b := []byte{}
+	if p != nil {
+		b = bytes.Clone(buf.Bytes()[start:])
+	}
+	s.Wire.CompareAndSwap(p, &b)
+	return nil
 }
 
 // RegisterRequest is the body of POST /v1/tenants.
