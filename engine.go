@@ -579,8 +579,21 @@ type Summary struct {
 	// Text is the rendered size-l OS in the style of Example 5.
 	Text string
 	// Wire holds a server's encoding of the summary for every copy of it.
-	Wire *atomic.Pointer[[]byte]
+	// Only a cache entry has its own; the rest share noWire, which keeps
+	// nothing, so equal summaries stay equal whether or not cached.
+	Wire *Wire
 }
+
+// Wire is where a server keeps a summary's encoding.
+type Wire struct{ p atomic.Pointer[[]byte] }
+
+var noWire Wire
+
+// Load returns the kept encoding, or nil.
+func (w *Wire) Load() *[]byte { return w.p.Load() }
+
+// CompareAndSwap keeps b in place of old; noWire keeps nothing.
+func (w *Wire) CompareAndSwap(old, b *[]byte) bool { return w != &noWire && w.p.CompareAndSwap(old, b) }
 
 // kernel is what one request's evaluations share on its goroutine: the
 // extraction source, made at the first. Nothing in it outlives the request.
@@ -633,8 +646,9 @@ func (e *Engine) summaryLocked(req QueryRequest, tuple relational.TupleID, tau f
 		if sc, err = e.evaluate(req, tuple, tau, k); err != nil || !serve {
 			return
 		}
-		e.materialize(req, &sc.sum, new(atomic.Pointer[[]byte]))
+		e.materialize(req, &sc.sum)
 		if cache != nil {
+			sc.sum.Wire = new(Wire)
 			cache.Put(key, sc.sum)
 		}
 	})
@@ -819,11 +833,11 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 	return out, nil
 }
 
-// materialize is the second half: it renders an evaluated summary; wire is its empty holder.
-func (e *Engine) materialize(req QueryRequest, sum *Summary, wire *atomic.Pointer[[]byte]) {
+// materialize is the second half: it renders an evaluated summary.
+func (e *Engine) materialize(req QueryRequest, sum *Summary) {
 	sum.Headline = headline(e.db, sum.DSRel, sum.Tuple)
 	sum.Text = sum.Tree.Render(ostree.RenderOptions{ShowWeights: req.ShowWeights})
-	sum.Wire = wire
+	sum.Wire = &noWire
 }
 
 // RegisterAutoGDS derives a G_DS for dsRel automatically from the schema

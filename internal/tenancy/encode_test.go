@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sizelos"
@@ -68,20 +67,23 @@ func syntheticSummaries() []sizelos.Summary {
 			Headline: headlines[i%len(headlines)],
 			Result:   sizel.Result{Nodes: make([]ostree.NodeID, i%5), Importance: importances[i%len(importances)]},
 			Text:     texts[i%len(texts)],
-			Wire:     new(atomic.Pointer[[]byte]),
+			Wire:     new(sizelos.Wire),
 		})
 	}
 	return out
 }
 
-// encodeSummary is what writeSummary appends for s to an empty buffer.
+// encodeSummary is the fragment writeSearch writes for s alone.
 func encodeSummary(t *testing.T, s *sizelos.Summary) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := writeSummary(json.NewEncoder(&buf), &buf, s); err != nil {
-		t.Fatal(err)
+	const head = `{"tenant":"","relation":"","query":"","l":0,"count":0,"results":[`
+	rec := httptest.NewRecorder()
+	writeSearch(rec, SearchResponse{}, []sizelos.Summary{*s})
+	body := rec.Body.String()
+	if rec.Code != http.StatusOK || !strings.HasPrefix(body, head) || !strings.HasSuffix(body, "]}\n") {
+		t.Fatalf("one-summary page %d %q", rec.Code, body)
 	}
-	return buf.String()
+	return body[len(head) : len(body)-len("]}\n")]
 }
 
 // checkKept requires each summary's holder to keep json.Marshal of its
@@ -143,30 +145,47 @@ func TestSummaryFragmentOracle(t *testing.T) {
 		}
 		checkKept(t, sums)
 	})
-	tpch, err := sizelos.OpenTPCH(datagen.TPCHConfig{Seed: 7, ScaleFactor: 0.002})
-	if err != nil {
-		t.Fatal(err)
+	openTPCH := func(t *testing.T) *sizelos.Engine {
+		eng, err := sizelos.OpenTPCH(datagen.TPCHConfig{Seed: 7, ScaleFactor: 0.002})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
-	dblp := freshEngine(t, 23)
+	openDBLP := func(t *testing.T) *sizelos.Engine { return freshEngine(t, 23) }
 	for _, c := range []struct {
 		name string
-		eng  *sizelos.Engine
+		open func(*testing.T) *sizelos.Engine
 		rel  string
-		q    string
+		q    func(*sizelos.Engine) string
 	}{
-		{"dblp", dblp, "Author", sharedAuthorQuery(t, dblp)},
-		{"tpch", tpch, "Customer", "customer"},
+		{"dblp", openDBLP, "Author", func(eng *sizelos.Engine) string { return sharedAuthorQuery(t, eng) }},
+		{"tpch", openTPCH, "Customer", func(*sizelos.Engine) string { return "customer" }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			reg := NewRegistry(ServerConfig{PoolSize: 2, CacheBudget: 256}, nil, nil)
-			tn, err := reg.Register(TenantSpec{Name: "acme"}, c.eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, l := range []int{3, 12} {
-				req := sizelos.QueryRequest{Rel: c.rel, Query: c.q, L: l, Limit: 40}
-				path := "/v1/acme/search?rel=" + c.rel + "&q=" + url.QueryEscape(c.q) + "&l=" + strconv.Itoa(l) + "&limit=40"
-				checkKept(t, servedPage(t, reg.Handler(), tn, path, req))
+			// A tenant with the cache off keeps nothing, however often served.
+			for _, budget := range []int{256, 0} {
+				eng := c.open(t)
+				reg := NewRegistry(ServerConfig{PoolSize: 2, CacheBudget: budget}, nil, nil)
+				tn, err := reg.Register(TenantSpec{Name: "acme"}, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := c.q(eng)
+				for _, l := range []int{3, 12} {
+					req := sizelos.QueryRequest{Rel: c.rel, Query: q, L: l, Limit: 40}
+					path := "/v1/acme/search?rel=" + c.rel + "&q=" + url.QueryEscape(q) + "&l=" + strconv.Itoa(l) + "&limit=40"
+					page := servedPage(t, reg.Handler(), tn, path, req)
+					if budget > 0 {
+						checkKept(t, page)
+						continue
+					}
+					for i, s := range page {
+						if kept := s.Wire.Load(); kept != nil {
+							t.Fatalf("cache off, summary %d: holder keeps %q", i, *kept)
+						}
+					}
+				}
 			}
 		})
 	}
@@ -199,9 +218,7 @@ func TestSearchEnvelopeOracle(t *testing.T) {
 				for _, page := range [][]sizelos.Summary{nil, sums[:1], sums} {
 					head.Count = len(page)
 					rec := httptest.NewRecorder()
-					noCursor := head
-					noCursor.Cursor = ""
-					writeSearch(rec, noCursor, page, head.Cursor)
+					writeSearch(rec, head, page)
 					check(t, rec, oracleBody(t, head, page))
 				}
 			}
@@ -261,7 +278,7 @@ func TestSearchEncodeFailure(t *testing.T) {
 		var first string
 		for try := range 2 {
 			rec := httptest.NewRecorder()
-			writeSearch(rec, SearchResponse{Tenant: "acme", Relation: "Author", Query: "x", L: 5, Count: 2}, page, "")
+			writeSearch(rec, SearchResponse{Tenant: "acme", Relation: "Author", Query: "x", L: 5, Count: 2}, page)
 			if rec.Code != http.StatusInternalServerError {
 				t.Fatalf("Importance %v, try %d: status %d, want 500 (body %q)", bad, try, rec.Code, rec.Body)
 			}

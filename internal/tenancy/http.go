@@ -318,55 +318,52 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 		return
 	}
 	writeSearch(w, SearchResponse{Tenant: t.Name, Relation: q.Rel, Query: q.Query, L: q.L,
-		Count: len(page.Summaries)}, page.Summaries, page.Cursor)
+		Count: len(page.Summaries), Cursor: page.Cursor}, page.Summaries)
 }
 
-// writeSearch answers page and cursor byte for byte as json.Encoder writes
-// their SearchResponse: head's fields around each summary's SummaryJSON.
-func writeSearch(w http.ResponseWriter, head SearchResponse, page []sizelos.Summary, cursor string) {
+var served = new([]byte) // marks a Wire whose summary one page has encoded
+
+// writeSearch answers head with page as its results, byte for byte as
+// json.Encoder writes the whole SearchResponse. A summary's first page
+// marks its Wire served; the second, a cache hit, keeps the bytes there
+// for later pages, so an entry evicted before that keeps none.
+func writeSearch(w http.ResponseWriter, head SearchResponse, page []sizelos.Summary) {
 	writeBody(w, http.StatusOK, func(buf *bytes.Buffer) error {
 		enc := json.NewEncoder(buf)
 		head.Results = []SummaryJSON{}
 		_ = enc.Encode(head) // strings and ints always encode
-		buf.Truncate(buf.Len() - len("]}\n"))
+		// A string escapes its quotes, so the first match is the field's.
+		at := bytes.Index(buf.Bytes(), []byte(`"results":[`)) + len(`"results":[`)
+		tail := string(buf.Bytes()[at:]) // "]", the cursor if any, "}\n"
+		buf.Truncate(at)
+		var js *SummaryJSON // one per page, made at its first encoding
 		for i := range page {
-			if err := writeSummary(enc, buf, &page[i]); err != nil {
-				return err
+			s, start := &page[i], buf.Len()
+			if p := s.Wire.Load(); p != nil && p != served {
+				buf.Write(*p)
+			} else {
+				if js == nil {
+					js = new(SummaryJSON)
+				}
+				*js = SummaryJSON{Relation: s.DSRel, Tuple: int(s.Tuple), Headline: s.Headline,
+					Importance: s.Result.Importance, Tuples: len(s.Result.Nodes), Text: s.Text}
+				if err := enc.Encode(js); err != nil {
+					return err
+				}
+				buf.Truncate(buf.Len() - 1)
+				kept := served
+				if p != nil {
+					b := bytes.Clone(buf.Bytes()[start:])
+					kept = &b
+				}
+				s.Wire.CompareAndSwap(p, kept)
 			}
 			buf.WriteByte(',')
 		}
 		buf.Truncate(buf.Len() - min(len(page), 1)) // the last comma
-		buf.WriteByte(']')
-		if cursor != "" {
-			buf.WriteString(`,"cursor":`)
-			_ = enc.Encode(cursor)
-			buf.Truncate(buf.Len() - 1)
-		}
-		buf.WriteString("}\n")
+		buf.WriteString(tail)
 		return nil
 	})
-}
-
-// writeSummary appends s's SummaryJSON to buf through enc. A summary's first
-// page leaves its Wire an empty mark; the second, a cache hit, keeps the bytes
-// there for later pages, so an entry evicted before that keeps none.
-func writeSummary(enc *json.Encoder, buf *bytes.Buffer, s *sizelos.Summary) error {
-	p, start := s.Wire.Load(), buf.Len()
-	if p != nil && len(*p) > 0 {
-		buf.Write(*p)
-		return nil
-	}
-	if err := enc.Encode(SummaryJSON{Relation: s.DSRel, Tuple: int(s.Tuple), Headline: s.Headline,
-		Importance: s.Result.Importance, Tuples: len(s.Result.Nodes), Text: s.Text}); err != nil {
-		return err
-	}
-	buf.Truncate(buf.Len() - 1)
-	b := []byte{}
-	if p != nil {
-		b = bytes.Clone(buf.Bytes()[start:])
-	}
-	s.Wire.CompareAndSwap(p, &b)
-	return nil
 }
 
 // RegisterRequest is the body of POST /v1/tenants.

@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"sizelos/internal/keyword"
 	"sizelos/internal/relational"
@@ -360,7 +359,7 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 		matches = append(matches, m)
 	}
 	cands := e.candidatesLocked(req, matches)
-	best := make([]Summary, 0, min(len(cands), req.K+1)) // K > 0: at most K+1
+	var best []Summary
 	var seen []scored
 	tau := math.Inf(-1)
 	i := 0
@@ -388,10 +387,9 @@ func (e *Engine) rankLocked(req QueryRequest, stream keyword.MatchStream, resume
 	n := req.cut(len(rest))
 	// Copied, so that a page does not pin the ranking it was cut from.
 	page := append(make([]Summary, 0, n), rest[:n]...)
-	wires := make([]atomic.Pointer[[]byte], n)
 	for i := range page {
 		if page[i].Text == "" { // scored this query, not served by the cache
-			req.Pool.Do(func() { e.materialize(req, &page[i], &wires[i]) })
+			req.Pool.Do(func() { e.materialize(req, &page[i]) })
 		}
 	}
 	return page, n < len(rest), nil

@@ -616,7 +616,7 @@ func sameSummary(g, w Summary) bool {
 // node, before the memo and before the reused arena); a change that needs
 // more says why.
 func TestRankedAllocCeiling(t *testing.T) {
-	const ceiling = 988
+	const ceiling = 991
 	eng := openTPCH(t, 0.002)
 	req := QueryRequest{Rel: "Customer", Query: "customer", L: 30, RankBySummary: true, K: 10}
 	allocs := testing.AllocsPerRun(10, func() {

@@ -112,7 +112,8 @@ func BenchmarkRoutedQuery(b *testing.B) {
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				tenant := tenants[i%len(tenants)]
 				get(b, leg.base(tenant)+"/v1/"+tenant+path)
 			}
