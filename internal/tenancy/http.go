@@ -334,7 +334,7 @@ func writeSearch(w http.ResponseWriter, head SearchResponse, page []sizelos.Summ
 		_ = enc.Encode(head) // strings and ints always encode
 		// A string escapes its quotes, so the first match is the field's.
 		at := bytes.Index(buf.Bytes(), []byte(`"results":[`)) + len(`"results":[`)
-		tail := string(buf.Bytes()[at:]) // "]", the cursor if any, "}\n"
+		tail := append(make([]byte, 0, 64), buf.Bytes()[at:]...) // "]", the cursor if any, "}\n"
 		buf.Truncate(at)
 		var js *SummaryJSON // one per page, made at its first encoding
 		for i := range page {
@@ -361,7 +361,7 @@ func writeSearch(w http.ResponseWriter, head SearchResponse, page []sizelos.Summ
 			buf.WriteByte(',')
 		}
 		buf.Truncate(buf.Len() - min(len(page), 1)) // the last comma
-		buf.WriteString(tail)
+		buf.Write(tail)
 		return nil
 	})
 }
