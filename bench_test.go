@@ -676,9 +676,9 @@ func BenchmarkMutateIncremental(b *testing.B) {
 
 // BenchmarkRerankResidual measures the per-batch re-rank cost of the
 // single-tuple mutation stream over the practical d=0.85 serving settings,
-// with row capture on (residual: pushes seeded from the captured rows, a
-// sweep every refresh) and off (sweep: every push seeded from an exact
-// sweep). Beyond ns/op, each variant reports node-score updates per op —
+// seeded from the captured rows (residual: a sweep every refresh) and with
+// the rows dropped before every batch (sweep: every push seeded from an
+// exact sweep). Beyond ns/op, each variant reports node-score updates per op —
 // the hardware-independent work metric on which the captured rows'
 // acceptance bar is >=5x fewer (TestResidualUpdateSavings asserts it) —
 // as the mean over a fixed stream of whole refresh cycles, run untimed
@@ -696,7 +696,6 @@ func BenchmarkRerankResidual(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.SetResidualRerank(residual)
 			paper := db.Relation("Paper")
 			prev := int64(0)
 			op := func(i int) (updates int) {
@@ -718,6 +717,9 @@ func BenchmarkRerankResidual(b *testing.B) {
 					batch.Deletes = []sizelos.TupleDelete{{Rel: "Cites", PK: prev}}
 				}
 				prev = *next
+				if !residual {
+					sizelos.DropCapturedRows(eng)
+				}
 				res, err := eng.Mutate(batch)
 				if err != nil {
 					b.Fatal(err)
@@ -759,7 +761,6 @@ func BenchmarkRerankResidualParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng.SetResidualRerank(true)
 		paper := db.Relation("Paper")
 		var prev []int64
 		updates := 0

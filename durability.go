@@ -10,8 +10,8 @@ package sizelos
 // branches on the read path, one nil check on the write path.
 //
 // What gets persisted is deliberately minimal: the relational store in
-// layout-preserving form (relational.EncodeState) plus the raw score
-// vectors, epochs and the geometry they converged under. Everything else
+// layout-preserving form (relational.EncodeState), the epochs, and what a
+// re-rank reads that nothing derives (EngineState). Everything else
 // the engine holds — data graph, keyword postings, compiled push plans,
 // normalized scores, G_DS annotations — is derived state whose
 // from-scratch construction the mutation-equivalence harnesses already
@@ -21,6 +21,7 @@ package sizelos
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 
 	"sizelos/internal/rank"
@@ -91,6 +92,14 @@ type EngineState struct {
 	// became a fixed point, so the first re-rank after a restore rescales
 	// exactly. A snapshot without it takes the restored arena's counts.
 	ConvergedSlots []int32
+	// Captured holds each G_A's rows captured since the last re-rank, under
+	// its first setting's name. RowsCover says they cover every batch since
+	// (false after a compaction and in older snapshots: the next re-rank
+	// sweeps); gob writes an empty Captured and a nil one alike.
+	Captured  map[string][]map[relational.TupleID]rank.Row
+	RowsCover bool
+	// ResidualRuns is the refresh counter (Engine.residualRuns).
+	ResidualRuns int
 }
 
 // ExportState captures the engine's durable state and the log sequence
@@ -108,8 +117,17 @@ func (e *Engine) ExportState() (st *EngineState, seq uint64, err error) {
 	st = &EngineState{
 		DB:             buf.Bytes(),
 		RawScores:      copyScoreTable(e.rawScores),
-		Epochs:         copyMap(e.epochs),
+		Epochs:         maps.Clone(e.epochs),
 		ConvergedSlots: e.convergedSlots,
+		Captured:       make(map[string][]map[relational.TupleID]rank.Row, len(e.pending)),
+		RowsCover:      e.pending != nil,
+		ResidualRuns:   e.residualRuns,
+	}
+	filed := make(map[*rank.GA]bool, len(e.pending))
+	for _, s := range e.settings {
+		if p, ok := e.pending[s.GA]; ok && !filed[s.GA] {
+			filed[s.GA], st.Captured[s.Name] = true, p.Rows()
+		}
 	}
 	if e.mlog != nil {
 		seq = e.mlog.Seq()
@@ -132,14 +150,6 @@ func copyScoreTable(t map[string]relational.DBScores) map[string]relational.DBSc
 	return out
 }
 
-func copyMap[K comparable, V any](m map[K]V) map[K]V {
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // NewEngineFromState reconstructs an engine from an exported snapshot: the
 // relational store is decoded layout-preserving, every derived structure
 // (data graph, keyword index, push plans, normalized scores, relation
@@ -151,11 +161,11 @@ func copyMap[K comparable, V any](m map[K]V) map[K]V {
 //
 // The raw vectors replace the cold-start power iterations: st must hold,
 // for every setting, a table positionally aligned with the store's physical
-// slots (tombstones included); they are deep-copied. As after a compaction,
-// the restored engine's first re-rank seeds from one exact sweep (no
-// captured rows survive a restart) under st.ConvergedSlots. Register the
-// same G_DSs as the original engine, replay any WAL tail with Mutate, and
-// only then install the mutation log.
+// slots (tombstones included); they are deep-copied. With the captured rows
+// (checked against the rebuilt plans) and the refresh counter, the next
+// re-rank seeds as the snapshotted engine's would have. Register the same
+// G_DSs as the original engine, replay any WAL tail with Mutate, and only
+// then install the mutation log.
 func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 	db, err := relational.ReadDBState(bytes.NewReader(st.DB))
 	if err != nil {
@@ -186,9 +196,7 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 		e.rawScores[s.Name] = cp
 		e.scores[s.Name], e.relMax[s.Name] = normalizeInto(nil, cp, normMax)
 	}
-	for rel, epoch := range st.Epochs {
-		e.epochs[rel] = epoch
-	}
+	maps.Copy(e.epochs, st.Epochs)
 	switch slots := st.ConvergedSlots; {
 	case slots == nil:
 		// A snapshot from before the field: the restored arena is the best
@@ -204,6 +212,25 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 			}
 		}
 		e.convergedSlots = slices.Clone(slots)
+	}
+	if st.ResidualRuns < 0 || st.ResidualRuns > residualRefreshInterval {
+		return nil, fmt.Errorf("sizelos: restore: refresh counter %d outside [0, %d]", st.ResidualRuns, residualRefreshInterval)
+	}
+	e.residualRuns = st.ResidualRuns
+	if !st.RowsCover {
+		return e, nil
+	}
+	e.pending = make(map[*rank.GA]*rank.Pending, len(st.Captured))
+	for _, s := range settings {
+		if rows, ok := st.Captured[s.Name]; ok {
+			e.pending[s.GA] = rank.Geometry(e.convergedSlots)
+			if err := e.pending[s.GA].Attach(e.plans[s.GA], rows); err != nil {
+				return nil, fmt.Errorf("sizelos: restore: captured rows for %s: %w", s.Name, err)
+			}
+		}
+	}
+	if len(e.pending) != len(st.Captured) {
+		return nil, fmt.Errorf("sizelos: restore: captured rows under %d names for %d G_As", len(st.Captured), len(e.pending))
 	}
 	return e, nil
 }

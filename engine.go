@@ -109,16 +109,14 @@ type Engine struct {
 	// recompile; recompiled only when compaction rebuilds the graph.
 	plans map[*rank.GA]*rank.Plans
 	// pending accumulates, per G_A, the pre-mutation rows of every source
-	// changed since the last re-rank (empty: nothing changed). nil means the
-	// rows do not cover (after a restore, a compaction or with residual
-	// capture off), so the next re-rank seeds from a sweep.
+	// changed since the last re-rank (empty: nothing changed; a snapshot
+	// keeps them). nil means the rows do not cover (after a compaction or
+	// an older snapshot's restore), so the next re-rank seeds from a sweep.
 	pending map[*rank.GA]*rank.Pending
 	// convergedSlots is each relation's slot count when rawScores last
 	// became a fixed point (a re-rank or a compaction): the geometry a
 	// sweep-seeded re-rank rescales by (rank.Geometry).
 	convergedSlots []int32
-	// residualEnabled gates capturing rows (SetResidualRerank).
-	residualEnabled bool
 	// residualBudget is rank.Options.ResidualBudget for every residual
 	// re-rank: the push count past which one abandons the localized path and
 	// falls back to the full iteration. 0, what every engine serves with,
@@ -128,7 +126,7 @@ type Engine struct {
 	// residualRuns counts consecutive re-ranks seeded from captured rows;
 	// every residualRefreshInterval-th re-rank seeds from one exact sweep
 	// instead, re-grounding the epsilon-scale drift each repair inherits
-	// from its prior.
+	// from its prior. A snapshot keeps it (EngineState.ResidualRuns).
 	residualRuns int
 	// scores per setting name, normalized for presentation (NormalizeMax).
 	scores map[string]relational.DBScores
@@ -233,23 +231,22 @@ func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		return nil, fmt.Errorf("sizelos: build data graph: %w", err)
 	}
 	e := &Engine{
-		db:              db,
-		graph:           g,
-		index:           keyword.BuildSharded(db, keyword.ShardedOptions{}),
-		settings:        append([]Setting(nil), settings...),
-		gds:             make(map[string]map[string]*schemagraph.GDS),
-		baseGDS:         make(map[string]*schemagraph.GDS),
-		epochs:          make(map[string]uint64, len(db.Relations)),
-		deps:            make(map[string][]string),
-		wide:            make(map[string]uint64),
-		subj:            make(map[string]map[relational.TupleID]uint64),
-		compactMin:      DefaultCompactMinTombstones,
-		compactRatio:    DefaultCompactRatio,
-		residualEnabled: true,
-		scores:          make(map[string]relational.DBScores, len(settings)),
-		rawScores:       make(map[string]relational.DBScores, len(settings)),
-		relMax:          make(map[string]map[string]float64, len(settings)),
-		arenas:          make(chan *ostree.Tree, runtime.GOMAXPROCS(0)),
+		db:           db,
+		graph:        g,
+		index:        keyword.BuildSharded(db, keyword.ShardedOptions{}),
+		settings:     append([]Setting(nil), settings...),
+		gds:          make(map[string]map[string]*schemagraph.GDS),
+		baseGDS:      make(map[string]*schemagraph.GDS),
+		epochs:       make(map[string]uint64, len(db.Relations)),
+		deps:         make(map[string][]string),
+		wide:         make(map[string]uint64),
+		subj:         make(map[string]map[relational.TupleID]uint64),
+		compactMin:   DefaultCompactMinTombstones,
+		compactRatio: DefaultCompactRatio,
+		scores:       make(map[string]relational.DBScores, len(settings)),
+		rawScores:    make(map[string]relational.DBScores, len(settings)),
+		relMax:       make(map[string]map[string]float64, len(settings)),
+		arenas:       make(chan *ostree.Tree, runtime.GOMAXPROCS(0)),
 	}
 	for _, r := range db.Relations {
 		e.epochs[r.Name] = 0
@@ -275,20 +272,6 @@ func compilePlans(g *datagraph.Graph, settings []Setting) (map[*rank.GA]*rank.Pl
 		plansByGA[s.GA] = ps
 	}
 	return plansByGA, nil
-}
-
-// SetResidualRerank toggles capturing the rows a batch changes (on by
-// default, from the next re-rank). Off, every re-rank's residual push seeds
-// from one exact sweep — as a restored engine's first re-rank does, so
-// internal/durable's crash harness turns it off on both sides to compare
-// survivor and recovery bit for bit.
-func (e *Engine) SetResidualRerank(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.residualEnabled = on
-	if !on {
-		e.pending = nil
-	}
 }
 
 // DefaultCompactMinTombstones and DefaultCompactRatio are the engine's

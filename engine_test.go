@@ -221,9 +221,8 @@ func TestOpenTPCH(t *testing.T) {
 // TestEngineExportedSurface pins *Engine's exported method set, so a new
 // method — the next Set* knob in particular — shows up as a diff of this
 // list, the way TestQueryRequestFieldClassification does for request
-// fields. Each settable value below has a caller outside this package's
-// tests: SetMutationLog is the durable store's hook, SetResidualRerank the
-// reference path internal/durable's crash harness compares against.
+// fields. The one settable value below has a caller outside this package's
+// tests: SetMutationLog is the durable store's hook.
 func TestEngineExportedSurface(t *testing.T) {
 	want := []string{
 		"CompactNow",
@@ -240,7 +239,6 @@ func TestEngineExportedSurface(t *testing.T) {
 		"RegisterGDS",
 		"Scores",
 		"SetMutationLog",
-		"SetResidualRerank",
 		"SettingNames",
 		"SizeL",
 		"SummaryCacheStats",

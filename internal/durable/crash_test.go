@@ -13,21 +13,23 @@ package durable
 //  1. Durability: every batch acknowledged before the crash point is in
 //     the recovered state (recovered seq >= acked seq at that op).
 //  2. Equivalence: the recovered engine's exported state — relational
-//     layout bytes, raw score vectors, epochs, cold-iteration baselines —
-//     is BIT-IDENTICAL to the survivor's state at the same sequence
-//     number. (Both sides run with residual-push re-ranking disabled;
-//     restart loses residual deltas by design, so the residual-on path is
-//     score-equivalent only within warm≡cold tolerance, which the root
-//     mutation-equivalence harness already bounds.)
+//     layout bytes, raw score vectors, epochs, converged geometry, the
+//     rows captured since the last re-rank and the refresh counter — is
+//     BIT-IDENTICAL to the survivor's state at the same sequence number.
+//     Both sides run as every engine does, re-ranks seeded from captured
+//     rows: a snapshot keeps them, so the re-ranks replayed after a
+//     restore seed as the survivor's did.
 //
 // Seeded and reproducible: set SIZELOS_CRASH_SEED to replay a failure.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -106,6 +108,29 @@ func assertStatesIdentical(t *testing.T, tag string, want, got *sizelos.EngineSt
 			t.Fatalf("%s: epoch[%s] %d vs %d", tag, rel, we, got.Epochs[rel])
 		}
 	}
+	if !slices.Equal(want.ConvergedSlots, got.ConvergedSlots) {
+		t.Fatalf("%s: converged geometry %v vs %v", tag, want.ConvergedSlots, got.ConvergedSlots)
+	}
+	if want.RowsCover != got.RowsCover || want.ResidualRuns != got.ResidualRuns {
+		t.Fatalf("%s: rows cover %v, refresh counter %d vs %v, %d",
+			tag, want.RowsCover, want.ResidualRuns, got.RowsCover, got.ResidualRuns)
+	}
+	// fmt prints maps sorted and floats exactly, and a nil slice or map as
+	// an empty one, which is all gob keeps of them.
+	if fmt.Sprint(want.Captured) != fmt.Sprint(got.Captured) {
+		t.Fatalf("%s: captured rows diverged:\n%v\nvs\n%v", tag, want.Captured, got.Captured)
+	}
+}
+
+// capturedRows counts the rows an exported state captured.
+func capturedRows(st *sizelos.EngineState) int {
+	n := 0
+	for _, plans := range st.Captured {
+		for _, rows := range plans {
+			n += len(rows)
+		}
+	}
+	return n
 }
 
 // crashConfig parameterizes one harness run.
@@ -115,6 +140,9 @@ type crashConfig struct {
 	compactAt  map[int]bool
 	rerankMod  int
 	seedOffset int64
+	// coverAt lists rounds whose snapshot must (true) or must not (false)
+	// carry captured rows that cover the batches since the last re-rank.
+	coverAt map[int]bool
 }
 
 // runCrashHarness executes the survivor stream and recovers from every
@@ -174,8 +202,15 @@ func runCrashHarness(t *testing.T, cfg crashConfig,
 			snap(ts.Seq())
 		}
 		if (round+1)%cfg.snapEvery == 0 {
-			if _, err := ts.Snapshot(eng); err != nil {
+			seq, err := ts.Snapshot(eng)
+			if err != nil {
 				t.Fatalf("round %d: Snapshot: %v", round, err)
+			}
+			st := fingerprints[seq]
+			t.Logf("snapshot after round %d (seq %d): rows cover %v, %d captured rows, refresh counter %d",
+				round, seq, st.RowsCover, capturedRows(st), st.ResidualRuns)
+			if want, ok := cfg.coverAt[round]; ok && (st.RowsCover != want || (capturedRows(st) > 0) != want) {
+				t.Fatalf("round %d: snapshot rows cover %v with %d rows, want cover %v", round, st.RowsCover, capturedRows(st), want)
 			}
 		}
 	}
@@ -282,28 +317,17 @@ func TestCrashRestartEquivalenceDBLP(t *testing.T) {
 	cfg.Papers = 130
 	cfg.Conferences = 4
 	cfg.YearSpan = 3
-	fresh := func() (*sizelos.Engine, error) {
-		eng, err := sizelos.OpenDBLP(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
-	restore := func(st *sizelos.EngineState) (*sizelos.Engine, error) {
-		eng, err := sizelos.RestoreDBLP(st)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
+	fresh := func() (*sizelos.Engine, error) { return sizelos.OpenDBLP(cfg) }
+	// Re-ranks at rounds 4, 9, 14, …: the snapshots after rounds 6 and 20
+	// hold the rows of the batches since, the one after round 13 follows
+	// the compaction at round 10, whose rows no longer cover.
 	runCrashHarness(t, crashConfig{
 		rounds:    30,
 		snapEvery: 7,
 		compactAt: map[int]bool{10: true, 23: true},
 		rerankMod: 5,
-	}, fresh, restore)
+		coverAt:   map[int]bool{6: true, 13: false, 20: true},
+	}, fresh, sizelos.RestoreDBLP)
 }
 
 // TestCrashRestartEquivalenceTPCH runs the same proof over the TPC-H-shaped
@@ -315,29 +339,14 @@ func TestCrashRestartEquivalenceTPCH(t *testing.T) {
 	}
 	cfg := datagen.DefaultTPCHConfig()
 	cfg.ScaleFactor = 0.0015
-	fresh := func() (*sizelos.Engine, error) {
-		eng, err := sizelos.OpenTPCH(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
-	restore := func(st *sizelos.EngineState) (*sizelos.Engine, error) {
-		eng, err := sizelos.RestoreTPCH(st)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
+	fresh := func() (*sizelos.Engine, error) { return sizelos.OpenTPCH(cfg) }
 	runCrashHarness(t, crashConfig{
 		rounds:     18,
 		snapEvery:  6,
 		compactAt:  map[int]bool{8: true, 14: true},
 		rerankMod:  5,
 		seedOffset: 1,
-	}, fresh, restore)
+	}, fresh, sizelos.RestoreTPCH)
 }
 
 // attachTinyDBLP opens a store over fs and recovers tenant "t" on a tiny

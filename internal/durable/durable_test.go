@@ -580,22 +580,8 @@ func TestStoreSnapshotFallbackAfterPruning(t *testing.T) {
 	cfg.Papers = 60
 	cfg.Conferences = 3
 	cfg.YearSpan = 2
-	fresh := func() (*sizelos.Engine, error) {
-		eng, err := sizelos.OpenDBLP(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
-	restore := func(st *sizelos.EngineState) (*sizelos.Engine, error) {
-		eng, err := sizelos.RestoreDBLP(st)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetResidualRerank(false)
-		return eng, nil
-	}
+	fresh := func() (*sizelos.Engine, error) { return sizelos.OpenDBLP(cfg) }
+	restore := sizelos.RestoreDBLP
 
 	fs := NewMemFS()
 	store, err := Open(fs, Options{KeepSnapshots: 2})

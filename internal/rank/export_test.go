@@ -15,6 +15,9 @@ func (ps *Plans) NumPlans() int { return len(ps.plans) }
 // Sources reports how many source rows plan pi holds.
 func (ps *Plans) Sources(pi int) int { return len(ps.plans[pi].spans) }
 
+// TargetSlots reports the slot count of plan pi's target relation.
+func (ps *Plans) TargetSlots(pi int) int { return ps.g.RelSize(ps.plans[pi].hop.To()) }
+
 // Row returns source t's row of plan pi as flows reads it: the targets and
 // their split weights (nil: uniform).
 func (ps *Plans) Row(pi int, t relational.TupleID) ([]relational.TupleID, []float64) {
@@ -73,7 +76,7 @@ func (ps *Plans) SweepSeeds(pending *Pending, warm relational.DBScores, damping,
 // Captured calls fn with every pre-mutation row pending holds for plan pi.
 func (pd *Pending) Captured(pi int, fn func(t relational.TupleID, targets []relational.TupleID, weights []float64)) {
 	for t, r := range pd.rows[pi] {
-		fn(t, r.targets, r.weights)
+		fn(t, r.Targets, r.Weights)
 	}
 }
 

@@ -181,11 +181,11 @@ type plan struct {
 	dead    int       // store entries no span points at
 }
 
-// capturedRow is one source row as it was read: the target list and split
-// weights (nil weights => uniform split).
-type capturedRow struct {
-	targets []relational.TupleID
-	weights []float64
+// Row is one source row as it was read: the target list and split weights
+// (nil weights => uniform split).
+type Row struct {
+	Targets []relational.TupleID
+	Weights []float64
 }
 
 // row returns t's target list and split weights (nil => uniform), capped

@@ -28,8 +28,7 @@ package rank
 //     prior's own sub-epsilon residual).
 //
 // Without captured rows one exact sweep seeds r = b·1 + M·x − x where
-// |r| ≥ ε, after the rescale by the Geometry the prior converged under
-// (c = 1 without one).
+// |r| ≥ ε, after the rescale by the Geometry the prior converged under.
 //
 // A push at node u then moves r[u] into the score and propagates
 // d·w(u→v)·r[u] to u's flow targets, preserving the invariant
@@ -74,7 +73,7 @@ type Pending struct {
 	// rows[pi] maps a changed source tuple of plan pi to its pre-mutation
 	// row. Row slices alias plan stores that are only ever appended to, so
 	// captures stay valid across later batches and reclaims.
-	rows []map[relational.TupleID]capturedRow
+	rows []map[relational.TupleID]Row
 }
 
 // Geometry is a Pending for an arena whose relations held slots[ri]
@@ -95,11 +94,46 @@ func Geometry(slots []int32) *Pending {
 // that pairs with it).
 func (p *Pending) capture(pi int, src relational.TupleID, targets []relational.TupleID, weights []float64) {
 	if p.rows[pi] == nil {
-		p.rows[pi] = make(map[relational.TupleID]capturedRow)
+		p.rows[pi] = make(map[relational.TupleID]Row)
 	}
 	if _, ok := p.rows[pi][src]; !ok {
-		p.rows[pi][src] = capturedRow{targets: targets, weights: weights}
+		p.rows[pi][src] = Row{Targets: targets, Weights: weights}
 	}
+}
+
+// Rows returns copies of p's per-plan maps of captured rows (not of rows).
+func (p *Pending) Rows() []map[relational.TupleID]Row {
+	out := make([]map[relational.TupleID]Row, len(p.rows))
+	for pi, m := range p.rows {
+		out[pi] = maps.Clone(m)
+	}
+	return out
+}
+
+// Attach gives p, a Geometry no Apply captured into, rows Rows returned for
+// ps's plans, for a later RunResidual to seed from. A plan past ps's, a
+// source or target past its relation's slots, or weights other than one
+// per target of a value split and none of a uniform one is an error and
+// leaves p as it was. The maps are copied.
+func (p *Pending) Attach(ps *Plans, rows []map[relational.TupleID]Row) error {
+	if len(rows) > len(ps.plans) {
+		return fmt.Errorf("rank: rows for %d plans, %d compiled", len(rows), len(ps.plans))
+	}
+	out := make([]map[relational.TupleID]Row, len(ps.plans))
+	outside := func(t relational.TupleID, ri int) bool { return t < 0 || int(t) >= ps.g.RelSize(ri) }
+	for pi, m := range rows {
+		pl := &ps.plans[pi]
+		for src, row := range m {
+			w, split := len(row.Weights), pl.valueCol >= 0
+			if outside(src, pl.hop.From()) || slices.ContainsFunc(row.Targets, func(t relational.TupleID) bool { return outside(t, pl.hop.To()) }) ||
+				split && w != len(row.Targets) || !split && w > 0 {
+				return fmt.Errorf("rank: plan %d source %d: no capture holds %d targets with %d weights", pi, src, len(row.Targets), w)
+			}
+		}
+		out[pi] = maps.Clone(m)
+	}
+	p.rows = out
+	return nil
 }
 
 // Apply splices one committed relational batch into the compiled plans:
@@ -117,7 +151,7 @@ func (p *Pending) capture(pi int, src relational.TupleID, targets []relational.T
 func (ps *Plans) Apply(res relational.BatchResult, pending *Pending) {
 	var buf []relational.TupleID
 	if pending != nil && pending.rows == nil {
-		pending.rows = make([]map[relational.TupleID]capturedRow, len(ps.plans))
+		pending.rows = make([]map[relational.TupleID]Row, len(ps.plans))
 	}
 	for pi := range ps.plans {
 		p := &ps.plans[pi]
@@ -203,9 +237,9 @@ const residualSeedFrac = 4 // fall back when seeds > n/residualSeedFrac
 // RunResidual repairs the prior fixed point after the batches recorded in
 // pending (the math is at the top of this file) and drives the max residual
 // below Options.Epsilon — the criterion the full iteration stops on, so the
-// result lands in the same fixed-point tolerance class. A nil pending
-// (c = 1), or a Geometry no Apply captured into, seeds from one exact
-// sweep instead of captured rows.
+// result lands in the same fixed-point tolerance class. pending is the
+// Geometry the prior converged under; one no Apply captured into (and no
+// Attach gave rows) seeds from one exact sweep instead of captured rows.
 //
 // Options.Warm must hold the prior RAW scores the pending delta was
 // accumulated against, and a completed repair returns that same table,
@@ -231,8 +265,8 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	if opts.Damping < 0 || opts.Damping > 1 {
 		return nil, Stats{}, fmt.Errorf("rank: damping %v outside [0,1]", opts.Damping)
 	}
-	if opts.Warm == nil {
-		return nil, Stats{}, fmt.Errorf("rank: RunResidual requires prior raw scores in Options.Warm")
+	if pending == nil || opts.Warm == nil {
+		return nil, Stats{}, fmt.Errorf("rank: RunResidual requires the prior's Geometry and raw scores in Options.Warm")
 	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 1e-9
@@ -244,7 +278,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	if budget <= 0 {
 		budget = 4 * ps.n
 	}
-	sweep := pending == nil || pending.rows == nil
+	sweep := pending.rows == nil
 	pr := ps.rescale(pending, opts.Warm, opts.Damping)
 	sc, eps := ps.takeScratch(), opts.Epsilon
 	pr.sc = sc
@@ -269,7 +303,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 			for _, src := range slices.Sorted(maps.Keys(rows)) {
 				if pv := pr.raw[p.hop.From()][src]; pv != 0 {
 					old := rows[src]
-					seed(dstOff, old.targets, p.splitOf(len(old.targets), old.weights), -pv)
+					seed(dstOff, old.Targets, p.splitOf(len(old.Targets), old.Weights), -pv)
 					targets, w := p.flows(src)
 					seed(dstOff, targets, w, pv)
 				}
@@ -312,22 +346,16 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 }
 
 // rescale rescales the prior in warm in place — c·p on the slots pending
-// covers (a nil pending: c = 1, every slot), b on fresh ones, each vector
-// grown to its relation first — and returns the push run over it.
+// covers, b on fresh ones, each vector grown to its relation first — and
+// returns the push run over it.
 func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) *pushRun {
 	db := ps.g.DB
 	pr := &pushRun{ps: ps, raw: make([]relational.Scores, len(db.Relations)), d: d}
-	c, base := 1.0, (1-d)/float64(ps.n)
-	if pending != nil {
-		c = float64(pending.oldN) / float64(ps.n)
-	}
+	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
 	for ri, rel := range db.Relations {
 		w := warm[rel.Name]
 		size := int(ps.relOff[ri+1] - ps.relOff[ri])
-		covered := min(len(w), size)
-		if pending != nil {
-			covered = min(covered, int(pending.oldSizes[ri]))
-		}
+		covered := min(len(w), size, int(pending.oldSizes[ri]))
 		if len(w) < size {
 			w = append(w, make(relational.Scores, size-len(w))...)
 		}

@@ -1,6 +1,7 @@
 package rank_test
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -181,6 +182,130 @@ func TestResidualMatchesCold(t *testing.T) {
 		if d := maxDiff(t, got, cold); d > residualTol(damping) {
 			t.Fatalf("d=%v: residual diverged from cold by %g (tol %g)", damping, d, residualTol(damping))
 		}
+	}
+}
+
+// TestAttachSeedsAsCaptured: rows a Pending captured, handed to a fresh
+// Geometry by Attach, seed a RunResidual bit for bit as the Pending that
+// captured them does, under uniform and value-proportional splits. Attach
+// refuses, and leaves the Geometry sweeping, rows no capture could have
+// made — a plan ordinal past the plans, a source or target at its
+// relation's slot count, weights that do not pair with the targets — and
+// RunResidual refuses a nil Pending.
+func TestAttachSeedsAsCaptured(t *testing.T) {
+	const damping = 0.85
+	for _, tc := range rowsCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.db(t)
+			g, err := datagraph.Build(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := rank.Compile(g, tc.ga, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := rank.DefaultOptions()
+			opts.Damping, opts.NormalizeMax = damping, 0
+			prior, _, err := ps.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := rank.ArenaSlots(db)
+			captured := rank.Geometry(slots)
+			applyAll(t, db, g, ps, tc.small(t, db), captured)
+			rows := captured.Rows()
+			attached := rank.Geometry(slots)
+			if err := attached.Attach(ps, rows); err != nil {
+				t.Fatal(err)
+			}
+			run := func(p *rank.Pending) (relational.DBScores, rank.Stats) {
+				t.Helper()
+				o := opts
+				o.Warm = make(relational.DBScores, len(prior))
+				for rel, v := range prior {
+					o.Warm[rel] = slices.Clone(v)
+				}
+				sc, st, err := ps.RunResidual(p, o)
+				if err != nil || !st.Converged || st.Fallback || st.Pushes == 0 {
+					t.Fatalf("RunResidual: err=%v stats=%+v", err, st)
+				}
+				return sc, st
+			}
+			want, wantSt := run(captured)
+			got, gotSt := run(attached)
+			if wantSt != gotSt {
+				t.Fatalf("attached rows ran %+v, captured %+v", gotSt, wantSt)
+			}
+			for rel, v := range want {
+				if !slices.EqualFunc(v, got[rel], func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+					t.Fatalf("%s: attached rows repaired other scores than the captured ones", rel)
+				}
+			}
+
+			// A captured row with targets to break, under a value split where
+			// the G_A has one.
+			pi, src, weighted := -1, relational.TupleID(0), false
+			for i, m := range rows {
+				for s, r := range m {
+					if len(r.Targets) > 0 && (pi < 0 || !weighted && r.Weights != nil) {
+						pi, src, weighted = i, s, r.Weights != nil
+					}
+				}
+			}
+			if pi < 0 {
+				t.Fatal("the batch captured no row with targets")
+			}
+			t.Logf("breaking plan %d source %d (value split %v)", pi, src, weighted)
+			broken := func(edit func(m map[relational.TupleID]rank.Row)) []map[relational.TupleID]rank.Row {
+				out := slices.Clone(rows)
+				out[pi] = maps.Clone(rows[pi])
+				edit(out[pi])
+				return out
+			}
+			row := rows[pi][src]
+			bad := map[string][]map[relational.TupleID]rank.Row{
+				"a plan past the plans": append(slices.Clone(rows), nil),
+				"a source at its relation's slot count": broken(func(m map[relational.TupleID]rank.Row) {
+					m[relational.TupleID(ps.Sources(pi))] = rank.Row{}
+				}),
+				"a negative source": broken(func(m map[relational.TupleID]rank.Row) { m[-1] = rank.Row{} }),
+				"a target at its relation's slot count": broken(func(m map[relational.TupleID]rank.Row) {
+					r := rank.Row{Targets: append(slices.Clone(row.Targets), relational.TupleID(ps.TargetSlots(pi)))}
+					if weighted {
+						r.Weights = append(slices.Clone(row.Weights), 1)
+					}
+					m[src] = r
+				}),
+			}
+			if weighted {
+				bad["weights one short of the targets"] = broken(func(m map[relational.TupleID]rank.Row) {
+					m[src] = rank.Row{Targets: row.Targets, Weights: row.Weights[1:]}
+				})
+			} else {
+				bad["weights on a uniform split"] = broken(func(m map[relational.TupleID]rank.Row) {
+					m[src] = rank.Row{Targets: row.Targets, Weights: make([]float64, len(row.Targets))}
+				})
+			}
+			// The last slots are still valid.
+			if err := rank.Geometry(slots).Attach(ps, broken(func(m map[relational.TupleID]rank.Row) {
+				m[relational.TupleID(ps.Sources(pi)-1)] = rank.Row{}
+			})); err != nil {
+				t.Fatalf("the last source slot: %v", err)
+			}
+			for name, rows := range bad {
+				p := rank.Geometry(slots)
+				if err := p.Attach(ps, rows); err == nil {
+					t.Fatalf("Attach accepted %s", name)
+				}
+				if len(p.Rows()) != 0 {
+					t.Fatalf("a refused Attach (%s) left rows behind", name)
+				}
+			}
+			if _, _, err := ps.RunResidual(nil, opts); err == nil {
+				t.Fatal("RunResidual accepted a nil Pending")
+			}
+		})
 	}
 }
 
@@ -381,7 +506,8 @@ func TestPlansApplyMatchesRecompile(t *testing.T) {
 // TestSweepSeedsMatchOneIteration: the seeds a sweep-seeded RunResidual
 // drains from are, bit for bit, one step of the full iteration from the
 // rescaled prior minus that prior, at every node where the difference is
-// at or above ε, and nowhere else. It holds unrescaled (no Pending) and,
+// at or above ε, and nowhere else. It holds unrescaled (the arena's own
+// Geometry, c = 1) and,
 // after an Apply, under the rescale of the Geometry the prior converged
 // under, for uniform (DBLP) and value-proportional (TPC-H) splits.
 func TestSweepSeedsMatchOneIteration(t *testing.T) {
@@ -437,7 +563,7 @@ func TestSweepSeedsMatchOneIteration(t *testing.T) {
 				}
 				t.Logf("%s: %d of %d nodes seeded", stage, want, ps.NumNodes())
 			}
-			check("before Apply", nil)
+			check("before Apply", rank.Geometry(rank.ArenaSlots(db)))
 			slots := rank.ArenaSlots(db)
 			applyAll(t, db, g, ps, tc.batch(t, db), nil)
 			check("after Apply", rank.Geometry(slots))

@@ -94,8 +94,8 @@ type RerankStat struct {
 	// WarmStart records whether a prior vector seeded the run.
 	WarmStart bool
 	// Residual records that the push was seeded from captured rows, not
-	// from a sweep (a refresh, the first re-rank after a compaction or a
-	// restore, or every re-rank with residual capture off).
+	// from a sweep (a refresh, the first re-rank after a compaction, or the
+	// first after a restore from a snapshot that kept no rows).
 	Residual bool
 	// Pushes counts the pushes performed (nodes popped off the push queue
 	// with a residual still at or above epsilon).
@@ -342,10 +342,7 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 	// it only advances when a setting completed a push seeded from rows,
 	// while a sweep or every setting falling back re-grounds the drift and
 	// resets it, and pure-rescale re-ranks add nothing.
-	e.pending = nil
-	if e.residualEnabled {
-		e.pending = make(map[*rank.GA]*rank.Pending)
-	}
+	e.pending = make(map[*rank.GA]*rank.Pending)
 	e.convergedSlots = e.arenaSlots()
 	switch {
 	case !fromRows, fallbacks == len(stats):

@@ -23,6 +23,16 @@ import (
 // seeded from captured rows, then the refresh that sweeps.
 const RefreshCycle = residualRefreshInterval + 1
 
+// DropCapturedRows makes e's next re-rank seed from one exact sweep, as
+// after a compaction: the sweep-seeded reference that
+// TestResidualUpdateSavings and BenchmarkRerankResidual/sweep hold the
+// captured rows against.
+func DropCapturedRows(e *Engine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.pending = nil
+}
+
 // residualTestEngine builds a DBLP engine over the practical serving
 // settings (the two d=0.85 configurations); the high-damping d3 stress
 // setting is covered separately by TestResidualHighDampingBudgetTrip.
@@ -100,17 +110,16 @@ func TestResidualRerankTakesResidualPath(t *testing.T) {
 }
 
 // TestResidualUpdateSavings drives the same single-tuple re-ranked stream
-// through two engines — row capture on and off, the second seeding every
-// re-rank from a sweep — with the two serving matching scores the whole
-// way. It asserts the ROADMAP bar, at least 5x fewer node-score updates
-// with captured rows than a warm full iteration from the same prior over
-// the same plans; at least 2x fewer than the capture-off engine; and that
-// no sweep falls back, since it rescales by the geometry its prior
-// converged under.
+// through two engines — the second dropping its captured rows before every
+// batch, so that each of its re-ranks seeds from a sweep — with the two
+// serving matching scores the whole way. It asserts the ROADMAP bar, at
+// least 5x fewer node-score updates with captured rows than a warm full
+// iteration from the same prior over the same plans; at least 2x fewer
+// than the sweep-seeded engine; and that no sweep falls back, since it
+// rescales by the geometry its prior converged under.
 func TestResidualUpdateSavings(t *testing.T) {
 	resEng := residualTestEngine(t, 120, 500)
 	sweepEng := residualTestEngine(t, 120, 500)
-	sweepEng.SetResidualRerank(false)
 
 	const rounds = 8
 	residualUpdates, sweepUpdates, fullUpdates := 0, 0, 0
@@ -123,6 +132,7 @@ func TestResidualUpdateSavings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: residual Mutate: %v", i, err)
 		}
+		DropCapturedRows(sweepEng)
 		sweepR, err := sweepEng.Mutate(batch)
 		if err != nil {
 			t.Fatalf("round %d: sweep Mutate: %v", i, err)
@@ -136,7 +146,7 @@ func TestResidualUpdateSavings(t *testing.T) {
 		}
 		for name, st := range sweepR.RerankStats {
 			if st.Residual || st.FallbackTaken {
-				t.Fatalf("round %d: %s with the mode off took residual or fell back: %+v", i, name, st)
+				t.Fatalf("round %d: %s without rows took residual or fell back: %+v", i, name, st)
 			}
 			sweepUpdates += st.Updates
 		}
@@ -178,7 +188,7 @@ func TestResidualUpdateSavings(t *testing.T) {
 		t.Fatalf("residual updates %d not >=5x fewer than the warm full iteration's %d", residualUpdates, fullUpdates)
 	}
 	if residualUpdates*2 > sweepUpdates {
-		t.Fatalf("residual updates %d not >=2x fewer than the capture-off engine's %d", residualUpdates, sweepUpdates)
+		t.Fatalf("residual updates %d not >=2x fewer than the sweep-seeded engine's %d", residualUpdates, sweepUpdates)
 	}
 }
 
@@ -451,7 +461,8 @@ func TestResidualAfterCompactionSweepsOnce(t *testing.T) {
 
 // TestSweepSeededReranks drives the three re-ranks whose captured rows do
 // not cover the prior — the periodic refresh, the first after CompactNow
-// and the first after a restore — and holds each to the one solver: a
+// and the first after a restore from a snapshot that kept no rows (one
+// from before EngineState had them) — and holds each to the one solver: a
 // residual push seeded from an exact sweep (Residual false) that drains
 // without a full iteration or a fallback, pushes, and serves scores within
 // the warm≡cold tolerance of a cold run.
@@ -531,6 +542,7 @@ func TestSweepSeededReranks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.RowsCover, st.Captured, st.ResidualRuns = false, nil, 0
 	restore := func() *Engine {
 		t.Helper()
 		restored, err := NewEngineFromState(eng.settings, st)
