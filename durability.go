@@ -13,7 +13,7 @@ package sizelos
 // layout-preserving form (relational.EncodeState), the epochs, and what a
 // re-rank reads that nothing derives (EngineState). Everything else
 // the engine holds — data graph, keyword postings, compiled push plans,
-// normalized scores, G_DS annotations — is derived state whose
+// score scales, G_DS annotations — is derived state whose
 // from-scratch construction the mutation-equivalence harnesses already
 // prove identical to the incrementally-maintained original, so recovery
 // rebuilds it instead of trusting bytes on disk.
@@ -82,9 +82,10 @@ type EngineState struct {
 	// tombstone mask and version counter, so TupleIDs mean the same thing
 	// after recovery.
 	DB []byte
-	// RawScores are the unnormalized converged score vectors per setting —
-	// the warm-start seeds. The normalized serving copies are derived
-	// (normalizeInto) and not persisted.
+	// RawScores are the unnormalized converged score vectors per setting:
+	// what queries are served through each setting's scale and the next
+	// re-rank repairs. The scale is derived (one pass for the maxima) and
+	// not persisted.
 	RawScores map[string]relational.DBScores
 	// Epochs are the per-relation cache-invalidation counters.
 	Epochs map[string]uint64
@@ -152,7 +153,7 @@ func copyScoreTable(t map[string]relational.DBScores) map[string]relational.DBSc
 
 // NewEngineFromState reconstructs an engine from an exported snapshot: the
 // relational store is decoded layout-preserving, every derived structure
-// (data graph, keyword index, push plans, normalized scores, relation
+// (data graph, keyword index, push plans, each setting's scale and relation
 // maxima) is rebuilt from it, and the raw score vectors and epochs are
 // restored verbatim. The rebuilt derived state is identical to what the
 // snapshotted engine was serving — that is the mutation-equivalence
@@ -175,7 +176,6 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	normMax := rank.DefaultOptions().NormalizeMax
 	for _, s := range settings {
 		sc, ok := st.RawScores[s.Name]
 		if !ok {
@@ -193,8 +193,7 @@ func NewEngineFromState(settings []Setting, st *EngineState) (*Engine, error) {
 			}
 			cp[rel] = append(relational.Scores(nil), v...)
 		}
-		e.rawScores[s.Name] = cp
-		e.scores[s.Name], e.relMax[s.Name] = normalizeInto(nil, cp, normMax)
+		e.rawScores[s.Name], e.scales[s.Name] = cp, newScale(db, cp, nil)
 	}
 	maps.Copy(e.epochs, st.Epochs)
 	switch slots := st.ConvergedSlots; {

@@ -128,16 +128,18 @@ type Engine struct {
 	// instead, re-grounding the epsilon-scale drift each repair inherits
 	// from its prior. A snapshot keeps it (EngineState.ResidualRuns).
 	residualRuns int
-	// scores per setting name, normalized for presentation (NormalizeMax).
-	scores map[string]relational.DBScores
 	// rawScores per setting name: the unnormalized converged vectors, kept
 	// for the next re-rank to repair in place or warm-start from — a rescaled
-	// vector would sit far from the fixed point (rank.Options.Warm).
+	// vector would sit far from the fixed point (rank.Options.Warm). Every
+	// read serves them through the setting's scale.
 	rawScores map[string]relational.DBScores
-	// relMax[setting][rel] is the maximum normalized score of rel under
-	// setting — the G_DS Max/MMax annotation input, which normalizeInto
-	// yields with the scores so annotating never scans a vector.
-	relMax map[string]map[string]float64
+	// scales per setting name: how rawScores are served (scale).
+	scales map[string]scale
+	// served holds the tables Scores materialized, per setting, since the
+	// raw scores or their scale last changed; whatever changes them clears
+	// it under the write lock. servedMu orders the readers that fill it.
+	servedMu sync.Mutex
+	served   map[string]relational.DBScores
 	// compactMin and compactRatio are the auto-compaction trigger: a
 	// relation is physically compacted when it carries at least compactMin
 	// tombstones AND they exceed compactRatio of its slots. compactMin <= 0
@@ -243,9 +245,9 @@ func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		subj:         make(map[string]map[relational.TupleID]uint64),
 		compactMin:   DefaultCompactMinTombstones,
 		compactRatio: DefaultCompactRatio,
-		scores:       make(map[string]relational.DBScores, len(settings)),
 		rawScores:    make(map[string]relational.DBScores, len(settings)),
-		relMax:       make(map[string]map[string]float64, len(settings)),
+		scales:       make(map[string]scale, len(settings)),
+		served:       make(map[string]relational.DBScores, len(settings)),
 		arenas:       make(chan *ostree.Tree, runtime.GOMAXPROCS(0)),
 	}
 	for _, r := range db.Relations {
@@ -286,14 +288,14 @@ const (
 	DefaultCompactRatio         = 0.5
 )
 
-// rankSettings brings every setting's three tables up to date with the
-// graph: the raw converged vectors (what the next re-rank starts from), the
-// normalized copy served to queries, and that copy's per-relation maxima
-// (the Max/MMax annotation inputs). A setting without a raw table runs the
-// cold power iteration (NewEngine); any other has it repaired in place by
-// the residual push over its G_A's pending rows, or from a sweep under the
-// converged geometry when there are none. Then it normalizes its own
-// result, while the vectors are still in that core's cache.
+// rankSettings brings every setting's raw converged vectors (what queries
+// are served from and the next re-rank starts from) and their scale up to
+// date with the graph. A setting without a raw table runs the cold power
+// iteration (NewEngine); any other has it repaired in place by the
+// residual push over its G_A's pending rows, or from a sweep under the
+// converged geometry when there are none. The repair tracks the
+// per-relation maxima the scale comes from; the cold run and a fallback
+// scan for them.
 //
 // At most GOMAXPROCS settings run at once, each on one goroutine: more
 // would only queue, and the cap bounds the push scratches the plans hold.
@@ -302,13 +304,12 @@ const (
 // still constructing e); an error leaves the tables half updated.
 func (e *Engine) rankSettings() (map[string]rank.Stats, error) {
 	type result struct {
-		raw, served relational.DBScores
-		relMax      map[string]float64
-		stats       rank.Stats
-		err         error
+		raw   relational.DBScores
+		scale scale
+		stats rank.Stats
+		err   error
 	}
 	results := make([]result, len(e.settings))
-	normMax := rank.DefaultOptions().NormalizeMax
 	searchexec.ForEach(len(e.settings), 0, func(i int) {
 		s, res := e.settings[i], &results[i]
 		opts := rank.DefaultOptions()
@@ -330,7 +331,7 @@ func (e *Engine) rankSettings() (map[string]rank.Stats, error) {
 			res.err = fmt.Errorf("did not converge after %d iterations", res.stats.Iterations)
 		}
 		if res.err == nil {
-			res.served, res.relMax = normalizeInto(e.scores[s.Name], res.raw, normMax)
+			res.scale = newScale(e.db, res.raw, res.stats.Max)
 		}
 	})
 	stats := make(map[string]rank.Stats, len(e.settings))
@@ -339,47 +340,51 @@ func (e *Engine) rankSettings() (map[string]rank.Stats, error) {
 		if res.err != nil {
 			return nil, fmt.Errorf("sizelos: setting %s: %w", s.Name, res.err)
 		}
-		e.rawScores[s.Name], e.scores[s.Name], e.relMax[s.Name] = res.raw, res.served, res.relMax
+		e.rawScores[s.Name], e.scales[s.Name] = res.raw, res.scale
 		stats[s.Name] = res.stats
 	}
+	clear(e.served)
 	return stats, nil
 }
 
-// normalizeInto writes raw, rescaled so that its global maximum is normMax
-// (as is when every score is zero), over served — the table a previous call
-// returned, rewritten in place wherever its vectors have the room, or nil —
-// and returns it with the per-relation maxima of the rescaled scores: the
-// arithmetic of rank.Normalize and MaxScore over a copy, without the copy.
-func normalizeInto(served, raw relational.DBScores, normMax float64) (relational.DBScores, map[string]float64) {
+// scale is how one setting's raw scores are served: tuple t of a relation
+// scores float64(raw[t]*f), where f rescales the global maximum to
+// rank.DefaultOptions().NormalizeMax (1 when no score is positive) — bit
+// for bit what rank.Normalize writes, without writing it — and relMax[rel]
+// is rel's largest served score, the G_DS Max/MMax annotation input.
+type scale struct {
+	f      float64
+	relMax map[string]float64
+}
+
+// newScale is the scale of raw, a table of db's relations. rawMax[ri],
+// when given, is relation ri's largest raw score (at least 0); nil scans.
+// Rounding is monotone under a positive f, so each relation's largest
+// served score is its largest raw score scaled.
+func newScale(db *relational.DB, raw relational.DBScores, rawMax []float64) scale {
+	maxes := make(map[string]float64, len(raw))
 	top := 0.0
-	for _, sc := range raw {
-		top = max(top, sc.MaxScore())
+	for ri, r := range db.Relations {
+		v, ok := raw[r.Name]
+		if !ok {
+			continue
+		}
+		var m float64
+		if rawMax != nil {
+			m = rawMax[ri]
+		} else {
+			m = v.MaxScore()
+		}
+		maxes[r.Name], top = m, max(top, m)
 	}
 	f := 1.0
-	if top > 0 && normMax > 0 {
+	if normMax := rank.DefaultOptions().NormalizeMax; top > 0 && normMax > 0 {
 		f = normMax / top
 	}
-	if served == nil {
-		served = make(relational.DBScores, len(raw))
+	for rel, m := range maxes {
+		maxes[rel] = float64(m * f)
 	}
-	maxes := make(map[string]float64, len(raw))
-	for rel, sc := range raw {
-		out := served[rel]
-		if cap(out) < len(sc) {
-			out = make(relational.Scores, len(sc))
-		}
-		out = out[:len(sc)]
-		m := 0.0
-		for i, v := range sc {
-			v *= f
-			out[i] = v
-			if v > m {
-				m = v
-			}
-		}
-		served[rel], maxes[rel] = out, m
-	}
-	return served, maxes
+	return scale{f: f, relMax: maxes}
 }
 
 // RegisterGDS installs a Data Subject Schema Graph; one annotated clone is
@@ -424,13 +429,13 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 }
 
 // annotateLocked clones gds once per setting and annotates each clone from
-// that setting's per-relation maxima (the single table normalizeInto
-// produced; no per-node score-vector scans). Callers hold the write lock.
+// that setting's per-relation maxima (its scale's; no per-node score-vector
+// scans). Callers hold the write lock.
 func (e *Engine) annotateLocked(gds *schemagraph.GDS) (map[string]*schemagraph.GDS, error) {
-	perSetting := make(map[string]*schemagraph.GDS, len(e.scores))
-	for name := range e.scores {
+	perSetting := make(map[string]*schemagraph.GDS, len(e.scales))
+	for name, sc := range e.scales {
 		c := gds.Clone()
-		if err := c.AnnotateMax(e.relMax[name]); err != nil {
+		if err := c.AnnotateMax(sc.relMax); err != nil {
 			return nil, fmt.Errorf("sizelos: annotate %s under %s: %w", gds.DSName, name, err)
 		}
 		perSetting[name] = c
@@ -438,7 +443,7 @@ func (e *Engine) annotateLocked(gds *schemagraph.GDS) (map[string]*schemagraph.G
 	return perSetting, nil
 }
 
-// reannotateLocked re-annotates every registered G_DS from e.relMax, which
+// reannotateLocked re-annotates every registered G_DS from e.scales, which
 // the caller has just refreshed (a re-rank that changed scores, a
 // compaction): a few 6–8 node clones, 11 µs for DBLP's two G_DSs under four
 // settings, so nothing decides whether it is needed. Callers hold the
@@ -493,23 +498,45 @@ func (e *Engine) Graph() *datagraph.Graph {
 	return e.graph
 }
 
-// Scores returns the global importance of a setting. The returned table is
-// live: a later Mutate extends its per-relation vectors in place and a
-// re-ranking one rewrites every score in them in place, so don't read it
-// concurrently with mutations, and re-fetch (or copy) it to compare scores
-// across one.
+// Scores returns the global importance of a setting, normalized for
+// presentation: every score exactly as searches read it. The table is the
+// caller's to read, never written again: a later Mutate that changes any
+// score leaves it as it was and the next call returns a new one. It is
+// built on the first call after such a change (the engine serves its raw
+// vectors through a scale and keeps no such table otherwise); treat it as
+// read-only, calls in between share it.
 func (e *Engine) Scores(setting string) (relational.DBScores, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.scoresLocked(setting)
+	raw, f, err := e.scoresLocked(setting)
+	if err != nil {
+		return nil, err
+	}
+	e.servedMu.Lock()
+	defer e.servedMu.Unlock()
+	if sc, ok := e.served[setting]; ok {
+		return sc, nil
+	}
+	sc := make(relational.DBScores, len(raw))
+	for rel, v := range raw {
+		out := make(relational.Scores, len(v))
+		for i, x := range v {
+			out[i] = float64(x * f)
+		}
+		sc[rel] = out
+	}
+	e.served[setting] = sc
+	return sc, nil
 }
 
-func (e *Engine) scoresLocked(setting string) (relational.DBScores, error) {
-	sc, ok := e.scores[setting]
+// scoresLocked returns a setting's raw scores and the scale f they are
+// served at (relational.Scaled). Callers hold at least the read lock.
+func (e *Engine) scoresLocked(setting string) (relational.DBScores, float64, error) {
+	raw, ok := e.rawScores[setting]
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown setting %q (have %v)", ErrInvalidRequest, setting, e.settingNamesLocked())
+		return nil, 0, fmt.Errorf("%w: unknown setting %q (have %v)", ErrInvalidRequest, setting, e.settingNamesLocked())
 	}
-	return sc, nil
+	return raw, e.scales[setting].f, nil
 }
 
 // SettingNames lists the configured settings, sorted.
@@ -520,8 +547,8 @@ func (e *Engine) SettingNames() []string {
 }
 
 func (e *Engine) settingNamesLocked() []string {
-	out := make([]string, 0, len(e.scores))
-	for k := range e.scores {
+	out := make([]string, 0, len(e.rawScores))
+	for k := range e.rawScores {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -758,7 +785,7 @@ func (e *Engine) SizeL(req QueryRequest, tuple relational.TupleID) (Summary, err
 // bound at l is under tau (sealedBy) selection is skipped; -Inf selects.
 func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float64, k *kernel) (scored, error) {
 	dsRel, l := req.Rel, req.L
-	sc, err := e.scoresLocked(req.Setting)
+	raw, f, err := e.scoresLocked(req.Setting)
 	if err != nil {
 		return scored{}, err
 	}
@@ -767,7 +794,7 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 		return scored{}, err
 	}
 	if k.src == nil {
-		k.src = ostree.NewGraphSource(e.graph, sc)
+		k.src = ostree.NewScaledGraphSource(e.graph, raw, f)
 	}
 
 	var arena *ostree.Tree // nil: PrelimL makes one

@@ -123,8 +123,7 @@ var _ MatchStream = (*frontierStream)(nil)
 
 // newFrontier streams the lazy intersection of lists into a heap of
 // matches for one relation. Scores beyond the vector's length read as 0.
-func newFrontier(dsRel string, lists [][]relational.TupleID, scores relational.DBScores) *frontierStream {
-	s := scores[dsRel]
+func newFrontier(dsRel string, lists [][]relational.TupleID, s relational.Scaled) *frontierStream {
 	f := &frontierStream{}
 	it := newIntersection(lists)
 	for {
@@ -133,8 +132,8 @@ func newFrontier(dsRel string, lists [][]relational.TupleID, scores relational.D
 			break
 		}
 		m := Match{Relation: dsRel, Tuple: id}
-		if int(id) < len(s) {
-			m.Score = s[id]
+		if int(id) < len(s.Raw) {
+			m.Score = s.At(id)
 		}
 		f.heap = append(f.heap, m)
 	}
@@ -213,9 +212,16 @@ func (idx *Sharded) keywordLists(rel string, keywords []string) ([][]relational.
 // keyword query — exactly Lookup's tuples — in best-first order, produced
 // on demand: O(n) frontier build, O(log n) per pop.
 func (idx *Sharded) SearchStream(dsRel, query string, scores relational.DBScores) MatchStream {
+	return idx.SearchScaled(dsRel, query, relational.Scaled{Raw: scores[dsRel], F: 1})
+}
+
+// SearchScaled is SearchStream over dsRel's scores served at a scale: a
+// match scores s.At(tuple), so a setting's raw vector ranks without a
+// rescaled copy.
+func (idx *Sharded) SearchScaled(dsRel, query string, s relational.Scaled) MatchStream {
 	lists, ok := idx.keywordLists(dsRel, Tokenize(query))
 	if !ok {
 		return emptyStream{}
 	}
-	return newFrontier(dsRel, lists, scores)
+	return newFrontier(dsRel, lists, s)
 }

@@ -11,7 +11,9 @@
 // One hop rule: Build walks only a bound G_DS (schemagraph.GDS.Bind).
 // GraphSource crosses each node's datagraph.Hop (reversed for Parents) and
 // reads scores by relation ordinal, resolved once per source: no name is
-// looked up per extraction. DBSource reads the name-based Step instead.
+// looked up per extraction. It reads them at a scale
+// (NewScaledGraphSource), so the engine extracts from its raw vectors.
+// DBSource reads the name-based Step instead.
 //
 // # Invariants
 //

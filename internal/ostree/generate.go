@@ -55,7 +55,7 @@ func Build(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID, o
 		GDS:    gds.Root,
 		Rel:    int32(gds.Root.RelOrd),
 		Tuple:  root,
-		Weight: src.Scores(gds.Root.RelOrd)[root] * gds.Root.Affinity,
+		Weight: src.Scores(gds.Root.RelOrd).At(root) * gds.Root.Affinity,
 		Parent: None,
 	})
 	var ids []NodeID
@@ -83,7 +83,7 @@ func Build(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID, o
 					GDS:    gchild,
 					Rel:    rel,
 					Tuple:  ct,
-					Weight: scores[ct] * gchild.Affinity,
+					Weight: scores.At(ct) * gchild.Affinity,
 					Parent: NodeID(cur),
 					Depth:  n.Depth + 1,
 				})

@@ -35,8 +35,9 @@ type Source interface {
 	// DB returns the underlying database (for schema and rendering).
 	DB() *relational.DB
 	// Scores returns the active setting's global-importance scores of
-	// relation ordinal rel, resolved once when the source was made.
-	Scores(rel int) relational.Scores
+	// relation ordinal rel, resolved once when the source was made, at the
+	// scale they are served at.
+	Scores(rel int) relational.Scaled
 	// Accesses returns the number of extraction operations performed.
 	Accesses() int64
 	// ResetAccesses zeroes the counter and returns its prior value.
@@ -84,7 +85,9 @@ func NewDBSource(db *relational.DB, scores relational.DBScores) *DBSource {
 func (s *DBSource) DB() *relational.DB { return s.db }
 
 // Scores implements Source.
-func (s *DBSource) Scores(rel int) relational.Scores { return s.scores[rel] }
+func (s *DBSource) Scores(rel int) relational.Scaled {
+	return relational.Scaled{Raw: s.scores[rel], F: 1}
+}
 
 // Accesses implements Source.
 func (s *DBSource) Accesses() int64 { return s.db.Accesses() }
@@ -143,8 +146,8 @@ func (s *DBSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID,
 		}
 		return idx.TopL(db, parentRel.PK(parent), minScore, limit)
 	case schemagraph.StepParentFK:
-		scores := s.scores[gn.RelOrd]
-		return sortTopL(keepOver(nil, s.Children(gn, parent), scores, minScore), scores, limit)
+		sc := s.Scores(gn.RelOrd)
+		return sortTopL(keepOver(nil, s.Children(gn, parent), sc, minScore), sc, limit)
 	case schemagraph.StepJunction:
 		lists, ok := s.junction[gn]
 		if !ok {
@@ -204,9 +207,9 @@ func topLFromSorted(sorted []relational.TupleID, scores relational.Scores, minSc
 }
 
 // keepOver appends to dst the ids scoring over minScore, in order.
-func keepOver(dst, ids []relational.TupleID, scores relational.Scores, minScore float64) []relational.TupleID {
+func keepOver(dst, ids []relational.TupleID, sc relational.Scaled, minScore float64) []relational.TupleID {
 	for _, id := range ids {
-		if scores[id] > minScore {
+		if sc.At(id) > minScore {
 			dst = append(dst, id)
 		}
 	}
@@ -215,12 +218,12 @@ func keepOver(dst, ids []relational.TupleID, scores relational.Scores, minScore 
 
 // sortTopL orders ids, which all passed the threshold, by descending score,
 // ties by ascending id, and cuts them to limit: nil when none are left.
-func sortTopL(ids []relational.TupleID, scores relational.Scores, limit int) []relational.TupleID {
+func sortTopL(ids []relational.TupleID, sc relational.Scaled, limit int) []relational.TupleID {
 	if len(ids) == 0 || limit <= 0 {
 		return nil
 	}
 	slices.SortFunc(ids, func(a, b relational.TupleID) int {
-		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+		if c := cmp.Compare(sc.At(b), sc.At(a)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
@@ -236,6 +239,7 @@ func sortTopL(ids []relational.TupleID, scores relational.Scores, limit int) []r
 type GraphSource struct {
 	g        *datagraph.Graph
 	scores   []relational.Scores // by relation ordinal
+	f        float64             // the scale every score is served at
 	accesses int64
 	// hop and top are the scratch a junction step's children and a TOP-l
 	// extraction's survivors are written into (Source's aliasing contract).
@@ -247,8 +251,15 @@ type GraphSource struct {
 
 // NewGraphSource creates a data-graph-backed extraction source.
 func NewGraphSource(g *datagraph.Graph, scores relational.DBScores) *GraphSource {
-	s := &GraphSource{g: g}
-	s.scores = byOrdinal(s.inline[:0], g.DB, scores)
+	return NewScaledGraphSource(g, scores, 1)
+}
+
+// NewScaledGraphSource is a GraphSource over raw scores served at scale f:
+// every weight and threshold reads relational.Scaled.At, what a table
+// rescaled by f in place would hold.
+func NewScaledGraphSource(g *datagraph.Graph, raw relational.DBScores, f float64) *GraphSource {
+	s := &GraphSource{g: g, f: f}
+	s.scores = byOrdinal(s.inline[:0], g.DB, raw)
 	return s
 }
 
@@ -256,7 +267,9 @@ func NewGraphSource(g *datagraph.Graph, scores relational.DBScores) *GraphSource
 func (s *GraphSource) DB() *relational.DB { return s.g.DB }
 
 // Scores implements Source.
-func (s *GraphSource) Scores(rel int) relational.Scores { return s.scores[rel] }
+func (s *GraphSource) Scores(rel int) relational.Scaled {
+	return relational.Scaled{Raw: s.scores[rel], F: s.f}
+}
 
 // Accesses implements Source.
 func (s *GraphSource) Accesses() int64 { return s.accesses }
@@ -287,9 +300,9 @@ func (s *GraphSource) Parents(gn *schemagraph.Node, child relational.TupleID) []
 // ChildrenTopL implements Source, copying and sorting only the children
 // over minScore.
 func (s *GraphSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID {
-	scores := s.scores[gn.RelOrd]
-	s.top = keepOver(s.top[:0], s.Children(gn, parent), scores, minScore)
-	return sortTopL(s.top, scores, limit)
+	sc := s.Scores(gn.RelOrd)
+	s.top = keepOver(s.top[:0], s.Children(gn, parent), sc, minScore)
+	return sortTopL(s.top, sc, limit)
 }
 
 // Subjects lists the root tuples of gds whose OS a committed batch can have

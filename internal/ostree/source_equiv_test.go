@@ -1,13 +1,16 @@
 package ostree_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"sizelos"
 	"sizelos/internal/datagen"
 	"sizelos/internal/datagraph"
 	"sizelos/internal/mutgen"
 	"sizelos/internal/ostree"
+	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/schemagraph"
 	"sizelos/internal/sizel"
@@ -35,11 +38,11 @@ func distinctScores(t *testing.T, db *relational.DB, gdss []*schemagraph.GDS) re
 	return scores
 }
 
-// spell is a tree as its (G_DS node, tuple, parent) sequence.
+// spell is a tree as its (G_DS node, tuple, parent, weight bits) sequence.
 func spell(tree *ostree.Tree) []any {
-	out := make([]any, 0, 3*tree.Len())
+	out := make([]any, 0, 4*tree.Len())
 	for _, n := range tree.Nodes {
-		out = append(out, n.GDS.Label, n.Tuple, n.Parent)
+		out = append(out, n.GDS.Label, n.Tuple, n.Parent, math.Float64bits(n.Weight))
 	}
 	return out
 }
@@ -50,7 +53,10 @@ func spell(tree *ostree.Tree) []any {
 // For the four G_DSs the engine registers, every node's Children list of
 // every live parent and every live subject's prelim-l OS are equal, on the
 // freshly built graph and after each batch of one seeded mutation stream
-// edited into it in place.
+// edited into it in place. The engine's own GraphSource reads raw scores at
+// a scale (ostree.NewScaledGraphSource): over a DBLP engine's seeded
+// stream, re-ranked and plain batches alike, every subject's prelim-l OS it
+// extracts — weights included — equals DBSource's over Engine.Scores.
 func TestDBSourceMatchesGraphSource(t *testing.T) {
 	dblp := datagen.DefaultDBLPConfig()
 	dblp.Authors, dblp.Papers, dblp.Conferences, dblp.YearSpan = 50, 160, 4, 3
@@ -138,4 +144,60 @@ func TestDBSourceMatchesGraphSource(t *testing.T) {
 			t.Errorf("%s: compared %d children, graph changed by the rounds %v; the test exercised nothing", f.name, compared, changed)
 		}
 	}
+
+	eng, err := sizelos.OpenDBLP(dblp)
+	if err != nil {
+		t.Fatalf("OpenDBLP: %v", err)
+	}
+	gen := mutgen.New(eng.DB(), 6)
+	trees := 0
+	for round := 0; round < 6; round++ {
+		if round > 0 {
+			b := gen.NextBatch()
+			if _, err := eng.Mutate(sizelos.MutationBatch{Deletes: b.Deletes, Inserts: b.Inserts, Rerank: round%2 == 1}); err != nil {
+				t.Fatalf("engine round %d: Mutate: %v", round, err)
+			}
+		}
+		served, err := eng.Scores(sizelos.DefaultSetting)
+		if err != nil {
+			t.Fatalf("engine round %d: Scores: %v", round, err)
+		}
+		st, _, err := eng.ExportState()
+		if err != nil {
+			t.Fatalf("engine round %d: ExportState: %v", round, err)
+		}
+		raw, top := st.RawScores[sizelos.DefaultSetting], 0.0
+		for _, v := range raw {
+			top = max(top, v.MaxScore())
+		}
+		dbs := ostree.NewDBSource(eng.DB(), served)
+		gs := ostree.NewScaledGraphSource(eng.Graph(), raw, rank.DefaultOptions().NormalizeMax/top)
+		for _, ds := range []string{"Author", "Paper"} {
+			gds, err := eng.GDS(ds, sizelos.DefaultSetting)
+			if err != nil {
+				t.Fatalf("engine round %d: GDS(%s): %v", round, ds, err)
+			}
+			subjects := eng.DB().Relation(ds)
+			for s := relational.TupleID(0); int(s) < subjects.Len(); s++ {
+				if subjects.Deleted(s) {
+					continue
+				}
+				for _, l := range []int{5, 15} {
+					a, _, err := sizel.PrelimL(dbs, gds, s, l, sizel.PrelimOptions{MaxDepth: l - 1})
+					if err != nil {
+						t.Fatalf("engine round %d: PrelimL(db, %s %d): %v", round, ds, s, err)
+					}
+					b, _, err := sizel.PrelimL(gs, gds, s, l, sizel.PrelimOptions{MaxDepth: l - 1})
+					if err != nil {
+						t.Fatalf("engine round %d: PrelimL(scaled graph, %s %d): %v", round, ds, s, err)
+					}
+					if !reflect.DeepEqual(spell(a), spell(b)) {
+						t.Fatalf("engine round %d: prelim-%d OS of %s %d differs:\n db           %v\n scaled graph %v", round, l, ds, s, spell(a), spell(b))
+					}
+					trees++
+				}
+			}
+		}
+	}
+	t.Logf("scaled GraphSource ≡ DBSource over Engine.Scores: %d prelim-l OSs over 6 rounds", trees)
 }

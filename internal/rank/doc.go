@@ -44,14 +44,18 @@
 //     scores (NormalizeMax == 0 output). Normalize's presentation rescale
 //     moves a vector far from the fixed point; feeding it back as a warm
 //     start squanders the head start, and feeding it to RunResidual breaks
-//     the residual-seeding identity outright. Callers keep two tables.
+//     the residual-seeding identity outright. Callers keep the raw table
+//     and serve it at a scale (relational.Scaled).
 //   - RunResidual repairs Options.Warm in place: it rescales the prior
 //     there and adds every push into it as it is made. A completed repair
 //     returns Options.Warm itself; a fallback returns exactly Plans.Run
 //     warm-started from what the repair left in it. It allocates, clears
 //     and copies nothing of arena size: the residual vector and the node
 //     marks are a scratch of the Plans', all-zero between repairs and
-//     zeroed by walking the nodes the repair wrote.
+//     zeroed by walking the nodes the repair wrote. It reports each
+//     relation's maximum (Stats.Max) from the rescale and the pushed
+//     nodes, rescanning a relation only when the node that held its
+//     maximum was pushed below it.
 //   - Plans.Run has one canonical order: each destination's contributions
 //     are summed plan ordinal, source ascending, target position, by the
 //     one goroutine that runs the iteration, so equal plans and options

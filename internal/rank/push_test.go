@@ -192,9 +192,10 @@ const wideFrontier = 256
 // d = 0.85 and at d = 0.99 — and holds each to the same contract: the
 // Plans' one scratch is back all-zero, the same call from another copy of
 // the prior returns the same bits, a drained repair hands back the very
-// table it was given and lands on the cold fixed point, and a trip returns
-// bit for bit what Plans.Run returns warm from what the repair left in the
-// table it was given, on the cold fixed point.
+// table it was given, lands on the cold fixed point and reports every
+// relation's maximum as a scan of it finds it, and a trip returns bit for
+// bit what Plans.Run returns warm from what the repair left in the table it
+// was given, on the cold fixed point, with no maxima.
 func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -253,7 +254,15 @@ func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 					t.Fatal("a drained repair returned a table other than Options.Warm")
 				}
 				requireNearCold(t, ps, got, tc.damping)
+				for ri, r := range ps.g.DB.Relations {
+					if m := got[r.Name].MaxScore(); math.Float64bits(st.Max[ri]) != math.Float64bits(m) {
+						t.Fatalf("%s: tracked maximum %v, scan %v (%d rescans)", r.Name, st.Max[ri], m, st.MaxRescans)
+					}
+				}
 			} else {
+				if st.Max != nil {
+					t.Fatalf("a fallback reported maxima %v", st.Max)
+				}
 				full := opts
 				full.Warm = cloneScores(opts.Warm)
 				want, _, err := ps.Run(full)
@@ -269,7 +278,7 @@ func TestResidualScratchAndFallbackInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second RunResidual: %v", err)
 			}
-			if st2 != st {
+			if !reflect.DeepEqual(st2, st) {
 				t.Fatalf("second call's stats moved: %+v vs %+v", st2, st)
 			}
 			requireSameTable(t, "second call", got, again)

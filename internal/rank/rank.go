@@ -157,6 +157,14 @@ type Stats struct {
 	// Rounds counts the queue generations a RunResidual pushed from: the
 	// seeds, the nodes they queued, the nodes those queued, and so on.
 	Rounds int
+	// Max[ri] is relation ri's largest returned score, 0 when none is
+	// positive (relational.Scores.MaxScore), tracked by a completed
+	// RunResidual through its rescale and pushes; nil after Run or a
+	// fallback, whose callers scan.
+	Max []float64
+	// MaxRescans counts the relations whose maximum a completed
+	// RunResidual rescanned: their maximum node was pushed below it.
+	MaxRescans int
 }
 
 // span locates one source's row in its plan's store: targets[lo:hi], and

@@ -340,6 +340,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 		return fallback()
 	}
 	stats.Converged = true
+	stats.Max, stats.MaxRescans = pr.maxima()
 
 	ps.putScratch(sc)
 	return opts.Warm, stats, nil
@@ -347,10 +348,12 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 
 // rescale rescales the prior in warm in place — c·p on the slots pending
 // covers, b on fresh ones, each vector grown to its relation first — and
-// returns the push run over it.
+// returns the push run over it, with each relation's maximum and the slot
+// that holds it (-1 when no score is positive).
 func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) *pushRun {
 	db := ps.g.DB
-	pr := &pushRun{ps: ps, raw: make([]relational.Scores, len(db.Relations)), d: d}
+	nRel := len(db.Relations)
+	pr := &pushRun{ps: ps, raw: make([]relational.Scores, nRel), d: d, max: make([]float64, nRel), arg: make([]int32, nRel)}
 	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
 	for ri, rel := range db.Relations {
 		w := warm[rel.Name]
@@ -360,15 +363,49 @@ func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) 
 			w = append(w, make(relational.Scores, size-len(w))...)
 		}
 		x := w[:size]
+		m, arg := 0.0, int32(-1)
 		for i, v := range x[:covered] {
-			x[i] = c * v
+			v = c * v
+			x[i] = v
+			if v > m {
+				m, arg = v, int32(i)
+			}
+		}
+		if covered < size && base > m {
+			m, arg = base, int32(covered)
 		}
 		for i := covered; i < size; i++ {
 			x[i] = base
 		}
 		warm[rel.Name], pr.raw[ri] = x, x
+		pr.max[ri], pr.arg[ri] = m, arg
 	}
 	return pr
+}
+
+// maxima returns each relation's maximum after the drain, and how many
+// relations it rescanned. Only pushed nodes moved since rescale, so a
+// relation's maximum is rescale's or a pushed node's, unless the node that
+// held it was pushed below it: only then is the relation rescanned.
+func (pr *pushRun) maxima() ([]float64, int) {
+	ps, sc := pr.ps, pr.sc
+	out, lost := slices.Clone(pr.max), make([]bool, len(pr.max))
+	for _, v := range sc.dirty {
+		if sc.mark[v]&markPushed != 0 {
+			ri := ps.relOf(v)
+			t := v - ps.relOff[ri]
+			x := pr.raw[ri][t]
+			out[ri] = max(out[ri], x)
+			lost[ri] = lost[ri] || (t == pr.arg[ri] && x < pr.max[ri])
+		}
+	}
+	rescans := 0
+	for ri := range out {
+		if lost[ri] {
+			out[ri], rescans = pr.raw[ri].MaxScore(), rescans+1
+		}
+	}
+	return out, rescans
 }
 
 // sweep seeds the exact residual: it sums M·x into the scratch in

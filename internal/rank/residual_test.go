@@ -3,6 +3,7 @@ package rank_test
 import (
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -234,7 +235,7 @@ func TestAttachSeedsAsCaptured(t *testing.T) {
 			}
 			want, wantSt := run(captured)
 			got, gotSt := run(attached)
-			if wantSt != gotSt {
+			if !reflect.DeepEqual(wantSt, gotSt) {
 				t.Fatalf("attached rows ran %+v, captured %+v", gotSt, wantSt)
 			}
 			for rel, v := range want {

@@ -41,8 +41,8 @@
 //   - Relation.Compact returns a monotonic old→new TupleID remap (-1 for
 //     reclaimed slots) and fixes the PK/FK indexes itself; the caller must
 //     thread the remap through every other TupleID holder in the same
-//     critical section — keyword postings, normalized and raw score
-//     vectors, in-flight batch results, epochs, and the data graph — or
+//     critical section — keyword postings, score vectors, in-flight
+//     batch results, epochs, and the data graph — or
 //     drop them.
 //   - Relation.Version only moves forward, including on failed batches.
 package relational

@@ -12,6 +12,19 @@ type Scores []float64
 // setting.
 type DBScores map[string]Scores
 
+// Scaled is one relation's scores served at a scale: a setting keeps its
+// raw vectors and one presentation factor apart, so a re-rank writes no
+// rescaled copy.
+type Scaled struct {
+	Raw Scores
+	F   float64
+}
+
+// At is tuple t's served score. The conversion rounds the product on its
+// own, so no architecture fuses it into a later add: it is bit for bit the
+// entry a vector rescaled by F in place would hold.
+func (s Scaled) At(t TupleID) float64 { return float64(s.Raw[t] * s.F) }
+
 // MaxScore returns the maximum score in s, or 0 for an empty relation. It is
 // the global statistic behind the paper's max(Ri) annotation (Def. 2).
 func (s Scores) MaxScore() float64 {

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 
 	"sizelos"
 	"sizelos/internal/qos"
@@ -238,21 +240,59 @@ func (r *Registry) resolveTenant(w http.ResponseWriter, name string) (*Tenant, b
 	return t, true
 }
 
+// queryParams are the /search and /ranked URL parameters queryFromURL
+// reads: each the first value of its name, and whether topk is present.
+type queryParams struct {
+	rel, q, setting, algo, cursor, k, l, limit string
+	topk                                       bool
+}
+
+// queryNames are the names parseQueryParams reads, in its dst order.
+var queryNames = []string{"rel", "q", "setting", "algo", "cursor", "k", "l", "limit", "topk"}
+
+// parseQueryParams reads queryParams off a raw URL query in one pass, by
+// url.ParseQuery's rules without its map: pairs split on '&', a pair that
+// holds ';' or whose name or value is badly escaped is dropped, names and
+// values are QueryUnescape'd ('+' is a space), and the first value of a
+// name wins. FuzzQueryParams holds it to url.Values.
+func parseQueryParams(raw string) queryParams {
+	var p queryParams
+	var topk string
+	dst := [...]*string{&p.rel, &p.q, &p.setting, &p.algo, &p.cursor, &p.k, &p.l, &p.limit, &topk}
+	var seen [len(dst)]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		name, value, _ := strings.Cut(pair, "=")
+		name, err := url.QueryUnescape(name)
+		if i := slices.Index(queryNames, name); err == nil && i >= 0 && !seen[i] {
+			if v, err := url.QueryUnescape(value); err == nil {
+				*dst[i], seen[i] = v, true
+			}
+		}
+	}
+	p.topk = seen[len(dst)-1]
+	return p
+}
+
 // queryFromURL lowers the /search and /ranked URL parameters onto the
 // engine's QueryRequest — the one place the wire names (rel q l limit k
 // cursor setting algo) and their defaults (l 15, /ranked's k 10) meet the
 // request struct. What it cannot know without the engine (l >= 1, the
 // algorithm and setting names) the engine validates itself
 // (sizelos.ErrInvalidRequest, a 400 like the rejections here).
-func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) {
+func queryFromURL(params queryParams, ranked bool) (sizelos.QueryRequest, error) {
 	q := sizelos.QueryRequest{
-		Rel:           params.Get("rel"),
-		Query:         params.Get("q"),
+		Rel:           params.rel,
+		Query:         params.q,
 		L:             15,
-		Setting:       params.Get("setting"),
-		Algorithm:     sizelos.Algorithm(params.Get("algo")),
+		Setting:       params.setting,
+		Algorithm:     sizelos.Algorithm(params.algo),
 		RankBySummary: ranked,
-		Cursor:        params.Get("cursor"),
+		Cursor:        params.cursor,
 	}
 	if ranked {
 		q.K = 10
@@ -262,25 +302,24 @@ func queryFromURL(params url.Values, ranked bool) (sizelos.QueryRequest, error) 
 	}
 	// topk was limit's legacy name. It is refused, never ignored like an
 	// unknown parameter: an old client must not receive an unbounded page.
-	if params.Has("topk") {
+	if params.topk {
 		return q, BadRequest("topk is no longer accepted: use limit")
 	}
 	// k belongs to /ranked; accepting it on /search would silently do
 	// nothing, so reject it outright.
-	if !ranked && params.Get("k") != "" {
+	if !ranked && params.k != "" {
 		return q, BadRequest("k applies to /ranked only (use limit on /search)")
 	}
 	// A fixed order, so a request with several bad parameters names the
 	// same one every time.
 	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"l", &q.L}, {"k", &q.K}, {"limit", &q.Limit}} {
-		raw := params.Get(p.name)
-		if raw == "" {
+		name, raw string
+		dst       *int
+	}{{"l", params.l, &q.L}, {"k", params.k, &q.K}, {"limit", params.limit, &q.Limit}} {
+		if p.raw == "" {
 			continue
 		}
-		v, err := strconv.Atoi(raw)
+		v, err := strconv.Atoi(p.raw)
 		// An explicit k=0 is rejected like any other invalid k, rather than
 		// silently coerced to the default.
 		if err != nil || v < 0 || (p.name == "k" && v < 1) {
@@ -296,7 +335,7 @@ func (r *Registry) serveQuery(w http.ResponseWriter, req *http.Request, ranked b
 	if !ok {
 		return
 	}
-	q, err := queryFromURL(req.URL.Query(), ranked)
+	q, err := queryFromURL(parseQueryParams(req.URL.RawQuery), ranked)
 	if err != nil {
 		WriteError(w, err)
 		return

@@ -111,6 +111,10 @@ type RerankStat struct {
 	// Rounds counts the push queue's generations: the seeds, the nodes
 	// they queued, and so on.
 	Rounds int
+	// MaxRescans counts the relations whose maximum score the push had to
+	// rescan (their maximum node was pushed below it); every other maximum
+	// the served scale needs came from passes the re-rank makes anyway.
+	MaxRescans int
 	// Accelerated is never set: no re-rank path reports it. The field
 	// stays because benchmark/trace.go reads it (rank.accelerated_ratio).
 	Accelerated bool
@@ -171,18 +175,17 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 		}
 		// Grow every setting's score vectors over the new slots so ranking
 		// and extraction never index out of range; fresh tuples carry
-		// importance 0 until a re-rank (the raw warm-start vectors grow in
-		// lockstep so they stay positionally aligned).
-		for _, table := range []map[string]relational.DBScores{e.scores, e.rawScores} {
-			for _, sc := range table {
-				for _, rel := range touched {
-					n := e.db.Relation(rel).Len()
-					if s := sc[rel]; len(s) < n {
-						if cap(s) < n { // a sixteenth as room, like the push scratch
-							s = append(make(relational.Scores, 0, n+n/16), s...)
-						}
-						sc[rel] = append(s, make(relational.Scores, n-len(s))...)
+		// importance 0 until a re-rank. A 0 moves no maximum: the scale
+		// stands, only a table Scores built is out of date.
+		for _, sc := range e.rawScores {
+			for _, rel := range touched {
+				n := e.db.Relation(rel).Len()
+				if s := sc[rel]; len(s) < n {
+					if cap(s) < n { // a sixteenth as room, like the push scratch
+						s = append(make(relational.Scores, 0, n+n/16), s...)
 					}
+					sc[rel] = append(s, make(relational.Scores, n-len(s))...)
+					clear(e.served)
 				}
 			}
 		}
@@ -332,6 +335,7 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 			Updates:       st.Updates,
 			FallbackTaken: st.Fallback,
 			Rounds:        st.Rounds,
+			MaxRescans:    st.MaxRescans,
 		}
 	}
 	if err := e.reannotateLocked(); err != nil {
@@ -376,8 +380,8 @@ func (e *Engine) maybeCompactLocked(result *MutationResult, inserts []TupleInser
 // compactLocked physically compacts the named relations and threads the
 // TupleID remap through every structure that stores them: PK/FK indexes
 // (inside Relation.Compact), keyword postings (keyword.Sharded.Remap), raw
-// score vectors (rescaled to the smaller arena, then normalized again into
-// the served ones), this batch's already-assigned insert ids, the data
+// score vectors (rescaled to the smaller arena, their scale retaken from
+// that pass's maxima), this batch's already-assigned insert ids, the data
 // graph (rebuilt over the dense store) and the rank plans (recompiled; it
 // is the only recompile after NewEngine). Each compacted
 // relation's epoch advances and every DS relation whose G_DS reaches one is
@@ -429,23 +433,27 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 	// node count of the geometry they converged under. A reclaimed slot
 	// held only b and fed no other node: scaled by N_conv/N_after the raw
 	// scores stay the fixed point they were, under the compacted geometry
-	// the next re-rank's sweep rescales from. The served copy and its
-	// maxima follow.
+	// the next re-rank's sweep rescales from. The scale follows from the
+	// same pass's maxima.
 	nConv := 0
 	for _, n := range e.convergedSlots {
 		nConv += int(n)
 	}
 	c := float64(nConv) / float64(g.NumNodes())
-	normMax := rank.DefaultOptions().NormalizeMax
+	rawMax := make([]float64, len(e.db.Relations))
 	for _, s := range e.settings {
 		raw := e.rawScores[s.Name]
-		for _, v := range raw {
-			for i := range v {
-				v[i] *= c
+		for ri, r := range e.db.Relations {
+			v, m := raw[r.Name], 0.0
+			for i, x := range v {
+				x *= c
+				v[i], m = x, max(m, x)
 			}
+			rawMax[ri] = m
 		}
-		e.scores[s.Name], e.relMax[s.Name] = normalizeInto(e.scores[s.Name], raw, normMax)
+		e.scales[s.Name] = newScale(e.db, raw, rawMax)
 	}
+	clear(e.served)
 	// The remap moved TupleIDs out from under the compiled plans and any
 	// captured rows: recompile fresh and seed the next re-rank from a sweep.
 	plans, err := compilePlans(g, e.settings)

@@ -415,7 +415,11 @@ func TestDeletedJunctionRowLeavesDBSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, _, err := sizel.PrelimL(ostree.NewDBSource(eng.db, eng.scores[DefaultSetting]), gds, author, 5, sizel.PrelimOptions{MaxDepth: 4})
+		served, err := eng.Scores(DefaultSetting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, _, err := sizel.PrelimL(ostree.NewDBSource(eng.db, served), gds, author, 5, sizel.PrelimOptions{MaxDepth: 4})
 		if err != nil {
 			t.Fatalf("PrelimL(db): %v", err)
 		}

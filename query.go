@@ -218,7 +218,7 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 	if err != nil {
 		return nil, "", QueryStats{}, err
 	}
-	sc, err := e.scoresLocked(req.Setting)
+	raw, f, err := e.scoresLocked(req.Setting)
 	if err != nil {
 		return nil, "", QueryStats{}, err
 	}
@@ -241,7 +241,7 @@ func (e *Engine) QueryPage(req QueryRequest) ([]Summary, string, QueryStats, err
 			return nil, "", QueryStats{}, fmt.Errorf("%w: engine state changed since the cursor was issued", ErrStreamInvalidated)
 		}
 	}
-	stream := e.index.SearchStream(req.Rel, req.Query, sc)
+	stream := e.index.SearchScaled(req.Rel, req.Query, relational.Scaled{Raw: raw[req.Rel], F: f})
 	stats := QueryStats{Matches: stream.Remaining()}
 	// A minted cursor never counts past the answer it pages through; one
 	// that does was forged, and its position must not reach a pop or a slice

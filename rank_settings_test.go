@@ -5,6 +5,7 @@ package sizelos
 // DBLP and TPC-H fixtures under all four evaluation settings.
 
 import (
+	"reflect"
 	"testing"
 
 	"sizelos/internal/datagen"
@@ -79,7 +80,7 @@ func TestRankCompileOnceEqualsOneShot(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Run: %v", err)
 					}
-					if gotStats != wantStats {
+					if !reflect.DeepEqual(gotStats, wantStats) {
 						t.Errorf("stats %+v vs %+v", gotStats, wantStats)
 					}
 					assertScoresIdentical(t, s.Name, got, want)

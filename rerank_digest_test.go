@@ -6,9 +6,10 @@ package sizelos
 // it if it predates the file) and at the new one with SIZELOS_DIGEST_OUT
 // naming a file; it drives one seeded mutgen stream — every batch
 // re-ranked, engine defaults, DBLP and TPC-H — and writes two SHA-256s per
-// re-rank, one over every setting's raw score vectors and one over the
-// normalized vectors queries are served from. The two files must be
-// identical. Digests are never committed: FMA fusion makes them
+// re-rank, one over every setting's raw score vectors (ExportState) and one
+// over the normalized scores queries are served (Engine.Scores). Both are
+// read through the exported surface, so the file runs unedited on an older
+// tree. The two files must be identical. Digests are never committed: FMA fusion makes them
 // architecture-specific. `make rerank-digest BASE=<rev>` does all of it
 // against a scratch copy of the base.
 //
@@ -67,8 +68,18 @@ func TestRerankStreamDigest(t *testing.T) {
 				}
 			}
 			compactions += len(res.Compacted)
+			st, _, err := eng.ExportState()
+			if err != nil {
+				t.Fatalf("%s batch %d: ExportState: %v", ds, i, err)
+			}
+			served := make(map[string]relational.DBScores)
+			for _, name := range eng.SettingNames() {
+				if served[name], err = eng.Scores(name); err != nil {
+					t.Fatalf("%s batch %d: Scores(%s): %v", ds, i, name, err)
+				}
+			}
 			fmt.Fprintf(&out, "%s batch=%03d raw=%x served=%x\n", ds, i,
-				scoreDigest(eng, eng.rawScores), scoreDigest(eng, eng.scores))
+				scoreDigest(eng, st.RawScores), scoreDigest(eng, served))
 		}
 		t.Logf("%s: %d re-ranks, %d pushes in %d rounds, %d fallbacks, %d compactions",
 			ds, digestBatches, pushes, rounds, fallbacks, compactions)
@@ -78,9 +89,8 @@ func TestRerankStreamDigest(t *testing.T) {
 	}
 }
 
-// scoreDigest hashes every setting's score vectors in one of the engine's
-// tables, settings and relations in name order, each float by its IEEE-754
-// bits.
+// scoreDigest hashes every setting's score vectors in a per-setting table,
+// settings and relations in name order, each float by its IEEE-754 bits.
 func scoreDigest(e *Engine, table map[string]relational.DBScores) [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
