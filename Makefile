@@ -13,8 +13,20 @@ vet:
 test:
 	$(GO) test ./...
 
+# The tests that skip unless their variable is set: a live process, a
+# multicore box, a digest file, a soak, a corpus to write.
+ENV_GATED := TestRerankStreamDigest|TestLiveServiceHTTP|TestLiveServiceCrashRecovery|TestLiveServiceGracefulShutdown|TestScaleOutFleetSurvivesNodeKill|TestShardedIndexBuildSpeedupMulticore|TestIncrementalMutateSpeedupMulticore|TestQoSSoak|TestWriteFuzzCorpus
+
+# Every test under the race detector (CI's race leg). -v puts each skip in
+# the log, and a skip outside ENV_GATED fails the target: a proof that
+# stops running shows, and a new proof needs no list of its own.
 race:
-	$(GO) test -race ./...
+	@log=$$(mktemp); trap 'rm -f "$$log"' EXIT; \
+	if ! $(GO) test -race -v ./... > "$$log" 2>&1; then cat "$$log"; exit 1; fi; \
+	grep -E '^(ok|FAIL|\?) ' "$$log"; \
+	if grep -E -- '--- SKIP: ' "$$log" | grep -Ev -- '--- SKIP: ($(ENV_GATED)) \('; then \
+		echo "make race: the tests above skipped; only ENV_GATED ones may"; exit 1; \
+	fi
 
 # The microbenchmark families worth a look by hand — one per layer of the
 # read, write, durability and routing paths (README "Benchmarks" maps each
@@ -39,7 +51,7 @@ loc:
 # The ratchet: `make loc` may not exceed LOC_BUDGET, so deleted lines stay
 # deleted. A PR that removes lines lowers it to its own result; one that
 # has to raise it says why in CHANGES.md.
-LOC_BUDGET := 16500
+LOC_BUDGET := 16373
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

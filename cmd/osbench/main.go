@@ -29,7 +29,7 @@ type bench struct {
 	dblpCfg datagen.DBLPConfig
 	tpchCfg datagen.TPCHConfig
 	roots   int
-	judges  int
+	judge   eval.JudgeConfig
 	seed    int64
 
 	dblp *sizelos.Engine
@@ -62,33 +62,127 @@ func main() {
 	tpchCfg.Seed = *seed
 	tpchCfg.ScaleFactor = *sf
 
-	b := &bench{dblpCfg: dblpCfg, tpchCfg: tpchCfg, roots: *roots, judges: *judges, seed: *seed}
+	b := &bench{dblpCfg: dblpCfg, tpchCfg: tpchCfg, roots: *roots, judge: eval.DefaultJudgeConfig(), seed: *seed}
+	b.judge.Judges = *judges
 	if err := b.run(strings.Split(*fig, ",")); err != nil {
 		fmt.Fprintf(os.Stderr, "osbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func (b *bench) run(figs []string) error {
-	expand := map[string][]string{
-		"all": {"8a", "8b", "8c", "8d", "snippets", "9", "9e", "9f", "10", "10e", "10f", "stability"},
-		"8":   {"8a", "8b", "8c", "8d"},
+// figure is one reproducible table of §6: the workloads it runs on, in
+// order, and what it computes on one of them from its sampled roots. A
+// figure over several workloads prints one table each, titled with the
+// workload's name and followed by a blank line.
+type figure struct {
+	name      string
+	workloads []string
+	run       func(w workload, roots []relational.TupleID) (eval.Figure, error)
+}
+
+var allWorkloads = []string{"dblp-author", "dblp-paper", "tpch-customer", "tpch-supplier"}
+
+// figures lists every figure in the order -fig all prints them.
+func (b *bench) figures() []figure {
+	effectiveness := func(name, wname string) figure {
+		return figure{name, []string{wname}, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			fig, err := eval.Effectiveness(w.eng, w.dsRel, roots, figLs, allSettings, b.judge)
+			fig.Title = "Figure " + name + strings.TrimPrefix(fig.Title, "Figure 8")
+			return fig, err
+		}}
 	}
-	var todo []string
+	author := []string{"dblp-author"}
+	return []figure{
+		effectiveness("8a", "dblp-author"), effectiveness("8b", "dblp-paper"),
+		effectiveness("8c", "tpch-customer"), effectiveness("8d", "tpch-supplier"),
+		{"snippets", author, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.SnippetComparison(w.eng, w.dsRel, roots, b.judge)
+		}},
+		{"9", allWorkloads, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.Approximation(w.eng, w.dsRel, roots, approxLs, sizelos.DefaultSetting)
+		}},
+		{"9e", author, func(w workload, _ []relational.TupleID) (eval.Figure, error) {
+			// One small Author OS: the paper's |OS|=67 case, where all
+			// methods reach 100% by l=25.
+			small, err := eval.PickRoots(w.eng, w.dsRel, 1, 50, b.seed+31)
+			if err != nil {
+				return eval.Figure{}, err
+			}
+			fig, err := eval.Approximation(w.eng, w.dsRel, small, approxLs, sizelos.DefaultSetting)
+			fig.Title += " [single small OS, Fig 9e]"
+			return fig, err
+		}},
+		{"9f", author, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.ApproximationAcrossSettings(w.eng, w.dsRel, roots, 10, allSettings)
+		}},
+		{"10", allWorkloads, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.Efficiency(w.eng, w.dsRel, roots, approxLs, sizelos.DefaultSetting)
+		}},
+		{"10e", author, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.Scalability(w.eng, w.dsRel, roots, 10, sizelos.DefaultSetting)
+		}},
+		{"10f", []string{"tpch-supplier"}, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.GenerationBreakdown(w.eng, w.dsRel, roots, []int{10, 50}, sizelos.DefaultSetting)
+		}},
+		{"stability", author, func(w workload, roots []relational.TupleID) (eval.Figure, error) {
+			return eval.LStability(w.eng, w.dsRel, roots, figLs, sizelos.DefaultSetting)
+		}},
+	}
+}
+
+func (b *bench) run(names []string) error {
+	figs := b.figures()
+	byName := make(map[string]figure, len(figs))
 	for _, f := range figs {
-		f = strings.TrimSpace(f)
-		if sub, ok := expand[f]; ok {
-			todo = append(todo, sub...)
-		} else {
+		byName[f.name] = f
+	}
+	var todo []figure
+	for _, name := range names {
+		switch name = strings.TrimSpace(name); name {
+		case "all":
+			todo = append(todo, figs...)
+		case "8":
+			todo = append(todo, figs[:4]...) // 8a-8d
+		default:
+			f, ok := byName[name]
+			if !ok {
+				return fmt.Errorf("unknown figure %q", name)
+			}
 			todo = append(todo, f)
 		}
 	}
 	for _, f := range todo {
 		start := time.Now()
-		if err := b.figure(f); err != nil {
-			return fmt.Errorf("figure %s: %w", f, err)
+		if err := b.print(f); err != nil {
+			return fmt.Errorf("figure %s: %w", f.name, err)
 		}
-		fmt.Printf("[fig %s done in %v]\n\n", f, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[fig %s done in %v]\n\n", f.name, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
+// print runs f on each of its workloads and prints the tables.
+func (b *bench) print(f figure) error {
+	for _, name := range f.workloads {
+		w, err := b.workload(name)
+		if err != nil {
+			return err
+		}
+		roots, err := eval.PickRoots(w.eng, w.dsRel, b.roots, w.minOS, b.seed+77)
+		if err != nil {
+			return err
+		}
+		fig, err := f.run(w, roots)
+		if err != nil {
+			return err
+		}
+		if len(f.workloads) > 1 {
+			fig.Title += " [" + name + "]"
+		}
+		fmt.Print(fig.Format())
+		if len(f.workloads) > 1 {
+			fmt.Println()
+		}
 	}
 	return nil
 }
@@ -142,164 +236,4 @@ func (b *bench) workload(name string) (workload, error) {
 	default:
 		return workload{}, fmt.Errorf("unknown workload %s", name)
 	}
-}
-
-func (b *bench) rootsFor(w workload) ([]relational.TupleID, error) {
-	return eval.PickRoots(w.eng, w.dsRel, b.roots, w.minOS, b.seed+77)
-}
-
-func (b *bench) judgeCfg() eval.JudgeConfig {
-	cfg := eval.DefaultJudgeConfig()
-	cfg.Judges = b.judges
-	return cfg
-}
-
-func (b *bench) figure(name string) error {
-	switch name {
-	case "8a", "8b", "8c", "8d":
-		wname := map[string]string{
-			"8a": "dblp-author", "8b": "dblp-paper",
-			"8c": "tpch-customer", "8d": "tpch-supplier",
-		}[name]
-		w, err := b.workload(wname)
-		if err != nil {
-			return err
-		}
-		roots, err := b.rootsFor(w)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.Effectiveness(w.eng, w.dsRel, roots, figLs, allSettings, b.judgeCfg())
-		if err != nil {
-			return err
-		}
-		fig.Title = fmt.Sprintf("Figure %s: %s", name, fig.Title[10:])
-		fmt.Print(fig.Format())
-	case "snippets":
-		w, err := b.workload("dblp-author")
-		if err != nil {
-			return err
-		}
-		roots, err := b.rootsFor(w)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.SnippetComparison(w.eng, w.dsRel, roots, b.judgeCfg())
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig.Format())
-	case "9":
-		for _, wname := range []string{"dblp-author", "dblp-paper", "tpch-customer", "tpch-supplier"} {
-			w, err := b.workload(wname)
-			if err != nil {
-				return err
-			}
-			roots, err := b.rootsFor(w)
-			if err != nil {
-				return err
-			}
-			fig, err := eval.Approximation(w.eng, w.dsRel, roots, approxLs, sizelos.DefaultSetting)
-			if err != nil {
-				return err
-			}
-			fig.Title += " [" + wname + "]"
-			fmt.Print(fig.Format())
-			fmt.Println()
-		}
-	case "9e":
-		// One small Author OS: the paper's |OS|=67 case, where all methods
-		// reach 100% by l=25.
-		w, err := b.workload("dblp-author")
-		if err != nil {
-			return err
-		}
-		small, err := eval.PickRoots(w.eng, w.dsRel, 1, 50, b.seed+31)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.Approximation(w.eng, w.dsRel, small, approxLs, sizelos.DefaultSetting)
-		if err != nil {
-			return err
-		}
-		fig.Title += " [single small OS, Fig 9e]"
-		fmt.Print(fig.Format())
-	case "9f":
-		w, err := b.workload("dblp-author")
-		if err != nil {
-			return err
-		}
-		roots, err := b.rootsFor(w)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.ApproximationAcrossSettings(w.eng, w.dsRel, roots, 10, allSettings)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig.Format())
-	case "10":
-		for _, wname := range []string{"dblp-author", "dblp-paper", "tpch-customer", "tpch-supplier"} {
-			w, err := b.workload(wname)
-			if err != nil {
-				return err
-			}
-			roots, err := b.rootsFor(w)
-			if err != nil {
-				return err
-			}
-			fig, err := eval.Efficiency(w.eng, w.dsRel, roots, approxLs, sizelos.DefaultSetting)
-			if err != nil {
-				return err
-			}
-			fig.Title += " [" + wname + "]"
-			fmt.Print(fig.Format())
-			fmt.Println()
-		}
-	case "10e":
-		w, err := b.workload("dblp-author")
-		if err != nil {
-			return err
-		}
-		roots, err := b.rootsFor(w)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.Scalability(w.eng, w.dsRel, roots, 10, sizelos.DefaultSetting)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig.Format())
-	case "10f":
-		w, err := b.workload("tpch-supplier")
-		if err != nil {
-			return err
-		}
-		roots, err := b.rootsFor(w)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.GenerationBreakdown(w.eng, w.dsRel, roots, []int{10, 50}, sizelos.DefaultSetting)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig.Format())
-	case "stability":
-		w, err := b.workload("dblp-author")
-		if err != nil {
-			return err
-		}
-		roots, err := b.rootsFor(w)
-		if err != nil {
-			return err
-		}
-		fig, err := eval.LStability(w.eng, w.dsRel, roots, figLs, sizelos.DefaultSetting)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig.Format())
-	default:
-		return fmt.Errorf("unknown figure %q", name)
-	}
-	return nil
 }

@@ -489,9 +489,10 @@ func (e *Engine) DB() *relational.DB { return e.db }
 func (e *Engine) Index() *keyword.Sharded { return e.index }
 
 // Graph exposes the tuple data graph. Mutate edits each batch into this
-// same object in place (only compaction replaces it), so the returned pointer must not be traversed concurrently with —
-// or retained across — any Mutate: use it within one mutation quiescence
-// and re-fetch afterwards.
+// same object in place (only compaction replaces it), so the returned
+// pointer must not be traversed concurrently with — or retained across —
+// any Mutate: use it within one mutation quiescence and re-fetch
+// afterwards.
 func (e *Engine) Graph() *datagraph.Graph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -824,18 +825,8 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 		return out, nil
 	}
 
-	switch req.Algorithm {
-	case AlgoDP:
-		out.sum.Result, err = sizel.DP(context.Background(), tree, l)
-	case AlgoBottomUp:
-		out.sum.Result, err = sizel.BottomUp(tree, l)
-	case AlgoTopPath:
-		out.sum.Result, err = sizel.TopPath(tree, l, sizel.TopPathOptions{})
-	default:
-		// resolve admits only the three names above.
-		err = fmt.Errorf("%w: unknown algorithm %q", ErrInvalidRequest, req.Algorithm)
-	}
-	if err != nil {
+	// resolve admits only the three names sizel.Select knows.
+	if out.sum.Result, err = sizel.Select(context.Background(), string(req.Algorithm), tree, l); err != nil {
 		return scored{}, err
 	}
 	out.sum.Tree = tree.Compact(out.sum.Result.Nodes)

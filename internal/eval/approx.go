@@ -1,33 +1,30 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 
 	"sizelos"
-	"sizelos/internal/ostree"
 	"sizelos/internal/relational"
-	"sizelos/internal/sizel"
 )
 
 // methodSpec names one (algorithm, input tree) combination of Figure 9/10.
 type methodSpec struct {
-	name   string
-	algo   string // "bottom-up", "top-path", "dp"
-	prelim bool
+	name     string
+	algo     sizelos.Algorithm
+	complete bool
 }
 
 func figureMethods(includeDP bool) []methodSpec {
 	ms := []methodSpec{
-		{"Bottom-Up (Complete OS)", "bottom-up", false},
-		{"Bottom-Up (Prelim-l OS)", "bottom-up", true},
-		{"Top-Path (Complete OS)", "top-path", false},
-		{"Top-Path (Prelim-l OS)", "top-path", true},
+		{"Bottom-Up (Complete OS)", sizelos.AlgoBottomUp, true},
+		{"Bottom-Up (Prelim-l OS)", sizelos.AlgoBottomUp, false},
+		{"Top-Path (Complete OS)", sizelos.AlgoTopPath, true},
+		{"Top-Path (Prelim-l OS)", sizelos.AlgoTopPath, false},
 	}
 	if includeDP {
 		ms = append(ms,
-			methodSpec{"Optimal (Complete OS)", "dp", false},
-			methodSpec{"Optimal (Prelim-l OS)", "dp", true},
+			methodSpec{"Optimal (Complete OS)", sizelos.AlgoDP, true},
+			methodSpec{"Optimal (Prelim-l OS)", sizelos.AlgoDP, false},
 		)
 	}
 	return ms
@@ -35,7 +32,8 @@ func figureMethods(includeDP bool) []methodSpec {
 
 // Approximation reproduces Figure 9 (a)-(e): the importance of greedy
 // size-l OSs relative to the optimal, averaged over the given roots, for
-// each of the four method/input combinations.
+// each of the four method/input combinations. Every summary is the one
+// Engine.SizeL serves for that algorithm and input tree.
 func Approximation(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, ls []int, setting string) (Figure, error) {
 	avg, err := AvgOSSize(eng, dsRel, roots)
 	if err != nil {
@@ -49,15 +47,6 @@ func Approximation(eng *sizelos.Engine, dsRel string, roots []relational.TupleID
 	for _, l := range ls {
 		fig.X = append(fig.X, float64(l))
 	}
-	scores, err := eng.Scores(setting)
-	if err != nil {
-		return Figure{}, err
-	}
-	gds, err := eng.GDS(dsRel, setting)
-	if err != nil {
-		return Figure{}, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
 	methods := figureMethods(false)
 	sums := make([][]float64, len(methods))
 	for i := range sums {
@@ -65,36 +54,20 @@ func Approximation(eng *sizelos.Engine, dsRel string, roots []relational.TupleID
 	}
 	for _, root := range roots {
 		for li, l := range ls {
-			complete, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l - 1})
-			if err != nil {
-				return Figure{}, err
-			}
-			prelim, _, err := sizel.PrelimL(src, gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
-			if err != nil {
-				return Figure{}, err
-			}
-			opt, err := sizel.DP(context.Background(), complete, l)
+			req := sizelos.QueryRequest{Rel: dsRel, L: l, Setting: setting, Algorithm: sizelos.AlgoDP, Complete: true}
+			opt, err := eng.SizeL(req, root)
 			if err != nil {
 				return Figure{}, err
 			}
 			for mi, m := range methods {
-				tree := complete
-				if m.prelim {
-					tree = prelim
-				}
-				var res sizel.Result
-				switch m.algo {
-				case "bottom-up":
-					res, err = sizel.BottomUp(tree, l)
-				case "top-path":
-					res, err = sizel.TopPath(tree, l, sizel.TopPathOptions{})
-				}
+				req.Algorithm, req.Complete = m.algo, m.complete
+				res, err := eng.SizeL(req, root)
 				if err != nil {
 					return Figure{}, err
 				}
 				ratio := 100.0
-				if opt.Importance > 0 {
-					ratio = 100 * res.Importance / opt.Importance
+				if opt.Result.Importance > 0 {
+					ratio = 100 * res.Result.Importance / opt.Result.Importance
 				}
 				sums[mi][li] += ratio
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sizelos"
-	"sizelos/internal/ostree"
 	"sizelos/internal/relational"
 	"sizelos/internal/sizel"
 	"sizelos/internal/snippet"
@@ -15,7 +14,8 @@ import (
 // setting and each l, the average fraction of tuples shared between the
 // optimal size-l OS computed under that setting and the judges' size-l
 // summaries. Because both summaries have l tuples, the overlap fraction is
-// simultaneously recall and precision, as the paper notes.
+// simultaneously recall and precision, as the paper notes. The optimal
+// summary is the one Engine.SizeL serves for DP on the complete OS.
 func Effectiveness(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, ls []int, settings []string, cfg JudgeConfig) (Figure, error) {
 	fig := Figure{
 		Title:  fmt.Sprintf("Figure 8: effectiveness, %s (optimal size-l OS vs %d simulated judges)", dsRel, cfg.Judges),
@@ -26,28 +26,16 @@ func Effectiveness(eng *sizelos.Engine, dsRel string, roots []relational.TupleID
 		fig.X = append(fig.X, float64(l))
 	}
 	for _, setting := range settings {
-		scores, err := eng.Scores(setting)
-		if err != nil {
-			return Figure{}, err
-		}
-		gds, err := eng.GDS(dsRel, setting)
-		if err != nil {
-			return Figure{}, err
-		}
-		src := ostree.NewGraphSource(eng.Graph(), scores)
 		series := Series{Name: setting}
 		for _, l := range ls {
+			req := sizelos.QueryRequest{Rel: dsRel, L: l, Setting: setting, Algorithm: sizelos.AlgoDP, Complete: true}
 			sum, count := 0.0, 0
 			for _, root := range roots {
-				tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l - 1})
+				opt, err := eng.SizeL(req, root)
 				if err != nil {
 					return Figure{}, err
 				}
-				res, err := sizel.DP(context.Background(), tree, l)
-				if err != nil {
-					return Figure{}, err
-				}
-				computed := refsOf(tree, res.Nodes)
+				computed := refsOf(opt.Tree, opt.Result.Nodes)
 				panels, err := JudgePanel(eng, dsRel, root, l, cfg)
 				if err != nil {
 					return Figure{}, err
@@ -89,18 +77,13 @@ func SnippetComparison(eng *sizelos.Engine, dsRel string, roots []relational.Tup
 		YLabel: "judge tuples recovered (of 5)",
 		Series: []Series{{Name: "snippet"}, {Name: "size-5 OS"}},
 	}
-	scores, err := eng.Scores(sizelos.DefaultSetting)
+	src, err := sourceOf(eng, dsRel, sizelos.DefaultSetting)
 	if err != nil {
 		return Figure{}, err
 	}
-	gds, err := eng.GDS(dsRel, sizelos.DefaultSetting)
-	if err != nil {
-		return Figure{}, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
 	for i, root := range roots {
 		fig.X = append(fig.X, float64(i+1))
-		tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{})
+		tree, err := src.os(root, 0)
 		if err != nil {
 			return Figure{}, err
 		}

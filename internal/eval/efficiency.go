@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sizelos"
@@ -33,15 +34,10 @@ func Efficiency(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, l
 	for _, l := range ls {
 		fig.X = append(fig.X, float64(l))
 	}
-	scores, err := eng.Scores(setting)
+	src, err := sourceOf(eng, dsRel, setting)
 	if err != nil {
 		return Figure{}, err
 	}
-	gds, err := eng.GDS(dsRel, setting)
-	if err != nil {
-		return Figure{}, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
 	methods := figureMethods(true)
 	times := make([][]float64, len(methods))
 	for i := range times {
@@ -49,39 +45,19 @@ func Efficiency(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, l
 	}
 	for _, root := range roots {
 		for li, l := range ls {
-			complete, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l - 1})
+			secs, err := timeMethods(src, root, l, methods)
 			if err != nil {
 				return Figure{}, err
 			}
-			prelim, _, err := sizel.PrelimL(src, gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
-			if err != nil {
-				return Figure{}, err
-			}
-			for mi, m := range methods {
-				tree := complete
-				if m.prelim {
-					tree = prelim
-				}
-				sec, err := timeMethod(m.algo, tree, l)
-				if err != nil {
-					return Figure{}, err
-				}
-				if math.IsNaN(sec) || math.IsNaN(times[mi][li]) {
-					times[mi][li] = math.NaN()
-				} else {
-					times[mi][li] += sec
-				}
+			for mi, sec := range secs {
+				times[mi][li] += sec // a capped run's NaN sticks
 			}
 		}
 	}
 	for mi, m := range methods {
 		s := Series{Name: m.name}
 		for li := range ls {
-			if math.IsNaN(times[mi][li]) {
-				s.Y = append(s.Y, math.NaN())
-			} else {
-				s.Y = append(s.Y, times[mi][li]/float64(len(roots)))
-			}
+			s.Y = append(s.Y, times[mi][li]/float64(len(roots)))
 		}
 		fig.Series = append(fig.Series, s)
 	}
@@ -89,23 +65,40 @@ func Efficiency(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, l
 	return fig, nil
 }
 
-func timeMethod(algo string, tree *ostree.Tree, l int) (float64, error) {
-	start := time.Now()
-	var err error
-	switch algo {
-	case "bottom-up":
-		_, err = sizel.BottomUp(tree, l)
-	case "top-path":
-		_, err = sizel.TopPath(tree, l, sizel.TopPathOptions{})
-	case "dp":
-		ctx, cancel := context.WithTimeout(context.Background(), DPBudget)
-		_, err = sizel.DP(ctx, tree, l)
-		cancel()
-		if err == context.DeadlineExceeded || ctx.Err() != nil && err != nil {
-			return math.NaN(), nil
+// timeMethods times every method on root's complete and prelim-l trees for
+// a size-l query, one entry per method.
+func timeMethods(src source, root relational.TupleID, l int, methods []methodSpec) ([]float64, error) {
+	complete, err := src.os(root, l-1)
+	if err != nil {
+		return nil, err
+	}
+	prelim, err := src.prelim(root, l)
+	if err != nil {
+		return nil, err
+	}
+	secs := make([]float64, len(methods))
+	for mi, m := range methods {
+		tree := prelim
+		if m.complete {
+			tree = complete
+		}
+		if secs[mi], err = timeMethod(m.algo, tree, l); err != nil {
+			return nil, err
 		}
 	}
-	if err != nil {
+	return secs, nil
+}
+
+// timeMethod times one size-l computation alone; a DP run past DPBudget is
+// NaN.
+func timeMethod(algo sizelos.Algorithm, tree *ostree.Tree, l int) (float64, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), DPBudget)
+	defer cancel()
+	start := time.Now()
+	if _, err := sizel.Select(ctx, string(algo), tree, l); err != nil {
+		if ctx.Err() != nil {
+			return math.NaN(), nil
+		}
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
@@ -119,15 +112,10 @@ func Scalability(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, 
 		XLabel: "|OS|",
 		YLabel: "size-l computation time (s)",
 	}
-	scores, err := eng.Scores(setting)
+	src, err := sourceOf(eng, dsRel, setting)
 	if err != nil {
 		return Figure{}, err
 	}
-	gds, err := eng.GDS(dsRel, setting)
-	if err != nil {
-		return Figure{}, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
 	methods := figureMethods(true)
 	for _, m := range methods {
 		fig.Series = append(fig.Series, Series{Name: m.name})
@@ -138,38 +126,20 @@ func Scalability(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, 
 	}
 	var order []sized
 	for _, root := range roots {
-		tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{})
+		tree, err := src.os(root, 0)
 		if err != nil {
 			return Figure{}, err
 		}
 		order = append(order, sized{root, tree.Len()})
 	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if order[j].n < order[i].n {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
+	slices.SortStableFunc(order, func(a, b sized) int { return a.n - b.n })
 	for _, o := range order {
 		fig.X = append(fig.X, float64(o.n))
-		complete, err := ostree.Generate(src, gds, o.root, ostree.GenOptions{MaxDepth: l - 1})
+		secs, err := timeMethods(src, o.root, l, methods)
 		if err != nil {
 			return Figure{}, err
 		}
-		prelim, _, err := sizel.PrelimL(src, gds, o.root, l, sizel.PrelimOptions{MaxDepth: l - 1})
-		if err != nil {
-			return Figure{}, err
-		}
-		for mi, m := range methods {
-			tree := complete
-			if m.prelim {
-				tree = prelim
-			}
-			sec, err := timeMethod(m.algo, tree, l)
-			if err != nil {
-				return Figure{}, err
-			}
+		for mi, sec := range secs {
 			fig.Series[mi].Y = append(fig.Series[mi].Y, sec)
 		}
 	}
@@ -195,21 +165,16 @@ func GenerationBreakdown(eng *sizelos.Engine, dsRel string, roots []relational.T
 			{Name: "|prelim|"},
 		},
 	}
-	scores, err := eng.Scores(setting)
+	src, err := sourceOf(eng, dsRel, setting)
 	if err != nil {
 		return Figure{}, err
 	}
-	gds, err := eng.GDS(dsRel, setting)
-	if err != nil {
-		return Figure{}, err
-	}
-	gsrc := ostree.NewGraphSource(eng.Graph(), scores)
 	for _, l := range ls {
 		fig.X = append(fig.X, float64(l))
 		var tGenG, tGenD, tPreG, tPreD, tBU, tTP, szC, szP float64
 		for _, root := range roots {
 			start := time.Now()
-			complete, err := ostree.Generate(gsrc, gds, root, ostree.GenOptions{MaxDepth: l - 1})
+			complete, err := src.os(root, l-1)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -217,37 +182,36 @@ func GenerationBreakdown(eng *sizelos.Engine, dsRel string, roots []relational.T
 
 			// A fresh DB source per root so its lazy index builds are
 			// charged, like a cold database path.
-			dsrc := ostree.NewDBSource(eng.DB(), scores)
+			dsrc := ostree.NewDBSource(eng.DB(), src.scores)
 			start = time.Now()
-			if _, err := ostree.Generate(dsrc, gds, root, ostree.GenOptions{MaxDepth: l - 1}); err != nil {
+			if _, err := ostree.Generate(dsrc, src.gds, root, ostree.GenOptions{MaxDepth: l - 1}); err != nil {
 				return Figure{}, err
 			}
 			tGenD += time.Since(start).Seconds()
 
 			start = time.Now()
-			prelim, _, err := sizel.PrelimL(gsrc, gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
+			prelim, err := src.prelim(root, l)
 			if err != nil {
 				return Figure{}, err
 			}
 			tPreG += time.Since(start).Seconds()
 
-			dsrc2 := ostree.NewDBSource(eng.DB(), scores)
+			dsrc = ostree.NewDBSource(eng.DB(), src.scores)
 			start = time.Now()
-			if _, _, err := sizel.PrelimL(dsrc2, gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1}); err != nil {
+			if _, _, err := sizel.PrelimL(dsrc, src.gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1}); err != nil {
 				return Figure{}, err
 			}
 			tPreD += time.Since(start).Seconds()
 
-			start = time.Now()
-			if _, err := sizel.BottomUp(prelim, l); err != nil {
+			bu, err := timeMethod(sizelos.AlgoBottomUp, prelim, l)
+			if err != nil {
 				return Figure{}, err
 			}
-			tBU += time.Since(start).Seconds()
-			start = time.Now()
-			if _, err := sizel.TopPath(prelim, l, sizel.TopPathOptions{}); err != nil {
+			tp, err := timeMethod(sizelos.AlgoTopPath, prelim, l)
+			if err != nil {
 				return Figure{}, err
 			}
-			tTP += time.Since(start).Seconds()
+			tBU, tTP = tBU+bu, tTP+tp
 			szC += float64(complete.Len())
 			szP += float64(prelim.Len())
 		}

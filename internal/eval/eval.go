@@ -10,6 +10,8 @@ import (
 	"sizelos"
 	"sizelos/internal/ostree"
 	"sizelos/internal/relational"
+	"sizelos/internal/schemagraph"
+	"sizelos/internal/sizel"
 )
 
 // Series is one plotted line: y value per x value.
@@ -129,28 +131,50 @@ func overlap(a map[tupleRef]bool, tree *ostree.Tree, nodes []ostree.NodeID) int 
 	return c
 }
 
+// source is what a figure extracts dsRel's OSs from under one setting: the
+// engine's annotated G_DS and a data-graph source over the setting's scores.
+type source struct {
+	scores relational.DBScores
+	gds    *schemagraph.GDS
+	graph  *ostree.GraphSource
+}
+
+func sourceOf(eng *sizelos.Engine, dsRel, setting string) (source, error) {
+	scores, err := eng.Scores(setting)
+	if err != nil {
+		return source{}, err
+	}
+	gds, err := eng.GDS(dsRel, setting)
+	if err != nil {
+		return source{}, err
+	}
+	return source{scores, gds, ostree.NewGraphSource(eng.Graph(), scores)}, nil
+}
+
+// os generates root's OS down to maxDepth; 0 is the complete OS.
+func (s source) os(root relational.TupleID, maxDepth int) (*ostree.Tree, error) {
+	return ostree.Generate(s.graph, s.gds, root, ostree.GenOptions{MaxDepth: maxDepth})
+}
+
+// prelim generates root's prelim-l OS as a size-l query does.
+func (s source) prelim(root relational.TupleID, l int) (*ostree.Tree, error) {
+	tree, _, err := sizel.PrelimL(s.graph, s.gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
+	return tree, err
+}
+
 // PickRoots deterministically selects n data-subject tuples of dsRel whose
 // complete OS has at least minOS tuples, scanning candidates in seeded
 // random order. It mirrors the paper's "10 random OSs per G_DS" (§6.2),
 // which were implicitly non-trivial OSs.
 func PickRoots(eng *sizelos.Engine, dsRel string, n, minOS int, seed int64) ([]relational.TupleID, error) {
-	scores, err := eng.Scores(sizelos.DefaultSetting)
+	src, err := sourceOf(eng, dsRel, sizelos.DefaultSetting)
 	if err != nil {
 		return nil, err
 	}
-	gds, err := eng.GDS(dsRel, sizelos.DefaultSetting)
-	if err != nil {
-		return nil, err
-	}
-	rel := eng.DB().Relation(dsRel)
-	if rel == nil {
-		return nil, fmt.Errorf("eval: unknown relation %s", dsRel)
-	}
-	order := rand.New(rand.NewSource(seed)).Perm(rel.Len())
-	src := ostree.NewGraphSource(eng.Graph(), scores)
+	order := rand.New(rand.NewSource(seed)).Perm(eng.DB().Relation(dsRel).Len())
 	var out []relational.TupleID
 	for _, ti := range order {
-		tree, err := ostree.Generate(src, gds, relational.TupleID(ti), ostree.GenOptions{})
+		tree, err := src.os(relational.TupleID(ti), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -171,18 +195,13 @@ func PickRoots(eng *sizelos.Engine, dsRel string, n, minOS int, seed int64) ([]r
 // AvgOSSize reports the average complete-OS size over the given roots,
 // matching the Aver|OS| annotations of Figures 9 and 10.
 func AvgOSSize(eng *sizelos.Engine, dsRel string, roots []relational.TupleID) (float64, error) {
-	scores, err := eng.Scores(sizelos.DefaultSetting)
+	src, err := sourceOf(eng, dsRel, sizelos.DefaultSetting)
 	if err != nil {
 		return 0, err
 	}
-	gds, err := eng.GDS(dsRel, sizelos.DefaultSetting)
-	if err != nil {
-		return 0, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
 	total := 0
 	for _, r := range roots {
-		tree, err := ostree.Generate(src, gds, r, ostree.GenOptions{})
+		tree, err := src.os(r, 0)
 		if err != nil {
 			return 0, err
 		}

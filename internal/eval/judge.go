@@ -85,16 +85,11 @@ func perceivedWeights(tree *ostree.Tree, cfg JudgeConfig, judge int) []float64 {
 // reference setting regardless of which setting the system under test uses
 // — that asymmetry is exactly what Figure 8 probes.
 func JudgePanel(eng *sizelos.Engine, dsRel string, root relational.TupleID, l int, cfg JudgeConfig) ([]map[tupleRef]bool, error) {
-	scores, err := eng.Scores(cfg.ReferenceSetting)
+	src, err := sourceOf(eng, dsRel, cfg.ReferenceSetting)
 	if err != nil {
 		return nil, err
 	}
-	gds, err := eng.GDS(dsRel, cfg.ReferenceSetting)
-	if err != nil {
-		return nil, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
-	tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{})
+	tree, err := src.os(root, 0)
 	if err != nil {
 		return nil, err
 	}

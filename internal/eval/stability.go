@@ -23,20 +23,15 @@ func LStability(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, l
 		YLabel: "avg %% of size-l kept in size-(l+1)",
 		Series: []Series{{Name: "overlap"}},
 	}
-	scores, err := eng.Scores(setting)
+	src, err := sourceOf(eng, dsRel, setting)
 	if err != nil {
 		return Figure{}, err
 	}
-	gds, err := eng.GDS(dsRel, setting)
-	if err != nil {
-		return Figure{}, err
-	}
-	src := ostree.NewGraphSource(eng.Graph(), scores)
 	for _, l := range ls {
 		fig.X = append(fig.X, float64(l))
 		sum, count := 0.0, 0
 		for _, root := range roots {
-			tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l})
+			tree, err := src.os(root, l)
 			if err != nil {
 				return Figure{}, err
 			}

@@ -29,10 +29,10 @@
 //     (DS relation, setting) pair).
 //   - Max/MMax are UPPER bounds consumed by the prelim-l avoidance
 //     conditions: an understated bound can prune a tuple that belonged in
-//     the summary, an overstated one only costs work. Annotation sources
-//     (Annotate's vector scan and AnnotateMax's precomputed maxima) must
-//     agree; the engine refreshes annotations whenever a relation's score
-//     maximum moves beyond fixed-point tolerance.
+//     the summary, an overstated one only costs work. AnnotateMax is the
+//     one annotation path: it reads each relation's largest served score,
+//     and the engine re-annotates every G_DS whenever those maxima can
+//     move (a re-rank, a compaction, a restore).
 //   - Threshold(theta) keeps a node only if all its ancestors are kept —
 //     affinity decreases along paths, so G_DS(θ) is a subtree.
 package schemagraph

@@ -64,7 +64,7 @@ type Node struct {
 	// Max is max(Ri): the maximum local importance (global score × this
 	// node's affinity) over all tuples of Rel. MMax is mmax(Ri): the
 	// maximum Max over all descendant nodes, 0 for leaves. Both are set by
-	// Annotate for a specific ranking setting.
+	// AnnotateMax for a specific ranking setting.
 	Max  float64
 	MMax float64
 }
@@ -250,8 +250,9 @@ func bindNode(db *relational.DB, n *Node) error {
 // relation (maximum global score in Ri × the node's affinity — a global
 // statistic reused across queries, §5.3), and mmax(Ri) the maximum max(Rj)
 // over the node's descendants (0 for leaves). One O(nodes) walk, no vector
-// scans: the engine computes the maxima once per setting, in the pass it
-// already pays for presentation scaling.
+// scans: the engine's maxima come from a re-rank's repair (its rescale and
+// its pushed-node walk, rank.Stats.Max), and from one scan after a build,
+// a compaction or a restore.
 func (g *GDS) AnnotateMax(maxByRel map[string]float64) error {
 	var rec func(n *Node) (float64, error)
 	rec = func(n *Node) (float64, error) {

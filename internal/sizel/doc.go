@@ -20,7 +20,9 @@
 //     sketches (s(v)).
 //
 // PrelimL (Algorithm 4) generates the preliminary partial OS with the two
-// avoidance conditions, on which any of the above can run.
+// avoidance conditions, on which any of the above can run. Select is the
+// one dispatch from an algorithm's name ("dp", "bottom-up", "top-path") to
+// its function: the engine and the evaluation harness both go through it.
 //
 // # Invariants
 //

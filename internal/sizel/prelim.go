@@ -58,7 +58,7 @@ type PrelimStats struct {
 //     most l tuples above the watermark can matter, so the extraction is a
 //     TOP-l join instead of a full join.
 //
-// The G_DS must have been annotated (schemagraph.Annotate) with the same
+// The G_DS must have been annotated (GDS.AnnotateMax) with the same
 // ranking setting as src. Any size-l algorithm can then run on the returned
 // tree; by Lemma 3 the result is optimal whenever local importance is
 // monotone with depth.
@@ -67,8 +67,8 @@ func PrelimL(src ostree.Source, gds *schemagraph.GDS, root relational.TupleID, l
 		return nil, PrelimStats{}, fmt.Errorf("sizel: l must be >= 1, got %d", l)
 	}
 	if gds.Root.Max == 0 && gds.Root.MMax == 0 {
-		// Annotations default to zero; a zero root max means Annotate was
-		// not run (the root relation always has some positive score).
+		// Annotations default to zero; a zero root max means AnnotateMax
+		// was not run (the root relation always has some positive score).
 		return nil, PrelimStats{}, fmt.Errorf("sizel: G_DS not annotated with max/mmax statistics")
 	}
 

@@ -2,8 +2,10 @@ package sizel
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -193,18 +195,38 @@ func TestPrelimAblationAgreesAndSaves(t *testing.T) {
 // generation.
 func TestPrelimNoACEqualsComplete(t *testing.T) {
 	p := dblpPipeline(t)
-	root := p.rootOf(t, 4)
 	src := ostree.NewGraphSource(p.graph, p.scores)
-	complete, err := ostree.Generate(src, p.gds, root, ostree.GenOptions{})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	prelim, _, err := PrelimL(src, p.gds, root, 10, PrelimOptions{DisableAC1: true, DisableAC2: true})
-	if err != nil {
-		t.Fatalf("PrelimL: %v", err)
-	}
-	if prelim.Len() != complete.Len() {
-		t.Fatalf("prelim without ACs (%d) != complete (%d)", prelim.Len(), complete.Len())
+	// One arena for every prelim tree, reused as the engine reuses its own.
+	arena := &ostree.Tree{}
+	for _, pk := range []int64{1, 2, 4} {
+		root := p.rootOf(t, pk)
+		// MaxDepth l-1 bounds the tree as a size-l query does: Engine.SizeL's
+		// Complete path against the timing figures' ostree.Generate. At l=1
+		// it is 0, the unbounded complete OS.
+		for _, l := range []int{1, 2, 3, 5, 10, 25, 50} {
+			complete, err := ostree.Generate(src, p.gds, root, ostree.GenOptions{MaxDepth: l - 1})
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			prelim, _, err := PrelimL(src, p.gds, root, l, PrelimOptions{
+				MaxDepth: l - 1, DisableAC1: true, DisableAC2: true, Into: arena,
+			})
+			if err != nil {
+				t.Fatalf("PrelimL: %v", err)
+			}
+			if prelim.Len() != complete.Len() {
+				t.Fatalf("author %d, l=%d: prelim without ACs has %d nodes, complete %d", pk, l, prelim.Len(), complete.Len())
+			}
+			for i := range complete.Nodes {
+				a, b := complete.Nodes[i], prelim.Nodes[i]
+				if a.Rel != b.Rel || a.Tuple != b.Tuple || a.Parent != b.Parent || a.Depth != b.Depth ||
+					a.GDS != b.GDS || math.Float64bits(a.Weight) != math.Float64bits(b.Weight) ||
+					!slices.Equal(a.Children, b.Children) {
+					t.Fatalf("author %d, l=%d, node %d: prelim without ACs %+v, complete %+v", pk, l, i, b, a)
+				}
+			}
+			arena = prelim
+		}
 	}
 }
 

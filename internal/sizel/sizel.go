@@ -1,6 +1,7 @@
 package sizel
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -16,6 +17,21 @@ type Result struct {
 	Importance float64
 	// Algorithm names the method that produced the result.
 	Algorithm string
+}
+
+// Select computes the size-l OS of t with the named algorithm — "dp" (DP,
+// the optimum), "bottom-up" (BottomUp) or "top-path" (TopPath) — the one
+// dispatch every caller names an algorithm through. ctx bounds DP only.
+func Select(ctx context.Context, algorithm string, t *ostree.Tree, l int) (Result, error) {
+	switch algorithm {
+	case "dp":
+		return DP(ctx, t, l)
+	case "bottom-up":
+		return BottomUp(t, l)
+	case "top-path":
+		return TopPath(t, l, TopPathOptions{})
+	}
+	return Result{}, fmt.Errorf("sizel: unknown algorithm %q", algorithm)
 }
 
 // normalize sorts and sums a selection.

@@ -7,9 +7,11 @@ package sizelos
 // naming a file; it drives one seeded mutgen stream — every batch
 // re-ranked, engine defaults, DBLP and TPC-H — and writes two SHA-256s per
 // re-rank, one over every setting's raw score vectors (ExportState) and one
-// over the normalized scores queries are served (Engine.Scores). Both are
-// read through the exported surface, so the file runs unedited on an older
-// tree. The two files must be identical. Digests are never committed: FMA fusion makes them
+// over the normalized scores queries are served (Engine.Scores). Besides
+// the residual push from captured rows and from sweeps, the stream takes a
+// compaction, a budget-trip fallback and a restore at fixed batches. It
+// reads only what the previous commit already has, so the file runs there
+// unedited. The two files must be identical. Digests are never committed: FMA fusion makes them
 // architecture-specific. `make rerank-digest BASE=<rev>` does all of it
 // against a scratch copy of the base.
 //
@@ -30,7 +32,14 @@ import (
 	"sizelos/internal/relational"
 )
 
-const digestBatches = 480
+// The stream's milestones, by batch index: each takes a path a plain
+// re-rank never does, so the digests cover it too.
+const (
+	digestBatches     = 480
+	digestAutoCompact = 120 // under a policy that compacts any tombstone
+	digestBudgetTrip  = 240 // under a one-push budget: the warm full iteration
+	digestRestore     = 400 // restored from ExportState before the batch
+)
 
 func TestRerankStreamDigest(t *testing.T) {
 	path := os.Getenv("SIZELOS_DIGEST_OUT")
@@ -38,11 +47,12 @@ func TestRerankStreamDigest(t *testing.T) {
 		t.Skip("set SIZELOS_DIGEST_OUT=<file> to write the per-re-rank score digests")
 	}
 	datasets := []struct {
-		name string
-		open func() (*Engine, error)
+		name    string
+		open    func() (*Engine, error)
+		restore func(*EngineState) (*Engine, error)
 	}{
-		{"dblp", func() (*Engine, error) { return OpenDBLP(datagen.DefaultDBLPConfig()) }},
-		{"tpch", func() (*Engine, error) { return OpenTPCH(datagen.DefaultTPCHConfig()) }},
+		{"dblp", func() (*Engine, error) { return OpenDBLP(datagen.DefaultDBLPConfig()) }, RestoreDBLP},
+		{"tpch", func() (*Engine, error) { return OpenTPCH(datagen.DefaultTPCHConfig()) }, RestoreTPCH},
 	}
 	var out strings.Builder
 	for _, dataset := range datasets {
@@ -51,11 +61,31 @@ func TestRerankStreamDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
-		gen := mutgen.New(eng.DB(), 0xD16E57)
-		pushes, rounds, fallbacks, compactions := 0, 0, 0, 0
+		// The generator reads the store it was made over, so from
+		// digestRestore on the survivor takes every batch too.
+		survivor := eng
+		gen := mutgen.New(survivor.DB(), 0xD16E57)
+		var st *EngineState
+		pushes, rounds, fallbacks, compactions, restores := 0, 0, 0, 0, 0
 		for i := 0; i < digestBatches; i++ {
+			switch i {
+			case digestAutoCompact:
+				eng.compactMin, eng.compactRatio = 1, 0.0001
+			case digestBudgetTrip:
+				eng.residualBudget = 1
+			case digestRestore:
+				if eng, err = dataset.restore(throughGob(t, st)); err != nil {
+					t.Fatalf("%s batch %d: restore: %v", ds, i, err)
+				}
+				restores++
+			}
 			batch := toMutationBatch(gen.NextBatch())
 			batch.Rerank = true
+			if eng != survivor {
+				if _, err := survivor.Mutate(batch); err != nil {
+					t.Fatalf("%s batch %d on the survivor: %v", ds, i, err)
+				}
+			}
 			res, err := eng.Mutate(batch)
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", ds, i, err)
@@ -68,8 +98,13 @@ func TestRerankStreamDigest(t *testing.T) {
 				}
 			}
 			compactions += len(res.Compacted)
-			st, _, err := eng.ExportState()
-			if err != nil {
+			switch i {
+			case digestAutoCompact:
+				eng.compactMin, eng.compactRatio = DefaultCompactMinTombstones, DefaultCompactRatio
+			case digestBudgetTrip:
+				eng.residualBudget = 0
+			}
+			if st, _, err = eng.ExportState(); err != nil {
 				t.Fatalf("%s batch %d: ExportState: %v", ds, i, err)
 			}
 			served := make(map[string]relational.DBScores)
@@ -81,8 +116,12 @@ func TestRerankStreamDigest(t *testing.T) {
 			fmt.Fprintf(&out, "%s batch=%03d raw=%x served=%x\n", ds, i,
 				scoreDigest(eng, st.RawScores), scoreDigest(eng, served))
 		}
-		t.Logf("%s: %d re-ranks, %d pushes in %d rounds, %d fallbacks, %d compactions",
-			ds, digestBatches, pushes, rounds, fallbacks, compactions)
+		t.Logf("%s: %d re-ranks, %d pushes in %d rounds, %d fallbacks, %d compactions, %d restores",
+			ds, digestBatches, pushes, rounds, fallbacks, compactions, restores)
+		if fallbacks == 0 || compactions == 0 || restores == 0 {
+			t.Errorf("%s: the stream missed a path: %d fallbacks, %d compactions, %d restores",
+				ds, fallbacks, compactions, restores)
+		}
 	}
 	if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
 		t.Fatal(err)
