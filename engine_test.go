@@ -1,6 +1,8 @@
 package sizelos
 
 import (
+	"context"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,9 +11,11 @@ import (
 
 	"sizelos/internal/datagen"
 	"sizelos/internal/datagraph"
+	"sizelos/internal/ostree"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 	"sizelos/internal/searchexec"
+	"sizelos/internal/sizel"
 )
 
 // testDBLP opens a small DBLP engine once per test binary.
@@ -370,4 +374,81 @@ func TestSizeLBounds(t *testing.T) {
 	if _, err := search(eng, "NoSuchRel", "x", 10, QueryRequest{}); err != nil {
 		t.Logf("Search(unknown rel) errored cleanly: %v", err)
 	}
+}
+
+// TestSizeOneIsRoot: a size-1 request builds its root alone — one node in
+// the prelim arena, Complete on or off, under each algorithm — and serves
+// what DP selects on the complete, unbounded OS (the root: footnote 1),
+// selection, importance and text, for every DBLP Author and TPC-H Customer.
+// The /ranked pages at l = 1 stay the eager reference's: the bound is now
+// the root's weight alone, so candidates may seal sooner, never wrongly.
+func TestSizeOneIsRoot(t *testing.T) {
+	for _, tc := range []struct {
+		eng *Engine
+		rel string
+	}{{getDBLP(t), "Author"}, {getTPCH(t), "Customer"}} {
+		eng := tc.eng
+		gds, err := eng.GDS(tc.rel, DefaultSetting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		larger := 0
+		for tuple := relational.TupleID(0); int(tuple) < eng.db.Relation(tc.rel).Len(); tuple++ {
+			eng.mu.RLock()
+			raw, f, err := eng.scoresLocked(DefaultSetting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			complete, err := ostree.Generate(ostree.NewScaledGraphSource(eng.graph, raw, f), gds, tuple, ostree.GenOptions{})
+			eng.mu.RUnlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sizel.DP(context.Background(), complete, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantText := complete.Compact(want.Nodes).Render(ostree.RenderOptions{})
+			if complete.Len() > 1 {
+				larger++
+			}
+			for _, algo := range []Algorithm{AlgoDP, AlgoBottomUp, AlgoTopPath} {
+				for _, full := range []bool{false, true} {
+					for len(eng.arenas) > 0 {
+						<-eng.arenas
+					}
+					got, err := eng.SizeL(QueryRequest{Rel: tc.rel, L: 1, Algorithm: algo, Complete: full}, tuple)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var built int
+					select {
+					case arena := <-eng.arenas:
+						built = arena.Len()
+					default:
+					}
+					if built != 1 {
+						t.Fatalf("%s %d %s complete=%v: the size-1 request built %d nodes, want 1", tc.rel, tuple, algo, full, built)
+					}
+					if math.Float64bits(got.Result.Importance) != math.Float64bits(want.Importance) ||
+						got.Tree.Len() != 1 || got.Tree.Nodes[0].Tuple != tuple || got.Text != wantText {
+						t.Fatalf("%s %d %s complete=%v: %v %q, DP on the complete OS %v %q",
+							tc.rel, tuple, algo, full, got.Result.Importance, got.Text, want.Importance, wantText)
+					}
+				}
+			}
+		}
+		if larger == 0 {
+			t.Fatalf("no %s has a complete OS of more than its root", tc.rel)
+		}
+	}
+	var cases []rankedCase
+	for _, k := range rankedKs {
+		for _, algo := range rankedAlgos {
+			for _, full := range []bool{false, true} {
+				cases = append(cases, rankedCase{rel: "Customer", setting: DefaultSetting, l: 1, k: k, algo: algo, complete: full})
+			}
+		}
+	}
+	checkRankedGrid(t, openTPCH(t, 0.002), cases)
 }

@@ -16,6 +16,28 @@ type GenOptions struct {
 	MaxDepth int
 }
 
+// Root resets t, over its node arena, to the data subject tuple root alone:
+// the node Build grows the OS from, and the whole of any size-1 OS. Its
+// errors are Build's.
+func Root(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID) error {
+	if !gds.Bound() {
+		return fmt.Errorf("ostree: G_DS of %s is not bound to a database (GDS.Bind)", gds.DSName)
+	}
+	db := src.DB()
+	if n := db.Relations[gds.Root.RelOrd].Len(); int(root) < 0 || int(root) >= n {
+		return fmt.Errorf("ostree: root tuple %d out of range for %s", root, gds.DSName)
+	}
+	*t = Tree{Nodes: t.Nodes[:0], GDS: gds, DB: db}
+	t.Nodes = append(t.Nodes, Node{
+		GDS:    gds.Root,
+		Rel:    int32(gds.Root.RelOrd),
+		Tuple:  root,
+		Weight: src.Scores(gds.Root.RelOrd).At(root) * gds.Root.Affinity,
+		Parent: None,
+	})
+	return nil
+}
+
 // Generate materializes the complete OS for the data subject tuple root
 // (identified within the G_DS root relation): Algorithm 5, Build extracting
 // every child.
@@ -43,21 +65,9 @@ func Generate(src Source, gds *schemagraph.GDS, root relational.TupleID, opts Ge
 // his own co-author.
 func Build(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID, opts GenOptions,
 	extract func(gn *schemagraph.Node, parent relational.TupleID) []relational.TupleID) error {
-	if !gds.Bound() {
-		return fmt.Errorf("ostree: G_DS of %s is not bound to a database (GDS.Bind)", gds.DSName)
+	if err := Root(t, src, gds, root); err != nil {
+		return err
 	}
-	db := src.DB()
-	if n := db.Relations[gds.Root.RelOrd].Len(); int(root) < 0 || int(root) >= n {
-		return fmt.Errorf("ostree: root tuple %d out of range for %s", root, gds.DSName)
-	}
-	*t = Tree{Nodes: t.Nodes[:0], GDS: gds, DB: db}
-	t.Nodes = append(t.Nodes, Node{
-		GDS:    gds.Root,
-		Rel:    int32(gds.Root.RelOrd),
-		Tuple:  root,
-		Weight: src.Scores(gds.Root.RelOrd).At(root) * gds.Root.Affinity,
-		Parent: None,
-	})
 	var ids []NodeID
 	for cur := 0; cur < len(t.Nodes); cur++ {
 		n := t.Nodes[cur]

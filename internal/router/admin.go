@@ -131,6 +131,7 @@ func (r *Router) serveRemoveMember(w http.ResponseWriter, name string) {
 	if err := r.drainAll(mem); err != nil {
 		r.logf("router: remove %s: %v", name, err)
 	}
+	mem.client.closeIdle(true)
 	r.logf("router: member %s removed (%d remain)", name, left)
 	r.rebalance()
 	tenancy.WriteJSON(w, http.StatusOK, map[string]string{"removed": name})
@@ -138,13 +139,11 @@ func (r *Router) serveRemoveMember(w http.ResponseWriter, name string) {
 
 // drainAll releases every tenant live on a leaving member.
 func (r *Router) drainAll(mem *member) error {
-	var out struct {
-		Tenants []string `json:"tenants"`
-	}
-	if err := r.getJSON(mem, "/v1/tenants?live=1", &out); err != nil {
+	live, err := r.tenants(mem, "/v1/tenants?live=1")
+	if err != nil {
 		return err
 	}
-	for _, tenant := range out.Tenants {
+	for _, tenant := range live {
 		if err := r.release(mem, tenant); err != nil {
 			return err
 		}

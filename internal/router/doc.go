@@ -32,6 +32,15 @@
 //     decoding are the node's own (tenancy.WriteError, BearerAuth,
 //     DecodeBody), so every status means what it means on a node.
 //
+// The router talks to members in one way only: a member client of its own
+// (client.go) that pools keep-alive connections per member and does each
+// round trip on the handler's goroutine — request head written by hand,
+// answer read with http.ReadResponse, a known-length body relayed in one
+// write. Proxied requests, probes, the tenant-index fan-out and
+// release/adopt all go through it. A client that leaves cancels the
+// member's request; a pooled connection the member closed is retried
+// once on a fresh dial for a GET or HEAD and never reused for a mutation.
+//
 // Every proxied response carries an X-Sizelos-Node header naming the
 // member that served it — cmd/osload aggregates per-node throughput from
 // it, and the equivalence tests assert placement stability with it.

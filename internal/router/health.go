@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"net/url"
 	"slices"
 	"time"
 )
@@ -105,16 +106,8 @@ func (r *Router) adoptByOwner(tenant string) {
 // probe is one health check: the tenant index answering 200 within the
 // timeout.
 func (r *Router) probe(mem *member) bool {
-	req, err := http.NewRequest(http.MethodGet, mem.url.String()+"/v1/tenants?live=1", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
-	_ = resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	status, _, err := r.call(mem, http.MethodGet, "/v1/tenants?live=1")
+	return err == nil && status == http.StatusOK
 }
 
 // rebalance converges fleet reality onto the current ring: any tenant
@@ -123,14 +116,12 @@ func (r *Router) probe(mem *member) bool {
 // Never called with r.mu held — it issues member HTTP calls.
 func (r *Router) rebalance() {
 	for _, mem := range r.healthyMembers() {
-		var out struct {
-			Tenants []string `json:"tenants"`
-		}
-		if err := r.getJSON(mem, "/v1/tenants?live=1", &out); err != nil {
+		live, err := r.tenants(mem, "/v1/tenants?live=1")
+		if err != nil {
 			r.logf("router: rebalance: list live tenants on %s: %v", mem.name, err)
 			continue
 		}
-		for _, tenant := range out.Tenants {
+		for _, tenant := range live {
 			r.mu.RLock()
 			owner, ok := r.ownerLocked(tenant)
 			r.mu.RUnlock()
@@ -168,18 +159,12 @@ func (r *Router) adopt(mem *member, tenant string) error {
 // tenantCall POSTs /v1/{tenant}/{verb} to a member under the admin token;
 // any answer but 200 or also is an error.
 func (r *Router) tenantCall(mem *member, tenant, verb string, also int) error {
-	req, err := http.NewRequest(http.MethodPost, mem.url.String()+"/v1/"+tenant+"/"+verb, nil)
+	status, _, err := r.call(mem, http.MethodPost, "/v1/"+url.PathEscape(tenant)+"/"+verb)
 	if err != nil {
 		return err
 	}
-	r.authorize(req)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != also {
-		return fmt.Errorf("%s %s on %s: status %d", verb, tenant, mem.name, resp.StatusCode)
+	if status != http.StatusOK && status != also {
+		return fmt.Errorf("%s %s on %s: status %d", verb, tenant, mem.name, status)
 	}
 	return nil
 }

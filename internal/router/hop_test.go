@@ -15,8 +15,9 @@ import (
 )
 
 // TestRoutedHopAllocBytes bounds what one cache-hot routed /search
-// allocates across client, router and node together: under 24 KiB a
-// request, less than a per-response 32 KiB proxy copy buffer alone.
+// allocates across client, router and node together: under 19 KiB a
+// request, the most read under -race (14.1–15.1 KB; 10.8 KB without it)
+// plus a quarter.
 func TestRoutedHopAllocBytes(t *testing.T) {
 	f := newFleet(t, "n1", "n2", "n3")
 	do(t, f.rtSrv.URL, http.MethodPost, "/v1/tenants", `{"name":"tenant-a","dataset":"dblp"}`)
@@ -45,8 +46,8 @@ func TestRoutedHopAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perReq := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d bytes allocated per routed /search", perReq)
-	if perReq >= 24<<10 {
-		t.Fatalf("%d bytes allocated per routed /search, want under %d", perReq, 24<<10)
+	if perReq >= 19<<10 {
+		t.Fatalf("%d bytes allocated per routed /search, want under %d", perReq, 19<<10)
 	}
 }
 

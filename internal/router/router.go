@@ -1,14 +1,11 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"maps"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"slices"
 	"sort"
@@ -76,11 +73,14 @@ func (c *Config) fill() error {
 // guarded by Router.mu; the counters are atomics so the proxy hot path
 // never takes the lock for accounting.
 type member struct {
-	name    string
-	url     *url.URL
-	proxy   *httputil.ReverseProxy
-	healthy bool
-	fails   int
+	name   string
+	url    *url.URL
+	client *memberClient
+	// nodeHeader is the X-Sizelos-Node value every answer it serves
+	// carries; shared, so read-only.
+	nodeHeader []string
+	healthy    bool
+	fails      int
 
 	requests atomic.Int64
 	errors   atomic.Int64
@@ -89,14 +89,11 @@ type member struct {
 // Router proxies tenant traffic onto the fleet. See the package comment
 // for the invariants it maintains.
 type Router struct {
-	cfg    Config
-	client *http.Client
-	// transport carries every proxied request and keeps MaxIdleConns idle
-	// connections per member (http.DefaultTransport keeps 2), so concurrent
-	// traffic to one member reuses its connections instead of redialing.
-	transport *http.Transport
-	// copyBufs is the BufferPool every member proxy shares.
-	copyBufs *tenancy.FreeList[[]byte]
+	cfg Config
+	// auth carries the admin token on the router's own member calls.
+	auth http.Header
+	// bodyBufs are the buffers forward relays answers through.
+	bodyBufs *tenancy.FreeList[[]byte]
 	// admin is the /router/* plane behind the admin token.
 	admin http.Handler
 
@@ -129,20 +126,19 @@ func New(cfg Config) (*Router, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConnsPerHost = transport.MaxIdleConns
 	r := &Router{
-		cfg:       cfg,
-		client:    &http.Client{Timeout: cfg.HealthTimeout},
-		transport: transport,
-		copyBufs:  tenancy.NewFreeList(func() []byte { return make([]byte, copyBufSize) }),
-		ring:      placement.New(placement.DefaultVirtualNodes),
-		members:   make(map[string]*member),
-		pins:      make(map[string]string),
-		draining:  make(map[string]chan struct{}),
-		inflight:  make(map[string]*tenantGate),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:      cfg,
+		bodyBufs: tenancy.NewFreeList(func() []byte { return make([]byte, 32<<10) }),
+		ring:     placement.New(placement.DefaultVirtualNodes),
+		members:  make(map[string]*member),
+		pins:     make(map[string]string),
+		draining: make(map[string]chan struct{}),
+		inflight: make(map[string]*tenantGate),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	if cfg.AdminToken != "" {
+		r.auth = http.Header{"Authorization": {"Bearer " + cfg.AdminToken}}
 	}
 	r.admin = tenancy.BearerAuth(cfg.AdminToken)(http.HandlerFunc(r.serveAdmin))
 	for _, m := range cfg.Members {
@@ -176,46 +172,24 @@ func (r *Router) addMemberLocked(m Member) error {
 		return fmt.Errorf("router: duplicate member %q", m.Name)
 	}
 	u, err := url.Parse(m.URL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return fmt.Errorf("router: member %s: bad url %q", m.Name, m.URL)
+	if err != nil || u.Scheme != "http" || u.Port() == "" || strings.Trim(u.Path, "/") != "" {
+		return fmt.Errorf("router: member %s: bad url %q (want http://host:port)", m.Name, m.URL)
 	}
-	mem := &member{name: m.Name, url: u, healthy: true}
-	mem.proxy = r.newProxy(mem)
-	r.members[m.Name] = mem
+	r.members[m.Name] = &member{name: m.Name, url: u, client: &memberClient{addr: u.Host}, nodeHeader: []string{m.Name}, healthy: true}
 	r.ring.Add(m.Name)
 	return nil
 }
 
-// copyBufSize is the size of the proxy's copy buffers, the size
-// httputil.ReverseProxy allocates per response without a BufferPool.
-const copyBufSize = 32 << 10
-
-// newProxy builds a member's reverse proxy over the router's transport and
-// the shared copy buffers. Node bodies carry a Content-Length, so the
-// proxy copies them with no flush interval of its own.
-func (r *Router) newProxy(mem *member) *httputil.ReverseProxy {
-	p := httputil.NewSingleHostReverseProxy(mem.url)
-	p.Transport = r.transport
-	p.BufferPool = r.copyBufs
-	p.ModifyResponse = func(resp *http.Response) error {
-		resp.Header.Set(NodeHeader, mem.name)
-		return nil
-	}
-	p.ErrorHandler = func(w http.ResponseWriter, req *http.Request, err error) {
-		mem.errors.Add(1)
-		r.logf("router: proxy to %s: %v", mem.name, err)
-		w.Header().Set(NodeHeader, mem.name)
-		tenancy.WriteError(w, badGateway(fmt.Sprintf("fleet member %s unreachable", mem.name)))
-	}
-	return p
-}
-
-// Close stops the health loop and drops the proxy's idle connections.
-// It does not touch the fleet.
+// Close stops the health loop and closes the member connections, idle ones
+// now and busy ones when their exchange ends. It does not touch the fleet.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
-	r.transport.CloseIdleConnections()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, mem := range r.members {
+		mem.client.closeIdle(true)
+	}
 }
 
 // Owner reports the member a tenant's traffic routes to right now: its
@@ -286,8 +260,13 @@ func (r *Router) serveTenant(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer r.leave(tenant)
-	mem.requests.Add(1)
-	mem.proxy.ServeHTTP(w, req)
+	body, err := readBody(w, req)
+	if err != nil {
+		w.Header()[NodeHeader] = mem.nodeHeader
+		tenancy.WriteError(w, err)
+		return
+	}
+	r.forward(w, req, mem, body)
 }
 
 // serveTenantsIndex handles the fleet-wide /v1/tenants route. GET merges
@@ -299,14 +278,12 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 	case http.MethodGet:
 		set := make(map[string]bool)
 		for _, mem := range r.healthyMembers() {
-			var out struct {
-				Tenants []string `json:"tenants"`
-			}
-			if err := r.getJSON(mem, "/v1/tenants"+queryString(req), &out); err != nil {
+			listed, err := r.tenants(mem, req.URL.RequestURI())
+			if err != nil {
 				r.logf("router: list tenants on %s: %v", mem.name, err)
 				continue
 			}
-			for _, name := range out.Tenants {
+			for _, name := range listed {
 				set[name] = true
 			}
 		}
@@ -317,7 +294,7 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 		sort.Strings(names)
 		tenancy.WriteJSON(w, http.StatusOK, map[string][]string{"tenants": names})
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, tenancy.MaxBodyBytes))
+		body, err := readBody(w, req)
 		if err != nil {
 			tenancy.WriteError(w, err)
 			return
@@ -340,10 +317,7 @@ func (r *Router) serveTenantsIndex(w http.ResponseWriter, req *http.Request) {
 			tenancy.WriteError(w, errNoMember)
 			return
 		}
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.ContentLength = int64(len(body))
-		mem.requests.Add(1)
-		mem.proxy.ServeHTTP(w, req)
+		r.forward(w, req, mem, body)
 	default:
 		tenancy.WriteError(w, tenancy.NotFound("no such endpoint"))
 	}
@@ -416,35 +390,18 @@ func (r *Router) healthyMembers() []*member {
 	return out
 }
 
-// getJSON issues an authorized GET against a member's API.
-func (r *Router) getJSON(mem *member, path string, out any) error {
-	req, err := http.NewRequest(http.MethodGet, mem.url.String()+path, nil)
-	if err != nil {
-		return err
+// tenants is a member's tenant listing: GET pathQuery, a /v1/tenants query.
+func (r *Router) tenants(mem *member, pathQuery string) ([]string, error) {
+	var out struct {
+		Tenants []string `json:"tenants"`
 	}
-	r.authorize(req)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
+	status, body, err := r.call(mem, http.MethodGet, pathQuery)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("GET %s: status %d", pathQuery, status)
+	} else if err == nil {
+		err = json.Unmarshal(body, &out)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (r *Router) authorize(req *http.Request) {
-	if r.cfg.AdminToken != "" {
-		req.Header.Set("Authorization", "Bearer "+r.cfg.AdminToken)
-	}
-}
-
-func queryString(req *http.Request) string {
-	if req.URL.RawQuery == "" {
-		return ""
-	}
-	return "?" + req.URL.RawQuery
+	return out.Tenants, err
 }
 
 // errNoMember answers a request no healthy member can take.

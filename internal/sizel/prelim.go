@@ -41,7 +41,7 @@ type PrelimStats struct {
 	Accesses int64
 	// TopWeights is the final content of the top-l PQ, descending: the l
 	// largest local importances of the OS (all of them when it holds fewer
-	// than l tuples). Their sum bounds Im(S) of every size-l selection from
+	// than l tuples; the root's alone at l = 1). Their sum bounds Im(S) of every size-l selection from
 	// above, connected or not.
 	TopWeights []float64
 }
@@ -88,6 +88,14 @@ func PrelimL(src ostree.Source, gds *schemagraph.GDS, root relational.TupleID, l
 		for ; offered < tree.Len(); offered++ {
 			topl.offer(tree.Nodes[offered].Weight)
 		}
+	}
+	if l == 1 {
+		// A size-1 OS is its root (footnote 1); MaxDepth l-1 = 0 would
+		// mean the unbounded OS instead.
+		if err := ostree.Root(tree, src, gds, root); err != nil {
+			return nil, PrelimStats{}, err
+		}
+		return tree, PrelimStats{Extracted: 1, TopWeights: []float64{tree.Nodes[0].Weight}}, nil
 	}
 	err := ostree.Build(tree, src, gds, root, ostree.GenOptions{MaxDepth: opts.MaxDepth},
 		func(gchild *schemagraph.Node, parent relational.TupleID) []relational.TupleID {

@@ -201,15 +201,20 @@ func TestPrelimNoACEqualsComplete(t *testing.T) {
 	for _, pk := range []int64{1, 2, 4} {
 		root := p.rootOf(t, pk)
 		// MaxDepth l-1 bounds the tree as a size-l query does: Engine.SizeL's
-		// Complete path against the timing figures' ostree.Generate. At l=1
-		// it is 0, the unbounded complete OS.
-		for _, l := range []int{1, 2, 3, 5, 10, 25, 50} {
-			complete, err := ostree.Generate(src, p.gds, root, ostree.GenOptions{MaxDepth: l - 1})
+		// Complete path against the timing figures' ostree.Generate. The last
+		// case passes MaxDepth 0 at an l above any OS here: the unbounded
+		// complete OS.
+		for _, l := range []int{2, 3, 5, 10, 25, 50, 1 << 20} {
+			maxDepth := l - 1
+			if l == 1<<20 {
+				maxDepth = 0
+			}
+			complete, err := ostree.Generate(src, p.gds, root, ostree.GenOptions{MaxDepth: maxDepth})
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
 			prelim, _, err := PrelimL(src, p.gds, root, l, PrelimOptions{
-				MaxDepth: l - 1, DisableAC1: true, DisableAC2: true, Into: arena,
+				MaxDepth: maxDepth, DisableAC1: true, DisableAC2: true, Into: arena,
 			})
 			if err != nil {
 				t.Fatalf("PrelimL: %v", err)
@@ -386,10 +391,10 @@ func TestPrelimIntoDirtyTreeEqualsFresh(t *testing.T) {
 			}
 		}
 		other := others[r.Intn(len(others))]
-		dirty, _, err := PrelimL(ostree.NewGraphSource(other.graph, other.scores), other.gds,
-			relational.TupleID(r.Intn(other.roots)), 1, PrelimOptions{DisableAC1: true, DisableAC2: true})
+		dirty, err := ostree.Generate(ostree.NewGraphSource(other.graph, other.scores), other.gds,
+			relational.TupleID(r.Intn(other.roots)), ostree.GenOptions{})
 		if err != nil {
-			t.Fatalf("%s: PrelimL: %v", other.name, err)
+			t.Fatalf("%s: Generate: %v", other.name, err)
 		}
 		held := dirty.Len()
 

@@ -522,6 +522,10 @@ func TestFairnessUnderAbuse(t *testing.T) {
 	var abuserOK, abuser429, abuser503, abuserOther atomic.Int64
 	sawRetryAfter := atomic.Bool{}
 	stop := make(chan struct{})
+	// throttled closes at the abusers' first 429: only then is the limiter
+	// in play, so only then does the contended loop start.
+	throttled := make(chan struct{})
+	var throttledOnce sync.Once
 	var abusers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		abusers.Add(1)
@@ -546,6 +550,7 @@ func TestFairnessUnderAbuse(t *testing.T) {
 					if resp.Header.Get("Retry-After") != "" {
 						sawRetryAfter.Store(true)
 					}
+					throttledOnce.Do(func() { close(throttled) })
 				case http.StatusServiceUnavailable:
 					abuser503.Add(1)
 				default:
@@ -556,6 +561,13 @@ func TestFairnessUnderAbuse(t *testing.T) {
 		}(w)
 	}
 
+	select {
+	case <-throttled:
+	case <-time.After(10 * time.Second):
+		close(stop)
+		abusers.Wait()
+		t.Fatal("abuser was never rate-limited")
+	}
 	contended := make([]time.Duration, 0, compliantReqs)
 	for i := 0; i < compliantReqs; i++ {
 		start := time.Now()
