@@ -32,7 +32,7 @@ race:
 # read, write, durability and routing paths (README "Benchmarks" maps each
 # to the BENCHMARK.json metric that watches the layer on every PR) plus the
 # paper's Fig. 10 cells — spelled once for both targets below.
-BENCH_FAMILIES := Fig10|RankedScan|RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery
+BENCH_FAMILIES := Fig10|PrelimCold|RankedScan|RankCompute|RankCompile|NewEngine|EndToEndSearch|DataGraphBuild|IndexBuild|MutateIncremental|RerankResidual|WALAppend|RecoveryReplay|QueryStream|QueryDrain|AdmissionOverhead|RoutedQuery
 
 # Textual benchmark pass; read it on a quiet box, it gates nothing.
 bench:
@@ -51,7 +51,7 @@ loc:
 # The ratchet: `make loc` may not exceed LOC_BUDGET, so deleted lines stay
 # deleted. A PR that removes lines lowers it to its own result; one that
 # has to raise it says why in CHANGES.md.
-LOC_BUDGET := 16614
+LOC_BUDGET := 16953
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

@@ -51,7 +51,7 @@ var (
 	envErr  error
 )
 
-func getEnv(b *testing.B) *benchEnv {
+func getEnv(b testing.TB) *benchEnv {
 	b.Helper()
 	envOnce.Do(func() {
 		dcfg := datagen.DefaultDBLPConfig()
@@ -87,7 +87,7 @@ func getEnv(b *testing.B) *benchEnv {
 	return env
 }
 
-func authorFixture(b *testing.B, l int) (ostree.Source, *schemagraph.GDS, relational.TupleID, *ostree.Tree, *ostree.Tree) {
+func authorFixture(b testing.TB, l int) (ostree.Source, *schemagraph.GDS, relational.TupleID, *ostree.Tree, *ostree.Tree) {
 	b.Helper()
 	e := getEnv(b)
 	scores, err := e.dblp.Scores(sizelos.DefaultSetting)
@@ -100,11 +100,11 @@ func authorFixture(b *testing.B, l int) (ostree.Source, *schemagraph.GDS, relati
 	}
 	src := ostree.NewGraphSource(e.dblp.Graph(), scores)
 	root := e.dblpRoots[0]
-	complete, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l - 1})
+	complete, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(l)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	prelim, _, err := sizel.PrelimL(src, gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
+	prelim, _, err := sizel.PrelimL(src, gds, root, l, sizel.PrelimOptions{MaxDepth: ostree.SizeLDepth(l)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func BenchmarkFig10SizeL(b *testing.B) {
 	}
 	const bigL = 1000
 	supplier, _, err := sizel.PrelimL(ostree.NewGraphSource(e.tpch.Graph(), scores), gds, e.tpchRoots[0], bigL,
-		sizel.PrelimOptions{MaxDepth: bigL - 1})
+		sizel.PrelimOptions{MaxDepth: ostree.SizeLDepth(bigL)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func BenchmarkFig10eScalability(b *testing.B) {
 	src := ostree.NewGraphSource(e.dblp.Graph(), scores)
 	const l = 10
 	for _, root := range e.dblpRoots {
-		tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l - 1})
+		tree, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(l)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1184,4 +1184,13 @@ func runRankedScan(b *testing.B, next func(i int) (*sizelos.Engine, sizelos.Quer
 	}
 	b.ReportMetric(float64(summaries)/float64(b.N), "summaries/op")
 	b.ReportMetric(float64(sealed)/float64(b.N), "sealed/op")
+}
+
+// TestAuthorFixtureSizeOne: the fixture the Figure 10 benchmarks time
+// builds the root alone at l = 1, complete and prelim-l.
+func TestAuthorFixtureSizeOne(t *testing.T) {
+	_, _, _, complete, prelim := authorFixture(t, 1)
+	if complete.Len() != 1 || prelim.Len() != 1 {
+		t.Fatalf("the size-1 fixture holds %d (complete) and %d (prelim-l) nodes, want the root alone", complete.Len(), prelim.Len())
+	}
 }

@@ -140,6 +140,9 @@ type Engine struct {
 	// it under the write lock. servedMu orders the readers that fill it.
 	servedMu sync.Mutex
 	served   map[string]relational.DBScores
+	// ordered per setting name holds the lists TOP-l extractions walk; a
+	// write that changes the graph or the raw scores repairs or drops them.
+	ordered map[string]*ostree.Ordered
 	// compactMin and compactRatio are the auto-compaction trigger: a
 	// relation is physically compacted when it carries at least compactMin
 	// tombstones AND they exceed compactRatio of its slots. compactMin <= 0
@@ -248,10 +251,14 @@ func newUnrankedEngine(db *relational.DB, settings []Setting) (*Engine, error) {
 		rawScores:    make(map[string]relational.DBScores, len(settings)),
 		scales:       make(map[string]scale, len(settings)),
 		served:       make(map[string]relational.DBScores, len(settings)),
+		ordered:      make(map[string]*ostree.Ordered, len(settings)),
 		arenas:       make(chan *ostree.Tree, runtime.GOMAXPROCS(0)),
 	}
 	for _, r := range db.Relations {
 		e.epochs[r.Name] = 0
+	}
+	for _, s := range settings {
+		e.ordered[s.Name] = new(ostree.Ordered)
 	}
 	if e.plans, err = compilePlans(g, e.settings); err != nil {
 		return nil, err
@@ -411,8 +418,10 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 	// it (under a smaller deps the old ones could exceed every later epoch).
 	delete(e.wide, gds.DSName)
 	delete(e.subj, gds.DSName)
-	// Bounds learned under the previous G_DS describe other OSs.
+	// Bounds learned under the previous G_DS describe other OSs, and lists
+	// of hops it no longer binds are dead weight.
 	e.bounds = nil
+	e.resetOrderedLocked()
 	// Summaries cached under the previous G_DS of this DS relation are now
 	// stale; swap in a fresh cache of the same capacity. CAS so a
 	// concurrent EnableSummaryCache reconfiguration wins over the swap.
@@ -426,6 +435,14 @@ func (e *Engine) RegisterGDS(gds *schemagraph.GDS) error {
 		}
 	}
 	return nil
+}
+
+// resetOrderedLocked drops every setting's lists. Callers hold the write
+// lock.
+func (e *Engine) resetOrderedLocked() {
+	for _, o := range e.ordered {
+		o.Reset()
+	}
 }
 
 // annotateLocked clones gds once per setting and annotates each clone from
@@ -795,7 +812,7 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 		return scored{}, err
 	}
 	if k.src == nil {
-		k.src = ostree.NewScaledGraphSource(e.graph, raw, f)
+		k.src = ostree.NewOrderedGraphSource(e.graph, raw, f, e.ordered[req.Setting])
 	}
 
 	var arena *ostree.Tree // nil: PrelimL makes one
@@ -805,7 +822,7 @@ func (e *Engine) evaluate(req QueryRequest, tuple relational.TupleID, tau float6
 	}
 	// With both avoidance conditions off, PrelimL builds the complete OS.
 	tree, stats, err := sizel.PrelimL(k.src, gds, tuple, l, sizel.PrelimOptions{
-		MaxDepth: l - 1, DisableAC1: req.Complete, DisableAC2: req.Complete, Into: arena,
+		MaxDepth: ostree.SizeLDepth(l), DisableAC1: req.Complete, DisableAC2: req.Complete, Into: arena,
 	})
 	if err != nil {
 		return scored{}, err

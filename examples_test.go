@@ -114,11 +114,11 @@ func Example_algorithmsCompare() {
 		log.Fatal("author 1 missing")
 	}
 	src := ostree.NewGraphSource(eng.Graph(), scores)
-	complete, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: l - 1})
+	complete, err := ostree.Generate(src, gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(l)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prelim, pstats, err := sizel.PrelimL(src, gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
+	prelim, pstats, err := sizel.PrelimL(src, gds, root, l, sizel.PrelimOptions{MaxDepth: ostree.SizeLDepth(l)})
 	if err != nil {
 		log.Fatal(err)
 	}

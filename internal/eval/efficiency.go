@@ -68,11 +68,11 @@ func Efficiency(eng *sizelos.Engine, dsRel string, roots []relational.TupleID, l
 // timeMethods times every method on root's complete and prelim-l trees for
 // a size-l query, one entry per method.
 func timeMethods(src source, root relational.TupleID, l int, methods []methodSpec) ([]float64, error) {
-	complete, err := src.os(root, l-1)
+	complete, err := src.sizeL(src.graph, root, l)
 	if err != nil {
 		return nil, err
 	}
-	prelim, err := src.prelim(root, l)
+	prelim, err := src.prelim(src.graph, root, l)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func GenerationBreakdown(eng *sizelos.Engine, dsRel string, roots []relational.T
 		var tGenG, tGenD, tPreG, tPreD, tBU, tTP, szC, szP float64
 		for _, root := range roots {
 			start := time.Now()
-			complete, err := src.os(root, l-1)
+			complete, err := src.sizeL(src.graph, root, l)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -184,13 +184,13 @@ func GenerationBreakdown(eng *sizelos.Engine, dsRel string, roots []relational.T
 			// charged, like a cold database path.
 			dsrc := ostree.NewDBSource(eng.DB(), src.scores)
 			start = time.Now()
-			if _, err := ostree.Generate(dsrc, src.gds, root, ostree.GenOptions{MaxDepth: l - 1}); err != nil {
+			if _, err := src.sizeL(dsrc, root, l); err != nil {
 				return Figure{}, err
 			}
 			tGenD += time.Since(start).Seconds()
 
 			start = time.Now()
-			prelim, err := src.prelim(root, l)
+			prelim, err := src.prelim(src.graph, root, l)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -198,7 +198,7 @@ func GenerationBreakdown(eng *sizelos.Engine, dsRel string, roots []relational.T
 
 			dsrc = ostree.NewDBSource(eng.DB(), src.scores)
 			start = time.Now()
-			if _, _, err := sizel.PrelimL(dsrc, src.gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1}); err != nil {
+			if _, err := src.prelim(dsrc, root, l); err != nil {
 				return Figure{}, err
 			}
 			tPreD += time.Since(start).Seconds()

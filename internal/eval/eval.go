@@ -156,9 +156,15 @@ func (s source) os(root relational.TupleID, maxDepth int) (*ostree.Tree, error) 
 	return ostree.Generate(s.graph, s.gds, root, ostree.GenOptions{MaxDepth: maxDepth})
 }
 
-// prelim generates root's prelim-l OS as a size-l query does.
-func (s source) prelim(root relational.TupleID, l int) (*ostree.Tree, error) {
-	tree, _, err := sizel.PrelimL(s.graph, s.gds, root, l, sizel.PrelimOptions{MaxDepth: l - 1})
+// sizeL generates root's OS through from, cut where a size-l query cuts it
+// (ostree.SizeLDepth): the root alone at l = 1.
+func (s source) sizeL(from ostree.Source, root relational.TupleID, l int) (*ostree.Tree, error) {
+	return ostree.Generate(from, s.gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(l)})
+}
+
+// prelim generates root's prelim-l OS through from as a size-l query does.
+func (s source) prelim(from ostree.Source, root relational.TupleID, l int) (*ostree.Tree, error) {
+	tree, _, err := sizel.PrelimL(from, s.gds, root, l, sizel.PrelimOptions{MaxDepth: ostree.SizeLDepth(l)})
 	return tree, err
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"sizelos"
 	"sizelos/internal/datagen"
+	"sizelos/internal/ostree"
 	"sizelos/internal/relational"
 )
 
@@ -258,6 +259,30 @@ func TestFigureFormat(t *testing.T) {
 	for _, want := range []string{"== demo ==", "l", "a", "b", "1.500", ">cap", "note: hello"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSizeOneIsRootOnBothSources: at l = 1 the size-l OS that Figures 10
+// and 10f generate and time is the root alone, through the data graph and
+// through database joins, complete or prelim-l.
+func TestSizeOneIsRootOnBothSources(t *testing.T) {
+	eng, roots := testEngine(t)
+	src, err := sourceOf(eng, "Author", sizelos.DefaultSetting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, from := range map[string]ostree.Source{"graph": src.graph, "db": ostree.NewDBSource(eng.DB(), src.scores)} {
+		complete, err := src.sizeL(from, roots[0], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prelim, err := src.prelim(from, roots[0], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if complete.Len() != 1 || prelim.Len() != 1 {
+			t.Fatalf("%s: the size-1 OSs hold %d (complete) and %d (prelim-l) nodes, want the root alone", name, complete.Len(), prelim.Len())
 		}
 	}
 }

@@ -12,7 +12,8 @@
 // GraphSource crosses each node's datagraph.Hop (reversed for Parents) and
 // reads scores by relation ordinal, resolved once per source: no name is
 // looked up per extraction. It reads them at a scale
-// (NewScaledGraphSource), so the engine extracts from its raw vectors.
+// (NewScaledGraphSource), so the engine extracts from its raw vectors, and
+// walks a TOP-l extraction off the hop's score-ordered lists (Ordered).
 // DBSource reads the name-based Step instead.
 //
 // # Invariants
@@ -25,6 +26,9 @@
 //   - Trees hold TupleIDs, not copies: they are snapshots of one mutation
 //     quiescence and must not be traversed across an Engine.Mutate that can
 //     reach their subject (the engine's summary cache keys them by stamp).
+//   - An Ordered family lists, per parent, a permutation of Graph.Cross
+//     non-increasing in raw score, repaired or dropped by every write: the
+//     walk returns what filtering and sorting every child would.
 //   - GraphSource.Parents is the exact inverse of Children; Subjects lists
 //     every subject whose OS a batch changed (the engine keeps the rest).
 //   - An extraction result (Children, ChildrenTopL) is read-only and may

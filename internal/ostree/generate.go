@@ -9,11 +9,21 @@ import (
 
 // GenOptions controls complete-OS generation.
 type GenOptions struct {
-	// MaxDepth excludes tuples deeper than this from the OS; generating for
-	// a size-l query passes l-1, implementing the paper's footnote 1 ("any
-	// tuples or subtrees which have distance at least l from the root are
-	// excluded"). Zero means unbounded.
+	// MaxDepth excludes tuples deeper than this from the OS. Zero means
+	// unbounded, and a negative depth keeps the root alone; generating for a
+	// size-l query passes SizeLDepth(l).
 	MaxDepth int
+}
+
+// SizeLDepth is the MaxDepth of a size-l query, the paper's footnote 1
+// ("any tuples or subtrees which have distance at least l from the root are
+// excluded"): l-1, and the root alone at l = 1, where l-1 would read
+// unbounded.
+func SizeLDepth(l int) int {
+	if l <= 1 {
+		return -1
+	}
+	return l - 1
 }
 
 // Root resets t, over its node arena, to the data subject tuple root alone:
@@ -71,7 +81,7 @@ func Build(t *Tree, src Source, gds *schemagraph.GDS, root relational.TupleID, o
 	var ids []NodeID
 	for cur := 0; cur < len(t.Nodes); cur++ {
 		n := t.Nodes[cur]
-		if opts.MaxDepth > 0 && int(n.Depth) >= opts.MaxDepth {
+		if opts.MaxDepth < 0 || opts.MaxDepth > 0 && int(n.Depth) >= opts.MaxDepth {
 			continue
 		}
 		gpRel, gpTuple := int32(-1), relational.TupleID(0) // the children's grandparent

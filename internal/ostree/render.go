@@ -1,9 +1,12 @@
 package ostree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
+
+	"sizelos/internal/relational"
 )
 
 // RenderOptions controls OS rendering.
@@ -24,25 +27,48 @@ type RenderOptions struct {
 // 5: one tuple per line, children indented under their parent, each line
 // "Label: attr, attr, ...".
 func (t *Tree) Render(opts RenderOptions) string {
-	var keep []bool
+	r := renderer{t: t, opts: opts, cols: make([][]int, len(t.DB.Relations))}
 	if opts.Keep != nil {
-		keep = make([]bool, t.Len())
+		r.keep = make([]bool, t.Len())
 		for _, id := range opts.Keep {
-			if id >= 0 && int(id) < len(keep) {
-				keep[id] = true
+			if id >= 0 && int(id) < len(r.keep) {
+				r.keep[id] = true
 			}
 		}
-		if len(keep) == 0 || !keep[t.Root()] {
+		if len(r.keep) == 0 || !r.keep[t.Root()] {
 			return ""
 		}
 	}
-	var b strings.Builder
-	t.renderNode(&b, t.Root(), keep, opts)
-	return b.String()
+	// A relation displays its non-key columns whose attribute affinity
+	// passes θ′.
+	var all []int
+	for ri, rel := range t.DB.Relations {
+		lo := len(all)
+		for ci, col := range rel.Columns {
+			if ci != rel.PKCol && rel.FKIndexOf(col.Name) < 0 && col.Affinity >= opts.AttrTheta {
+				all = append(all, ci)
+			}
+		}
+		r.cols[ri] = all[lo:]
+	}
+	r.node(t.Root())
+	return r.b.String()
 }
 
-func (t *Tree) renderNode(b *strings.Builder, id NodeID, keep []bool, opts RenderOptions) {
-	n := &t.Nodes[id]
+// renderer is one Render call: the text, each relation's display columns
+// and the stack every node's children are sorted on.
+type renderer struct {
+	t     *Tree
+	opts  RenderOptions
+	keep  []bool
+	b     strings.Builder
+	num   [32]byte
+	cols  [][]int
+	stack []NodeID
+}
+
+func (r *renderer) node(id NodeID) {
+	b, n := &r.b, &r.t.Nodes[id]
 	for i := int32(0); i < 2*n.Depth; i++ {
 		b.WriteByte('.')
 	}
@@ -51,61 +77,46 @@ func (t *Tree) renderNode(b *strings.Builder, id NodeID, keep []bool, opts Rende
 	}
 	b.WriteString(n.GDS.Label)
 	b.WriteString(": ")
-	t.describe(b, id, opts.AttrTheta)
-	if opts.ShowWeights {
-		var num [32]byte
+	rel, cols := r.t.DB.Relations[n.Rel], r.cols[n.Rel]
+	for i, ci := range cols {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if v := rel.Tuples[n.Tuple][ci]; v.Kind == relational.KindString {
+			b.WriteString(v.Str)
+		} else {
+			b.Write(v.Append(r.num[:0]))
+		}
+	}
+	if len(cols) == 0 {
+		// Fall back to the primary key so every tuple renders something.
+		b.WriteByte('#')
+		b.Write(strconv.AppendInt(r.num[:0], rel.PK(n.Tuple), 10))
+	}
+	if r.opts.ShowWeights {
 		b.WriteString("  [")
-		b.Write(strconv.AppendFloat(num[:0], n.Weight, 'f', 2, 64))
+		b.Write(strconv.AppendFloat(r.num[:0], n.Weight, 'f', 2, 64))
 		b.WriteByte(']')
 	}
 	b.WriteByte('\n')
 	// Children are rendered grouped by G_DS role, highest-weight first
 	// within a role, which mirrors the paper's examples (papers first, then
-	// details).
-	var children []NodeID
+	// details): children of two roles compare equal, and the sort is stable.
+	lo := len(r.stack)
 	for _, c := range n.Children {
-		if keep == nil || keep[c] {
-			children = append(children, c)
+		if r.keep == nil || r.keep[c] {
+			r.stack = append(r.stack, c)
 		}
 	}
-	if len(children) > 1 {
-		sort.SliceStable(children, func(a, b int) bool {
-			ca, cb := &t.Nodes[children[a]], &t.Nodes[children[b]]
-			if ca.GDS != cb.GDS {
-				return false // preserve role grouping as generated
-			}
-			return ca.Weight > cb.Weight
-		})
-	}
-	for _, c := range children {
-		t.renderNode(b, c, keep, opts)
-	}
-}
-
-// describe writes the displayable attributes of a node's tuple: non-key
-// columns whose attribute affinity passes θ′, comma-separated.
-func (t *Tree) describe(b *strings.Builder, id NodeID, attrTheta float64) {
-	n := &t.Nodes[id]
-	rel := t.DB.Relations[n.Rel]
-	tup := rel.Tuples[n.Tuple]
-	wrote := false
-	for ci, col := range rel.Columns {
-		if ci == rel.PKCol || rel.FKIndexOf(col.Name) >= 0 {
-			continue
+	hi := len(r.stack)
+	slices.SortStableFunc(r.stack[lo:hi], func(a, b NodeID) int {
+		if na, nb := &r.t.Nodes[a], &r.t.Nodes[b]; na.GDS == nb.GDS {
+			return cmp.Compare(nb.Weight, na.Weight)
 		}
-		if col.Affinity < attrTheta {
-			continue
-		}
-		if wrote {
-			b.WriteString(", ")
-		}
-		b.WriteString(tup[ci].String())
-		wrote = true
+		return 0
+	})
+	for i := lo; i < hi; i++ {
+		r.node(r.stack[i])
 	}
-	if !wrote {
-		// Fall back to the primary key so every tuple renders something.
-		var num [24]byte
-		b.WriteByte('#')
-		b.Write(strconv.AppendInt(num[:0], rel.PK(n.Tuple), 10))
-	}
+	r.stack = r.stack[:lo]
 }

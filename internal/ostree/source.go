@@ -244,9 +244,19 @@ type GraphSource struct {
 	// hop and top are the scratch a junction step's children and a TOP-l
 	// extraction's survivors are written into (Source's aliasing contract).
 	hop, top []relational.TupleID
-	// inline backs scores up to 8 relations (TPC-H's count), so a source
-	// is one allocation: the engine makes one per page.
-	inline [8]relational.Scores
+	// ord holds the lists TOP-l extractions walk; memo keeps each G_DS
+	// node's family, so only its first TOP-l extraction takes ord's lock.
+	ord  *Ordered
+	memo []memoEntry
+	// inline backs scores up to 8 relations (TPC-H's count) and memo up to
+	// 8 nodes, so a source is one allocation: the engine makes one per page.
+	inline     [8]relational.Scores
+	memoInline [8]memoEntry
+}
+
+type memoEntry struct {
+	gn  *schemagraph.Node
+	fam *family
 }
 
 // NewGraphSource creates a data-graph-backed extraction source.
@@ -256,10 +266,18 @@ func NewGraphSource(g *datagraph.Graph, scores relational.DBScores) *GraphSource
 
 // NewScaledGraphSource is a GraphSource over raw scores served at scale f:
 // every weight and threshold reads relational.Scaled.At, what a table
-// rescaled by f in place would hold.
+// rescaled by f in place would hold. Its TOP-l lists are its own, built on
+// first use: g and raw must not change while it is used.
 func NewScaledGraphSource(g *datagraph.Graph, raw relational.DBScores, f float64) *GraphSource {
-	s := &GraphSource{g: g, f: f}
+	return NewOrderedGraphSource(g, raw, f, nil)
+}
+
+// NewOrderedGraphSource is NewScaledGraphSource walking ord's lists, kept
+// current by whoever changes g or raw (the engine's, per setting).
+func NewOrderedGraphSource(g *datagraph.Graph, raw relational.DBScores, f float64, ord *Ordered) *GraphSource {
+	s := &GraphSource{g: g, f: f, ord: ord}
 	s.scores = byOrdinal(s.inline[:0], g.DB, raw)
+	s.memo = s.memoInline[:0]
 	return s
 }
 
@@ -297,12 +315,26 @@ func (s *GraphSource) Parents(gn *schemagraph.Node, child relational.TupleID) []
 	return s.g.Cross(gn.Hop.Reverse(), child, &own)
 }
 
-// ChildrenTopL implements Source, copying and sorting only the children
-// over minScore.
+// ChildrenTopL implements Source: a prefix walk of the parent's list in
+// the family of gn's hop (Ordered). A Forward hop's one child, like
+// DBSource's parent-FK case, is filtered without a list.
 func (s *GraphSource) ChildrenTopL(gn *schemagraph.Node, parent relational.TupleID, minScore float64, limit int) []relational.TupleID {
 	sc := s.Scores(gn.RelOrd)
-	s.top = keepOver(s.top[:0], s.Children(gn, parent), sc, minScore)
-	return sortTopL(s.top, sc, limit)
+	if gn.Hop.Forward() {
+		s.top = keepOver(s.top[:0], s.Children(gn, parent), sc, minScore)
+		return sortTopL(s.top, sc, limit)
+	}
+	s.accesses++
+	for _, m := range s.memo {
+		if m.gn == gn {
+			return m.fam.topL(parent, sc, minScore, limit, &s.top)
+		}
+	}
+	if s.ord == nil {
+		s.ord = new(Ordered)
+	}
+	s.memo = append(s.memo, memoEntry{gn, s.ord.family(s.g, gn.Hop, s.scores[gn.RelOrd])})
+	return s.memo[len(s.memo)-1].fam.topL(parent, sc, minScore, limit, &s.top)
 }
 
 // Subjects lists the root tuples of gds whose OS a committed batch can have

@@ -93,14 +93,16 @@ func (sc *pushScratch) enqueue(v int32) {
 
 // pushRun is the state one repair shares: raw[ri] is relation ri's score
 // vector, already rescaled, that every push adds into; max[ri] was its
-// maximum (at least 0) after the rescale, at slot arg[ri] (-1: none).
+// maximum (at least 0) after the rescale, at slot arg[ri] (-1: none); the
+// rescale multiplied raw[ri][:covered[ri]] and set the rest to the base.
 type pushRun struct {
-	ps  *Plans
-	sc  *pushScratch
-	raw []relational.Scores
-	d   float64
-	max []float64
-	arg []int32
+	ps      *Plans
+	sc      *pushScratch
+	raw     []relational.Scores
+	d       float64
+	max     []float64
+	arg     []int32
+	covered []int32
 }
 
 // relOf returns the ordinal of the relation arena index u belongs to.

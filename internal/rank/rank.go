@@ -165,6 +165,11 @@ type Stats struct {
 	// MaxRescans counts the relations whose maximum a completed
 	// RunResidual rescanned: their maximum node was pushed below it.
 	MaxRescans int
+	// Moved[ri] lists, in no order, the slots of relation ri a completed
+	// RunResidual changed beyond rescaling the prior by one factor: the
+	// pushed nodes and the fresh slots set to the base. nil after Run or a
+	// fallback, whose scores are all new.
+	Moved [][]relational.TupleID
 }
 
 // span locates one source's row in its plan's store: targets[lo:hi], and

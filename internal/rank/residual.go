@@ -341,6 +341,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 	}
 	stats.Converged = true
 	stats.Max, stats.MaxRescans = pr.maxima()
+	stats.Moved = pr.moved()
 
 	ps.putScratch(sc)
 	return opts.Warm, stats, nil
@@ -353,7 +354,7 @@ func (ps *Plans) RunResidual(pending *Pending, opts Options) (relational.DBScore
 func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) *pushRun {
 	db := ps.g.DB
 	nRel := len(db.Relations)
-	pr := &pushRun{ps: ps, raw: make([]relational.Scores, nRel), d: d, max: make([]float64, nRel), arg: make([]int32, nRel)}
+	pr := &pushRun{ps: ps, raw: make([]relational.Scores, nRel), d: d, max: make([]float64, nRel), arg: make([]int32, nRel), covered: make([]int32, nRel)}
 	c, base := float64(pending.oldN)/float64(ps.n), (1-d)/float64(ps.n)
 	for ri, rel := range db.Relations {
 		w := warm[rel.Name]
@@ -377,7 +378,7 @@ func (ps *Plans) rescale(pending *Pending, warm relational.DBScores, d float64) 
 		for i := covered; i < size; i++ {
 			x[i] = base
 		}
-		warm[rel.Name], pr.raw[ri] = x, x
+		warm[rel.Name], pr.raw[ri], pr.covered[ri] = x, x, int32(covered)
 		pr.max[ri], pr.arg[ri] = m, arg
 	}
 	return pr
@@ -406,6 +407,23 @@ func (pr *pushRun) maxima() ([]float64, int) {
 		}
 	}
 	return out, rescans
+}
+
+// moved returns Stats.Moved after the drain: each relation's fresh slots
+// and pushed nodes.
+func (pr *pushRun) moved() [][]relational.TupleID {
+	out := make([][]relational.TupleID, len(pr.raw))
+	for ri, x := range pr.raw {
+		for t := pr.covered[ri]; t < int32(len(x)); t++ {
+			out[ri] = append(out[ri], relational.TupleID(t))
+		}
+	}
+	for _, v := range pr.sc.dirty {
+		if ri := pr.ps.relOf(v); pr.sc.mark[v]&markPushed != 0 && v-pr.ps.relOff[ri] < pr.covered[ri] {
+			out[ri] = append(out[ri], relational.TupleID(v-pr.ps.relOff[ri]))
+		}
+	}
+	return out
 }
 
 // sweep seeds the exact residual: it sums M·x into the scratch in

@@ -1,7 +1,9 @@
 package relational
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -54,16 +56,38 @@ func StrVal(v string) Value { return Value{Kind: KindString, Str: v} }
 
 // String renders the value for OS output (Examples 4 and 5 in the paper).
 func (v Value) String() string {
+	if v.Kind == KindString {
+		return v.Str
+	}
+	return string(v.Append(nil))
+}
+
+// Append appends String's text to dst. A float is what
+// strconv.FormatFloat(v, 'f', 2, 64) gives, through its shortest form
+// padded to two places when that has at most two and |v| < 1e13: there
+// half an ulp is under 0.001, so v rounded to two places is that form, and
+// strconv's fixed precision path, which is slow, is skipped.
+func (v Value) Append(dst []byte) []byte {
 	switch v.Kind {
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(dst, v.Int, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'f', 2, 64)
+		if n := len(dst); math.Abs(v.Float) < 1e13 {
+			dst = strconv.AppendFloat(dst, v.Float, 'f', -1, 64)
+			dot := bytes.IndexByte(dst[n:], '.')
+			if dot < 0 {
+				return append(dst, ".00"...)
+			}
+			if frac := len(dst) - n - dot - 1; frac <= 2 {
+				return append(dst, "00"[frac:]...)
+			}
+			dst = dst[:n]
+		}
+		return strconv.AppendFloat(dst, v.Float, 'f', 2, 64)
 	case KindString:
-		return v.Str
-	default:
-		return "?"
+		return append(dst, v.Str...)
 	}
+	return append(dst, '?')
 }
 
 // Equal reports whether two values are identical in kind and payload.

@@ -83,12 +83,12 @@ func TestTopWeightsBoundImportance(t *testing.T) {
 		src := ostree.NewGraphSource(fx.graph, fx.scores)
 		for trial := 0; trial < 6; trial++ {
 			root, l := relational.TupleID(r.Intn(fx.roots)), 1+r.Intn(56)
-			_, stats, err := PrelimL(src, fx.gds, root, l, PrelimOptions{MaxDepth: l - 1})
+			_, stats, err := PrelimL(src, fx.gds, root, l, PrelimOptions{MaxDepth: ostree.SizeLDepth(l)})
 			if err != nil {
 				t.Fatalf("%s: PrelimL: %v", fx.name, err)
 			}
 			top := stats.TopWeights
-			complete, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: l - 1})
+			complete, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(l)})
 			if err != nil {
 				t.Fatalf("%s: Generate: %v", fx.name, err)
 			}
@@ -106,13 +106,16 @@ func TestTopWeightsBoundImportance(t *testing.T) {
 					}
 					bound += top[small-1]
 				}
-				prelim, _, err := PrelimL(src, fx.gds, root, small, PrelimOptions{MaxDepth: small - 1})
+				prelim, _, err := PrelimL(src, fx.gds, root, small, PrelimOptions{MaxDepth: ostree.SizeLDepth(small)})
 				if err != nil {
 					t.Fatalf("%s: PrelimL: %v", fx.name, err)
 				}
-				cut, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: small - 1})
+				cut, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(small)})
 				if err != nil {
 					t.Fatalf("%s: Generate: %v", fx.name, err)
+				}
+				if small == 1 && (prelim.Len() != 1 || cut.Len() != 1) {
+					t.Fatalf("%s root %d: the size-1 OSs hold %d (prelim-l) and %d (complete) nodes, want the root alone", fx.name, root, prelim.Len(), cut.Len())
 				}
 				for kind, tree := range map[string]*ostree.Tree{"prelim": prelim, "complete": cut} {
 					for _, algo := range []string{"dp", "bottom-up", "top-path"} {
@@ -223,12 +226,12 @@ func TestCompactRendersAsKeep(t *testing.T) {
 					// Equal weights within a role meet Render's stable sort.
 					check(fmt.Sprintf("%s tie-heavy tree %d.%d", fx.name, trial, i), tieWeights(r, randomOS(r, fx, 1+r.Intn(300))), l)
 				}
-				prelim, _, err := PrelimL(src, fx.gds, root, l, PrelimOptions{MaxDepth: l - 1})
+				prelim, _, err := PrelimL(src, fx.gds, root, l, PrelimOptions{MaxDepth: ostree.SizeLDepth(l)})
 				if err != nil {
 					t.Fatalf("%s: PrelimL: %v", fx.name, err)
 				}
 				check(fmt.Sprintf("%s root %d prelim", fx.name, root), prelim, l)
-				complete, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: l - 1})
+				complete, err := ostree.Generate(src, fx.gds, root, ostree.GenOptions{MaxDepth: ostree.SizeLDepth(l)})
 				if err != nil {
 					t.Fatalf("%s: Generate: %v", fx.name, err)
 				}

@@ -19,8 +19,9 @@ type PrelimOptions struct {
 	// DisableAC2 turns off Avoidance Condition 2 (TOP-l-with-threshold
 	// extraction from fruitful-l relations).
 	DisableAC2 bool
-	// MaxDepth mirrors ostree.GenOptions.MaxDepth (footnote 1); pass l-1
-	// when generating for a size-l query. Zero means unbounded.
+	// MaxDepth mirrors ostree.GenOptions.MaxDepth (footnote 1); pass
+	// ostree.SizeLDepth(l) when generating for a size-l query. Zero means
+	// unbounded.
 	MaxDepth int
 	// Into, when non-nil, is the tree PrelimL returns, its node arena reused
 	// (ostree.Build); whatever it held before is overwritten. The engine
@@ -90,8 +91,7 @@ func PrelimL(src ostree.Source, gds *schemagraph.GDS, root relational.TupleID, l
 		}
 	}
 	if l == 1 {
-		// A size-1 OS is its root (footnote 1); MaxDepth l-1 = 0 would
-		// mean the unbounded OS instead.
+		// A size-1 OS is its root (footnote 1), whatever MaxDepth says.
 		if err := ostree.Root(tree, src, gds, root); err != nil {
 			return nil, PrelimStats{}, err
 		}

@@ -189,6 +189,10 @@ func (e *Engine) Mutate(b MutationBatch) (MutationResult, error) {
 				}
 			}
 		}
+		// Re-derive the TOP-l lists whose parents the batch changed.
+		for name, o := range e.ordered {
+			o.Apply(e.graph, e.rawScores[name], res)
+		}
 		// Splice the same delta into each compiled G_A's push plans (work
 		// proportional to the touched rows), capturing the pre-mutation
 		// rows the next re-rank will seed from (while pending covers every
@@ -338,6 +342,15 @@ func (e *Engine) rerankLocked(result *MutationResult) (changed bool, err error) 
 			MaxRescans:    st.MaxRescans,
 		}
 	}
+	// A repair moved only its Moved slots past one uniform rescale: re-sort
+	// the lists holding them. A full iteration's scores are all new.
+	for name, st := range stats {
+		if st.Moved == nil {
+			e.ordered[name].Reset()
+		} else {
+			e.ordered[name].Rescored(e.graph, e.rawScores[name], st.Moved)
+		}
+	}
 	if err := e.reannotateLocked(); err != nil {
 		return true, fmt.Errorf("%w: re-annotate: %v", ErrMutationInternal, err)
 	}
@@ -429,6 +442,7 @@ func (e *Engine) compactLocked(rels []string, result *MutationResult, inserts []
 		return fmt.Errorf("%w: rebuild data graph after compaction: %v", ErrMutationInternal, err)
 	}
 	e.graph = g
+	e.resetOrderedLocked() // the lists name the old TupleIDs
 	// The raw scores are the fixed point of b = (1−d)/N_conv, N_conv the
 	// node count of the geometry they converged under. A reclaimed slot
 	// held only b and fed no other node: scaled by N_conv/N_after the raw

@@ -29,6 +29,13 @@ package sizelos
 //     fails here; so does a stamp that survives a compaction. So must every
 //     G_DS annotation (Max, MMax) under every setting: a re-rank or a
 //     compaction that left one behind fails here.
+//  5. Ordered≡rebuilt: after every batch, re-rank and compaction, every
+//     TOP-l family the engine keeps (ostree.Ordered, under every setting)
+//     lists, per parent tuple, a permutation of Graph.Cross in
+//     non-increasing raw score, and every parent's prefix walk equals the
+//     children filtered and sorted afresh at thresholds below all, at a
+//     child and above all, with limits 0, 1, l and unbounded. A batch or a
+//     re-rank whose repair missed a list fails here.
 //
 // Seeded and reproducible: the default seed is fixed; set
 // SIZELOS_EQUIV_SEED to replay a failure. CI runs the harness under -race
@@ -36,8 +43,10 @@ package sizelos
 // its settings concurrently.
 
 import (
+	"cmp"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -45,6 +54,7 @@ import (
 	"sizelos/internal/datagen"
 	"sizelos/internal/datagraph"
 	"sizelos/internal/mutgen"
+	"sizelos/internal/ostree"
 	"sizelos/internal/rank"
 	"sizelos/internal/relational"
 )
@@ -107,6 +117,7 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 		if err != nil {
 			t.Fatalf("round %d: Mutate(%d dels, %d ins): %v", round, len(batch.Deletes), len(batch.Inserts), err)
 		}
+		requireOrderedCurrent(t, eng, round)
 		// Invariant 3, at an l that alternates below and above the previous
 		// round's so surviving profiles would be read both ways.
 		rebuilt := rebuildFrom(t, eng, restore, round)
@@ -200,6 +211,84 @@ func runEquivalence(t *testing.T, eng *Engine, settings []Setting, seed int64, r
 	if sweep.plainRounds == 0 || float64(sweep.hits) < 0.9*float64(sweep.lookups) {
 		t.Fatalf("plain batches left %d of %d swept summaries cached over %d rounds, want >= 90%%", sweep.hits, sweep.lookups, sweep.plainRounds)
 	}
+}
+
+// requireOrderedCurrent is invariant 5. Walking every non-Forward G_DS
+// hop under every setting also builds the families no query built yet, so
+// from the next round on every setting's lists are repaired ones.
+func requireOrderedCurrent(t *testing.T, eng *Engine, round int) {
+	t.Helper()
+	g := eng.graph
+	var buf []relational.TupleID
+	for _, s := range eng.settings {
+		raw, f := eng.rawScores[s.Name], eng.scales[s.Name].f
+		eng.ordered[s.Name].Families(func(h datagraph.Hop, lists [][]relational.TupleID) {
+			sc := raw[g.DB.Relations[h.To()].Name]
+			if len(lists) != g.RelSize(h.From()) {
+				t.Fatalf("round %d: %s: a family lists %d parents of %d", round, s.Name, len(lists), g.RelSize(h.From()))
+			}
+			for p, list := range lists {
+				want := slices.Sorted(slices.Values(g.Cross(h, relational.TupleID(p), &buf)))
+				if got := slices.Sorted(slices.Values(list)); !slices.Equal(got, want) {
+					t.Fatalf("round %d: %s: parent %d lists %v, the graph crosses to %v", round, s.Name, p, list, want)
+				}
+				for i := 1; i < len(list); i++ {
+					if sc[list[i]] > sc[list[i-1]] {
+						t.Fatalf("round %d: %s: parent %d list %v rises in raw score at %d", round, s.Name, p, list, i)
+					}
+				}
+			}
+		})
+		src := ostree.NewOrderedGraphSource(g, raw, f, eng.ordered[s.Name])
+		seen := make(map[datagraph.Hop]bool)
+		for _, gds := range eng.baseGDS {
+			for _, gn := range gds.Nodes()[1:] {
+				if gn.Hop.Forward() || seen[gn.Hop] {
+					continue
+				}
+				seen[gn.Hop] = true
+				sc := relational.Scaled{Raw: raw[gn.Rel], F: f}
+				for p := range g.RelSize(gn.Hop.From()) {
+					children := slices.Clone(g.Cross(gn.Hop, relational.TupleID(p), &buf))
+					mins := []float64{-1, math.Inf(1)}
+					if len(children) > 0 {
+						mins = append(mins, sc.At(children[len(children)/2]))
+					}
+					for _, floor := range mins {
+						for _, limit := range []int{0, 1, 5, math.MaxInt} {
+							want := naiveTopL(children, sc, floor, limit)
+							if got := src.ChildrenTopL(gn, relational.TupleID(p), floor, limit); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+								t.Fatalf("round %d: %s %s parent %d min=%v limit=%d: walk %v, filtered and sorted %v",
+									round, s.Name, gn.Label, p, floor, limit, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// naiveTopL is a TOP-l extraction the slow way: every child scoring over
+// minScore, by descending score, ties by ascending id, cut to limit; nil
+// when none is or limit <= 0.
+func naiveTopL(children []relational.TupleID, sc relational.Scaled, minScore float64, limit int) []relational.TupleID {
+	var keep []relational.TupleID
+	for _, c := range children {
+		if sc.At(c) > minScore {
+			keep = append(keep, c)
+		}
+	}
+	if len(keep) == 0 || limit <= 0 {
+		return nil
+	}
+	slices.SortFunc(keep, func(a, b relational.TupleID) int {
+		if c := cmp.Compare(sc.At(b), sc.At(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return keep[:min(limit, len(keep))]
 }
 
 // requirePlansCompiled fails unless a cold full iteration over ps is bit

@@ -332,7 +332,14 @@ func sealedBy(bound, tau float64) bool { return bound*(1+boundSlack) < tau }
 // Im(S) the engine remembers, +Inf when it remembers none.
 type candidate struct {
 	tuple relational.TupleID
+	pos   int32 // in the match stream
 	bound float64
+}
+
+// byBound orders candidates by bound descending, then stream position: a
+// stable sort by bound's permutation, without its merge passes.
+func byBound(a, b candidate) int {
+	return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.pos, b.pos))
 }
 
 // rankLocked serves a ranked page, a threshold loop over the whole frontier:
@@ -484,7 +491,7 @@ func (e *Engine) candidatesLocked(req QueryRequest, matches []keyword.Match) []c
 	e.boundsMu.Lock()
 	t := e.boundTableLocked(req)
 	for i, m := range matches {
-		cands[i] = candidate{m.Tuple, math.Inf(1)}
+		cands[i] = candidate{m.Tuple, int32(i), math.Inf(1)}
 		p := t.profiles[m.Tuple]
 		if im, ok := p.exactAt(key); ok && memo {
 			cands[i].bound = im
@@ -493,7 +500,7 @@ func (e *Engine) candidatesLocked(req QueryRequest, matches []keyword.Match) []c
 		}
 	}
 	e.boundsMu.Unlock()
-	slices.SortStableFunc(cands, func(a, b candidate) int { return cmp.Compare(b.bound, a.bound) })
+	slices.SortFunc(cands, byBound)
 	return cands
 }
 

@@ -1,9 +1,11 @@
 package sizelos
 
 import (
+	"cmp"
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -706,6 +708,29 @@ func TestSummaryTreeOutlivesArena(t *testing.T) {
 			if id != ostree.NodeID(i) {
 				t.Fatalf("Supplier %d: Result.Nodes %v do not number its tree", s.Tuple, s.Result.Nodes)
 			}
+		}
+	}
+}
+
+// TestCandidateOrderIsStableSort: byBound orders a ranked request's
+// candidates exactly as a stable sort by bound descending would, over
+// seeded bound vectors full of ties and unbounded (+Inf) subjects.
+func TestCandidateOrderIsStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	values := []float64{math.Inf(1), 0, 0.5, 1.25, 3}
+	for trial := 0; trial < 500; trial++ {
+		cands := make([]candidate, r.Intn(700))
+		for i := range cands {
+			cands[i] = candidate{tuple: relational.TupleID(r.Intn(1000)), pos: int32(i), bound: values[r.Intn(len(values))]}
+			if r.Intn(4) == 0 {
+				cands[i].bound = r.Float64()
+			}
+		}
+		want := slices.Clone(cands)
+		slices.SortStableFunc(want, func(a, b candidate) int { return cmp.Compare(b.bound, a.bound) })
+		slices.SortFunc(cands, byBound)
+		if !slices.Equal(cands, want) {
+			t.Fatalf("trial %d: byBound order differs from the stable sort by bound", trial)
 		}
 	}
 }
